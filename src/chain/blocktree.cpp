@@ -5,74 +5,83 @@
 
 namespace leak::chain {
 
-const std::vector<Digest> BlockTree::kNoChildren{};
-
 BlockTree::BlockTree() {
-  Block g = Block::make(Digest{}, Slot{0}, ValidatorIndex{0});
-  genesis_id_ = g.id;
-  blocks_.emplace(g.id, g);
+  const Block g = Block::make(Digest{}, Slot{0}, ValidatorIndex{0});
+  blocks_.push_back(g);
+  parent_.push_back(0);
+  children_.emplace_back();
+  index_.emplace(g.id, 0);
 }
 
 bool BlockTree::insert(const Block& b) {
-  if (blocks_.contains(b.id)) return false;
-  const auto parent_it = blocks_.find(b.parent);
-  if (parent_it == blocks_.end()) {
+  if (index_.contains(b.id)) return false;
+  const auto parent_it = index_.find(b.parent);
+  if (parent_it == index_.end()) {
     throw std::invalid_argument("BlockTree::insert: unknown parent");
   }
-  if (b.slot <= parent_it->second.slot) {
+  const std::uint32_t parent = parent_it->second;
+  if (b.slot <= blocks_[parent].slot) {
     throw std::invalid_argument("BlockTree::insert: slot not increasing");
   }
-  blocks_.emplace(b.id, b);
-  children_[b.parent].push_back(b.id);
+  const auto i = static_cast<std::uint32_t>(blocks_.size());
+  blocks_.push_back(b);
+  parent_.push_back(parent);
+  children_.emplace_back();
+  children_[parent].push_back(b.id);
+  index_.emplace(b.id, i);
   return true;
 }
 
-bool BlockTree::contains(const Digest& id) const {
-  return blocks_.contains(id);
+std::optional<std::uint32_t> BlockTree::index_of(const Digest& id) const {
+  const auto it = index_.find(id);
+  if (it == index_.end()) return std::nullopt;
+  return it->second;
 }
 
-const Block& BlockTree::at(const Digest& id) const {
-  const auto it = blocks_.find(id);
-  if (it == blocks_.end()) {
+std::uint32_t BlockTree::require(const Digest& id) const {
+  const auto it = index_.find(id);
+  if (it == index_.end()) {
     throw std::out_of_range("BlockTree::at: unknown block");
   }
   return it->second;
 }
 
+bool BlockTree::contains(const Digest& id) const {
+  return index_.contains(id);
+}
+
+const Block& BlockTree::at(const Digest& id) const {
+  return blocks_[require(id)];
+}
+
 const std::vector<Digest>& BlockTree::children(const Digest& id) const {
-  const auto it = children_.find(id);
-  return it == children_.end() ? kNoChildren : it->second;
+  static const std::vector<Digest> kNoChildren;
+  const auto i = index_of(id);
+  return i ? children_[*i] : kNoChildren;
 }
 
 bool BlockTree::is_ancestor(const Digest& ancestor,
                             const Digest& descendant) const {
-  Digest cur = descendant;
-  const Slot target_slot = at(ancestor).slot;
-  while (true) {
-    if (cur == ancestor) return true;
-    const Block& b = at(cur);
-    if (b.slot <= target_slot) return false;
-    if (cur == genesis_id_) return false;
-    cur = b.parent;
-  }
+  const std::uint32_t a = require(ancestor);
+  std::uint32_t d = require(descendant);
+  // Parents precede children, so the walk can stop below `a`.
+  while (d > a) d = parent_[d];
+  return d == a;
 }
 
 Digest BlockTree::ancestor_at_slot(const Digest& id, Slot slot) const {
-  Digest cur = id;
-  while (at(cur).slot > slot) {
-    if (cur == genesis_id_) break;
-    cur = at(cur).parent;
-  }
-  return cur;
+  std::uint32_t i = require(id);
+  while (i != 0 && blocks_[i].slot > slot) i = parent_[i];
+  return blocks_[i].id;
 }
 
 std::vector<Digest> BlockTree::chain_to(const Digest& id) const {
   std::vector<Digest> out;
-  Digest cur = id;
+  std::uint32_t i = require(id);
   while (true) {
-    out.push_back(cur);
-    if (cur == genesis_id_) break;
-    cur = at(cur).parent;
+    out.push_back(blocks_[i].id);
+    if (i == 0) break;
+    i = parent_[i];
   }
   std::reverse(out.begin(), out.end());
   return out;
@@ -80,9 +89,8 @@ std::vector<Digest> BlockTree::chain_to(const Digest& id) const {
 
 std::vector<Digest> BlockTree::leaves() const {
   std::vector<Digest> out;
-  for (const auto& [id, block] : blocks_) {
-    const auto it = children_.find(id);
-    if (it == children_.end() || it->second.empty()) out.push_back(id);
+  for (std::size_t i = 0; i < blocks_.size(); ++i) {
+    if (children_[i].empty()) out.push_back(blocks_[i].id);
   }
   return out;
 }

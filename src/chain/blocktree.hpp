@@ -3,6 +3,7 @@
 // blocks perceived").
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -12,13 +13,20 @@
 namespace leak::chain {
 
 /// Append-only block tree rooted at a genesis block.
+///
+/// Blocks are index-addressed: each block gets the next index on
+/// insertion, and since a parent must be known before its child, every
+/// parent index is lower than its children's.  Ancestry walks follow
+/// the parent-index array; the digest map is consulted once per call.
+/// References into the tree (`at`, `by_index`, `genesis`, `children`)
+/// are invalidated by `insert`.
 class BlockTree {
  public:
-  /// Create a tree with a genesis block at slot 0.
+  /// Create a tree with a genesis block at slot 0 (index 0).
   BlockTree();
 
-  [[nodiscard]] const Block& genesis() const { return at(genesis_id_); }
-  [[nodiscard]] const Digest& genesis_id() const { return genesis_id_; }
+  [[nodiscard]] const Block& genesis() const { return blocks_.front(); }
+  [[nodiscard]] Digest genesis_id() const { return blocks_.front().id; }
 
   /// Insert a block.  The parent must already be known and have a lower
   /// slot.  Returns false (no-op) when the block is already present;
@@ -43,7 +51,7 @@ class BlockTree {
   /// Chain from genesis to `id` (inclusive), genesis first.
   [[nodiscard]] std::vector<Digest> chain_to(const Digest& id) const;
 
-  /// Blocks without children.
+  /// Blocks without children, in insertion order.
   [[nodiscard]] std::vector<Digest> leaves() const;
 
   /// The epoch-boundary checkpoint for `epoch` on the branch ending at
@@ -52,11 +60,28 @@ class BlockTree {
   [[nodiscard]] Checkpoint checkpoint_on_branch(const Digest& head,
                                                 Epoch epoch) const;
 
+  // ---- index addressing (insertion order; genesis is index 0) ------
+
+  /// Index of a block, or nullopt when it is not in the tree.
+  [[nodiscard]] std::optional<std::uint32_t> index_of(const Digest& id) const;
+  /// Parent index of block `i`; genesis is its own parent.  Always
+  /// lower than `i` for every other block.
+  [[nodiscard]] std::uint32_t parent_index(std::uint32_t i) const {
+    return parent_[i];
+  }
+  /// The block at index `i`.
+  [[nodiscard]] const Block& by_index(std::uint32_t i) const {
+    return blocks_[i];
+  }
+
  private:
-  std::unordered_map<Digest, Block, DigestHash> blocks_;
-  std::unordered_map<Digest, std::vector<Digest>, DigestHash> children_;
-  Digest genesis_id_{};
-  static const std::vector<Digest> kNoChildren;
+  /// Index of a known block; throws std::out_of_range otherwise.
+  [[nodiscard]] std::uint32_t require(const Digest& id) const;
+
+  std::vector<Block> blocks_;
+  std::vector<std::uint32_t> parent_;
+  std::vector<std::vector<Digest>> children_;
+  std::unordered_map<Digest, std::uint32_t, DigestHash> index_;
 };
 
 }  // namespace leak::chain

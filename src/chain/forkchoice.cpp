@@ -19,28 +19,47 @@ std::optional<Digest> ForkChoice::latest_vote(ValidatorIndex v) const {
   return it->second.block;
 }
 
-Gwei ForkChoice::subtree_weight(const Digest& root, Epoch e) const {
-  Gwei total{};
+ForkChoice::Weights ForkChoice::weigh(Epoch e) const {
+  const auto n = static_cast<std::uint32_t>(tree_.size());
+  Weights w{std::vector<Gwei>(n), std::vector<std::uint32_t>(n, kNoChild)};
   for (const auto& [v, vote] : votes_) {
     if (!registry_.is_active(v, e)) continue;
     // Equivocation discounting: slashed validators' latest messages no
     // longer count toward fork choice.
-    if (registry_.at(v).slashed) continue;
+    const ValidatorRecord& r = registry_.at(v);
+    if (r.slashed) continue;
     // Votes for blocks this view has not received yet weigh nothing
     // (the attestation can arrive before the block it points at).
-    if (!tree_.contains(vote.block)) continue;
-    if (tree_.is_ancestor(root, vote.block)) {
-      total += registry_.at(v).balance;
-    }
+    if (const auto i = tree_.index_of(vote.block)) w.subtree[*i] += r.balance;
   }
   // Proposer boost: the current slot's timely proposal pulls extra
   // weight into every subtree that contains it.
-  if (boosted_block_ && tree_.contains(*boosted_block_) &&
-      tree_.is_ancestor(root, *boosted_block_)) {
-    const Gwei active = registry_.total_active_balance(e);
-    total += Gwei{active.value() * boost_percent_ / 100};
+  if (boosted_block_) {
+    if (const auto i = tree_.index_of(*boosted_block_)) {
+      const Gwei active = registry_.total_active_balance(e);
+      w.subtree[*i] += Gwei{active.value() * boost_percent_ / 100};
+    }
   }
-  return total;
+  // Children have higher indices than their parents, so in reverse
+  // order each block's subtree weight is final before it is folded
+  // into its parent.  Ties go to the smaller block id, a deterministic
+  // rule every validator shares.
+  for (std::uint32_t i = n; i-- > 1;) {
+    const std::uint32_t p = tree_.parent_index(i);
+    w.subtree[p] += w.subtree[i];
+    std::uint32_t& best = w.best_child[p];
+    if (best == kNoChild || w.subtree[i] > w.subtree[best] ||
+        (w.subtree[i] == w.subtree[best] &&
+         tree_.by_index(i).id < tree_.by_index(best).id)) {
+      best = i;
+    }
+  }
+  return w;
+}
+
+Gwei ForkChoice::subtree_weight(const Digest& root, Epoch e) const {
+  const auto i = tree_.index_of(root);
+  return i ? weigh(e).subtree[*i] : Gwei{};
 }
 
 void ForkChoice::set_proposer_boost(const Digest& block, unsigned percent) {
@@ -54,23 +73,12 @@ void ForkChoice::clear_proposer_boost() {
 }
 
 Digest ForkChoice::head(const Digest& justified_root, Epoch e) const {
-  Digest cur = justified_root;
-  while (true) {
-    const auto& kids = tree_.children(cur);
-    if (kids.empty()) return cur;
-    // Pick the heaviest child; break ties by block id for determinism
-    // across validators (the real protocol also has a deterministic rule).
-    Digest best = kids.front();
-    Gwei best_w = subtree_weight(best, e);
-    for (std::size_t i = 1; i < kids.size(); ++i) {
-      const Gwei w = subtree_weight(kids[i], e);
-      if (w > best_w || (w == best_w && kids[i] < best)) {
-        best = kids[i];
-        best_w = w;
-      }
-    }
-    cur = best;
-  }
+  const auto root = tree_.index_of(justified_root);
+  if (!root) return justified_root;
+  const Weights w = weigh(e);
+  std::uint32_t cur = *root;
+  while (w.best_child[cur] != kNoChild) cur = w.best_child[cur];
+  return tree_.by_index(cur).id;
 }
 
 }  // namespace leak::chain

@@ -3,8 +3,10 @@
 // checkpoint — the "fork choice rule" of Section 3.2.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "src/chain/blocktree.hpp"
 #include "src/chain/registry.hpp"
@@ -13,6 +15,12 @@ namespace leak::chain {
 
 /// Fork choice state: remembers each validator's latest block vote and
 /// selects the head by greedily descending into the heaviest subtree.
+///
+/// Every query makes one pass over the votes and one over the tree:
+/// each counted vote credits its block's index, the weights fold child
+/// to parent in reverse insertion order (parents precede children), and
+/// the same fold records each block's heaviest child.  Weights are
+/// integer Gwei, so the sums do not depend on the vote order.
 class ForkChoice {
  public:
   ForkChoice(const BlockTree& tree, const ValidatorRegistry& registry);
@@ -32,9 +40,12 @@ class ForkChoice {
 
   /// Compute the head starting from `justified_root` at epoch `e`
   /// (stake weights are read at epoch e; exited validators weigh 0).
+  /// At each block the heavier child wins; equal weights go to the
+  /// smaller block id.  A root missing from the tree is its own head.
   [[nodiscard]] Digest head(const Digest& justified_root, Epoch e) const;
 
-  /// Total stake voting inside the subtree rooted at `root` at epoch `e`.
+  /// Total stake voting inside the subtree rooted at `root` at epoch `e`
+  /// (zero for a root missing from the tree).
   [[nodiscard]] Gwei subtree_weight(const Digest& root, Epoch e) const;
 
  private:
@@ -42,6 +53,16 @@ class ForkChoice {
     Digest block{};
     Slot slot{};
   };
+
+  /// One weighing pass, index-addressed like the tree.
+  struct Weights {
+    std::vector<Gwei> subtree;
+    /// Heaviest child per block; kNoChild for a leaf.
+    std::vector<std::uint32_t> best_child;
+  };
+  static constexpr std::uint32_t kNoChild = ~std::uint32_t{0};
+
+  [[nodiscard]] Weights weigh(Epoch e) const;
 
   const BlockTree& tree_;
   const ValidatorRegistry& registry_;

@@ -31,7 +31,11 @@ Gwei FfgTracker::support(const Checkpoint& target) const {
 
 std::optional<Checkpoint> FfgTracker::process_epoch(Epoch e) {
   // Gather candidate targets in epoch e; check each for a supermajority
-  // link from an already-justified source.
+  // link from an already-justified source.  The map is visited in hash
+  // order, but that order cannot change the outcome: each attester
+  // counts once per target epoch (seen_), so the supports of the
+  // epoch-e targets are disjoint parts of the active stake and at most
+  // one of them can exceed 2/3 in a single call.
   std::optional<Checkpoint> newly_justified;
   const Gwei total = registry_.total_active_balance(e);
   for (const auto& [target, votes] : votes_by_target_) {

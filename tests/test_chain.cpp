@@ -176,9 +176,49 @@ TEST_F(TreeFixture, ChainToGenesisFirst) {
 
 TEST_F(TreeFixture, LeavesOnFork) {
   const Block b1 = add(tree.genesis_id(), 1, 0);
-  add(b1.id, 2, 1);
-  add(b1.id, 3, 2);
-  EXPECT_EQ(tree.leaves().size(), 2u);
+  const Block a2 = add(b1.id, 2, 1);
+  const Block b2 = add(b1.id, 3, 2);
+  EXPECT_EQ(tree.leaves(), (std::vector<Digest>{a2.id, b2.id}));
+}
+
+TEST_F(TreeFixture, LeavesInInsertionOrder) {
+  // Leaves come back in insertion order, whatever their digests.
+  const Block b1 = add(tree.genesis_id(), 1, 0);
+  const Block c1 = add(tree.genesis_id(), 2, 1);
+  const Block b2 = add(b1.id, 3, 2);
+  const Block d1 = add(tree.genesis_id(), 4, 3);
+  const Block c2 = add(c1.id, 5, 4);
+  EXPECT_EQ(tree.leaves(), (std::vector<Digest>{b2.id, d1.id, c2.id}));
+}
+
+TEST_F(TreeFixture, IndexAddressing) {
+  const Block b1 = add(tree.genesis_id(), 1, 0);
+  const Block a2 = add(b1.id, 2, 1);
+  const Block b2 = add(b1.id, 3, 2);
+  EXPECT_EQ(tree.index_of(tree.genesis_id()), 0u);
+  EXPECT_EQ(tree.index_of(b2.id), 3u);
+  EXPECT_FALSE(tree.index_of(crypto::sha256("nowhere")).has_value());
+  EXPECT_EQ(tree.parent_index(0), 0u);  // genesis is its own parent
+  EXPECT_EQ(tree.parent_index(2), 1u);
+  EXPECT_EQ(tree.parent_index(3), 1u);
+  EXPECT_EQ(tree.by_index(2).id, a2.id);
+  // A duplicate insert keeps the first index.
+  EXPECT_FALSE(tree.insert(a2));
+  EXPECT_EQ(tree.index_of(a2.id), 2u);
+}
+
+TEST_F(TreeFixture, UnknownBlocksThrow) {
+  const Block b1 = add(tree.genesis_id(), 1, 0);
+  const Digest unknown = crypto::sha256("nowhere");
+  EXPECT_THROW(static_cast<void>(tree.at(unknown)), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(tree.is_ancestor(unknown, b1.id)),
+               std::out_of_range);
+  EXPECT_THROW(static_cast<void>(tree.is_ancestor(b1.id, unknown)),
+               std::out_of_range);
+  EXPECT_THROW(static_cast<void>(tree.ancestor_at_slot(unknown, Slot{0})),
+               std::out_of_range);
+  EXPECT_THROW(static_cast<void>(tree.chain_to(unknown)), std::out_of_range);
+  EXPECT_TRUE(tree.children(unknown).empty());
 }
 
 TEST_F(TreeFixture, CheckpointOnBranchUsesBoundaryOrEarlier) {

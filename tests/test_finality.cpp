@@ -114,6 +114,34 @@ TEST_F(FfgFixture, EquivocatingTargetCountsFirstOnly) {
   EXPECT_DOUBLE_EQ(ffg.support(t1b).eth(), 0.0);
 }
 
+TEST_F(FfgFixture, TwoSupermajorityTargetsInOneEpoch) {
+  // Conflicting epoch-1 targets can both be justified once the first
+  // one's voters exit (as with a Byzantine third that equivocates).
+  // Each attester counts for one target per epoch, so only one can
+  // reach a supermajority per process_epoch call; the first justified
+  // keeps `justified()`.
+  const Checkpoint first = make_checkpoint(Epoch{1}, "a");
+  const Checkpoint second = make_checkpoint(Epoch{1}, "b");
+  for (std::uint32_t i = 0; i < 7; ++i) vote(i, genesis, first);
+  vote(7, genesis, second);
+  vote(8, genesis, second);
+  vote(0, genesis, second);  // equivocation: not counted
+  EXPECT_EQ(ffg.process_epoch(Epoch{1}), first);
+  EXPECT_EQ(ffg.justified(), first);
+
+  for (std::uint32_t i = 0; i < 7; ++i) {
+    registry.eject(ValidatorIndex{i}, Epoch{0});
+  }
+  // 2 of 2 active validators now back `second`.
+  EXPECT_EQ(ffg.process_epoch(Epoch{1}), second);
+  EXPECT_TRUE(ffg.is_justified(first));
+  EXPECT_TRUE(ffg.is_justified(second));
+  EXPECT_EQ(ffg.justified(), first);
+  // Re-processing the epoch is idempotent.
+  EXPECT_FALSE(ffg.process_epoch(Epoch{1}).has_value());
+  EXPECT_EQ(ffg.justified(), first);
+}
+
 TEST_F(FfgFixture, ExitedValidatorsDoNotSupport) {
   const Checkpoint t1 = make_checkpoint(Epoch{1}, "a");
   for (std::uint32_t i = 0; i < 7; ++i) vote(i, genesis, t1);

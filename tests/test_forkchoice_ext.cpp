@@ -1,8 +1,15 @@
-// Tests for fork-choice extensions: proposer boost and equivocation
-// discounting of slashed validators.
+// Tests for fork-choice extensions: proposer boost, equivocation
+// discounting of slashed validators, and the one-pass weighing checked
+// against the per-child descent it replaced (tests/oracles/).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/chain/forkchoice.hpp"
+#include "src/support/random.hpp"
+#include "tests/oracles/forkchoice_scalar.hpp"
 
 namespace leak::chain {
 namespace {
@@ -78,6 +85,164 @@ TEST_F(BoostFixture, EquivocationDefenseEndToEnd) {
   registry.at(ValidatorIndex{5}).slashed = true;
   EXPECT_EQ(fc.subtree_weight(a.id, Epoch{0}).value(), 0u);
   EXPECT_EQ(fc.subtree_weight(b.id, Epoch{0}).value(), 0u);
+}
+
+TEST_F(BoostFixture, UnknownRootIsItsOwnHeadAndWeighsNothing) {
+  const Block a = add(tree.genesis_id(), 1, 0);
+  fc.on_attestation(ValidatorIndex{0}, a.id, Slot{3});
+  const Digest unknown = crypto::sha256("never seen");
+  EXPECT_EQ(fc.head(unknown, Epoch{0}), unknown);
+  EXPECT_EQ(fc.subtree_weight(unknown, Epoch{0}).value(), 0u);
+}
+
+// ---- one-pass weighing vs the per-child oracle -----------------------
+
+/// A random view: a tree of 1-4 concurrent branches forking off random
+/// earlier blocks, up to 100 slots deep, with latest votes that mix
+/// blocks the view lacks, exited and slashed voters, or (one view in
+/// four) an exact weight tie between two siblings.
+struct RandomView {
+  explicit RandomView(std::uint64_t seed)
+      : rng(seed), registry(8 + 2 * static_cast<std::uint32_t>(
+                                        rng.uniform_index(20))),
+        fc(tree, registry) {
+    grow();
+    vote();
+    if (rng.uniform_index(2) == 0) {
+      const std::size_t pick = rng.uniform_index(blocks.size() + 1);
+      boosted = pick < blocks.size() ? blocks[pick] : crypto::sha256("gone");
+      boost_percent = static_cast<unsigned>(rng.uniform_index(101));
+      fc.set_proposer_boost(*boosted, boost_percent);
+    }
+  }
+
+  void grow() {
+    const std::size_t width = 1 + rng.uniform_index(4);
+    const std::uint64_t depth = 1 + rng.uniform_index(100);
+    std::vector<Digest> tips{tree.genesis_id()};
+    std::uint64_t body = 0;
+    auto add = [&](const Digest& parent, std::uint64_t slot) {
+      const Block b = Block::make(
+          parent, Slot{slot},
+          ValidatorIndex{static_cast<std::uint32_t>(rng.uniform_index(8))},
+          crypto::sha256("body" + std::to_string(body++)));
+      tree.insert(b);
+      blocks.push_back(b.id);
+      return b.id;
+    };
+    blocks.push_back(tree.genesis_id());
+    for (std::uint64_t s = 1; s <= depth; ++s) {
+      const std::size_t before = blocks.size();
+      if (tips.size() < width && rng.uniform_index(5) == 0) {
+        tips.push_back(add(blocks[rng.uniform_index(before)], s));
+      }
+      for (std::size_t t = 0; t < tips.size(); ++t) {
+        // Skipped slots leave gaps; a fresh fork already used slot s.
+        if (tree.at(tips[t]).slot.value() == s) continue;
+        if (rng.uniform_index(4) != 0) tips[t] = add(tips[t], s);
+      }
+    }
+  }
+
+  void vote() {
+    const std::uint32_t n = registry.size();
+    if (rng.uniform_index(4) == 0) {
+      // Every validator backs one of two siblings, alternately, with
+      // equal stake: their subtrees tie exactly.
+      for (const Digest& d : blocks) {
+        const auto& kids = tree.children(d);
+        if (kids.size() >= 2) {
+          tie = {kids[0], kids[1]};
+          break;
+        }
+      }
+      if (tie) {
+        for (std::uint32_t v = 0; v < n; ++v) {
+          fc.on_attestation(ValidatorIndex{v}, v % 2 == 0 ? tie->first
+                                                          : tie->second,
+                            Slot{1});
+        }
+        return;
+      }
+    }
+    for (std::uint32_t v = 0; v < n; ++v) {
+      registry.at(ValidatorIndex{v}).balance =
+          Gwei::from_eth(static_cast<double>(16 + rng.uniform_index(17)));
+      // Up to three votes each; only the latest by slot counts.
+      const std::size_t votes = rng.uniform_index(4);
+      for (std::size_t k = 0; k < votes; ++k) {
+        const bool missing = rng.uniform_index(8) == 0;
+        const Digest target =
+            missing ? crypto::sha256("missing" + std::to_string(v))
+                    : blocks[rng.uniform_index(blocks.size())];
+        fc.on_attestation(ValidatorIndex{v}, target,
+                          Slot{rng.uniform_index(200)});
+      }
+      const std::size_t fate = rng.uniform_index(10);
+      if (fate == 0) {
+        registry.eject(ValidatorIndex{v}, Epoch{rng.uniform_index(4)});
+      }
+      if (fate == 1) registry.at(ValidatorIndex{v}).slashed = true;
+    }
+  }
+
+  [[nodiscard]] oracle::ForkChoiceInputs inputs() const {
+    oracle::ForkChoiceInputs in{tree, registry, {}, boosted, boost_percent};
+    for (std::uint32_t v = 0; v < registry.size(); ++v) {
+      if (const auto d = fc.latest_vote(ValidatorIndex{v})) {
+        in.votes.emplace_back(ValidatorIndex{v}, *d);
+      }
+    }
+    return in;
+  }
+
+  Rng rng;
+  BlockTree tree;
+  ValidatorRegistry registry;
+  ForkChoice fc;
+  std::vector<Digest> blocks;
+  std::optional<std::pair<Digest, Digest>> tie;
+  std::optional<Digest> boosted;
+  unsigned boost_percent = 0;
+};
+
+TEST(ForkChoiceOracle, OnePassMatchesPerChildDescent) {
+  std::size_t ties = 0;
+  std::size_t boosts = 0;
+  for (std::uint64_t seed = 1; seed <= 96; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RandomView view(seed);
+    const oracle::ForkChoiceInputs in = view.inputs();
+    const Epoch e{2};
+    // Every block's subtree weight, then the head from genesis and from
+    // a few random justified roots.
+    for (const Digest& d : view.blocks) {
+      ASSERT_EQ(view.fc.subtree_weight(d, e),
+                oracle::forkchoice_subtree_weight_scalar(in, d, e));
+    }
+    std::vector<Digest> roots{view.tree.genesis_id()};
+    for (int k = 0; k < 4; ++k) {
+      const std::size_t pick = view.rng.uniform_index(view.blocks.size());
+      roots.push_back(view.blocks[pick]);
+    }
+    for (const Digest& root : roots) {
+      ASSERT_EQ(view.fc.head(root, e),
+                oracle::forkchoice_head_scalar(in, root, e));
+    }
+    if (view.tie && !view.boosted) {
+      // The tied pair decides the head: the smaller block id wins.
+      ++ties;
+      ASSERT_EQ(view.fc.subtree_weight(view.tie->first, e),
+                view.fc.subtree_weight(view.tie->second, e));
+      const Digest winner = std::min(view.tie->first, view.tie->second);
+      EXPECT_TRUE(view.tree.is_ancestor(
+          winner, view.fc.head(view.tree.genesis_id(), e)));
+    }
+    if (view.boosted) ++boosts;
+  }
+  // The seeds exercise both the tie and the boost paths.
+  EXPECT_GT(ties, 0u);
+  EXPECT_GT(boosts, 0u);
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 `bench/run_benchmarks.sh` produces BENCH_results.json -- a one-shot
 snapshot.  This tool turns those snapshots into a trajectory: each
 `append` adds one framed record to `bench/trajectory.jsonl`, and
-`check` compares a fresh snapshot against the newest committed record,
-failing when any benchmark's cpu time regressed beyond --max-regress.
+`check` compares a fresh snapshot against each benchmark's newest
+committed figure, failing when any benchmark's cpu time regressed
+beyond --max-regress.
 
 The store uses the exact line framing of the serve results store
 (src/serve/store.hpp): `<8-hex crc32> <compact JSON>\\n`, crc32 over
@@ -15,6 +16,7 @@ tail (crash mid-append) invalidates only the last line.
 
 Usage:
   tools/check_trajectory.py append RESULTS_JSON [--label TEXT]
+                                   [--only REGEX] [--binary NAME]
   tools/check_trajectory.py check  RESULTS_JSON [--max-regress 1.5]
                                    [--only REGEX] [--binary NAME]
   tools/check_trajectory.py show
@@ -25,6 +27,11 @@ targeted CI gate is not failed by unrelated noisy microbenchmarks.
 Keys are `binary::benchmark_name`; a raw --benchmark_out JSON from a
 single binary carries no "binary" field, so pass --binary NAME to
 supply it (run_benchmarks.sh injects the field when merging).
+
+`append --only REGEX` records just the matching benchmarks, e.g. the
+ones a change re-measured.  Every other benchmark keeps its figure from
+the older record that holds it, since `check` takes each benchmark's
+figure from the newest record that has one.
 
 Common flags: [--store bench/trajectory.jsonl]
 """
@@ -106,8 +113,28 @@ def snapshot(results_path, label, binary=None):
     }
 
 
+def select(benches, only):
+    """The benchmarks whose key matches the regex `only` (all if None)."""
+    if only is None:
+        return benches
+    pattern = re.compile(only)
+    return {k: v for k, v in benches.items() if pattern.search(k)}
+
+
+def latest_figures(records):
+    """Each benchmark's cpu time in the newest record that holds it."""
+    figures = {}
+    for rec in records:
+        figures.update(rec["cpu_time_ns"])
+    return figures
+
+
 def cmd_append(args):
-    record = snapshot(args.results, args.label)
+    record = snapshot(args.results, args.label, args.binary)
+    record["cpu_time_ns"] = select(record["cpu_time_ns"], args.only)
+    if not record["cpu_time_ns"]:
+        sys.exit(f"error: no benchmarks in {args.results} match"
+                 f" --only {args.only!r}")
     with open(args.store, "a") as fh:
         fh.write(frame(record))
     print(
@@ -123,22 +150,20 @@ def cmd_check(args):
             f"error: {args.store} has no valid records - seed it with "
             "`tools/check_trajectory.py append BENCH_results.json`"
         )
-    base = records[-1]["cpu_time_ns"]
-    fresh = snapshot(args.results, "check", args.binary)["cpu_time_ns"]
+    base = latest_figures(records)
+    fresh = select(snapshot(args.results, "check", args.binary)["cpu_time_ns"],
+                   args.only)
     shared = sorted(set(base) & set(fresh))
-    if args.only:
-        pattern = re.compile(args.only)
-        shared = [k for k in shared if pattern.search(k)]
     if not shared:
-        sys.exit("error: no benchmarks in common with the last record"
+        sys.exit("error: no benchmarks in common with the trajectory"
                  + (f" matching --only {args.only!r}" if args.only else ""))
     regressions = []
     for key in shared:
         if base[key] > 0 and fresh[key] > base[key] * args.max_regress:
             regressions.append((key, base[key], fresh[key]))
     print(
-        f"{len(shared)} benchmarks compared against record"
-        f" {len(records)} ({records[-1].get('label') or 'unlabelled'})"
+        f"{len(shared)} benchmarks compared against their newest figures"
+        f" in {len(records)} records"
     )
     if regressions:
         for key, old, new in regressions:
@@ -167,12 +192,20 @@ def main():
     p = sub.add_parser("append", help="record a BENCH_results.json snapshot")
     p.add_argument("results")
     p.add_argument("--label", default="")
+    p.add_argument(
+        "--only", default=None,
+        help="record only the keys matching this regex",
+    )
+    p.add_argument(
+        "--binary", default=None,
+        help="binary name for raw single-binary reports",
+    )
     p.set_defaults(func=cmd_append)
-    p = sub.add_parser("check", help="compare a snapshot to the last record")
+    p = sub.add_parser("check", help="compare a snapshot to the trajectory")
     p.add_argument("results")
     p.add_argument(
         "--max-regress", type=float, default=1.5,
-        help="fail when cpu time exceeds last record by this factor",
+        help="fail when cpu time exceeds the newest figure by this factor",
     )
     p.add_argument(
         "--only", default=None,
