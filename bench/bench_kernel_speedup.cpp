@@ -81,7 +81,9 @@ void report() {
   bench::emit(t, "kernel_speedup_pairs.csv");
   std::printf(
       "gate: tools/check_bench_speedup.py requires batched >= 1.1x scalar\n"
-      "items_per_second for every driver (each pair shares its workload).\n");
+      "items_per_second for every driver (10x for partition, whose\n"
+      "class-aggregated core the per-validator oracle cannot approach;\n"
+      "each pair shares its workload).\n");
 }
 
 // --- bouncing ----------------------------------------------------------

@@ -115,6 +115,25 @@ void BM_SlotSimEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_SlotSimEpoch)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
+// Cost vs n of one Section 5.1 partition run over a 5000-epoch horizon
+// (conflicting finalization lands at ~4662).  The simulator keeps one
+// record per validator class, so only the O(n) honest split setup
+// grows with n: /1000000 stays within a small multiple of /400.  Items
+// are horizon epochs.
+void BM_PartitionSimN(benchmark::State& state) {
+  sim::PartitionSimConfig sc;
+  sc.n_validators = static_cast<std::uint32_t>(state.range(0));
+  sc.strategy = sim::Strategy::kNone;
+  sc.max_epochs = 5000;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::run_partition_sim(sc));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sc.max_epochs));
+}
+BENCHMARK(BM_PartitionSimN)->Arg(400)->Arg(50000)->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);
+
 // Thread-scaling sweep of the randomized-split partition trials.
 void BM_PartitionTrialsThreads(benchmark::State& state) {
   sim::PartitionTrialsConfig tc;

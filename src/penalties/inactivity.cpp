@@ -11,19 +11,9 @@ InactivityTracker::InactivityTracker(chain::ValidatorRegistry& registry,
       exit_queue_(ChurnConfig{config.min_per_epoch_churn_limit,
                               config.churn_limit_quotient}) {}
 
-bool InactivityTracker::is_leaking(Epoch current, Epoch last_finalized) const {
-  if (current.value() < last_finalized.value()) {
-    throw std::invalid_argument("is_leaking: finalized epoch in the future");
-  }
-  return current.value() - last_finalized.value() >
-         config_.min_epochs_to_inactivity_penalty;
-}
-
-template <bool kWithSums>
-EpochPenaltyReport InactivityTracker::process_epoch_impl(
+EpochPenaltyReport InactivityTracker::process_epoch(
     Epoch current, Epoch last_finalized,
-    const std::vector<std::uint8_t>& active, std::uint32_t split,
-    BalanceSums* sums) {
+    const std::vector<std::uint8_t>& active) {
   if (active.size() != registry_.size()) {
     throw std::invalid_argument("process_epoch: activity vector size");
   }
@@ -35,54 +25,18 @@ EpochPenaltyReport InactivityTracker::process_epoch_impl(
     const ValidatorIndex v{i};
     auto& rec = registry_.at(v);
     if (rec.exited_by(current)) continue;
-
-    // Penalty uses the score and balance *before* this epoch's update
-    // (Eq 2 uses I(t-1) and s(t-1)).  A zero score means a zero
-    // penalty, so the 128-bit multiply/divide is skipped for exactly
-    // the validators it would not change — recovered validators on a
-    // live branch pay nothing either way.
-    if (rec.inactivity_score > 0 &&
-        (report.leaking || config_.inactivity_penalty_tracks_score)) {
-      const auto penalty_gwei = static_cast<std::uint64_t>(
-          (static_cast<__uint128_t>(rec.balance.value()) *
-           rec.inactivity_score) /
-          config_.inactivity_penalty_quotient);
-      const Gwei penalty{penalty_gwei};
-      rec.balance -= penalty;
-      report.total_penalty += penalty;
-    }
-
-    // Score update (Eq 1).
-    if (active[i] != 0) {
-      const std::uint64_t dec = config_.inactivity_score_active_decrement;
-      rec.inactivity_score -= std::min(dec, rec.inactivity_score);
-    } else {
-      rec.inactivity_score += config_.inactivity_score_bias;
-    }
-    if (!report.leaking) {
-      const std::uint64_t dec = config_.inactivity_score_recovery_rate;
-      rec.inactivity_score -= std::min(dec, rec.inactivity_score);
-    }
-
+    const RecordStep step = step_record(rec.balance, rec.inactivity_score,
+                                        active[i] != 0, report.leaking,
+                                        config_);
+    report.total_penalty += step.penalty;
     // Ejection of depleted validators: immediate in the paper's model,
     // queued through the churn limit when enabled.
-    if (rec.balance <= config_.ejection_balance) {
+    if (step.depleted) {
       if (config_.use_churn_limit) {
         exit_queue_.request_exit(v);
-        // The queued exit lands below, after the sweep — which is why
-        // the fused overload rejects churn mode up front.
       } else {
         registry_.eject(v, current);
         report.ejected.push_back(v);
-        continue;  // exited_by(current) now holds: out of the sums
-      }
-    }
-    if constexpr (kWithSums) {
-      if (i < split) {
-        sums->prefix_total += rec.balance;
-        if (active[i] != 0) sums->prefix_active += rec.balance;
-      } else {
-        sums->suffix_total += rec.balance;
       }
     }
   }
@@ -93,27 +47,6 @@ EpochPenaltyReport InactivityTracker::process_epoch_impl(
     }
   }
   return report;
-}
-
-EpochPenaltyReport InactivityTracker::process_epoch(
-    Epoch current, Epoch last_finalized,
-    const std::vector<std::uint8_t>& active) {
-  return process_epoch_impl<false>(current, last_finalized, active, 0,
-                                   nullptr);
-}
-
-EpochPenaltyReport InactivityTracker::process_epoch(
-    Epoch current, Epoch last_finalized,
-    const std::vector<std::uint8_t>& active, std::uint32_t split,
-    BalanceSums* sums) {
-  if (config_.use_churn_limit) {
-    throw std::logic_error(
-        "process_epoch: fused balance sums are incompatible with the "
-        "churn limit (queued exits land after the sweep)");
-  }
-  *sums = BalanceSums{};
-  return process_epoch_impl<true>(current, last_finalized, active, split,
-                                  sums);
 }
 
 }  // namespace leak::penalties

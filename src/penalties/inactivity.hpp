@@ -10,7 +10,9 @@
 // without finalization and stops when finalization resumes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "src/chain/registry.hpp"
@@ -27,27 +29,65 @@ struct EpochPenaltyReport {
   std::vector<ValidatorIndex> ejected;
 };
 
-/// Post-update balance sums over a prefix/suffix split of the registry,
-/// produced in the same sweep that applies penalties (see the fused
-/// process_epoch overload).  "Prefix" is [0, split), "suffix" is
-/// [split, n); exited validators (including ones ejected this epoch)
-/// are excluded, exactly as a separate post-epoch sweep filtered on
-/// exited_by(current) would compute.
-struct BalanceSums {
-  Gwei prefix_total{};   ///< non-exited balance in [0, split)
-  Gwei prefix_active{};  ///< of that, the validators with active[i] != 0
-  Gwei suffix_total{};   ///< non-exited balance in [split, n)
+/// True when the chain is in an inactivity leak at `current`, given the
+/// last finalized epoch (spec: previous epoch - finalized epoch >
+/// min_epochs_to_inactivity_penalty).
+[[nodiscard]] inline bool is_leaking(Epoch current, Epoch last_finalized,
+                                     const SpecConfig& config) {
+  if (current.value() < last_finalized.value()) {
+    throw std::invalid_argument("is_leaking: finalized epoch in the future");
+  }
+  return current.value() - last_finalized.value() >
+         config.min_epochs_to_inactivity_penalty;
+}
+
+/// What one epoch of the leak did to one validator record.
+struct RecordStep {
+  Gwei penalty{};
+  /// The balance is at or below the ejection threshold: eject (or queue
+  /// the exit, in churn mode).
+  bool depleted = false;
 };
+
+/// One epoch of the leak arithmetic on one live record's balance and
+/// score: the Eq 2 penalty from the score and balance *before* this
+/// epoch's update, then the Eq 1 score update, then the ejection test.
+/// The single definition both InactivityTracker::process_epoch and the
+/// partition simulator's class sweep apply.
+[[nodiscard]] inline RecordStep step_record(Gwei& balance,
+                                            std::uint64_t& score,
+                                            bool active, bool leaking,
+                                            const SpecConfig& config) {
+  RecordStep step;
+  // A zero score means a zero penalty, so the 128-bit multiply/divide
+  // is skipped for exactly the records it would not change.
+  if (score > 0 && (leaking || config.inactivity_penalty_tracks_score)) {
+    step.penalty = Gwei{static_cast<std::uint64_t>(
+        (static_cast<__uint128_t>(balance.value()) * score) /
+        config.inactivity_penalty_quotient)};
+    balance -= step.penalty;
+  }
+  if (active) {
+    score -= std::min(config.inactivity_score_active_decrement, score);
+  } else {
+    score += config.inactivity_score_bias;
+  }
+  if (!leaking) {
+    score -= std::min(config.inactivity_score_recovery_rate, score);
+  }
+  step.depleted = balance <= config.ejection_balance;
+  return step;
+}
 
 /// Drives scores, penalties and ejections on one branch's registry view.
 class InactivityTracker {
  public:
   InactivityTracker(chain::ValidatorRegistry& registry, SpecConfig config);
 
-  /// True when the chain is in an inactivity leak at `current`, given the
-  /// last finalized epoch (spec: previous epoch - finalized epoch >
-  /// min_epochs_to_inactivity_penalty).
-  [[nodiscard]] bool is_leaking(Epoch current, Epoch last_finalized) const;
+  /// penalties::is_leaking under this tracker's config.
+  [[nodiscard]] bool is_leaking(Epoch current, Epoch last_finalized) const {
+    return penalties::is_leaking(current, last_finalized, config_);
+  }
 
   /// Process one epoch: `active[i]` (nonzero = active) says whether
   /// validator i was deemed active this epoch on this branch (attested
@@ -57,18 +97,6 @@ class InactivityTracker {
   EpochPenaltyReport process_epoch(Epoch current, Epoch last_finalized,
                                    const std::vector<std::uint8_t>& active);
 
-  /// Fused variant: identical state updates, plus post-update balance
-  /// sums for `sums` accumulated in the same ascending-index sweep —
-  /// saving the caller a second pass over the registry.  Integer Gwei
-  /// sums in the same order make the result bit-identical to running
-  /// the plain overload followed by a filtered balance sweep.  Requires
-  /// use_churn_limit == false (throws std::logic_error otherwise):
-  /// queued exits land after the sweep, so in-sweep sums could not see
-  /// them.
-  EpochPenaltyReport process_epoch(Epoch current, Epoch last_finalized,
-                                   const std::vector<std::uint8_t>& active,
-                                   std::uint32_t split, BalanceSums* sums);
-
   [[nodiscard]] const SpecConfig& config() const { return config_; }
 
   /// Validators waiting in the exit queue (churn mode only).
@@ -77,12 +105,6 @@ class InactivityTracker {
   }
 
  private:
-  template <bool kWithSums>
-  EpochPenaltyReport process_epoch_impl(Epoch current, Epoch last_finalized,
-                                        const std::vector<std::uint8_t>& active,
-                                        std::uint32_t split,
-                                        BalanceSums* sums);
-
   chain::ValidatorRegistry& registry_;
   SpecConfig config_;
   ExitQueue exit_queue_;

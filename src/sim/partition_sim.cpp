@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <stdexcept>
 
 #include "src/runner/thread_pool.hpp"
@@ -29,6 +30,11 @@ void validate(const PartitionSimConfig& cfg) {
   }
   if (cfg.branches < 2 || cfg.branches > cfg.n_validators) {
     throw std::invalid_argument("run_partition_sim: bad branch count");
+  }
+  // Trajectories sample at t % trajectory_stride: 0 would divide by 0.
+  if (cfg.trajectory_stride == 0) {
+    throw std::invalid_argument(
+        "run_partition_sim: trajectory_stride must be >= 1");
   }
   // p0 only shapes the two-branch split; silently ignoring it with
   // k > 2 branches turned real config mistakes into plausible results.
@@ -77,9 +83,127 @@ std::uint32_t byzantine_count(const PartitionSimConfig& cfg) {
       std::llround(cfg.beta0 * static_cast<double>(cfg.n_validators)));
 }
 
+constexpr std::uint32_t kNoClass = ~0U;
+
+/// The validator classes of one run.  The honest index range
+/// [0, n_honest) is cut into segments at every outage cohort's boundary
+/// round(cohort * n_honest); class s * branches + c holds the honest
+/// validators of segment s on branch class c, and the last class the
+/// Byzantine validators [n_honest, n).  Members of a class start with
+/// the same balance and score and see the same activity every epoch,
+/// so on each branch one record describes them all (see
+/// docs/ARCHITECTURE.md, "Class-aggregated partition state").
+struct ClassLayout {
+  std::uint32_t branches = 0;
+  /// Segment boundaries, ascending: segment s is [cuts[s], cuts[s+1]).
+  std::vector<std::uint32_t> cuts;
+  /// Members per class; empty classes never take part.
+  std::vector<std::uint32_t> size;
+  /// Per branch class c: the class holding c's representative (its
+  /// lowest honest index, so its class's first member to exit), or
+  /// kNoClass when c has no member.
+  std::vector<std::uint32_t> representative_class;
+  /// Churn mode only: the class of every validator index.
+  std::vector<std::uint32_t> class_of;
+
+  [[nodiscard]] std::uint32_t byzantine() const {
+    return static_cast<std::uint32_t>(size.size() - 1);
+  }
+  /// Whether honest class j sits out under an outage of the honest
+  /// prefix [0, outage_cut).  Outage cuts are segment boundaries, so a
+  /// segment lies wholly inside or outside the prefix.
+  [[nodiscard]] bool in_outage(std::uint32_t j,
+                               std::uint32_t outage_cut) const {
+    return cuts[j / branches + 1] <= outage_cut;
+  }
+};
+
+ClassLayout build_layout(const PartitionSimConfig& cfg, std::uint32_t n_byz,
+                         const std::vector<std::uint8_t>& branch_of_honest,
+                         bool with_class_of) {
+  const auto n_honest = cfg.n_validators - n_byz;
+  const auto k = cfg.branches;
+  ClassLayout layout;
+  layout.branches = k;
+  layout.cuts = {0, n_honest};
+  for (const OutageWindow& o : cfg.outages) {
+    layout.cuts.push_back(std::min(
+        n_honest, static_cast<std::uint32_t>(std::llround(
+                      o.cohort * static_cast<double>(n_honest)))));
+  }
+  std::sort(layout.cuts.begin(), layout.cuts.end());
+  layout.cuts.erase(std::unique(layout.cuts.begin(), layout.cuts.end()),
+                    layout.cuts.end());
+  layout.size.assign((layout.cuts.size() - 1) * k + 1, 0);
+  layout.size.back() = n_byz;
+  layout.representative_class.assign(k, kNoClass);
+  if (with_class_of) {
+    layout.class_of.assign(cfg.n_validators, layout.byzantine());
+  }
+  std::uint32_t s = 0;
+  for (std::uint32_t i = 0; i < n_honest; ++i) {
+    while (i >= layout.cuts[s + 1]) ++s;
+    const std::uint8_t c = branch_of_honest[i];
+    const std::uint32_t j = s * k + c;
+    if (layout.representative_class[c] == kNoClass) {
+      layout.representative_class[c] = j;
+    }
+    ++layout.size[j];
+    if (with_class_of) layout.class_of[i] = j;
+  }
+  return layout;
+}
+
+/// One class's record on one branch.  Live members share the balance
+/// and score; exited members are an index-ordered prefix of the class
+/// and keep the balance they exited with, summed in
+/// BranchState::exited_balance.
+struct ClassState {
+  Gwei balance = Gwei::from_eth(kInitialStakeEth);
+  std::uint64_t score = 0;
+  std::uint32_t live = 0;
+  std::uint32_t exited = 0;
+  /// Balance the class's lowest index exited with (set at its first
+  /// exit): the representative's frozen balance.
+  Gwei lead_exit_balance{};
+};
+
+/// Combined balance of a class's live members (integer Gwei, so exactly
+/// the sum over the members).
+Gwei live_stake(const ClassState& cs) {
+  return Gwei{std::uint64_t{cs.live} * cs.balance.value()};
+}
+
+/// One branch's view of the validator set: a record per class.
+struct BranchState {
+  std::vector<ClassState> cls;
+  Gwei exited_balance{};
+  /// Churn mode: the FIFO exit queue of validator indices, and per
+  /// class whether its live members are in it.
+  std::deque<std::uint32_t> exit_queue;
+  std::vector<std::uint8_t> queued;
+
+  /// Every validator's balance, exited ones at their frozen balance.
+  [[nodiscard]] Gwei total_balance() const {
+    Gwei total = exited_balance;
+    for (const ClassState& cs : cls) total += live_stake(cs);
+    return total;
+  }
+
+  void exit_members(std::uint32_t j, std::uint32_t m) {
+    ClassState& cs = cls[j];
+    if (cs.exited == 0) cs.lead_exit_balance = cs.balance;
+    cs.live -= m;
+    cs.exited += m;
+    exited_balance += Gwei{std::uint64_t{m} * cs.balance.value()};
+  }
+};
+
 /// Core scenario run over an explicit per-honest-validator branch
 /// assignment (honest indices [0, n_honest); branch_of_honest[i] in
 /// [0, branches)).  Byzantine validators occupy indices [n_honest, n).
+/// Each branch holds one record per class (ClassLayout), so an epoch
+/// costs O(branches x classes) whatever n is.
 PartitionSimResult run_partition_core(
     const PartitionSimConfig& cfg, std::uint32_t n_byz,
     const std::vector<std::uint8_t>& branch_of_honest) {
@@ -122,22 +246,27 @@ PartitionSimResult run_partition_core(
   std::vector<std::uint8_t> opened(k, 0);
   opened[0] = 1;  // the canonical branch is always open
 
-  // One registry view and tracker per branch.  With healing enabled the
-  // trackers use the real-spec penalty gate (score > 0 keeps paying
-  // after finalization resumes) so the recovery tail matches
-  // analytic::recovery; without healing the legacy leak-only gate keeps
-  // every two-branch result bit-identical.
+  // With healing enabled the penalty gate is the real spec's (score > 0
+  // keeps paying after finalization resumes) so the recovery tail
+  // matches analytic::recovery; without healing the legacy leak-only
+  // gate keeps every two-branch result bit-identical.
   penalties::SpecConfig spec = cfg.spec;
   if (healing) spec.inactivity_penalty_tracks_score = true;
-  std::vector<chain::ValidatorRegistry> registry(
-      k, chain::ValidatorRegistry{n});
-  std::vector<penalties::InactivityTracker> tracker;
-  tracker.reserve(k);
-  for (std::uint32_t b = 0; b < k; ++b) {
-    tracker.emplace_back(registry[b], spec);
-  }
+  const bool churn = spec.use_churn_limit;
+  const penalties::ChurnConfig churn_cfg{spec.min_per_epoch_churn_limit,
+                                         spec.churn_limit_quotient};
 
-  const auto is_byz = [&](std::uint32_t i) { return i >= n_honest; };
+  const ClassLayout layout =
+      build_layout(cfg, n_byz, branch_of_honest, churn);
+  const std::uint32_t byz = layout.byzantine();
+  const std::uint32_t n_classes = byz + 1;
+  BranchState initial;
+  initial.cls.resize(n_classes);
+  for (std::uint32_t j = 0; j < n_classes; ++j) {
+    initial.cls[j].live = layout.size[j];
+  }
+  initial.queued.assign(n_classes, 0);
+  std::vector<BranchState> state(k, initial);
 
   // Late opens (and scheduled outages) make branch 0's finality
   // non-monotone: an open after finalization resumed strips active
@@ -156,11 +285,6 @@ PartitionSimResult run_partition_core(
   // Recovery bookkeeping: one pending outcome per honest class that is
   // due to return (branches 1..k-1), plus the branch-wide totals.
   std::vector<RecoveryOutcome> pending(k);
-  std::vector<std::uint32_t> representative(k, n);  // n = no member
-  for (std::uint32_t i = 0; i < n_honest; ++i) {
-    const std::uint8_t b = branch_of_honest[i];
-    if (representative[b] == n) representative[b] = i;
-  }
   for (std::uint32_t b = 0; b < k; ++b) {
     pending[b].from_branch = b;
     pending[b].class_size = res.n_honest_per_branch[b];
@@ -168,26 +292,28 @@ PartitionSimResult run_partition_core(
   bool recovery_totals_recorded = false;
   Gwei recovery_total_start{};
 
-  // Reused across every (epoch, branch) pair: each pass assigns every
-  // index, so hoisting the buffers out of the hot loop removes one
-  // allocation per simulated epoch per branch.  class_active[c] is the
-  // activity of honest branch class c on the branch being processed —
-  // activity depends only on a validator's class, so the per-validator
-  // passes below become byte-table lookups instead of branchy
-  // re-derivations.
-  std::vector<std::uint8_t> active(n, 0);
+  // Reused across every (epoch, branch) pair.  class_active[c] is the
+  // activity of honest branch class c on the branch being processed,
+  // on[j] that of ClassLayout class j.
   std::vector<std::uint8_t> class_active(k, 0);
+  std::vector<std::uint8_t> on(n_classes, 0);
+  std::vector<std::uint8_t> requested(n_classes, 0);
+  std::vector<std::uint32_t> seen(n_classes, 0);
 
   for (std::size_t t = 1; t <= cfg.max_epochs; ++t) {
     const Epoch epoch{t};
     // Cascading opens: a branch opening after epoch 1 forks the
-    // canonical chain's registry state (balances, scores, exits) as of
+    // canonical chain's class records (balances, scores, exits) as of
     // the fork epoch.  Epoch-1 opens keep the pristine initial state,
-    // exactly the legacy behaviour.
+    // exactly the legacy behaviour.  The fork's exit queue starts
+    // empty: the branch was never processed.
     for (std::uint32_t b = 1; b < k; ++b) {
       if (opened[b] == 0 && t >= open_at[b]) {
         opened[b] = 1;
-        if (t > 1) registry[b] = registry[0];
+        if (t > 1) {
+          state[b].cls = state[0].cls;
+          state[b].exited_balance = state[0].exited_balance;
+        }
       }
     }
     if (healing) {
@@ -223,7 +349,7 @@ PartitionSimResult run_partition_core(
       if (leak_over[b] != 0) continue;
       if (b > 0 && healed[b] != 0) continue;
       if (b == 0 && res.recovery_complete_epoch >= 0) continue;
-      auto& reg = registry[b];
+      BranchState& st = state[b];
       auto& out = res.branch[b];
       /// Branch 0 is past finalization and in the recovery tail.
       const bool recovering = b == 0 && leak_end_epoch >= 0;
@@ -236,30 +362,29 @@ PartitionSimResult run_partition_core(
         for (std::uint32_t c = 1; c < k; ++c) {
           auto& rec = pending[c];
           if (rec.return_epoch >= 0 || rec.ejected_before_return) continue;
-          if (healed[c] == 0 || representative[c] == n) continue;
-          const ValidatorIndex v{representative[c]};
-          if (!reg.is_active(v, epoch)) {
+          const std::uint32_t rc = layout.representative_class[c];
+          if (healed[c] == 0 || rc == kNoClass) continue;
+          const ClassState& rep = st.cls[rc];
+          if (rep.exited > 0) {
             rec.ejected_before_return = true;
             continue;
           }
           rec.return_epoch = static_cast<std::int64_t>(t);
-          rec.score_at_return =
-              static_cast<double>(reg.at(v).inactivity_score);
+          rec.score_at_return = static_cast<double>(rep.score);
           rec.stake_at_return_eth =
-              static_cast<double>(reg.at(v).balance.value()) / kGweiPerEth;
+              static_cast<double>(rep.balance.value()) / kGweiPerEth;
         }
         if (!recovery_totals_recorded) {
           recovery_totals_recorded = true;
-          for (std::uint32_t i = 0; i < n; ++i) {
-            recovery_total_start += reg.at(ValidatorIndex{i}).balance;
-          }
+          recovery_total_start = st.total_balance();
         }
       }
 
-      // Activity on branch b this epoch, assigned per class: Byzantine
-      // validators occupy the index tail [n_honest, n) (never inside
-      // the outage prefix, which is capped at n_honest), honest
-      // validators look their branch class up in the table.
+      // Activity on branch b this epoch, per class: the Byzantine class
+      // follows the strategy (it is never inside the outage prefix,
+      // which is capped at n_honest); an honest class sits out while
+      // its segment lies in the outage prefix and otherwise looks its
+      // branch class up in the table.
       std::uint8_t byz_active = 0;
       if (recovering) {
         byz_active = 1;  // the partition is over; everyone attests
@@ -284,39 +409,68 @@ PartitionSimResult run_partition_core(
             (c == b || (b == 0 && (healed[c] != 0 || opened[c] == 0))) ? 1
                                                                        : 0;
       }
-      for (std::uint32_t i = 0; i < n_honest; ++i) {
-        // Scheduled outage: the honest prefix sits out everywhere.
-        active[i] = i < outage_cut ? 0 : class_active[branch_of_honest[i]];
+      for (std::uint32_t j = 0; j < byz; ++j) {
+        on[j] = layout.in_outage(j, outage_cut) ? 0 : class_active[j % k];
       }
-      for (std::uint32_t i = n_honest; i < n; ++i) active[i] = byz_active;
+      on[byz] = byz_active;
 
-      // Penalties and branch metrics for this epoch.  During the
-      // partition nothing has finalized since genesis; once branch 0
-      // finalizes, finality advances every epoch and the tracker
-      // leaves the leak.  The metric stake sums ride the tracker's
-      // sweep (the fused process_epoch overload) instead of a second
-      // pass over the registry: active[i] for honest validators is
-      // exactly the outage-and-class condition the old metrics loop
-      // re-derived, so prefix_active IS the honest active side, the
-      // suffix total IS the Byzantine stake, and integer Gwei sums
-      // make the regrouped totals bit-identical.  Churn mode cannot
-      // fuse (queued exits land after the sweep) and takes the
-      // two-pass fallback.
+      // Penalties, scores and ejections for this epoch, once per class.
+      // During the partition nothing has finalized since genesis; once
+      // branch 0 finalizes, finality advances every epoch and the
+      // branch leaves the leak.
       const Epoch last_finalized =
           recovering ? Epoch{t - 1} : Epoch{0};
-      const bool fused = !spec.use_churn_limit;
-      penalties::BalanceSums sums;
-      const auto report =
-          fused ? tracker[b].process_epoch(epoch, last_finalized, active,
-                                           n_honest, &sums)
-                : tracker[b].process_epoch(epoch, last_finalized, active);
-      if (out.honest_ejection_epoch < 0) {
-        for (const ValidatorIndex v : report.ejected) {
-          if (!is_byz(v.value())) {
-            out.honest_ejection_epoch = static_cast<std::int64_t>(t);
-            break;
-          }
+      const bool leaking = penalties::is_leaking(epoch, last_finalized, spec);
+      bool honest_ejected = false;
+      bool new_exit_requests = false;
+      for (std::uint32_t j = 0; j < n_classes; ++j) {
+        ClassState& cs = st.cls[j];
+        if (cs.live == 0) continue;
+        if (!penalties::step_record(cs.balance, cs.score, on[j] != 0,
+                                    leaking, spec)
+                 .depleted) {
+          continue;
         }
+        // Ejection of depleted validators: the whole class at once in
+        // the paper's model, queued through the churn limit when
+        // enabled (re-requests of queued members are no-ops).
+        if (!churn) {
+          honest_ejected = honest_ejected || j != byz;
+          st.exit_members(j, cs.live);
+        } else if (st.queued[j] == 0) {
+          st.queued[j] = 1;
+          requested[j] = 1;
+          new_exit_requests = true;
+        }
+      }
+      if (churn) {
+        // The FIFO queue orders requests by epoch, then index.  A
+        // class's live members deplete in the same epoch and join in
+        // index order, so its exits are always an index-ordered prefix:
+        // enqueue every member past that prefix.
+        if (new_exit_requests) {
+          std::fill(seen.begin(), seen.end(), 0);
+          for (std::uint32_t i = 0; i < n; ++i) {
+            const std::uint32_t j = layout.class_of[i];
+            if (requested[j] != 0 && seen[j]++ >= st.cls[j].exited) {
+              st.exit_queue.push_back(i);
+            }
+          }
+          std::fill(requested.begin(), requested.end(), 0);
+        }
+        std::uint64_t live = 0;
+        for (const ClassState& cs : st.cls) live += cs.live;
+        const std::uint64_t limit = penalties::churn_limit(live, churn_cfg);
+        for (std::uint64_t popped = 0;
+             popped < limit && !st.exit_queue.empty(); ++popped) {
+          const std::uint32_t j = layout.class_of[st.exit_queue.front()];
+          st.exit_queue.pop_front();
+          honest_ejected = honest_ejected || j != byz;
+          st.exit_members(j, 1);
+        }
+      }
+      if (honest_ejected && out.honest_ejection_epoch < 0) {
+        out.honest_ejection_epoch = static_cast<std::int64_t>(t);
       }
 
       // The ratio counts the stake classes per the paper's Eqs 5/8/10:
@@ -327,24 +481,14 @@ PartitionSimResult run_partition_core(
       Gwei total{};
       Gwei active_side{};
       Gwei byz_side{};
-      if (fused) {
-        byz_side = sums.suffix_total;
-        total = sums.prefix_total + sums.suffix_total;
-        active_side = sums.prefix_active;
-        if (byz_counts) active_side += byz_side;
-      } else {
-        for (std::uint32_t i = 0; i < n; ++i) {
-          const auto& rec = reg.at(ValidatorIndex{i});
-          if (rec.exited_by(epoch)) continue;
-          const Gwei bal = rec.balance;
-          total += bal;
-          if (is_byz(i)) {
-            byz_side += bal;
-            if (byz_counts) active_side += bal;
-          } else if (i >= outage_cut &&
-                     class_active[branch_of_honest[i]] != 0) {
-            active_side += bal;
-          }
+      for (std::uint32_t j = 0; j < n_classes; ++j) {
+        const Gwei stake = live_stake(st.cls[j]);
+        total += stake;
+        if (j == byz) {
+          byz_side += stake;
+          if (byz_counts) active_side += stake;
+        } else if (on[j] != 0) {
+          active_side += stake;
         }
       }
       const double beta =
@@ -428,29 +572,24 @@ PartitionSimResult run_partition_core(
         for (std::uint32_t c = 1; c < k; ++c) {
           auto& rec = pending[c];
           if (rec.return_epoch < 0 || rec.recovery_epochs >= 0) continue;
-          const ValidatorIndex v{representative[c]};
-          const bool done = !reg.is_active(v, Epoch{t + 1}) ||
-                            reg.at(v).inactivity_score == 0;
-          if (done) {
+          const ClassState& rep = st.cls[layout.representative_class[c]];
+          const bool rep_exited = rep.exited > 0;
+          if (rep_exited || rep.score == 0) {
             rec.recovery_epochs =
                 static_cast<std::int64_t>(t) - rec.return_epoch + 1;
+            const Gwei rep_balance =
+                rep_exited ? rep.lead_exit_balance : rep.balance;
             rec.residual_loss_eth =
                 rec.stake_at_return_eth -
-                static_cast<double>(reg.at(v).balance.value()) / kGweiPerEth;
+                static_cast<double>(rep_balance.value()) / kGweiPerEth;
           }
         }
-        if (all_healed && res.recovery_complete_epoch < 0) {
-          bool all_zero = true;
-          for (std::uint32_t i = 0; i < n && all_zero; ++i) {
-            const ValidatorIndex v{i};
-            if (reg.is_active(v, Epoch{t + 1}) &&
-                reg.at(v).inactivity_score > 0) {
-              all_zero = false;
-            }
-          }
-          if (all_zero) {
-            res.recovery_complete_epoch = static_cast<std::int64_t>(t);
-          }
+        if (all_healed && res.recovery_complete_epoch < 0 &&
+            std::none_of(st.cls.begin(), st.cls.end(),
+                         [](const ClassState& cs) {
+                           return cs.live > 0 && cs.score > 0;
+                         })) {
+          res.recovery_complete_epoch = static_cast<std::int64_t>(t);
         }
       }
     }
@@ -471,12 +610,9 @@ PartitionSimResult run_partition_core(
   // Total recovery-tail loss across the whole validator set (exited
   // validators keep their frozen balance, so the sum is loss-exact).
   if (recovery_totals_recorded) {
-    Gwei now{};
-    for (std::uint32_t i = 0; i < n; ++i) {
-      now += registry[0].at(ValidatorIndex{i}).balance;
-    }
     res.residual_loss_total_eth =
-        static_cast<double>(recovery_total_start.value() - now.value()) /
+        static_cast<double>(recovery_total_start.value() -
+                            state[0].total_balance().value()) /
         kGweiPerEth;
   }
   for (std::uint32_t b = 1; b < k; ++b) {

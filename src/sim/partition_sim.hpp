@@ -3,9 +3,14 @@
 // with a pairwise heal schedule (staggered GSTs).
 //
 // Branches grow independently during the partition; each branch has
-// its own registry view (stakes, scores, ejections are branch-relative —
-// Section 4.1: "if there are multiple branches, a validator's inactivity
-// score depends on the selected branch").  Honest validators are active
+// its own view of the validator set (stakes, scores, ejections are
+// branch-relative — Section 4.1: "if there are multiple branches, a
+// validator's inactivity score depends on the selected branch").  A view
+// is one record per validator class (branch class x outage segment,
+// plus the Byzantine class) with member counts: members of a class share
+// their whole trajectory, so each epoch costs O(branches x classes)
+// whatever the validator count (docs/ARCHITECTURE.md, "Class-aggregated
+// partition state").  Honest validators are active
 // on exactly one branch; Byzantine validators behave per the configured
 // strategy.  With a heal schedule, branch b merges into the canonical
 // branch 0 at epoch heal_epoch + (b-1) * heal_stagger; its honest
@@ -39,7 +44,7 @@ enum class Strategy : std::uint8_t {
 /// Explicit partition window for one non-canonical branch (compiled
 /// from a faults::FaultSchedule by faults::compile_partition).  Branch
 /// b (1 <= b < branches) splits off the canonical branch at the start
-/// of `open_epoch` -- forking branch 0's registry state at that
+/// of `open_epoch` -- forking branch 0's class records at that
 /// moment -- and merges back at the start of `heal_epoch` (0 = stays
 /// partitioned for the whole horizon).  Until its branch opens, the
 /// branch's honest class attests on branch 0.
@@ -86,10 +91,10 @@ struct PartitionSimConfig {
   /// epoch 1 and heals per heal_epoch/heal_stagger (bit-identical).
   /// When non-empty it must have exactly branches-1 entries and the
   /// legacy heal knobs must stay 0 -- the schedule is the single
-  /// source of truth.  Note: a late open forks the canonical registry
-  /// contents only; with use_churn_limit the canonical exit queue is
-  /// not forked, so cascading opens pair with the paper's
-  /// instantaneous-ejection spec.
+  /// source of truth.  Note: a late open forks the canonical class
+  /// records only; with use_churn_limit the canonical exit queue is
+  /// not forked (the fork's depleted members queue afresh), so
+  /// cascading opens pair with the paper's instantaneous-ejection spec.
   std::vector<BranchWindow> windows;
   /// Scheduled honest-cohort outages, applied on every branch.
   std::vector<OutageWindow> outages;
@@ -168,7 +173,8 @@ struct PartitionSimResult {
 };
 
 /// Run the scenario.  Deterministic (no randomness needed: classes are
-/// homogeneous, so counts are rounded from the proportions).
+/// homogeneous, so counts are rounded from the proportions).  Throws
+/// std::invalid_argument on a bad config, trajectory_stride 0 included.
 PartitionSimResult run_partition_sim(const PartitionSimConfig& cfg);
 
 /// Monte Carlo over the partition scenario: each trial redraws the

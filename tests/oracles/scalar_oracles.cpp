@@ -848,4 +848,25 @@ sim::PartitionTrialsResult run_partition_trials_scalar(
   return res;
 }
 
+sim::PartitionSimResult run_partition_sim_scalar(
+    const sim::PartitionSimConfig& cfg) {
+  validate(cfg);
+  const auto n_byz = byzantine_count(cfg);
+  const auto n_honest = cfg.n_validators - n_byz;
+  std::vector<std::uint8_t> branch_of_honest(n_honest, 1);
+  if (cfg.branches == 2) {
+    const auto n_h1 = static_cast<std::uint32_t>(
+        std::llround(cfg.p0 * static_cast<double>(n_honest)));
+    for (std::uint32_t i = 0; i < std::min(n_h1, n_honest); ++i) {
+      branch_of_honest[i] = 0;
+    }
+  } else {
+    for (std::uint32_t i = 0; i < n_honest; ++i) {
+      branch_of_honest[i] = static_cast<std::uint8_t>(
+          (static_cast<std::uint64_t>(i) * cfg.branches) / n_honest);
+    }
+  }
+  return run_partition_core(cfg, n_byz, branch_of_honest);
+}
+
 }  // namespace leak::oracle

@@ -52,4 +52,10 @@ bouncing::PopulationEnsembleResult run_population_ensemble_scalar(
 sim::PartitionTrialsResult run_partition_trials_scalar(
     const sim::PartitionTrialsConfig& cfg);
 
+/// Scalar single partition run: the same per-validator core over
+/// run_partition_sim's deterministic honest split (round(p0 * n_honest)
+/// on branch 0 for two branches, equal contiguous chunks for k > 2).
+sim::PartitionSimResult run_partition_sim_scalar(
+    const sim::PartitionSimConfig& cfg);
+
 }  // namespace leak::oracle
