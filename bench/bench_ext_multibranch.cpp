@@ -10,6 +10,7 @@
 #include "src/analytic/duty_cycle.hpp"
 #include "src/analytic/recovery.hpp"
 #include "src/analytic/solvers.hpp"
+#include "src/faults/driver.hpp"
 #include "src/scenario/registry.hpp"
 #include "src/sim/partition_sim.hpp"
 
@@ -135,9 +136,10 @@ void BM_KBranchPartitionHeal(benchmark::State& state) {
   sim::PartitionSimConfig cfg;
   cfg.n_validators = 200;
   cfg.strategy = sim::Strategy::kNone;
-  cfg.branches = static_cast<std::uint32_t>(state.range(0));
-  cfg.heal_epoch = 1500;
-  cfg.heal_stagger = 400;
+  faults::compile_partition(
+      faults::FaultSchedule::legacy_partition(
+          static_cast<std::uint32_t>(state.range(0)), 1500, 400),
+      &cfg);
   cfg.max_epochs = 5000;
   cfg.trajectory_stride = cfg.max_epochs;
   for (auto _ : state) {

@@ -12,7 +12,7 @@
 //     beta0:        Byzantine stake proportion                  (default: 0.2)
 //     p0:           honest proportion on branch 1               (default: 0.5)
 //     threads:      Monte Carlo worker threads, 0 = auto        (default: 0)
-//     branches:     partition branches k >= 2                   (default: 2)
+//     branches:     partition branches, 2 <= k <= 255           (default: 2)
 //     heal_epoch:   first pairwise heal epoch, 0 = never        (default: 0)
 //     heal_stagger: epochs between successive pairwise heals    (default: 0)
 #include <cstdio>
@@ -22,8 +22,21 @@
 #include <string>
 
 #include "src/analytic/solvers.hpp"
+#include "src/faults/driver.hpp"
 #include "src/scenario/registry.hpp"
 #include "src/sim/partition_sim.hpp"
+
+namespace {
+
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [honest|slashable|semiactive|overthrow] [beta0] "
+               "[p0] [threads] [branches 2..255] [heal_epoch] "
+               "[heal_stagger]\n", argv0);
+  return 1;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace leak;
@@ -35,12 +48,7 @@ int main(int argc, char** argv) {
     else if (s == "slashable") strategy = sim::Strategy::kSlashable;
     else if (s == "semiactive") strategy = sim::Strategy::kSemiActiveFinalize;
     else if (s == "overthrow") strategy = sim::Strategy::kSemiActiveOverthrow;
-    else {
-      std::fprintf(stderr,
-                   "usage: %s [honest|slashable|semiactive|overthrow] "
-                   "[beta0] [p0]\n", argv[0]);
-      return 1;
-    }
+    else return usage(argv[0]);
   }
   const double beta0 =
       argc > 2 ? std::atof(argv[2])
@@ -62,9 +70,14 @@ int main(int argc, char** argv) {
   cfg.strategy = strategy;
   cfg.max_epochs = heal_epoch > 0 ? 9000 : 6000;
   cfg.trajectory_stride = 250;
-  cfg.branches = branches;
-  cfg.heal_epoch = heal_epoch;
-  cfg.heal_stagger = heal_stagger;
+  try {
+    faults::compile_partition(
+        faults::FaultSchedule::legacy_partition(branches, heal_epoch,
+                                                heal_stagger),
+        &cfg);
+  } catch (const std::invalid_argument&) {
+    return usage(argv[0]);  // branches outside [2, 255], or heal_epoch 1
+  }
 
   std::printf("partition scenario: beta0=%.2f p0=%.2f, %u validators, "
               "%u branches%s\n",

@@ -53,8 +53,6 @@ void compile_partition(const FaultSchedule& schedule,
   cfg->branches = top + 1;
   cfg->windows = std::move(windows);
   cfg->outages = std::move(outages);
-  cfg->heal_epoch = 0;
-  cfg->heal_stagger = 0;
 }
 
 void apply_network(const FaultSchedule& schedule, double seconds_per_epoch,

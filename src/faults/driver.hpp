@@ -3,9 +3,8 @@
 //
 //  * compile_partition -- the epoch-granular sim::PartitionSimConfig
 //    path: partition-open/heal events become explicit per-branch
-//    windows (generalizing the legacy heal_epoch/heal_stagger knobs,
-//    bit-identically for schedules produced by
-//    FaultSchedule::legacy_partition), outages become honest-cohort
+//    windows (FaultSchedule::legacy_partition expresses the paper's
+//    open-at-epoch-1, staggered-heal arc), outages become honest-cohort
 //    inactivity windows.  Latency/loss episodes have no epoch-granular
 //    analogue and are rejected.
 //
@@ -27,11 +26,10 @@
 namespace leak::faults {
 
 /// Compile the partition-open/heal/outage events of `schedule` onto
-/// `cfg`: sets cfg->branches, cfg->windows and cfg->outages, and
-/// clears the legacy heal_epoch/heal_stagger knobs (the schedule is
-/// now the single source of truth).  Every other field (n_validators,
-/// beta0, strategy, horizon, spec) is left untouched.  Throws on
-/// latency/loss events or a schedule with no partition-open.
+/// `cfg`: sets cfg->branches, cfg->windows and cfg->outages.  Every
+/// other field (n_validators, beta0, strategy, horizon, spec) is left
+/// untouched.  Throws on latency/loss events or a schedule with no
+/// partition-open.
 void compile_partition(const FaultSchedule& schedule,
                        sim::PartitionSimConfig* cfg);
 

@@ -81,12 +81,18 @@ std::size_t get_epoch(const json::Object& obj, const std::string& where,
   return static_cast<std::size_t>(v.as_int());
 }
 
+constexpr std::uint32_t kMaxBranch = 255;
+
+std::string branch_range_error(const std::string& where, const char* key) {
+  return where + ": \"" + key + "\" must be a branch id in [0, " +
+         std::to_string(kMaxBranch) + "]";
+}
+
 std::uint32_t get_branch(const json::Object& obj, const std::string& where,
                          const char* key) {
   const json::Value& v = require(obj, where, key);
-  if (!v.is_int() || v.as_int() < 0 || v.as_int() > 255) {
-    fail(where + ": \"" + std::string(key) +
-         "\" must be a branch id in [0, 255]");
+  if (!v.is_int() || v.as_int() < 0 || v.as_int() > kMaxBranch) {
+    fail(branch_range_error(where, key));
   }
   return static_cast<std::uint32_t>(v.as_int());
 }
@@ -252,8 +258,8 @@ void FaultSchedule::validate() const {
     }
   }
 
-  std::vector<std::size_t> open_epoch_of(256, 0);   // 0 = not opened
-  std::vector<std::size_t> heal_epoch_of(256, 0);   // 0 = not healed
+  std::vector<std::size_t> open_epoch_of(kMaxBranch + 1, 0);  // 0 = not opened
+  std::vector<std::size_t> heal_epoch_of(kMaxBranch + 1, 0);  // 0 = not healed
   std::uint32_t top_branch = 0;
   std::vector<Span> latency, loss;
   std::vector<std::pair<std::size_t, std::size_t>> outages;  // [from, to)
@@ -262,6 +268,7 @@ void FaultSchedule::validate() const {
     const std::string where =
         "event " + std::to_string(i) + " (" + kind_name(events[i]) + ")";
     if (const auto* e = std::get_if<PartitionOpen>(&events[i])) {
+      if (e->branch > kMaxBranch) fail(branch_range_error(where, "branch"));
       if (e->epoch < 1) fail(where + ": open epoch must be >= 1");
       if (e->branch < 1) {
         fail(where + ": branch 0 is the canonical branch and is always "
@@ -275,6 +282,7 @@ void FaultSchedule::validate() const {
       open_epoch_of[e->branch] = e->epoch;
       top_branch = std::max(top_branch, e->branch);
     } else if (const auto* e = std::get_if<PartitionHeal>(&events[i])) {
+      if (e->branch > kMaxBranch) fail(branch_range_error(where, "branch"));
       if (e->into != 0) {
         fail(where + ": only merges into the canonical branch 0 are "
              "supported (got into=" + std::to_string(e->into) + ")");

@@ -14,10 +14,9 @@
 //     deterministically) so schedules are durable artifacts: sweep
 //     cells carry them as a `faults` param and leakctl --faults loads
 //     them from disk;
-//   - the legacy heal_epoch/heal_stagger knobs compile to an
-//     equivalent schedule (legacy_partition) that is bit-identical by
-//     golden test, so the scripted path subsumes the paper's fixed
-//     partition-then-heal arc.
+//   - the paper's fixed partition-then-heal arc is one schedule
+//     (legacy_partition), so every heal goes through the same
+//     compiled window path.
 //
 // Times are epochs throughout (the partition simulator's native unit);
 // the network driver scales them to seconds.
@@ -131,10 +130,10 @@ struct FaultSchedule {
       std::uint32_t branches, std::size_t open_stagger,
       std::size_t heal_epoch, std::size_t heal_stagger);
 
-  /// The legacy PartitionSimConfig knobs (every branch opens at epoch
-  /// 1) as a schedule -- the two-event open/heal arc for the paper's
-  /// two-branch scenarios.  Compiling it back is bit-identical to the
-  /// legacy path, pinned by golden tests.
+  /// The paper's partition-then-heal arc: every branch opens at epoch
+  /// 1 and, when heal_epoch > 0, branch b heals at
+  /// heal_epoch + (b-1) * heal_stagger (staggered_partition with
+  /// open_stagger 0).
   [[nodiscard]] static FaultSchedule legacy_partition(
       std::uint32_t branches, std::size_t heal_epoch,
       std::size_t heal_stagger);

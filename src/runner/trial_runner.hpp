@@ -140,82 +140,6 @@ class TrialRunner {
     if (first_error) std::rethrow_exception(first_error);
   }
 
-  /// Like run_blocks, but for streaming reductions whose merge order
-  /// matters (floating-point accumulation is not associative): sim
-  /// blocks run concurrently, and each block's value is handed to
-  /// merge(begin, end, value) strictly in ascending block order, one
-  /// merge at a time — so the reduction sees trials in index order and
-  /// stays bit-identical for every (block, threads) combination.  A
-  /// worker holds at most one unmerged block value, so peak transient
-  /// memory is O(threads x block), never O(n_trials).  Exceptions
-  /// cancel unclaimed blocks; the one from the lowest block rethrows.
-  template <typename SimFn, typename MergeFn>
-  void run_blocks(std::size_t n_trials, std::size_t block, SimFn&& sim,
-                  MergeFn&& merge) const {
-    using Value =
-        std::decay_t<std::invoke_result_t<SimFn&, std::size_t, std::size_t>>;
-    if (n_trials == 0) return;
-    block = std::clamp<std::size_t>(block, 1, n_trials);
-    const std::size_t n_blocks = (n_trials + block - 1) / block;
-    const auto workers =
-        static_cast<unsigned>(std::min<std::size_t>(threads_, n_blocks));
-    if (workers <= 1) {
-      for (std::size_t begin = 0; begin < n_trials; begin += block) {
-        const std::size_t end = std::min(begin + block, n_trials);
-        Value value = sim(begin, end);
-        merge(begin, end, std::move(value));
-      }
-      return;
-    }
-    std::mutex mu;  // guards the merge turn and the error bookkeeping
-    std::condition_variable turn_cv;
-    std::size_t merge_turn = 0;
-    std::atomic<bool> failed{false};
-    std::exception_ptr first_error;
-    std::size_t first_error_block = std::numeric_limits<std::size_t>::max();
-    const auto record_error = [&](std::size_t b) {
-      std::scoped_lock lk(mu);
-      if (b < first_error_block) {
-        first_error_block = b;
-        first_error = std::current_exception();
-      }
-      failed.store(true, std::memory_order_relaxed);
-    };
-    ThreadPool pool(workers);
-    pool.run_blocks(
-        n_trials, block, [&](std::size_t begin, std::size_t end) -> bool {
-          const std::size_t b = begin / block;
-          std::optional<Value> value;
-          if (!failed.load(std::memory_order_relaxed)) {
-            try {
-              value.emplace(sim(begin, end));
-            } catch (...) {
-              record_error(b);
-            }
-          }
-          {
-            // Take the merge turn even on failure so later blocks
-            // waiting on it are released (no deadlock on error).
-            std::unique_lock lk(mu);
-            turn_cv.wait(lk, [&] { return merge_turn == b; });
-            if (value.has_value() &&
-                !failed.load(std::memory_order_relaxed)) {
-              try {
-                merge(begin, end, std::move(*value));
-              } catch (...) {
-                lk.unlock();
-                record_error(b);
-                lk.lock();
-              }
-            }
-            ++merge_turn;
-          }
-          turn_cv.notify_all();
-          return !failed.load(std::memory_order_relaxed);
-        });
-    if (first_error) std::rethrow_exception(first_error);
-  }
-
   /// Ordered reduction tree over fixed-size blocks: sim(begin, end)
   /// produces one partial per block concurrently, and the partials
   /// fold into `acc` via acc.fold(begin, end, partial) strictly in
@@ -231,11 +155,67 @@ class TrialRunner {
   template <typename Acc, typename SimFn>
   [[nodiscard]] Acc run_reduce(std::size_t n_trials, std::size_t block,
                                Acc acc, SimFn&& sim) const {
-    run_blocks(n_trials, block, sim,
-               [&acc](std::size_t begin, std::size_t end, auto&& partial) {
-                 acc.fold(begin, end,
-                          std::forward<decltype(partial)>(partial));
-               });
+    using Partial =
+        std::decay_t<std::invoke_result_t<SimFn&, std::size_t, std::size_t>>;
+    if (n_trials == 0) return acc;
+    block = std::clamp<std::size_t>(block, 1, n_trials);
+    const std::size_t n_blocks = (n_trials + block - 1) / block;
+    const auto workers =
+        static_cast<unsigned>(std::min<std::size_t>(threads_, n_blocks));
+    if (workers <= 1) {
+      for (std::size_t begin = 0; begin < n_trials; begin += block) {
+        const std::size_t end = std::min(begin + block, n_trials);
+        acc.fold(begin, end, sim(begin, end));
+      }
+      return acc;
+    }
+    std::mutex mu;  // guards the fold turn and the error bookkeeping
+    std::condition_variable turn_cv;
+    std::size_t fold_turn = 0;
+    std::atomic<bool> failed{false};
+    std::exception_ptr first_error;
+    std::size_t first_error_block = std::numeric_limits<std::size_t>::max();
+    const auto record_error = [&](std::size_t b) {
+      std::scoped_lock lk(mu);
+      if (b < first_error_block) {
+        first_error_block = b;
+        first_error = std::current_exception();
+      }
+      failed.store(true, std::memory_order_relaxed);
+    };
+    ThreadPool pool(workers);
+    pool.run_blocks(
+        n_trials, block, [&](std::size_t begin, std::size_t end) -> bool {
+          const std::size_t b = begin / block;
+          std::optional<Partial> partial;
+          if (!failed.load(std::memory_order_relaxed)) {
+            try {
+              partial.emplace(sim(begin, end));
+            } catch (...) {
+              record_error(b);
+            }
+          }
+          {
+            // Take the fold turn even on failure so later blocks
+            // waiting on it are released (no deadlock on error).
+            std::unique_lock lk(mu);
+            turn_cv.wait(lk, [&] { return fold_turn == b; });
+            if (partial.has_value() &&
+                !failed.load(std::memory_order_relaxed)) {
+              try {
+                acc.fold(begin, end, std::move(*partial));
+              } catch (...) {
+                lk.unlock();
+                record_error(b);
+                lk.lock();
+              }
+            }
+            ++fold_turn;
+          }
+          turn_cv.notify_all();
+          return !failed.load(std::memory_order_relaxed);
+        });
+    if (first_error) std::rethrow_exception(first_error);
     return acc;
   }
 

@@ -51,12 +51,6 @@ void validate(const PartitionSimConfig& cfg) {
           "entries (got " + std::to_string(cfg.windows.size()) + " for " +
           std::to_string(cfg.branches) + " branches)");
     }
-    if (cfg.heal_epoch != 0 || cfg.heal_stagger != 0) {
-      throw std::invalid_argument(
-          "run_partition_sim: windows and heal_epoch/heal_stagger are "
-          "mutually exclusive -- the window schedule is the single source "
-          "of truth");
-    }
     for (const BranchWindow& w : cfg.windows) {
       if (w.open_epoch < 1) {
         throw std::invalid_argument(
@@ -221,9 +215,8 @@ PartitionSimResult run_partition_core(
   res.n_honest_branch1 = res.n_honest_per_branch[0];
   res.n_honest_branch2 = k > 1 ? res.n_honest_per_branch[1] : 0;
 
-  // Per-branch open/heal epochs: the explicit window schedule when
-  // present, otherwise the legacy knobs (every branch opens at epoch 1
-  // and heals at heal_epoch + (b-1) * heal_stagger; heal 0 = never).
+  // Per-branch open/heal epochs from the window schedule (no windows:
+  // every branch opens at epoch 1 and never heals; heal 0 = never).
   // Branch b is frozen after its heal: from then on its honest class
   // attests on branch 0.  Before its open the branch does not exist
   // yet and its honest class also attests on branch 0.
@@ -233,11 +226,6 @@ PartitionSimResult run_partition_core(
     for (std::uint32_t b = 1; b < k; ++b) {
       open_at[b] = cfg.windows[b - 1].open_epoch;
       heal_at[b] = cfg.windows[b - 1].heal_epoch;
-    }
-  } else if (cfg.heal_epoch > 0) {
-    for (std::uint32_t b = 1; b < k; ++b) {
-      heal_at[b] = cfg.heal_epoch +
-                   static_cast<std::size_t>(b - 1) * cfg.heal_stagger;
     }
   }
   bool healing = false;

@@ -12,8 +12,8 @@
 // whatever the validator count (docs/ARCHITECTURE.md, "Class-aggregated
 // partition state").  Honest validators are active
 // on exactly one branch; Byzantine validators behave per the configured
-// strategy.  With a heal schedule, branch b merges into the canonical
-// branch 0 at epoch heal_epoch + (b-1) * heal_stagger; its honest
+// strategy.  With a heal schedule (`windows`), branch b merges into the
+// canonical branch 0 at its window's heal epoch; its honest
 // validators then attest on branch 0, their scores drain, and — once
 // finalization resumes — the simulator tracks the post-leak recovery
 // tail (the Figure 3 "penalties take some time to return to zero"
@@ -78,20 +78,10 @@ struct PartitionSimConfig {
   /// scenarios are branches = 2 (the default); every two-branch result
   /// is bit-identical to the pre-generalization simulator.
   std::uint32_t branches = 2;
-  /// First pairwise heal epoch (the GST of branch 1 merging into
-  /// branch 0); 0 disables healing and the branches stay partitioned
-  /// for the whole horizon, exactly the legacy behaviour.
-  std::size_t heal_epoch = 0;
-  /// Gap between successive pairwise heals: branch b (b >= 1) merges
-  /// into branch 0 at heal_epoch + (b - 1) * heal_stagger.  With
-  /// stagger 0 every branch heals at heal_epoch simultaneously.
-  std::size_t heal_stagger = 0;
-  /// Explicit per-branch open/heal schedule (entry b-1 describes
-  /// branch b).  Empty = the legacy schedule: every branch opens at
-  /// epoch 1 and heals per heal_epoch/heal_stagger (bit-identical).
-  /// When non-empty it must have exactly branches-1 entries and the
-  /// legacy heal knobs must stay 0 -- the schedule is the single
-  /// source of truth.  Note: a late open forks the canonical class
+  /// Per-branch open/heal schedule (entry b-1 describes branch b),
+  /// normally compiled from a faults::FaultSchedule.  Empty = every
+  /// branch opens at epoch 1 and none heals.  When non-empty it must
+  /// have exactly branches-1 entries.  Note: a late open forks the canonical class
   /// records only; with use_churn_limit the canonical exit queue is
   /// not forked (the fork's depleted members queue afresh), so
   /// cascading opens pair with the paper's instantaneous-ejection spec.

@@ -243,4 +243,16 @@ std::vector<double> linspace(double lo, double hi, int n) {
   return out;
 }
 
+std::uint64_t integer_sqrt(std::uint64_t n) {
+  if (n == 0) return 0;
+  std::uint64_t x = n;
+  // (x + 1) / 2 without overflowing at x == 2^64 - 1.
+  std::uint64_t y = x / 2 + (x & 1);
+  while (y < x) {
+    x = y;
+    y = (x + n / x) / 2;
+  }
+  return x;
+}
+
 }  // namespace leak::num

@@ -3,6 +3,7 @@
 // summation.  Everything is header-declared here and defined in numeric.cpp.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -81,5 +82,9 @@ double lerp_table(const std::vector<double>& x, const std::vector<double>& y,
 
 /// Evenly spaced grid of n points over [lo, hi] inclusive (n >= 2).
 std::vector<double> linspace(double lo, double hi, int n);
+
+/// Floor of the square root of n (the spec's `integer_squareroot`), exact
+/// over the whole uint64 range.
+[[nodiscard]] std::uint64_t integer_sqrt(std::uint64_t n);
 
 }  // namespace leak::num

@@ -240,8 +240,7 @@ void validate(const PartitionSimConfig& cfg) {
         "run_partition_trials_scalar: p0 only shapes the two-branch split");
   }
   if (!cfg.windows.empty()) {
-    if (cfg.windows.size() != cfg.branches - 1 || cfg.heal_epoch != 0 ||
-        cfg.heal_stagger != 0) {
+    if (cfg.windows.size() != cfg.branches - 1) {
       throw std::invalid_argument(
           "run_partition_trials_scalar: bad window schedule");
     }
@@ -292,11 +291,6 @@ PartitionSimResult run_partition_core(
     for (std::uint32_t b = 1; b < k; ++b) {
       open_at[b] = cfg.windows[b - 1].open_epoch;
       heal_at[b] = cfg.windows[b - 1].heal_epoch;
-    }
-  } else if (cfg.heal_epoch > 0) {
-    for (std::uint32_t b = 1; b < k; ++b) {
-      heal_at[b] = cfg.heal_epoch +
-                   static_cast<std::size_t>(b - 1) * cfg.heal_stagger;
     }
   }
   bool healing = false;

@@ -1,9 +1,8 @@
 // Tests for SHA-256 (against FIPS vectors), the simulated signature
-// scheme, aggregation and Merkle proofs.
+// scheme and aggregation.
 #include <gtest/gtest.h>
 
 #include "src/crypto/keys.hpp"
-#include "src/crypto/merkle.hpp"
 #include "src/crypto/sha256.hpp"
 
 namespace leak::crypto {
@@ -141,47 +140,6 @@ TEST(Aggregate, BadConstituentFailsVerification) {
   Signature forged = pairs[1].sign(sha256("other"));
   agg.add(forged);
   EXPECT_FALSE(agg.verify(msg, reg));
-}
-
-TEST(Merkle, EmptyAndSingle) {
-  EXPECT_EQ(merkle_root({}), sha256(std::string_view{}));
-  const Digest leaf = sha256("a");
-  EXPECT_EQ(merkle_root({leaf}), leaf);
-}
-
-TEST(Merkle, PairRoot) {
-  const Digest a = sha256("a"), b = sha256("b");
-  EXPECT_EQ(merkle_root({a, b}), sha256_pair(a, b));
-}
-
-TEST(Merkle, OddLayerDuplicatesLast) {
-  const Digest a = sha256("a"), b = sha256("b"), c = sha256("c");
-  const Digest expect = sha256_pair(sha256_pair(a, b), sha256_pair(c, c));
-  EXPECT_EQ(merkle_root({a, b, c}), expect);
-}
-
-class MerkleProofSweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(MerkleProofSweep, AllLeavesProve) {
-  const std::size_t n = GetParam();
-  std::vector<Digest> leaves;
-  for (std::size_t i = 0; i < n; ++i) {
-    leaves.push_back(sha256("leaf" + std::to_string(i)));
-  }
-  const Digest root = merkle_root(leaves);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto proof = merkle_prove(leaves, i);
-    EXPECT_TRUE(merkle_verify(leaves[i], proof, root)) << "leaf " << i;
-    // A wrong leaf must not verify.
-    EXPECT_FALSE(merkle_verify(sha256("bogus"), proof, root));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, MerkleProofSweep,
-                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 9, 16, 33));
-
-TEST(Merkle, ProveOutOfRangeThrows) {
-  EXPECT_THROW(merkle_prove({sha256("x")}, 1), std::out_of_range);
 }
 
 }  // namespace

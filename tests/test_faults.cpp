@@ -281,14 +281,30 @@ TEST(FaultScheduleJson, FactoriesBuildValidTimelines) {
                std::invalid_argument);
 }
 
+TEST(FaultScheduleJson, ValidateRejectsBranchIdsAbove255) {
+  // The parser caps branch ids at 255; schedules built in code must hit
+  // the same bound instead of indexing past validate's per-branch table.
+  EXPECT_THROW((void)FaultSchedule::staggered_partition(300, 0, 0, 0),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)FaultSchedule::staggered_partition(256, 0, 0, 0));
+  FaultSchedule heal_only;
+  heal_only.events.push_back(PartitionHeal{10, 256, 0});
+  try {
+    heal_only.validate();
+    FAIL() << "branch 256 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("must be a branch id in [0, 255]"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // FaultDriver: compile_partition
 
 TEST(FaultDriver, CompilePartitionPopulatesWindowsAndClearsLegacyKnobs) {
   sim::PartitionSimConfig cfg;
   cfg.n_validators = 120;
-  cfg.heal_epoch = 999;   // stale legacy knobs must be cleared
-  cfg.heal_stagger = 77;
   compile_partition(FaultSchedule::staggered_partition(3, 300, 2500, 500),
                     &cfg);
   EXPECT_EQ(cfg.branches, 3u);
@@ -297,8 +313,6 @@ TEST(FaultDriver, CompilePartitionPopulatesWindowsAndClearsLegacyKnobs) {
   EXPECT_EQ(cfg.windows[0].heal_epoch, 2500u);
   EXPECT_EQ(cfg.windows[1].open_epoch, 301u);
   EXPECT_EQ(cfg.windows[1].heal_epoch, 3000u);
-  EXPECT_EQ(cfg.heal_epoch, 0u);
-  EXPECT_EQ(cfg.heal_stagger, 0u);
   EXPECT_EQ(cfg.n_validators, 120u);  // untouched
 }
 
@@ -414,15 +428,12 @@ TEST(FaultDriverGolden, LegacyKnobsAndCompiledScheduleAreBitIdentical) {
     std::size_t heal_epoch;
     std::size_t heal_stagger;
   };
+  // legacy_partition is the paper's arc: every branch opens at epoch 1
+  // and branch b heals at heal_epoch + (b-1) * heal_stagger (never when
+  // heal_epoch is 0).  Without heals, the compiled windows must run
+  // bit-identically to a config with no windows at all.
   for (const Case c : {Case{2, 1200, 0}, Case{3, 1200, 300},
-                       Case{4, 900, 200}}) {
-    sim::PartitionSimConfig legacy;
-    legacy.n_validators = 150;
-    legacy.max_epochs = 3000;
-    legacy.branches = c.branches;
-    legacy.heal_epoch = c.heal_epoch;
-    legacy.heal_stagger = c.heal_stagger;
-
+                       Case{4, 900, 200}, Case{3, 0, 0}}) {
     sim::PartitionSimConfig compiled;
     compiled.n_validators = 150;
     compiled.max_epochs = 3000;
@@ -430,11 +441,22 @@ TEST(FaultDriverGolden, LegacyKnobsAndCompiledScheduleAreBitIdentical) {
         FaultSchedule::legacy_partition(c.branches, c.heal_epoch,
                                         c.heal_stagger),
         &compiled);
-    ASSERT_EQ(compiled.branches, c.branches);
-
     SCOPED_TRACE("branches=" + std::to_string(c.branches) +
                  " heal=" + std::to_string(c.heal_epoch) + "+" +
                  std::to_string(c.heal_stagger));
+    ASSERT_EQ(compiled.branches, c.branches);
+    ASSERT_EQ(compiled.windows.size(), c.branches - 1);
+    for (std::uint32_t b = 1; b < c.branches; ++b) {
+      EXPECT_EQ(compiled.windows[b - 1].open_epoch, 1u) << "b=" << b;
+      const std::size_t heal =
+          c.heal_epoch == 0 ? 0 : c.heal_epoch + (b - 1) * c.heal_stagger;
+      EXPECT_EQ(compiled.windows[b - 1].heal_epoch, heal) << "b=" << b;
+    }
+    EXPECT_TRUE(compiled.outages.empty());
+    if (c.heal_epoch != 0) continue;
+
+    sim::PartitionSimConfig legacy = compiled;
+    legacy.windows.clear();
     expect_same_result(sim::run_partition_sim(legacy),
                        sim::run_partition_sim(compiled));
 

@@ -5,12 +5,10 @@
 
 #include <algorithm>
 
-#include "src/chain/attestation_pool.hpp"
 #include "src/chain/blocktree.hpp"
 #include "src/finality/ffg.hpp"
 #include "src/net/event_queue.hpp"
 #include "src/net/network.hpp"
-#include "src/support/codec.hpp"
 #include "src/support/random.hpp"
 #include "src/support/stats.hpp"
 #include "src/bouncing/walk.hpp"
@@ -89,67 +87,6 @@ TEST_P(FuzzSeeds, FfgMonotonicityUnderRandomVotes) {
     // Support can never exceed the total stake.
     EXPECT_LE(ffg.support(target).value(),
               registry.total_active_balance(Epoch{e}).value());
-  }
-}
-
-TEST_P(FuzzSeeds, AttestationPoolAccounting) {
-  Rng rng(GetParam());
-  crypto::KeyRegistry keys;
-  const auto pairs = keys.generate(24, GetParam());
-  chain::AttestationPool pool;
-  std::size_t accepted = 0;
-  for (int i = 0; i < 400; ++i) {
-    chain::Attestation a;
-    const auto who = static_cast<std::uint32_t>(rng.uniform_index(24));
-    a.attester = ValidatorIndex{who};
-    a.slot = Slot{1 + rng.uniform_index(8)};
-    a.head = crypto::sha256("head" + std::to_string(rng.uniform_index(3)));
-    a.sign(pairs[who]);
-    if (rng.bernoulli(0.1)) a.signature.mac[0] ^= 0xff;  // corrupt some
-    accepted += pool.ingest(a, keys) ? 1 : 0;
-  }
-  EXPECT_EQ(pool.size(), accepted);
-  // Selection is sorted by participation and bounded.
-  const auto picked = pool.select_for_block(5);
-  EXPECT_LE(picked.size(), 5u);
-  for (std::size_t i = 1; i < picked.size(); ++i) {
-    EXPECT_GE(picked[i - 1].participation(), picked[i].participation());
-  }
-  // Total pooled count equals the sum over groups.
-  const auto all = pool.select_for_block(1000000);
-  std::size_t sum = 0;
-  for (const auto& g : all) sum += g.participation();
-  EXPECT_EQ(sum, pool.size());
-}
-
-TEST_P(FuzzSeeds, CodecRandomRoundTrips) {
-  Rng rng(GetParam());
-  for (int round = 0; round < 50; ++round) {
-    codec::Writer w;
-    std::vector<std::uint64_t> u64s;
-    std::vector<std::vector<std::uint8_t>> blobs;
-    const int fields = 1 + static_cast<int>(rng.uniform_index(10));
-    for (int f = 0; f < fields; ++f) {
-      const std::uint64_t v = rng();
-      u64s.push_back(v);
-      w.put_u64(v);
-      std::vector<std::uint8_t> blob(rng.uniform_index(40));
-      for (auto& byte : blob) {
-        byte = static_cast<std::uint8_t>(rng.uniform_index(256));
-      }
-      blobs.push_back(blob);
-      w.put_blob(blob);
-    }
-    codec::Reader r(w.bytes());
-    for (int f = 0; f < fields; ++f) {
-      std::uint64_t v = 0;
-      std::vector<std::uint8_t> blob;
-      ASSERT_TRUE(r.get_u64(v));
-      ASSERT_TRUE(r.get_blob(blob));
-      EXPECT_EQ(v, u64s[static_cast<std::size_t>(f)]);
-      EXPECT_EQ(blob, blobs[static_cast<std::size_t>(f)]);
-    }
-    EXPECT_TRUE(r.exhausted());
   }
 }
 

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "src/bouncing/attack_sim.hpp"
@@ -259,6 +260,17 @@ TEST(RunBlocks, ExceptionPropagatesAndPoolStaysUsable) {
   EXPECT_EQ(count.load(), 32);
 }
 
+/// run_reduce accumulator that hands each block's partial to `merge`,
+/// so a test can observe the fold order directly.
+template <typename Merge>
+struct FoldWith {
+  Merge merge;
+  template <typename Partial>
+  void fold(std::size_t begin, std::size_t end, Partial partial) {
+    merge(begin, end, std::move(partial));
+  }
+};
+
 TEST(RunBlocksOrdered, MergesInAscendingOrderWithBoundedInFlight) {
   const runner::TrialRunner pool(4);
   constexpr std::size_t kTrials = 96;
@@ -267,8 +279,13 @@ TEST(RunBlocksOrdered, MergesInAscendingOrderWithBoundedInFlight) {
   std::atomic<int> max_in_flight{0};
   std::vector<std::size_t> merge_order;
   std::vector<int> sums;
-  pool.run_blocks(
+  (void)pool.run_reduce(
       kTrials, kBlock,
+      FoldWith{[&](std::size_t begin, std::size_t, int sum) {
+        in_flight.fetch_sub(1);
+        merge_order.push_back(begin / kBlock);  // merge runs exclusively
+        sums.push_back(sum);
+      }},
       [&](std::size_t begin, std::size_t end) {
         const int now = in_flight.fetch_add(1) + 1;
         int seen = max_in_flight.load();
@@ -279,11 +296,6 @@ TEST(RunBlocksOrdered, MergesInAscendingOrderWithBoundedInFlight) {
           sum += static_cast<int>(i);
         }
         return sum;
-      },
-      [&](std::size_t begin, std::size_t, int sum) {
-        in_flight.fetch_sub(1);
-        merge_order.push_back(begin / kBlock);  // merge runs exclusively
-        sums.push_back(sum);
       });
   ASSERT_EQ(merge_order.size(), kTrials / kBlock);
   for (std::size_t b = 0; b < merge_order.size(); ++b) {
@@ -299,28 +311,29 @@ TEST(RunBlocksOrdered, MergesInAscendingOrderWithBoundedInFlight) {
 TEST(RunBlocksOrdered, SerialPathAndExceptions) {
   const runner::TrialRunner pool(1);
   std::vector<std::size_t> order;
-  pool.run_blocks(
-      10, 3, [](std::size_t begin, std::size_t) { return begin; },
-      [&](std::size_t begin, std::size_t, std::size_t value) {
+  (void)pool.run_reduce(
+      10, 3,
+      FoldWith{[&](std::size_t begin, std::size_t, std::size_t value) {
         EXPECT_EQ(begin, value);
         order.push_back(begin);
-      });
+      }},
+      [](std::size_t begin, std::size_t) { return begin; });
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 3, 6, 9}));
 
   const runner::TrialRunner parallel(4);
-  EXPECT_THROW(parallel.run_blocks(
-                   64, 4,
+  EXPECT_THROW((void)parallel.run_reduce(
+                   64, 4, FoldWith{[](std::size_t, std::size_t, int) {}},
                    [](std::size_t begin, std::size_t) -> int {
                      if (begin == 32) throw std::invalid_argument("sim");
                      return 0;
-                   },
-                   [](std::size_t, std::size_t, int) {}),
-               std::invalid_argument);
-  EXPECT_THROW(parallel.run_blocks(
-                   64, 4, [](std::size_t, std::size_t) { return 0; },
-                   [](std::size_t begin, std::size_t, int) {
-                     if (begin == 16) throw std::invalid_argument("merge");
                    }),
+               std::invalid_argument);
+  EXPECT_THROW((void)parallel.run_reduce(
+                   64, 4,
+                   FoldWith{[](std::size_t begin, std::size_t, int) {
+                     if (begin == 16) throw std::invalid_argument("merge");
+                   }},
+                   [](std::size_t, std::size_t) { return 0; }),
                std::invalid_argument);
 }
 

@@ -8,6 +8,7 @@
 
 #include "src/analytic/config.hpp"
 #include "src/analytic/recovery.hpp"
+#include "src/faults/driver.hpp"
 #include "src/sim/partition_sim.hpp"
 #include "src/support/env.hpp"
 
@@ -21,9 +22,9 @@ PartitionSimConfig healing_config(std::uint32_t branches,
   cfg.n_validators = 300;
   cfg.beta0 = 0.0;
   cfg.strategy = Strategy::kNone;
-  cfg.branches = branches;
-  cfg.heal_epoch = heal_epoch;
-  cfg.heal_stagger = stagger;
+  faults::compile_partition(
+      faults::FaultSchedule::legacy_partition(branches, heal_epoch, stagger),
+      &cfg);
   cfg.max_epochs = 9000;
   return cfg;
 }

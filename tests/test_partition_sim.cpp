@@ -8,6 +8,7 @@
 #include <string>
 
 #include "src/analytic/solvers.hpp"
+#include "src/faults/driver.hpp"
 #include "src/sim/partition_sim.hpp"
 #include "src/support/env.hpp"
 #include "src/support/random.hpp"
@@ -19,6 +20,12 @@ namespace {
 // The protocol-side simulator uses the stated 16.75 ETH threshold; the
 // matching analytic reference is AnalyticConfig::stated().
 const analytic::AnalyticConfig kStated = analytic::AnalyticConfig::stated();
+
+/// Heal the two-branch split at `heal_epoch` via the fault driver.
+void heal_two_branches(PartitionSimConfig* cfg, std::size_t heal_epoch) {
+  faults::compile_partition(
+      faults::FaultSchedule::legacy_partition(2, heal_epoch, 0), cfg);
+}
 
 PartitionSimConfig base(Strategy s, double beta0, double p0 = 0.5) {
   PartitionSimConfig cfg;
@@ -290,8 +297,7 @@ std::string describe(const PartitionSimConfig& cfg) {
      << " strategy=" << static_cast<int>(cfg.strategy)
      << " churn=" << cfg.spec.use_churn_limit << "/"
      << cfg.spec.min_per_epoch_churn_limit << "/"
-     << cfg.spec.churn_limit_quotient << " heal=" << cfg.heal_epoch
-     << "+" << cfg.heal_stagger << " windows=[";
+     << cfg.spec.churn_limit_quotient << " windows=[";
   for (const auto& w : cfg.windows) {
     os << " " << w.open_epoch << "-" << w.heal_epoch;
   }
@@ -304,7 +310,7 @@ std::string describe(const PartitionSimConfig& cfg) {
 }
 
 /// One seeded point of the oracle grid: every strategy, k in 2..8,
-/// legacy heals or windows with late opens, overlapping outages, churn
+/// staggered heals or windows with late opens, overlapping outages, churn
 /// on or off, n log-uniform in [k, max_n].  The leak runs 64x the
 /// paper's speed (quotient 2^20) so ejections, exit queues,
 /// finalization and recovery tails all land within a short horizon.
@@ -332,10 +338,14 @@ PartitionSimConfig random_config(Rng& rng, std::uint32_t max_n) {
   switch (rng.uniform_index(3)) {
     case 0:
       break;  // partitioned for the whole horizon
-    case 1:   // legacy staggered heals
-      cfg.heal_epoch = 50 + rng.uniform_index(600);
-      cfg.heal_stagger = rng.uniform_index(200);
+    case 1: {  // legacy staggered heals: all open at 1, heal h + (b-1)s
+      const std::size_t heal = 50 + rng.uniform_index(600);
+      const std::size_t stagger = rng.uniform_index(200);
+      for (std::uint32_t b = 1; b < cfg.branches; ++b) {
+        cfg.windows.push_back({1, heal + (b - 1) * stagger});
+      }
       break;
+    }
     default:  // explicit windows, late opens included
       for (std::uint32_t b = 1; b < cfg.branches; ++b) {
         BranchWindow w;
@@ -386,7 +396,7 @@ TEST(ClassCore, EqualsPerValidatorOracleOnPinnedChurnPaths) {
     // ends the leak and exits during the recovery tail, while its
     // class's score is still draining.
     auto c = cfg;
-    c.heal_epoch = 600;
+    heal_two_branches(&c, 600);
     c.outages = {OutageWindow{1, 600, 0.05}};
     SCOPED_TRACE(describe(c));
     const auto r = run_checked(c);
@@ -403,7 +413,7 @@ TEST(ClassCore, EqualsPerValidatorOracleOnPinnedChurnPaths) {
     // balance it exited with.
     auto c = cfg;
     c.n_validators = 100;
-    c.heal_epoch = 540;
+    heal_two_branches(&c, 540);
     c.outages = {OutageWindow{600, 100, 0.7}};
     SCOPED_TRACE(describe(c));
     const auto r = run_checked(c);
@@ -494,7 +504,7 @@ TEST(Thresholds, EmptyHonestClassHasNoRepresentative) {
   auto cfg = base(Strategy::kNone, 0.0);
   cfg.n_validators = 300;
   cfg.max_epochs = 3000;
-  cfg.heal_epoch = 1000;
+  heal_two_branches(&cfg, 1000);
   cfg.p0 = 1.0;
   const auto all_on_0 = run_checked(cfg);
   EXPECT_EQ(all_on_0.n_honest_per_branch[1], 0U);

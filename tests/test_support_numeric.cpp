@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "src/support/numeric.hpp"
 
@@ -139,6 +140,25 @@ TEST(Linspace, EndpointsAndSpacing) {
   EXPECT_DOUBLE_EQ(g.front(), 0.0);
   EXPECT_DOUBLE_EQ(g.back(), 1.0);
   EXPECT_DOUBLE_EQ(g[2], 0.5);
+}
+
+TEST(IntegerSqrt, KnownValues) {
+  EXPECT_EQ(integer_sqrt(0), 0u);
+  EXPECT_EQ(integer_sqrt(1), 1u);
+  EXPECT_EQ(integer_sqrt(3), 1u);
+  EXPECT_EQ(integer_sqrt(4), 2u);
+  EXPECT_EQ(integer_sqrt(15), 3u);
+  EXPECT_EQ(integer_sqrt(16), 4u);
+  EXPECT_EQ(integer_sqrt(1'000'000'000'000ULL), 1'000'000u);
+  EXPECT_EQ(integer_sqrt(~0ULL), 4294967295u);
+}
+
+TEST(IntegerSqrt, FloorProperty) {
+  for (std::uint64_t n : {7ULL, 99ULL, 12345ULL, 999999999ULL}) {
+    const std::uint64_t r = integer_sqrt(n);
+    EXPECT_LE(r * r, n);
+    EXPECT_GT((r + 1) * (r + 1), n);
+  }
 }
 
 // Property sweep: brent and bisect agree on a family of monotone
