@@ -100,4 +100,26 @@ Checkpoint BlockTree::checkpoint_on_branch(const Digest& head,
   return Checkpoint{ancestor_at_slot(head, epoch.start_slot()), epoch};
 }
 
+BlockView::BlockView(const BlockTree& store)
+    : store_(&store), has_{1}, arrivals_{0} {}
+
+bool BlockView::contains(const Digest& id) const {
+  const auto i = store_->index_of(id);
+  return i && contains(*i);
+}
+
+bool BlockView::insert(std::uint32_t i) {
+  if (i >= store_->size()) {
+    throw std::out_of_range("BlockView::insert: unknown block");
+  }
+  if (contains(i)) return false;
+  if (!contains(store_->parent_index(i))) {
+    throw std::invalid_argument("BlockView::insert: parent not in view");
+  }
+  if (i >= has_.size()) has_.resize(store_->size());
+  has_[i] = 1;
+  arrivals_.push_back(i);
+  return true;
+}
+
 }  // namespace leak::chain

@@ -84,4 +84,43 @@ class BlockTree {
   std::unordered_map<Digest, std::uint32_t, DigestHash> index_;
 };
 
+/// One validator's share of a shared BlockTree: which of the store's
+/// blocks it has received.  A view keeps a membership byte per store
+/// block and its blocks' store indices in arrival order, not a copy of
+/// the blocks.  It is parent-closed: a block joins only once its parent
+/// is in the view, so ancestry, checkpoints and block content are read
+/// from the store.  The store must outlive the view.
+class BlockView {
+ public:
+  /// A view holding only the store's genesis.
+  explicit BlockView(const BlockTree& store);
+
+  [[nodiscard]] const BlockTree& store() const { return *store_; }
+
+  [[nodiscard]] bool contains(std::uint32_t i) const {
+    return i < has_.size() && has_[i] != 0;
+  }
+  [[nodiscard]] bool contains(const Digest& id) const;
+
+  /// Add store block `i`.  Its parent must already be in the view.
+  /// Returns false (no-op) when the block is already present; throws
+  /// when the parent is missing.
+  bool insert(std::uint32_t i);
+
+  /// Store indices of the view's blocks in arrival order, genesis
+  /// first: every block comes after its parent.
+  [[nodiscard]] const std::vector<std::uint32_t>& arrivals() const {
+    return arrivals_;
+  }
+
+  /// Blocks in the view, genesis included.
+  [[nodiscard]] std::size_t size() const { return arrivals_.size(); }
+
+ private:
+  const BlockTree* store_;
+  /// One byte per store block (leaklint D3: no vector<bool>).
+  std::vector<std::uint8_t> has_;
+  std::vector<std::uint32_t> arrivals_;
+};
+
 }  // namespace leak::chain

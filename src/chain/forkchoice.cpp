@@ -6,6 +6,10 @@ ForkChoice::ForkChoice(const BlockTree& tree,
                        const ValidatorRegistry& registry)
     : tree_(tree), registry_(registry) {}
 
+ForkChoice::ForkChoice(const BlockView& view,
+                       const ValidatorRegistry& registry)
+    : tree_(view.store()), view_(&view), registry_(registry) {}
+
 void ForkChoice::on_attestation(ValidatorIndex v, const Digest& block,
                                 Slot slot) {
   const auto it = votes_.find(v);
@@ -29,7 +33,9 @@ ForkChoice::Weights ForkChoice::weigh(Epoch e) const {
     const ValidatorRecord& r = registry_.at(v);
     if (r.slashed) continue;
     // Votes for blocks this view has not received yet weigh nothing
-    // (the attestation can arrive before the block it points at).
+    // (the attestation can arrive before the block it points at): a
+    // block missing from the tree has no index, and a store block
+    // outside the view is never folded below.
     if (const auto i = tree_.index_of(vote.block)) w.subtree[*i] += r.balance;
   }
   // Proposer boost: the current slot's timely proposal pulls extra
@@ -40,11 +46,12 @@ ForkChoice::Weights ForkChoice::weigh(Epoch e) const {
       w.subtree[*i] += Gwei{active.value() * boost_percent_ / 100};
     }
   }
-  // Children have higher indices than their parents, so in reverse
-  // order each block's subtree weight is final before it is folded
-  // into its parent.  Ties go to the smaller block id, a deterministic
-  // rule every validator shares.
-  for (std::uint32_t i = n; i-- > 1;) {
+  // Fold each block into its parent, children first, so a block's
+  // subtree weight is final before it is folded; the same fold records
+  // each block's heaviest child.  Ties go to the smaller block id, a
+  // deterministic rule every validator shares, so the visiting order
+  // does not matter as long as children come first.
+  const auto fold = [&](std::uint32_t i) {
     const std::uint32_t p = tree_.parent_index(i);
     w.subtree[p] += w.subtree[i];
     std::uint32_t& best = w.best_child[p];
@@ -53,13 +60,22 @@ ForkChoice::Weights ForkChoice::weigh(Epoch e) const {
          tree_.by_index(i).id < tree_.by_index(best).id)) {
       best = i;
     }
+  };
+  if (view_ == nullptr) {
+    // Children have higher indices than their parents.
+    for (std::uint32_t i = n; i-- > 1;) fold(i);
+  } else {
+    // A view's blocks arrived after their parents; the store's other
+    // blocks weigh nothing and are nobody's child.
+    const std::vector<std::uint32_t>& arrivals = view_->arrivals();
+    for (std::size_t k = arrivals.size(); k-- > 1;) fold(arrivals[k]);
   }
   return w;
 }
 
 Gwei ForkChoice::subtree_weight(const Digest& root, Epoch e) const {
   const auto i = tree_.index_of(root);
-  return i ? weigh(e).subtree[*i] : Gwei{};
+  return i && sees(*i) ? weigh(e).subtree[*i] : Gwei{};
 }
 
 void ForkChoice::set_proposer_boost(const Digest& block, unsigned percent) {
@@ -74,7 +90,7 @@ void ForkChoice::clear_proposer_boost() {
 
 Digest ForkChoice::head(const Digest& justified_root, Epoch e) const {
   const auto root = tree_.index_of(justified_root);
-  if (!root) return justified_root;
+  if (!root || !sees(*root)) return justified_root;
   const Weights w = weigh(e);
   std::uint32_t cur = *root;
   while (w.best_child[cur] != kNoChild) cur = w.best_child[cur];

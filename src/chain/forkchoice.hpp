@@ -18,12 +18,20 @@ namespace leak::chain {
 ///
 /// Every query makes one pass over the votes and one over the tree:
 /// each counted vote credits its block's index, the weights fold child
-/// to parent in reverse insertion order (parents precede children), and
-/// the same fold records each block's heaviest child.  Weights are
-/// integer Gwei, so the sums do not depend on the vote order.
+/// to parent, children first, and the same fold records each block's
+/// heaviest child.  Weights are integer Gwei, so the sums do not depend
+/// on the vote order.
+///
+/// A fork choice weighs either a whole tree (folded in reverse
+/// insertion order; parents precede children) or one validator's view
+/// of a shared store (folded in reverse arrival order, over the view's
+/// blocks only, at their store indices).  Since sums are order-free and
+/// ties go to the smaller id, a view's head and weights equal those of
+/// a standalone tree holding just the view's blocks.
 class ForkChoice {
  public:
   ForkChoice(const BlockTree& tree, const ValidatorRegistry& registry);
+  ForkChoice(const BlockView& view, const ValidatorRegistry& registry);
 
   /// Record a block vote.  Only the latest (by slot) vote per validator
   /// counts; stale votes are ignored.
@@ -63,8 +71,14 @@ class ForkChoice {
   static constexpr std::uint32_t kNoChild = ~std::uint32_t{0};
 
   [[nodiscard]] Weights weigh(Epoch e) const;
+  /// Is store block `i` in the weighed tree or view?
+  [[nodiscard]] bool sees(std::uint32_t i) const {
+    return view_ == nullptr || view_->contains(i);
+  }
 
   const BlockTree& tree_;
+  /// The view being weighed; nullptr weighs all of `tree_`.
+  const BlockView* view_ = nullptr;
   const ValidatorRegistry& registry_;
   std::unordered_map<ValidatorIndex, Vote> votes_;
   std::optional<Digest> boosted_block_;

@@ -10,11 +10,23 @@ FfgTracker::FfgTracker(const chain::ValidatorRegistry& registry,
 }
 
 void FfgTracker::on_checkpoint_vote(const Attestation& att) {
-  const VoteKey key{att.attester, att.target.epoch};
-  if (seen_.contains(key)) return;
-  seen_.insert(key);
+  const std::uint32_t a = att.attester.value();
+  std::vector<std::uint64_t>& counted = counted_[att.target.epoch.value()];
+  if (counted.size() <= a / 64) counted.resize(a / 64 + 1);
+  const std::uint64_t bit = std::uint64_t{1} << (a % 64);
+  if ((counted[a / 64] & bit) != 0) return;
+  counted[a / 64] |= bit;
   votes_by_target_[att.target].push_back(
-      PendingVote{att.attester, att.source});
+      PendingVote{a, intern_source(att.source)});
+}
+
+std::uint32_t FfgTracker::intern_source(const Checkpoint& c) {
+  // Newest first: votes mostly carry the latest justified checkpoint.
+  for (std::size_t i = sources_.size(); i-- > 0;) {
+    if (sources_[i] == c) return static_cast<std::uint32_t>(i);
+  }
+  sources_.push_back(c);
+  return static_cast<std::uint32_t>(sources_.size() - 1);
 }
 
 Gwei FfgTracker::support(const Checkpoint& target) const {
@@ -22,9 +34,10 @@ Gwei FfgTracker::support(const Checkpoint& target) const {
   if (it == votes_by_target_.end()) return Gwei{};
   Gwei total{};
   for (const PendingVote& v : it->second) {
-    if (!justified_set_.contains(v.source)) continue;
-    if (!registry_.is_active(v.attester, target.epoch)) continue;
-    total += registry_.at(v.attester).balance;
+    if (!justified_set_.contains(sources_[v.source])) continue;
+    const ValidatorIndex attester{v.attester};
+    if (!registry_.is_active(attester, target.epoch)) continue;
+    total += registry_.at(attester).balance;
   }
   return total;
 }
@@ -33,7 +46,7 @@ std::optional<Checkpoint> FfgTracker::process_epoch(Epoch e) {
   // Gather candidate targets in epoch e; check each for a supermajority
   // link from an already-justified source.  The map is visited in hash
   // order, but that order cannot change the outcome: each attester
-  // counts once per target epoch (seen_), so the supports of the
+  // counts once per target epoch (counted_), so the supports of the
   // epoch-e targets are disjoint parts of the active stake and at most
   // one of them can exceed 2/3 in a single call.
   std::optional<Checkpoint> newly_justified;
@@ -54,11 +67,12 @@ std::optional<Checkpoint> FfgTracker::process_epoch(Epoch e) {
       // Finalization: two consecutive justified checkpoints where the
       // earlier one is the source of the later one's supermajority link.
       for (const PendingVote& v : votes) {
-        if (v.source.epoch.next() == target.epoch &&
-            justified_set_.contains(v.source)) {
-          if (v.source.epoch > finalized_.epoch) {
-            finalized_ = v.source;
-            finalized_chain_.push_back(v.source);
+        const Checkpoint& source = sources_[v.source];
+        if (source.epoch.next() == target.epoch &&
+            justified_set_.contains(source)) {
+          if (source.epoch > finalized_.epoch) {
+            finalized_ = source;
+            finalized_chain_.push_back(source);
           }
           break;
         }

@@ -9,6 +9,7 @@
 // checkpoint as source ("two consecutive justified checkpoints").
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -56,32 +57,25 @@ class FfgTracker {
   [[nodiscard]] Gwei support(const Checkpoint& target) const;
 
  private:
-  struct VoteKey {
-    ValidatorIndex attester{};
-    Epoch target_epoch{};
-    friend bool operator==(const VoteKey&, const VoteKey&) = default;
-  };
-  struct VoteKeyHash {
-    std::size_t operator()(const VoteKey& k) const noexcept {
-      return std::hash<std::uint32_t>{}(k.attester.value()) ^
-             (std::hash<std::uint64_t>{}(k.target_epoch.value()) << 1);
-    }
-  };
-
   const chain::ValidatorRegistry& registry_;
   Checkpoint justified_;
   Checkpoint finalized_;
   std::vector<Checkpoint> finalized_chain_;
   std::unordered_set<Checkpoint, CheckpointHash> justified_set_;
-  /// target -> accumulated votes (attester, source) pairs.
+  /// A counted vote: the attester and its source checkpoint, interned
+  /// in `sources_` (a view sees few distinct sources).
   struct PendingVote {
-    ValidatorIndex attester{};
-    Checkpoint source{};
+    std::uint32_t attester = 0;
+    std::uint32_t source = 0;
   };
+  [[nodiscard]] std::uint32_t intern_source(const Checkpoint& c);
+
+  /// target -> accumulated votes.
   std::unordered_map<Checkpoint, std::vector<PendingVote>, CheckpointHash>
       votes_by_target_;
-  /// (attester, target epoch) pairs already counted.
-  std::unordered_set<VoteKey, VoteKeyHash> seen_;
+  std::vector<Checkpoint> sources_;
+  /// Target epoch -> bitmap of the attesters already counted for it.
+  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> counted_;
 };
 
 }  // namespace leak::finality

@@ -1,12 +1,14 @@
 #include "src/net/event_queue.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace leak::net {
 
 void EventQueue::schedule_at(SimTime t, Action action) {
   if (t < now_) throw std::invalid_argument("schedule_at: time in the past");
-  queue_.push(Entry{t, next_seq_++, std::move(action)});
+  heap_.push_back(Entry{t, next_seq_++, std::move(action)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void EventQueue::schedule_in(SimTime delay, Action action) {
@@ -14,12 +16,18 @@ void EventQueue::schedule_in(SimTime delay, Action action) {
   schedule_at(now_ + delay, std::move(action));
 }
 
+EventQueue::Entry EventQueue::pop() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Entry e = std::move(heap_.back());
+  heap_.pop_back();
+  return e;
+}
+
 std::size_t EventQueue::run_until(SimTime limit) {
   std::size_t executed = 0;
-  while (!queue_.empty() && queue_.top().time <= limit) {
-    // Copy out before pop so the action may schedule more events.
-    Entry e = queue_.top();
-    queue_.pop();
+  while (!heap_.empty() && heap_.front().time <= limit) {
+    // Out of the heap before running, so the action may schedule more.
+    Entry e = pop();
     now_ = e.time;
     e.action();
     ++executed;
@@ -30,9 +38,8 @@ std::size_t EventQueue::run_until(SimTime limit) {
 
 std::size_t EventQueue::run_all() {
   std::size_t executed = 0;
-  while (!queue_.empty()) {
-    Entry e = queue_.top();
-    queue_.pop();
+  while (!heap_.empty()) {
+    Entry e = pop();
     now_ = e.time;
     e.action();
     ++executed;
@@ -40,8 +47,6 @@ std::size_t EventQueue::run_all() {
   return executed;
 }
 
-void EventQueue::clear() {
-  while (!queue_.empty()) queue_.pop();
-}
+void EventQueue::clear() { heap_.clear(); }
 
 }  // namespace leak::net

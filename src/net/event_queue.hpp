@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "src/support/types.hpp"
@@ -34,7 +33,7 @@ class EventQueue {
   std::size_t run_all();
 
   /// Pending event count.
-  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
   /// Drop all pending events (used when tearing a scenario down).
   void clear();
@@ -45,6 +44,9 @@ class EventQueue {
     std::uint64_t seq;
     Action action;
   };
+  /// Remove the earliest entry, moved out of the heap.
+  Entry pop();
+
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.time != b.time) return a.time > b.time;
@@ -54,7 +56,9 @@ class EventQueue {
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  /// Binary min-heap by (time, seq) under Later; a plain vector so
+  /// that pop can move the earliest entry out instead of copying it.
+  std::vector<Entry> heap_;
 };
 
 }  // namespace leak::net

@@ -111,9 +111,20 @@ void Network::send_one(SimTime base, ValidatorIndex from, ValidatorIndex to,
 }
 
 void Network::deliver_later(SimTime when, ValidatorIndex to, Packet p) {
-  queue_.schedule_at(when, [this, to, p] {
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.push_back(InFlight{to, p});
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    in_flight_[slot] = InFlight{to, p};
+  }
+  queue_.schedule_at(when, [this, slot] {
+    const InFlight f = in_flight_[slot];
+    free_slots_.push_back(slot);
     ++delivered_;
-    if (deliver_) deliver_(to, p);
+    if (deliver_) deliver_(f.to, f.packet);
   });
 }
 

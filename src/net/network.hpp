@@ -142,6 +142,17 @@ class Network {
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
+
+  /// Copies in flight, by slot.  A delivery event captures only
+  /// (this, slot), which fits std::function's inline buffer, so
+  /// scheduling a delivery does not allocate; a delivered copy's slot
+  /// is reused.
+  struct InFlight {
+    ValidatorIndex to{};
+    Packet packet{};
+  };
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace leak::net

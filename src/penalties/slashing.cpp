@@ -2,19 +2,20 @@
 
 namespace leak::penalties {
 
-std::optional<SlashingProof> SlashingDetector::observe(
-    const chain::Attestation& att) {
-  auto& stored = by_attester_[att.attester];
-  for (const chain::Attestation& prev : stored) {
-    if (chain::is_slashable_pair(prev, att)) {
-      // Copy before push_back: growing the vector invalidates `prev`.
-      SlashingProof proof{prev, att};
-      stored.push_back(att);
-      return proof;
+SlashingDetector::SlashingDetector(Store store) : store_(std::move(store)) {}
+
+std::optional<SlashingProof> SlashingDetector::observe(std::uint64_t id) {
+  const chain::Attestation& att = store_(id);
+  auto& seen = by_attester_[att.attester];
+  std::optional<SlashingProof> proof;
+  for (const std::uint64_t prev : seen) {
+    if (chain::is_slashable_pair(store_(prev), att)) {
+      proof = SlashingProof{store_(prev), att};
+      break;
     }
   }
-  stored.push_back(att);
-  return std::nullopt;
+  seen.push_back(id);
+  return proof;
 }
 
 std::size_t SlashingDetector::observed_count(ValidatorIndex v) const {

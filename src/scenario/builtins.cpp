@@ -416,6 +416,32 @@ void register_recovery(ScenarioRegistry& r) {
   });
 }
 
+// --- slot-level scenarios -------------------------------------------------
+
+/// Run the `paths` trials of a slot-level scenario through the trial
+/// runner: trial i runs `base` seeded seed_for(i) and lands at index i,
+/// so the results are bit-identical for every thread count.  A slot
+/// trial takes milliseconds, so `block` 0 schedules one trial per
+/// block and even a cell of a few trials spreads over every worker;
+/// an explicit `block` is honoured.
+std::vector<sim::SlotSimResult> run_slot_trials(
+    const sim::SlotSimConfig& base, const ParamSet& p) {
+  const auto paths = static_cast<std::size_t>(p.get_int("paths"));
+  const auto block = static_cast<std::size_t>(p.get_int("block"));
+  const StreamSeeder seeder(static_cast<std::uint64_t>(p.get_int("seed")));
+  const runner::TrialRunner pool(static_cast<unsigned>(p.get_int("threads")));
+  std::vector<sim::SlotSimResult> trials(paths);
+  pool.run_blocks(paths, block == 0 ? 1 : block,
+                  [&](std::size_t begin, std::size_t end) {
+                    for (std::size_t i = begin; i < end; ++i) {
+                      sim::SlotSimConfig cfg = base;
+                      cfg.seed = seeder.seed_for(i);
+                      trials[i] = sim::SlotSim(cfg).run();
+                    }
+                  });
+  return trials;
+}
+
 // --- slot-protocol ------------------------------------------------------
 
 void register_slot_protocol(ScenarioRegistry& r) {
@@ -435,13 +461,16 @@ void register_slot_protocol(ScenarioRegistry& r) {
       .add_double("gst_epoch",
                   "epoch at which the partition heals (0 = no partition)",
                   0.0, 0.0, 1e6)
-      .add_double("delta", "network delay bound in seconds", 1.0, 0.0, 60.0)
+      .add_double("delta", "network delay bound in seconds", 1.0,
+                  sim::kMinDelay, 60.0)
       .add_int("proposer_boost",
                "fork-choice proposer-boost percent (0 = off, mainnet 40)", 0,
                0, 100)
       .add_int("seed", "master RNG seed", 1)
       .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "trials per scheduled block (0 = auto)", 0, 0, 1e9);
+      .add_int("block",
+               "trials per scheduled block (0 = one trial per block)", 0,
+               0, 1e9);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     sim::SlotSimConfig base;
     base.n_honest = static_cast<std::uint32_t>(p.get_int("n_honest"));
@@ -451,22 +480,7 @@ void register_slot_protocol(ScenarioRegistry& r) {
     base.gst_epoch = p.get_double("gst_epoch");
     base.delta = p.get_double("delta");
     base.proposer_boost = static_cast<unsigned>(p.get_int("proposer_boost"));
-    const auto paths = static_cast<std::size_t>(p.get_int("paths"));
-    const StreamSeeder seeder(
-        static_cast<std::uint64_t>(p.get_int("seed")));
-    const runner::TrialRunner pool(
-        static_cast<unsigned>(p.get_int("threads")));
-    std::vector<sim::SlotSimResult> trials(paths);
-    pool.run_blocks(paths,
-                    runner::resolve_block(
-                        static_cast<std::size_t>(p.get_int("block"))),
-                    [&](std::size_t begin, std::size_t end) {
-                      for (std::size_t i = begin; i < end; ++i) {
-                        sim::SlotSimConfig cfg = base;
-                        cfg.seed = seeder.seed_for(i);
-                        trials[i] = sim::SlotSim(cfg).run();
-                      }
-                    });
+    const std::vector<sim::SlotSimResult> trials = run_slot_trials(base, p);
 
     RunningStats finalized, violations, slashed, messages;
     std::size_t leaks = 0;
@@ -524,7 +538,8 @@ void register_balancing_attack(ScenarioRegistry& r) {
       .add_int("n_byzantine", "Byzantine (equivocating) validators", 8, 1,
                4096)
       .add_int("epochs", "horizon in epochs", 16, 1, 256)
-      .add_double("delta", "network delay bound in seconds", 1.0, 0.0, 60.0)
+      .add_double("delta", "network delay bound in seconds", 1.0,
+                  sim::kMinDelay, 60.0)
       .add_double("release_delay",
                   "seconds before an equivocation sibling reaches its own "
                   "audience half (adversary release-timing knob)",
@@ -538,7 +553,9 @@ void register_balancing_attack(ScenarioRegistry& r) {
                0, 100)
       .add_int("seed", "master RNG seed", 42)
       .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "trials per scheduled block (0 = auto)", 0, 0, 1e9);
+      .add_int("block",
+               "trials per scheduled block (0 = one trial per block)", 0,
+               0, 1e9);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     sim::SlotSimConfig base;
     base.n_honest = static_cast<std::uint32_t>(p.get_int("n_honest"));
@@ -549,21 +566,7 @@ void register_balancing_attack(ScenarioRegistry& r) {
     base.cross_delay = p.get_double("cross_delay");
     base.proposer_boost = static_cast<unsigned>(p.get_int("proposer_boost"));
     base.proposer_strategy = sim::ProposerStrategy::kBalancing;
-    const auto paths = static_cast<std::size_t>(p.get_int("paths"));
-    const StreamSeeder seeder(static_cast<std::uint64_t>(p.get_int("seed")));
-    const runner::TrialRunner pool(
-        static_cast<unsigned>(p.get_int("threads")));
-    std::vector<sim::SlotSimResult> trials(paths);
-    pool.run_blocks(paths,
-                    runner::resolve_block(
-                        static_cast<std::size_t>(p.get_int("block"))),
-                    [&](std::size_t begin, std::size_t end) {
-                      for (std::size_t i = begin; i < end; ++i) {
-                        sim::SlotSimConfig cfg = base;
-                        cfg.seed = seeder.seed_for(i);
-                        trials[i] = sim::SlotSim(cfg).run();
-                      }
-                    });
+    const std::vector<sim::SlotSimResult> trials = run_slot_trials(base, p);
 
     const double leak_trigger = static_cast<double>(
         base.spec.min_epochs_to_inactivity_penalty);
@@ -968,7 +971,8 @@ void register_flaky_network(ScenarioRegistry& r) {
       .add_double("gst_epoch",
                   "epoch at which the partition heals (0 = no partition)",
                   0.0, 0.0, 1e6)
-      .add_double("delta", "network delay bound in seconds", 1.0, 0.0, 60.0)
+      .add_double("delta", "network delay bound in seconds", 1.0,
+                  sim::kMinDelay, 60.0)
       .add_int("proposer_boost",
                "fork-choice proposer-boost percent (0 = off, mainnet 40)", 0,
                0, 100)
@@ -992,7 +996,9 @@ void register_flaky_network(ScenarioRegistry& r) {
                   {"all", "intra", "cross"})
       .add_int("seed", "master RNG seed", 7)
       .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "trials per scheduled block (0 = auto)", 0, 0, 1e9);
+      .add_int("block",
+               "trials per scheduled block (0 = one trial per block)", 0,
+               0, 1e9);
   add_faults_param(spec);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     sim::SlotSimConfig base;
@@ -1039,21 +1045,7 @@ void register_flaky_network(ScenarioRegistry& r) {
     base.latency_episodes = std::move(weather.latency_episodes);
     base.loss_episodes = std::move(weather.loss_episodes);
 
-    const auto paths = static_cast<std::size_t>(p.get_int("paths"));
-    const StreamSeeder seeder(static_cast<std::uint64_t>(p.get_int("seed")));
-    const runner::TrialRunner pool(
-        static_cast<unsigned>(p.get_int("threads")));
-    std::vector<sim::SlotSimResult> trials(paths);
-    pool.run_blocks(paths,
-                    runner::resolve_block(
-                        static_cast<std::size_t>(p.get_int("block"))),
-                    [&](std::size_t begin, std::size_t end) {
-                      for (std::size_t i = begin; i < end; ++i) {
-                        sim::SlotSimConfig cfg = base;
-                        cfg.seed = seeder.seed_for(i);
-                        trials[i] = sim::SlotSim(cfg).run();
-                      }
-                    });
+    const std::vector<sim::SlotSimResult> trials = run_slot_trials(base, p);
 
     RunningStats finalized, stalls, delivered, dropped;
     std::size_t leaks = 0;

@@ -36,7 +36,7 @@ struct SlotSim::Impl {
                 net::NetworkConfig{
                     .num_nodes = config.n_honest + config.n_byzantine,
                     .delta = config.delta,
-                    .min_delay = 0.05,
+                    .min_delay = kMinDelay,
                     .gst = config.gst_epoch * 32.0 * kSecondsPerSlot,
                     .seed = config.seed,
                     .latency_episodes = config.latency_episodes,
@@ -48,16 +48,23 @@ struct SlotSim::Impl {
     setup_views();
   }
 
-  /// One validator's local view of the chain.
+  /// One validator's local view of the chain: which of the shared
+  /// store's blocks it has received, its fork choice over them, and its
+  /// FFG votes.  Heap-held and never moved (`fc` refers to `blocks`).
   struct View {
-    chain::BlockTree tree;
-    std::unique_ptr<chain::ForkChoice> fc;
-    std::unique_ptr<finality::FfgTracker> ffg;
-    /// Blocks whose parent has not arrived yet: parent -> children.
-    /// Ordered maps throughout this TU (leaklint D4): src/sim is a
-    /// kernel/reduction layer, and ordered containers make even an
-    /// accidental future iteration deterministic.
-    std::map<Digest, std::vector<Block>> orphans;
+    View(const chain::BlockTree& store, const chain::ValidatorRegistry& reg)
+        : blocks(store),
+          fc(blocks, reg),
+          ffg(reg, Checkpoint{store.genesis_id(), Epoch{0}}) {}
+
+    chain::BlockView blocks;
+    chain::ForkChoice fc;
+    finality::FfgTracker ffg;
+    /// Store indices of blocks whose parent has not arrived yet, by
+    /// parent index.  Ordered maps throughout this TU (leaklint D4):
+    /// src/sim is a kernel/reduction layer, and ordered containers make
+    /// even an accidental future iteration deterministic.
+    std::map<std::uint32_t, std::vector<std::uint32_t>> orphans;
     /// Slot whose proposal currently carries the fork-choice boost in
     /// this view (kNoBoostSlot when none; unused when the boost is off).
     std::uint64_t boost_slot = kNoBoostSlot;
@@ -71,22 +78,29 @@ struct SlotSim::Impl {
   crypto::KeyRegistry keyreg;
   std::vector<crypto::KeyPair> keys;
 
-  std::vector<std::variant<Block, Attestation>> payloads;
+  /// Every block, each entered before it is broadcast; the views hold
+  /// membership into it.  Declared before the views so it outlives them.
+  chain::BlockTree global_tree;
+  /// Fork side per store index (balancing attack): 0 / 1 for an
+  /// equivocation sibling and its descendants, -1 for pre-fork blocks.
+  std::vector<std::int8_t> side_by_index{-1};
+
+  /// What a payload id names: a block (its store index) or an
+  /// attestation.
+  std::vector<std::variant<std::uint32_t, Attestation>> payloads;
   /// Signature verdict per payload, beside `payloads`: each
   /// attestation's signature is checked once, when it is stored, and
   /// every delivery reads the stored verdict (blocks are unsigned).
   std::vector<std::uint8_t> verified;
   std::vector<std::unique_ptr<View>> views;          // [0, n)
   std::vector<std::unique_ptr<View>> byz_alt_views;  // second view per byz
-  std::vector<penalties::SlashingDetector> detectors;  // honest watchers
+  /// One per honest validator, remembering payload ids.
+  std::vector<penalties::SlashingDetector> detectors;
   /// (sender, payload id) of equivocations hidden during the partition;
   /// gossip re-propagates them once the partition heals.
   std::vector<std::pair<ValidatorIndex, std::uint64_t>> byz_withheld;
 
   // ---- balancing attack state ---------------------------------------
-  /// Fork side of each equivocation sibling (0 / 1), plus memoized
-  /// sides of their descendants; -1 marks pre-fork (neutral) blocks.
-  std::map<Digest, int> side_of;
   /// (sender, payload id, side) of the withheld cross-side proposals;
   /// everything is released to the opposite half at the epoch boundary
   /// (the split must be refreshed by a new equivocation each epoch).
@@ -99,7 +113,6 @@ struct SlotSim::Impl {
            cfg.n_byzantine > 0;
   }
 
-  chain::BlockTree global_tree;
   finality::SafetyMonitor monitor;
   std::set<std::uint32_t> slashed_set;
   SlotSimResult result;
@@ -122,11 +135,7 @@ struct SlotSim::Impl {
   }
 
   std::unique_ptr<View> make_view() {
-    auto v = std::make_unique<View>();
-    v->fc = std::make_unique<chain::ForkChoice>(v->tree, registry);
-    v->ffg = std::make_unique<finality::FfgTracker>(
-        registry, Checkpoint{v->tree.genesis_id(), Epoch{0}});
-    return v;
+    return std::make_unique<View>(global_tree, registry);
   }
 
   void setup_views() {
@@ -135,7 +144,12 @@ struct SlotSim::Impl {
     for (std::uint32_t i = 0; i < cfg.n_byzantine; ++i) {
       byz_alt_views.push_back(make_view());
     }
-    detectors.resize(n);
+    detectors.reserve(cfg.n_honest);
+    for (std::uint32_t i = 0; i < cfg.n_honest; ++i) {
+      detectors.emplace_back([this](std::uint64_t id) -> const Attestation& {
+        return std::get<Attestation>(payloads[id]);
+      });
+    }
     last_reported_finalized.assign(n, 0);
     for (std::uint32_t i = 0; i < n; ++i) {
       if (is_byz(i)) {
@@ -150,26 +164,23 @@ struct SlotSim::Impl {
     });
   }
 
+  /// Enter a new block in the shared store and return its index.  An
+  /// equivocation sibling pins its fork `side`; any other block (side
+  /// -1) inherits its parent's.
+  std::uint32_t store_block(const Block& b, int side) {
+    global_tree.insert(b);
+    const std::uint32_t i = *global_tree.index_of(b.id);
+    side_by_index.resize(global_tree.size(), -1);
+    side_by_index[i] = static_cast<std::int8_t>(
+        side >= 0 ? side : side_by_index[global_tree.parent_index(i)]);
+    return i;
+  }
+
   /// Fork side of a block: the side of the nearest equivocation-sibling
-  /// ancestor, or -1 for pre-fork blocks.  Sides are fixed at creation,
-  /// so resolved values memoize safely.
-  int block_side(const Digest& id) {
-    std::vector<Digest> path;
-    Digest cur = id;
-    int side = -1;
-    while (true) {
-      if (const auto it = side_of.find(cur); it != side_of.end()) {
-        side = it->second;
-        break;
-      }
-      if (!global_tree.contains(cur)) break;
-      path.push_back(cur);
-      const Digest parent = global_tree.at(cur).parent;
-      if (parent == cur) break;
-      cur = parent;
-    }
-    for (const Digest& d : path) side_of[d] = side;
-    return side;
+  /// ancestor, or -1 for pre-fork blocks.
+  [[nodiscard]] int block_side(const Digest& id) const {
+    const auto i = global_tree.index_of(id);
+    return i ? side_by_index[*i] : -1;
   }
 
   /// The Byzantine secondary view tracks region two; the primary view of
@@ -193,7 +204,7 @@ struct SlotSim::Impl {
     if (cfg.proposer_boost == 0) return;
     if (v.boost_slot != kNoBoostSlot &&
         v.boost_slot != current_slot_number()) {
-      v.fc->clear_proposer_boost();
+      v.fc.clear_proposer_boost();
       v.boost_slot = kNoBoostSlot;
     }
   }
@@ -208,52 +219,55 @@ struct SlotSim::Impl {
     const double offset =
         queue.now() - static_cast<double>(s) * kSecondsPerSlot;
     if (b.slot.value() == s && offset < kAttestationOffset) {
-      v.fc->set_proposer_boost(b.id, cfg.proposer_boost);
+      v.fc.set_proposer_boost(b.id, cfg.proposer_boost);
       v.boost_slot = s;
     }
   }
 
   // ---- ingestion ----------------------------------------------------
 
-  void ingest_block(View& v, const Block& b) {
-    if (v.tree.contains(b.id)) return;
-    if (!v.tree.contains(b.parent)) {
-      v.orphans[b.parent].push_back(b);
+  /// Give a view store block `i`, or park it until its parent arrives.
+  void ingest_block(View& v, std::uint32_t i) {
+    if (v.blocks.contains(i)) return;
+    const std::uint32_t parent = global_tree.parent_index(i);
+    if (!v.blocks.contains(parent)) {
+      v.orphans[parent].push_back(i);
       return;
     }
-    v.tree.insert(b);
-    maybe_boost(v, b);
+    v.blocks.insert(i);
+    maybe_boost(v, global_tree.by_index(i));
     // Adopt any orphans waiting for this block, recursively.
-    auto it = v.orphans.find(b.id);
+    auto it = v.orphans.find(i);
     if (it != v.orphans.end()) {
-      const std::vector<Block> kids = std::move(it->second);
+      const std::vector<std::uint32_t> kids = std::move(it->second);
       v.orphans.erase(it);
-      for (const Block& k : kids) ingest_block(v, k);
+      for (const std::uint32_t k : kids) ingest_block(v, k);
     }
   }
 
   void ingest_attestation(View& v, const Attestation& a) {
-    v.fc->on_attestation(a.attester, a.head, a.slot);
-    v.ffg->on_checkpoint_vote(a);
+    v.fc.on_attestation(a.attester, a.head, a.slot);
+    v.ffg.on_checkpoint_vote(a);
   }
 
   void on_deliver(ValidatorIndex to, const net::Packet& p) {
     const auto& payload = payloads.at(p.payload_id);
     const std::uint32_t who = to.value();
+    const auto* block = std::get_if<std::uint32_t>(&payload);
+    const auto* att = std::get_if<Attestation>(&payload);
     auto feed = [&](View& v) {
-      if (std::holds_alternative<Block>(payload)) {
-        ingest_block(v, std::get<Block>(payload));
+      if (block != nullptr) {
+        ingest_block(v, *block);
       } else {
-        ingest_attestation(v, std::get<Attestation>(payload));
+        ingest_attestation(v, *att);
       }
     };
     if (is_byz(who)) {
       if (balancing()) {
         // Route by fork side so each Byzantine view genuinely follows
         // one sibling's branch; pre-fork traffic feeds both.
-        const int side = std::holds_alternative<Block>(payload)
-                             ? block_side(std::get<Block>(payload).id)
-                             : block_side(std::get<Attestation>(payload).head);
+        const int side =
+            block != nullptr ? side_by_index[*block] : block_side(att->head);
         if (side != 1) feed(*views[who]);
         if (side != 0) feed(*byz_alt_views[who - cfg.n_honest]);
         return;
@@ -268,8 +282,7 @@ struct SlotSim::Impl {
       }
       return;
     }
-    const auto* att = std::get_if<Attestation>(&payload);
-    if (att == nullptr) {
+    if (block != nullptr) {
       feed(*views[who]);
       return;
     }
@@ -277,7 +290,7 @@ struct SlotSim::Impl {
     // them for equivocations.
     if (!verified[p.payload_id]) return;
     ingest_attestation(*views[who], *att);
-    if (auto proof = detectors[who].observe(*att)) {
+    if (auto proof = detectors[who].observe(p.payload_id)) {
       const std::uint32_t offender = proof->offender().value();
       if (!slashed_set.contains(offender)) {
         slashed_set.insert(offender);
@@ -317,12 +330,12 @@ struct SlotSim::Impl {
 
   [[nodiscard]] Digest head_of(View& v, Epoch e) {
     refresh_boost(v);
-    Digest root = v.ffg->justified().block;
-    if (!v.tree.contains(root)) root = v.tree.genesis_id();
-    return v.fc->head(root, e);
+    Digest root = v.ffg.justified().block;
+    if (!v.blocks.contains(root)) root = global_tree.genesis_id();
+    return v.fc.head(root, e);
   }
 
-  std::uint64_t store_payload(std::variant<Block, Attestation> p) {
+  std::uint64_t store_payload(std::variant<std::uint32_t, Attestation> p) {
     const auto* att = std::get_if<Attestation>(&p);
     verified.push_back(static_cast<std::uint8_t>(
         att == nullptr || keyreg.verify(att->signing_root(), att->signature)));
@@ -339,8 +352,8 @@ struct SlotSim::Impl {
     View& v = *views[who];
     const Epoch e = epoch_of(slot);
     const Digest head = head_of(v, e);
-    const Block b = Block::make(head, slot, ValidatorIndex{who});
-    global_tree.insert(b);
+    const std::uint32_t b =
+        store_block(Block::make(head, slot, ValidatorIndex{who}), -1);
     ingest_block(v, b);
     const auto id = store_payload(b);
     network.broadcast(ValidatorIndex{who}, id);
@@ -360,9 +373,9 @@ struct SlotSim::Impl {
       const Digest head = head_of(v, e);
       Digest body{};
       body[0] = static_cast<std::uint8_t>(side + 1);
-      const Block b = Block::make(head, slot, ValidatorIndex{who}, body);
-      global_tree.insert(b);
-      side_of[b.id] = side;  // pins the side even on a fresh fork
+      // The sibling pins its side even on a fresh fork.
+      const std::uint32_t b = store_block(
+          Block::make(head, slot, ValidatorIndex{who}, body), side);
       ingest_block(v, b);
       const auto id = store_payload(b);
       network.release_at(queue.now() + cfg.release_delay, ValidatorIndex{who},
@@ -390,8 +403,8 @@ struct SlotSim::Impl {
     a.attester = ValidatorIndex{who};
     a.slot = slot;
     a.head = head_of(v, e);
-    a.source = v.ffg->justified();
-    a.target = v.tree.checkpoint_on_branch(a.head, e);
+    a.source = v.ffg.justified();
+    a.target = global_tree.checkpoint_on_branch(a.head, e);
     a.sign(keys[who]);
     return a;
   }
@@ -459,23 +472,23 @@ struct SlotSim::Impl {
       const std::uint64_t lo =
           finished.value() > 2 ? finished.value() - 2 : 1;
       for (std::uint64_t e = lo; e <= finished.value(); ++e) {
-        v.ffg->process_epoch(Epoch{e});
+        v.ffg.process_epoch(Epoch{e});
       }
       if (is_byz(i)) {
         View& alt = *byz_alt_views[i - cfg.n_honest];
         for (std::uint64_t e = lo; e <= finished.value(); ++e) {
-          alt.ffg->process_epoch(Epoch{e});
+          alt.ffg.process_epoch(Epoch{e});
         }
       }
       // Report newly finalized checkpoints to the safety monitor.
-      const auto fin = v.ffg->finalized();
+      const auto fin = v.ffg.finalized();
       if (fin.epoch.value() > last_reported_finalized[i]) {
         last_reported_finalized[i] = fin.epoch.value();
         if (monitor.report(fin)) ++result.safety_violations;
       }
     }
     // Validator 0's leak observation and finality progress.
-    const auto fin0 = views[0]->ffg->finalized().epoch.value();
+    const auto fin0 = views[0]->ffg.finalized().epoch.value();
     result.finalized_epoch_trajectory.push_back(fin0);
     const bool leaking =
         finished.value() - fin0 > cfg.spec.min_epochs_to_inactivity_penalty;
@@ -533,7 +546,7 @@ struct SlotSim::Impl {
     result.finality_advanced.clear();
     for (std::size_t e = 1; e <= cfg.epochs; ++e) {
       // advanced if some checkpoint with epoch >= e-1 finalized
-      const auto& chain0 = views[0]->ffg->finalized_chain();
+      const auto& chain0 = views[0]->ffg.finalized_chain();
       bool advanced = false;
       for (const auto& c : chain0) {
         if (c.epoch.value() + 2 >= e && c.epoch.value() > 0) advanced = true;
@@ -544,8 +557,8 @@ struct SlotSim::Impl {
     result.finalized_epoch.clear();
     result.justified_epoch.clear();
     for (std::uint32_t i = 0; i < n; ++i) {
-      result.finalized_epoch.push_back(views[i]->ffg->finalized().epoch.value());
-      result.justified_epoch.push_back(views[i]->ffg->justified().epoch.value());
+      result.finalized_epoch.push_back(views[i]->ffg.finalized().epoch.value());
+      result.justified_epoch.push_back(views[i]->ffg.justified().epoch.value());
     }
     // Longest run of epoch boundaries without finality progress.
     std::size_t stall = 0;
@@ -562,7 +575,7 @@ struct SlotSim::Impl {
     }
     result.finality_stall_epochs = stall;
 
-    result.blocks_seen = views[0]->tree.size();
+    result.blocks_seen = views[0]->blocks.size();
     result.messages_delivered = network.messages_delivered();
     result.messages_dropped = network.messages_dropped();
     return result;

@@ -40,6 +40,10 @@ enum class ProposerStrategy : std::uint8_t {
   kBalancing,
 };
 
+/// Minimum per-message network delay, seconds: the floor of every
+/// delivery's jitter, so `SlotSimConfig::delta` must be at least this.
+inline constexpr double kMinDelay = 0.05;
+
 struct SlotSimConfig {
   std::uint32_t n_honest = 32;
   std::uint32_t n_byzantine = 0;
@@ -48,7 +52,8 @@ struct SlotSimConfig {
   double p0 = 1.0;
   /// Epoch at which the partition heals (GST); 0 disables the partition.
   double gst_epoch = 0.0;
-  /// Network delay bound within a region / after GST, seconds.
+  /// Network delay bound within a region / after GST, seconds
+  /// (>= kMinDelay).
   double delta = 1.0;
   /// What Byzantine proposers do with their slots.
   ProposerStrategy proposer_strategy = ProposerStrategy::kHonest;

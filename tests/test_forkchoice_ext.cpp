@@ -1,6 +1,7 @@
 // Tests for fork-choice extensions: proposer boost, equivocation
 // discounting of slashed validators, and the one-pass weighing checked
-// against the per-child descent it replaced (tests/oracles/).
+// against the per-child descent it replaced (tests/oracles/), over a
+// whole tree and over a validator's partial view of a shared store.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -206,6 +207,86 @@ struct RandomView {
   unsigned boost_percent = 0;
 };
 
+/// A validator's view of `store`: a random parent-closed subset of its
+/// blocks, received in shuffled order (a block whose parent has not
+/// arrived waits, as in the slot simulator).  Its fork choice, given
+/// the store's latest votes and boost, must match the per-child oracle
+/// on a standalone tree holding just that subset.
+void check_view_of_store(RandomView& store, Epoch e) {
+  const BlockTree& tree = store.tree;
+  std::vector<std::uint8_t> keep(tree.size(), 0);
+  keep[0] = 1;
+  // Each block stays with probability (odds - 1) / odds if its parent
+  // did; odds 1 leaves genesis alone.
+  const std::size_t odds = 1 + store.rng.uniform_index(4);
+  for (std::uint32_t i = 1; i < tree.size(); ++i) {
+    keep[i] = static_cast<std::uint8_t>(
+        keep[tree.parent_index(i)] != 0 && store.rng.uniform_index(odds) != 0);
+  }
+  std::vector<std::uint32_t> arrivals;
+  for (std::uint32_t i = 1; i < tree.size(); ++i) {
+    if (keep[i] != 0) arrivals.push_back(i);
+  }
+  for (std::size_t i = arrivals.size(); i > 1; --i) {
+    std::swap(arrivals[i - 1], arrivals[store.rng.uniform_index(i)]);
+  }
+  BlockView view(tree);
+  ForkChoice fc(view, store.registry);
+  for (std::uint32_t v = 0; v < store.registry.size(); ++v) {
+    if (const auto d = store.fc.latest_vote(ValidatorIndex{v})) {
+      fc.on_attestation(ValidatorIndex{v}, *d, Slot{1});
+    }
+  }
+  if (store.boosted) fc.set_proposer_boost(*store.boosted, store.boost_percent);
+  std::vector<std::uint32_t> waiting;
+  for (const std::uint32_t i : arrivals) {
+    waiting.push_back(i);
+    // Admit every waiting block whose parent is in, until none is.
+    for (bool progress = true; progress;) {
+      progress = false;
+      for (std::size_t k = 0; k < waiting.size(); ++k) {
+        if (!view.contains(tree.parent_index(waiting[k]))) continue;
+        ASSERT_TRUE(view.insert(waiting[k]));
+        waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(k));
+        progress = true;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(waiting.empty());
+  ASSERT_EQ(view.size(), arrivals.size() + 1);
+
+  // The standalone tree of the subset, parents first.
+  BlockTree subset;
+  for (std::uint32_t i = 1; i < tree.size(); ++i) {
+    if (keep[i] != 0) subset.insert(tree.by_index(i));
+  }
+  oracle::ForkChoiceInputs in = store.inputs();
+  oracle::ForkChoiceInputs sub{subset, store.registry, in.votes, in.boosted_block,
+                               in.boost_percent};
+  std::vector<Digest> held;
+  for (std::uint32_t i = 0; i < tree.size(); ++i) {
+    const Digest& d = tree.by_index(i).id;
+    ASSERT_EQ(view.contains(d), keep[i] != 0);
+    if (keep[i] == 0) {
+      // A block the view lacks weighs nothing and is its own head.
+      ASSERT_EQ(fc.subtree_weight(d, e), Gwei{});
+      ASSERT_EQ(fc.head(d, e), d);
+      continue;
+    }
+    held.push_back(d);
+    ASSERT_EQ(fc.subtree_weight(d, e),
+              oracle::forkchoice_subtree_weight_scalar(sub, d, e));
+  }
+  std::vector<Digest> roots{tree.genesis_id()};
+  for (int k = 0; k < 4; ++k) {
+    roots.push_back(held[store.rng.uniform_index(held.size())]);
+  }
+  for (const Digest& root : roots) {
+    ASSERT_EQ(fc.head(root, e), oracle::forkchoice_head_scalar(sub, root, e));
+  }
+}
+
 TEST(ForkChoiceOracle, OnePassMatchesPerChildDescent) {
   std::size_t ties = 0;
   std::size_t boosts = 0;
@@ -239,6 +320,8 @@ TEST(ForkChoiceOracle, OnePassMatchesPerChildDescent) {
           winner, view.fc.head(view.tree.genesis_id(), e)));
     }
     if (view.boosted) ++boosts;
+    // The same store seen through a partial view.
+    check_view_of_store(view, e);
   }
   // The seeds exercise both the tie and the boost paths.
   EXPECT_GT(ties, 0u);

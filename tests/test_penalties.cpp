@@ -2,10 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "src/chain/registry.hpp"
 #include "src/penalties/inactivity.hpp"
 #include "src/penalties/slashing.hpp"
+#include "src/support/random.hpp"
 
 namespace leak::penalties {
 namespace {
@@ -139,8 +144,22 @@ TEST(Penalty, SemiActiveSlowerThanInactive) {
   EXPECT_NEAR(semi / expect, 1.0, 5e-3);
 }
 
+/// A detector over a test-owned store: each observed attestation is
+/// appended, then observed by its id.
+struct StoreDetector {
+  std::optional<SlashingProof> observe(const chain::Attestation& a) {
+    store.push_back(a);
+    return det.observe(store.size() - 1);
+  }
+
+  std::vector<chain::Attestation> store;
+  SlashingDetector det{[this](std::uint64_t id) -> const chain::Attestation& {
+    return store[id];
+  }};
+};
+
 TEST(Slashing, DetectorFindsDoubleVote) {
-  SlashingDetector det;
+  StoreDetector det;
   chain::Attestation a, b;
   a.attester = b.attester = ValidatorIndex{3};
   a.target.epoch = b.target.epoch = Epoch{7};
@@ -153,7 +172,7 @@ TEST(Slashing, DetectorFindsDoubleVote) {
 }
 
 TEST(Slashing, DetectorIgnoresHonestHistory) {
-  SlashingDetector det;
+  StoreDetector det;
   for (std::uint64_t e = 1; e <= 50; ++e) {
     chain::Attestation a;
     a.attester = ValidatorIndex{1};
@@ -162,11 +181,11 @@ TEST(Slashing, DetectorIgnoresHonestHistory) {
     a.target.block = crypto::sha256("chain" + std::to_string(e));
     EXPECT_FALSE(det.observe(a).has_value()) << e;
   }
-  EXPECT_EQ(det.observed_count(ValidatorIndex{1}), 50u);
+  EXPECT_EQ(det.det.observed_count(ValidatorIndex{1}), 50u);
 }
 
 TEST(Slashing, DetectorFindsSurround) {
-  SlashingDetector det;
+  StoreDetector det;
   chain::Attestation inner, outer;
   inner.attester = outer.attester = ValidatorIndex{5};
   inner.source.epoch = Epoch{3};
@@ -175,6 +194,92 @@ TEST(Slashing, DetectorFindsSurround) {
   outer.target.epoch = Epoch{6};
   det.observe(inner);
   EXPECT_TRUE(det.observe(outer).has_value());
+}
+
+/// The detector as it was before it kept ids: it copies every
+/// attestation it is shown.  Kept verbatim as the reference.
+class CopyingDetector {
+ public:
+  std::optional<SlashingProof> observe(const chain::Attestation& att) {
+    auto& stored = by_attester_[att.attester];
+    for (const chain::Attestation& prev : stored) {
+      if (chain::is_slashable_pair(prev, att)) {
+        // Copy before push_back: growing the vector invalidates `prev`.
+        SlashingProof proof{prev, att};
+        stored.push_back(att);
+        return proof;
+      }
+    }
+    stored.push_back(att);
+    return std::nullopt;
+  }
+
+  [[nodiscard]] std::size_t observed_count(ValidatorIndex v) const {
+    const auto it = by_attester_.find(v);
+    return it == by_attester_.end() ? 0 : it->second.size();
+  }
+
+ private:
+  std::map<ValidatorIndex, std::vector<chain::Attestation>> by_attester_;
+};
+
+// A seeded stream of honest chain votes, double votes, surround votes
+// and repeated deliveries of already-seen attestations: the id-keeping
+// detector reports the same proofs, offenders in the same order, as
+// the copying one.
+TEST(Slashing, IdDetectorMatchesCopyingDetector) {
+  constexpr std::uint32_t kAttesters = 12;
+  std::size_t proofs = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    std::vector<chain::Attestation> store;
+    SlashingDetector ids([&store](std::uint64_t id)
+                             -> const chain::Attestation& {
+      return store[id];
+    });
+    CopyingDetector copies;
+    std::vector<ValidatorIndex> offenders_ids;
+    std::vector<ValidatorIndex> offenders_copies;
+    for (std::size_t k = 0; k < 400; ++k) {
+      std::uint64_t id = store.size();
+      const std::size_t kind = rng.uniform_index(8);
+      if (kind == 0 && !store.empty()) {
+        id = rng.uniform_index(store.size());  // a repeated delivery
+      } else {
+        chain::Attestation a;
+        a.attester = ValidatorIndex{
+            static_cast<std::uint32_t>(rng.uniform_index(kAttesters))};
+        const std::uint64_t target = 1 + rng.uniform_index(16);
+        // Mostly honest links (source one epoch back); kind 1 is a
+        // long link that may surround, kind 2 a rival same-epoch block.
+        const std::uint64_t span =
+            kind == 1 ? 1 + rng.uniform_index(target) : 1;
+        a.source.epoch = Epoch{target - span};
+        a.target.epoch = Epoch{target};
+        a.target.block = crypto::sha256(
+            "t" + std::to_string(target) +
+            (kind == 2 ? "b" + std::to_string(rng.uniform_index(3)) : ""));
+        a.slot = Slot{target * kSlotsPerEpoch};
+        store.push_back(a);
+      }
+      const auto by_id = ids.observe(id);
+      const auto by_copy = copies.observe(store[id]);
+      ASSERT_EQ(by_id.has_value(), by_copy.has_value()) << "step " << k;
+      if (!by_id) continue;
+      ++proofs;
+      EXPECT_EQ(by_id->first.signing_root(), by_copy->first.signing_root());
+      EXPECT_EQ(by_id->second.signing_root(), by_copy->second.signing_root());
+      offenders_ids.push_back(by_id->offender());
+      offenders_copies.push_back(by_copy->offender());
+    }
+    EXPECT_EQ(offenders_ids, offenders_copies);
+    for (std::uint32_t v = 0; v < kAttesters; ++v) {
+      EXPECT_EQ(ids.observed_count(ValidatorIndex{v}),
+                copies.observed_count(ValidatorIndex{v}));
+    }
+  }
+  EXPECT_GT(proofs, 0u);
 }
 
 TEST(Slashing, ApplyBurnsAndEjects) {

@@ -253,6 +253,67 @@ TEST(ScenarioRegistryTest, SlotProtocolRunsTrialsDeterministically) {
   EXPECT_EQ(a.metric("mean_safety_violations"), 0.0);
 }
 
+/// Small defaults for the three slot-level scenarios: a few validators
+/// over two epochs, so the tests below stay cheap (also under TSan).
+ParamSet small_slot_params(const Scenario& sc) {
+  auto params = sc.spec().defaults();
+  params.set("n_honest", std::int64_t{8});
+  params.set("epochs", std::int64_t{2});
+  if (sc.spec().name() == "balancing-attack") {
+    params.set("n_byzantine", std::int64_t{2});
+  }
+  return params;
+}
+
+TEST(ScenarioRegistryTest, SlotScenariosRejectDeltaBelowMinimumDelay) {
+  // The network's jitter floor is 0.05 s: a smaller delay bound is a
+  // spec error that names the param, not a Network failure mid-run.
+  for (const char* name : {"slot-protocol", "balancing-attack",
+                           "flaky-network"}) {
+    SCOPED_TRACE(name);
+    const auto& sc = *builtin_registry().find(name);
+    auto params = small_slot_params(sc);
+    params.set("paths", std::int64_t{1});
+    params.set("delta", 0.049);
+    try {
+      (void)sc.run(params);
+      ADD_FAILURE() << "delta 0.049 was accepted";
+    } catch (const std::invalid_argument& e) {
+      // The spec names the param in quotes; the Network's own check
+      // only mentions delta in passing.
+      EXPECT_NE(std::string(e.what()).find("\"delta\""), std::string::npos)
+          << e.what();
+    }
+    params.set("delta", 0.05);
+    const auto r = sc.run(params);
+    ASSERT_TRUE(r.trials.has_value());
+    EXPECT_EQ(r.trials->rows(), 1u);
+  }
+}
+
+TEST(ScenarioRegistryTest, SlotScenariosAreThreadCountInvariant) {
+  // block 0 runs one trial per block, so a few trials run concurrently;
+  // results must match one thread and an explicit block size exactly.
+  for (const char* name : {"slot-protocol", "balancing-attack",
+                           "flaky-network"}) {
+    SCOPED_TRACE(name);
+    const auto& sc = *builtin_registry().find(name);
+    auto params = small_slot_params(sc);
+    params.set("paths", std::int64_t{3});
+    params.set("threads", std::int64_t{1});
+    const auto base = sc.run(params);
+    ASSERT_TRUE(base.trials.has_value());
+    for (const std::int64_t block : {0, 2}) {
+      params.set("threads", std::int64_t{3});
+      params.set("block", block);
+      const auto r = sc.run(params);
+      EXPECT_EQ(r.metrics, base.metrics) << "block " << block;
+      ASSERT_TRUE(r.trials.has_value());
+      EXPECT_EQ(r.trials->to_csv(), base.trials->to_csv()) << "block " << block;
+    }
+  }
+}
+
 TEST(ScenarioRegistryTest, Table1ScenarioExposesWitnesses) {
   const auto& sc = *builtin_registry().find("table1");
   const auto res = sc.run(sc.spec().defaults());
