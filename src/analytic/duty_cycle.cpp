@@ -30,14 +30,6 @@ double duty_cycle_ejection_epoch(unsigned k, const AnalyticConfig& cfg) {
   return std::sqrt(2.0 * cfg.quotient * std::log(ratio) / v);
 }
 
-DiscreteTrajectory duty_cycle_discrete(unsigned k, std::size_t epochs,
-                                       const AnalyticConfig& cfg) {
-  if (k == 0) return simulate_discrete(Behavior::kInactive, epochs, cfg);
-  std::vector<std::uint8_t> active(epochs);
-  for (std::size_t t = 0; t < epochs; ++t) active[t] = (t % k == k - 1);
-  return simulate_discrete(active, cfg);
-}
-
 namespace {
 
 /// Active-stake ratio on one branch of the m-branch rotation attack.

@@ -33,11 +33,6 @@ namespace leak::analytic {
 [[nodiscard]] double duty_cycle_ejection_epoch(unsigned k,
                                                const AnalyticConfig& cfg);
 
-/// Discrete trajectory of a 1-in-k validator (active at epochs where
-/// t % k == k-1), for cross-validation of the slope formula.
-[[nodiscard]] DiscreteTrajectory duty_cycle_discrete(
-    unsigned k, std::size_t epochs, const AnalyticConfig& cfg);
-
 /// Multi-branch generalization of the Section 5.2.2 attack: Byzantine
 /// validators rotate over m branches (duty cycle 1/m per branch) while
 /// honest validators split evenly (p0 = 1/m per branch).  Returns the

@@ -103,18 +103,6 @@ Population make_honest_partition_population(double p0,
       cfg);
 }
 
-Population make_slashable_population(double p0, double beta0,
-                                     const AnalyticConfig& cfg) {
-  return Population(
-      {
-          {"honest-active", p0 * (1.0 - beta0), 0.0, true},
-          {"byzantine", beta0, 0.0, true},
-          {"honest-inactive", (1.0 - p0) * (1.0 - beta0), cfg.score_bias,
-           false},
-      },
-      cfg);
-}
-
 Population make_semiactive_population(double p0, double beta0,
                                       const AnalyticConfig& cfg) {
   const double semi = (cfg.score_bias - cfg.score_active_decrement) / 2.0;

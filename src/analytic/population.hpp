@@ -81,9 +81,6 @@ class Population {
 /// Convenience constructors for the paper's scenarios.
 [[nodiscard]] Population make_honest_partition_population(
     double p0, const AnalyticConfig& cfg = AnalyticConfig::paper());
-[[nodiscard]] Population make_slashable_population(
-    double p0, double beta0,
-    const AnalyticConfig& cfg = AnalyticConfig::paper());
 [[nodiscard]] Population make_semiactive_population(
     double p0, double beta0,
     const AnalyticConfig& cfg = AnalyticConfig::paper());

@@ -30,16 +30,6 @@ double active_ratio_honest(double t, double p0, const AnalyticConfig& cfg) {
   return p0 / denom;
 }
 
-double active_ratio_slashing(double t, double p0, double beta0,
-                             const AnalyticConfig& cfg) {
-  check_params(p0, beta0);
-  const double inact = weight(Behavior::kInactive, t, cfg);
-  const double act = p0 * (1.0 - beta0) + beta0;
-  const double denom = act + (1.0 - p0) * (1.0 - beta0) * inact;
-  if (denom == 0.0) return 0.0;
-  return act / denom;
-}
-
 double active_ratio_semiactive(double t, double p0, double beta0,
                                const AnalyticConfig& cfg) {
   check_params(p0, beta0);
@@ -49,18 +39,6 @@ double active_ratio_semiactive(double t, double p0, double beta0,
   const double denom = act + (1.0 - p0) * (1.0 - beta0) * inact;
   if (denom == 0.0) return 0.0;
   return act / denom;
-}
-
-double byzantine_proportion(double t, double p0, double beta0,
-                            const AnalyticConfig& cfg) {
-  check_params(p0, beta0);
-  const double inact = weight(Behavior::kInactive, t, cfg);
-  const double semi = weight(Behavior::kSemiActive, t, cfg);
-  const double byz = beta0 * semi;
-  const double denom =
-      p0 * (1.0 - beta0) + (1.0 - p0) * (1.0 - beta0) * inact + byz;
-  if (denom == 0.0) return 0.0;
-  return byz / denom;
 }
 
 double beta_max(double p0, double beta0, const AnalyticConfig& cfg) {

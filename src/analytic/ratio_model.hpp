@@ -1,5 +1,5 @@
-// Active-stake ratios and Byzantine stake proportion on a branch during
-// the leak (Equations 4-13 of the paper).
+// Active-stake ratios and the peak Byzantine stake proportion on a branch
+// during the leak (Equations 5, 10 and 13 of the paper).
 //
 // Branch convention: `p0` is the initial proportion of *honest*
 // validators active on the branch under consideration; `beta0` the
@@ -19,22 +19,12 @@ namespace leak::analytic {
 [[nodiscard]] double active_ratio_honest(double t, double p0,
                                          const AnalyticConfig& cfg);
 
-/// Eq 8 — Byzantine validators active on BOTH branches (slashable,
-/// Section 5.2.1): active-stake ratio on the branch.
-[[nodiscard]] double active_ratio_slashing(double t, double p0, double beta0,
-                                           const AnalyticConfig& cfg);
-
 /// Eq 10 — Byzantine validators semi-active on each branch
 /// (non-slashable, Section 5.2.2): ratio counting the Byzantine stake
 /// (decayed by semi-activity) toward the active side.
 [[nodiscard]] double active_ratio_semiactive(double t, double p0,
                                              double beta0,
                                              const AnalyticConfig& cfg);
-
-/// Eq 11 — proportion of Byzantine stake on the branch over time when
-/// Byzantine validators are semi-active and honest actives stay at s0.
-[[nodiscard]] double byzantine_proportion(double t, double p0, double beta0,
-                                          const AnalyticConfig& cfg);
 
 /// Eq 13 — the maximum Byzantine proportion, reached at the ejection of
 /// the honest inactive class.

@@ -89,10 +89,6 @@ double gst_safety_upper_bound(const AnalyticConfig& cfg) {
                                         cfg);
 }
 
-bool beta_exceeds_third(double p0, double beta0, const AnalyticConfig& cfg) {
-  return beta_max(p0, beta0, cfg) >= 1.0 / 3.0;
-}
-
 double beta0_lower_bound(double p0, const AnalyticConfig& cfg) {
   if (p0 <= 0.0) return 0.0;
   // beta_max >= 1/3  <=>  3 beta0 E >= p0 (1-beta0) + beta0 E

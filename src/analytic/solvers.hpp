@@ -50,11 +50,6 @@ enum class ByzantineStrategy : std::uint8_t {
 /// Safety.  Equals 4686 for the paper configuration.
 [[nodiscard]] double gst_safety_upper_bound(const AnalyticConfig& cfg);
 
-/// Eq 12/13 — does (p0, beta0) let the Byzantine proportion exceed 1/3
-/// on the branch with honest-active share p0?
-[[nodiscard]] bool beta_exceeds_third(double p0, double beta0,
-                                      const AnalyticConfig& cfg);
-
 /// Smallest beta0 such that beta_max(p0, beta0) >= 1/3, in closed form:
 /// beta0 = p0 / (p0 + 2 E) with E the semi-active decay at the ejection
 /// epoch.  Returns 0.2421 at p0 = 0.5 for the paper configuration.

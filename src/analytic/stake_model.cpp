@@ -22,10 +22,6 @@ double score_slope(Behavior b, const AnalyticConfig& cfg) {
   throw std::logic_error("score_slope: bad behavior");
 }
 
-double inactivity_score(Behavior b, double t, const AnalyticConfig& cfg) {
-  return score_slope(b, cfg) * t;
-}
-
 double stake(Behavior b, double t, const AnalyticConfig& cfg) {
   const double v = score_slope(b, cfg);
   return cfg.initial_stake * std::exp(-v * t * t / (2.0 * cfg.quotient));

@@ -25,10 +25,6 @@ enum class Behavior : std::uint8_t { kActive, kSemiActive, kInactive };
 /// active 0; semi-active (bias - decrement)/2 = 3/2; inactive bias = 4.
 [[nodiscard]] double score_slope(Behavior b, const AnalyticConfig& cfg);
 
-/// Mean inactivity score at continuous time t (I(t) = v t, Section 4.3).
-[[nodiscard]] double inactivity_score(Behavior b, double t,
-                                      const AnalyticConfig& cfg);
-
 /// Closed-form stake at continuous time t, *ignoring* ejection:
 /// s(t) = s0 exp(-v t^2 / (2 q)).
 [[nodiscard]] double stake(Behavior b, double t, const AnalyticConfig& cfg);

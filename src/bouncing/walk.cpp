@@ -1,7 +1,6 @@
 #include "src/bouncing/walk.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace leak::bouncing {
@@ -11,22 +10,6 @@ WalkParams WalkParams::paper(double p0) {
   w.drift = 1.5;
   w.diffusion = 25.0 * p0 * (1.0 - p0);
   return w;
-}
-
-StepMoments step_moments(double p0, double bias, double decrement) {
-  StepMoments m;
-  const double q = 1.0 - p0;  // probability of being inactive
-  m.mean = bias * q - decrement * p0;
-  const double ex2 = bias * bias * q + decrement * decrement * p0;
-  m.variance = ex2 - m.mean * m.mean;
-  return m;
-}
-
-double phi(double score, double t, const WalkParams& params) {
-  if (t <= 0.0) throw std::invalid_argument("phi: t must be > 0");
-  const double var2 = 4.0 * params.diffusion * t;  // paper's 4 D t
-  const double d = score - params.drift * t;
-  return std::exp(-d * d / var2) / std::sqrt(M_PI * var2);
 }
 
 double ScorePmf::mean() const {
@@ -45,20 +28,6 @@ double ScorePmf::variance() const {
     v += p[i] * (x - m) * (x - m);
   }
   return v;
-}
-
-double ScorePmf::prob_at(long long score) const {
-  const long long idx = score - offset;
-  if (idx < 0 || idx >= static_cast<long long>(p.size())) return 0.0;
-  return p[static_cast<std::size_t>(idx)];
-}
-
-double ScorePmf::cdf(long long score) const {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    if (static_cast<long long>(i) + offset <= score) acc += p[i];
-  }
-  return acc;
 }
 
 ScorePmf exact_score_pmf(double p0, std::size_t epochs, bool floor_at_zero,

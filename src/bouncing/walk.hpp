@@ -5,12 +5,10 @@
 // -decrement (active, probability p0).  The paper approximates the score
 // after t epochs with the Gaussian phi(I,t) of Eq 16, drift V = 3/2 and
 // diffusion D = 25 p0 (1-p0), deliberately ignoring the protocol's floor
-// of the score at zero.  This module provides:
-//   * the paper-verbatim Gaussian (phi);
-//   * the exact step moments, showing the Gaussian's variance is twice
-//     the walk's true variance (documented in EXPERIMENTS.md);
-//   * an exact discrete pmf via dynamic programming, with or without the
-//     floor at zero, used to quantify both approximations.
+// of the score at zero.  This module provides the paper's constants and
+// an exact discrete pmf via dynamic programming, with or without the
+// floor at zero, used to quantify both approximations.  The exact walk's
+// variance is half the Gaussian's.
 #pragma once
 
 #include <cstddef>
@@ -26,18 +24,6 @@ struct WalkParams {
   static WalkParams paper(double p0);
 };
 
-/// Exact per-epoch moments of the score step (+4 w.p. 1-p0, -1 w.p. p0).
-struct StepMoments {
-  double mean = 0.0;
-  double variance = 0.0;
-};
-StepMoments step_moments(double p0, double bias = 4.0,
-                         double decrement = 1.0);
-
-/// Eq 16 — the paper's Gaussian density of the inactivity score at
-/// epoch t: phi(I, t) = exp(-(I - V t)^2 / (4 D t)) / sqrt(4 pi D t).
-double phi(double score, double t, const WalkParams& params);
-
 /// Exact pmf of the score after `epochs` steps via dynamic programming.
 /// Score support is {0, 1, 2, ...} when floored, or shifted integers
 /// otherwise.  p[i] is the probability of score == i - offset.
@@ -49,9 +35,6 @@ struct ScorePmf {
 
   [[nodiscard]] double mean() const;
   [[nodiscard]] double variance() const;
-  [[nodiscard]] double prob_at(long long score) const;
-  /// P[score <= x].
-  [[nodiscard]] double cdf(long long score) const;
 };
 
 /// Run the DP for `epochs` epochs with inactive probability (1-p0).

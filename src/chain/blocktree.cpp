@@ -1,6 +1,5 @@
 #include "src/chain/blocktree.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace leak::chain {
@@ -9,7 +8,6 @@ BlockTree::BlockTree() {
   const Block g = Block::make(Digest{}, Slot{0}, ValidatorIndex{0});
   blocks_.push_back(g);
   parent_.push_back(0);
-  children_.emplace_back();
   index_.emplace(g.id, 0);
 }
 
@@ -26,8 +24,6 @@ bool BlockTree::insert(const Block& b) {
   const auto i = static_cast<std::uint32_t>(blocks_.size());
   blocks_.push_back(b);
   parent_.push_back(parent);
-  children_.emplace_back();
-  children_[parent].push_back(b.id);
   index_.emplace(b.id, i);
   return true;
 }
@@ -41,23 +37,9 @@ std::optional<std::uint32_t> BlockTree::index_of(const Digest& id) const {
 std::uint32_t BlockTree::require(const Digest& id) const {
   const auto it = index_.find(id);
   if (it == index_.end()) {
-    throw std::out_of_range("BlockTree::at: unknown block");
+    throw std::out_of_range("BlockTree: unknown block");
   }
   return it->second;
-}
-
-bool BlockTree::contains(const Digest& id) const {
-  return index_.contains(id);
-}
-
-const Block& BlockTree::at(const Digest& id) const {
-  return blocks_[require(id)];
-}
-
-const std::vector<Digest>& BlockTree::children(const Digest& id) const {
-  static const std::vector<Digest> kNoChildren;
-  const auto i = index_of(id);
-  return i ? children_[*i] : kNoChildren;
 }
 
 bool BlockTree::is_ancestor(const Digest& ancestor,
@@ -73,26 +55,6 @@ Digest BlockTree::ancestor_at_slot(const Digest& id, Slot slot) const {
   std::uint32_t i = require(id);
   while (i != 0 && blocks_[i].slot > slot) i = parent_[i];
   return blocks_[i].id;
-}
-
-std::vector<Digest> BlockTree::chain_to(const Digest& id) const {
-  std::vector<Digest> out;
-  std::uint32_t i = require(id);
-  while (true) {
-    out.push_back(blocks_[i].id);
-    if (i == 0) break;
-    i = parent_[i];
-  }
-  std::reverse(out.begin(), out.end());
-  return out;
-}
-
-std::vector<Digest> BlockTree::leaves() const {
-  std::vector<Digest> out;
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    if (children_[i].empty()) out.push_back(blocks_[i].id);
-  }
-  return out;
 }
 
 Checkpoint BlockTree::checkpoint_on_branch(const Digest& head,

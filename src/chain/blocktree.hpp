@@ -18,8 +18,8 @@ namespace leak::chain {
 /// insertion, and since a parent must be known before its child, every
 /// parent index is lower than its children's.  Ancestry walks follow
 /// the parent-index array; the digest map is consulted once per call.
-/// References into the tree (`at`, `by_index`, `genesis`, `children`)
-/// are invalidated by `insert`.
+/// References into the tree (`by_index`, `genesis`) are invalidated by
+/// `insert`.
 class BlockTree {
  public:
   /// Create a tree with a genesis block at slot 0 (index 0).
@@ -33,12 +33,7 @@ class BlockTree {
   /// throws on an unknown parent or non-increasing slot.
   bool insert(const Block& b);
 
-  [[nodiscard]] bool contains(const Digest& id) const;
-  [[nodiscard]] const Block& at(const Digest& id) const;
   [[nodiscard]] std::size_t size() const { return blocks_.size(); }
-
-  /// All children of a block, in insertion order.
-  [[nodiscard]] const std::vector<Digest>& children(const Digest& id) const;
 
   /// Is `ancestor` on the path from `descendant` to genesis (inclusive)?
   [[nodiscard]] bool is_ancestor(const Digest& ancestor,
@@ -47,12 +42,6 @@ class BlockTree {
   /// The ancestor of `id` with the highest slot <= `slot` (used to find
   /// the epoch-boundary block for checkpoints).
   [[nodiscard]] Digest ancestor_at_slot(const Digest& id, Slot slot) const;
-
-  /// Chain from genesis to `id` (inclusive), genesis first.
-  [[nodiscard]] std::vector<Digest> chain_to(const Digest& id) const;
-
-  /// Blocks without children, in insertion order.
-  [[nodiscard]] std::vector<Digest> leaves() const;
 
   /// The epoch-boundary checkpoint for `epoch` on the branch ending at
   /// `head`: the block of the first slot of the epoch or, when that slot
@@ -80,7 +69,6 @@ class BlockTree {
 
   std::vector<Block> blocks_;
   std::vector<std::uint32_t> parent_;
-  std::vector<std::vector<Digest>> children_;
   std::unordered_map<Digest, std::uint32_t, DigestHash> index_;
 };
 

@@ -17,12 +17,6 @@ void ForkChoice::on_attestation(ValidatorIndex v, const Digest& block,
   votes_[v] = Vote{block, slot};
 }
 
-std::optional<Digest> ForkChoice::latest_vote(ValidatorIndex v) const {
-  const auto it = votes_.find(v);
-  if (it == votes_.end()) return std::nullopt;
-  return it->second.block;
-}
-
 ForkChoice::Weights ForkChoice::weigh(Epoch e) const {
   const auto n = static_cast<std::uint32_t>(tree_.size());
   Weights w{std::vector<Gwei>(n), std::vector<std::uint32_t>(n, kNoChild)};
@@ -71,11 +65,6 @@ ForkChoice::Weights ForkChoice::weigh(Epoch e) const {
     for (std::size_t k = arrivals.size(); k-- > 1;) fold(arrivals[k]);
   }
   return w;
-}
-
-Gwei ForkChoice::subtree_weight(const Digest& root, Epoch e) const {
-  const auto i = tree_.index_of(root);
-  return i && sees(*i) ? weigh(e).subtree[*i] : Gwei{};
 }
 
 void ForkChoice::set_proposer_boost(const Digest& block, unsigned percent) {

@@ -26,8 +26,8 @@ namespace leak::chain {
 /// insertion order; parents precede children) or one validator's view
 /// of a shared store (folded in reverse arrival order, over the view's
 /// blocks only, at their store indices).  Since sums are order-free and
-/// ties go to the smaller id, a view's head and weights equal those of
-/// a standalone tree holding just the view's blocks.
+/// ties go to the smaller id, a view's head equals that of a standalone
+/// tree holding just the view's blocks.
 class ForkChoice {
  public:
   ForkChoice(const BlockTree& tree, const ValidatorRegistry& registry);
@@ -43,18 +43,11 @@ class ForkChoice {
   void set_proposer_boost(const Digest& block, unsigned percent = 40);
   void clear_proposer_boost();
 
-  /// Latest vote of a validator, if any.
-  [[nodiscard]] std::optional<Digest> latest_vote(ValidatorIndex v) const;
-
   /// Compute the head starting from `justified_root` at epoch `e`
   /// (stake weights are read at epoch e; exited validators weigh 0).
   /// At each block the heavier child wins; equal weights go to the
   /// smaller block id.  A root missing from the tree is its own head.
   [[nodiscard]] Digest head(const Digest& justified_root, Epoch e) const;
-
-  /// Total stake voting inside the subtree rooted at `root` at epoch `e`
-  /// (zero for a root missing from the tree).
-  [[nodiscard]] Gwei subtree_weight(const Digest& root, Epoch e) const;
 
  private:
   struct Vote {

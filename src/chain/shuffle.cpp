@@ -33,30 +33,10 @@ crypto::Digest hash_round_position(const crypto::Digest& seed,
 
 }  // namespace
 
-std::uint64_t shuffled_index(std::uint64_t index, std::uint64_t index_count,
-                             const crypto::Digest& seed, int rounds) {
-  if (index >= index_count || index_count == 0) {
-    throw std::invalid_argument("shuffled_index: index out of range");
-  }
-  for (int r = 0; r < rounds; ++r) {
-    const auto round = static_cast<std::uint8_t>(r);
-    const std::uint64_t pivot = le64(hash_round(seed, round)) % index_count;
-    const std::uint64_t flip = (pivot + index_count - index) % index_count;
-    const std::uint64_t position = std::max(index, flip);
-    const crypto::Digest source = hash_round_position(
-        seed, round, static_cast<std::uint32_t>(position / 256));
-    const std::uint8_t byte =
-        source[static_cast<std::size_t>((position % 256) / 8)];
-    const bool bit = (byte >> (position % 8)) & 1;
-    if (bit) index = flip;
-  }
-  return index;
-}
-
 std::vector<std::uint64_t> shuffle_list(std::uint64_t n,
                                         const crypto::Digest& seed,
                                         int rounds) {
-  // Batched variant of shuffled_index: identical permutation, but the
+  // The spec's compute_shuffled_index for every index at once: the
   // per-round pivot and the 256-position source blocks are hashed once
   // per round instead of once per index — O(rounds * n/256) hashes.
   std::vector<std::uint64_t> out(n);
@@ -104,13 +84,9 @@ DutyRoster::DutyRoster(const ValidatorRegistry& registry, Epoch epoch,
   // Committees: shuffle the active set and deal it over the 32 slots.
   const std::uint64_t n = active_.size();
   committees_.assign(kSlotsPerEpoch, {});
-  position_of_.assign(registry.size(), 0);
   const auto perm = shuffle_list(n, seed);
   for (std::uint64_t i = 0; i < n; ++i) {
-    const ValidatorIndex v = active_[perm[i]];
-    const std::uint64_t pos = i % kSlotsPerEpoch;
-    committees_[pos].push_back(v);
-    position_of_[v.value()] = pos;
+    committees_[i % kSlotsPerEpoch].push_back(active_[perm[i]]);
   }
 
   // Proposers: rejection-sample on effective balance along a second
@@ -155,10 +131,6 @@ const std::vector<ValidatorIndex>& DutyRoster::committee(
 
 ValidatorIndex DutyRoster::proposer(std::uint64_t position) const {
   return proposers_.at(position);
-}
-
-std::uint64_t DutyRoster::committee_position_of(ValidatorIndex v) const {
-  return position_of_.at(v.value());
 }
 
 }  // namespace leak::chain

@@ -18,17 +18,13 @@
 
 namespace leak::chain {
 
-/// Spec: compute_shuffled_index(index, index_count, seed) — the
-/// swap-or-not network with kShuffleRounds rounds.
+/// Rounds of the spec's swap-or-not network.
 inline constexpr int kShuffleRounds = 90;
 
-[[nodiscard]] std::uint64_t shuffled_index(std::uint64_t index,
-                                           std::uint64_t index_count,
-                                           const crypto::Digest& seed,
-                                           int rounds = kShuffleRounds);
-
-/// Full permutation of [0, n) under the shuffle (for tests and
-/// committee construction); O(n * rounds).
+/// Full permutation of [0, n) under the spec's swap-or-not shuffle:
+/// element i is compute_shuffled_index(i, n, seed).  Each round's pivot
+/// and 256-position source blocks are hashed once, O(rounds * n/256)
+/// hashes.
 [[nodiscard]] std::vector<std::uint64_t> shuffle_list(
     std::uint64_t n, const crypto::Digest& seed,
     int rounds = kShuffleRounds);
@@ -49,16 +45,12 @@ class DutyRoster {
   /// balance-weighted rejection sampling over the shuffled order.
   [[nodiscard]] ValidatorIndex proposer(std::uint64_t position) const;
 
-  /// Slot position at which a validator attests this epoch.
-  [[nodiscard]] std::uint64_t committee_position_of(ValidatorIndex v) const;
-
   [[nodiscard]] std::size_t active_count() const { return active_.size(); }
 
  private:
   std::vector<ValidatorIndex> active_;
   std::vector<std::vector<ValidatorIndex>> committees_;
   std::vector<ValidatorIndex> proposers_;
-  std::vector<std::uint64_t> position_of_;  // by validator index
 };
 
 }  // namespace leak::chain

@@ -1,7 +1,5 @@
 #include "src/crypto/keys.hpp"
 
-#include <algorithm>
-
 namespace leak::crypto {
 
 KeyPair KeyPair::derive(ValidatorIndex who, std::uint64_t seed) {
@@ -57,23 +55,6 @@ bool KeyRegistry::verify(const Digest& message, const Signature& sig) const {
                                          secrets_[idx].size()));
   h.update(std::span<const std::uint8_t>(message.data(), message.size()));
   return h.finalize() == sig.mac;
-}
-
-void AggregateSignature::add(const Signature& sig) {
-  // Keep signers sorted and unique, mirroring an aggregation bitfield.
-  const auto it =
-      std::lower_bound(signers_.begin(), signers_.end(), sig.signer);
-  if (it != signers_.end() && *it == sig.signer) return;
-  const auto pos = static_cast<std::size_t>(it - signers_.begin());
-  signers_.insert(it, sig.signer);
-  parts_.insert(parts_.begin() + static_cast<std::ptrdiff_t>(pos), sig);
-}
-
-bool AggregateSignature::verify(const Digest& message,
-                                const KeyRegistry& registry) const {
-  return std::all_of(parts_.begin(), parts_.end(), [&](const Signature& s) {
-    return registry.verify(message, s);
-  });
 }
 
 }  // namespace leak::crypto

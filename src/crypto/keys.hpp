@@ -1,17 +1,15 @@
 // Simulated signature scheme.
 //
-// The paper's model only needs signatures to (a) identify the sender,
-// (b) be unforgeable by other validators, and (c) support aggregation the
-// way Ethereum aggregates attestation signatures.  We simulate a
-// BLS-like scheme on top of SHA-256: sig = H(secret || message).  Within
-// the simulator nobody can produce another validator's signature without
-// its secret, and verification recomputes the MAC.  This deliberately
-// trades real asymmetric cryptography for determinism and speed while
-// preserving the protocol-visible interface (sign / verify / aggregate).
+// The paper's model only needs signatures to (a) identify the sender and
+// (b) be unforgeable by other validators.  We simulate a BLS-like scheme
+// on top of SHA-256: sig = H(secret || message).  Within the simulator
+// nobody can produce another validator's signature without its secret,
+// and verification recomputes the MAC.  This deliberately trades real
+// asymmetric cryptography for determinism and speed while preserving the
+// protocol-visible interface (sign / verify).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "src/crypto/sha256.hpp"
@@ -48,7 +46,7 @@ class KeyPair {
   Digest public_;
 };
 
-/// Registry of public keys; verifies individual and aggregate signatures.
+/// Registry of public keys; verifies signatures.
 class KeyRegistry {
  public:
   /// Create keypairs for validators [0, n) from a seed; returns the
@@ -63,26 +61,6 @@ class KeyRegistry {
  private:
   std::vector<Digest> public_keys_;
   std::vector<Digest> secrets_;  // retained so verify can recompute the MAC
-};
-
-/// Aggregate of many signatures over the same message (attestation
-/// aggregation).  Keeps the participation bitfield like Ethereum does.
-class AggregateSignature {
- public:
-  void add(const Signature& sig);
-
-  [[nodiscard]] const std::vector<ValidatorIndex>& signers() const {
-    return signers_;
-  }
-  [[nodiscard]] std::size_t count() const { return signers_.size(); }
-
-  /// Verify every constituent signature against the registry.
-  [[nodiscard]] bool verify(const Digest& message,
-                            const KeyRegistry& registry) const;
-
- private:
-  std::vector<ValidatorIndex> signers_;
-  std::vector<Signature> parts_;
 };
 
 }  // namespace leak::crypto

@@ -131,22 +131,9 @@ void Sha256::process_block(const std::uint8_t* block) {
   state_[7] += h;
 }
 
-Digest sha256(std::span<const std::uint8_t> data) {
-  Sha256 h;
-  h.update(data);
-  return h.finalize();
-}
-
 Digest sha256(std::string_view data) {
   Sha256 h;
   h.update(data);
-  return h.finalize();
-}
-
-Digest sha256_pair(const Digest& a, const Digest& b) {
-  Sha256 h;
-  h.update(std::span<const std::uint8_t>(a.data(), a.size()));
-  h.update(std::span<const std::uint8_t>(b.data(), b.size()));
   return h.finalize();
 }
 

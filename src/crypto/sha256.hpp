@@ -42,12 +42,8 @@ class Sha256 {
   bool finalized_ = false;
 };
 
-/// One-shot hash of a byte span.
-[[nodiscard]] Digest sha256(std::span<const std::uint8_t> data);
 /// One-shot hash of a string.
 [[nodiscard]] Digest sha256(std::string_view data);
-/// Hash of the concatenation of two digests (Merkle inner node).
-[[nodiscard]] Digest sha256_pair(const Digest& a, const Digest& b);
 
 /// Lowercase hex encoding of a digest.
 [[nodiscard]] std::string to_hex(const Digest& d);

@@ -11,11 +11,6 @@ void EventQueue::schedule_at(SimTime t, Action action) {
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-void EventQueue::schedule_in(SimTime delay, Action action) {
-  if (delay < 0) throw std::invalid_argument("schedule_in: negative delay");
-  schedule_at(now_ + delay, std::move(action));
-}
-
 EventQueue::Entry EventQueue::pop() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   Entry e = std::move(heap_.back());
@@ -35,18 +30,5 @@ std::size_t EventQueue::run_until(SimTime limit) {
   if (now_ < limit) now_ = limit;
   return executed;
 }
-
-std::size_t EventQueue::run_all() {
-  std::size_t executed = 0;
-  while (!heap_.empty()) {
-    Entry e = pop();
-    now_ = e.time;
-    e.action();
-    ++executed;
-  }
-  return executed;
-}
-
-void EventQueue::clear() { heap_.clear(); }
 
 }  // namespace leak::net

@@ -22,21 +22,12 @@ class EventQueue {
   /// equal times run in scheduling order.
   void schedule_at(SimTime t, Action action);
 
-  /// Schedule `action` `delay` seconds from now.
-  void schedule_in(SimTime delay, Action action);
-
   /// Run events until the queue is empty or `limit` is passed.  Events at
   /// exactly `limit` are executed.  Returns the number of events run.
   std::size_t run_until(SimTime limit);
 
-  /// Run everything (careful with self-perpetuating schedules).
-  std::size_t run_all();
-
   /// Pending event count.
   [[nodiscard]] std::size_t pending() const { return heap_.size(); }
-
-  /// Drop all pending events (used when tearing a scenario down).
-  void clear();
 
  private:
   struct Entry {

@@ -143,17 +143,6 @@ void Network::broadcast(ValidatorIndex from, std::uint64_t payload_id) {
   }
 }
 
-void Network::unicast(ValidatorIndex from, ValidatorIndex to,
-                      std::uint64_t payload_id) {
-  ++sent_;
-  const Packet p{from, payload_id};
-  if (reachable(from, to)) {
-    send_one(queue_.now(), from, to, p);
-  } else {
-    send_one(config_.gst, from, to, p);
-  }
-}
-
 void Network::release_at(SimTime when, ValidatorIndex from,
                          const std::vector<ValidatorIndex>& audience,
                          std::uint64_t payload_id) {

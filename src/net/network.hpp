@@ -83,8 +83,8 @@ struct NetworkConfig {
   std::vector<LossEpisode> loss_episodes;
 };
 
-/// The simulated network.  All sends are best-effort broadcast or unicast
-/// with per-message uniform jitter in [min_delay, delta].
+/// The simulated network.  Broadcasts are best-effort, with per-message
+/// uniform jitter in [min_delay, delta].
 class Network {
  public:
   Network(EventQueue& queue, NetworkConfig config);
@@ -103,10 +103,6 @@ class Network {
   /// Unreachable recipients get the message at GST + jitter instead of
   /// now + jitter — best-effort broadcast across the healed partition.
   void broadcast(ValidatorIndex from, std::uint64_t payload_id);
-
-  /// Send to one recipient; dropped silently if never reachable.
-  void unicast(ValidatorIndex from, ValidatorIndex to,
-               std::uint64_t payload_id);
 
   /// Byzantine capability: deliver a payload to an explicit audience at an
   /// exact future time (releasing withheld attestations).  Ignores

@@ -17,10 +17,6 @@ void ExitQueue::request_exit(ValidatorIndex v) {
   queue_.push_back(v);
 }
 
-bool ExitQueue::is_queued(ValidatorIndex v) const {
-  return v.value() < queued_.size() && queued_[v.value()] != 0;
-}
-
 std::vector<ValidatorIndex> ExitQueue::process_epoch(
     chain::ValidatorRegistry& reg, Epoch epoch) {
   std::vector<ValidatorIndex> ejected;

@@ -37,7 +37,6 @@ class ExitQueue {
   void request_exit(ValidatorIndex v);
 
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
-  [[nodiscard]] bool is_queued(ValidatorIndex v) const;
 
   /// Process one epoch: eject up to churn_limit(active_count) queued
   /// validators from the registry at `epoch`.  Returns those ejected.

@@ -18,11 +18,6 @@ std::optional<SlashingProof> SlashingDetector::observe(std::uint64_t id) {
   return proof;
 }
 
-std::size_t SlashingDetector::observed_count(ValidatorIndex v) const {
-  const auto it = by_attester_.find(v);
-  return it == by_attester_.end() ? 0 : it->second.size();
-}
-
 Gwei apply_slashing(chain::ValidatorRegistry& registry, ValidatorIndex who,
                     Epoch at, const SpecConfig& config) {
   auto& rec = registry.at(who);

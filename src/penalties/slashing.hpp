@@ -45,9 +45,6 @@ class SlashingDetector {
   /// validator (the earliest such one).
   std::optional<SlashingProof> observe(std::uint64_t id);
 
-  /// Number of observed attestations for a validator.
-  [[nodiscard]] std::size_t observed_count(ValidatorIndex v) const;
-
  private:
   Store store_;
   /// Ordered map (leaklint D4): src/penalties is a reduction layer, and

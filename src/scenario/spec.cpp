@@ -395,115 +395,6 @@ json::Value ScenarioSpec::to_json() const {
   return doc;
 }
 
-namespace {
-
-std::optional<std::string> reject_unknown_keys(
-    const json::Value& obj, std::initializer_list<std::string_view> known,
-    const char* where) {
-  for (const auto& [key, value] : obj.as_object()) {
-    bool ok = false;
-    for (const auto k : known) ok = ok || key == k;
-    if (!ok) {
-      return std::string("unknown key \"") + key + "\" in " + where;
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-std::optional<ScenarioSpec> ScenarioSpec::from_json(const json::Value& doc,
-                                                    std::string* error) {
-  const auto fail = [&](const std::string& msg) -> std::optional<ScenarioSpec> {
-    if (error != nullptr) *error = msg;
-    return std::nullopt;
-  };
-  if (!doc.is_object()) return fail("spec document is not an object");
-  if (auto err = reject_unknown_keys(doc, {"name", "description", "params"},
-                                     "spec")) {
-    return fail(*err);
-  }
-  const json::Value* name = doc.find("name");
-  const json::Value* desc = doc.find("description");
-  const json::Value* params = doc.find("params");
-  if (name == nullptr || !name->is_string() || name->as_string().empty()) {
-    return fail("spec requires a non-empty string \"name\"");
-  }
-  if (desc == nullptr || !desc->is_string()) {
-    return fail("spec requires a string \"description\"");
-  }
-  if (params == nullptr || !params->is_array()) {
-    return fail("spec requires an array \"params\"");
-  }
-  ScenarioSpec spec(name->as_string(), desc->as_string());
-  for (const auto& pj : params->as_array()) {
-    if (!pj.is_object()) return fail("param entry is not an object");
-    if (auto err = reject_unknown_keys(
-            pj, {"name", "type", "description", "default", "min", "max",
-                 "choices"},
-            "param entry")) {
-      return fail(*err);
-    }
-    const json::Value* pname = pj.find("name");
-    const json::Value* ptype = pj.find("type");
-    const json::Value* pdesc = pj.find("description");
-    const json::Value* pdef = pj.find("default");
-    if (pname == nullptr || !pname->is_string() || ptype == nullptr ||
-        !ptype->is_string() || pdef == nullptr) {
-      return fail("param entry requires name, type, and default");
-    }
-    const std::string& type = ptype->as_string();
-    const std::string description =
-        pdesc != nullptr && pdesc->is_string() ? pdesc->as_string() : "";
-    const json::Value* pmin = pj.find("min");
-    const json::Value* pmax = pj.find("max");
-    std::optional<double> min_value, max_value;
-    if (pmin != nullptr) {
-      if (!pmin->is_number()) return fail("param \"min\" must be numeric");
-      min_value = pmin->as_double();
-    }
-    if (pmax != nullptr) {
-      if (!pmax->is_number()) return fail("param \"max\" must be numeric");
-      max_value = pmax->as_double();
-    }
-    try {
-      if (type == "int") {
-        if (!pdef->is_int()) return fail("int param needs an integer default");
-        spec.add_int(pname->as_string(), description, pdef->as_int(),
-                     min_value, max_value);
-      } else if (type == "double") {
-        if (!pdef->is_number()) {
-          return fail("double param needs a numeric default");
-        }
-        spec.add_double(pname->as_string(), description, pdef->as_double(),
-                        min_value, max_value);
-      } else if (type == "bool") {
-        if (!pdef->is_bool()) return fail("bool param needs a bool default");
-        spec.add_bool(pname->as_string(), description, pdef->as_bool());
-      } else if (type == "string") {
-        if (!pdef->is_string()) {
-          return fail("string param needs a string default");
-        }
-        std::vector<std::string> choices;
-        if (const json::Value* cj = pj.find("choices")) {
-          if (!cj->is_array()) return fail("param \"choices\" must be array");
-          for (const auto& c : cj->as_array()) {
-            if (!c.is_string()) return fail("choices must be strings");
-            choices.push_back(c.as_string());
-          }
-        }
-        spec.add_string(pname->as_string(), description, pdef->as_string(),
-                        std::move(choices));
-      } else {
-        return fail("unknown param type \"" + type + "\"");
-      }
-    } catch (const std::invalid_argument& e) {
-      return fail(e.what());
-    }
-  }
-  return spec;
-}
-
 std::optional<ParamSet> ScenarioSpec::params_from_json(
     const json::Value& doc, std::string* error) const {
   const auto fail = [&](const std::string& msg) -> std::optional<ParamSet> {

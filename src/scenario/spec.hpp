@@ -134,11 +134,6 @@ class ScenarioSpec {
 
   [[nodiscard]] json::Value to_json() const;
 
-  /// Inverse of to_json; rejects unknown keys at both the spec and the
-  /// parameter level.  Returns nullopt and sets `error` on failure.
-  [[nodiscard]] static std::optional<ScenarioSpec> from_json(
-      const json::Value& doc, std::string* error = nullptr);
-
   /// Parse a ParamSet from a JSON object, validating against this spec
   /// (unknown keys rejected, missing keys filled from defaults).
   [[nodiscard]] std::optional<ParamSet> params_from_json(

@@ -115,25 +115,6 @@ std::size_t sweep_cell_count(const std::vector<SweepAxis>& axes) {
   return n;
 }
 
-std::vector<ParamSet> expand_sweep(const ParamSet& base,
-                                   const std::vector<SweepAxis>& axes) {
-  const std::size_t n = sweep_cell_count(axes);
-  std::vector<ParamSet> cells;
-  cells.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ParamSet cell = base;
-    // Row-major: the last axis varies fastest.
-    std::size_t rem = i;
-    for (std::size_t a = axes.size(); a-- > 0;) {
-      const auto& axis = axes[a];
-      cell.set(axis.param, axis.values[rem % axis.values.size()]);
-      rem /= axis.values.size();
-    }
-    cells.push_back(std::move(cell));
-  }
-  return cells;
-}
-
 ParamSet sweep_cell_params(const ParamSet& base,
                            const std::vector<SweepAxis>& axes,
                            std::size_t index, bool vary_seed) {

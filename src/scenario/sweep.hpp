@@ -75,10 +75,6 @@ struct SweepResult {
 /// Number of cells in the cartesian product (0 when any axis is empty).
 [[nodiscard]] std::size_t sweep_cell_count(const std::vector<SweepAxis>& axes);
 
-/// Expand the cartesian product into full parameter sets, base first.
-[[nodiscard]] std::vector<ParamSet> expand_sweep(
-    const ParamSet& base, const std::vector<SweepAxis>& axes);
-
 /// The canonical cell identity: the full parameter set of cell `index`
 /// in the row-major expansion (last axis fastest), including the
 /// vary_seed per-cell seed derivation (StreamSeeder over (base seed,

@@ -258,9 +258,7 @@ PartitionSimResult run_partition_core(
 
   // Late opens (and scheduled outages) make branch 0's finality
   // non-monotone: an open after finalization resumed strips active
-  // stake away and re-enters the leak.  Legacy configs (every branch
-  // open from epoch 1, no outages) never take the re-entry path, so
-  // they stay bit-identical.
+  // stake away and re-enters the leak.
   bool cascading = !cfg.outages.empty();
   for (std::uint32_t b = 1; b < k; ++b) {
     cascading = cascading || open_at[b] > 1;
@@ -511,10 +509,12 @@ PartitionSimResult run_partition_core(
       const bool wants_finalize =
           cfg.strategy != Strategy::kSemiActiveOverthrow ||
           (b == 0 && all_healed);
-      if (b == 0 && cascading) {
-        // Re-entrant leak: track the *current* supermajority streak
-        // instead of latching the first epoch, because an open can
-        // break a previously restored supermajority.
+      if (b == 0 && (cascading || healing)) {
+        // The canonical branch of a healing or re-entrant run tracks the
+        // *current* supermajority streak instead of latching the first
+        // epoch, because an open can break a previously restored
+        // supermajority.  On heal-only runs it agrees with the latch the
+        // frozen scalar oracle keeps.
         if (supermajority) {
           if (sm_streak_start < 0) {
             sm_streak_start = static_cast<std::int64_t>(t);
@@ -546,13 +546,7 @@ PartitionSimResult run_partition_core(
         // One extra epoch of supermajority justifies the next checkpoint
         // and finalizes the previous one (Section 5.1).
         out.finalization_epoch = static_cast<std::int64_t>(t);
-        if (b == 0 && healing) {
-          // The canonical branch stays live: the recovery tail starts
-          // next epoch.
-          leak_end_epoch = static_cast<std::int64_t>(t);
-        } else {
-          leak_over[b] = 1;
-        }
+        leak_over[b] = 1;
       }
 
       // Recovery-tail bookkeeping on the canonical branch.

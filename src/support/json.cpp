@@ -99,27 +99,6 @@ const Value* Value::find(std::string_view key) const {
   return nullptr;
 }
 
-bool operator==(const Value& a, const Value& b) {
-  if (a.type_ != b.type_) return false;
-  switch (a.type_) {
-    case Value::Type::kNull:
-      return true;
-    case Value::Type::kBool:
-      return a.bool_ == b.bool_;
-    case Value::Type::kInt:
-      return a.int_ == b.int_;
-    case Value::Type::kDouble:
-      return a.double_ == b.double_;
-    case Value::Type::kString:
-      return a.str_ == b.str_;
-    case Value::Type::kArray:
-      return a.arr_ == b.arr_;
-    case Value::Type::kObject:
-      return a.obj_ == b.obj_;
-  }
-  return false;
-}
-
 std::string escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());

@@ -113,8 +113,6 @@ class Value {
   [[nodiscard]] static std::optional<Value> load_file(
       const std::string& path, std::string* error = nullptr);
 
-  friend bool operator==(const Value& a, const Value& b);
-
  private:
   void dump_to(std::string& out, int indent, int depth) const;
 

@@ -1,9 +1,8 @@
 // Numerical toolkit used by the analytic models: root finding, ODE
-// integration, Gaussian / log-normal distribution helpers and compensated
-// summation.  Everything is header-declared here and defined in numeric.cpp.
+// integration and Gaussian / log-normal distribution helpers.  Everything
+// is header-declared here and defined in numeric.cpp.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -17,13 +16,9 @@ struct RootResult {
   bool converged = false;
 };
 
-/// Find a root of `f` in [lo, hi] by bisection.  Requires f(lo) and f(hi)
-/// to have opposite signs (else returns converged=false).
-RootResult bisect(const std::function<double(double)>& f, double lo,
-                  double hi, double tol = 1e-10, int max_iter = 200);
-
 /// Brent's method: bracketing root finder with superlinear convergence.
-/// Same bracketing contract as bisect().
+/// Requires f(lo) and f(hi) to have opposite signs (else returns
+/// converged=false).
 RootResult brent(const std::function<double(double)>& f, double lo,
                  double hi, double tol = 1e-12, int max_iter = 200);
 
@@ -48,43 +43,13 @@ std::vector<OdePoint> rk4(const std::function<double(double, double)>& f,
 double normal_pdf(double x);
 /// Standard normal cumulative distribution (via std::erf).
 double normal_cdf(double x);
-/// Normal pdf with mean mu, standard deviation sigma.
-double normal_pdf(double x, double mu, double sigma);
-/// Normal cdf with mean mu, standard deviation sigma.
-double normal_cdf(double x, double mu, double sigma);
-/// Inverse standard normal cdf (Acklam's rational approximation, refined
-/// with one Halley step; |error| < 1e-9 on (0,1)).
-double normal_quantile(double p);
 
 /// Log-normal density in s for ln(s) ~ N(mu, sigma^2).
 double lognormal_pdf(double s, double mu, double sigma);
 /// Log-normal cdf.
 double lognormal_cdf(double s, double mu, double sigma);
 
-/// Kahan–Babuska compensated accumulator.
-class KahanSum {
- public:
-  void add(double x);
-  [[nodiscard]] double value() const { return sum_ + c_; }
-
- private:
-  double sum_ = 0.0;
-  double c_ = 0.0;
-};
-
-/// Trapezoidal integration over sampled (x, y) pairs, x ascending.
-double trapezoid(const std::vector<double>& x, const std::vector<double>& y);
-
-/// Linear interpolation of tabulated (x, y), x strictly ascending; clamps
-/// outside the range.
-double lerp_table(const std::vector<double>& x, const std::vector<double>& y,
-                  double xq);
-
 /// Evenly spaced grid of n points over [lo, hi] inclusive (n >= 2).
 std::vector<double> linspace(double lo, double hi, int n);
-
-/// Floor of the square root of n (the spec's `integer_squareroot`), exact
-/// over the whole uint64 range.
-[[nodiscard]] std::uint64_t integer_sqrt(std::uint64_t n);
 
 }  // namespace leak::num

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 namespace leak {
@@ -115,76 +114,6 @@ double P2Quantile::estimate() const {
     return quantile(std::move(xs), q_);
   }
   return heights_[2];
-}
-
-double ks_distance(std::vector<double> sample,
-                   const std::function<double(double)>& cdf) {
-  if (sample.empty()) throw std::invalid_argument("ks_distance: empty");
-  std::sort(sample.begin(), sample.end());
-  const double n = static_cast<double>(sample.size());
-  double d = 0.0;
-  for (std::size_t i = 0; i < sample.size(); ++i) {
-    const double model = cdf(sample[i]);
-    const double below = static_cast<double>(i) / n;       // F_n(x-)
-    const double above = static_cast<double>(i + 1) / n;   // F_n(x)
-    d = std::max(d, std::abs(model - below));
-    d = std::max(d, std::abs(model - above));
-  }
-  return d;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(hi > lo) || bins == 0) {
-    throw std::invalid_argument("Histogram: bad range or bins");
-  }
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    // The top edge is inclusive so a max-valued sample lands in-bin.
-    if (x == hi_) {
-      ++counts_.back();
-    } else {
-      ++overflow_;
-    }
-    return;
-  }
-  const auto i = static_cast<std::size_t>((x - lo_) / bin_width());
-  ++counts_[std::min(i, counts_.size() - 1)];
-}
-
-std::size_t Histogram::bin_count(std::size_t i) const { return counts_.at(i); }
-
-double Histogram::bin_center(std::size_t i) const {
-  return lo_ + (static_cast<double>(i) + 0.5) * bin_width();
-}
-
-double Histogram::bin_width() const {
-  return (hi_ - lo_) / static_cast<double>(counts_.size());
-}
-
-double Histogram::density(std::size_t i) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_.at(i)) /
-         (static_cast<double>(total_) * bin_width());
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::size_t maxc = 1;
-  for (auto c : counts_) maxc = std::max(maxc, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = counts_[i] * width / maxc;
-    os << bin_center(i) << "\t" << counts_[i] << "\t"
-       << std::string(bar, '#') << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace leak

@@ -1,9 +1,7 @@
-// Small statistics kit: single-pass moments, quantiles, histograms.
+// Small statistics kit: single-pass moments and quantiles.
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <string>
 #include <vector>
 
 namespace leak {
@@ -56,38 +54,6 @@ class P2Quantile {
   double heights_[5] = {};   ///< marker heights q0..q4
   double positions_[5] = {}; ///< actual marker positions n0..n4 (1-based)
   double desired_[5] = {};   ///< desired marker positions n'0..n'4
-};
-
-/// Kolmogorov-Smirnov distance between an empirical sample and a model
-/// cdf: sup_x |F_n(x) - F(x)|.  Handles cdfs with point masses (the
-/// censored stake law) by checking both sides of each sample point.
-double ks_distance(std::vector<double> sample,
-                   const std::function<double(double)>& cdf);
-
-/// Fixed-range histogram.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const;
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] std::size_t underflow() const { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const { return overflow_; }
-  [[nodiscard]] double bin_center(std::size_t i) const;
-  [[nodiscard]] double bin_width() const;
-  /// Normalized density value of bin i (counts / (total * width)).
-  [[nodiscard]] double density(std::size_t i) const;
-  /// Render as a compact ASCII bar chart (for bench/debug output).
-  [[nodiscard]] std::string ascii(std::size_t width = 50) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
 };
 
 }  // namespace leak

@@ -96,94 +96,6 @@ std::string Table::to_csv() const {
   return os.str();
 }
 
-std::optional<Table> Table::from_csv(std::string_view csv,
-                                     std::string* error) {
-  const auto fail = [&](const std::string& msg) -> std::optional<Table> {
-    if (error != nullptr) *error = msg;
-    return std::nullopt;
-  };
-
-  std::vector<std::vector<std::string>> records;
-  std::vector<std::string> record;
-  std::string cell;
-  bool in_quotes = false;
-  bool cell_was_quoted = false;
-  std::size_t i = 0;
-
-  const auto end_cell = [&] {
-    record.push_back(std::move(cell));
-    cell.clear();
-    cell_was_quoted = false;
-  };
-  const auto end_record = [&] {
-    end_cell();
-    records.push_back(std::move(record));
-    record.clear();
-  };
-
-  while (i < csv.size()) {
-    const char c = csv[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < csv.size() && csv[i + 1] == '"') {
-          cell += '"';
-          i += 2;
-        } else {
-          in_quotes = false;
-          ++i;
-        }
-      } else {
-        cell += c;
-        ++i;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        if (!cell.empty() || cell_was_quoted) {
-          return fail("quote inside unquoted cell");
-        }
-        in_quotes = true;
-        cell_was_quoted = true;
-        ++i;
-        break;
-      case ',':
-        end_cell();
-        ++i;
-        break;
-      case '\r':
-        if (i + 1 < csv.size() && csv[i + 1] == '\n') ++i;
-        [[fallthrough]];
-      case '\n':
-        end_record();
-        ++i;
-        break;
-      default:
-        if (cell_was_quoted) {
-          return fail("characters after closing quote");
-        }
-        cell += c;
-        ++i;
-        break;
-    }
-  }
-  if (in_quotes) return fail("unterminated quoted cell");
-  // A final record without a trailing newline still counts.
-  if (!cell.empty() || cell_was_quoted || !record.empty()) end_record();
-
-  if (records.empty()) return fail("empty CSV");
-  Table t(std::move(records.front()));
-  for (std::size_t r = 1; r < records.size(); ++r) {
-    if (records[r].size() != t.columns()) {
-      return fail("row " + std::to_string(r) + " has " +
-                  std::to_string(records[r].size()) + " cells, expected " +
-                  std::to_string(t.columns()));
-    }
-    t.add_row(std::move(records[r]));
-  }
-  return t;
-}
-
 bool Table::maybe_write_csv(const std::string& path) const {
   const char* flag = std::getenv("LEAK_BENCH_CSV");
   if (flag == nullptr || *flag == '\0') return false;

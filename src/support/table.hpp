@@ -1,14 +1,11 @@
 // ASCII table and CSV emission used by the benchmark harnesses and the
 // scenario-result writer to print paper-style tables ("paper value |
 // reproduced value | relative error").  CSV output follows RFC 4180
-// (cells containing commas, quotes, or newlines are quoted) and
-// round-trips through from_csv.
+// (cells containing commas, quotes, or newlines are quoted).
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace leak {
@@ -30,7 +27,6 @@ class Table {
   static std::string fmt_exact(double v);
 
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
-  [[nodiscard]] std::size_t columns() const { return headers_.size(); }
   [[nodiscard]] const std::vector<std::string>& headers() const {
     return headers_;
   }
@@ -44,13 +40,6 @@ class Table {
 
   [[nodiscard]] std::string to_string() const;
   [[nodiscard]] std::string to_csv() const;
-
-  /// Parse RFC 4180 CSV (quoted cells, embedded commas/quotes/newlines,
-  /// CRLF line endings, empty cells).  The first record is the header.
-  /// Returns nullopt on malformed input (ragged rows, stray quotes) and
-  /// fills `error` when non-null.
-  [[nodiscard]] static std::optional<Table> from_csv(
-      std::string_view csv, std::string* error = nullptr);
 
   /// Write CSV to `path` if the LEAK_BENCH_CSV environment variable is set
   /// to a non-empty value; returns true when a file was written.

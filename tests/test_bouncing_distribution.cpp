@@ -6,6 +6,7 @@
 
 #include "src/bouncing/distribution.hpp"
 #include "src/support/numeric.hpp"
+#include "tests/oracles/yardsticks.hpp"
 
 namespace leak::bouncing {
 namespace {
@@ -63,7 +64,7 @@ TEST_F(LawFixture, CensoredMassesSumToOne) {
   for (std::size_t i = 0; i < xs.size(); ++i) {
     ys[i] = law.pdf_censored(xs[i], t);
   }
-  const double interior = leak::num::trapezoid(xs, ys);
+  const double interior = oracle::trapezoid(xs, ys);
   const double total =
       law.mass_ejected(t) + interior + law.mass_capped(t);
   EXPECT_NEAR(total, 1.0, 1e-4);

@@ -11,6 +11,7 @@
 #include "src/bouncing/montecarlo.hpp"
 #include "src/support/env.hpp"
 #include "src/support/stats.hpp"
+#include "tests/oracles/yardsticks.hpp"
 
 namespace leak::bouncing {
 namespace {
@@ -151,7 +152,7 @@ TEST(BouncingMc, KsDistanceToCensoredLawBounded) {
   cfg.epochs = 6000;
   const auto r = run_bouncing_mc(cfg, {6000});
   const StakeLaw law(cfg.p0, cfg.model);
-  const double d = leak::ks_distance(r.stakes[0], [&](double s) {
+  const double d = oracle::ks_distance(r.stakes[0], [&](double s) {
     return law.cdf_censored(s, 6000.0);
   });
   EXPECT_LT(d, 0.2);

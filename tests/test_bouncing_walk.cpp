@@ -1,5 +1,5 @@
-// Tests for the inactivity-score random walk: exact DP pmf, moments and
-// the paper's Gaussian approximation (Eq 16).
+// Tests for the inactivity-score random walk: the exact DP pmf, its
+// moments, and how it departs from the paper's Gaussian (Eq 16).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,43 +16,22 @@ TEST(WalkParamsTest, PaperConstants) {
   EXPECT_DOUBLE_EQ(w.diffusion, 6.25);  // 25 * 0.25
 }
 
+// One unfloored step: +4 w.p. 1-p0, -1 w.p. p0.
 TEST(StepMomentsTest, HalfAndHalf) {
-  const auto m = step_moments(0.5);
-  EXPECT_DOUBLE_EQ(m.mean, 1.5);
-  EXPECT_DOUBLE_EQ(m.variance, 6.25);  // 8.5 - 2.25
+  const auto m = exact_score_pmf(0.5, 1, /*floor_at_zero=*/false);
+  EXPECT_DOUBLE_EQ(m.mean(), 1.5);
+  EXPECT_DOUBLE_EQ(m.variance(), 6.25);  // 8.5 - 2.25
 }
 
 TEST(StepMomentsTest, ExtremeP0) {
   // Always active: deterministic -1 step.
-  const auto act = step_moments(1.0);
-  EXPECT_DOUBLE_EQ(act.mean, -1.0);
-  EXPECT_DOUBLE_EQ(act.variance, 0.0);
+  const auto act = exact_score_pmf(1.0, 1, false);
+  EXPECT_DOUBLE_EQ(act.mean(), -1.0);
+  EXPECT_DOUBLE_EQ(act.variance(), 0.0);
   // Always inactive: deterministic +4 step.
-  const auto inact = step_moments(0.0);
-  EXPECT_DOUBLE_EQ(inact.mean, 4.0);
-  EXPECT_DOUBLE_EQ(inact.variance, 0.0);
-}
-
-TEST(Phi, NormalizedOverScores) {
-  // Integrate the paper's Gaussian over I: must be ~1.
-  const auto w = WalkParams::paper(0.5);
-  const double t = 500.0;
-  const auto xs = leak::num::linspace(-500.0, 2500.0, 20001);
-  std::vector<double> ys(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) ys[i] = phi(xs[i], t, w);
-  EXPECT_NEAR(leak::num::trapezoid(xs, ys), 1.0, 1e-6);
-}
-
-TEST(Phi, PeaksAtDrift) {
-  const auto w = WalkParams::paper(0.5);
-  const double t = 300.0;
-  const double at_mean = phi(w.drift * t, t, w);
-  EXPECT_GT(at_mean, phi(w.drift * t + 50.0, t, w));
-  EXPECT_GT(at_mean, phi(w.drift * t - 50.0, t, w));
-}
-
-TEST(Phi, InvalidTimeThrows) {
-  EXPECT_THROW(phi(0.0, 0.0, WalkParams::paper(0.5)), std::invalid_argument);
+  const auto inact = exact_score_pmf(0.0, 1, false);
+  EXPECT_DOUBLE_EQ(inact.mean(), 4.0);
+  EXPECT_DOUBLE_EQ(inact.variance(), 0.0);
 }
 
 TEST(ExactPmf, NormalizesAndSupports) {
@@ -96,21 +75,10 @@ TEST(ExactPmf, FlooredMeanExceedsUnfloored) {
 TEST(ExactPmf, DeterministicCases) {
   // p0 = 1 (always active): score pinned at 0 with floor.
   const auto act = exact_score_pmf(1.0, 30, true);
-  EXPECT_NEAR(act.prob_at(0), 1.0, 1e-12);
+  EXPECT_NEAR(act.p.at(0), 1.0, 1e-12);
   // p0 = 0 (never active): score = 4t exactly.
   const auto inact = exact_score_pmf(0.0, 30, true);
-  EXPECT_NEAR(inact.prob_at(120), 1.0, 1e-12);
-}
-
-TEST(ExactPmf, CdfMonotone) {
-  const auto pmf = exact_score_pmf(0.4, 60, true);
-  double prev = -1.0;
-  for (long long s = 0; s <= 240; s += 10) {
-    const double c = pmf.cdf(s);
-    EXPECT_GE(c, prev);
-    prev = c;
-  }
-  EXPECT_NEAR(pmf.cdf(240), 1.0, 1e-12);
+  EXPECT_NEAR(inact.p.at(120), 1.0, 1e-12);
 }
 
 TEST(ExactPmf, GaussianLimitShape) {
@@ -122,7 +90,12 @@ TEST(ExactPmf, GaussianLimitShape) {
   const double sd = std::sqrt(pmf.variance());
   for (double z : {-1.0, 0.0, 1.0}) {
     const auto x = static_cast<long long>(std::llround(mu + z * sd));
-    EXPECT_NEAR(pmf.cdf(x), leak::num::normal_cdf(z), 0.01) << z;
+    // P[score <= x]: p[i] is the probability of score i + offset.
+    double cdf = 0.0;
+    for (std::size_t i = 0; i < pmf.p.size(); ++i) {
+      if (static_cast<long long>(i) + pmf.offset <= x) cdf += pmf.p[i];
+    }
+    EXPECT_NEAR(cdf, leak::num::normal_cdf(z), 0.01) << z;
   }
 }
 
@@ -138,7 +111,7 @@ TEST_P(FloorMass, MassAtZeroDecreasingInInactivity) {
   const double p0 = GetParam();
   const auto more_active = exact_score_pmf(p0, 80, true);
   const auto less_active = exact_score_pmf(p0 - 0.1, 80, true);
-  EXPECT_GE(more_active.prob_at(0), less_active.prob_at(0));
+  EXPECT_GE(more_active.p.at(0), less_active.p.at(0));
 }
 
 INSTANTIATE_TEST_SUITE_P(P0Grid, FloorMass,

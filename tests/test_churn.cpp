@@ -22,7 +22,6 @@ TEST(ExitQueueTest, FifoAndIdempotent) {
   q.request_exit(ValidatorIndex{1});
   q.request_exit(ValidatorIndex{3});  // duplicate ignored
   EXPECT_EQ(q.pending(), 2u);
-  EXPECT_TRUE(q.is_queued(ValidatorIndex{3}));
   const auto out = q.process_epoch(reg, Epoch{5});
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], ValidatorIndex{3});  // FIFO order

@@ -99,48 +99,5 @@ TEST(Keys, UnknownSignerRejected) {
   EXPECT_FALSE(reg.verify(sha256("m"), sig));
 }
 
-TEST(Aggregate, CollectsAndVerifies) {
-  KeyRegistry reg;
-  const auto pairs = reg.generate(10, 3);
-  const Digest msg = sha256("vote");
-  AggregateSignature agg;
-  for (const auto& kp : pairs) agg.add(kp.sign(msg));
-  EXPECT_EQ(agg.count(), 10u);
-  EXPECT_TRUE(agg.verify(msg, reg));
-}
-
-TEST(Aggregate, DeduplicatesSigners) {
-  KeyRegistry reg;
-  const auto pairs = reg.generate(3, 3);
-  const Digest msg = sha256("vote");
-  AggregateSignature agg;
-  agg.add(pairs[1].sign(msg));
-  agg.add(pairs[1].sign(msg));
-  EXPECT_EQ(agg.count(), 1u);
-}
-
-TEST(Aggregate, SignersSorted) {
-  KeyRegistry reg;
-  const auto pairs = reg.generate(5, 3);
-  const Digest msg = sha256("vote");
-  AggregateSignature agg;
-  agg.add(pairs[4].sign(msg));
-  agg.add(pairs[0].sign(msg));
-  agg.add(pairs[2].sign(msg));
-  const auto& s = agg.signers();
-  EXPECT_TRUE(std::is_sorted(s.begin(), s.end()));
-}
-
-TEST(Aggregate, BadConstituentFailsVerification) {
-  KeyRegistry reg;
-  const auto pairs = reg.generate(3, 3);
-  const Digest msg = sha256("vote");
-  AggregateSignature agg;
-  agg.add(pairs[0].sign(msg));
-  Signature forged = pairs[1].sign(sha256("other"));
-  agg.add(forged);
-  EXPECT_FALSE(agg.verify(msg, reg));
-}
-
 }  // namespace
 }  // namespace leak::crypto

@@ -62,7 +62,10 @@ TEST_P(DutyDiscreteSweep, DiscreteTracksClosedForm) {
   AnalyticConfig cfg = kPaper;
   cfg.ejection_threshold = 0.0;
   const std::size_t horizon = 4000;
-  const auto traj = duty_cycle_discrete(k, horizon, cfg);
+  // Active at the epochs where t % k == k - 1.
+  std::vector<std::uint8_t> active(horizon);
+  for (std::size_t t = 0; t < horizon; ++t) active[t] = (t % k == k - 1);
+  const auto traj = simulate_discrete(active, cfg);
   const double closed =
       duty_cycle_stake(k, static_cast<double>(horizon), cfg);
   EXPECT_NEAR(traj.stake[horizon] / closed, 1.0, 1e-2) << "k=" << k;

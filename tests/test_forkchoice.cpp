@@ -53,10 +53,10 @@ TEST_F(ForkChoiceFixture, LatestMessageReplacesOlder) {
   const Block b = add(tree.genesis_id(), 2, 1);
   fc.on_attestation(ValidatorIndex{0}, a.id, Slot{3});
   fc.on_attestation(ValidatorIndex{0}, b.id, Slot{4});  // newer
-  EXPECT_EQ(fc.latest_vote(ValidatorIndex{0}), b.id);
+  EXPECT_EQ(fc.head(tree.genesis_id(), Epoch{0}), b.id);
   // Stale vote does not replace.
   fc.on_attestation(ValidatorIndex{0}, a.id, Slot{2});
-  EXPECT_EQ(fc.latest_vote(ValidatorIndex{0}), b.id);
+  EXPECT_EQ(fc.head(tree.genesis_id(), Epoch{0}), b.id);
 }
 
 TEST_F(ForkChoiceFixture, VotesForDescendantsCountForAncestors) {
@@ -66,8 +66,8 @@ TEST_F(ForkChoiceFixture, VotesForDescendantsCountForAncestors) {
   fc.on_attestation(ValidatorIndex{0}, a2.id, Slot{4});
   fc.on_attestation(ValidatorIndex{1}, a2.id, Slot{4});
   fc.on_attestation(ValidatorIndex{2}, b.id, Slot{4});
-  // Subtree at `a` carries 2 votes via a2.
-  EXPECT_DOUBLE_EQ(fc.subtree_weight(a.id, Epoch{0}).eth(), 64.0);
+  // `a` has no direct votes, but its subtree carries 2 via a2 and
+  // outweighs b's 1.
   EXPECT_EQ(fc.head(tree.genesis_id(), Epoch{0}), a2.id);
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -50,17 +51,24 @@ TEST_F(BoostFixture, BoostFlipsCloseRace) {
 TEST_F(BoostFixture, BoostAppliesToAncestors) {
   const Block a = add(tree.genesis_id(), 1, 0);
   const Block a2 = add(a.id, 2, 1);
+  const Block b = add(tree.genesis_id(), 3, 2);
+  fc.on_attestation(ValidatorIndex{0}, b.id, Slot{3});
+  EXPECT_EQ(fc.head(tree.genesis_id(), Epoch{0}), b.id);
+  // The boost weight counts inside every subtree containing a2, so a
+  // (with no votes of its own) now outweighs b.
   fc.set_proposer_boost(a2.id, 40);
-  // The boost weight counts inside every subtree containing a2.
-  EXPECT_GT(fc.subtree_weight(a.id, Epoch{0}).value(), 0u);
-  EXPECT_GT(fc.subtree_weight(a2.id, Epoch{0}).value(), 0u);
+  EXPECT_EQ(fc.head(tree.genesis_id(), Epoch{0}), a2.id);
 }
 
 TEST_F(BoostFixture, BoostForUnknownBlockIgnored) {
   const Block a = add(tree.genesis_id(), 1, 0);
+  const Block b = add(tree.genesis_id(), 2, 1);
+  // The vote goes to the sibling that loses the empty tie-break, so
+  // any stray boost weight on the winner would show.
+  const Digest loser = std::max(a.id, b.id);
+  fc.on_attestation(ValidatorIndex{0}, loser, Slot{3});
   fc.set_proposer_boost(crypto::sha256("never seen"), 40);
-  EXPECT_EQ(fc.head(tree.genesis_id(), Epoch{0}), a.id);
-  EXPECT_EQ(fc.subtree_weight(a.id, Epoch{0}).value(), 0u);
+  EXPECT_EQ(fc.head(tree.genesis_id(), Epoch{0}), loser);
 }
 
 TEST_F(BoostFixture, SlashedVotesDiscounted) {
@@ -82,10 +90,12 @@ TEST_F(BoostFixture, EquivocationDefenseEndToEnd) {
   // influence vanishes from both subtrees.
   const Block a = add(tree.genesis_id(), 1, 0);
   const Block b = add(tree.genesis_id(), 2, 1);
-  fc.on_attestation(ValidatorIndex{5}, a.id, Slot{3});
+  // It backs the sibling that loses the empty tie-break.
+  const Digest loser = std::max(a.id, b.id);
+  fc.on_attestation(ValidatorIndex{5}, loser, Slot{3});
+  EXPECT_EQ(fc.head(tree.genesis_id(), Epoch{0}), loser);
   registry.at(ValidatorIndex{5}).slashed = true;
-  EXPECT_EQ(fc.subtree_weight(a.id, Epoch{0}).value(), 0u);
-  EXPECT_EQ(fc.subtree_weight(b.id, Epoch{0}).value(), 0u);
+  EXPECT_EQ(fc.head(tree.genesis_id(), Epoch{0}), std::min(a.id, b.id));
 }
 
 TEST_F(BoostFixture, UnknownRootIsItsOwnHeadAndWeighsNothing) {
@@ -93,7 +103,6 @@ TEST_F(BoostFixture, UnknownRootIsItsOwnHeadAndWeighsNothing) {
   fc.on_attestation(ValidatorIndex{0}, a.id, Slot{3});
   const Digest unknown = crypto::sha256("never seen");
   EXPECT_EQ(fc.head(unknown, Epoch{0}), unknown);
-  EXPECT_EQ(fc.subtree_weight(unknown, Epoch{0}).value(), 0u);
 }
 
 // ---- one-pass weighing vs the per-child oracle -----------------------
@@ -139,7 +148,9 @@ struct RandomView {
       }
       for (std::size_t t = 0; t < tips.size(); ++t) {
         // Skipped slots leave gaps; a fresh fork already used slot s.
-        if (tree.at(tips[t]).slot.value() == s) continue;
+        if (tree.by_index(*tree.index_of(tips[t])).slot.value() == s) {
+          continue;
+        }
         if (rng.uniform_index(4) != 0) tips[t] = add(tips[t], s);
       }
     }
@@ -148,20 +159,20 @@ struct RandomView {
   void vote() {
     const std::uint32_t n = registry.size();
     if (rng.uniform_index(4) == 0) {
-      // Every validator backs one of two siblings, alternately, with
+      // Every validator backs one of two siblings (the first two
+      // children of the first block that has two), alternately, with
       // equal stake: their subtrees tie exactly.
-      for (const Digest& d : blocks) {
-        const auto& kids = tree.children(d);
-        if (kids.size() >= 2) {
-          tie = {kids[0], kids[1]};
-          break;
+      for (std::uint32_t p = 0; p < tree.size() && !tie; ++p) {
+        std::vector<Digest> kids;
+        for (std::uint32_t i = p + 1; i < tree.size() && kids.size() < 2;
+             ++i) {
+          if (tree.parent_index(i) == p) kids.push_back(tree.by_index(i).id);
         }
+        if (kids.size() == 2) tie = {kids[0], kids[1]};
       }
       if (tie) {
         for (std::uint32_t v = 0; v < n; ++v) {
-          fc.on_attestation(ValidatorIndex{v}, v % 2 == 0 ? tie->first
-                                                          : tie->second,
-                            Slot{1});
+          attest(v, v % 2 == 0 ? tie->first : tie->second, Slot{1});
         }
         return;
       }
@@ -176,8 +187,7 @@ struct RandomView {
         const Digest target =
             missing ? crypto::sha256("missing" + std::to_string(v))
                     : blocks[rng.uniform_index(blocks.size())];
-        fc.on_attestation(ValidatorIndex{v}, target,
-                          Slot{rng.uniform_index(200)});
+        attest(v, target, Slot{rng.uniform_index(200)});
       }
       const std::size_t fate = rng.uniform_index(10);
       if (fate == 0) {
@@ -187,12 +197,18 @@ struct RandomView {
     }
   }
 
+  /// Vote through the fork choice, and keep the latest vote per
+  /// validator (by slot; a tie keeps the first) for the oracle.
+  void attest(std::uint32_t v, const Digest& block, Slot slot) {
+    fc.on_attestation(ValidatorIndex{v}, block, slot);
+    const auto [it, fresh] = latest.try_emplace(v, slot, block);
+    if (!fresh && it->second.first < slot) it->second = {slot, block};
+  }
+
   [[nodiscard]] oracle::ForkChoiceInputs inputs() const {
     oracle::ForkChoiceInputs in{tree, registry, {}, boosted, boost_percent};
-    for (std::uint32_t v = 0; v < registry.size(); ++v) {
-      if (const auto d = fc.latest_vote(ValidatorIndex{v})) {
-        in.votes.emplace_back(ValidatorIndex{v}, *d);
-      }
+    for (const auto& [v, vote] : latest) {
+      in.votes.emplace_back(ValidatorIndex{v}, vote.second);
     }
     return in;
   }
@@ -202,6 +218,7 @@ struct RandomView {
   ValidatorRegistry registry;
   ForkChoice fc;
   std::vector<Digest> blocks;
+  std::map<std::uint32_t, std::pair<Slot, Digest>> latest;
   std::optional<std::pair<Digest, Digest>> tie;
   std::optional<Digest> boosted;
   unsigned boost_percent = 0;
@@ -232,11 +249,8 @@ void check_view_of_store(RandomView& store, Epoch e) {
   }
   BlockView view(tree);
   ForkChoice fc(view, store.registry);
-  for (std::uint32_t v = 0; v < store.registry.size(); ++v) {
-    if (const auto d = store.fc.latest_vote(ValidatorIndex{v})) {
-      fc.on_attestation(ValidatorIndex{v}, *d, Slot{1});
-    }
-  }
+  const oracle::ForkChoiceInputs in = store.inputs();
+  for (const auto& [v, d] : in.votes) fc.on_attestation(v, d, Slot{1});
   if (store.boosted) fc.set_proposer_boost(*store.boosted, store.boost_percent);
   std::vector<std::uint32_t> waiting;
   for (const std::uint32_t i : arrivals) {
@@ -261,7 +275,6 @@ void check_view_of_store(RandomView& store, Epoch e) {
   for (std::uint32_t i = 1; i < tree.size(); ++i) {
     if (keep[i] != 0) subset.insert(tree.by_index(i));
   }
-  oracle::ForkChoiceInputs in = store.inputs();
   oracle::ForkChoiceInputs sub{subset, store.registry, in.votes, in.boosted_block,
                                in.boost_percent};
   std::vector<Digest> held;
@@ -269,14 +282,12 @@ void check_view_of_store(RandomView& store, Epoch e) {
     const Digest& d = tree.by_index(i).id;
     ASSERT_EQ(view.contains(d), keep[i] != 0);
     if (keep[i] == 0) {
-      // A block the view lacks weighs nothing and is its own head.
-      ASSERT_EQ(fc.subtree_weight(d, e), Gwei{});
+      // A block the view lacks is its own head.
       ASSERT_EQ(fc.head(d, e), d);
       continue;
     }
     held.push_back(d);
-    ASSERT_EQ(fc.subtree_weight(d, e),
-              oracle::forkchoice_subtree_weight_scalar(sub, d, e));
+    ASSERT_EQ(fc.head(d, e), oracle::forkchoice_head_scalar(sub, d, e));
   }
   std::vector<Digest> roots{tree.genesis_id()};
   for (int k = 0; k < 4; ++k) {
@@ -295,11 +306,10 @@ TEST(ForkChoiceOracle, OnePassMatchesPerChildDescent) {
     RandomView view(seed);
     const oracle::ForkChoiceInputs in = view.inputs();
     const Epoch e{2};
-    // Every block's subtree weight, then the head from genesis and from
-    // a few random justified roots.
+    // The head from every block, then from genesis and a few random
+    // justified roots.
     for (const Digest& d : view.blocks) {
-      ASSERT_EQ(view.fc.subtree_weight(d, e),
-                oracle::forkchoice_subtree_weight_scalar(in, d, e));
+      ASSERT_EQ(view.fc.head(d, e), oracle::forkchoice_head_scalar(in, d, e));
     }
     std::vector<Digest> roots{view.tree.genesis_id()};
     for (int k = 0; k < 4; ++k) {
@@ -313,8 +323,9 @@ TEST(ForkChoiceOracle, OnePassMatchesPerChildDescent) {
     if (view.tie && !view.boosted) {
       // The tied pair decides the head: the smaller block id wins.
       ++ties;
-      ASSERT_EQ(view.fc.subtree_weight(view.tie->first, e),
-                view.fc.subtree_weight(view.tie->second, e));
+      ASSERT_EQ(
+          oracle::forkchoice_subtree_weight_scalar(in, view.tie->first, e),
+          oracle::forkchoice_subtree_weight_scalar(in, view.tie->second, e));
       const Digest winner = std::min(view.tie->first, view.tie->second);
       EXPECT_TRUE(view.tree.is_ancestor(
           winner, view.fc.head(view.tree.genesis_id(), e)));

@@ -15,7 +15,7 @@ TEST(EventQueue, RunsInTimeOrder) {
   q.schedule_at(3.0, [&] { order.push_back(3); });
   q.schedule_at(1.0, [&] { order.push_back(1); });
   q.schedule_at(2.0, [&] { order.push_back(2); });
-  q.run_all();
+  q.run_until(3.0);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(q.now(), 3.0);
 }
@@ -26,7 +26,7 @@ TEST(EventQueue, FifoTiesAtEqualTime) {
   for (int i = 0; i < 5; ++i) {
     q.schedule_at(1.0, [&order, i] { order.push_back(i); });
   }
-  q.run_all();
+  q.run_until(1.0);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -46,7 +46,7 @@ TEST(EventQueue, EventsMaySchedule) {
   EventQueue q;
   int fired = 0;
   q.schedule_at(1.0, [&] {
-    q.schedule_in(1.0, [&] { ++fired; });
+    q.schedule_at(q.now() + 1.0, [&] { ++fired; });
   });
   q.run_until(5.0);
   EXPECT_EQ(fired, 1);
@@ -57,14 +57,6 @@ TEST(EventQueue, PastSchedulingThrows) {
   q.schedule_at(2.0, [] {});
   q.run_until(2.0);
   EXPECT_THROW(q.schedule_at(1.0, [] {}), std::invalid_argument);
-  EXPECT_THROW(q.schedule_in(-1.0, [] {}), std::invalid_argument);
-}
-
-TEST(EventQueue, ClearDropsPending) {
-  EventQueue q;
-  q.schedule_at(1.0, [] {});
-  q.clear();
-  EXPECT_EQ(q.pending(), 0u);
 }
 
 struct Rig {
@@ -158,7 +150,7 @@ TEST(NetworkTest, AfterGstEverythingReachable) {
   rig.net.set_region(ValidatorIndex{0}, Region::kOne);
   rig.net.set_region(ValidatorIndex{1}, Region::kTwo);
   rig.queue.schedule_at(6.0, [] {});
-  rig.queue.run_all();
+  rig.queue.run_until(6.0);
   EXPECT_TRUE(rig.net.reachable(ValidatorIndex{0}, ValidatorIndex{1}));
 }
 
@@ -176,34 +168,16 @@ TEST(NetworkTest, ReleaseAtDeliversToAudienceOnly) {
   EXPECT_EQ(rig.delivered[1].first, 2u);
 }
 
-TEST(NetworkTest, UnicastRespectsPartition) {
-  NetworkConfig c;
-  c.seed = 42;  // pinned: default, explicit for determinism
-  c.num_nodes = 2;
-  c.gst = 50.0;
-  Rig rig(c);
-  rig.net.set_region(ValidatorIndex{0}, Region::kOne);
-  rig.net.set_region(ValidatorIndex{1}, Region::kTwo);
-  std::vector<double> times;
-  rig.net.set_deliver([&](ValidatorIndex, const Packet&) {
-    times.push_back(rig.queue.now());
-  });
-  rig.net.unicast(ValidatorIndex{0}, ValidatorIndex{1}, 1);
-  rig.queue.run_until(100.0);
-  ASSERT_EQ(times.size(), 1u);
-  EXPECT_GE(times[0], 50.0);
-}
-
 TEST(NetworkTest, MessageCountersTrack) {
   NetworkConfig c;
   c.seed = 42;  // pinned: default, explicit for determinism
   c.num_nodes = 3;
   Rig rig(c);
   rig.net.broadcast(ValidatorIndex{0}, 1);
-  rig.net.unicast(ValidatorIndex{0}, ValidatorIndex{1}, 2);
+  rig.net.broadcast(ValidatorIndex{1}, 2);
   rig.queue.run_until(10.0);
   EXPECT_EQ(rig.net.messages_sent(), 2u);
-  EXPECT_EQ(rig.net.messages_delivered(), 4u);
+  EXPECT_EQ(rig.net.messages_delivered(), 6u);
 }
 
 // --- scripted weather (latency/loss episodes) ------------------------------

@@ -181,7 +181,14 @@ TEST(Slashing, DetectorIgnoresHonestHistory) {
     a.target.block = crypto::sha256("chain" + std::to_string(e));
     EXPECT_FALSE(det.observe(a).has_value()) << e;
   }
-  EXPECT_EQ(det.det.observed_count(ValidatorIndex{1}), 50u);
+  // The whole history is kept: a rival vote for the first target is
+  // still caught.
+  chain::Attestation rival;
+  rival.attester = ValidatorIndex{1};
+  rival.source.epoch = Epoch{0};
+  rival.target.epoch = Epoch{1};
+  rival.target.block = crypto::sha256("fork1");
+  EXPECT_TRUE(det.observe(rival).has_value());
 }
 
 TEST(Slashing, DetectorFindsSurround) {
@@ -212,11 +219,6 @@ class CopyingDetector {
     }
     stored.push_back(att);
     return std::nullopt;
-  }
-
-  [[nodiscard]] std::size_t observed_count(ValidatorIndex v) const {
-    const auto it = by_attester_.find(v);
-    return it == by_attester_.end() ? 0 : it->second.size();
   }
 
  private:
@@ -274,10 +276,6 @@ TEST(Slashing, IdDetectorMatchesCopyingDetector) {
       offenders_copies.push_back(by_copy->offender());
     }
     EXPECT_EQ(offenders_ids, offenders_copies);
-    for (std::uint32_t v = 0; v < kAttesters; ++v) {
-      EXPECT_EQ(ids.observed_count(ValidatorIndex{v}),
-                copies.observed_count(ValidatorIndex{v}));
-    }
   }
   EXPECT_GT(proofs, 0u);
 }

@@ -8,6 +8,7 @@
 #include "src/analytic/population.hpp"
 #include "src/analytic/ratio_model.hpp"
 #include "src/analytic/solvers.hpp"
+#include "tests/oracles/yardsticks.hpp"
 
 namespace leak::analytic {
 namespace {
@@ -24,10 +25,19 @@ TEST(Population5, RecoversEq5) {
 }
 
 TEST(Population5, RecoversEq8) {
-  const auto pop = make_slashable_population(0.5, 0.2, kPaper);
+  // Byzantine validators active on both branches, at full stake.
+  const double p0 = 0.5, b0 = 0.2;
+  const Population pop(
+      {
+          {"honest-active", p0 * (1.0 - b0), 0.0, true},
+          {"byzantine", b0, 0.0, true},
+          {"honest-inactive", (1.0 - p0) * (1.0 - b0), kPaper.score_bias,
+           false},
+      },
+      kPaper);
   for (double t : {0.0, 1000.0, 3000.0}) {
     EXPECT_NEAR(pop.active_ratio(t),
-                active_ratio_slashing(t, 0.5, 0.2, kPaper), 1e-12);
+                oracle::active_ratio_slashing(t, p0, b0, kPaper), 1e-12);
   }
 }
 
@@ -37,7 +47,7 @@ TEST(Population5, RecoversEq10AndEq11) {
     EXPECT_NEAR(pop.active_ratio(t),
                 active_ratio_semiactive(t, 0.5, 0.33, kPaper), 1e-12);
     EXPECT_NEAR(pop.proportion(1, t),
-                byzantine_proportion(t, 0.5, 0.33, kPaper), 1e-12);
+                oracle::byzantine_proportion(t, 0.5, 0.33, kPaper), 1e-12);
   }
 }
 

@@ -1,15 +1,20 @@
-// Tests for the branch active-stake ratios (Eqs 5, 8, 10, 11, 13) and
-// the Figure 3 behaviour.
+// Tests for the branch active-stake ratios (Eqs 5, 10, 13), the Eq 8 and
+// Eq 11 yardsticks (tests/oracles/) they are compared with, and the
+// Figure 3 behaviour.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "src/analytic/ratio_model.hpp"
+#include "tests/oracles/yardsticks.hpp"
 
 namespace leak::analytic {
 namespace {
 
 const AnalyticConfig kPaper = AnalyticConfig::paper();
+
+using oracle::active_ratio_slashing;
+using oracle::byzantine_proportion;
 
 TEST(HonestRatio, StartsAtP0) {
   for (double p0 : {0.2, 0.4, 0.6}) {

@@ -4,6 +4,7 @@
 // driver directly with the same configuration.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -12,8 +13,10 @@
 #include "src/bouncing/montecarlo.hpp"
 #include "src/scenario/registry.hpp"
 #include "src/sim/partition_sim.hpp"
+#include "src/sim/slot_sim.hpp"
 #include "src/support/env.hpp"
 #include "src/support/table.hpp"
+#include "tests/oracles/yardsticks.hpp"
 
 namespace leak::scenario {
 namespace {
@@ -266,25 +269,31 @@ ParamSet small_slot_params(const Scenario& sc) {
 }
 
 TEST(ScenarioRegistryTest, SlotScenariosRejectDeltaBelowMinimumDelay) {
-  // The network's jitter floor is 0.05 s: a smaller delay bound is a
-  // spec error that names the param, not a Network failure mid-run.
+  // The network's jitter floor is sim::kMinDelay (0.05 s): a smaller
+  // delay bound is a spec error that names the param, not a Network
+  // failure mid-run.  The floor itself is a valid delay bound.
   for (const char* name : {"slot-protocol", "balancing-attack",
                            "flaky-network"}) {
     SCOPED_TRACE(name);
     const auto& sc = *builtin_registry().find(name);
     auto params = small_slot_params(sc);
     params.set("paths", std::int64_t{1});
-    params.set("delta", 0.049);
-    try {
-      (void)sc.run(params);
-      ADD_FAILURE() << "delta 0.049 was accepted";
-    } catch (const std::invalid_argument& e) {
-      // The spec names the param in quotes; the Network's own check
-      // only mentions delta in passing.
-      EXPECT_NE(std::string(e.what()).find("\"delta\""), std::string::npos)
-          << e.what();
+    for (const double below : {0.049, std::nextafter(sim::kMinDelay, 0.0)}) {
+      params.set("delta", below);
+      EXPECT_TRUE(sc.spec().validate(params).has_value()) << below;
+      try {
+        (void)sc.run(params);
+        ADD_FAILURE() << "delta " << below << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        // The spec names the param in quotes; the Network's own check
+        // only mentions delta in passing.
+        EXPECT_NE(std::string(e.what()).find("\"delta\""),
+                  std::string::npos)
+            << e.what();
+      }
     }
-    params.set("delta", 0.05);
+    params.set("delta", sim::kMinDelay);
+    EXPECT_FALSE(sc.spec().validate(params).has_value());
     const auto r = sc.run(params);
     ASSERT_TRUE(r.trials.has_value());
     EXPECT_EQ(r.trials->rows(), 1u);
@@ -330,7 +339,7 @@ TEST(ScenarioRegistryTest, ResultJsonRoundTripsThroughParser) {
   const auto doc = res.to_json();
   const auto parsed = json::Value::parse(doc.dump(2));
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, doc);
+  EXPECT_TRUE(oracle::json_equal(*parsed, doc));
   EXPECT_EQ(parsed->find("scenario")->as_string(), "recovery");
   ASSERT_NE(parsed->find("metrics"), nullptr);
   EXPECT_GT(parsed->find("metrics")->find("recovery_epochs")->as_double(),

