@@ -34,9 +34,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -296,18 +294,8 @@ int emit_artifacts(const json::Value& doc, const std::string& csv,
 std::optional<scenario::ParamSet> load_params_file(
     const scenario::Scenario& sc, const std::string& path,
     std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    *error = "cannot read " + path;
-    return std::nullopt;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const auto doc = json::Value::parse(buf.str());
-  if (!doc) {
-    *error = path + ": not valid JSON";
-    return std::nullopt;
-  }
+  const auto doc = json::Value::load_file(path, error);
+  if (!doc) return std::nullopt;
   // Archives produced by sweeps carry an "axes" member.  Validate it
   // against this scenario's spec even though a plain `run` replay only
   // uses the params: a grid axis naming a parameter the scenario does

@@ -55,13 +55,15 @@ json::Value ScenarioResult::to_json() const {
     json::Value cols = json::Value::array();
     for (const auto& h : trials->headers()) cols.push_back(h);
     tj.set("columns", std::move(cols));
-    json::Value rows = json::Value::array();
+    // 50k rows in the attack-lifetime result: build each array once, at
+    // its exact size.
+    json::Array rows;
+    rows.reserve(trials->rows());
     for (std::size_t r = 0; r < trials->rows(); ++r) {
-      json::Value row = json::Value::array();
-      for (const auto& cell : trials->row(r)) row.push_back(cell);
-      rows.push_back(std::move(row));
+      const std::vector<std::string>& cells = trials->row(r);
+      rows.emplace_back(json::Array(cells.begin(), cells.end()));
     }
-    tj.set("rows", std::move(rows));
+    tj.set("rows", json::Value(std::move(rows)));
     doc.set("trials", std::move(tj));
   }
   json::Value meta = json::Value::object();

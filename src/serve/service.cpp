@@ -76,7 +76,6 @@ namespace {
 struct LedgerEntry {
   std::size_t cell = 0;
   bool is_error = false;
-  json::Value payload;
 };
 
 [[nodiscard]] std::optional<LedgerEntry> validate_record(
@@ -122,7 +121,6 @@ struct LedgerEntry {
     return fail("store record has unknown type \"" + type->as_string() +
                 "\"");
   }
-  entry.payload = payload;
   return entry;
 }
 
@@ -255,13 +253,13 @@ std::optional<RunStats> JobService::run(const std::string& id,
   std::vector<std::uint8_t> done(stats.total_cells, 0);
   std::vector<json::Value> payloads(stats.total_cells);
   bool had_errors = false;
-  for (const StoreRecord& rec : scan.records) {
+  for (StoreRecord& rec : scan.records) {
     auto entry = validate_record(*job, id, rec.payload, error);
     if (!entry) return std::nullopt;
     if (done[entry->cell] != 0) continue;
     done[entry->cell] = 1;
     had_errors = had_errors || entry->is_error;
-    payloads[entry->cell] = std::move(entry->payload);
+    payloads[entry->cell] = std::move(rec.payload);
     ++stats.already_done;
   }
 
@@ -321,26 +319,26 @@ std::optional<RunStats> JobService::run(const std::string& id,
   // Process one framed record line from a worker.  Returns false on a
   // fatal error (run_error set).
   const auto handle_line = [&](Worker& w, const std::string& line) {
-    auto payload = ResultsStore::unframe(line);
-    if (!payload) {
+    auto rec = ResultsStore::unframe(line);
+    if (!rec) {
       run_error = "worker sent a corrupt record line";
       return false;
     }
-    auto entry = validate_record(*job, id, *payload, &run_error);
+    auto entry = validate_record(*job, id, rec->payload(), &run_error);
     if (!entry) return false;
     if (!w.in_flight || *w.in_flight != entry->cell) {
       run_error = "worker answered cell " + std::to_string(entry->cell) +
                   " out of turn";
       return false;
     }
-    if (!store.append_framed(line, options.fsync_records)) {
+    if (!store.append_framed(*rec, options.fsync_records)) {
       run_error = store.path() + ": append failed";
       return false;
     }
     if (done[entry->cell] == 0) {
       done[entry->cell] = 1;
       had_errors = had_errors || entry->is_error;
-      payloads[entry->cell] = std::move(entry->payload);
+      payloads[entry->cell] = std::move(rec->payload());
       ++stats.executed;
     }
     w.in_flight.reset();

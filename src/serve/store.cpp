@@ -5,8 +5,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "src/support/crc32.hpp"
 
@@ -45,7 +43,7 @@ std::string ResultsStore::frame(const json::Value& payload) {
   return crc32::to_hex(crc32::of(body)) + " " + body;
 }
 
-std::optional<json::Value> ResultsStore::unframe(std::string_view line) {
+std::optional<FramedLine> ResultsStore::unframe(std::string_view line) {
   if (line.size() < 10 || line[8] != ' ') return std::nullopt;
   for (std::size_t i = 0; i < 8; ++i) {
     if (!is_hex(line[i])) return std::nullopt;
@@ -54,7 +52,9 @@ std::optional<json::Value> ResultsStore::unframe(std::string_view line) {
   if (crc32::to_hex(crc32::of(body)) != line.substr(0, 8)) {
     return std::nullopt;
   }
-  return json::Value::parse(body);
+  auto payload = json::Value::parse(body);
+  if (!payload) return std::nullopt;
+  return FramedLine(line, std::move(*payload));
 }
 
 bool ResultsStore::write_line(std::string_view line, bool sync) {
@@ -73,26 +73,22 @@ bool ResultsStore::append(const json::Value& payload, bool sync) {
   return write_line(frame(payload), sync);
 }
 
-bool ResultsStore::append_framed(std::string_view line, bool sync) {
-  if (!unframe(line)) return false;
-  return write_line(line, sync);
+bool ResultsStore::append_framed(const FramedLine& rec, bool sync) {
+  return write_line(rec.line(), sync);
 }
 
 StoreScan ResultsStore::scan(std::string* error) const {
   StoreScan out;
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) return out;  // absent store == empty store
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
+  std::string text;
+  if (!json::read_file(path_, &text)) return out;  // absent == empty
 
   std::size_t pos = 0;
   while (pos < text.size()) {
     const std::size_t nl = text.find('\n', pos);
     if (nl == std::string::npos) break;  // torn: no terminating newline
-    auto payload = unframe(std::string_view(text).substr(pos, nl - pos));
-    if (!payload) break;  // torn or corrupt frame
-    out.records.push_back(StoreRecord{std::move(*payload), pos});
+    auto rec = unframe(std::string_view(text).substr(pos, nl - pos));
+    if (!rec) break;  // torn or corrupt frame
+    out.records.push_back(StoreRecord{std::move(rec->payload()), pos});
     pos = nl + 1;
   }
   out.valid_bytes = pos;

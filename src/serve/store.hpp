@@ -16,6 +16,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/support/json.hpp"
@@ -26,6 +27,25 @@ namespace leak::serve {
 struct StoreRecord {
   json::Value payload;
   std::size_t offset = 0;  ///< byte offset of the line start
+};
+
+/// A framed line that ResultsStore::unframe() accepted: the line
+/// itself and its parsed payload.  Only unframe() makes one, so
+/// append_framed() cannot write a line whose CRC or JSON was not
+/// checked, and the caller reads the payload without parsing it again.
+class FramedLine {
+ public:
+  /// The framed line, without its newline (borrowed from the caller).
+  [[nodiscard]] std::string_view line() const { return line_; }
+  [[nodiscard]] json::Value& payload() { return payload_; }
+
+ private:
+  friend class ResultsStore;
+  FramedLine(std::string_view line, json::Value payload)
+      : line_(line), payload_(std::move(payload)) {}
+
+  std::string_view line_;
+  json::Value payload_;
 };
 
 /// Result of a full scan: the valid record prefix plus where it ends.
@@ -49,11 +69,11 @@ class ResultsStore {
   /// fsyncs before returning when `sync`.  Returns false on I/O error.
   [[nodiscard]] bool append(const json::Value& payload, bool sync = true);
 
-  /// Append an already-framed line (as produced by frame(), without
-  /// the trailing newline), re-validating it first.  This is the
+  /// Append a line that unframe() accepted, verbatim.  This is the
   /// worker-protocol fast path: workers send framed lines over their
-  /// result pipe and the service appends them verbatim.
-  [[nodiscard]] bool append_framed(std::string_view line, bool sync = true);
+  /// result pipe, and the service checks each once (unframe) and
+  /// appends it as it came.
+  [[nodiscard]] bool append_framed(const FramedLine& rec, bool sync = true);
 
   /// Scan from the start.  A missing file scans as empty (not an
   /// error).  Never modifies the file.
@@ -68,7 +88,8 @@ class ResultsStore {
 
   /// Parse one framed line (no newline); nullopt when the frame is
   /// malformed, the CRC mismatches, or the payload is not valid JSON.
-  [[nodiscard]] static std::optional<json::Value> unframe(
+  /// The result borrows `line`.
+  [[nodiscard]] static std::optional<FramedLine> unframe(
       std::string_view line);
 
  private:

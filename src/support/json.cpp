@@ -1,10 +1,14 @@
 #include "src/support/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <iterator>
+#include <limits>
+#include <memory>
+#include <new>
 #include <stdexcept>
 
 namespace leak::json {
@@ -19,6 +23,27 @@ constexpr int kMaxDepth = 64;
                          std::to_string(static_cast<int>(got)));
 }
 
+/// Shortest round-trip text of `v` into `buf` (32 bytes); returns
+/// the end.  NaN is "null" and +-inf "1e999" / "-1e999", since JSON has
+/// neither; integral values keep a ".0" so they re-parse as doubles
+/// (type-faithful round-trip).
+char* format_double_to(char* buf, double v) {
+  const auto put = [&](std::string_view s) {
+    std::memcpy(buf, s.data(), s.size());
+    return buf + s.size();
+  };
+  if (std::isnan(v)) return put("null");
+  if (std::isinf(v)) return put(v > 0 ? "1e999" : "-1e999");
+  const auto [end, ec] = std::to_chars(buf, buf + 30, v);
+  if (ec != std::errc{}) return put("0");
+  if (std::string_view(buf, static_cast<std::size_t>(end - buf))
+          .find_first_of(".eE") == std::string_view::npos) {
+    std::memcpy(end, ".0", 2);
+    return end + 2;
+  }
+  return end;
+}
+
 }  // namespace
 
 Value::Value(std::uint64_t v) {
@@ -29,6 +54,70 @@ Value::Value(std::uint64_t v) {
   } else {
     type_ = Type::kDouble;
     double_ = static_cast<double>(v);
+  }
+}
+
+Value::Value(const Value& other) : type_(other.type_) { construct_from(other); }
+
+Value::Value(Value&& other) noexcept : type_(other.type_) {
+  construct_from(std::move(other));
+}
+
+Value& Value::operator=(const Value& other) {
+  if (this != &other) *this = Value(other);
+  return *this;
+}
+
+Value& Value::operator=(Value&& other) noexcept {
+  if (this != &other) {
+    // `other` may live inside this node: take it before destroying.
+    Value taken(std::move(other));
+    if (type_ >= Type::kString) destroy();
+    type_ = taken.type_;
+    construct_from(std::move(taken));
+  }
+  return *this;
+}
+
+template <class V>
+void Value::construct_from(V&& other) {
+  switch (type_) {
+    case Type::kNull:
+      break;
+    case Type::kBool:
+      bool_ = other.bool_;
+      break;
+    case Type::kInt:
+      int_ = other.int_;
+      break;
+    case Type::kDouble:
+      double_ = other.double_;
+      break;
+    case Type::kString:
+      new (&str_) std::string(std::forward<V>(other).str_);
+      break;
+    case Type::kArray:
+      new (&arr_) Array(std::forward<V>(other).arr_);
+      break;
+    case Type::kObject:
+      new (&obj_) Object(std::forward<V>(other).obj_);
+      break;
+  }
+}
+
+void Value::destroy() noexcept {
+  switch (type_) {
+    case Type::kString:
+      std::destroy_at(&str_);
+      break;
+    case Type::kArray:
+      std::destroy_at(&arr_);
+      break;
+    case Type::kObject:
+      std::destroy_at(&obj_);
+      break;
+    default:
+      break;
   }
 }
 
@@ -99,146 +188,193 @@ const Value* Value::find(std::string_view key) const {
   return nullptr;
 }
 
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;  // UTF-8 bytes pass through verbatim
-        }
-    }
-  }
-  return out;
-}
-
 std::string format_double(double v) {
-  if (std::isnan(v)) return "null";  // JSON has no NaN/Inf
-  if (std::isinf(v)) return v > 0 ? "1e999" : "-1e999";
   char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc{}) return "0";
-  std::string out(buf, ptr);
-  // Integral doubles ("2") must keep a decimal marker so the value
-  // re-parses as a double, not an int (type-faithful round-trip).
-  if (out.find_first_of(".eE") == std::string::npos) out += ".0";
-  return out;
+  return std::string(buf, format_double_to(buf, v));
 }
 
-void Value::dump_to(std::string& out, int indent, int depth) const {
-  const auto newline_pad = [&](int d) {
-    if (indent < 0) return;
-    out += '\n';
-    out.append(static_cast<std::size_t>(indent * d), ' ');
-  };
-  switch (type_) {
-    case Type::kNull:
-      out += "null";
-      break;
-    case Type::kBool:
-      out += bool_ ? "true" : "false";
-      break;
-    case Type::kInt:
-      out += std::to_string(int_);
-      break;
-    case Type::kDouble:
-      out += format_double(double_);
-      break;
-    case Type::kString:
-      out += '"';
-      out += escape(str_);
-      out += '"';
-      break;
-    case Type::kArray: {
-      if (arr_.empty()) {
-        out += "[]";
+namespace detail {
+
+/// Serializer: one output buffer written through a raw pointer, grown
+/// geometrically (std::string's own push_back is an out-of-line call).
+class Writer {
+ public:
+  explicit Writer(int indent) : indent_(indent) {}
+
+  std::string take() && {
+    buf_.resize(len_);
+    return std::move(buf_);
+  }
+
+  void value(const Value& v, int depth) {
+    switch (v.type_) {
+      case Value::Type::kNull:
+        put("null");
+        break;
+      case Value::Type::kBool:
+        put(v.bool_ ? "true" : "false");
+        break;
+      case Value::Type::kInt: {
+        char* const p = room(24);
+        const char* const end = std::to_chars(p, p + 24, v.int_).ptr;
+        len_ += static_cast<std::size_t>(end - p);
         break;
       }
-      out += '[';
-      for (std::size_t i = 0; i < arr_.size(); ++i) {
-        if (i) out += ',';
-        newline_pad(depth + 1);
-        arr_[i].dump_to(out, indent, depth + 1);
-      }
-      newline_pad(depth);
-      out += ']';
-      break;
-    }
-    case Type::kObject: {
-      if (obj_.empty()) {
-        out += "{}";
+      case Value::Type::kDouble: {
+        char* const p = room(32);
+        len_ += static_cast<std::size_t>(format_double_to(p, v.double_) - p);
         break;
       }
-      out += '{';
-      for (std::size_t i = 0; i < obj_.size(); ++i) {
-        if (i) out += ',';
-        newline_pad(depth + 1);
-        out += '"';
-        out += escape(obj_[i].first);
-        out += "\":";
-        if (indent >= 0) out += ' ';
-        obj_[i].second.dump_to(out, indent, depth + 1);
+      case Value::Type::kString:
+        string(v.str_);
+        break;
+      case Value::Type::kArray: {
+        if (v.arr_.empty()) {
+          put("[]");
+          break;
+        }
+        put('[');
+        for (std::size_t i = 0; i < v.arr_.size(); ++i) {
+          if (i) put(',');
+          newline_pad(depth + 1);
+          value(v.arr_[i], depth + 1);
+        }
+        newline_pad(depth);
+        put(']');
+        break;
       }
-      newline_pad(depth);
-      out += '}';
-      break;
+      case Value::Type::kObject: {
+        if (v.obj_.empty()) {
+          put("{}");
+          break;
+        }
+        put('{');
+        for (std::size_t i = 0; i < v.obj_.size(); ++i) {
+          if (i) put(',');
+          newline_pad(depth + 1);
+          string(v.obj_[i].first);
+          put(indent_ >= 0 ? ": " : ":");
+          value(v.obj_[i].second, depth + 1);
+        }
+        newline_pad(depth);
+        put('}');
+        break;
+      }
     }
   }
-}
+
+ private:
+  /// Room for `n` more bytes at the end of the output.
+  char* room(std::size_t n) {
+    if (n > buf_.size() - len_) {
+      buf_.resize(std::max(2 * buf_.size(), len_ + n + 256));
+    }
+    return buf_.data() + len_;
+  }
+  void put(char c) {
+    *room(1) = c;
+    ++len_;
+  }
+  void put(std::string_view s) {
+    std::memcpy(room(s.size()), s.data(), s.size());
+    len_ += s.size();
+  }
+
+  void newline_pad(int depth) {
+    if (indent_ < 0) return;
+    const auto n = static_cast<std::size_t>(indent_ * depth);
+    char* p = room(n + 1);
+    *p = '\n';
+    std::memset(p + 1, ' ', n);
+    len_ += n + 1;
+  }
+
+  /// A quoted, escaped string.  Runs of bytes that need no escape are
+  /// copied in one call; UTF-8 passes through verbatim.
+  void string(std::string_view s) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    put('"');
+    const char* run = s.data();
+    const char* const end = s.data() + s.size();
+    for (const char* p = run; p != end; ++p) {
+      const auto c = static_cast<unsigned char>(*p);
+      if (c >= 0x20 && c != '"' && c != '\\') continue;
+      put(std::string_view(run, static_cast<std::size_t>(p - run)));
+      run = p + 1;
+      switch (c) {
+        case '"':
+          put("\\\"");
+          break;
+        case '\\':
+          put("\\\\");
+          break;
+        case '\b':
+          put("\\b");
+          break;
+        case '\f':
+          put("\\f");
+          break;
+        case '\n':
+          put("\\n");
+          break;
+        case '\r':
+          put("\\r");
+          break;
+        case '\t':
+          put("\\t");
+          break;
+        default: {
+          const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+          put(std::string_view(u, sizeof u));
+        }
+      }
+    }
+    put(std::string_view(run, static_cast<std::size_t>(end - run)));
+    put('"');
+  }
+
+  int indent_;
+  std::string buf_;
+  std::size_t len_ = 0;
+};
+
+}  // namespace detail
 
 std::string Value::dump(int indent) const {
-  std::string out;
-  dump_to(out, indent, 0);
-  return out;
+  detail::Writer w(indent);
+  w.value(*this, 0);
+  return std::move(w).take();
 }
 
-namespace {
+namespace detail {
 
 /// Recursive-descent parser over a string_view with offset tracking.
+/// Every value is parsed into a slot of one reusable stack: an open
+/// array's elements and an open object's values sit above the
+/// container's own slot (object keys on a parallel stack), and each
+/// container is built once, at its exact size, when it closes.  After
+/// a failure (ok_ false) every caller unwinds.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
   std::optional<Value> run(std::string* error) {
-    Value v;
-    if (!parse_value(v, 0) || (skip_ws(), pos_ != text_.size())) {
-      if (ok_) fail("trailing characters after JSON document");
+    stack_.emplace_back();
+    if (parse_value(0, 0)) {
+      skip_ws();
+      if (pos_ != text_.size()) fail("trailing characters after JSON document");
+    }
+    if (!ok_) {
       if (error != nullptr) {
         *error = err_ + " at byte " + std::to_string(err_pos_);
       }
       return std::nullopt;
     }
-    return v;
+    return std::move(stack_.front());
   }
 
  private:
+  /// Record the first failure at the current offset.
   bool fail(const std::string& msg) {
     if (ok_) {
       ok_ = false;
@@ -264,102 +400,125 @@ class Parser {
     return false;
   }
 
-  bool parse_value(Value& out, int depth) {
+  [[nodiscard]] bool at_digit() const {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
+  }
+
+  bool literal(std::string_view word, Value v, std::size_t slot) {
+    if (text_.substr(pos_, word.size()) != word) {
+      return fail("invalid literal");
+    }
+    pos_ += word.size();
+    stack_[slot] = std::move(v);
+    return true;
+  }
+
+  /// Parse the value at pos_ into stack_[slot], a null node.
+  bool parse_value(std::size_t slot, int depth) {
     if (depth > kMaxDepth) return fail("nesting too deep");
     skip_ws();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
-    const char c = text_[pos_];
-    switch (c) {
+    switch (text_[pos_]) {
       case '{':
-        return parse_object(out, depth);
+        return parse_object(slot, depth);
       case '[':
-        return parse_array(out, depth);
+        return parse_array(slot, depth);
       case '"': {
-        std::string s;
-        if (!parse_string(s)) return false;
-        out = Value(std::move(s));
-        return true;
+        // The slot holds nothing, so the string is begun in place and
+        // parsed straight into the node.
+        Value& v = stack_[slot];
+        v.type_ = Value::Type::kString;
+        new (&v.str_) std::string();
+        return parse_string(v.str_);
       }
       case 't':
-        if (text_.substr(pos_, 4) == "true") {
-          pos_ += 4;
-          out = Value(true);
-          return true;
-        }
-        return fail("invalid literal");
+        return literal("true", Value(true), slot);
       case 'f':
-        if (text_.substr(pos_, 5) == "false") {
-          pos_ += 5;
-          out = Value(false);
-          return true;
-        }
-        return fail("invalid literal");
+        return literal("false", Value(false), slot);
       case 'n':
-        if (text_.substr(pos_, 4) == "null") {
-          pos_ += 4;
-          out = Value(nullptr);
-          return true;
-        }
-        return fail("invalid literal");
+        return literal("null", Value(nullptr), slot);
       default:
-        return parse_number(out);
+        return parse_number(slot);
     }
   }
 
-  bool parse_object(Value& out, int depth) {
+  bool parse_object(std::size_t slot, int depth) {
     ++pos_;  // '{'
-    out = Value::object();
+    const std::size_t base = stack_.size();
+    const std::size_t key_base = keys_.size();
     skip_ws();
-    if (consume('}')) return true;
-    for (;;) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(key)) return false;
-      skip_ws();
-      if (!consume(':')) return fail("expected ':' after object key");
-      Value v;
-      if (!parse_value(v, depth + 1)) return false;
-      if (out.find(key) != nullptr) {
-        return fail("duplicate object key \"" + key + "\"");
+    if (!consume('}')) {
+      for (;;) {
+        skip_ws();
+        keys_.emplace_back();
+        if (!parse_string(keys_.back())) return false;
+        skip_ws();
+        if (!consume(':')) return fail("expected ':' after object key");
+        stack_.emplace_back();
+        if (!parse_value(stack_.size() - 1, depth + 1)) return false;
+        const std::string& key = keys_.back();
+        for (std::size_t i = key_base; i + 1 < keys_.size(); ++i) {
+          if (keys_[i] == key) {
+            return fail("duplicate object key \"" + key + "\"");
+          }
+        }
+        skip_ws();
+        if (consume('}')) break;
+        if (!consume(',')) return fail("expected ',' or '}' in object");
       }
-      out.set(std::move(key), std::move(v));
-      skip_ws();
-      if (consume('}')) return true;
-      if (!consume(',')) return fail("expected ',' or '}' in object");
     }
+    Object members;
+    members.reserve(keys_.size() - key_base);
+    for (std::size_t i = key_base; i < keys_.size(); ++i) {
+      members.emplace_back(std::move(keys_[i]),
+                           std::move(stack_[base + (i - key_base)]));
+    }
+    keys_.resize(key_base);
+    stack_.resize(base);
+    stack_[slot] = Value(std::move(members));
+    return true;
   }
 
-  bool parse_array(Value& out, int depth) {
+  bool parse_array(std::size_t slot, int depth) {
     ++pos_;  // '['
-    out = Value::array();
+    const std::size_t base = stack_.size();
     skip_ws();
-    if (consume(']')) return true;
-    for (;;) {
-      Value v;
-      if (!parse_value(v, depth + 1)) return false;
-      out.push_back(std::move(v));
-      skip_ws();
-      if (consume(']')) return true;
-      if (!consume(',')) return fail("expected ',' or ']' in array");
+    if (!consume(']')) {
+      for (;;) {
+        stack_.emplace_back();
+        if (!parse_value(stack_.size() - 1, depth + 1)) return false;
+        skip_ws();
+        if (consume(']')) break;
+        if (!consume(',')) return fail("expected ',' or ']' in array");
+      }
     }
+    const auto first = stack_.begin() + static_cast<std::ptrdiff_t>(base);
+    Array elems(std::make_move_iterator(first),
+                std::make_move_iterator(stack_.end()));
+    stack_.erase(first, stack_.end());
+    stack_[slot] = Value(std::move(elems));
+    return true;
   }
 
+  /// Append the string starting at pos_ (its opening quote) to `out`.
   bool parse_string(std::string& out) {
     if (!consume('"')) return fail("expected string");
-    out.clear();
-    while (pos_ < text_.size()) {
+    for (;;) {
+      const std::size_t run = pos_;
+      while (pos_ < text_.size()) {
+        const auto c = static_cast<unsigned char>(text_[pos_]);
+        if (c < 0x20 || c == '"' || c == '\\') break;
+        ++pos_;
+      }
+      out.append(text_.data() + run, pos_ - run);
+      if (pos_ >= text_.size()) return fail("unterminated string");
       const char c = text_[pos_];
       if (c == '"') {
         ++pos_;
         return true;
       }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return fail("unescaped control character in string");
-      }
       if (c != '\\') {
-        out += c;
-        ++pos_;
-        continue;
+        return fail("unescaped control character in string");
       }
       ++pos_;
       if (pos_ >= text_.size()) return fail("truncated escape");
@@ -415,7 +574,6 @@ class Parser {
           return fail("invalid escape character");
       }
     }
-    return fail("unterminated string");
   }
 
   bool parse_hex4(unsigned& out) {
@@ -455,48 +613,76 @@ class Parser {
     }
   }
 
-  bool parse_number(Value& out) {
+  /// RFC 8259 §6: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+  /// Errors name the number's first byte.
+  bool parse_number(std::size_t slot) {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    bool is_double = false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c >= '0' && c <= '9') {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        is_double = true;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    const std::string_view tok = text_.substr(start, pos_ - start);
-    if (tok.empty() || tok == "-") return fail("invalid number");
-    // RFC 8259: no leading zeros on the integer part ("01", "-007").
-    const std::size_t digits = tok.front() == '-' ? 1 : 0;
-    if (tok.size() > digits + 1 && tok[digits] == '0' &&
-        tok[digits + 1] >= '0' && tok[digits + 1] <= '9') {
+    const auto reject = [&](const char* msg) {
       pos_ = start;
-      return fail("leading zero in number");
+      return fail(msg);
+    };
+    const auto skip_digits = [&] {
+      const std::size_t from = pos_;
+      while (at_digit()) ++pos_;
+      return pos_ - from;
+    };
+    const bool negative = consume('-');
+    const std::size_t int_begin = pos_;
+    const std::size_t int_digits = skip_digits();
+    if (int_digits == 0) return reject("invalid number");
+    if (int_digits > 1 && text_[int_begin] == '0') {
+      return reject("leading zero in number");
     }
+    bool is_double = false;
+    std::size_t frac_begin = pos_;
+    if (consume('.')) {
+      frac_begin = pos_;
+      if (skip_digits() == 0) return reject("invalid number");
+      is_double = true;
+    }
+    const std::size_t frac_end = pos_;
+    long exponent = 0;  // saturated: only its sign past +-1e6 matters
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      const bool negative_exp = consume('-');
+      if (!negative_exp) (void)consume('+');
+      if (!at_digit()) return reject("invalid number");
+      while (at_digit()) {
+        if (exponent < 1000000) exponent = exponent * 10 + (text_[pos_] - '0');
+        ++pos_;
+      }
+      if (negative_exp) exponent = -exponent;
+      is_double = true;
+    }
+    const char* const first = text_.data() + start;
+    const char* const last = text_.data() + pos_;
     if (!is_double) {
       std::int64_t iv = 0;
-      const auto [ptr, ec] =
-          std::from_chars(tok.data(), tok.data() + tok.size(), iv);
-      if (ec == std::errc{} && ptr == tok.data() + tok.size()) {
-        out = Value(iv);
+      if (std::from_chars(first, last, iv).ec == std::errc{}) {
+        stack_[slot] = Value(iv);
         return true;
       }
-      // Integer overflow: fall through to the double path.
+      // Integer overflow: read it as a double.
     }
     double dv = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(tok.data(), tok.data() + tok.size(), dv);
-    if (ec != std::errc{} || ptr != tok.data() + tok.size()) {
-      pos_ = start;
-      return fail("invalid number");
+    const auto [ptr, ec] = std::from_chars(first, last, dv);
+    if (ec == std::errc::result_out_of_range) {
+      // Past the double range (dump writes +-inf as +-1e999): overflow
+      // reads as +-inf, underflow as +-0.  The decimal exponent of the
+      // leading significant digit tells which.
+      long lead = static_cast<long>(int_digits) - 1;
+      if (text_[int_begin] == '0') {
+        lead = -1;
+        for (std::size_t i = frac_begin; i < frac_end && text_[i] == '0'; ++i) {
+          --lead;
+        }
+      }
+      dv = lead + exponent > 0 ? std::numeric_limits<double>::infinity() : 0.0;
+      if (negative) dv = -dv;
+    } else if (ec != std::errc{} || ptr != last) {
+      return reject("invalid number");
     }
-    out = Value(dv);
+    stack_[slot] = Value(dv);
     return true;
   }
 
@@ -505,25 +691,40 @@ class Parser {
   bool ok_ = true;
   std::string err_;
   std::size_t err_pos_ = 0;
+  std::vector<Value> stack_;        ///< node slots, innermost last
+  std::vector<std::string> keys_;  ///< open objects' keys, innermost last
 };
 
-}  // namespace
+}  // namespace detail
 
 std::optional<Value> Value::parse(std::string_view text, std::string* error) {
-  return Parser(text).run(error);
+  return detail::Parser(text).run(error);
+}
+
+bool read_file(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  if (in.seekg(0, std::ios::end)) {
+    out->resize(static_cast<std::size_t>(in.tellg()));
+    in.seekg(0);
+    return static_cast<bool>(
+        in.read(out->data(), static_cast<std::streamsize>(out->size())));
+  }
+  in.clear();  // not seekable (a pipe): read it as a stream
+  out->assign(std::istreambuf_iterator<char>(in),
+              std::istreambuf_iterator<char>());
+  return !in.bad();
 }
 
 std::optional<Value> Value::load_file(const std::string& path,
                                       std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!read_file(path, &text)) {
     if (error != nullptr) *error = path + ": cannot read";
     return std::nullopt;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
   std::string parse_error;
-  auto doc = parse(buf.str(), &parse_error);
+  auto doc = parse(text, &parse_error);
   if (!doc) {
     if (error != nullptr) *error = path + ": " + parse_error;
     return std::nullopt;

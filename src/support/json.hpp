@@ -9,9 +9,16 @@
 //     the CI artifacts rely on this).
 //   - Numbers are locale-independent both ways (std::to_chars /
 //     std::from_chars); doubles round-trip exactly via the shortest
-//     representation.
+//     representation.  JSON has no NaN or infinity: NaN dumps as
+//     `null`, ±inf as `1e999` / `-1e999`, and the parser reads any
+//     literal past the double range back as ±inf (and one below it as
+//     ±0), so every finite or infinite double round-trips.
 //   - The parser is strict RFC 8259: no comments, no trailing commas,
-//     rejects trailing garbage, bounded nesting depth.
+//     the §6 number grammar (no ".5", "0." or "1.e5"), rejects
+//     trailing garbage, bounded nesting depth.
+//   - A Value is a 40-byte tagged node: a type byte and a union that
+//     holds only the active kind, so a large result copies and frees
+//     without touching three empty containers per node.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +36,11 @@ using Array = std::vector<Value>;
 /// Insertion-ordered key/value storage; keys are unique.
 using Object = std::vector<std::pair<std::string, Value>>;
 
+namespace detail {
+class Parser;
+class Writer;
+}  // namespace detail
+
 class Value {
  public:
   enum class Type : std::uint8_t {
@@ -43,26 +55,31 @@ class Value {
 
   // Implicit construction from the scalar types keeps call sites
   // (`result.set("seed", 99)`) readable.
-  Value() : type_(Type::kNull) {}
-  Value(std::nullptr_t) : type_(Type::kNull) {}
-  Value(bool b) : type_(Type::kBool) { bool_ = b; }
-  Value(int v) : type_(Type::kInt) { int_ = v; }
-  Value(std::int64_t v) : type_(Type::kInt) { int_ = v; }
+  Value() noexcept : type_(Type::kNull) {}
+  Value(std::nullptr_t) noexcept : type_(Type::kNull) {}
+  Value(bool b) noexcept : type_(Type::kBool), bool_(b) {}
+  Value(int v) noexcept : type_(Type::kInt), int_(v) {}
+  Value(std::int64_t v) noexcept : type_(Type::kInt), int_(v) {}
   Value(std::uint64_t v);
-  Value(double v) : type_(Type::kDouble) { double_ = v; }
+  Value(double v) noexcept : type_(Type::kDouble), double_(v) {}
   Value(const char* s) : type_(Type::kString), str_(s) {}
-  Value(std::string s) : type_(Type::kString), str_(std::move(s)) {}
+  Value(std::string s) noexcept : type_(Type::kString), str_(std::move(s)) {}
+  /// Adopt built elements, so an array of known length is built once
+  /// at its exact size.
+  explicit Value(Array a) noexcept : type_(Type::kArray), arr_(std::move(a)) {}
 
-  [[nodiscard]] static Value array() {
-    Value v;
-    v.type_ = Type::kArray;
-    return v;
+  /// Copies are deep.  A moved-from Value keeps its type; a moved-from
+  /// array or object is empty.
+  Value(const Value& other);
+  Value(Value&& other) noexcept;
+  Value& operator=(const Value& other);
+  Value& operator=(Value&& other) noexcept;
+  ~Value() {
+    if (type_ >= Type::kString) destroy();
   }
-  [[nodiscard]] static Value object() {
-    Value v;
-    v.type_ = Type::kObject;
-    return v;
-  }
+
+  [[nodiscard]] static Value array() { return Value(Array{}); }
+  [[nodiscard]] static Value object() { return Value(Object{}); }
 
   [[nodiscard]] Type type() const { return type_; }
   [[nodiscard]] bool is_null() const { return type_ == Type::kNull; }
@@ -106,29 +123,44 @@ class Value {
   [[nodiscard]] static std::optional<Value> parse(std::string_view text,
                                                   std::string* error = nullptr);
 
-  /// Read and parse a JSON document from a file.  On failure returns
-  /// nullopt and, when `error` is non-null, a message prefixed with
-  /// the path.  Shared by the leakctl --params replay, the serve job
-  /// manifests, and the baseline tooling.
+  /// Read (read_file) and parse a JSON document from a file.  On
+  /// failure returns nullopt and, when `error` is non-null, a message
+  /// prefixed with the path.  Shared by the leakctl --params replay,
+  /// the serve job manifests, and the baseline tooling.
   [[nodiscard]] static std::optional<Value> load_file(
       const std::string& path, std::string* error = nullptr);
 
  private:
-  void dump_to(std::string& out, int indent, int depth) const;
+  friend class detail::Parser;
+  friend class detail::Writer;
+
+  /// Adopt members whose keys are unique (the parser checks them).
+  explicit Value(Object o) noexcept
+      : type_(Type::kObject), obj_(std::move(o)) {}
+
+  /// Copy (lvalue) or move (rvalue) `other`'s active member into this
+  /// node, whose type_ already equals other's and whose union owns
+  /// nothing yet.
+  template <class V>
+  void construct_from(V&& other);
+  /// Destroy the active string, array or object.
+  void destroy() noexcept;
 
   Type type_;
   union {
     bool bool_;
-    std::int64_t int_ = 0;  // keeps default-copied Values fully initialized
+    std::int64_t int_ = 0;
     double double_;
+    std::string str_;
+    Array arr_;
+    Object obj_;
   };
-  std::string str_;
-  Array arr_;
-  Object obj_;
 };
 
-/// Escape a string for embedding in a JSON document (adds no quotes).
-[[nodiscard]] std::string escape(std::string_view s);
+/// Read a whole file into `out`, sized once from the file's length
+/// (a pipe is read as a stream).  Returns false when the file cannot
+/// be opened or read.  Shared by load_file and the serve store's scan.
+[[nodiscard]] bool read_file(const std::string& path, std::string* out);
 
 /// Shortest round-trip, locale-independent formatting of a double
 /// ("0.33", "1e-09", "4024").  Shared by the serializer, the CSV

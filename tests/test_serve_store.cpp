@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "src/serve/store.hpp"
 #include "src/support/crc32.hpp"
@@ -156,9 +158,26 @@ TEST_F(StoreTest, GarbageMidFileStopsTheScanAtTheGarbage) {
 }
 
 TEST_F(StoreTest, AppendFramedValidatesBeforeWriting) {
+  // append_framed() takes only a FramedLine, and only unframe() makes
+  // one: a line with a bad CRC, or a good CRC over bad JSON, never
+  // reaches the file.
+  static_assert(
+      !std::is_constructible_v<FramedLine, std::string_view, json::Value>);
+  const std::string bad_crc = "deadbeef {\"bad\": true}";
+  const std::string bad_json = "{\"cell\": 3,}";
+  const std::string bad_json_line =
+      crc32::to_hex(crc32::of(bad_json)) + " " + bad_json;
+  EXPECT_FALSE(ResultsStore::unframe(bad_crc).has_value());
+  EXPECT_FALSE(ResultsStore::unframe(bad_json_line).has_value());
+
   ResultsStore store(path_);
-  EXPECT_FALSE(store.append_framed("deadbeef {\"bad\": true}"));
-  EXPECT_TRUE(store.append_framed(ResultsStore::frame(payload(3))));
+  const std::string good = ResultsStore::frame(payload(3));
+  auto rec = ResultsStore::unframe(good);
+  ASSERT_TRUE(rec.has_value());
+  // The payload is parsed once, by unframe(), and handed to the caller.
+  EXPECT_EQ(rec->payload().find("cell")->as_int(), 3);
+  EXPECT_TRUE(store.append_framed(*rec));
+  EXPECT_EQ(read_file(), good + "\n");
   const StoreScan scan = store.scan();
   ASSERT_EQ(scan.records.size(), 1u);
   EXPECT_EQ(scan.records[0].payload.find("cell")->as_int(), 3);

@@ -2,9 +2,17 @@
 // strictness, and error reporting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <filesystem>
+#include <iterator>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "src/support/json.hpp"
+#include "src/support/random.hpp"
 #include "tests/oracles/yardsticks.hpp"
 
 namespace leak::json {
@@ -60,11 +68,46 @@ TEST(JsonTest, RoundTripComplexDocument) {
 }
 
 TEST(JsonTest, DoubleRoundTripIsExact) {
-  for (const double v : {0.1, 1.0 / 3.0, 1e-300, 6.02e23, -0.0, 4024.0}) {
+  using limits = std::numeric_limits<double>;
+  for (const double v :
+       {0.1, 1.0 / 3.0, 1e-300, 6.02e23, -0.0, 4024.0, limits::infinity(),
+        -limits::infinity(), limits::max(), -limits::max(), limits::min(),
+        limits::denorm_min(), 1e-310}) {
     const auto parsed = Value::parse(Value(v).dump());
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->as_double(), v);
+    ASSERT_TRUE(parsed.has_value()) << Value(v).dump();
+    ASSERT_TRUE(parsed->is_double()) << Value(v).dump();
+    EXPECT_EQ(parsed->as_double(), v) << Value(v).dump();
+    EXPECT_EQ(std::signbit(parsed->as_double()), std::signbit(v));
   }
+  // JSON has no infinity or NaN: +-inf dump as literals past the double
+  // range, and NaN as null.
+  EXPECT_EQ(Value(limits::infinity()).dump(), "1e999");
+  EXPECT_EQ(Value(-limits::infinity()).dump(), "-1e999");
+  EXPECT_EQ(Value(limits::quiet_NaN()).dump(), "null");
+  EXPECT_EQ(format_double(limits::quiet_NaN()), "null");
+}
+
+TEST(JsonTest, LiteralsPastTheDoubleRangeSaturate) {
+  using limits = std::numeric_limits<double>;
+  const auto a = Value::parse(
+      "[1e400, -1E+400, 0.000001e999, 123456789e308, 1e-400, -1e-400, "
+      "100000e-330, 1e99999999999999999999]");
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->at(0).as_double(), limits::infinity());
+  EXPECT_EQ(a->at(1).as_double(), -limits::infinity());
+  EXPECT_EQ(a->at(2).as_double(), limits::infinity());
+  EXPECT_EQ(a->at(3).as_double(), limits::infinity());
+  EXPECT_EQ(a->at(4).as_double(), 0.0);
+  EXPECT_FALSE(std::signbit(a->at(4).as_double()));
+  EXPECT_EQ(a->at(5).as_double(), 0.0);
+  EXPECT_TRUE(std::signbit(a->at(5).as_double()));
+  EXPECT_EQ(a->at(6).as_double(), 0.0);
+  EXPECT_EQ(a->at(7).as_double(), limits::infinity());
+  // An integer past int64 still reads as a double.
+  const auto big = Value::parse("-99999999999999999999");
+  ASSERT_TRUE(big.has_value());
+  EXPECT_TRUE(big->is_double());
+  EXPECT_EQ(big->as_double(), -1e20);
 }
 
 TEST(JsonTest, ParseDistinguishesIntAndDouble) {
@@ -89,10 +132,18 @@ TEST(JsonTest, ParseRejectsMalformedInput) {
   for (const char* bad :
        {"", "{", "[1,]", "{\"a\":}", "tru", "01x", "\"unterminated",
         "[1] trailing", "{\"a\":1,\"a\":2}", "\"\\ud800\"", "nan",
-        "{\"a\" 1}", "[1 2]", "01", "-007", "[0.5, 00.5]"}) {
+        "{\"a\" 1}", "[1 2]", "01", "-007", "[0.5, 00.5]", ".5", "0.",
+        "1.e5", "-", "-.5", "+1", "1e", "1e+", "[1.]", "{\"a\":.5}"}) {
     EXPECT_FALSE(Value::parse(bad, &error).has_value()) << bad;
-    EXPECT_FALSE(error.empty()) << bad;
+    EXPECT_NE(error.find(" at byte "), std::string::npos) << bad;
   }
+  // RFC 8259 §6 number grammar: the offset names the number's first byte.
+  EXPECT_FALSE(Value::parse("[1, 0.]", &error).has_value());
+  EXPECT_NE(error.find("invalid number at byte 4"), std::string::npos)
+      << error;
+  EXPECT_FALSE(Value::parse("[1.e5]", &error).has_value());
+  EXPECT_NE(error.find("invalid number at byte 1"), std::string::npos)
+      << error;
 }
 
 TEST(JsonTest, ParseReportsByteOffset) {
@@ -124,6 +175,222 @@ TEST(JsonTest, PrettyPrintShape) {
   Value obj = Value::object();
   obj.set("a", 1);
   EXPECT_EQ(obj.dump(2), "{\n  \"a\": 1\n}");
+}
+
+TEST(JsonTest, NodeHoldsOnlyItsOwnKind) {
+  // A type tag plus the largest member: no empty string, array and
+  // object ride along with every scalar.
+  EXPECT_LE(sizeof(Value),
+            std::max({sizeof(std::string), sizeof(Array), sizeof(Object)}) +
+                alignof(Value));
+}
+
+TEST(JsonTest, CopyMoveAndAssignKeepValues) {
+  Value doc = Value::object();
+  doc.set("s", std::string(40, 'x'));  // past any small-string buffer
+  Value list = Value::array();
+  list.push_back(1);
+  list.push_back("two");
+  doc.set("list", list);
+  const std::string want = doc.dump();
+
+  Value copy = doc;
+  EXPECT_EQ(copy.dump(), want);
+  Value moved = std::move(copy);
+  EXPECT_EQ(moved.dump(), want);
+  EXPECT_TRUE(copy.is_object());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(copy.size(), 0u);     // NOLINT(bugprone-use-after-move)
+
+  // Assigning across kinds, and from a node that lives inside the
+  // target, replaces the target without reading freed storage.
+  Value v = 3.5;
+  v = doc;
+  EXPECT_EQ(v.dump(), want);
+  v = Value("str");
+  EXPECT_EQ(v.dump(), "\"str\"");
+  Value& inner = doc.set("inner", list);
+  doc = std::move(inner);
+  EXPECT_EQ(doc.dump(), "[1,\"two\"]");
+  Value nested = Value::object();
+  nested.set("k", list);
+  nested = *nested.find("k");
+  EXPECT_EQ(nested.dump(), "[1,\"two\"]");
+}
+
+// Committed JSON is written by dump(2) plus a newline, so each file must
+// be a fixed point of parse then dump: this pins dump's bytes in ctest.
+TEST(JsonBaselines, CommittedJsonIsADumpFixedPoint) {
+  const std::filesystem::path dir =
+      std::filesystem::path(LEAK_SOURCE_DIR) / "bench" / "baselines";
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".json") continue;
+    std::string text;
+    ASSERT_TRUE(read_file(entry.path().string(), &text)) << entry.path();
+    std::string error;
+    const auto doc = Value::parse(text, &error);
+    ASSERT_TRUE(doc.has_value()) << entry.path() << ": " << error;
+    EXPECT_EQ(doc->dump(2) + "\n", text) << entry.path();
+    ++files;
+  }
+  EXPECT_EQ(files, 13u);
+}
+
+// Seeded mutation harness over the committed JSON and random documents
+// (nesting, escapes, special doubles): byte flips, truncation, splicing
+// and token insertion.  Every input either parses to a value v with
+// dump(parse(dump(v))) == dump(v) and every type kept, or fails with a
+// message naming a byte offset inside the input.
+std::string random_string(Rng& rng) {
+  static const char* const kPieces[] = {
+      "a", "Z", "0", " ", "\"", "\\", "/", "\n", "\t", "\x01", "\x1f",
+      "\x7f", "\xc3\xa9", "\xf0\x9f\x98\x80", "key", "\\u"};
+  std::string out;
+  const auto n = rng.uniform_index(8);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    out += kPieces[rng.uniform_index(std::size(kPieces))];
+  }
+  return out;
+}
+
+double random_double(Rng& rng) {
+  using limits = std::numeric_limits<double>;
+  static const double kSpecial[] = {
+      limits::infinity(), -limits::infinity(), -0.0,   0.0,
+      limits::max(),      -limits::max(),      limits::min(),
+      limits::denorm_min(), 1e-310, 0.1, 4024.0, 1e21};
+  if (rng.bernoulli(0.4)) {
+    return kSpecial[rng.uniform_index(std::size(kSpecial))];
+  }
+  double d = 0.0;
+  do {  // any bit pattern but NaN, which dumps as null by design
+    const std::uint64_t bits = rng();
+    std::memcpy(&d, &bits, sizeof d);
+  } while (std::isnan(d));
+  return d;
+}
+
+Value random_value(Rng& rng, int depth) {
+  switch (rng.uniform_index(depth >= 4 ? 5 : 7)) {
+    case 0:
+      return Value(nullptr);
+    case 1:
+      return Value(rng.bernoulli(0.5));
+    case 2: {
+      if (rng.bernoulli(0.05)) {
+        return Value(std::numeric_limits<std::int64_t>::min());
+      }
+      const auto i =
+          static_cast<std::int64_t>(rng() >> (1 + rng.uniform_index(63)));
+      return Value(rng.bernoulli(0.5) ? i : -i);
+    }
+    case 3:
+      return Value(random_double(rng));
+    case 4:
+      return Value(random_string(rng));
+    case 5: {
+      Array elems(rng.uniform_index(5));
+      for (Value& e : elems) e = random_value(rng, depth + 1);
+      return Value(std::move(elems));
+    }
+    default: {
+      Value obj = Value::object();
+      const auto n = rng.uniform_index(5);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        obj.set(random_string(rng) + std::to_string(i),
+                random_value(rng, depth + 1));
+      }
+      return obj;
+    }
+  }
+}
+
+std::string mutate(const std::string& s, const std::string& other,
+                   Rng& rng) {
+  static const char* const kTokens[] = {
+      "1e999", "-1e999", "-0",     ".5",   "0.",   "1.e5",  "1e-400",
+      "99999999999999999999",      "[",    "]",    "{",     "}",
+      ",",     ":",      "\"",     "null", "tru",  "\\u", "\\ud800",
+      "\\uDC00", " "};
+  std::string m = s;
+  const auto at = [&] { return rng.uniform_index(m.size() + 1); };
+  switch (rng.uniform_index(5)) {
+    case 0:  // overwrite up to three bytes
+      for (int k = 0; k < 3 && !m.empty(); ++k) {
+        m[rng.uniform_index(m.size())] = static_cast<char>(rng());
+      }
+      break;
+    case 1:  // flip one bit
+      if (!m.empty()) {
+        m[rng.uniform_index(m.size())] ^=
+            static_cast<char>(1u << rng.uniform_index(8));
+      }
+      break;
+    case 2:  // truncate
+      m.resize(at());
+      break;
+    case 3:  // splice a prefix onto another document's suffix
+      m = m.substr(0, at()) +
+          other.substr(rng.uniform_index(other.size() + 1));
+      break;
+    default:  // insert a token
+      m.insert(at(), kTokens[rng.uniform_index(std::size(kTokens))]);
+  }
+  return m;
+}
+
+/// The harness property for one input.  Returns true when it parsed.
+bool check(const std::string& input) {
+  std::string error;
+  const auto v = Value::parse(input, &error);
+  if (!v) {
+    const auto at = error.rfind(" at byte ");
+    EXPECT_NE(at, std::string::npos) << error;
+    if (at != std::string::npos) {
+      EXPECT_LE(std::stoull(error.substr(at + 9)), input.size()) << error;
+    }
+    return false;
+  }
+  const std::string once = v->dump();
+  for (const std::string& text : {once, v->dump(2)}) {
+    const auto again = Value::parse(text, &error);
+    EXPECT_TRUE(again.has_value()) << text << ": " << error;
+    if (!again) continue;
+    EXPECT_EQ(again->dump(), once);
+    EXPECT_TRUE(oracle::json_equal(*again, *v)) << text;
+  }
+  return true;
+}
+
+TEST(JsonMutation, SeededInputsRoundTripOrFailWithAnOffset) {
+  std::vector<std::string> corpus;
+  const std::filesystem::path root(LEAK_SOURCE_DIR);
+  for (const auto& dir : {root / "bench" / "baselines",
+                          root / "examples" / "schedules"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() != ".json") continue;
+      ASSERT_TRUE(read_file(entry.path().string(), &corpus.emplace_back()));
+    }
+  }
+  ASSERT_EQ(corpus.size(), 15u);
+  Rng rng(20261017);
+  for (int i = 0; i < 2000; ++i) {
+    const Value v = random_value(rng, 0);
+    corpus.push_back(rng.bernoulli(0.5) ? v.dump() : v.dump(2));
+    ASSERT_TRUE(check(corpus.back())) << corpus.back();
+  }
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const int rounds = i < 15 ? 250 : 4;
+    for (int k = 0; k < rounds; ++k) {
+      const std::string& other = corpus[rng.uniform_index(corpus.size())];
+      (check(mutate(corpus[i], other, rng)) ? parsed : rejected) += 1;
+    }
+  }
+  // Both outcomes are exercised, not just one.
+  EXPECT_GT(parsed, 1000u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 }  // namespace
