@@ -200,67 +200,100 @@ int cmd_describe(const scenario::Scenario& sc,
   return 0;
 }
 
-/// Options shared by run and sweep.
-struct CliOptions {
-  std::vector<std::string> sets;
+/// Options every option-taking command shares.
+struct CommonOptions {
+  std::vector<std::string> sets;  // --set, the shorthands, --faults
+  std::string json_path;          // empty = no JSON output
+  std::string csv_path;           // empty = no CSV output
+  bool quiet = false;
+};
+
+/// Cursor over an option tail.  The readers consume the flag's value
+/// and leave a message in *error when it is missing or malformed.
+struct ArgReader {
+  const std::vector<std::string>& args;
+  std::string* error;
+  std::size_t i = 0;
+
+  const std::string* value(const char* flag) {
+    if (i + 1 >= args.size()) {
+      *error = std::string(flag) + " needs a value";
+      return nullptr;
+    }
+    return &args[++i];
+  }
+  bool value(const char* flag, std::string* slot) {
+    const auto* v = value(flag);
+    if (v != nullptr) *slot = *v;
+    return v != nullptr;
+  }
+  bool push(const char* flag, std::vector<std::string>* list) {
+    const auto* v = value(flag);
+    if (v != nullptr) list->push_back(*v);
+    return v != nullptr;
+  }
+  template <typename T>
+  bool count(const char* flag, T* slot) {
+    const auto* v = value(flag);
+    if (v == nullptr) return false;
+    const auto parsed = parse::u64(*v);
+    if (!parsed) {
+      *error = std::string(flag) + " needs a non-negative integer";
+      return false;
+    }
+    *slot = static_cast<T>(*parsed);
+    return true;
+  }
+
+  /// Parse args[i] as one of the shared options (--set, --paths /
+  /// --seed / --threads / --block, --faults, --json PATH, --csv,
+  /// --quiet); anything else is an unknown option.
+  bool common(CommonOptions* out) {
+    const std::string& a = args[i];
+    if (a == "--set") return push("--set", &out->sets);
+    if (a == "--paths" || a == "--seed" || a == "--threads" ||
+        a == "--block") {
+      const auto* v = value(a.c_str());
+      if (v != nullptr) out->sets.push_back(a.substr(2) + "=" + *v);
+      return v != nullptr;
+    }
+    if (a == "--faults") {
+      const auto* v = value("--faults");
+      return v != nullptr && push_faults_set(*v, &out->sets, error);
+    }
+    if (a == "--json") return value("--json", &out->json_path);
+    if (a == "--csv") return value("--csv", &out->csv_path);
+    if (a == "--quiet") {
+      out->quiet = true;
+      return true;
+    }
+    *error = "unknown option \"" + a + "\"";
+    return false;
+  }
+};
+
+/// Options of run and sweep.
+struct CliOptions : CommonOptions {
   std::vector<std::string> sweeps;
   std::string params_path;  // empty = no archived-params replay
-  std::string json_path;    // empty = no JSON output
-  std::string csv_path;     // empty = no CSV output
-  bool quiet = false;
   bool vary_seed = false;
   bool parallel_cells = false;
 };
 
-/// Parse the option tail; returns nullopt and prints usage on error.
+/// Parse the option tail; false with *error set on a bad option.
 bool parse_options(const std::vector<std::string>& args, bool allow_sweep,
                    CliOptions* out, std::string* error) {
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    const auto need_value = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        *error = std::string(flag) + " needs a value";
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    if (a == "--set") {
-      const auto* v = need_value("--set");
-      if (v == nullptr) return false;
-      out->sets.push_back(*v);
-    } else if (a == "--paths" || a == "--seed" || a == "--threads" ||
-               a == "--block") {
-      const auto* v = need_value(a.c_str());
-      if (v == nullptr) return false;
-      out->sets.push_back(a.substr(2) + "=" + *v);
-    } else if (a == "--faults") {
-      const auto* v = need_value("--faults");
-      if (v == nullptr) return false;
-      if (!push_faults_set(*v, &out->sets, error)) return false;
-    } else if (a == "--params" && !allow_sweep) {
-      const auto* v = need_value("--params");
-      if (v == nullptr) return false;
-      out->params_path = *v;
+  for (ArgReader r{args, error}; r.i < args.size(); ++r.i) {
+    const std::string& a = args[r.i];
+    if (a == "--params" && !allow_sweep) {
+      if (!r.value("--params", &out->params_path)) return false;
     } else if (a == "--sweep" && allow_sweep) {
-      const auto* v = need_value("--sweep");
-      if (v == nullptr) return false;
-      out->sweeps.push_back(*v);
-    } else if (a == "--json") {
-      const auto* v = need_value("--json");
-      if (v == nullptr) return false;
-      out->json_path = *v;
-    } else if (a == "--csv") {
-      const auto* v = need_value("--csv");
-      if (v == nullptr) return false;
-      out->csv_path = *v;
-    } else if (a == "--quiet") {
-      out->quiet = true;
+      if (!r.push("--sweep", &out->sweeps)) return false;
     } else if (a == "--vary-seed" && allow_sweep) {
       out->vary_seed = true;
     } else if (a == "--parallel-cells" && allow_sweep) {
       out->parallel_cells = true;
-    } else {
-      *error = "unknown option \"" + a + "\"";
+    } else if (!r.common(out)) {
       return false;
     }
   }
@@ -268,7 +301,7 @@ bool parse_options(const std::vector<std::string>& args, bool allow_sweep,
 }
 
 int emit_artifacts(const json::Value& doc, const std::string& csv,
-                   const CliOptions& opts) {
+                   const CommonOptions& opts) {
   if (!opts.json_path.empty()) {
     if (!reporting::write_json(doc, opts.json_path)) {
       return fail("cannot write " + opts.json_path);
@@ -398,87 +431,39 @@ int cmd_sweep(const scenario::Scenario& sc,
 
 // --- search command (src/search) -------------------------------------
 
-struct SearchCliOptions {
+struct SearchCliOptions : CommonOptions {
   std::string objective;
   std::vector<std::string> axes;
-  std::vector<std::string> sets;
   std::string journal_path;
-  std::string json_path;
-  std::string csv_path;
   std::size_t budget = 0;  // 0 = the resolved config's default
   std::size_t patience = 1;
   unsigned threads = 0;
   unsigned boost_percent = 40;
   bool boost_report = false;
-  bool quiet = false;
 };
 
 bool parse_search_options(const std::vector<std::string>& args,
                           SearchCliOptions* out, std::string* error) {
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    const auto need_value = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        *error = std::string(flag) + " needs a value";
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    const auto need_count = [&](const char* flag, auto* slot) {
-      const auto* v = need_value(flag);
-      if (v == nullptr) return false;
-      const auto parsed = parse::u64(*v);
-      if (!parsed) {
-        *error = std::string(flag) + " needs a non-negative integer";
-        return false;
-      }
-      *slot = static_cast<std::remove_pointer_t<decltype(slot)>>(*parsed);
-      return true;
-    };
+  for (ArgReader r{args, error}; r.i < args.size(); ++r.i) {
+    const std::string& a = args[r.i];
     if (a == "--axis") {
-      const auto* v = need_value("--axis");
-      if (v == nullptr) return false;
-      out->axes.push_back(*v);
-    } else if (a == "--set") {
-      const auto* v = need_value("--set");
-      if (v == nullptr) return false;
-      out->sets.push_back(*v);
-    } else if (a == "--paths" || a == "--seed" || a == "--threads" ||
-               a == "--block") {
-      const auto* v = need_value(a.c_str());
-      if (v == nullptr) return false;
-      out->sets.push_back(a.substr(2) + "=" + *v);
-    } else if (a == "--faults") {
-      const auto* v = need_value("--faults");
-      if (v == nullptr) return false;
-      if (!push_faults_set(*v, &out->sets, error)) return false;
+      if (!r.push("--axis", &out->axes)) return false;
     } else if (a == "--budget") {
-      if (!need_count("--budget", &out->budget)) return false;
+      if (!r.count("--budget", &out->budget)) return false;
     } else if (a == "--patience") {
-      if (!need_count("--patience", &out->patience)) return false;
+      if (!r.count("--patience", &out->patience)) return false;
     } else if (a == "--search-threads") {
-      if (!need_count("--search-threads", &out->threads)) return false;
+      if (!r.count("--search-threads", &out->threads)) return false;
     } else if (a == "--boost-percent") {
-      if (!need_count("--boost-percent", &out->boost_percent)) return false;
+      if (!r.count("--boost-percent", &out->boost_percent)) return false;
     } else if (a == "--boost-report") {
       out->boost_report = true;
     } else if (a == "--journal") {
-      const auto* v = need_value("--journal");
-      if (v == nullptr) return false;
-      out->journal_path = *v;
-    } else if (a == "--json" || a == "--out") {
-      const auto* v = need_value(a.c_str());
-      if (v == nullptr) return false;
-      out->json_path = *v;
-    } else if (a == "--csv") {
-      const auto* v = need_value("--csv");
-      if (v == nullptr) return false;
-      out->csv_path = *v;
-    } else if (a == "--quiet") {
-      out->quiet = true;
+      if (!r.value("--journal", &out->journal_path)) return false;
+    } else if (a == "--out") {
+      if (!r.value("--out", &out->json_path)) return false;
     } else if (!a.empty() && a[0] == '-') {
-      *error = "unknown option \"" + a + "\"";
-      return false;
+      if (!r.common(out)) return false;
     } else if (out->objective.empty()) {
       out->objective = a;
     } else {
@@ -546,27 +531,20 @@ int cmd_search(const scenario::ScenarioRegistry& registry,
     if (!opts.quiet) std::printf("\n%s", text.c_str());
     doc.set("boost_report", std::move(report));
   }
-  CliOptions emit;
-  emit.json_path = opts.json_path;
-  emit.csv_path = opts.csv_path;
-  return emit_artifacts(doc, result.history_to_csv(), emit);
+  return emit_artifacts(doc, result.history_to_csv(), opts);
 }
 
 // --- serve command family (src/serve) --------------------------------
 
 /// Options shared by submit/status/resume/results/serve.
-struct JobCliOptions {
-  std::vector<std::string> sets;
+struct JobCliOptions : CommonOptions {
   std::vector<std::string> sweeps;
   std::string params_path;
   std::string jobs_dir = "jobs";
-  std::string json_path;
-  std::string csv_path;
   bool vary_seed = false;
   bool canonical = false;
   bool as_json = false;  // --json with no PATH (status)
   bool once = false;
-  bool quiet = false;
   unsigned workers = 0;
   unsigned max_retries = 0;
   std::size_t max_cells = 0;
@@ -577,81 +555,32 @@ struct JobCliOptions {
 bool parse_job_options(const std::vector<std::string>& args,
                        bool json_is_flag, JobCliOptions* out,
                        std::string* error) {
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    const auto need_value = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        *error = std::string(flag) + " needs a value";
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    const auto need_count = [&](const char* flag,
-                                auto* slot) {
-      const auto* v = need_value(flag);
-      if (v == nullptr) return false;
-      const auto parsed = parse::u64(*v);
-      if (!parsed) {
-        *error = std::string(flag) + " needs a non-negative integer";
-        return false;
-      }
-      *slot = static_cast<std::remove_pointer_t<decltype(slot)>>(*parsed);
-      return true;
-    };
-    if (a == "--set") {
-      const auto* v = need_value("--set");
-      if (v == nullptr) return false;
-      out->sets.push_back(*v);
-    } else if (a == "--paths" || a == "--seed" || a == "--threads" ||
-               a == "--block") {
-      const auto* v = need_value(a.c_str());
-      if (v == nullptr) return false;
-      out->sets.push_back(a.substr(2) + "=" + *v);
-    } else if (a == "--faults") {
-      const auto* v = need_value("--faults");
-      if (v == nullptr) return false;
-      if (!push_faults_set(*v, &out->sets, error)) return false;
-    } else if (a == "--sweep") {
-      const auto* v = need_value("--sweep");
-      if (v == nullptr) return false;
-      out->sweeps.push_back(*v);
+  for (ArgReader r{args, error}; r.i < args.size(); ++r.i) {
+    const std::string& a = args[r.i];
+    if (a == "--sweep") {
+      if (!r.push("--sweep", &out->sweeps)) return false;
     } else if (a == "--params") {
-      const auto* v = need_value("--params");
-      if (v == nullptr) return false;
-      out->params_path = *v;
+      if (!r.value("--params", &out->params_path)) return false;
     } else if (a == "--jobs-dir") {
-      const auto* v = need_value("--jobs-dir");
-      if (v == nullptr) return false;
-      out->jobs_dir = *v;
+      if (!r.value("--jobs-dir", &out->jobs_dir)) return false;
     } else if (a == "--json" && json_is_flag) {
       out->as_json = true;
-    } else if (a == "--json") {
-      const auto* v = need_value("--json");
-      if (v == nullptr) return false;
-      out->json_path = *v;
-    } else if (a == "--csv") {
-      const auto* v = need_value("--csv");
-      if (v == nullptr) return false;
-      out->csv_path = *v;
     } else if (a == "--vary-seed") {
       out->vary_seed = true;
     } else if (a == "--canonical") {
       out->canonical = true;
     } else if (a == "--once") {
       out->once = true;
-    } else if (a == "--quiet") {
-      out->quiet = true;
     } else if (a == "--workers") {
-      if (!need_count("--workers", &out->workers)) return false;
+      if (!r.count("--workers", &out->workers)) return false;
     } else if (a == "--max-retries") {
-      if (!need_count("--max-retries", &out->max_retries)) return false;
+      if (!r.count("--max-retries", &out->max_retries)) return false;
     } else if (a == "--max-cells") {
-      if (!need_count("--max-cells", &out->max_cells)) return false;
+      if (!r.count("--max-cells", &out->max_cells)) return false;
     } else if (a == "--poll-ms") {
-      if (!need_count("--poll-ms", &out->poll_ms)) return false;
+      if (!r.count("--poll-ms", &out->poll_ms)) return false;
     } else if (!a.empty() && a[0] == '-') {
-      *error = "unknown option \"" + a + "\"";
-      return false;
+      if (!r.common(out)) return false;
     } else {
       out->positional.push_back(a);
     }
@@ -805,11 +734,8 @@ int cmd_results(const scenario::ScenarioRegistry& registry,
     std::printf("%s\n", merged->dump(2).c_str());
     return 0;
   }
-  CliOptions emit;
-  emit.json_path = opts.json_path;
-  emit.csv_path = opts.csv_path;
   return emit_artifacts(*merged, serve::JobService::merged_to_csv(*merged),
-                        emit);
+                        opts);
 }
 
 int cmd_serve(const scenario::ScenarioRegistry& registry,

@@ -107,6 +107,33 @@ faults::FaultSchedule resolve_schedule(const ParamSet& p,
   return faults::FaultSchedule::from_string(text);
 }
 
+/// Append the uniform fan-out params (registry.hpp): master seed,
+/// worker threads and block size, in that order.
+void add_fanout(ScenarioSpec& spec, std::int64_t seed_default,
+                std::string block_description) {
+  spec.add_int("seed", "master RNG seed", seed_default)
+      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
+      .add_int("block", std::move(block_description), 0, 0, 1e9);
+}
+
+/// The uniform paths/seed/threads/block params of a deterministic
+/// scenario, which accepts and ignores all four.
+void add_ignored_fanout(ScenarioSpec& spec) {
+  const std::string ignored = "(ignored - deterministic scenario)";
+  spec.add_int("paths", ignored, 1, 1, 1e9)
+      .add_int("seed", ignored, 0)
+      .add_int("threads", ignored, 0, 0, 1024)
+      .add_int("block", ignored, 0, 0, 1e9);
+}
+
+/// Copy the uniform fan-out params into a driver config.
+template <typename Config>
+void set_fanout(const ParamSet& p, Config* cfg) {
+  cfg->seed = static_cast<std::uint64_t>(p.get_int("seed"));
+  cfg->threads = static_cast<unsigned>(p.get_int("threads"));
+  cfg->block = static_cast<std::size_t>(p.get_int("block"));
+}
+
 // --- bouncing-mc --------------------------------------------------------
 // Figure 9 defaults: censored stake law at t = 4024, 4000 paths, seed 99.
 
@@ -122,26 +149,19 @@ void register_bouncing_mc(ScenarioRegistry& r) {
       .add_double("beta0", "Byzantine stake proportion", 0.33, 0.0, 0.5)
       .add_string("snapshots",
                   "comma-separated snapshot epochs; empty = final epoch only",
-                  "")
-      .add_int("seed", "master RNG seed", 99)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "paths per scheduled block (0 = auto)", 0, 0, 1e9);
+                  "");
+  add_fanout(spec, 99, "paths per scheduled block (0 = auto)");
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     bouncing::McConfig cfg;
     cfg.paths = static_cast<std::size_t>(p.get_int("paths"));
     cfg.epochs = static_cast<std::size_t>(p.get_int("epochs"));
     cfg.p0 = p.get_double("p0");
     cfg.beta0 = p.get_double("beta0");
-    cfg.seed = static_cast<std::uint64_t>(p.get_int("seed"));
-    cfg.threads = static_cast<unsigned>(p.get_int("threads"));
-    cfg.block = static_cast<std::size_t>(p.get_int("block"));
-    std::vector<std::size_t> snaps;
+    set_fanout(p, &cfg);
     const std::string& grid = p.get_string("snapshots");
-    if (grid.empty()) {
-      snaps = {cfg.epochs};
-    } else {
-      snaps = parse_snapshot_grid(grid, cfg.epochs);
-    }
+    const std::vector<std::size_t> snaps =
+        grid.empty() ? std::vector<std::size_t>{cfg.epochs}
+                     : parse_snapshot_grid(grid, cfg.epochs);
     const auto res = bouncing::run_bouncing_mc(cfg, snaps);
 
     Table rows({"epoch", "ejected_fraction", "capped_fraction",
@@ -185,10 +205,8 @@ void register_attack_lifetime(ScenarioRegistry& r) {
       .add_bool("stake_weighted",
                 "continuation lottery uses the current stake-weighted beta "
                 "(false = constant beta0 paper bound)",
-                true)
-      .add_int("seed", "master RNG seed", 2024)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "runs per scheduled block (0 = auto)", 0, 0, 1e9);
+                true);
+  add_fanout(spec, 2024, "runs per scheduled block (0 = auto)");
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     bouncing::AttackSimConfig cfg;
     cfg.runs = static_cast<std::size_t>(p.get_int("paths"));
@@ -199,9 +217,7 @@ void register_attack_lifetime(ScenarioRegistry& r) {
         static_cast<std::size_t>(p.get_int("honest_validators"));
     cfg.max_epochs = static_cast<std::size_t>(p.get_int("max_epochs"));
     cfg.stake_weighted_lottery = p.get_bool("stake_weighted");
-    cfg.seed = static_cast<std::uint64_t>(p.get_int("seed"));
-    cfg.threads = static_cast<unsigned>(p.get_int("threads"));
-    cfg.block = static_cast<std::size_t>(p.get_int("block"));
+    set_fanout(p, &cfg);
     const auto res = bouncing::run_attack_sim(cfg);
 
     out->add_metric("prob_threshold_broken", res.prob_threshold_broken);
@@ -212,14 +228,12 @@ void register_attack_lifetime(ScenarioRegistry& r) {
         "expected_duration_const_beta",
         bouncing::expected_duration_constant_beta(cfg.beta0, cfg.j));
     RunningStats durations;
-    for (const auto d : res.durations) {
-      durations.add(static_cast<double>(d));
-    }
-    out->add_stats("duration", durations);
     Table rows({"run", "duration"});
     for (std::size_t i = 0; i < res.durations.size(); ++i) {
+      durations.add(static_cast<double>(res.durations[i]));
       rows.add_row({std::to_string(i), std::to_string(res.durations[i])});
     }
+    out->add_stats("duration", durations);
     out->trials = std::move(rows);
   });
 }
@@ -236,10 +250,8 @@ void register_population_ensemble(ScenarioRegistry& r) {
       .add_int("honest_validators", "honest validators per run", 200, 1, 1e6)
       .add_int("epochs", "horizon in epochs", 6000, 1, 1e7)
       .add_double("p0", "honest branch-assignment probability", 0.5, 0.0, 1.0)
-      .add_double("beta0", "Byzantine stake proportion", 0.33, 0.0, 0.5)
-      .add_int("seed", "master RNG seed", 11)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "paths per scheduled block (0 = auto)", 0, 0, 1e9);
+      .add_double("beta0", "Byzantine stake proportion", 0.33, 0.0, 0.5);
+  add_fanout(spec, 11, "paths per scheduled block (0 = auto)");
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     bouncing::PopulationEnsembleConfig cfg;
     cfg.base.honest_validators =
@@ -267,6 +279,76 @@ void register_population_ensemble(ScenarioRegistry& r) {
   });
 }
 
+// --- partition family ---------------------------------------------------
+// The epoch-granular partition scenarios share their population,
+// strategy, horizon and fan-out params; each builds its own knob
+// schedule, which a non-empty `faults` param supersedes.
+
+/// Trials config from the shared partition params.  Every knob path
+/// compiles to fault windows too, so every run exercises the
+/// FaultDriver and the baselines pin its bit-identity.
+sim::PartitionTrialsConfig partition_config(const ParamSet& p,
+                                            faults::FaultSchedule fallback) {
+  sim::PartitionTrialsConfig cfg;
+  cfg.base.n_validators =
+      static_cast<std::uint32_t>(p.get_int("n_validators"));
+  cfg.base.beta0 = p.get_double("beta0");
+  cfg.base.strategy = strategy_from_name(p.get_string("strategy"));
+  cfg.base.max_epochs = static_cast<std::size_t>(p.get_int("max_epochs"));
+  // Trajectories are per-epoch bulk the trials never read; sample at
+  // the horizon only.
+  cfg.base.trajectory_stride = cfg.base.max_epochs;
+  faults::compile_partition(resolve_schedule(p, std::move(fallback)),
+                            &cfg.base);
+  cfg.trials = static_cast<std::size_t>(p.get_int("paths"));
+  set_fanout(p, &cfg);
+  return cfg;
+}
+
+void add_conflict_metrics(const sim::PartitionTrialsResult& res,
+                          ScenarioResult* out) {
+  out->add_metric("conflicting_fraction", res.conflicting_fraction);
+  out->add_metric("beta_exceeded_fraction", res.beta_exceeded_fraction);
+  out->add_metric("mean_conflict_epoch", res.mean_conflict_epoch);
+}
+
+/// The healing scenarios' shared run: the randomized-split trials and
+/// the deterministic even-split run, whose homogeneous classes the
+/// caller cross-checks against analytic::recovery.  Writes the shared
+/// metrics, the beta_peak / residual_loss_eth stats and the per-trial
+/// rows; returns the deterministic run.
+sim::PartitionSimResult run_healing(const sim::PartitionTrialsConfig& cfg,
+                                    ScenarioResult* out) {
+  const auto res = sim::run_partition_trials(cfg);
+  add_conflict_metrics(res, out);
+  out->add_metric("recovered_fraction", res.recovered_fraction);
+  out->add_metric("mean_residual_loss_eth", res.mean_residual_loss_eth);
+  out->add_metric("mean_recovery_epoch", res.mean_recovery_epoch);
+
+  auto det = sim::run_partition_sim(cfg.base);
+  out->add_metric("det_heal_complete_epoch",
+                  static_cast<double>(det.heal_complete_epoch));
+  out->add_metric("det_recovery_complete_epoch",
+                  static_cast<double>(det.recovery_complete_epoch));
+  out->add_metric("det_residual_loss_total_eth", det.residual_loss_total_eth);
+
+  RunningStats peaks, losses;
+  Table rows({"trial", "conflict_epoch", "beta_peak", "residual_loss_eth",
+              "recovery_epoch"});
+  for (std::size_t i = 0; i < res.conflict_epochs.size(); ++i) {
+    peaks.add(res.beta_peaks[i]);
+    losses.add(res.residual_losses_eth[i]);
+    rows.add_row({std::to_string(i), std::to_string(res.conflict_epochs[i]),
+                  Table::fmt_exact(res.beta_peaks[i]),
+                  Table::fmt_exact(res.residual_losses_eth[i]),
+                  std::to_string(res.recovery_epochs[i])});
+  }
+  out->add_stats("beta_peak", peaks);
+  out->add_stats("residual_loss_eth", losses);
+  out->trials = std::move(rows);
+  return det;
+}
+
 // --- partition-trials ---------------------------------------------------
 // Defaults match the Table 1 end-to-end verification row: 32 random
 // honest splits of the Section 5.1 scenario (400 validators, honest,
@@ -285,37 +367,16 @@ void register_partition_trials(ScenarioRegistry& r) {
       .add_double("p0", "honest proportion on branch 1", 0.5, 0.0, 1.0)
       .add_string("strategy", "Byzantine strategy during the partition",
                   "honest", {"honest", "slashable", "semiactive", "overthrow"})
-      .add_int("max_epochs", "horizon in epochs", 5000, 1, 1e7)
-      .add_int("seed", "master RNG seed", 2024)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "trials per scheduled block (0 = auto)", 0, 0, 1e9);
+      .add_int("max_epochs", "horizon in epochs", 5000, 1, 1e7);
+  add_fanout(spec, 2024, "trials per scheduled block (0 = auto)");
   add_faults_param(spec);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
-    sim::PartitionTrialsConfig cfg;
-    cfg.base.n_validators =
-        static_cast<std::uint32_t>(p.get_int("n_validators"));
-    cfg.base.beta0 = p.get_double("beta0");
+    auto cfg =
+        partition_config(p, faults::FaultSchedule::legacy_partition(2, 0, 0));
     cfg.base.p0 = p.get_double("p0");
-    cfg.base.strategy = strategy_from_name(p.get_string("strategy"));
-    cfg.base.max_epochs = static_cast<std::size_t>(p.get_int("max_epochs"));
-    // Trajectories are per-epoch bulk the trials never read; sample at
-    // the horizon only.
-    cfg.base.trajectory_stride = cfg.base.max_epochs;
-    // Always route through the compiled fault schedule (the knob path
-    // compiles to the same two-branch window), so every run exercises
-    // the FaultDriver and the baselines pin its bit-identity.
-    faults::compile_partition(
-        resolve_schedule(p, faults::FaultSchedule::legacy_partition(2, 0, 0)),
-        &cfg.base);
-    cfg.trials = static_cast<std::size_t>(p.get_int("paths"));
-    cfg.seed = static_cast<std::uint64_t>(p.get_int("seed"));
-    cfg.threads = static_cast<unsigned>(p.get_int("threads"));
-    cfg.block = static_cast<std::size_t>(p.get_int("block"));
     const auto res = sim::run_partition_trials(cfg);
 
-    out->add_metric("conflicting_fraction", res.conflicting_fraction);
-    out->add_metric("beta_exceeded_fraction", res.beta_exceeded_fraction);
-    out->add_metric("mean_conflict_epoch", res.mean_conflict_epoch);
+    add_conflict_metrics(res, out);
     RunningStats peaks;
     Table rows({"trial", "conflict_epoch", "beta_peak"});
     for (std::size_t i = 0; i < res.conflict_epochs.size(); ++i) {
@@ -340,11 +401,8 @@ void register_duty_cycle(ScenarioRegistry& r) {
       .add_double("t_eval", "epoch at which to evaluate the stake", 1000.0,
                   1.0, 1e7)
       .add_double("beta0", "Byzantine proportion for the m-branch bounds",
-                  0.33, 0.0, 0.5)
-      .add_int("paths", "(ignored - deterministic scenario)", 1, 1, 1e9)
-      .add_int("seed", "(ignored - deterministic scenario)", 0)
-      .add_int("threads", "(ignored - deterministic scenario)", 0, 0, 1024)
-      .add_int("block", "(ignored - deterministic scenario)", 0, 0, 1e9);
+                  0.33, 0.0, 0.5);
+  add_ignored_fanout(spec);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     const auto cfg = analytic::AnalyticConfig::paper();
     const auto k_max = static_cast<unsigned>(p.get_int("k_max"));
@@ -392,11 +450,8 @@ void register_recovery(ScenarioRegistry& r) {
       "Post-leak recovery tail (Figure 3 discussion): score decay after "
       "finalization resumes and the residual stake lost, closed form vs "
       "exact discrete recurrence; deterministic, paths/seed ignored");
-  spec.add_double("t_end", "epoch at which the leak ends", 500.0, 1.0, 1e7)
-      .add_int("paths", "(ignored - deterministic scenario)", 1, 1, 1e9)
-      .add_int("seed", "(ignored - deterministic scenario)", 0)
-      .add_int("threads", "(ignored - deterministic scenario)", 0, 0, 1024)
-      .add_int("block", "(ignored - deterministic scenario)", 0, 0, 1e9);
+  spec.add_double("t_end", "epoch at which the leak ends", 500.0, 1.0, 1e7);
+  add_ignored_fanout(spec);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     const auto cfg = analytic::AnalyticConfig::paper();
     const double t_end = p.get_double("t_end");
@@ -442,20 +497,32 @@ std::vector<sim::SlotSimResult> run_slot_trials(
   return trials;
 }
 
-// --- slot-protocol ------------------------------------------------------
+/// Base config from the params every slot scenario shares; each
+/// caller adds its own knobs (the region split, release timing or
+/// weather).
+sim::SlotSimConfig slot_config(const ParamSet& p) {
+  sim::SlotSimConfig base;
+  base.n_honest = static_cast<std::uint32_t>(p.get_int("n_honest"));
+  base.n_byzantine = static_cast<std::uint32_t>(p.get_int("n_byzantine"));
+  base.epochs = static_cast<std::size_t>(p.get_int("epochs"));
+  base.delta = p.get_double("delta");
+  base.proposer_boost = static_cast<unsigned>(p.get_int("proposer_boost"));
+  return base;
+}
 
-void register_slot_protocol(ScenarioRegistry& r) {
-  ScenarioSpec spec(
-      "slot-protocol",
-      "Full slot-level protocol simulation (proposers, gossip, "
-      "LMD-GHOST, FFG, slashing): N independent seeds through the "
-      "trial runner, measuring finality progress, safety violations, "
-      "and slashing detection");
-  spec.add_int("paths", "independent simulation trials", 4, 1, 1e6)
+/// The params slot-protocol and flaky-network share: trial count,
+/// validator set, the two-region split healing at gst_epoch, delay
+/// bound and proposer boost.  balancing-attack has no region split and
+/// declares its own.
+ScenarioSpec& add_region_slot_params(ScenarioSpec& spec,
+                                     std::int64_t paths_default,
+                                     std::int64_t epochs_default) {
+  spec.add_int("paths", "independent simulation trials", paths_default, 1,
+               1e6)
       .add_int("n_honest", "honest validators", 32, 1, 4096)
       .add_int("n_byzantine", "Byzantine (equivocating) validators", 0, 0,
                4096)
-      .add_int("epochs", "horizon in epochs", 8, 1, 256)
+      .add_int("epochs", "horizon in epochs", epochs_default, 1, 256)
       .add_double("p0", "honest fraction assigned to region one", 1.0, 0.0,
                   1.0)
       .add_double("gst_epoch",
@@ -465,42 +532,51 @@ void register_slot_protocol(ScenarioRegistry& r) {
                   sim::kMinDelay, 60.0)
       .add_int("proposer_boost",
                "fork-choice proposer-boost percent (0 = off, mainnet 40)", 0,
-               0, 100)
-      .add_int("seed", "master RNG seed", 1)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block",
-               "trials per scheduled block (0 = one trial per block)", 0,
-               0, 1e9);
+               0, 100);
+  return spec;
+}
+
+/// Fraction of the slot trials in which validator 0 saw the leak.
+double leak_fraction(const std::vector<sim::SlotSimResult>& trials) {
+  const auto leaks = std::count_if(
+      trials.begin(), trials.end(),
+      [](const sim::SlotSimResult& t) { return t.leak_observed; });
+  return static_cast<double>(leaks) / static_cast<double>(trials.size());
+}
+
+/// Validator 0's entry of a per-validator epoch vector, 0 when empty.
+std::uint64_t first_or_zero(const std::vector<std::uint64_t>& epochs) {
+  return epochs.empty() ? 0 : epochs.front();
+}
+
+// --- slot-protocol ------------------------------------------------------
+
+void register_slot_protocol(ScenarioRegistry& r) {
+  ScenarioSpec spec(
+      "slot-protocol",
+      "Full slot-level protocol simulation (proposers, gossip, "
+      "LMD-GHOST, FFG, slashing): N independent seeds through the "
+      "trial runner, measuring finality progress, safety violations, "
+      "and slashing detection");
+  add_region_slot_params(spec, 4, 8);
+  add_fanout(spec, 1, "trials per scheduled block (0 = one trial per block)");
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
-    sim::SlotSimConfig base;
-    base.n_honest = static_cast<std::uint32_t>(p.get_int("n_honest"));
-    base.n_byzantine = static_cast<std::uint32_t>(p.get_int("n_byzantine"));
-    base.epochs = static_cast<std::size_t>(p.get_int("epochs"));
+    sim::SlotSimConfig base = slot_config(p);
     base.p0 = p.get_double("p0");
     base.gst_epoch = p.get_double("gst_epoch");
-    base.delta = p.get_double("delta");
-    base.proposer_boost = static_cast<unsigned>(p.get_int("proposer_boost"));
     const std::vector<sim::SlotSimResult> trials = run_slot_trials(base, p);
 
     RunningStats finalized, violations, slashed, messages;
-    std::size_t leaks = 0;
     Table rows({"trial", "finalized_epoch", "justified_epoch",
                 "safety_violations", "slashed", "messages", "leak_observed"});
     for (std::size_t i = 0; i < trials.size(); ++i) {
       const auto& t = trials[i];
-      const double fin =
-          t.finalized_epoch.empty()
-              ? 0.0
-              : static_cast<double>(t.finalized_epoch.front());
-      const double just =
-          t.justified_epoch.empty()
-              ? 0.0
-              : static_cast<double>(t.justified_epoch.front());
+      const auto fin = static_cast<double>(first_or_zero(t.finalized_epoch));
+      const auto just = static_cast<double>(first_or_zero(t.justified_epoch));
       finalized.add(fin);
       violations.add(static_cast<double>(t.safety_violations));
       slashed.add(static_cast<double>(t.slashed.size()));
       messages.add(static_cast<double>(t.messages_delivered));
-      if (t.leak_observed) ++leaks;
       rows.add_row({std::to_string(i), Table::fmt_exact(fin),
                     Table::fmt_exact(just),
                     std::to_string(t.safety_violations),
@@ -512,10 +588,7 @@ void register_slot_protocol(ScenarioRegistry& r) {
     out->add_metric("mean_safety_violations", violations.mean());
     out->add_metric("mean_slashed", slashed.mean());
     out->add_metric("mean_messages", messages.mean());
-    out->add_metric("leak_observed_fraction",
-                    trials.empty() ? 0.0
-                                   : static_cast<double>(leaks) /
-                                         static_cast<double>(trials.size()));
+    out->add_metric("leak_observed_fraction", leak_fraction(trials));
     out->add_stats("finalized_epoch", finalized);
     out->trials = std::move(rows);
   });
@@ -550,28 +623,18 @@ void register_balancing_attack(ScenarioRegistry& r) {
                   0.1, 0.0, 8.0)
       .add_int("proposer_boost",
                "fork-choice proposer-boost percent (0 = off, mainnet 40)", 0,
-               0, 100)
-      .add_int("seed", "master RNG seed", 42)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block",
-               "trials per scheduled block (0 = one trial per block)", 0,
-               0, 1e9);
+               0, 100);
+  add_fanout(spec, 42, "trials per scheduled block (0 = one trial per block)");
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
-    sim::SlotSimConfig base;
-    base.n_honest = static_cast<std::uint32_t>(p.get_int("n_honest"));
-    base.n_byzantine = static_cast<std::uint32_t>(p.get_int("n_byzantine"));
-    base.epochs = static_cast<std::size_t>(p.get_int("epochs"));
-    base.delta = p.get_double("delta");
+    sim::SlotSimConfig base = slot_config(p);
     base.release_delay = p.get_double("release_delay");
     base.cross_delay = p.get_double("cross_delay");
-    base.proposer_boost = static_cast<unsigned>(p.get_int("proposer_boost"));
     base.proposer_strategy = sim::ProposerStrategy::kBalancing;
     const std::vector<sim::SlotSimResult> trials = run_slot_trials(base, p);
 
     const double leak_trigger = static_cast<double>(
         base.spec.min_epochs_to_inactivity_penalty);
     RunningStats stalls, finalized, equivocations;
-    std::size_t leaks = 0;
     std::size_t exceeds_trigger = 0;
     double stalled_fraction_sum = 0.0;
     Table rows({"trial", "finality_stall_epochs", "finalized_epoch",
@@ -581,11 +644,9 @@ void register_balancing_attack(ScenarioRegistry& r) {
       const auto& t = trials[i];
       const double stall = static_cast<double>(t.finality_stall_epochs);
       stalls.add(stall);
-      finalized.add(t.finalized_epoch.empty()
-                        ? 0.0
-                        : static_cast<double>(t.finalized_epoch.front()));
+      const std::uint64_t fin_epoch = first_or_zero(t.finalized_epoch);
+      finalized.add(static_cast<double>(fin_epoch));
       equivocations.add(static_cast<double>(t.equivocating_proposals));
-      if (t.leak_observed) ++leaks;
       if (stall > leak_trigger) ++exceeds_trigger;
       // Fraction of epoch boundaries without finality progress.
       std::size_t stalled = 0;
@@ -603,9 +664,7 @@ void register_balancing_attack(ScenarioRegistry& r) {
               : static_cast<double>(stalled) /
                     static_cast<double>(t.finalized_epoch_trajectory.size());
       rows.add_row({std::to_string(i), Table::fmt_exact(stall),
-                    std::to_string(t.finalized_epoch.empty()
-                                       ? 0
-                                       : t.finalized_epoch.front()),
+                    std::to_string(fin_epoch),
                     std::to_string(t.equivocating_proposals),
                     t.leak_observed ? "true" : "false",
                     std::to_string(t.safety_violations)});
@@ -616,8 +675,7 @@ void register_balancing_attack(ScenarioRegistry& r) {
     out->add_metric("stalled_epoch_fraction", stalled_fraction_sum / n);
     out->add_metric("mean_finalized_epoch", finalized.mean());
     out->add_metric("mean_equivocating_proposals", equivocations.mean());
-    out->add_metric("leak_observed_fraction",
-                    static_cast<double>(leaks) / n);
+    out->add_metric("leak_observed_fraction", leak_fraction(trials));
     out->add_metric("leak_trigger_epochs", leak_trigger);
     out->add_metric("stall_exceeds_leak_trigger_fraction",
                     static_cast<double>(exceeds_trigger) / n);
@@ -644,10 +702,8 @@ void register_semiactive_sweep(ScenarioRegistry& r) {
       .add_double("beta0", "Byzantine stake proportion", 0.33, 0.0, 0.5)
       .add_int("paths", "Monte Carlo paths for the cross-check", 2000, 1,
                1e9)
-      .add_int("epochs", "Monte Carlo horizon in epochs", 4024, 4, 1e7)
-      .add_int("seed", "master RNG seed", 7)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "paths per scheduled block (0 = auto)", 0, 0, 1e9);
+      .add_int("epochs", "Monte Carlo horizon in epochs", 4024, 4, 1e7);
+  add_fanout(spec, 7, "paths per scheduled block (0 = auto)");
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     const auto cfg = analytic::AnalyticConfig::paper();
     const auto m = static_cast<unsigned>(p.get_int("branches"));
@@ -674,9 +730,7 @@ void register_semiactive_sweep(ScenarioRegistry& r) {
     mc.beta0 = beta0;
     mc.paths = static_cast<std::size_t>(p.get_int("paths"));
     mc.epochs = static_cast<std::size_t>(p.get_int("epochs"));
-    mc.seed = static_cast<std::uint64_t>(p.get_int("seed"));
-    mc.threads = static_cast<unsigned>(p.get_int("threads"));
-    mc.block = static_cast<std::size_t>(p.get_int("block"));
+    set_fanout(p, &mc);
     mc.keep_paths = false;  // summaries only
     std::vector<std::size_t> snaps;
     for (const std::size_t q : {1ul, 2ul, 3ul, 4ul}) {
@@ -737,56 +791,23 @@ void register_multi_partition_recovery(ScenarioRegistry& r) {
                2000, 0, 1e7)
       .add_int("heal_stagger", "epochs between successive pairwise heals",
                500, 0, 1e7)
-      .add_int("max_epochs", "horizon in epochs", 8000, 1, 1e7)
-      .add_int("seed", "master RNG seed", 2024)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "trials per scheduled block (0 = auto)", 0, 0, 1e9);
+      .add_int("max_epochs", "horizon in epochs", 8000, 1, 1e7);
+  add_fanout(spec, 2024, "trials per scheduled block (0 = auto)");
   add_faults_param(spec);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
-    sim::PartitionTrialsConfig cfg;
-    cfg.base.n_validators =
-        static_cast<std::uint32_t>(p.get_int("n_validators"));
-    cfg.base.beta0 = p.get_double("beta0");
-    cfg.base.p0 = p.get_double("p0");
-    cfg.base.strategy = strategy_from_name(p.get_string("strategy"));
     // The heal knobs compile to a schedule (branch b heals at
-    // heal_epoch + (b-1) * heal_stagger) so the run always goes through
-    // the FaultDriver; a non-empty `faults` schedule supersedes
-    // branches/heal_epoch/heal_stagger entirely.
-    faults::compile_partition(
-        resolve_schedule(
-            p, faults::FaultSchedule::legacy_partition(
-                   static_cast<std::uint32_t>(p.get_int("branches")),
-                   static_cast<std::size_t>(p.get_int("heal_epoch")),
-                   static_cast<std::size_t>(p.get_int("heal_stagger")))),
-        &cfg.base);
-    cfg.base.max_epochs = static_cast<std::size_t>(p.get_int("max_epochs"));
-    // Trajectories are per-epoch bulk the trials never read; sample at
-    // the horizon only.
-    cfg.base.trajectory_stride = cfg.base.max_epochs;
-    cfg.trials = static_cast<std::size_t>(p.get_int("paths"));
-    cfg.seed = static_cast<std::uint64_t>(p.get_int("seed"));
-    cfg.threads = static_cast<unsigned>(p.get_int("threads"));
-    cfg.block = static_cast<std::size_t>(p.get_int("block"));
-    const auto res = sim::run_partition_trials(cfg);
-
-    out->add_metric("conflicting_fraction", res.conflicting_fraction);
-    out->add_metric("beta_exceeded_fraction", res.beta_exceeded_fraction);
-    out->add_metric("mean_conflict_epoch", res.mean_conflict_epoch);
-    out->add_metric("recovered_fraction", res.recovered_fraction);
-    out->add_metric("mean_residual_loss_eth", res.mean_residual_loss_eth);
-    out->add_metric("mean_recovery_epoch", res.mean_recovery_epoch);
-
+    // heal_epoch + (b-1) * heal_stagger); a non-empty `faults` schedule
+    // supersedes branches/heal_epoch/heal_stagger entirely.
+    auto cfg = partition_config(
+        p, faults::FaultSchedule::legacy_partition(
+               static_cast<std::uint32_t>(p.get_int("branches")),
+               static_cast<std::size_t>(p.get_int("heal_epoch")),
+               static_cast<std::size_t>(p.get_int("heal_stagger"))));
+    cfg.base.p0 = p.get_double("p0");
     // Deterministic closed-form cross-check: the even-split run's
     // homogeneous classes let analytic::residual_loss be compared
     // per validator against the sim's exact-arithmetic recovery tail.
-    const auto det = sim::run_partition_sim(cfg.base);
-    out->add_metric("det_heal_complete_epoch",
-                    static_cast<double>(det.heal_complete_epoch));
-    out->add_metric("det_recovery_complete_epoch",
-                    static_cast<double>(det.recovery_complete_epoch));
-    out->add_metric("det_residual_loss_total_eth",
-                    det.residual_loss_total_eth);
+    const auto det = run_healing(cfg, out);
     const sim::RecoveryOutcome* worst = nullptr;
     for (const auto& rec : det.recovery) {
       // Only classes whose recovery finished inside the horizon have a
@@ -808,22 +829,6 @@ void register_multi_partition_recovery(ScenarioRegistry& r) {
       out->add_metric("det_recovery_closed_form_abs_err",
                       std::fabs(closed - worst->residual_loss_eth));
     }
-
-    RunningStats peaks;
-    Table rows({"trial", "conflict_epoch", "beta_peak", "residual_loss_eth",
-                "recovery_epoch"});
-    for (std::size_t i = 0; i < res.conflict_epochs.size(); ++i) {
-      peaks.add(res.beta_peaks[i]);
-      rows.add_row({std::to_string(i), std::to_string(res.conflict_epochs[i]),
-                    Table::fmt_exact(res.beta_peaks[i]),
-                    Table::fmt_exact(res.residual_losses_eth[i]),
-                    std::to_string(res.recovery_epochs[i])});
-    }
-    out->add_stats("beta_peak", peaks);
-    RunningStats losses;
-    for (const double l : res.residual_losses_eth) losses.add(l);
-    out->add_stats("residual_loss_eth", losses);
-    out->trials = std::move(rows);
   });
 }
 
@@ -853,51 +858,21 @@ void register_cascading_partitions(ScenarioRegistry& r) {
                2500, 0, 1e7)
       .add_int("heal_stagger", "epochs between successive pairwise heals",
                500, 0, 1e7)
-      .add_int("max_epochs", "horizon in epochs", 9000, 1, 1e7)
-      .add_int("seed", "master RNG seed", 2024)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", "trials per scheduled block (0 = auto)", 0, 0, 1e9);
+      .add_int("max_epochs", "horizon in epochs", 9000, 1, 1e7);
+  add_fanout(spec, 2024, "trials per scheduled block (0 = auto)");
   add_faults_param(spec);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
-    sim::PartitionTrialsConfig cfg;
-    cfg.base.n_validators =
-        static_cast<std::uint32_t>(p.get_int("n_validators"));
-    cfg.base.beta0 = p.get_double("beta0");
-    cfg.base.strategy = strategy_from_name(p.get_string("strategy"));
-    cfg.base.max_epochs = static_cast<std::size_t>(p.get_int("max_epochs"));
-    cfg.base.trajectory_stride = cfg.base.max_epochs;
-    faults::compile_partition(
-        resolve_schedule(
-            p, faults::FaultSchedule::staggered_partition(
-                   static_cast<std::uint32_t>(p.get_int("branches")),
-                   static_cast<std::size_t>(p.get_int("open_stagger")),
-                   static_cast<std::size_t>(p.get_int("heal_epoch")),
-                   static_cast<std::size_t>(p.get_int("heal_stagger")))),
-        &cfg.base);
-    cfg.trials = static_cast<std::size_t>(p.get_int("paths"));
-    cfg.seed = static_cast<std::uint64_t>(p.get_int("seed"));
-    cfg.threads = static_cast<unsigned>(p.get_int("threads"));
-    cfg.block = static_cast<std::size_t>(p.get_int("block"));
-    const auto res = sim::run_partition_trials(cfg);
-
-    out->add_metric("conflicting_fraction", res.conflicting_fraction);
-    out->add_metric("beta_exceeded_fraction", res.beta_exceeded_fraction);
-    out->add_metric("mean_conflict_epoch", res.mean_conflict_epoch);
-    out->add_metric("recovered_fraction", res.recovered_fraction);
-    out->add_metric("mean_residual_loss_eth", res.mean_residual_loss_eth);
-    out->add_metric("mean_recovery_epoch", res.mean_recovery_epoch);
-
+    const auto cfg = partition_config(
+        p, faults::FaultSchedule::staggered_partition(
+               static_cast<std::uint32_t>(p.get_int("branches")),
+               static_cast<std::size_t>(p.get_int("open_stagger")),
+               static_cast<std::size_t>(p.get_int("heal_epoch")),
+               static_cast<std::size_t>(p.get_int("heal_stagger"))));
     // Per-episode analytic cross-check: the deterministic even-split
     // run yields one homogeneous class per healed branch, so each
     // class's exact-arithmetic recovery tail can be compared against
     // both recovery models class by class.
-    const auto det = sim::run_partition_sim(cfg.base);
-    out->add_metric("det_heal_complete_epoch",
-                    static_cast<double>(det.heal_complete_epoch));
-    out->add_metric("det_recovery_complete_epoch",
-                    static_cast<double>(det.recovery_complete_epoch));
-    out->add_metric("det_residual_loss_total_eth",
-                    det.residual_loss_total_eth);
+    const auto det = run_healing(cfg, out);
     const auto acfg = analytic::AnalyticConfig::paper();
     std::size_t healed_classes = 0;
     double max_discrete_rel_err = 0.0;
@@ -929,22 +904,6 @@ void register_cascading_partitions(ScenarioRegistry& r) {
     out->add_metric("healed_classes", static_cast<double>(healed_classes));
     out->add_metric("max_class_discrete_rel_err", max_discrete_rel_err);
     out->add_metric("max_class_closed_rel_err", max_closed_rel_err);
-
-    RunningStats peaks;
-    Table rows({"trial", "conflict_epoch", "beta_peak", "residual_loss_eth",
-                "recovery_epoch"});
-    for (std::size_t i = 0; i < res.conflict_epochs.size(); ++i) {
-      peaks.add(res.beta_peaks[i]);
-      rows.add_row({std::to_string(i), std::to_string(res.conflict_epochs[i]),
-                    Table::fmt_exact(res.beta_peaks[i]),
-                    Table::fmt_exact(res.residual_losses_eth[i]),
-                    std::to_string(res.recovery_epochs[i])});
-    }
-    out->add_stats("beta_peak", peaks);
-    RunningStats losses;
-    for (const double l : res.residual_losses_eth) losses.add(l);
-    out->add_stats("residual_loss_eth", losses);
-    out->trials = std::move(rows);
   });
 }
 
@@ -961,21 +920,7 @@ void register_flaky_network(ScenarioRegistry& r) {
       "dedicated weather RNG lane (legacy delivery stream untouched), "
       "measuring finality stalls, message loss, and the leak trigger; "
       "sweep latency_factor x loss_drop");
-  spec.add_int("paths", "independent simulation trials", 8, 1, 1e6)
-      .add_int("n_honest", "honest validators", 32, 1, 4096)
-      .add_int("n_byzantine", "Byzantine (equivocating) validators", 0, 0,
-               4096)
-      .add_int("epochs", "horizon in epochs", 10, 1, 256)
-      .add_double("p0", "honest fraction assigned to region one", 1.0, 0.0,
-                  1.0)
-      .add_double("gst_epoch",
-                  "epoch at which the partition heals (0 = no partition)",
-                  0.0, 0.0, 1e6)
-      .add_double("delta", "network delay bound in seconds", 1.0,
-                  sim::kMinDelay, 60.0)
-      .add_int("proposer_boost",
-               "fork-choice proposer-boost percent (0 = off, mainnet 40)", 0,
-               0, 100)
+  add_region_slot_params(spec, 8, 10)
       .add_double("latency_factor",
                   "jitter stretch on matching links while the latency "
                   "episode is active (1 = off)",
@@ -993,22 +938,13 @@ void register_flaky_network(ScenarioRegistry& r) {
       .add_int("loss_span_epochs",
                "loss episode length in epochs (0 = no episode)", 2, 0, 256)
       .add_string("loss_link", "links the loss episode afflicts", "all",
-                  {"all", "intra", "cross"})
-      .add_int("seed", "master RNG seed", 7)
-      .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block",
-               "trials per scheduled block (0 = one trial per block)", 0,
-               0, 1e9);
+                  {"all", "intra", "cross"});
+  add_fanout(spec, 7, "trials per scheduled block (0 = one trial per block)");
   add_faults_param(spec);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
-    sim::SlotSimConfig base;
-    base.n_honest = static_cast<std::uint32_t>(p.get_int("n_honest"));
-    base.n_byzantine = static_cast<std::uint32_t>(p.get_int("n_byzantine"));
-    base.epochs = static_cast<std::size_t>(p.get_int("epochs"));
+    sim::SlotSimConfig base = slot_config(p);
     base.p0 = p.get_double("p0");
     base.gst_epoch = p.get_double("gst_epoch");
-    base.delta = p.get_double("delta");
-    base.proposer_boost = static_cast<unsigned>(p.get_int("proposer_boost"));
 
     // Build the weather timeline from the episode knobs (or take the
     // `faults` schedule verbatim) and compile it to per-link episodes
@@ -1035,8 +971,7 @@ void register_flaky_network(ScenarioRegistry& r) {
                         const faults::FaultEvent& b) {
                        return faults::event_start(a) < faults::event_start(b);
                      });
-    const faults::FaultSchedule sched =
-        resolve_schedule(p, std::move(knobs));
+    const faults::FaultSchedule sched = resolve_schedule(p, std::move(knobs));
     net::NetworkConfig weather;
     weather.num_nodes = 1;  // scratch: only the episode vectors are read
     faults::apply_network(
@@ -1048,17 +983,13 @@ void register_flaky_network(ScenarioRegistry& r) {
     const std::vector<sim::SlotSimResult> trials = run_slot_trials(base, p);
 
     RunningStats finalized, stalls, delivered, dropped;
-    std::size_t leaks = 0;
     double dropped_sum = 0.0;
     double sent_to_drop_sum = 0.0;
     Table rows({"trial", "finalized_epoch", "finality_stall_epochs",
                 "messages_delivered", "messages_dropped", "leak_observed"});
     for (std::size_t i = 0; i < trials.size(); ++i) {
       const auto& t = trials[i];
-      const double fin =
-          t.finalized_epoch.empty()
-              ? 0.0
-              : static_cast<double>(t.finalized_epoch.front());
+      const auto fin = static_cast<double>(first_or_zero(t.finalized_epoch));
       finalized.add(fin);
       stalls.add(static_cast<double>(t.finality_stall_epochs));
       delivered.add(static_cast<double>(t.messages_delivered));
@@ -1066,14 +997,12 @@ void register_flaky_network(ScenarioRegistry& r) {
       dropped_sum += static_cast<double>(t.messages_dropped);
       sent_to_drop_sum += static_cast<double>(t.messages_dropped) +
                           static_cast<double>(t.messages_delivered);
-      if (t.leak_observed) ++leaks;
       rows.add_row({std::to_string(i), Table::fmt_exact(fin),
                     std::to_string(t.finality_stall_epochs),
                     std::to_string(t.messages_delivered),
                     std::to_string(t.messages_dropped),
                     t.leak_observed ? "true" : "false"});
     }
-    const double n = trials.empty() ? 1.0 : static_cast<double>(trials.size());
     out->add_metric("mean_finalized_epoch", finalized.mean());
     out->add_metric("mean_finality_stall_epochs", stalls.mean());
     out->add_metric("mean_messages_delivered", delivered.mean());
@@ -1081,8 +1010,7 @@ void register_flaky_network(ScenarioRegistry& r) {
     out->add_metric("dropped_fraction",
                     sent_to_drop_sum > 0.0 ? dropped_sum / sent_to_drop_sum
                                            : 0.0);
-    out->add_metric("leak_observed_fraction",
-                    static_cast<double>(leaks) / n);
+    out->add_metric("leak_observed_fraction", leak_fraction(trials));
     out->add_stats("finalized_epoch", finalized);
     out->add_stats("messages_dropped", dropped);
     out->trials = std::move(rows);
@@ -1097,12 +1025,8 @@ void register_table1(ScenarioRegistry& r) {
       "Paper Table 1: the five analysed scenarios with their outcomes "
       "and a quantitative witness each, computed end to end; "
       "deterministic, paths/seed ignored");
-  spec.add_int("paths", "(ignored - deterministic scenario)", 1, 1, 1e9)
-      .add_int("seed", "(ignored - deterministic scenario)", 0)
-      .add_int("threads", "(ignored - deterministic scenario)", 0, 0, 1024)
-      .add_int("block", "(ignored - deterministic scenario)", 0, 0, 1e9);
-  r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
-    (void)p;
+  add_ignored_fanout(spec);
+  r.add(std::move(spec), [](const ParamSet&, ScenarioResult* out) {
     const auto cfg = analytic::AnalyticConfig::paper();
     Table rows({"scenario", "byzantine behaviour", "outcome", "witness",
                 "witness_value"});

@@ -61,10 +61,11 @@ class ScenarioRegistry {
   std::vector<std::unique_ptr<Scenario>> scenarios_;
 };
 
-/// The process-wide registry pre-loaded with the built-in scenarios
+/// The process-wide registry pre-loaded with the 13 built-in scenarios
 /// (bouncing-mc, attack-lifetime, population-ensemble,
 /// partition-trials, duty-cycle, recovery, slot-protocol, table1,
-/// balancing-attack, semiactive-sweep, multi-partition-recovery).
+/// balancing-attack, semiactive-sweep, multi-partition-recovery,
+/// cascading-partitions, flaky-network).
 /// Construct-on-first-use; safe to call from multiple threads after
 /// first use, but intended to be touched from main-thread setup code.
 [[nodiscard]] ScenarioRegistry& builtin_registry();

@@ -212,8 +212,6 @@ PartitionSimResult run_partition_core(
   for (const std::uint8_t b : branch_of_honest) {
     ++res.n_honest_per_branch[b];
   }
-  res.n_honest_branch1 = res.n_honest_per_branch[0];
-  res.n_honest_branch2 = k > 1 ? res.n_honest_per_branch[1] : 0;
 
   // Per-branch open/heal epochs from the window schedule (no windows:
   // every branch opens at epoch 1 and never heals; heal 0 = never).
@@ -679,9 +677,8 @@ void draw_split(const PartitionSimConfig& base, const StreamSeeder& seeder,
   }
 }
 
-/// Order-fed aggregate shared by the trials driver's full and summary
-/// modes: integer counts plus ascending-trial double sums, so both
-/// modes produce bit-identical fractions and means.
+/// Order-fed aggregate of the trials driver: integer counts plus
+/// ascending-trial double sums.
 struct PartitionTally {
   std::size_t conflicting = 0;
   std::size_t exceeded = 0;
@@ -721,67 +718,37 @@ PartitionTrialsResult run_partition_trials(const PartitionTrialsConfig& cfg) {
   const auto n_honest = cfg.base.n_validators - n_byz;
 
   // Trial i always draws from the (seed, i) stream, so the result is
-  // bit-identical for every (block, threads) combination in either
-  // mode.
+  // bit-identical for every (block, threads) combination.
   const StreamSeeder seeder(cfg.seed);
   const runner::TrialRunner pool(cfg.threads);
   const std::size_t block = runner::resolve_block(cfg.block);
   PartitionTrialsResult res;
   res.trials = cfg.trials;
-  PartitionTally tally;
-  if (cfg.keep_trials) {
-    // Full mode: block-scheduled fan-out straight into the result's
-    // preallocated slabs (only the scalars the trials aggregate
-    // survive a trial, never the full per-branch trajectories), then
-    // aggregate in trial order.
-    res.conflict_epochs.assign(cfg.trials, -1);
-    res.beta_peaks.assign(cfg.trials, 0.0);
-    res.residual_losses_eth.assign(cfg.trials, 0.0);
-    res.recovery_epochs.assign(cfg.trials, -1);
-    std::vector<std::uint8_t> exceeded_both(cfg.trials, 0);
-    pool.run_blocks(
-        cfg.trials, block, [&](std::size_t begin, std::size_t end) {
-          std::vector<std::uint8_t> branch_of_honest(n_honest);
-          for (std::size_t trial = begin; trial < end; ++trial) {
-            draw_split(cfg.base, seeder, trial, &branch_of_honest);
-            const auto out = trial_outcome(cfg.base, n_byz, branch_of_honest);
-            res.conflict_epochs[trial] = out.conflict_epoch;
-            res.beta_peaks[trial] = out.beta_peak;
-            exceeded_both[trial] = out.exceeded_both;
-            res.residual_losses_eth[trial] = out.residual_loss_eth;
-            res.recovery_epochs[trial] = out.recovery_epoch;
-          }
-        });
-    for (std::size_t trial = 0; trial < cfg.trials; ++trial) {
-      tally.add(TrialOutcome{res.conflict_epochs[trial],
-                             res.beta_peaks[trial], exceeded_both[trial],
-                             res.residual_losses_eth[trial],
-                             res.recovery_epochs[trial]});
+  // Block-scheduled fan-out straight into the result's preallocated
+  // slabs (only the scalars the trials aggregate survive a trial, never
+  // the full per-branch trajectories), then aggregate in trial order.
+  res.conflict_epochs.assign(cfg.trials, -1);
+  res.beta_peaks.assign(cfg.trials, 0.0);
+  res.residual_losses_eth.assign(cfg.trials, 0.0);
+  res.recovery_epochs.assign(cfg.trials, -1);
+  std::vector<std::uint8_t> exceeded_both(cfg.trials, 0);
+  pool.run_blocks(cfg.trials, block, [&](std::size_t begin, std::size_t end) {
+    std::vector<std::uint8_t> branch_of_honest(n_honest);
+    for (std::size_t trial = begin; trial < end; ++trial) {
+      draw_split(cfg.base, seeder, trial, &branch_of_honest);
+      const auto out = trial_outcome(cfg.base, n_byz, branch_of_honest);
+      res.conflict_epochs[trial] = out.conflict_epoch;
+      res.beta_peaks[trial] = out.beta_peak;
+      exceeded_both[trial] = out.exceeded_both;
+      res.residual_losses_eth[trial] = out.residual_loss_eth;
+      res.recovery_epochs[trial] = out.recovery_epoch;
     }
-  } else {
-    // Summary mode: per-block outcome slabs fold through the ordered
-    // reduction tree in ascending block order — the same add() calls
-    // in the same trial order as full mode, without the O(trials)
-    // slabs.
-    struct OutcomeFold {
-      PartitionTally* tally;
-      void fold(std::size_t, std::size_t,
-                std::vector<TrialOutcome>&& outcomes) const {
-        for (const auto& out : outcomes) tally->add(out);
-      }
-    };
-    (void)pool.run_reduce(
-        cfg.trials, block, OutcomeFold{&tally},
-        [&](std::size_t begin, std::size_t end) {
-          std::vector<TrialOutcome> outcomes;
-          outcomes.reserve(end - begin);
-          std::vector<std::uint8_t> branch_of_honest(n_honest);
-          for (std::size_t trial = begin; trial < end; ++trial) {
-            draw_split(cfg.base, seeder, trial, &branch_of_honest);
-            outcomes.push_back(trial_outcome(cfg.base, n_byz, branch_of_honest));
-          }
-          return outcomes;
-        });
+  });
+  PartitionTally tally;
+  for (std::size_t trial = 0; trial < cfg.trials; ++trial) {
+    tally.add(TrialOutcome{res.conflict_epochs[trial], res.beta_peaks[trial],
+                           exceeded_both[trial], res.residual_losses_eth[trial],
+                           res.recovery_epochs[trial]});
   }
 
   const double n = static_cast<double>(cfg.trials);

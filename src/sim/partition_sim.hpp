@@ -146,8 +146,6 @@ struct PartitionSimResult {
   bool beta_exceeded_third_both = false;
   /// Number of validators of each class (derived from config).
   std::uint32_t n_byzantine = 0;
-  std::uint32_t n_honest_branch1 = 0;  ///< honest on branch 0 (legacy name)
-  std::uint32_t n_honest_branch2 = 0;  ///< honest on branch 1 (legacy name)
   std::vector<std::uint32_t> n_honest_per_branch;
   /// Epoch the last branch merged into branch 0; -1 when healing is
   /// disabled or the schedule ran past the horizon.
@@ -182,18 +180,11 @@ struct PartitionTrialsConfig {
   std::uint64_t seed = 2024;
   unsigned threads = 0;   ///< 0 = LEAK_THREADS / hardware_concurrency
   std::size_t block = 0;  ///< trials per block; 0 = LEAK_BLOCK / default
-  /// When false, the per-trial outcome slabs are never materialized:
-  /// the four per-trial vectors stay empty and only the aggregate
-  /// fractions/means are filled via the runner's ordered reduction
-  /// tree.  The aggregates are bit-identical between the two modes.
-  bool keep_trials = true;
 };
 
 struct PartitionTrialsResult {
   std::size_t trials = 0;
   /// Per trial: epoch of conflicting finalization (-1 when never).
-  /// This and the other per-trial vectors are empty when
-  /// cfg.keep_trials == false (summary mode).
   std::vector<std::int64_t> conflict_epochs;
   /// Per trial: max Byzantine-proportion peak across the branches.
   std::vector<double> beta_peaks;

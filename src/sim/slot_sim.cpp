@@ -541,19 +541,6 @@ struct SlotSim::Impl {
     }
     queue.run_until(static_cast<double>(total_slots + 2) * kSecondsPerSlot);
 
-    // Per-epoch finality progress for validator 0 is recomputed from the
-    // finalized chain (coarse but sufficient for the tests).
-    result.finality_advanced.clear();
-    for (std::size_t e = 1; e <= cfg.epochs; ++e) {
-      // advanced if some checkpoint with epoch >= e-1 finalized
-      const auto& chain0 = views[0]->ffg.finalized_chain();
-      bool advanced = false;
-      for (const auto& c : chain0) {
-        if (c.epoch.value() + 2 >= e && c.epoch.value() > 0) advanced = true;
-      }
-      result.finality_advanced.push_back(advanced);
-    }
-
     result.finalized_epoch.clear();
     result.justified_epoch.clear();
     for (std::uint32_t i = 0; i < n; ++i) {

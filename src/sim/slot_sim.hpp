@@ -96,9 +96,6 @@ struct SlotSimResult {
   std::uint64_t messages_delivered = 0;
   /// Per-recipient copies dropped by scripted loss episodes.
   std::uint64_t messages_dropped = 0;
-  /// Per-epoch: did validator 0's finalized checkpoint advance?
-  /// (bytes, not vector<bool> -- leaklint D3)
-  std::vector<std::uint8_t> finality_advanced;
   /// Equivocating proposals the adversary produced (balancing mode).
   std::size_t equivocating_proposals = 0;
   /// Validator 0's finalized-checkpoint epoch observed at each epoch

@@ -282,8 +282,6 @@ PartitionSimResult run_partition_core(
   for (const std::uint8_t b : branch_of_honest) {
     ++res.n_honest_per_branch[b];
   }
-  res.n_honest_branch1 = res.n_honest_per_branch[0];
-  res.n_honest_branch2 = k > 1 ? res.n_honest_per_branch[1] : 0;
 
   std::vector<std::size_t> open_at(k, 1);
   std::vector<std::size_t> heal_at(k, 0);

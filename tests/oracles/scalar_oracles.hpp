@@ -48,7 +48,7 @@ bouncing::PopulationEnsembleResult run_population_ensemble_scalar(
 
 /// Scalar partition Monte Carlo: the pre-fusion per-epoch activity /
 /// metrics passes (separate total_active_balance sweep) and the serial
-/// trial aggregation.  Ignores cfg.keep_trials.
+/// trial aggregation.
 sim::PartitionTrialsResult run_partition_trials_scalar(
     const sim::PartitionTrialsConfig& cfg);
 

@@ -2,7 +2,7 @@
 // partials fold in ascending block order no matter which worker
 // finishes first, at most one unfolded partial exists per worker, and
 // the summary modes built on it (keep_* = false) are bit-identical to
-// the full modes for all four Monte Carlo drivers.
+// the full modes for all three Monte Carlo drivers that have one.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +15,6 @@
 #include "src/bouncing/attack_sim.hpp"
 #include "src/bouncing/montecarlo.hpp"
 #include "src/runner/trial_runner.hpp"
-#include "src/sim/partition_sim.hpp"
 #include "src/support/env.hpp"
 #include "tests/oracles/scalar_oracles.hpp"
 
@@ -188,37 +187,6 @@ TEST(SummaryBitIdentity, PopulationEnsemble) {
       EXPECT_TRUE(summary.first_exceed_epochs.empty());
       EXPECT_EQ(summary.exceed_fraction, full.exceed_fraction);
       EXPECT_EQ(summary.mean_final_beta, full.mean_final_beta);
-    }
-  }
-}
-
-TEST(SummaryBitIdentity, PartitionTrials) {
-  sim::PartitionTrialsConfig cfg;
-  cfg.base.n_validators = 80;
-  cfg.base.strategy = sim::Strategy::kNone;
-  cfg.base.max_epochs = 400;
-  cfg.base.trajectory_stride = 400;
-  cfg.trials = env::scaled_count(8);
-  cfg.seed = 9;
-  const auto full = sim::run_partition_trials(cfg);
-  ASSERT_FALSE(full.conflict_epochs.empty());
-  for (const std::size_t block : kBlockGrid) {
-    for (const unsigned threads : kThreadGrid) {
-      cfg.block = block;
-      cfg.threads = threads;
-      cfg.keep_trials = false;
-      const auto summary = sim::run_partition_trials(cfg);
-      cfg.keep_trials = true;
-      EXPECT_TRUE(summary.conflict_epochs.empty());
-      EXPECT_TRUE(summary.beta_peaks.empty());
-      EXPECT_TRUE(summary.residual_losses_eth.empty());
-      EXPECT_TRUE(summary.recovery_epochs.empty());
-      EXPECT_EQ(summary.conflicting_fraction, full.conflicting_fraction);
-      EXPECT_EQ(summary.beta_exceeded_fraction, full.beta_exceeded_fraction);
-      EXPECT_EQ(summary.mean_conflict_epoch, full.mean_conflict_epoch);
-      EXPECT_EQ(summary.recovered_fraction, full.recovered_fraction);
-      EXPECT_EQ(summary.mean_residual_loss_eth, full.mean_residual_loss_eth);
-      EXPECT_EQ(summary.mean_recovery_epoch, full.mean_recovery_epoch);
     }
   }
 }

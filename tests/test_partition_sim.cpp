@@ -169,8 +169,8 @@ TEST(Mechanics, CountsFollowProportions) {
   cfg.max_epochs = 10;
   const auto r = run_partition_sim(cfg);
   EXPECT_EQ(r.n_byzantine, 50u);
-  EXPECT_EQ(r.n_honest_branch1, 60u);
-  EXPECT_EQ(r.n_honest_branch2, 90u);
+  EXPECT_EQ(r.n_honest_per_branch[0], 60u);
+  EXPECT_EQ(r.n_honest_per_branch[1], 90u);
 }
 
 TEST(Mechanics, InvalidConfigThrows) {
@@ -256,8 +256,6 @@ void expect_same(const PartitionSimResult& got,
             want.conflicting_finalization_epoch);
   EXPECT_EQ(got.beta_exceeded_third_both, want.beta_exceeded_third_both);
   EXPECT_EQ(got.n_byzantine, want.n_byzantine);
-  EXPECT_EQ(got.n_honest_branch1, want.n_honest_branch1);
-  EXPECT_EQ(got.n_honest_branch2, want.n_honest_branch2);
   EXPECT_EQ(got.n_honest_per_branch, want.n_honest_per_branch);
   EXPECT_EQ(got.heal_complete_epoch, want.heal_complete_epoch);
   EXPECT_EQ(got.recovery_complete_epoch, want.recovery_complete_epoch);

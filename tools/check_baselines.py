@@ -6,8 +6,9 @@ tools/update_baselines.sh), replay the archived experiment through
 
     leakctl run <scenario> --params <baseline.json>
 
-and compare the resulting `metrics` and `stats` sections against the
-baseline with EXACT equality.  The simulators are deterministic given
+and compare the resulting `metrics`, `stats` and `trials` sections
+against the baseline with EXACT equality, plus the `params` with their
+key order (the scenario spec's declaration order).  The simulators are deterministic given
 (seed, params) and bit-identical for every threads/block combination,
 so any difference is either silent numeric drift or a bit-identity
 break in the batched Monte Carlo kernel — both of which this gate is
@@ -79,15 +80,20 @@ def main():
                      got.get("metrics", {}), failures)
         diff_section("stats", want.get("stats", {}),
                      got.get("stats", {}), failures)
-        if want.get("params") != got.get("params"):
-            failures.append("  params: replay did not round-trip")
+        if want.get("trials") != got.get("trials"):
+            failures.append("  trials: rows differ from the baseline")
+        want_params = list(want.get("params", {}).items())
+        got_params = list(got.get("params", {}).items())
+        if want_params != got_params:
+            failures.append("  params: replay did not round-trip (values "
+                            "or key order)")
         if failures:
             bad += 1
             print(f"FAIL {scenario} ({path.name}):")
             print("\n".join(failures))
         else:
             n = len(want.get("metrics", {}))
-            print(f"ok   {scenario}: {n} metrics exact")
+            print(f"ok   {scenario}: {n} metrics, stats, trials exact")
 
     if bad:
         print(f"{bad}/{len(baselines)} baselines drifted "
