@@ -41,12 +41,6 @@ McResult run_bouncing_mc(const McConfig& cfg,
   const std::size_t snapshots = snapshot_epochs.size();
   kernel::SnapshotAccumulators acc(cfg.branches, cfg.beta0, cfg.model,
                                    snapshot_epochs);
-  const auto finalize = [&] {
-    acc.finalize(cfg.paths, &res.ejected_fraction, &res.capped_fraction,
-                 &res.prob_beta_exceeds, &res.median_alive_estimate,
-                 &res.stake_stats);
-  };
-
   const std::size_t block = runner::resolve_block(cfg.block);
   const StreamSeeder seeder(cfg.seed);
   const runner::TrialRunner pool(cfg.threads);
@@ -123,7 +117,8 @@ McResult run_bouncing_mc(const McConfig& cfg,
           return slab;
         });
   }
-  finalize();
+  acc.finalize(cfg.paths, &res.ejected_fraction, &res.capped_fraction,
+               &res.prob_beta_exceeds, &res.stake_stats);
   return res;
 }
 
@@ -215,6 +210,10 @@ PopulationEnsembleResult run_population_ensemble(
     const PopulationEnsembleConfig& cfg) {
   if (cfg.paths == 0) {
     throw std::invalid_argument("run_population_ensemble: no paths");
+  }
+  if (cfg.base.epochs < kBetaStride) {
+    throw std::invalid_argument(
+        "run_population_ensemble: epochs below the beta sampling stride");
   }
   const StreamSeeder seeder(cfg.base.seed);
   const runner::TrialRunner pool(cfg.threads);

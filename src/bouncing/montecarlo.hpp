@@ -60,14 +60,10 @@ struct McResult {
   /// Empirical P[beta(t) > 1/3] at epochs[k] (Eq 23 criterion against
   /// the semi-active Byzantine stake, one branch).
   std::vector<double> prob_beta_exceeds;
-  /// Streaming per-snapshot summaries, filled in both modes (fed in
-  /// path order, so bit-identical for any block/threads/mode):
-  /// moments of the full censored sample at epochs[k]...
+  /// Streaming per-snapshot moments of the full censored sample at
+  /// epochs[k], filled in both modes (fed in path order, so
+  /// bit-identical for any block/threads/mode).
   std::vector<RunningStats> stake_stats;
-  /// ...and the P-squared estimate of the median of the *alive*
-  /// (stake > 0) paths at epochs[k] (0 when every path is ejected).
-  /// In full mode the exact sample median is available from `stakes`.
-  std::vector<double> median_alive_estimate;
 };
 
 /// Run the Monte Carlo through the batched lockstep kernel;
@@ -90,12 +86,15 @@ struct PopulationRunConfig {
   analytic::AnalyticConfig model = analytic::AnalyticConfig::paper();
 };
 
+/// Epochs between two samples of a population run's beta trajectory.
+inline constexpr std::size_t kBetaStride = 16;
+
 struct PopulationRunResult {
   /// Epoch when beta > 1/3 first held on branch A; -1 when never.
   std::int64_t first_exceed_epoch = -1;
   /// beta trajectory on branch A, sampled every `stride` epochs.
   std::vector<double> beta_trajectory;
-  std::size_t stride = 16;
+  std::size_t stride = kBetaStride;
 };
 
 PopulationRunResult run_population_bouncing(const PopulationRunConfig& cfg);
@@ -103,7 +102,8 @@ PopulationRunResult run_population_bouncing(const PopulationRunConfig& cfg);
 /// Ensemble of independent finite-population runs ("population
 /// paths"): path i re-runs run_population_bouncing with the seed of
 /// stream (cfg.base.seed, i), block-scheduled across the trial runner
-/// into preallocated outcome slabs.
+/// into preallocated outcome slabs.  base.epochs must reach
+/// kBetaStride, so every path has a final beta sample to average.
 struct PopulationEnsembleConfig {
   PopulationRunConfig base;   ///< base.seed is the ensemble master seed
   std::size_t paths = 100;

@@ -11,8 +11,7 @@ SnapshotAccumulators::SnapshotAccumulators(
       ejected_(snaps.size(), 0),
       capped_(snaps.size(), 0),
       exceeds_(snaps.size(), 0),
-      stats_(snaps.size()),
-      median_alive_(snaps.size(), P2Quantile(0.5)) {
+      stats_(snaps.size()) {
   // Byzantine (1-in-m duty-cycled; m = 2 is the paper's semi-active
   // case) reference stake at each snapshot epoch for the Eq 23
   // exceedance criterion.
@@ -24,11 +23,7 @@ SnapshotAccumulators::SnapshotAccumulators(
 }
 
 void SnapshotAccumulators::add(std::size_t k, double stake) {
-  if (stake == 0.0) {
-    ++ejected_[k];
-  } else {
-    median_alive_[k].add(stake);
-  }
+  if (stake == 0.0) ++ejected_[k];
   if (stake >= initial_stake_) ++capped_[k];
   if (stake < threshold_[k]) ++exceeds_[k];
   stats_[k].add(stake);
@@ -38,19 +33,16 @@ void SnapshotAccumulators::finalize(std::size_t n_paths,
                                     std::vector<double>* ejected_fraction,
                                     std::vector<double>* capped_fraction,
                                     std::vector<double>* prob_beta_exceeds,
-                                    std::vector<double>* median_alive_estimate,
                                     std::vector<RunningStats>* stake_stats) {
   const auto snapshots = stats_.size();
   const double n = static_cast<double>(n_paths);
   ejected_fraction->resize(snapshots);
   capped_fraction->resize(snapshots);
   prob_beta_exceeds->resize(snapshots);
-  median_alive_estimate->resize(snapshots);
   for (std::size_t k = 0; k < snapshots; ++k) {
     (*ejected_fraction)[k] = static_cast<double>(ejected_[k]) / n;
     (*capped_fraction)[k] = static_cast<double>(capped_[k]) / n;
     (*prob_beta_exceeds)[k] = static_cast<double>(exceeds_[k]) / n;
-    (*median_alive_estimate)[k] = median_alive_[k].estimate();
   }
   *stake_stats = std::move(stats_);
 }

@@ -19,9 +19,9 @@ namespace leak::kernel {
 
 /// Streaming per-snapshot reduction for the bouncing-attack stake
 /// distribution driver.  Each snapshot's accumulators must be fed its
-/// paths in ascending path order (the Welford and P-squared summaries
-/// are order-sensitive in floating point); snapshots are independent
-/// of each other.
+/// paths in ascending path order (the Welford summary is
+/// order-sensitive in floating point); snapshots are independent of
+/// each other.
 class SnapshotAccumulators {
  public:
   /// Thresholds per snapshot epoch come from the Eq 23 multibranch
@@ -39,7 +39,6 @@ class SnapshotAccumulators {
   void finalize(std::size_t n_paths, std::vector<double>* ejected_fraction,
                 std::vector<double>* capped_fraction,
                 std::vector<double>* prob_beta_exceeds,
-                std::vector<double>* median_alive_estimate,
                 std::vector<RunningStats>* stake_stats);
 
  private:
@@ -49,7 +48,6 @@ class SnapshotAccumulators {
   std::vector<std::size_t> capped_;
   std::vector<std::size_t> exceeds_;
   std::vector<RunningStats> stats_;
-  std::vector<P2Quantile> median_alive_;
 };
 
 /// Streaming summary of an integer-valued duration distribution: a

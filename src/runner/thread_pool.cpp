@@ -2,6 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <exception>
+#include <limits>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "src/support/env.hpp"
 
@@ -32,84 +38,49 @@ std::size_t resolve_block(std::size_t requested) {
   return kDefaultBlock;
 }
 
-ThreadPool::ThreadPool(unsigned threads) {
-  const unsigned n = resolve_threads(threads);
-  workers_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    stopping_ = true;
-  }
-  work_ready_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    queue_.push_back(std::move(task));
-    ++unfinished_;
-  }
-  work_ready_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lk(mu_);
-  all_idle_.wait(lk, [this] { return unfinished_ == 0; });
-}
-
-void ThreadPool::run_blocks(
-    std::size_t n, std::size_t block,
-    const std::function<bool(std::size_t, std::size_t)>& body) {
+void claim_blocks(unsigned threads, std::size_t n, std::size_t block,
+                  const std::function<void(std::size_t, std::size_t)>& body) {
   if (n == 0) return;
-  block = std::max<std::size_t>(block, 1);
+  block = std::clamp<std::size_t>(block, 1, n);
   const std::size_t n_blocks = (n + block - 1) / block;
-  // One claiming loop per worker; a shared cursor hands out ascending
-  // block indices so claim order is deterministic even though
-  // completion order is not.
-  auto cursor = std::make_shared<std::atomic<std::size_t>>(0);
-  auto cancelled = std::make_shared<std::atomic<bool>>(false);
-  const unsigned loops = static_cast<unsigned>(
-      std::min<std::size_t>(size(), n_blocks));
-  for (unsigned w = 0; w < loops; ++w) {
-    submit([cursor, cancelled, n, block, n_blocks, &body] {
-      while (!cancelled->load(std::memory_order_relaxed)) {
-        const std::size_t b = cursor->fetch_add(1, std::memory_order_relaxed);
-        if (b >= n_blocks) return;
-        const std::size_t begin = b * block;
-        const std::size_t end = std::min(begin + block, n);
-        if (!body(begin, end)) {
-          cancelled->store(true, std::memory_order_relaxed);
-          return;
+  const auto workers =
+      static_cast<unsigned>(std::min<std::size_t>(threads, n_blocks));
+  if (workers <= 1) {
+    for (std::size_t begin = 0; begin < n; begin += block) {
+      body(begin, std::min(begin + block, n));
+    }
+    return;
+  }
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<bool> failed{false};
+  std::mutex err_mu;
+  std::exception_ptr first_error;
+  std::size_t first_error_begin = std::numeric_limits<std::size_t>::max();
+  const auto claim_loop = [&] {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t b = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (b >= n_blocks) return;
+      const std::size_t begin = b * block;
+      try {
+        body(begin, std::min(begin + block, n));
+      } catch (...) {
+        std::scoped_lock lk(err_mu);
+        if (begin < first_error_begin) {
+          first_error_begin = begin;
+          first_error = std::current_exception();
         }
+        failed.store(true, std::memory_order_relaxed);
+        return;
       }
-    });
-  }
-  wait_idle();
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      work_ready_.wait(lk, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // woken by the destructor
-      task = std::move(queue_.front());
-      queue_.pop_front();
     }
-    task();
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      --unfinished_;
-      if (unfinished_ == 0) all_idle_.notify_all();
-    }
+  };
+  {
+    // jthreads join on scope exit, also if starting a later one throws.
+    std::vector<std::jthread> pool;
+    pool.reserve(workers);
+    for (unsigned w = 0; w < workers; ++w) pool.emplace_back(claim_loop);
   }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace leak::runner

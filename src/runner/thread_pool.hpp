@@ -1,17 +1,13 @@
-// Fixed-size worker pool used by the trial runner.  Deliberately
-// work-stealing-free: tasks are pulled from one mutex-guarded queue,
-// which is ample for the coarse chunked tasks the simulators submit
-// (each task is thousands of epochs of protocol dynamics) and keeps
-// the scheduling trivially easy to reason about.
+// The runner's one fan-out: fixed-size blocks claimed in ascending
+// order by workers started for the call and joined before it returns.
+// Deliberately work-stealing-free: one atomic cursor is ample for the
+// coarse blocks the simulators hand out (each block is thousands of
+// epochs of protocol dynamics) and keeps the scheduling trivially easy
+// to reason about.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace leak::runner {
 
@@ -27,48 +23,16 @@ namespace leak::runner {
 /// inside L1 (see src/kernel/stake_batch.hpp).
 [[nodiscard]] std::size_t resolve_block(std::size_t requested);
 
-class ThreadPool {
- public:
-  /// Spawns resolve_threads(threads) workers.
-  explicit ThreadPool(unsigned threads = 0);
-
-  /// Drains outstanding tasks, then joins every worker.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  [[nodiscard]] unsigned size() const {
-    return static_cast<unsigned>(workers_.size());
-  }
-
-  /// Enqueue a task.  Tasks must not throw: callers that can fail wrap
-  /// their body and capture the exception (see TrialRunner).
-  void submit(std::function<void()> task);
-
-  /// Block until every submitted task has finished running.
-  void wait_idle();
-
-  /// Chunk fan-out: carve [0, n) into fixed-size blocks (block b
-  /// covers [b*block, min((b+1)*block, n)) — boundaries depend only on
-  /// (n, block), never on scheduling) and run body(begin, end) for
-  /// each, blocks claimed by the workers in ascending order.  Blocks
-  /// until every claimed block ran.  body must not throw (callers
-  /// that can fail wrap their body, see TrialRunner::run_blocks) and
-  /// returns false to cancel the blocks not yet claimed.
-  void run_blocks(std::size_t n, std::size_t block,
-                  const std::function<bool(std::size_t, std::size_t)>& body);
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
-  std::mutex mu_;
-  std::condition_variable work_ready_;
-  std::condition_variable all_idle_;
-  std::size_t unfinished_ = 0;  ///< queued + currently running tasks
-  bool stopping_ = false;
-};
+/// Carve [0, n) into fixed-size blocks (block b covers
+/// [b*block, min((b+1)*block, n)), block clamped to [1, n] — boundaries
+/// depend only on (n, block), never on scheduling) and run
+/// body(begin, end) for each.  min(threads, blocks) workers claim the
+/// blocks from one cursor in ascending order, so claim order is
+/// deterministic even though completion order is not; one worker runs
+/// the blocks in order on the calling thread.  A throwing block
+/// cancels the blocks not yet claimed, and once every claimed block
+/// has finished, the exception of the lowest failing block is rethrown.
+void claim_blocks(unsigned threads, std::size_t n, std::size_t block,
+                  const std::function<void(std::size_t, std::size_t)>& body);
 
 }  // namespace leak::runner

@@ -1,5 +1,5 @@
-// Deterministic fan-out of N independent Monte Carlo trials across a
-// chunked thread pool.
+// Deterministic fan-out of N independent Monte Carlo trials across
+// block-claiming workers.
 //
 // Contract: the trial function must be pure given its trial index —
 // all randomness comes from a per-trial RNG stream derived from
@@ -11,11 +11,10 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
-#include <limits>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <type_traits>
@@ -35,9 +34,11 @@ class TrialRunner {
   [[nodiscard]] unsigned threads() const { return threads_; }
 
   /// Run fn(i) for i in [0, n_trials); return the results in trial
-  /// order.  If any trial throws, the exception with the lowest trial
-  /// index among those observed is rethrown after the pool drains (no
-  /// deadlock, no detached work left behind).
+  /// order.  Trials run in blocks of n_trials / (workers * 8) through
+  /// run_blocks: small enough to balance uneven trials, large enough
+  /// to amortise the claim.  If any trial throws, the exception of the
+  /// lowest failing block (the first throwing trial in it) is rethrown
+  /// once the workers are joined.
   template <typename Fn>
   [[nodiscard]] auto run(std::size_t n_trials, Fn&& fn) const {
     using Result = std::decay_t<std::invoke_result_t<Fn&, std::size_t>>;
@@ -47,52 +48,13 @@ class TrialRunner {
                   "bool trials would race on std::vector<bool>'s packed "
                   "words; return std::uint8_t instead");
     std::vector<Result> results(n_trials);
-    if (n_trials == 0) return results;
-
-    const auto workers = static_cast<unsigned>(
-        std::min<std::size_t>(threads_, n_trials));
-    if (workers <= 1) {
-      for (std::size_t i = 0; i < n_trials; ++i) results[i] = fn(i);
-      return results;
-    }
-
-    // Chunked dynamic scheduling: workers claim fixed-size index
-    // ranges from a shared cursor.  Chunks amortise the atomic per
-    // claim while staying small enough to balance uneven trials.
-    const std::size_t chunk = std::max<std::size_t>(
-        1, n_trials / (static_cast<std::size_t>(workers) * 8));
-    std::atomic<std::size_t> cursor{0};
-    std::atomic<bool> failed{false};
-    std::mutex err_mu;
-    std::exception_ptr first_error;
-    std::size_t first_error_trial = std::numeric_limits<std::size_t>::max();
-
-    ThreadPool pool(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      pool.submit([&] {
-        while (!failed.load(std::memory_order_relaxed)) {
-          const std::size_t begin =
-              cursor.fetch_add(chunk, std::memory_order_relaxed);
-          if (begin >= n_trials) return;
-          const std::size_t end = std::min(begin + chunk, n_trials);
-          for (std::size_t i = begin; i < end; ++i) {
-            try {
-              results[i] = fn(i);
-            } catch (...) {
-              std::scoped_lock lk(err_mu);
-              if (i < first_error_trial) {
-                first_error_trial = i;
-                first_error = std::current_exception();
-              }
-              failed.store(true, std::memory_order_relaxed);
-              break;
-            }
-          }
-        }
-      });
-    }
-    pool.wait_idle();
-    if (first_error) std::rethrow_exception(first_error);
+    const std::size_t workers =
+        std::clamp<std::size_t>(n_trials, 1, threads_);
+    const std::size_t chunk =
+        std::max<std::size_t>(1, n_trials / (workers * 8));
+    run_blocks(n_trials, chunk, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) results[i] = fn(i);
+    });
     return results;
   }
 
@@ -103,41 +65,12 @@ class TrialRunner {
   /// caller sized up front, so there is no merge step and no per-trial
   /// allocation; because trial i's randomness comes from the
   /// (master_seed, i) stream, the result is bit-identical for every
-  /// (block, threads) combination.  If any block throws, the exception
-  /// from the lowest block among those observed is rethrown after the
-  /// pool drains.
+  /// (block, threads) combination.  Scheduling and failure semantics
+  /// are claim_blocks' (src/runner/thread_pool.hpp): the exception
+  /// from the lowest failing block is rethrown after the workers join.
   template <typename Fn>
   void run_blocks(std::size_t n_trials, std::size_t block, Fn&& fn) const {
-    if (n_trials == 0) return;
-    block = std::clamp<std::size_t>(block, 1, n_trials);
-    const std::size_t n_blocks = (n_trials + block - 1) / block;
-    const auto workers =
-        static_cast<unsigned>(std::min<std::size_t>(threads_, n_blocks));
-    if (workers <= 1) {
-      for (std::size_t begin = 0; begin < n_trials; begin += block) {
-        fn(begin, std::min(begin + block, n_trials));
-      }
-      return;
-    }
-    std::mutex err_mu;
-    std::exception_ptr first_error;
-    std::size_t first_error_begin = std::numeric_limits<std::size_t>::max();
-    ThreadPool pool(workers);
-    pool.run_blocks(n_trials, block,
-                    [&](std::size_t begin, std::size_t end) -> bool {
-                      try {
-                        fn(begin, end);
-                        return true;
-                      } catch (...) {
-                        std::scoped_lock lk(err_mu);
-                        if (begin < first_error_begin) {
-                          first_error_begin = begin;
-                          first_error = std::current_exception();
-                        }
-                        return false;
-                      }
-                    });
-    if (first_error) std::rethrow_exception(first_error);
+    claim_blocks(threads_, n_trials, block, std::ref(fn));
   }
 
   /// Ordered reduction tree over fixed-size blocks: sim(begin, end)
@@ -150,72 +83,46 @@ class TrialRunner {
   /// the serial fold (and to full mode, when the accumulator is the
   /// same code fed the same per-trial values in the same order).  A
   /// worker holds at most one unfolded partial, so in-flight memory is
-  /// bounded by O(threads x sizeof(partial)).  Exceptions cancel
-  /// unclaimed blocks; the one from the lowest block rethrows.
+  /// bounded by O(threads x sizeof(partial)).  A throwing sim or fold
+  /// stops all later folds; the exception from the lowest failing
+  /// block rethrows, as in run_blocks.
   template <typename Acc, typename SimFn>
   [[nodiscard]] Acc run_reduce(std::size_t n_trials, std::size_t block,
                                Acc acc, SimFn&& sim) const {
     using Partial =
         std::decay_t<std::invoke_result_t<SimFn&, std::size_t, std::size_t>>;
-    if (n_trials == 0) return acc;
-    block = std::clamp<std::size_t>(block, 1, n_trials);
-    const std::size_t n_blocks = (n_trials + block - 1) / block;
-    const auto workers =
-        static_cast<unsigned>(std::min<std::size_t>(threads_, n_blocks));
-    if (workers <= 1) {
-      for (std::size_t begin = 0; begin < n_trials; begin += block) {
-        const std::size_t end = std::min(begin + block, n_trials);
-        acc.fold(begin, end, sim(begin, end));
-      }
-      return acc;
-    }
-    std::mutex mu;  // guards the fold turn and the error bookkeeping
+    block = std::max<std::size_t>(block, 1);
+    std::mutex mu;  // guards the fold turn
     std::condition_variable turn_cv;
-    std::size_t fold_turn = 0;
-    std::atomic<bool> failed{false};
-    std::exception_ptr first_error;
-    std::size_t first_error_block = std::numeric_limits<std::size_t>::max();
-    const auto record_error = [&](std::size_t b) {
-      std::scoped_lock lk(mu);
-      if (b < first_error_block) {
-        first_error_block = b;
-        first_error = std::current_exception();
+    std::size_t fold_turn = 0;  // index of the next block to fold
+    bool broken = false;        // a block failed: fold nothing after it
+    run_blocks(n_trials, block, [&](std::size_t begin, std::size_t end) {
+      std::optional<Partial> partial;
+      std::exception_ptr error;
+      try {
+        partial.emplace(sim(begin, end));
+      } catch (...) {
+        error = std::current_exception();
       }
-      failed.store(true, std::memory_order_relaxed);
-    };
-    ThreadPool pool(workers);
-    pool.run_blocks(
-        n_trials, block, [&](std::size_t begin, std::size_t end) -> bool {
-          const std::size_t b = begin / block;
-          std::optional<Partial> partial;
-          if (!failed.load(std::memory_order_relaxed)) {
-            try {
-              partial.emplace(sim(begin, end));
-            } catch (...) {
-              record_error(b);
-            }
+      {
+        // Take the turn even on failure so the blocks waiting behind
+        // this one are released (every lower block is already claimed
+        // and reaches its own turn, so the wait always ends).
+        std::unique_lock lk(mu);
+        turn_cv.wait(lk, [&] { return fold_turn == begin / block; });
+        if (!error && !broken) {
+          try {
+            acc.fold(begin, end, std::move(*partial));
+          } catch (...) {
+            error = std::current_exception();
           }
-          {
-            // Take the fold turn even on failure so later blocks
-            // waiting on it are released (no deadlock on error).
-            std::unique_lock lk(mu);
-            turn_cv.wait(lk, [&] { return fold_turn == b; });
-            if (partial.has_value() &&
-                !failed.load(std::memory_order_relaxed)) {
-              try {
-                acc.fold(begin, end, std::move(*partial));
-              } catch (...) {
-                lk.unlock();
-                record_error(b);
-                lk.lock();
-              }
-            }
-            ++fold_turn;
-          }
-          turn_cv.notify_all();
-          return !failed.load(std::memory_order_relaxed);
-        });
-    if (first_error) std::rethrow_exception(first_error);
+        }
+        broken = broken || error;
+        ++fold_turn;
+      }
+      turn_cv.notify_all();
+      if (error) std::rethrow_exception(error);
+    });
     return acc;
   }
 

@@ -180,9 +180,7 @@ void register_bouncing_mc(ScenarioRegistry& r) {
     out->add_metric("capped_fraction", res.capped_fraction[last]);
     out->add_metric("prob_beta_exceeds", res.prob_beta_exceeds[last]);
     out->add_metric("median_alive_stake", median_alive(res.stakes[last]));
-    RunningStats final_stakes;
-    for (const double s : res.stakes[last]) final_stakes.add(s);
-    out->add_stats("final_stake", final_stakes);
+    out->add_stats("final_stake", res.stake_stats[last]);
   });
 }
 
@@ -248,7 +246,8 @@ void register_population_ensemble(ScenarioRegistry& r) {
       "of paths where beta ever exceeds 1/3");
   spec.add_int("paths", "independent population runs", 100, 1, 1e9)
       .add_int("honest_validators", "honest validators per run", 200, 1, 1e6)
-      .add_int("epochs", "horizon in epochs", 6000, 1, 1e7)
+      .add_int("epochs", "horizon in epochs", 6000, bouncing::kBetaStride,
+               1e7)
       .add_double("p0", "honest branch-assignment probability", 0.5, 0.0, 1.0)
       .add_double("beta0", "Byzantine stake proportion", 0.33, 0.0, 0.5);
   add_fanout(spec, 11, "paths per scheduled block (0 = auto)");

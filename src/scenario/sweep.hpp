@@ -1,6 +1,6 @@
 // SweepEngine: expand grid/list sweeps over any scenario parameter
 // into a batch of cells and execute it, optionally fanning cells
-// across the shared thread pool.
+// across the trial runner's workers.
 //
 // Determinism contract: with the default seed mode every cell inherits
 // the base seed, and because every driver is bit-identical for any
@@ -43,7 +43,7 @@ struct SweepConfig {
   /// Derive a per-cell seed from (base seed, cell index) instead of
   /// running every cell with the base seed.
   bool vary_seed = false;
-  /// Fan cells across the thread pool (each cell forced to
+  /// Fan cells across the trial runner's workers (each cell forced to
   /// threads = 1) instead of running cells sequentially with the
   /// scenario's own inner parallelism.  Either way the numbers are
   /// bit-identical; this only moves where the parallelism sits.

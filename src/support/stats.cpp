@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace leak {
@@ -35,85 +34,6 @@ double quantile(std::vector<double> xs, double q) {
   if (i + 1 >= xs.size()) return xs.back();
   const double w = pos - static_cast<double>(i);
   return xs[i] * (1.0 - w) + xs[i + 1] * w;
-}
-
-P2Quantile::P2Quantile(double q) : q_(q) {
-  if (!(q > 0.0) || !(q < 1.0)) {
-    throw std::invalid_argument("P2Quantile: q not in (0,1)");
-  }
-}
-
-void P2Quantile::add(double x) {
-  if (count_ < 5) {
-    heights_[count_] = x;
-    ++count_;
-    if (count_ == 5) {
-      std::sort(heights_, heights_ + 5);
-      for (int i = 0; i < 5; ++i) {
-        positions_[i] = static_cast<double>(i + 1);
-      }
-      desired_[0] = 1.0;
-      desired_[1] = 1.0 + 2.0 * q_;
-      desired_[2] = 1.0 + 4.0 * q_;
-      desired_[3] = 3.0 + 2.0 * q_;
-      desired_[4] = 5.0;
-    }
-    return;
-  }
-  ++count_;
-
-  // Locate the cell containing x, extending the extremes in place.
-  int k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && heights_[k + 1] <= x) ++k;
-  }
-  for (int i = k + 1; i < 5; ++i) positions_[i] += 1.0;
-  const double dn[5] = {0.0, q_ / 2.0, q_, (1.0 + q_) / 2.0, 1.0};
-  for (int i = 0; i < 5; ++i) desired_[i] += dn[i];
-
-  // Adjust the three interior markers toward their desired positions.
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    const double right = positions_[i + 1] - positions_[i];
-    const double left = positions_[i - 1] - positions_[i];
-    if ((d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0)) {
-      const double s = d >= 1.0 ? 1.0 : -1.0;
-      // Piecewise-parabolic prediction; fall back to linear when the
-      // parabola would leave the bracketing heights.
-      const double parabolic =
-          heights_[i] +
-          s / (positions_[i + 1] - positions_[i - 1]) *
-              ((positions_[i] - positions_[i - 1] + s) *
-                   (heights_[i + 1] - heights_[i]) / right +
-               (positions_[i + 1] - positions_[i] - s) *
-                   (heights_[i] - heights_[i - 1]) / -left);
-      if (heights_[i - 1] < parabolic && parabolic < heights_[i + 1]) {
-        heights_[i] = parabolic;
-      } else {
-        const int j = s > 0.0 ? i + 1 : i - 1;
-        heights_[i] += s * (heights_[j] - heights_[i]) /
-                       (positions_[j] - positions_[i]);
-      }
-      positions_[i] += s;
-    }
-  }
-}
-
-double P2Quantile::estimate() const {
-  if (count_ == 0) return 0.0;
-  if (count_ < 5) {
-    // Exact small-sample quantile over the buffered observations.
-    std::vector<double> xs(heights_, heights_ + count_);
-    return quantile(std::move(xs), q_);
-  }
-  return heights_[2];
 }
 
 }  // namespace leak

@@ -95,8 +95,7 @@ class SnapshotAccumulators {
         ejected_(snaps.size(), 0),
         capped_(snaps.size(), 0),
         exceeds_(snaps.size(), 0),
-        stats_(snaps.size()),
-        median_alive_(snaps.size(), P2Quantile(0.5)) {
+        stats_(snaps.size()) {
     threshold_.resize(snaps.size());
     for (std::size_t k = 0; k < snaps.size(); ++k) {
       threshold_[k] = analytic::multibranch_exceed_threshold(
@@ -105,11 +104,7 @@ class SnapshotAccumulators {
   }
 
   void add(std::size_t k, double stake) {
-    if (stake == 0.0) {
-      ++ejected_[k];
-    } else {
-      median_alive_[k].add(stake);
-    }
+    if (stake == 0.0) ++ejected_[k];
     if (stake >= initial_stake_) ++capped_[k];
     if (stake < threshold_[k]) ++exceeds_[k];
     stats_[k].add(stake);
@@ -121,12 +116,10 @@ class SnapshotAccumulators {
     res->ejected_fraction.resize(snapshots);
     res->capped_fraction.resize(snapshots);
     res->prob_beta_exceeds.resize(snapshots);
-    res->median_alive_estimate.resize(snapshots);
     for (std::size_t k = 0; k < snapshots; ++k) {
       res->ejected_fraction[k] = static_cast<double>(ejected_[k]) / n;
       res->capped_fraction[k] = static_cast<double>(capped_[k]) / n;
       res->prob_beta_exceeds[k] = static_cast<double>(exceeds_[k]) / n;
-      res->median_alive_estimate[k] = median_alive_[k].estimate();
     }
     res->stake_stats = std::move(stats_);
   }
@@ -138,7 +131,6 @@ class SnapshotAccumulators {
   std::vector<std::size_t> capped_;
   std::vector<std::size_t> exceeds_;
   std::vector<RunningStats> stats_;
-  std::vector<P2Quantile> median_alive_;
 };
 
 // --- scalar attack lifetime --------------------------------------------

@@ -209,5 +209,18 @@ TEST(PopulationRun, ExactThirdHoversAtThreshold) {
   EXPECT_LT(closest, 0.01);
 }
 
+TEST(PopulationEnsemble, RejectsHorizonBelowBetaStride) {
+  // Below one stride no beta sample is ever taken, so the ensemble
+  // would report mean_final_beta = 0 instead of failing.
+  PopulationEnsembleConfig cfg;
+  cfg.base.honest_validators = 10;
+  cfg.paths = 2;
+  cfg.threads = 1;
+  cfg.base.epochs = kBetaStride - 1;
+  EXPECT_THROW((void)run_population_ensemble(cfg), std::invalid_argument);
+  cfg.base.epochs = kBetaStride;
+  EXPECT_GT(run_population_ensemble(cfg).mean_final_beta, 0.0);
+}
+
 }  // namespace
 }  // namespace leak::bouncing

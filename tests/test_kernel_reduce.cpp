@@ -132,7 +132,6 @@ TEST(SummaryBitIdentity, BouncingMc) {
       EXPECT_EQ(summary.ejected_fraction, full.ejected_fraction);
       EXPECT_EQ(summary.capped_fraction, full.capped_fraction);
       EXPECT_EQ(summary.prob_beta_exceeds, full.prob_beta_exceeds);
-      EXPECT_EQ(summary.median_alive_estimate, full.median_alive_estimate);
       ASSERT_EQ(summary.stake_stats.size(), full.stake_stats.size());
       for (std::size_t k = 0; k < full.stake_stats.size(); ++k) {
         EXPECT_EQ(summary.stake_stats[k].mean(), full.stake_stats[k].mean());

@@ -2,14 +2,15 @@
 // bit-identical for any thread count (the conf_dsn_PavloffAP24
 // reproducibility requirement — one seed, one result), per-trial RNG
 // streams are decorrelated, and a throwing trial propagates cleanly
-// out of the pool instead of deadlocking it.
+// out of the workers instead of deadlocking them — the lowest failing
+// block's exception being the one rethrown.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/bouncing/attack_sim.hpp"
@@ -25,23 +26,6 @@ namespace {
 TEST(ResolveThreads, ExplicitRequestWins) {
   EXPECT_EQ(runner::resolve_threads(3), 3u);
   EXPECT_GE(runner::resolve_threads(0), 1u);
-}
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  runner::ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, WaitIdleWithoutTasksReturnsImmediately) {
-  runner::ThreadPool pool(2);
-  pool.wait_idle();
-  SUCCEED();
 }
 
 std::vector<std::uint64_t> runner_draws(unsigned threads, std::size_t n) {
@@ -98,6 +82,72 @@ TEST(TrialRunner, SerialExceptionPropagates) {
                                 return i;
                               }),
                std::invalid_argument);
+}
+
+// Every block below throws its `begin`; block 0 is always claimed
+// first and always runs, so whichever blocks the other workers also
+// ran, the rethrown exception must be block 0's.
+template <typename Body>
+std::string rethrown_message(Body&& body) {
+  try {
+    body();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "no exception";
+}
+
+TEST(LowestFailingBlock, RunRethrowsTrialZero) {
+  const runner::TrialRunner pool(4);
+  EXPECT_EQ(rethrown_message([&] {
+              (void)pool.run(256, [](std::size_t i) -> int {
+                throw std::runtime_error(std::to_string(i));
+              });
+            }),
+            "0");
+}
+
+TEST(LowestFailingBlock, RunBlocksRethrowsBlockZero) {
+  const runner::TrialRunner pool(4);
+  EXPECT_EQ(rethrown_message([&] {
+              pool.run_blocks(256, 8, [](std::size_t begin, std::size_t) {
+                throw std::runtime_error(std::to_string(begin));
+              });
+            }),
+            "0");
+}
+
+/// run_reduce accumulator whose every fold throws the block's begin.
+struct ThrowingFold {
+  void fold(std::size_t begin, std::size_t, int) const {
+    throw std::runtime_error(std::to_string(begin));
+  }
+};
+
+/// run_reduce accumulator that accepts every partial.
+struct NoopFold {
+  void fold(std::size_t, std::size_t, int) const {}
+};
+
+TEST(LowestFailingBlock, RunReduceSimRethrowsBlockZero) {
+  const runner::TrialRunner pool(4);
+  EXPECT_EQ(rethrown_message([&] {
+              (void)pool.run_reduce(256, 8, NoopFold{},
+                                    [](std::size_t begin, std::size_t) -> int {
+                                      throw std::runtime_error(
+                                          std::to_string(begin));
+                                    });
+            }),
+            "0");
+}
+
+TEST(LowestFailingBlock, RunReduceFoldRethrowsBlockZero) {
+  const runner::TrialRunner pool(4);
+  EXPECT_EQ(rethrown_message([&] {
+              (void)pool.run_reduce(256, 8, ThrowingFold{},
+                                    [](std::size_t, std::size_t) { return 0; });
+            }),
+            "0");
 }
 
 TEST(StreamSeeder, DeterministicAndDistinctFromMaster) {

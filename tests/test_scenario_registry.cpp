@@ -90,6 +90,20 @@ TEST(ScenarioRegistryTest, RunValidatesParamsAndStampsMetadata) {
   EXPECT_THROW((void)sc.run(unknown), std::invalid_argument);
 }
 
+TEST(ScenarioRegistryTest, PopulationEnsembleRejectsHorizonBelowBetaStride) {
+  const auto& sc = *builtin_registry().find("population-ensemble");
+  auto params = sc.spec().defaults();
+  params.set("paths", std::int64_t{2});
+  params.set("honest_validators", std::int64_t{10});
+  const auto stride = static_cast<std::int64_t>(bouncing::kBetaStride);
+  params.set("epochs", stride - 1);
+  EXPECT_TRUE(sc.spec().validate(params).has_value());
+  EXPECT_THROW((void)sc.run(params), std::invalid_argument);
+  params.set("epochs", stride);
+  EXPECT_FALSE(sc.spec().validate(params).has_value());
+  EXPECT_GT(sc.run(params).metric("mean_final_beta"), 0.0);
+}
+
 TEST(ScenarioRegistryTest, BouncingMcMatchesDriverBitExactly) {
   const auto paths = static_cast<std::int64_t>(env::scaled_count(400));
   const auto& sc = *builtin_registry().find("bouncing-mc");

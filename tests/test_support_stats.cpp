@@ -100,61 +100,5 @@ TEST(KsDistance, EmptyThrows) {
                std::invalid_argument);
 }
 
-TEST(P2QuantileTest, RejectsDegenerateQuantiles) {
-  EXPECT_THROW(P2Quantile(0.0), std::invalid_argument);
-  EXPECT_THROW(P2Quantile(1.0), std::invalid_argument);
-  EXPECT_THROW(P2Quantile(-0.5), std::invalid_argument);
-}
-
-TEST(P2QuantileTest, EmptyAndSmallSamplesAreExact) {
-  P2Quantile med(0.5);
-  EXPECT_EQ(med.estimate(), 0.0);
-  med.add(3.0);
-  EXPECT_DOUBLE_EQ(med.estimate(), 3.0);
-  med.add(1.0);
-  med.add(2.0);
-  // Below five observations the estimate is the exact type-7 quantile.
-  EXPECT_DOUBLE_EQ(med.estimate(), 2.0);
-  med.add(4.0);
-  EXPECT_DOUBLE_EQ(med.estimate(), quantile({3.0, 1.0, 2.0, 4.0}, 0.5));
-}
-
-TEST(P2QuantileTest, TracksExactQuantilesOfRandomSamples) {
-  for (const double q : {0.25, 0.5, 0.9}) {
-    Rng rng(123);
-    P2Quantile est(q);
-    std::vector<double> sample;
-    sample.reserve(20000);
-    for (int i = 0; i < 20000; ++i) {
-      const double x = rng.normal(10.0, 3.0);
-      est.add(x);
-      sample.push_back(x);
-    }
-    const double exact = quantile(std::move(sample), q);
-    EXPECT_NEAR(est.estimate(), exact, 0.05) << "q=" << q;
-    EXPECT_EQ(est.count(), 20000u);
-  }
-}
-
-TEST(P2QuantileTest, DeterministicForTheSameInsertionOrder) {
-  Rng rng_a(7);
-  Rng rng_b(7);
-  P2Quantile a(0.5);
-  P2Quantile b(0.5);
-  for (int i = 0; i < 5000; ++i) {
-    const double x = rng_a.uniform();
-    a.add(x);
-    b.add(rng_b.uniform());
-  }
-  EXPECT_EQ(a.estimate(), b.estimate());
-}
-
-TEST(P2QuantileTest, HandlesPointMassSamples) {
-  // Degenerate input (all observations equal) must return that value.
-  P2Quantile med(0.5);
-  for (int i = 0; i < 100; ++i) med.add(32.0);
-  EXPECT_DOUBLE_EQ(med.estimate(), 32.0);
-}
-
 }  // namespace
 }  // namespace leak

@@ -2,7 +2,10 @@
 # Kernel lockstep parity gate: every Monte Carlo driver must produce a
 # bit-identical JSON report at every (block, threads) combination —
 # the batched kernel's (block, threads)-independence contract, checked
-# end to end through leakctl instead of unit-test aggregates.
+# end to end through leakctl instead of unit-test aggregates.  The
+# grid also covers each runner fan-out: semiactive-sweep folds through
+# TrialRunner::run_reduce, and slot-protocol runs one slot trial per
+# run_blocks block.
 #
 # For each driver scenario the (block=1, threads=1) run is the
 # reference; every other grid cell must match it byte for byte after
@@ -17,7 +20,8 @@ LEAKCTL="${1:?usage: kernel_parity.sh LEAKCTL [OUT_DIR]}"
 OUT_DIR="${2:-kernel-parity}"
 PATHS=64
 
-SCENARIOS=(bouncing-mc attack-lifetime population-ensemble partition-trials)
+SCENARIOS=(bouncing-mc attack-lifetime population-ensemble partition-trials
+           semiactive-sweep slot-protocol)
 BLOCKS=(1 64)
 THREADS=(1 4)
 
