@@ -45,7 +45,6 @@ class StakeLaw {
 
   [[nodiscard]] double ejection_threshold() const { return a_; }
   [[nodiscard]] double cap() const { return b_; }
-  [[nodiscard]] const WalkParams& walk() const { return walk_; }
 
  private:
   double p0_;

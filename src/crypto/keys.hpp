@@ -31,7 +31,6 @@ class KeyPair {
   /// Deterministically derive the keypair for a validator from a seed.
   static KeyPair derive(ValidatorIndex who, std::uint64_t seed);
 
-  [[nodiscard]] ValidatorIndex owner() const { return owner_; }
   [[nodiscard]] const Digest& public_key() const { return public_; }
 
   /// Sign a message digest.

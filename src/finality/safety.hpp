@@ -28,12 +28,6 @@ class SafetyMonitor {
   std::optional<SafetyViolation> report(const Checkpoint& c);
 
   [[nodiscard]] bool violated() const { return violation_.has_value(); }
-  [[nodiscard]] const std::optional<SafetyViolation>& violation() const {
-    return violation_;
-  }
-  [[nodiscard]] const std::vector<Checkpoint>& reported() const {
-    return reported_;
-  }
 
  private:
   const chain::BlockTree& tree_;

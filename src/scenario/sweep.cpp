@@ -59,13 +59,14 @@ std::optional<std::string> parse_sweep_axis(const ScenarioSpec& spec,
     if (*hi < *lo) {
       return "grid sweep \"" + std::string(body) + "\" has hi < lo";
     }
-    // Inclusive of hi up to half a step of float slack.
-    const auto count =
-        static_cast<std::size_t>(std::floor((*hi - *lo) / *step + 0.5)) + 1;
-    if (count > 100000) {
+    // Inclusive of hi up to half a step of float slack.  The limit is
+    // checked on the double: casting a quotient past size_t is UB.
+    const double span = std::floor((*hi - *lo) / *step + 0.5);
+    if (span >= 100000.0) {
       return "grid sweep \"" + std::string(body) + "\" expands to " +
-             std::to_string(count) + " values (limit 100000)";
+             Table::fmt_exact(span + 1.0) + " values (limit 100000)";
     }
+    const auto count = static_cast<std::size_t>(span) + 1;
     for (std::size_t i = 0; i < count; ++i) {
       const double x = *lo + static_cast<double>(i) * *step;
       if (x > *hi + 0.5 * *step) break;

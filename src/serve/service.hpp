@@ -66,7 +66,6 @@ class JobService {
   JobService(const scenario::ScenarioRegistry& registry,
              std::string jobs_dir);
 
-  [[nodiscard]] const std::string& jobs_dir() const { return jobs_dir_; }
   [[nodiscard]] std::string job_dir(const std::string& id) const;
 
   /// Create <jobs_dir>/<id>/manifest.json (atomically; idempotent for

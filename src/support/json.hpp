@@ -82,7 +82,6 @@ class Value {
   [[nodiscard]] static Value object() { return Value(Object{}); }
 
   [[nodiscard]] Type type() const { return type_; }
-  [[nodiscard]] bool is_null() const { return type_ == Type::kNull; }
   [[nodiscard]] bool is_bool() const { return type_ == Type::kBool; }
   [[nodiscard]] bool is_int() const { return type_ == Type::kInt; }
   [[nodiscard]] bool is_double() const { return type_ == Type::kDouble; }

@@ -65,9 +65,6 @@ class Epoch : public detail::StrongId<Epoch> {
   using StrongId::StrongId;
   constexpr Epoch& operator++() { ++value_; return *this; }
   [[nodiscard]] constexpr Epoch next() const { return Epoch{value_ + 1}; }
-  [[nodiscard]] constexpr Epoch prev() const {
-    return Epoch{value_ == 0 ? 0 : value_ - 1};
-  }
   [[nodiscard]] constexpr Slot start_slot() const {
     return Slot{value_ * kSlotsPerEpoch};
   }

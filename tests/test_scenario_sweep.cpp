@@ -62,7 +62,8 @@ TEST(SweepAxisTest, RejectsMalformedAxes) {
   SweepAxis axis;
   for (const char* bad :
        {"nonexistent=1,2", "beta0=", "beta0=0.3,zebra", "beta0=0.5:0.3:0.1",
-        "beta0=0.3:0.5:0", "beta0=0.3:0.5", "=1,2", "beta0=0.3,0.9"}) {
+        "beta0=0.3:0.5:0", "beta0=0.3:0.5", "=1,2", "beta0=0.3,0.9",
+        "beta0=0.3:0.4:1e-300"}) {
     EXPECT_TRUE(
         parse_sweep_axis(mc_scenario().spec(), bad, &axis).has_value())
         << bad;
