@@ -509,6 +509,9 @@ int cmd_search(const scenario::ScenarioRegistry& registry,
   } catch (const std::runtime_error& e) {
     return fail(e.what());
   }
+  if (!result.journal_repair.empty()) {
+    std::fprintf(stderr, "leakctl: %s\n", result.journal_repair.c_str());
+  }
   if (!opts.quiet) std::printf("%s", result.to_text().c_str());
   json::Value doc = result.to_json();
   if (opts.boost_report) {

@@ -1,34 +1,21 @@
 #include "src/chain/shuffle.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <span>
 #include <stdexcept>
 
 namespace leak::chain {
 
 namespace {
 
-std::uint64_t le64(const crypto::Digest& d, std::size_t offset = 0) {
+std::uint64_t le64(const crypto::Digest& d) {
   std::uint64_t v = 0;
   for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | d[offset + static_cast<std::size_t>(i)];
+    v = (v << 8) | d[static_cast<std::size_t>(i)];
   }
   return v;
-}
-
-crypto::Digest hash_round(const crypto::Digest& seed, std::uint8_t round) {
-  crypto::Sha256 h;
-  h.update(std::span<const std::uint8_t>(seed.data(), seed.size()));
-  h.update_value(round);
-  return h.finalize();
-}
-
-crypto::Digest hash_round_position(const crypto::Digest& seed,
-                                   std::uint8_t round,
-                                   std::uint32_t position_div) {
-  crypto::Sha256 h;
-  h.update(std::span<const std::uint8_t>(seed.data(), seed.size()));
-  h.update_value(round);
-  h.update_value(position_div);
-  return h.finalize();
 }
 
 }  // namespace
@@ -42,22 +29,33 @@ std::vector<std::uint64_t> shuffle_list(std::uint64_t n,
   std::vector<std::uint64_t> out(n);
   for (std::uint64_t i = 0; i < n; ++i) out[i] = i;
   if (n <= 1) return out;
+  // One message for the whole shuffle: seed || round || position (the
+  // spec's 4-byte little-endian uint_to_bytes).  Each hash patches only
+  // the round and position bytes; the pivot hashes the first 33 bytes.
+  std::array<std::uint8_t, 37> msg{};
+  std::copy(seed.begin(), seed.end(), msg.begin());
+  const std::span<const std::uint8_t> pivot_msg(msg.data(), 33);
   std::vector<crypto::Digest> blocks((n + 255) / 256);
   for (int r = 0; r < rounds; ++r) {
-    const auto round = static_cast<std::uint8_t>(r);
-    const std::uint64_t pivot = le64(hash_round(seed, round)) % n;
+    msg[32] = static_cast<std::uint8_t>(r);
+    const std::uint64_t pivot = le64(crypto::sha256(pivot_msg)) % n;
     for (std::size_t blk = 0; blk < blocks.size(); ++blk) {
-      blocks[blk] = hash_round_position(seed, round,
-                                        static_cast<std::uint32_t>(blk));
+      for (std::size_t b = 0; b < 4; ++b) {
+        msg[33 + b] = static_cast<std::uint8_t>(blk >> (8 * b));
+      }
+      blocks[blk] = crypto::sha256(msg);
     }
     for (std::uint64_t i = 0; i < n; ++i) {
       const std::uint64_t index = out[i];
-      const std::uint64_t flip = (pivot + n - index) % n;
+      // (pivot + n - index) % n without the division: index, pivot < n.
+      const std::uint64_t flip =
+          index <= pivot ? pivot - index : pivot + n - index;
       const std::uint64_t position = std::max(index, flip);
-      const crypto::Digest& source = blocks[position / 256];
-      const std::uint8_t byte =
-          source[static_cast<std::size_t>((position % 256) / 8)];
-      if ((byte >> (position % 8)) & 1) out[i] = flip;
+      const std::uint8_t byte = blocks[position >> 8][(position & 255) >> 3];
+      // All ones when the source bit is set: swap without a branch.
+      const std::uint64_t take =
+          std::uint64_t{0} - ((byte >> (position & 7)) & 1U);
+      out[i] = index ^ ((index ^ flip) & take);
     }
   }
   return out;
@@ -99,19 +97,20 @@ DutyRoster::DutyRoster(const ValidatorRegistry& registry, Epoch epoch,
   const auto pperm = shuffle_list(n, pseed);
   proposers_.reserve(kSlotsPerEpoch);
   const auto max_balance = Gwei::from_eth(kInitialStakeEth);
+  // One message for every draw: pseed || pos || i, the integers in
+  // native byte order.  The slot's offset hashes the first 40 bytes.
+  std::array<std::uint8_t, 48> msg{};
+  std::copy(pseed.begin(), pseed.end(), msg.begin());
+  const std::span<const std::uint8_t> offset_msg(msg.data(), 40);
   for (std::uint64_t pos = 0; pos < kSlotsPerEpoch; ++pos) {
-    crypto::Sha256 ho;
-    ho.update(std::span<const std::uint8_t>(pseed.data(), pseed.size()));
-    ho.update_value(pos);
-    const std::uint64_t offset = crypto::short_id(ho.finalize()) % n;
+    std::memcpy(msg.data() + 32, &pos, sizeof(pos));
+    const std::uint64_t offset =
+        crypto::short_id(crypto::sha256(offset_msg)) % n;
     ValidatorIndex chosen = active_[pperm[offset]];
     for (std::uint64_t i = 0; i <= 10000; ++i) {
       const ValidatorIndex candidate = active_[pperm[(offset + i) % n]];
-      crypto::Sha256 hb;
-      hb.update(std::span<const std::uint8_t>(pseed.data(), pseed.size()));
-      hb.update_value(pos);
-      hb.update_value(i);
-      const std::uint8_t random_byte = hb.finalize()[0];
+      std::memcpy(msg.data() + 40, &i, sizeof(i));
+      const std::uint8_t random_byte = crypto::sha256(msg)[0];
       const auto balance = registry.at(candidate).balance;
       // accept with probability balance / max_balance
       if (static_cast<__uint128_t>(balance.value()) * 255 >=

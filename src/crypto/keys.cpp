@@ -33,14 +33,9 @@ std::vector<KeyPair> KeyRegistry::generate(std::uint32_t n,
   for (std::uint32_t i = 0; i < n; ++i) {
     KeyPair kp = KeyPair::derive(ValidatorIndex{i}, seed);
     public_keys_.push_back(kp.public_key());
-    // Recompute the secret the same way derive() does so verification can
-    // recompute MACs.  (A real registry would verify with the public key;
-    // the simulated scheme is symmetric.)
-    Sha256 h;
-    h.update("leak/keypair/v1");
-    h.update_value(seed);
-    h.update_value(i);
-    secrets_.push_back(h.finalize());
+    // Kept so verification can recompute MACs.  (A real registry would
+    // verify with the public key; the simulated scheme is symmetric.)
+    secrets_.push_back(kp.secret_);
     pairs.push_back(kp);
   }
   return pairs;

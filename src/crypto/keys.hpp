@@ -37,6 +37,8 @@ class KeyPair {
   [[nodiscard]] Signature sign(const Digest& message) const;
 
  private:
+  friend class KeyRegistry;  // keeps each secret to verify against
+
   KeyPair(ValidatorIndex owner, Digest secret, Digest pub)
       : owner_(owner), secret_(secret), public_(pub) {}
 

@@ -1,5 +1,6 @@
 #include "src/crypto/sha256.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -28,6 +29,105 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
+std::uint32_t load_be32(const std::uint8_t* p) {
+  return (static_cast<std::uint32_t>(p[0]) << 24) |
+         (static_cast<std::uint32_t>(p[1]) << 16) |
+         (static_cast<std::uint32_t>(p[2]) << 8) |
+         static_cast<std::uint32_t>(p[3]);
+}
+
+/// Longest message whose padding still fits its own block.
+constexpr std::size_t kOneBlockMax = 55;
+
+/// One round.  The caller rotates the roles of a..h between calls
+/// instead of moving eight words: only d (the next e) and h (the next
+/// a) change.
+inline void step(std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                 std::uint32_t& d, std::uint32_t e, std::uint32_t f,
+                 std::uint32_t g, std::uint32_t& h, std::uint32_t kw) {
+  const std::uint32_t t1 = h + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) +
+                           ((e & f) ^ (~e & g)) + kw;
+  const std::uint32_t t2 = (rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)) +
+                           ((a & b) ^ (a & c) ^ (b & c));
+  d += t1;
+  h = t1 + t2;
+}
+
+/// The compression function over one 64-byte block.  The message
+/// schedule rolls through 16 words: before each group of 16 rounds
+/// after the first, w[t] = w[t-16] + s0(w[t-15]) + w[t-7] + s1(w[t-2])
+/// overwrites w[t-16] in place.
+void compress(std::uint32_t* state, const std::uint8_t* block) {
+  std::uint32_t w[16];
+  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+  for (int j = 0; j < 64; j += 16) {
+    if (j > 0) {
+      for (int i = 0; i < 16; ++i) {
+        const std::uint32_t w15 = w[(i + 1) & 15];
+        const std::uint32_t w2 = w[(i + 14) & 15];
+        w[i] += (rotr(w15, 7) ^ rotr(w15, 18) ^ (w15 >> 3)) +
+                w[(i + 9) & 15] +
+                (rotr(w2, 17) ^ rotr(w2, 19) ^ (w2 >> 10));
+      }
+    }
+    const std::uint32_t* k = kRound + j;
+    step(a, b, c, d, e, f, g, h, k[0] + w[0]);
+    step(h, a, b, c, d, e, f, g, k[1] + w[1]);
+    step(g, h, a, b, c, d, e, f, k[2] + w[2]);
+    step(f, g, h, a, b, c, d, e, k[3] + w[3]);
+    step(e, f, g, h, a, b, c, d, k[4] + w[4]);
+    step(d, e, f, g, h, a, b, c, k[5] + w[5]);
+    step(c, d, e, f, g, h, a, b, k[6] + w[6]);
+    step(b, c, d, e, f, g, h, a, k[7] + w[7]);
+    step(a, b, c, d, e, f, g, h, k[8] + w[8]);
+    step(h, a, b, c, d, e, f, g, k[9] + w[9]);
+    step(g, h, a, b, c, d, e, f, k[10] + w[10]);
+    step(f, g, h, a, b, c, d, e, k[11] + w[11]);
+    step(e, f, g, h, a, b, c, d, k[12] + w[12]);
+    step(d, e, f, g, h, a, b, c, k[13] + w[13]);
+    step(c, d, e, f, g, h, a, b, k[14] + w[14]);
+    step(b, c, d, e, f, g, h, a, k[15] + w[15]);
+  }
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+/// Pad the `len` (< 64) tail bytes at the front of `block` in one step,
+/// compress once or, when the length field no longer fits, twice, and
+/// return the digest.
+Digest finish(std::uint32_t* state, std::uint8_t* block, std::size_t len,
+              std::uint64_t total_bytes) {
+  block[len++] = 0x80;
+  if (len > 56) {
+    std::memset(block + len, 0, 64 - len);
+    compress(state, block);
+    len = 0;
+  }
+  std::memset(block + len, 0, 56 - len);
+  const std::uint64_t bit_len = total_bytes * 8;
+  for (int i = 0; i < 8; ++i) {
+    block[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  compress(state, block);
+
+  Digest out;
+  for (std::size_t i = 0; i < 8; ++i) {
+    out[4 * i] = static_cast<std::uint8_t>(state[i] >> 24);
+    out[4 * i + 1] = static_cast<std::uint8_t>(state[i] >> 16);
+    out[4 * i + 2] = static_cast<std::uint8_t>(state[i] >> 8);
+    out[4 * i + 3] = static_cast<std::uint8_t>(state[i]);
+  }
+  return out;
+}
+
 }  // namespace
 
 Sha256::Sha256() {
@@ -39,13 +139,19 @@ Sha256& Sha256::update(std::span<const std::uint8_t> data) {
   total_len_ += data.size();
   std::size_t off = 0;
   while (off < data.size()) {
+    if (buffer_len_ == 0 && data.size() - off >= buffer_.size()) {
+      // Whole blocks compress straight from the input.
+      compress(state_.data(), data.data() + off);
+      off += buffer_.size();
+      continue;
+    }
     const std::size_t take =
         std::min(data.size() - off, buffer_.size() - buffer_len_);
     std::memcpy(buffer_.data() + buffer_len_, data.data() + off, take);
     buffer_len_ += take;
     off += take;
     if (buffer_len_ == buffer_.size()) {
-      process_block(buffer_.data());
+      compress(state_.data(), buffer_.data());
       buffer_len_ = 0;
     }
   }
@@ -59,82 +165,26 @@ Sha256& Sha256::update(std::string_view data) {
 
 Digest Sha256::finalize() {
   assert(!finalized_);
-  const std::uint64_t bit_len = total_len_ * 8;
-  // Append 0x80 then zero-pad so that the last 8 bytes hold the length.
-  std::uint8_t pad = 0x80;
-  update(std::span<const std::uint8_t>(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
-  }
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  update(std::span<const std::uint8_t>(len_be, 8));
   finalized_ = true;
-
-  Digest out;
-  for (int i = 0; i < 8; ++i) {
-    out[static_cast<std::size_t>(4 * i)] =
-        static_cast<std::uint8_t>(state_[static_cast<std::size_t>(i)] >> 24);
-    out[static_cast<std::size_t>(4 * i + 1)] =
-        static_cast<std::uint8_t>(state_[static_cast<std::size_t>(i)] >> 16);
-    out[static_cast<std::size_t>(4 * i + 2)] =
-        static_cast<std::uint8_t>(state_[static_cast<std::size_t>(i)] >> 8);
-    out[static_cast<std::size_t>(4 * i + 3)] =
-        static_cast<std::uint8_t>(state_[static_cast<std::size_t>(i)]);
-  }
-  return out;
+  return finish(state_.data(), buffer_.data(), buffer_len_, total_len_);
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
+Digest sha256(std::span<const std::uint8_t> data) {
+  if (data.size() > kOneBlockMax) {
+    Sha256 h;
+    h.update(data);
+    return h.finalize();
   }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kRound[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  std::uint8_t block[64];
+  if (!data.empty()) std::memcpy(block, data.data(), data.size());
+  std::uint32_t state[8];
+  std::memcpy(state, kInit, sizeof(kInit));
+  return finish(state, block, data.size(), data.size());
 }
 
 Digest sha256(std::string_view data) {
-  Sha256 h;
-  h.update(data);
-  return h.finalize();
+  return sha256(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(data.data()), data.size()));
 }
 
 std::string to_hex(const Digest& d) {

@@ -33,8 +33,6 @@ class Sha256 {
   [[nodiscard]] Digest finalize();
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffer_len_ = 0;
@@ -42,7 +40,9 @@ class Sha256 {
   bool finalized_ = false;
 };
 
-/// One-shot hash of a string.
+/// One-shot hash.  A message of at most 55 bytes (every shuffle input)
+/// is padded in place and compressed once, with no hasher state.
+[[nodiscard]] Digest sha256(std::span<const std::uint8_t> data);
 [[nodiscard]] Digest sha256(std::string_view data);
 
 /// Lowercase hex encoding of a digest.

@@ -41,6 +41,7 @@ Network::Network(EventQueue& queue, NetworkConfig config)
           "Network: loss episode needs to > from and drop in [0, 1]");
     }
   }
+  queue_.set_delivery_sink([this](std::uint32_t slot) { deliver_slot(slot); });
 }
 
 void Network::set_region(ValidatorIndex v, Region r) {
@@ -120,12 +121,14 @@ void Network::deliver_later(SimTime when, ValidatorIndex to, Packet p) {
     free_slots_.pop_back();
     in_flight_[slot] = InFlight{to, p};
   }
-  queue_.schedule_at(when, [this, slot] {
-    const InFlight f = in_flight_[slot];
-    free_slots_.push_back(slot);
-    ++delivered_;
-    if (deliver_) deliver_(f.to, f.packet);
-  });
+  queue_.schedule_delivery(when, slot);
+}
+
+void Network::deliver_slot(std::uint32_t slot) {
+  const InFlight f = in_flight_[slot];
+  free_slots_.push_back(slot);
+  ++delivered_;
+  if (deliver_) deliver_(f.to, f.packet);
 }
 
 void Network::broadcast(ValidatorIndex from, std::uint64_t payload_id) {

@@ -87,7 +87,11 @@ struct NetworkConfig {
 /// uniform jitter in [min_delay, delta].
 class Network {
  public:
+  /// Registers this network as `queue`'s delivery sink, so the network
+  /// must outlive every delivery it schedules.
   Network(EventQueue& queue, NetworkConfig config);
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   /// Assign a node to a region (default: everyone in region one).
   void set_region(ValidatorIndex v, Region r);
@@ -119,6 +123,8 @@ class Network {
 
  private:
   void deliver_later(SimTime when, ValidatorIndex to, Packet p);
+  /// The queue's delivery sink: hand the copy in `slot` to deliver_.
+  void deliver_slot(std::uint32_t slot);
   [[nodiscard]] double jitter();
   /// Apply the weather episodes to one recipient copy: stretch the
   /// jitter, or drop the copy (returns false).  `base` is now for a
@@ -139,10 +145,9 @@ class Network {
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
 
-  /// Copies in flight, by slot.  A delivery event captures only
-  /// (this, slot), which fits std::function's inline buffer, so
-  /// scheduling a delivery does not allocate; a delivered copy's slot
-  /// is reused.
+  /// Copies in flight, by slot.  A delivery event is the queue's typed
+  /// (time, seq, slot) record, so scheduling one builds no callable; a
+  /// delivered copy's slot is reused.
   struct InFlight {
     ValidatorIndex to{};
     Packet packet{};

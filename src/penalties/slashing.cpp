@@ -6,7 +6,9 @@ SlashingDetector::SlashingDetector(Store store) : store_(std::move(store)) {}
 
 std::optional<SlashingProof> SlashingDetector::observe(std::uint64_t id) {
   const chain::Attestation& att = store_(id);
-  auto& seen = by_attester_[att.attester];
+  const std::size_t who = att.attester.value();
+  if (who >= by_attester_.size()) by_attester_.resize(who + 1);
+  auto& seen = by_attester_[who];
   std::optional<SlashingProof> proof;
   for (const std::uint64_t prev : seen) {
     if (chain::is_slashable_pair(store_(prev), att)) {

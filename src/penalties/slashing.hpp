@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -47,9 +46,9 @@ class SlashingDetector {
 
  private:
   Store store_;
-  /// Ordered map (leaklint D4): src/penalties is a reduction layer, and
-  /// an ordered container keeps any future iteration deterministic.
-  std::map<ValidatorIndex, std::vector<std::uint64_t>> by_attester_;
+  /// Observed ids by attester index, grown on demand to the largest
+  /// attester seen: one indexed load per observation, no lookup.
+  std::vector<std::vector<std::uint64_t>> by_attester_;
 };
 
 /// Applies a slashing: burns balance/min_slashing_penalty_quotient and

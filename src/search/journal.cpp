@@ -26,9 +26,11 @@ std::optional<EvalJournal> EvalJournal::open(
   auto store = std::make_unique<serve::ResultsStore>(std::move(path));
   std::string scan_error;
   auto scan = store->scan(&scan_error);
+  std::string repaired_tail;
   if (scan.torn_tail) {
     // kill -9 mid-append: drop the torn line so appends continue from
     // a clean record boundary (the lost evaluation simply re-runs).
+    repaired_tail = std::move(scan_error);
     scan_error.clear();
     if (!store->repair(&scan_error)) return fail(scan_error);
   } else if (!scan_error.empty()) {
@@ -36,6 +38,7 @@ std::optional<EvalJournal> EvalJournal::open(
   }
 
   EvalJournal journal(std::move(store));
+  journal.repaired_tail_ = std::move(repaired_tail);
   const json::Value identity = identity_json(objective, axes);
   if (scan.records.empty()) {
     if (!journal.store_->append(identity)) {

@@ -43,6 +43,13 @@ class EvalJournal {
     return cache_;
   }
 
+  /// The torn tail open() truncated, in the serve store's wording
+  /// ("PATH: torn tail at byte N (M bytes dropped)"); empty when the
+  /// journal ended on a record boundary.
+  [[nodiscard]] const std::string& repaired_tail() const {
+    return repaired_tail_;
+  }
+
   /// Append one fresh evaluation (one write(2) + fsync).
   [[nodiscard]] bool append(const std::vector<std::size_t>& cand,
                             const scenario::ParamSet& params, double value);
@@ -58,6 +65,7 @@ class EvalJournal {
 
   std::unique_ptr<serve::ResultsStore> store_;
   std::map<std::vector<std::size_t>, double> cache_;
+  std::string repaired_tail_;
 };
 
 }  // namespace leak::search

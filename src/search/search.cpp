@@ -214,6 +214,7 @@ SearchResult run_search(const scenario::Scenario& sc,
     std::string error;
     journal = EvalJournal::open(options.journal_path, objective, axes, &error);
     if (!journal) throw std::invalid_argument(error);
+    result.journal_repair = journal->repaired_tail();
   }
 
   Evaluator ev(sc, objective, axes, options,

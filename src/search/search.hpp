@@ -76,6 +76,9 @@ struct SearchResult {
   bool converged = false;
   bool budget_exhausted = false;
   std::vector<Evaluation> history;
+  /// The journal's repaired torn tail (EvalJournal::repaired_tail);
+  /// a note for the operator, not part of the report.
+  std::string journal_repair;
 
   [[nodiscard]] json::Value to_json() const;
   [[nodiscard]] std::string to_text() const;

@@ -1,9 +1,16 @@
-// Tests for SHA-256 (against FIPS vectors), the simulated signature
-// scheme and aggregation.
+// Tests for SHA-256 (against FIPS vectors and, differentially, the
+// frozen byte-at-a-time hasher), the simulated signature scheme and
+// aggregation.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <span>
+#include <vector>
 
 #include "src/crypto/keys.hpp"
 #include "src/crypto/sha256.hpp"
+#include "src/support/random.hpp"
+#include "tests/oracles/sha256_bytewise.hpp"
 
 namespace leak::crypto {
 namespace {
@@ -50,6 +57,62 @@ TEST(Sha256Test, ExactBlockBoundary) {
     Sha256 h2;
     h2.update(s);
     EXPECT_EQ(h2.finalize(), sha256(s)) << len;
+  }
+}
+
+/// The message bytes as a span.
+std::span<const std::uint8_t> bytes(const std::vector<std::uint8_t>& m) {
+  return {m.data(), m.size()};
+}
+
+/// A seeded message of `len` bytes.
+std::vector<std::uint8_t> message(Rng& rng, std::size_t len) {
+  std::vector<std::uint8_t> m(len);
+  for (auto& b : m) b = static_cast<std::uint8_t>(rng.uniform_index(256));
+  return m;
+}
+
+/// The live hasher fed `m` in random-sized chunks.
+Digest chunked(Rng& rng, const std::vector<std::uint8_t>& m) {
+  Sha256 h;
+  std::size_t off = 0;
+  while (off < m.size()) {
+    const std::size_t take =
+        std::min<std::size_t>(m.size() - off, 1 + rng.uniform_index(70));
+    h.update(bytes(m).subspan(off, take));
+    off += take;
+  }
+  return h.finalize();
+}
+
+TEST(Sha256Differential, OneBlockPathMatchesBytewiseAtEveryLength) {
+  // Lengths 0-55 take the one-shot's single-block path.
+  Rng rng(55);
+  for (std::size_t len = 0; len <= 55; ++len) {
+    const auto m = message(rng, len);
+    EXPECT_EQ(sha256(bytes(m)), oracle::sha256_bytewise(bytes(m))) << len;
+  }
+}
+
+TEST(Sha256Differential, PaddingEdgesMatchBytewise) {
+  // 55/56 and 119/120 bracket where the length field stops fitting the
+  // last block; 63/64 fill a block exactly.
+  Rng rng(64);
+  for (std::size_t len : {55U, 56U, 63U, 64U, 119U, 120U}) {
+    const auto m = message(rng, len);
+    const Digest want = oracle::sha256_bytewise(bytes(m));
+    EXPECT_EQ(sha256(bytes(m)), want) << len;
+    EXPECT_EQ(chunked(rng, m), want) << len;
+  }
+}
+
+TEST(Sha256Differential, RandomLengthsMatchBytewise) {
+  Rng rng(300);
+  for (int k = 0; k < 2000; ++k) {
+    const auto m = message(rng, rng.uniform_index(301));
+    const Digest want = oracle::sha256_bytewise(bytes(m));
+    EXPECT_EQ(sha256(bytes(m)), want) << m.size();
+    EXPECT_EQ(chunked(rng, m), want) << m.size();
   }
 }
 

@@ -1,10 +1,15 @@
 // Tests for the discrete-event queue and the partitioned network model.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "src/net/event_queue.hpp"
 #include "src/net/network.hpp"
+#include "src/support/random.hpp"
 
 namespace leak::net {
 namespace {
@@ -57,6 +62,96 @@ TEST(EventQueue, PastSchedulingThrows) {
   q.schedule_at(2.0, [] {});
   q.run_until(2.0);
   EXPECT_THROW(q.schedule_at(1.0, [] {}), std::invalid_argument);
+}
+
+TEST(EventQueue, DeliveryNeedsASinkAndAFutureTime) {
+  EventQueue q;
+  EXPECT_THROW(q.schedule_delivery(1.0, 0), std::logic_error);
+  std::vector<std::uint32_t> got;
+  q.set_delivery_sink([&](std::uint32_t slot) { got.push_back(slot); });
+  q.schedule_delivery(1.0, 7);
+  q.run_until(1.0);
+  EXPECT_EQ(got, std::vector<std::uint32_t>{7});
+  EXPECT_THROW(q.schedule_delivery(0.5, 1), std::invalid_argument);
+  EXPECT_THROW(q.schedule_delivery(std::nan(""), 1), std::invalid_argument);
+  EXPECT_THROW(q.schedule_at(std::nan(""), [] {}), std::invalid_argument);
+  EXPECT_EQ(q.pending(), 0U);
+}
+
+TEST(EventQueue, MixedScheduleReplaysPriorityQueueOrder) {
+  // A seeded schedule of generic and delivery events on a coarse time
+  // grid (many equal timestamps), where some generic events schedule
+  // more as they run, must pop in the order of a std::priority_queue
+  // ordered by (time, seq).
+  struct Planned {
+    double time;
+    bool delivery;
+  };
+  Rng rng(21);
+  std::vector<Planned> plan;
+  for (int i = 0; i < 4000; ++i) {
+    plan.push_back({0.25 * static_cast<double>(rng.uniform_index(64)),
+                    rng.bernoulli(0.7)});
+  }
+  // A generic event whose id is a multiple of 5 schedules a delivery
+  // at its own time and a generic event 0.25 s later.
+  const auto spawns = [](std::uint32_t id) { return id % 5 == 0; };
+
+  using Popped = std::pair<bool, std::uint32_t>;  // (delivery, id)
+  std::vector<Popped> got;
+  EventQueue q;
+  q.set_delivery_sink([&](std::uint32_t id) { got.emplace_back(true, id); });
+  std::uint32_t next_id = 0;
+  std::function<void(double, bool)> add = [&](double t, bool delivery) {
+    const std::uint32_t id = next_id++;
+    if (delivery) {
+      q.schedule_delivery(t, id);
+      return;
+    }
+    q.schedule_at(t, [&, id] {
+      got.emplace_back(false, id);
+      if (spawns(id)) {
+        add(q.now(), true);
+        add(q.now() + 0.25, false);
+      }
+    });
+  };
+  for (const Planned& p : plan) add(p.time, p.delivery);
+  for (double limit = 0.5; limit < 20.0; limit += 1.5) q.run_until(limit);
+  q.run_until(kSimTimeInfinity);
+
+  struct Ref {
+    double time;
+    std::uint64_t seq;
+    std::uint32_t id;
+    bool delivery;
+  };
+  struct Later {
+    bool operator()(const Ref& a, const Ref& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.seq > b.seq;
+    }
+  };
+  std::priority_queue<Ref, std::vector<Ref>, Later> ref;
+  std::uint64_t seq = 0;
+  const auto ref_add = [&](double t, bool delivery) {
+    ref.push(Ref{t, seq, static_cast<std::uint32_t>(seq), delivery});
+    ++seq;
+  };
+  for (const Planned& p : plan) ref_add(p.time, p.delivery);
+  std::vector<Popped> want;
+  while (!ref.empty()) {
+    const Ref e = ref.top();
+    ref.pop();
+    want.emplace_back(e.delivery, e.id);
+    if (!e.delivery && spawns(e.id)) {
+      ref_add(e.time, true);
+      ref_add(e.time + 0.25, false);
+    }
+  }
+  EXPECT_GT(want.size(), plan.size());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(q.pending(), 0U);
 }
 
 struct Rig {

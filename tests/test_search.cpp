@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -232,6 +233,12 @@ TEST_F(SearchTest, TornTailIsRepairedAndResumeStaysByteIdentical) {
   const SearchResult resumed = run_cheap(resume);
   EXPECT_GT(resumed.cache_hits, 0u);
   EXPECT_EQ(slurp(torn_path), reference);
+  EXPECT_EQ(resumed.journal_repair,
+            torn_path + ": torn tail at byte " + std::to_string(keep) + " (" +
+                std::to_string(std::strlen("12345678 {\"half")) +
+                " bytes dropped)");
+  // A clean journal reports nothing.
+  EXPECT_EQ(run_cheap(resume).journal_repair, "");
 }
 
 TEST_F(SearchTest, SigkilledMidSearchResumesByteIdentically) {

@@ -35,8 +35,11 @@ TEST(SwapOrNot, ActuallyShuffles) {
 
 TEST(SwapOrNot, BatchedListMatchesPerIndexReference) {
   // shuffle_list is the hash-batched variant; it must agree elementwise
-  // with the reference compute_shuffled_index for every index.
-  for (std::uint64_t n : {1ULL, 5ULL, 64ULL, 257ULL, 300ULL}) {
+  // with the reference compute_shuffled_index for every index.  The
+  // small n make index == pivot common (the division-free flip's edge),
+  // and 255-257 and 513 straddle the 256-position source blocks.
+  for (std::uint64_t n : {1ULL, 2ULL, 3ULL, 5ULL, 64ULL, 255ULL, 256ULL,
+                          257ULL, 300ULL, 513ULL}) {
     const auto perm = shuffle_list(n, kSeed);
     for (std::uint64_t i = 0; i < n; ++i) {
       EXPECT_EQ(perm[i], oracle::shuffled_index(i, n, kSeed))

@@ -12,9 +12,10 @@ CONTRACT is one of:
                  fails while the job is incomplete, and resuming a
                  complete job executes 0 cells.
   search         (tools.search_contract) A journaled search cut by a
-                 3-candidate budget, plus a torn journal tail, resumes to
-                 a journal byte-identical to a clean run's, with the same
-                 best and baseline.  A re-run makes 0 fresh evaluations.
+                 3-candidate budget, plus a torn journal tail, resumes
+                 (reporting the tail) to a journal byte-identical to a
+                 clean run's, with the same best and baseline.  A
+                 re-run makes 0 fresh evaluations.
   faults         (tools.faults_contract) Both fault scenarios run at
                  --paths 64, and examples/schedules/{cascade,flaky}.json
                  loaded with --faults give the metrics, stats and trials
@@ -69,16 +70,17 @@ class Leakctl:
                    f"{proc.stderr}")
         return proc
 
-    def report(self, *args):
+    def report(self, *args, stderr=False):
         """Run leakctl with `--json FILE --quiet`; load the report minus
-        its meta block and fan-out knobs."""
+        its meta block and fan-out knobs.  With stderr=True, return
+        (report, the run's stderr)."""
         out = self.work / f"report-{next(self.reports)}.json"
-        self(*args, "--json", out, "--quiet")
+        proc = self(*args, "--json", out, "--quiet")
         doc = json.loads(out.read_text(encoding="utf-8"))
         doc.pop("meta", None)
         for knob in FANOUT_KNOBS:
             doc.get("params", {}).pop(knob, None)
-        return doc
+        return (doc, proc.stderr) if stderr else doc
 
 
 def same(want, got):
@@ -132,8 +134,12 @@ def search(leakctl):
     hostile = leakctl.work / "hostile.jsonl"
     ref = leakctl.report(*args, "--budget", 12, "--journal", clean)
     leakctl(*args, "--budget", 3, "--journal", hostile, "--quiet")
+    torn_at = hostile.stat().st_size
     tear(hostile)
-    res = leakctl.report(*args, "--budget", 12, "--journal", hostile)
+    res, repair = leakctl.report(*args, "--budget", 12, "--journal", hostile,
+                                 stderr=True)
+    expect(f"torn tail at byte {torn_at} ({len(TORN_TAIL)} bytes dropped)"
+           in repair, f"resume did not report the torn tail: {repair!r}")
     expect(clean.read_bytes() == hostile.read_bytes(),
            "resumed journal differs from the clean run's")
     expect(ref["best"]["value"] is not None, "search produced no best value")
@@ -144,7 +150,7 @@ def search(leakctl):
     rerun = leakctl.report(*args, "--budget", 12, "--journal", hostile)
     fresh = rerun["evaluations"] - rerun["cache_hits"]
     expect(fresh == 0, f"re-run of a complete search evaluated {fresh}")
-    print(f"ok   search: journals byte-identical, best "
+    print(f"ok   search: torn tail reported, journals byte-identical, best "
           f"{ref['best']['value']}, re-run replays "
           f"{rerun['cache_hits']} and evaluates 0")
 
