@@ -36,9 +36,6 @@ std::uint32_t load_be32(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[3]);
 }
 
-/// Longest message whose padding still fits its own block.
-constexpr std::size_t kOneBlockMax = 55;
-
 /// One round.  The caller rotates the roles of a..h between calls
 /// instead of moving eight words: only d (the next e) and h (the next
 /// a) change.
@@ -100,34 +97,6 @@ void compress(std::uint32_t* state, const std::uint8_t* block) {
   state[7] += h;
 }
 
-/// Pad the `len` (< 64) tail bytes at the front of `block` in one step,
-/// compress once or, when the length field no longer fits, twice, and
-/// return the digest.
-Digest finish(std::uint32_t* state, std::uint8_t* block, std::size_t len,
-              std::uint64_t total_bytes) {
-  block[len++] = 0x80;
-  if (len > 56) {
-    std::memset(block + len, 0, 64 - len);
-    compress(state, block);
-    len = 0;
-  }
-  std::memset(block + len, 0, 56 - len);
-  const std::uint64_t bit_len = total_bytes * 8;
-  for (int i = 0; i < 8; ++i) {
-    block[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  compress(state, block);
-
-  Digest out;
-  for (std::size_t i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(state[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(state[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(state[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(state[i]);
-  }
-  return out;
-}
-
 }  // namespace
 
 Sha256::Sha256() {
@@ -166,20 +135,37 @@ Sha256& Sha256::update(std::string_view data) {
 Digest Sha256::finalize() {
   assert(!finalized_);
   finalized_ = true;
-  return finish(state_.data(), buffer_.data(), buffer_len_, total_len_);
+  // Pad in one step: 0x80, zeros, and the bit length in the last eight
+  // bytes, over one more block when the length no longer fits this one.
+  std::uint8_t* block = buffer_.data();
+  std::size_t len = buffer_len_;
+  block[len++] = 0x80;
+  if (len > 56) {
+    std::memset(block + len, 0, 64 - len);
+    compress(state_.data(), block);
+    len = 0;
+  }
+  std::memset(block + len, 0, 56 - len);
+  const std::uint64_t bit_len = total_len_ * 8;
+  for (int i = 0; i < 8; ++i) {
+    block[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  compress(state_.data(), block);
+
+  Digest out;
+  for (std::size_t i = 0; i < 8; ++i) {
+    out[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
+    out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
+    out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
+    out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
+  }
+  return out;
 }
 
 Digest sha256(std::span<const std::uint8_t> data) {
-  if (data.size() > kOneBlockMax) {
-    Sha256 h;
-    h.update(data);
-    return h.finalize();
-  }
-  std::uint8_t block[64];
-  if (!data.empty()) std::memcpy(block, data.data(), data.size());
-  std::uint32_t state[8];
-  std::memcpy(state, kInit, sizeof(kInit));
-  return finish(state, block, data.size(), data.size());
+  Sha256 h;
+  h.update(data);
+  return h.finalize();
 }
 
 Digest sha256(std::string_view data) {

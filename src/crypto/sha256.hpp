@@ -40,8 +40,7 @@ class Sha256 {
   bool finalized_ = false;
 };
 
-/// One-shot hash.  A message of at most 55 bytes (every shuffle input)
-/// is padded in place and compressed once, with no hasher state.
+/// One-shot hash.
 [[nodiscard]] Digest sha256(std::span<const std::uint8_t> data);
 [[nodiscard]] Digest sha256(std::string_view data);
 

@@ -1,5 +1,5 @@
 // The byte-at-a-time SHA-256, kept as it was when the live hasher
-// gained its one-block path.  See the header for the contract.
+// gained its one-step padding.  See the header for the contract.
 #include "tests/oracles/sha256_bytewise.hpp"
 
 #include <algorithm>

@@ -1,4 +1,4 @@
-// SHA-256 as it was before the one-block path and the rolling
+// SHA-256 as it was before the one-step padding and the rolling
 // schedule: the padding goes through update() one byte at a time and
 // the compression expands the full 64-word schedule.  The live hasher
 // (src/crypto/sha256.hpp) is held to it byte for byte.

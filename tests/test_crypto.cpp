@@ -85,8 +85,9 @@ Digest chunked(Rng& rng, const std::vector<std::uint8_t>& m) {
   return h.finalize();
 }
 
-TEST(Sha256Differential, OneBlockPathMatchesBytewiseAtEveryLength) {
-  // Lengths 0-55 take the one-shot's single-block path.
+TEST(Sha256Differential, SingleBlockLengthsMatchBytewise) {
+  // Lengths 0-55 pad into one block; every shuffle input is 33 or 37
+  // bytes.
   Rng rng(55);
   for (std::size_t len = 0; len <= 55; ++len) {
     const auto m = message(rng, len);
