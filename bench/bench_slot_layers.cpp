@@ -1,13 +1,15 @@
 // Slot simulator layers: the per-trial costs under one `slot` cell.
 // Every slot trial rebuilds a DutyRoster per epoch (two swap-or-not
-// shuffles whose inputs are one-block SHA-256 messages) and delivers
-// about 12k network events, so these four cases are the crypto, chain
-// and net layers of a 44-validator trial (32 honest + 12 Byzantine, the
-// `balancing-attack` cell).
+// shuffles whose inputs are one-block SHA-256 messages, hashed in
+// 16-lane batches) and delivers about 12k network events, so these
+// cases are the crypto, chain and net layers of a 44-validator trial
+// (32 honest + 12 Byzantine, the `balancing-attack` cell), plus a
+// 300-validator roster.
 #include "bench/bench_common.hpp"
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/chain/registry.hpp"
 #include "src/chain/shuffle.hpp"
@@ -31,6 +33,7 @@ void report() {
   Table t({"quantity", "value"});
   t.add_row({"validators", std::to_string(kValidators)});
   t.add_row({"shuffle hash input bytes", "33 (pivot), 37 (source block)"});
+  t.add_row({"SHA-256 lanes per batched compression", "16"});
   t.add_row({"delivery events per trial shape",
              std::to_string(kSlots * kBroadcastsPerSlot * kValidators)});
   bench::emit(t, "slot_layers.csv");
@@ -50,6 +53,29 @@ void BM_Sha256OneBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256OneBlock);
 
+/// The same 37-byte messages through the batched kernel, 90 at a time
+/// (one 44-validator shuffle's source blocks).
+void BM_Sha256OneBlockBatch(benchmark::State& state) {
+  constexpr std::size_t kLen = 37;
+  constexpr std::size_t kCount = 90;
+  std::vector<std::uint8_t> msgs(kLen * kCount);
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    msgs[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  std::vector<crypto::Digest> out(kCount);
+  for (auto _ : state) {
+    crypto::sha256_batch(msgs.data(), kLen, kLen, kCount, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    ++msgs[32];
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kLen * kCount));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kCount));
+}
+BENCHMARK(BM_Sha256OneBlockBatch);
+
 /// The full 90-round swap-or-not permutation of 44 indices.
 void BM_ShuffleList44(benchmark::State& state) {
   crypto::Digest seed = crypto::sha256(std::string_view("slot-layers"));
@@ -60,16 +86,24 @@ void BM_ShuffleList44(benchmark::State& state) {
 }
 BENCHMARK(BM_ShuffleList44);
 
-/// One epoch's duties at 44 validators: committees and proposers.
-void BM_DutyRoster44(benchmark::State& state) {
-  const chain::ValidatorRegistry registry(kValidators);
+/// One epoch's duties at `validators`: committees and proposers.
+void roster_loop(benchmark::State& state, std::uint32_t validators) {
+  const chain::ValidatorRegistry registry(validators);
   std::uint64_t epoch = 0;
   for (auto _ : state) {
     const chain::DutyRoster roster(registry, Epoch{epoch++}, 42);
     benchmark::DoNotOptimize(roster.proposer(0).value());
   }
 }
+
+void BM_DutyRoster44(benchmark::State& state) {
+  roster_loop(state, kValidators);
+}
 BENCHMARK(BM_DutyRoster44);
+
+/// Two source blocks per round: 180 source hashes per shuffle.
+void BM_DutyRoster300(benchmark::State& state) { roster_loop(state, 300); }
+BENCHMARK(BM_DutyRoster300);
 
 /// Schedule and pop one trial's delivery events: per slot, three
 /// broadcasts to all 44 nodes, scheduled by timed actions the way the

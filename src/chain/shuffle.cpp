@@ -28,23 +28,35 @@ std::vector<std::uint64_t> shuffle_list(std::uint64_t n,
   // per round instead of once per index — O(rounds * n/256) hashes.
   std::vector<std::uint64_t> out(n);
   for (std::uint64_t i = 0; i < n; ++i) out[i] = i;
-  if (n <= 1) return out;
-  // One message for the whole shuffle: seed || round || position (the
-  // spec's 4-byte little-endian uint_to_bytes).  Each hash patches only
-  // the round and position bytes; the pivot hashes the first 33 bytes.
-  std::array<std::uint8_t, 37> msg{};
-  std::copy(seed.begin(), seed.end(), msg.begin());
-  const std::span<const std::uint8_t> pivot_msg(msg.data(), 33);
-  std::vector<crypto::Digest> blocks((n + 255) / 256);
-  for (int r = 0; r < rounds; ++r) {
-    msg[32] = static_cast<std::uint8_t>(r);
-    const std::uint64_t pivot = le64(crypto::sha256(pivot_msg)) % n;
-    for (std::size_t blk = 0; blk < blocks.size(); ++blk) {
+  if (n <= 1 || rounds <= 0) return out;
+  // Every hash depends only on (seed, round, position block), so all of
+  // them are hashed up front, sixteen to a SIMD batch.  One message per
+  // (round, block): seed || round || position (the spec's 4-byte
+  // little-endian uint_to_bytes).  Each round's pivot hashes the first
+  // 33 bytes of its block-0 message.
+  constexpr std::size_t kMsg = 37;
+  const auto round_count = static_cast<std::size_t>(rounds);
+  const std::size_t block_count = (n + 255) / 256;
+  std::vector<std::uint8_t> msgs(round_count * block_count * kMsg);
+  for (std::size_t r = 0; r < round_count; ++r) {
+    for (std::size_t blk = 0; blk < block_count; ++blk) {
+      std::uint8_t* msg = msgs.data() + (r * block_count + blk) * kMsg;
+      std::copy(seed.begin(), seed.end(), msg);
+      msg[32] = static_cast<std::uint8_t>(r);
       for (std::size_t b = 0; b < 4; ++b) {
         msg[33 + b] = static_cast<std::uint8_t>(blk >> (8 * b));
       }
-      blocks[blk] = crypto::sha256(msg);
     }
+  }
+  std::vector<crypto::Digest> pivots(round_count);
+  std::vector<crypto::Digest> sources(round_count * block_count);
+  crypto::sha256_batch(msgs.data(), 33, block_count * kMsg, round_count,
+                       pivots.data());
+  crypto::sha256_batch(msgs.data(), kMsg, kMsg, sources.size(),
+                       sources.data());
+  for (std::size_t r = 0; r < round_count; ++r) {
+    const std::uint64_t pivot = le64(pivots[r]) % n;
+    const crypto::Digest* blocks = sources.data() + r * block_count;
     for (std::uint64_t i = 0; i < n; ++i) {
       const std::uint64_t index = out[i];
       // (pivot + n - index) % n without the division: index, pivot < n.
@@ -97,20 +109,33 @@ DutyRoster::DutyRoster(const ValidatorRegistry& registry, Epoch epoch,
   const auto pperm = shuffle_list(n, pseed);
   proposers_.reserve(kSlotsPerEpoch);
   const auto max_balance = Gwei::from_eth(kInitialStakeEth);
-  // One message for every draw: pseed || pos || i, the integers in
-  // native byte order.  The slot's offset hashes the first 40 bytes.
-  std::array<std::uint8_t, 48> msg{};
-  std::copy(pseed.begin(), pseed.end(), msg.begin());
-  const std::span<const std::uint8_t> offset_msg(msg.data(), 40);
+  // One message per slot: pseed || pos || i, the integers in native
+  // byte order.  The slot's offset hashes the first 40 bytes.  The
+  // offsets and the first draws (i = 0) are hashed in two batches; a
+  // rejected first draw hashes its retries one at a time.
+  constexpr std::size_t kMsg = 48;
+  std::array<std::uint8_t, kSlotsPerEpoch * kMsg> msgs{};
   for (std::uint64_t pos = 0; pos < kSlotsPerEpoch; ++pos) {
-    std::memcpy(msg.data() + 32, &pos, sizeof(pos));
-    const std::uint64_t offset =
-        crypto::short_id(crypto::sha256(offset_msg)) % n;
+    std::copy(pseed.begin(), pseed.end(), msgs.data() + pos * kMsg);
+    std::memcpy(msgs.data() + pos * kMsg + 32, &pos, sizeof(pos));
+  }
+  std::array<crypto::Digest, kSlotsPerEpoch> offsets;
+  std::array<crypto::Digest, kSlotsPerEpoch> first_draws;
+  crypto::sha256_batch(msgs.data(), 40, kMsg, kSlotsPerEpoch,
+                       offsets.data());
+  crypto::sha256_batch(msgs.data(), kMsg, kMsg, kSlotsPerEpoch,
+                       first_draws.data());
+  for (std::uint64_t pos = 0; pos < kSlotsPerEpoch; ++pos) {
+    const std::span<std::uint8_t, kMsg> msg(msgs.data() + pos * kMsg, kMsg);
+    const std::uint64_t offset = crypto::short_id(offsets[pos]) % n;
     ValidatorIndex chosen = active_[pperm[offset]];
     for (std::uint64_t i = 0; i <= 10000; ++i) {
       const ValidatorIndex candidate = active_[pperm[(offset + i) % n]];
-      std::memcpy(msg.data() + 40, &i, sizeof(i));
-      const std::uint8_t random_byte = crypto::sha256(msg)[0];
+      std::uint8_t random_byte = first_draws[pos][0];
+      if (i > 0) {
+        std::memcpy(msg.data() + 40, &i, sizeof(i));
+        random_byte = crypto::sha256(msg)[0];
+      }
       const auto balance = registry.at(candidate).balance;
       // accept with probability balance / max_balance
       if (static_cast<__uint128_t>(balance.value()) * 255 >=

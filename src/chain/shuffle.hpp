@@ -24,7 +24,7 @@ inline constexpr int kShuffleRounds = 90;
 /// Full permutation of [0, n) under the spec's swap-or-not shuffle:
 /// element i is compute_shuffled_index(i, n, seed).  Each round's pivot
 /// and 256-position source blocks are hashed once, O(rounds * n/256)
-/// hashes.
+/// hashes, all of them up front through crypto::sha256_batch.
 [[nodiscard]] std::vector<std::uint64_t> shuffle_list(
     std::uint64_t n, const crypto::Digest& seed,
     int rounds = kShuffleRounds);

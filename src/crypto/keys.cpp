@@ -1,18 +1,9 @@
 #include "src/crypto/keys.hpp"
 
-namespace leak::crypto {
+#include <cstring>
+#include <string_view>
 
-KeyPair KeyPair::derive(ValidatorIndex who, std::uint64_t seed) {
-  Sha256 h;
-  h.update("leak/keypair/v1");
-  h.update_value(seed);
-  h.update_value(who.value());
-  const Digest secret = h.finalize();
-  Sha256 hp;
-  hp.update("leak/pubkey/v1");
-  hp.update(std::span<const std::uint8_t>(secret.data(), secret.size()));
-  return KeyPair{who, secret, hp.finalize()};
-}
+namespace leak::crypto {
 
 Signature KeyPair::sign(const Digest& message) const {
   Sha256 h;
@@ -24,19 +15,37 @@ Signature KeyPair::sign(const Digest& message) const {
 
 std::vector<KeyPair> KeyRegistry::generate(std::uint32_t n,
                                            std::uint64_t seed) {
+  // secret_i = H("leak/keypair/v1" || seed || i) and public_i =
+  // H("leak/pubkey/v1" || secret_i), the integers in native byte order.
+  // Both fit one block, so each is one batch over all n validators.
+  constexpr std::string_view kSecretTag = "leak/keypair/v1";
+  constexpr std::string_view kPublicTag = "leak/pubkey/v1";
+  constexpr std::size_t kSecretMsg =
+      kSecretTag.size() + sizeof(seed) + sizeof(std::uint32_t);
+  constexpr std::size_t kPublicMsg = kPublicTag.size() + sizeof(Digest);
+  std::vector<std::uint8_t> msgs(std::size_t{n} * kPublicMsg);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::uint8_t* msg = msgs.data() + std::size_t{i} * kSecretMsg;
+    std::memcpy(msg, kSecretTag.data(), kSecretTag.size());
+    std::memcpy(msg + kSecretTag.size(), &seed, sizeof(seed));
+    std::memcpy(msg + kSecretTag.size() + sizeof(seed), &i, sizeof(i));
+  }
+  // Kept so verification can recompute MACs.  (A real registry would
+  // verify with the public key; the simulated scheme is symmetric.)
+  secrets_.resize(n);
+  sha256_batch(msgs.data(), kSecretMsg, kSecretMsg, n, secrets_.data());
+  // The public-key messages overwrite the secret ones in place.
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::uint8_t* msg = msgs.data() + std::size_t{i} * kPublicMsg;
+    std::memcpy(msg, kPublicTag.data(), kPublicTag.size());
+    std::memcpy(msg + kPublicTag.size(), secrets_[i].data(), sizeof(Digest));
+  }
+  public_keys_.resize(n);
+  sha256_batch(msgs.data(), kPublicMsg, kPublicMsg, n, public_keys_.data());
   std::vector<KeyPair> pairs;
   pairs.reserve(n);
-  public_keys_.clear();
-  secrets_.clear();
-  public_keys_.reserve(n);
-  secrets_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    KeyPair kp = KeyPair::derive(ValidatorIndex{i}, seed);
-    public_keys_.push_back(kp.public_key());
-    // Kept so verification can recompute MACs.  (A real registry would
-    // verify with the public key; the simulated scheme is symmetric.)
-    secrets_.push_back(kp.secret_);
-    pairs.push_back(kp);
+    pairs.push_back(KeyPair{ValidatorIndex{i}, secrets_[i], public_keys_[i]});
   }
   return pairs;
 }

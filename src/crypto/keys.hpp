@@ -28,16 +28,13 @@ struct Signature {
 /// A validator keypair.  The public key is H(secret).
 class KeyPair {
  public:
-  /// Deterministically derive the keypair for a validator from a seed.
-  static KeyPair derive(ValidatorIndex who, std::uint64_t seed);
-
   [[nodiscard]] const Digest& public_key() const { return public_; }
 
   /// Sign a message digest.
   [[nodiscard]] Signature sign(const Digest& message) const;
 
  private:
-  friend class KeyRegistry;  // keeps each secret to verify against
+  friend class KeyRegistry;  // derives every keypair, keeps the secrets
 
   KeyPair(ValidatorIndex owner, Digest secret, Digest pub)
       : owner_(owner), secret_(secret), public_(pub) {}
@@ -50,8 +47,9 @@ class KeyPair {
 /// Registry of public keys; verifies signatures.
 class KeyRegistry {
  public:
-  /// Create keypairs for validators [0, n) from a seed; returns the
-  /// secret keypairs (handed to agents) while retaining public keys.
+  /// Deterministically derive keypairs for validators [0, n) from a
+  /// seed; returns the secret keypairs (handed to agents) while
+  /// retaining public keys.
   std::vector<KeyPair> generate(std::uint32_t n, std::uint64_t seed);
 
   [[nodiscard]] std::size_t size() const { return public_keys_.size(); }

@@ -44,6 +44,14 @@ class Sha256 {
 [[nodiscard]] Digest sha256(std::span<const std::uint8_t> data);
 [[nodiscard]] Digest sha256(std::string_view data);
 
+/// Hash `count` independent messages of `len` bytes each, message k at
+/// `msgs + k * stride`, into out[0..count): out[k] equals sha256 of
+/// message k.  Each message pads into one block, so `len` is at most 55;
+/// a longer `len` throws std::invalid_argument.  Sixteen messages share
+/// the SIMD lanes of one compression (src/crypto/sha256_batch.cpp).
+void sha256_batch(const std::uint8_t* msgs, std::size_t len,
+                  std::size_t stride, std::size_t count, Digest* out);
+
 /// Lowercase hex encoding of a digest.
 [[nodiscard]] std::string to_hex(const Digest& d);
 

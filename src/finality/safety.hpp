@@ -24,14 +24,25 @@ class SafetyMonitor {
   explicit SafetyMonitor(const chain::BlockTree& tree);
 
   /// Report a finalized checkpoint; returns a violation if this
-  /// checkpoint conflicts with any previously reported one.
+  /// checkpoint conflicts with any reported one (a repeat report checks
+  /// against every other checkpoint reported so far).  The violation's
+  /// `a` is the first reported checkpoint that conflicts.
   std::optional<SafetyViolation> report(const Checkpoint& c);
 
   [[nodiscard]] bool violated() const { return violation_.has_value(); }
 
  private:
+  /// One distinct reported block.  Each is checked once against every
+  /// other, in report order: `checked` counts the entries compared so
+  /// far and `conflict` is the first that conflicts.
+  struct Reported {
+    Checkpoint checkpoint;
+    std::size_t checked = 0;
+    std::optional<std::size_t> conflict;
+  };
+
   const chain::BlockTree& tree_;
-  std::vector<Checkpoint> reported_;
+  std::vector<Reported> reported_;
   std::optional<SafetyViolation> violation_;
 };
 

@@ -1,10 +1,12 @@
 // Tests for SHA-256 (against FIPS vectors and, differentially, the
-// frozen byte-at-a-time hasher), the simulated signature scheme and
-// aggregation.
+// frozen byte-at-a-time hasher), the batched one-block SHA-256 (against
+// both), the simulated signature scheme and aggregation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/crypto/keys.hpp"
@@ -117,6 +119,61 @@ TEST(Sha256Differential, RandomLengthsMatchBytewise) {
   }
 }
 
+/// sha256_batch over `count` seeded messages of `len` bytes, `stride`
+/// bytes apart, checked message by message against the live hasher and
+/// the frozen byte-at-a-time one.
+void check_batch(Rng& rng, std::size_t len, std::size_t stride,
+                 std::size_t count) {
+  const auto buf = message(rng, count * stride);
+  std::vector<Digest> out(count);
+  sha256_batch(buf.data(), len, stride, count, out.data());
+  for (std::size_t k = 0; k < count; ++k) {
+    const auto m = bytes(buf).subspan(k * stride, len);
+    ASSERT_EQ(out[k], sha256(m)) << len << "/" << stride << "/" << k;
+    ASSERT_EQ(out[k], oracle::sha256_bytewise(m))
+        << len << "/" << stride << "/" << k;
+  }
+}
+
+TEST(Sha256Batch, EveryOneBlockLengthMatchesScalarAndBytewise) {
+  // Counts around the 16-lane group: one lane, a partial group, a full
+  // one, one lane over, and several groups with a partial tail.  Packed
+  // and gapped strides.
+  Rng rng(2048);
+  for (std::size_t len = 0; len <= 55; ++len) {
+    for (std::size_t count : {1U, 15U, 16U, 17U, 53U}) {
+      check_batch(rng, len, len, count);
+      check_batch(rng, len, len + 5, count);
+    }
+  }
+}
+
+TEST(Sha256Batch, FipsVectors) {
+  const std::string abc = "abcabcabc";
+  std::vector<Digest> out(3);
+  sha256_batch(reinterpret_cast<const std::uint8_t*>(abc.data()), 3, 3, 3,
+               out.data());
+  for (const Digest& d : out) {
+    EXPECT_EQ(to_hex(d),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  }
+  sha256_batch(reinterpret_cast<const std::uint8_t*>(abc.data()), 0, 1, 2,
+               out.data());
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(to_hex(out[k]),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  }
+}
+
+TEST(Sha256Batch, RejectsMessagesPastOneBlock) {
+  const std::vector<std::uint8_t> buf(56, 'x');
+  Digest out{};
+  EXPECT_THROW(sha256_batch(buf.data(), 56, 56, 1, &out),
+               std::invalid_argument);
+  EXPECT_NO_THROW(sha256_batch(buf.data(), 55, 56, 1, &out));
+  EXPECT_EQ(out, sha256(std::span<const std::uint8_t>(buf.data(), 55)));
+}
+
 TEST(Sha256Test, ShortIdIsPrefix) {
   const Digest d = sha256("abc");
   const std::uint64_t id = short_id(d);
@@ -125,11 +182,30 @@ TEST(Sha256Test, ShortIdIsPrefix) {
 }
 
 TEST(Keys, DeterministicDerivation) {
-  const auto a = KeyPair::derive(ValidatorIndex{3}, 42);
-  const auto b = KeyPair::derive(ValidatorIndex{3}, 42);
-  EXPECT_EQ(a.public_key(), b.public_key());
-  const auto c = KeyPair::derive(ValidatorIndex{4}, 42);
-  EXPECT_NE(a.public_key(), c.public_key());
+  // secret_i = H("leak/keypair/v1" || seed || i) and public_i =
+  // H("leak/pubkey/v1" || secret_i), the integers in native byte order;
+  // the batched derivation is held to the scalar hasher key by key.
+  constexpr std::uint64_t kSeed = 42;
+  const auto pairs = KeyRegistry{}.generate(37, kSeed);
+  const auto again = KeyRegistry{}.generate(37, kSeed);
+  ASSERT_EQ(pairs.size(), 37u);
+  const Digest msg = sha256("attestation");
+  for (std::uint32_t i = 0; i < pairs.size(); ++i) {
+    const Digest secret =
+        Sha256{}.update("leak/keypair/v1").update_value(kSeed).update_value(i)
+            .finalize();
+    EXPECT_EQ(pairs[i].public_key(),
+              Sha256{}.update("leak/pubkey/v1").update(secret).finalize())
+        << i;
+    EXPECT_EQ(pairs[i].sign(msg).mac,
+              Sha256{}.update("leak/sig/v1").update(secret).update(msg)
+                  .finalize())
+        << i;
+    EXPECT_EQ(pairs[i].public_key(), again[i].public_key()) << i;
+  }
+  EXPECT_NE(pairs[3].public_key(), pairs[4].public_key());
+  EXPECT_NE(pairs[3].public_key(),
+            KeyRegistry{}.generate(4, kSeed + 1)[3].public_key());
 }
 
 TEST(Keys, SignVerifyRoundTrip) {

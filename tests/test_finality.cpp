@@ -200,5 +200,51 @@ TEST(SafetyMonitorTest, SameCheckpointTwiceIsFine) {
   EXPECT_FALSE(mon.report(Checkpoint{a.id, Epoch{1}}).has_value());
 }
 
+TEST(SafetyMonitorTest, RepeatedReportsKeepTheirVerdict) {
+  // Every view reports each checkpoint it finalizes, so the same block
+  // arrives many times.  A repeat report conflicts exactly when its block
+  // conflicts with some reported block, including ones reported after
+  // its first report, and names the first such block.
+  BlockTree tree;
+  const Block a = Block::make(tree.genesis_id(), Slot{32}, ValidatorIndex{0});
+  const Block a2 = Block::make(a.id, Slot{64}, ValidatorIndex{1});
+  const Block b = Block::make(tree.genesis_id(), Slot{33}, ValidatorIndex{2});
+  const Block b2 = Block::make(b.id, Slot{65}, ValidatorIndex{3});
+  for (const Block& blk : {a, a2, b, b2}) tree.insert(blk);
+  SafetyMonitor mon(tree);
+  const Checkpoint ca{a.id, Epoch{1}}, ca2{a2.id, Epoch{2}};
+  const Checkpoint cb{b.id, Epoch{1}}, cb2{b2.id, Epoch{2}};
+  EXPECT_FALSE(mon.report(ca).has_value());
+  EXPECT_FALSE(mon.report(ca).has_value());
+  EXPECT_FALSE(mon.report(ca2).has_value());
+  EXPECT_FALSE(mon.report(ca2).has_value());
+  EXPECT_FALSE(mon.violated());
+  const auto first = mon.report(cb);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->a.block, a.id);
+  EXPECT_EQ(first->b.block, b.id);
+  // a now conflicts with b, reported after a's first report.
+  const auto again = mon.report(ca);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->a.block, b.id);
+  EXPECT_EQ(again->b.block, a.id);
+  ASSERT_TRUE(mon.report(cb).has_value());
+  EXPECT_EQ(mon.report(cb)->a.block, a.id);
+  const auto second = mon.report(cb2);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->a.block, a.id);
+  const auto later = mon.report(ca2);
+  ASSERT_TRUE(later.has_value());
+  EXPECT_EQ(later->a.block, b.id);
+  EXPECT_EQ(later->b.epoch, Epoch{2});
+  // A block that conflicts with nothing stays fine however often it is
+  // reported.
+  BlockTree lone;
+  lone.insert(a);
+  SafetyMonitor quiet(lone);
+  for (int k = 0; k < 3; ++k) EXPECT_FALSE(quiet.report(ca).has_value());
+  EXPECT_FALSE(quiet.violated());
+}
+
 }  // namespace
 }  // namespace leak::finality

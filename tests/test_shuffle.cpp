@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "src/chain/shuffle.hpp"
+#include "tests/oracles/duty_roster_scalar.hpp"
 #include "tests/oracles/yardsticks.hpp"
 
 namespace leak::chain {
@@ -153,6 +154,41 @@ TEST_F(RosterFixture, EmptyActiveSetThrows) {
   reg.eject(ValidatorIndex{0}, Epoch{0});
   reg.eject(ValidatorIndex{1}, Epoch{0});
   EXPECT_THROW(DutyRoster(reg, Epoch{1}, 0), std::invalid_argument);
+}
+
+TEST(DutyRosterOracle, MatchesFrozenScalarRosterThroughRejectedDraws) {
+  // Slashed-and-exited validators leave the active set from epoch 2 and
+  // the rest hold 20-32 ETH, so proposer draws get rejected and the
+  // roster's one-at-a-time retry path runs.  The batched roster must
+  // agree with the frozen one slot for slot.
+  std::uint64_t rejected = 0;
+  for (std::uint32_t n : {44U, 300U}) {
+    ValidatorRegistry reg(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ValidatorRecord& r = reg.at(ValidatorIndex{i});
+      if (i % 7 == 3) {
+        r.slashed = true;
+        r.balance = Gwei::from_eth(31.0);
+        reg.eject(ValidatorIndex{i}, Epoch{2});
+      } else {
+        r.balance = Gwei::from_eth(20.0 + static_cast<double>(i % 13));
+      }
+    }
+    for (std::uint64_t seed : {1ULL, 42ULL, 9001ULL}) {
+      for (std::uint64_t e : {0ULL, 1ULL, 2ULL, 7ULL}) {
+        const DutyRoster live(reg, Epoch{e}, seed);
+        const auto frozen = oracle::duty_roster_scalar(reg, Epoch{e}, seed);
+        rejected += frozen.rejected_draws;
+        for (std::uint64_t pos = 0; pos < kSlotsPerEpoch; ++pos) {
+          EXPECT_EQ(live.committee(pos), frozen.committees[pos])
+              << n << "/" << seed << "/" << e << "/" << pos;
+          EXPECT_EQ(live.proposer(pos), frozen.proposers[pos])
+              << n << "/" << seed << "/" << e << "/" << pos;
+        }
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace
