@@ -137,8 +137,8 @@ void BM_KBranchPartitionHeal(benchmark::State& state) {
   cfg.n_validators = 200;
   cfg.strategy = sim::Strategy::kNone;
   faults::compile_partition(
-      faults::FaultSchedule::legacy_partition(
-          static_cast<std::uint32_t>(state.range(0)), 1500, 400),
+      faults::FaultSchedule::staggered_partition(
+          static_cast<std::uint32_t>(state.range(0)), 0, 1500, 400),
       &cfg);
   cfg.max_epochs = 5000;
   cfg.trajectory_stride = cfg.max_epochs;

@@ -34,6 +34,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -237,8 +238,9 @@ struct ArgReader {
     const auto* v = value(flag);
     if (v == nullptr) return false;
     const auto parsed = parse::u64(*v);
-    if (!parsed) {
-      *error = std::string(flag) + " needs a non-negative integer";
+    if (!parsed || *parsed > std::numeric_limits<T>::max()) {
+      *error = std::string(flag) + " needs an integer in [0, " +
+               std::to_string(std::numeric_limits<T>::max()) + "]";
       return false;
     }
     *slot = static_cast<T>(*parsed);
@@ -329,39 +331,26 @@ std::optional<scenario::ParamSet> load_params_file(
     std::string* error) {
   const auto doc = json::Value::load_file(path, error);
   if (!doc) return std::nullopt;
-  // Archives produced by sweeps carry an "axes" member.  Validate it
-  // against this scenario's spec even though a plain `run` replay only
-  // uses the params: a grid axis naming a parameter the scenario does
-  // not declare means the file belongs to a different experiment, and
-  // silently replaying its base params would misattribute results.
-  if (doc->is_object() && doc->find("axes") != nullptr) {
-    std::string axes_error;
-    if (!scenario::axes_from_json(sc.spec(), *doc->find("axes"),
-                                  &axes_error)) {
-      *error = path + ": " + axes_error;
-      return std::nullopt;
-    }
+  // A full report replays the scenario it recorded.  Archives produced
+  // by sweeps carry "axes": validate them against this scenario's spec
+  // even though a plain `run` replay only uses the params, since a
+  // grid axis naming a parameter the scenario does not declare means
+  // the file belongs to a different experiment.
+  const bool object = doc->is_object();
+  const json::Value* params = object ? doc->find("params") : nullptr;
+  const json::Value* name = params ? doc->find("scenario") : nullptr;
+  const json::Value* axes = object ? doc->find("axes") : nullptr;
+  std::string why;
+  std::optional<scenario::ParamSet> set;
+  if (name != nullptr &&
+      (!name->is_string() || name->as_string() != sc.spec().name())) {
+    why = "archived scenario " + name->dump() + " does not match \"" +
+          sc.spec().name() + "\"";
+  } else if (axes == nullptr ||
+             scenario::axes_from_json(sc.spec(), *axes, &why)) {
+    set = sc.spec().params_from_json(params ? *params : *doc, &why);
   }
-  const json::Value* params = &*doc;
-  if (doc->is_object() && doc->find("params") != nullptr &&
-      doc->find("params")->is_object()) {
-    // A full report: replay the scenario it recorded (guard against
-    // replaying another scenario's archive under the wrong name).
-    const json::Value* name = doc->find("scenario");
-    if (name != nullptr && name->is_string() &&
-        name->as_string() != sc.spec().name()) {
-      *error = path + ": archived scenario \"" + name->as_string() +
-               "\" does not match \"" + sc.spec().name() + "\"";
-      return std::nullopt;
-    }
-    params = doc->find("params");
-  }
-  std::string parse_error;
-  auto set = sc.spec().params_from_json(*params, &parse_error);
-  if (!set) {
-    *error = path + ": " + parse_error;
-    return std::nullopt;
-  }
+  if (!set) *error = path + ": " + why;
   return set;
 }
 

@@ -72,8 +72,8 @@ int main(int argc, char** argv) {
   cfg.trajectory_stride = 250;
   try {
     faults::compile_partition(
-        faults::FaultSchedule::legacy_partition(branches, heal_epoch,
-                                                heal_stagger),
+        faults::FaultSchedule::staggered_partition(branches, 0, heal_epoch,
+                                                   heal_stagger),
         &cfg);
   } catch (const std::invalid_argument&) {
     return usage(argv[0]);  // branches outside [2, 255], or heal_epoch 1

@@ -3,8 +3,9 @@
 //
 //  * compile_partition -- the epoch-granular sim::PartitionSimConfig
 //    path: partition-open/heal events become explicit per-branch
-//    windows (FaultSchedule::legacy_partition expresses the paper's
-//    open-at-epoch-1, staggered-heal arc), outages become honest-cohort
+//    windows (FaultSchedule::staggered_partition with an open stagger
+//    of 0 expresses the paper's open-at-epoch-1, staggered-heal arc),
+//    outages become honest-cohort
 //    inactivity windows.  Latency/loss episodes have no epoch-granular
 //    analogue and are rejected.
 //

@@ -1,6 +1,7 @@
 #include "src/faults/schedule.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -9,7 +10,7 @@ namespace leak::faults {
 namespace {
 
 [[noreturn]] void fail(const std::string& msg) {
-  throw std::invalid_argument("fault schedule: " + msg);
+  throw std::invalid_argument(msg);
 }
 
 const char* kind_name(const FaultEvent& e) {
@@ -31,12 +32,12 @@ const char* link_name(LinkClass link) {
   return "all";
 }
 
-LinkClass link_from_name(const std::string& name, const std::string& where) {
+LinkClass link_of(const json::Field& f) {
+  const std::string& name = f.string();
   if (name == "all") return LinkClass::kAll;
   if (name == "intra") return LinkClass::kIntra;
   if (name == "cross") return LinkClass::kCross;
-  fail(where + ": unknown link class \"" + name +
-       "\" (expected all, intra or cross)");
+  f.fail("unknown link class \"" + name + "\" (expected all, intra or cross)");
 }
 
 /// Can two weather episodes afflict the same link?
@@ -44,131 +45,50 @@ bool links_collide(LinkClass a, LinkClass b) {
   return a == b || a == LinkClass::kAll || b == LinkClass::kAll;
 }
 
-/// Reject keys outside the allowed set -- the strict half of the JSON
-/// contract (a typo like "facter" must not silently mean factor=1).
-void check_keys(const json::Object& obj, const std::string& where,
-                std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : obj) {
-    bool known = false;
-    for (const char* a : allowed) known = known || key == a;
-    if (!known) {
-      std::string expected;
-      for (const char* a : allowed) {
-        if (!expected.empty()) expected += ", ";
-        expected += a;
-      }
-      fail(where + ": unknown key \"" + key + "\" (expected " + expected +
-           ")");
-    }
-  }
-}
-
-const json::Value& require(const json::Object& obj, const std::string& where,
-                           const char* key) {
-  for (const auto& [k, v] : obj) {
-    if (k == key) return v;
-  }
-  fail(where + ": missing key \"" + std::string(key) + "\"");
-}
-
-std::size_t get_epoch(const json::Object& obj, const std::string& where,
-                      const char* key) {
-  const json::Value& v = require(obj, where, key);
-  if (!v.is_int() || v.as_int() < 0) {
-    fail(where + ": \"" + std::string(key) +
-         "\" must be a non-negative integer epoch");
-  }
-  return static_cast<std::size_t>(v.as_int());
-}
-
 constexpr std::uint32_t kMaxBranch = 255;
+constexpr const char* kBranchId = "a branch id in [0, 255]";
+constexpr const char* kEpoch = "a non-negative integer epoch";
+constexpr std::int64_t kMaxEpoch = std::numeric_limits<std::int64_t>::max();
 
-std::string branch_range_error(const std::string& where, const char* key) {
-  return where + ": \"" + key + "\" must be a branch id in [0, " +
-         std::to_string(kMaxBranch) + "]";
+std::string event_path(std::size_t index) {
+  return "schedule.events[" + std::to_string(index) + "]";
 }
 
-std::uint32_t get_branch(const json::Object& obj, const std::string& where,
-                         const char* key) {
-  const json::Value& v = require(obj, where, key);
-  if (!v.is_int() || v.as_int() < 0 || v.as_int() > kMaxBranch) {
-    fail(branch_range_error(where, key));
-  }
-  return static_cast<std::uint32_t>(v.as_int());
-}
-
-double get_number(const json::Object& obj, const std::string& where,
-                  const char* key) {
-  const json::Value& v = require(obj, where, key);
-  if (!v.is_number()) {
-    fail(where + ": \"" + std::string(key) + "\" must be a number");
-  }
-  return v.as_double();
-}
-
-LinkClass get_link(const json::Object& obj, const std::string& where) {
-  const json::Value& v = require(obj, where, "link");
-  if (!v.is_string()) {
-    fail(where + ": \"link\" must be a string (all, intra or cross)");
-  }
-  return link_from_name(v.as_string(), where);
-}
-
-FaultEvent parse_event(const json::Value& v, std::size_t index) {
-  const std::string where = "event " + std::to_string(index);
-  if (!v.is_object()) fail(where + ": must be an object");
-  const json::Object& obj = v.as_object();
-  const json::Value& kind_v = require(obj, where, "kind");
-  if (!kind_v.is_string()) fail(where + ": \"kind\" must be a string");
-  const std::string& kind = kind_v.as_string();
-  const std::string at = where + " (" + kind + ")";
-
+FaultEvent parse_event(const json::Field& at) {
+  json::Fields f(at);
+  const json::Field kind_field = f.get("kind");
+  const std::string& kind = kind_field.string();
+  const auto epoch = [&f](const char* key) {
+    return static_cast<std::size_t>(f.get(key).integer(0, kMaxEpoch, kEpoch));
+  };
+  const auto branch = [&f](const char* key) {
+    return static_cast<std::uint32_t>(
+        f.get(key).integer(0, kMaxBranch, kBranchId));
+  };
+  // Braced initializers read their fields left to right.
+  FaultEvent event;
   if (kind == "partition-open") {
-    check_keys(obj, at, {"kind", "epoch", "branch"});
-    PartitionOpen e;
-    e.epoch = get_epoch(obj, at, "epoch");
-    e.branch = get_branch(obj, at, "branch");
-    return e;
+    event = PartitionOpen{epoch("epoch"), branch("branch")};
+  } else if (kind == "partition-heal") {
+    event = PartitionHeal{epoch("epoch"), branch("branch"), branch("into")};
+  } else if (kind == "latency") {
+    event = LatencyEpisode{f.get("from_epoch").number(),
+                           f.get("span_epochs").number(),
+                           link_of(f.get("link")), f.get("factor").number()};
+  } else if (kind == "loss") {
+    event = LossEpisode{f.get("from_epoch").number(),
+                        f.get("span_epochs").number(), link_of(f.get("link")),
+                        f.get("drop").number()};
+  } else if (kind == "outage") {
+    event = ValidatorOutage{epoch("from_epoch"), epoch("span_epochs"),
+                            f.get("cohort").number()};
+  } else {
+    kind_field.fail("unknown event kind \"" + kind +
+                    "\" (expected partition-open, partition-heal, "
+                    "latency, loss or outage)");
   }
-  if (kind == "partition-heal") {
-    check_keys(obj, at, {"kind", "epoch", "branch", "into"});
-    PartitionHeal e;
-    e.epoch = get_epoch(obj, at, "epoch");
-    e.branch = get_branch(obj, at, "branch");
-    e.into = get_branch(obj, at, "into");
-    return e;
-  }
-  if (kind == "latency") {
-    check_keys(obj, at, {"kind", "from_epoch", "span_epochs", "link",
-                         "factor"});
-    LatencyEpisode e;
-    e.from_epoch = get_number(obj, at, "from_epoch");
-    e.span_epochs = get_number(obj, at, "span_epochs");
-    e.link = get_link(obj, at);
-    e.factor = get_number(obj, at, "factor");
-    return e;
-  }
-  if (kind == "loss") {
-    check_keys(obj, at, {"kind", "from_epoch", "span_epochs", "link",
-                         "drop"});
-    LossEpisode e;
-    e.from_epoch = get_number(obj, at, "from_epoch");
-    e.span_epochs = get_number(obj, at, "span_epochs");
-    e.link = get_link(obj, at);
-    e.drop = get_number(obj, at, "drop");
-    return e;
-  }
-  if (kind == "outage") {
-    check_keys(obj, at, {"kind", "from_epoch", "span_epochs", "cohort"});
-    ValidatorOutage e;
-    e.from_epoch = get_epoch(obj, at, "from_epoch");
-    e.span_epochs = get_epoch(obj, at, "span_epochs");
-    e.cohort = get_number(obj, at, "cohort");
-    return e;
-  }
-  fail(where + ": unknown event kind \"" + kind +
-       "\" (expected partition-open, partition-heal, latency, loss or "
-       "outage)");
+  f.finish();
+  return event;
 }
 
 json::Value event_to_json(const FaultEvent& event) {
@@ -215,11 +135,11 @@ void check_episode_overlap(const std::vector<Span>& spans,
       const Span& b = spans[j];
       if (!links_collide(a.link, b.link)) continue;
       if (a.from < b.to && b.from < a.to) {
-        fail("overlapping " + std::string(kind) + " episodes on link class " +
-             link_name(a.link) + "/" + link_name(b.link) + ": event " +
-             std::to_string(a.index) + " spans [" +
-             json::format_double(a.from) + ", " + json::format_double(a.to) +
-             ") and event " + std::to_string(b.index) + " starts at " +
+        fail(event_path(b.index) + ": overlapping " + std::string(kind) +
+             " episodes on link class " + link_name(a.link) + "/" +
+             link_name(b.link) + ": events[" + std::to_string(a.index) +
+             "] spans [" + json::format_double(a.from) + ", " +
+             json::format_double(a.to) + ") and this one starts at " +
              json::format_double(b.from) +
              " (split or merge them -- stacked episodes are ambiguous)");
       }
@@ -251,10 +171,10 @@ void FaultSchedule::validate() const {
     const double prev = event_start(events[i - 1]);
     const double cur = event_start(events[i]);
     if (cur < prev) {
-      fail("events must be ordered by start epoch: event " +
-           std::to_string(i) + " (" + kind_name(events[i]) + ", t=" +
-           json::format_double(cur) + ") starts before event " +
-           std::to_string(i - 1) + " (t=" + json::format_double(prev) + ")");
+      fail(event_path(i) + ": events must be ordered by start epoch: this " +
+           kind_name(events[i]) + " (t=" + json::format_double(cur) +
+           ") starts before events[" + std::to_string(i - 1) + "] (t=" +
+           json::format_double(prev) + ")");
     }
   }
 
@@ -265,10 +185,11 @@ void FaultSchedule::validate() const {
   std::vector<std::pair<std::size_t, std::size_t>> outages;  // [from, to)
 
   for (std::size_t i = 0; i < events.size(); ++i) {
-    const std::string where =
-        "event " + std::to_string(i) + " (" + kind_name(events[i]) + ")";
+    const std::string where = event_path(i);
     if (const auto* e = std::get_if<PartitionOpen>(&events[i])) {
-      if (e->branch > kMaxBranch) fail(branch_range_error(where, "branch"));
+      if (e->branch > kMaxBranch) {
+        fail(where + ": \"branch\" must be " + kBranchId);
+      }
       if (e->epoch < 1) fail(where + ": open epoch must be >= 1");
       if (e->branch < 1) {
         fail(where + ": branch 0 is the canonical branch and is always "
@@ -282,7 +203,9 @@ void FaultSchedule::validate() const {
       open_epoch_of[e->branch] = e->epoch;
       top_branch = std::max(top_branch, e->branch);
     } else if (const auto* e = std::get_if<PartitionHeal>(&events[i])) {
-      if (e->branch > kMaxBranch) fail(branch_range_error(where, "branch"));
+      if (e->branch > kMaxBranch) {
+        fail(where + ": \"branch\" must be " + kBranchId);
+      }
       if (e->into != 0) {
         fail(where + ": only merges into the canonical branch 0 are "
              "supported (got into=" + std::to_string(e->into) + ")");
@@ -347,7 +270,7 @@ void FaultSchedule::validate() const {
   // no meaning for branch 2.
   for (std::uint32_t b = 1; b <= top_branch; ++b) {
     if (open_epoch_of[b] == 0) {
-      fail("branch ids must be contiguous from 1: branch " +
+      fail("schedule.events: branch ids must be contiguous from 1: branch " +
            std::to_string(top_branch) + " opens but branch " +
            std::to_string(b) + " never does");
     }
@@ -379,23 +302,13 @@ json::Value FaultSchedule::to_json() const {
 std::string FaultSchedule::dump() const { return to_json().dump(); }
 
 FaultSchedule FaultSchedule::from_json(const json::Value& doc) {
-  if (!doc.is_object()) {
-    fail("document must be an object {\"version\": 1, \"events\": [...]}");
-  }
-  check_keys(doc.as_object(), "schedule", {"version", "events"});
-  const json::Value& version = require(doc.as_object(), "schedule",
-                                       "version");
-  if (!version.is_int() || version.as_int() != 1) {
-    fail("unsupported schedule version (expected 1)");
-  }
-  const json::Value& events = require(doc.as_object(), "schedule", "events");
-  if (!events.is_array()) fail("\"events\" must be an array");
-
+  json::Fields f(json::Field(doc, "schedule"));
+  (void)f.get("version").integer(1, 1);
   FaultSchedule s;
-  s.events.reserve(events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    s.events.push_back(parse_event(events.at(i), i));
-  }
+  f.get("events").each([&s](const json::Field& event) {
+    s.events.push_back(parse_event(event));
+  });
+  f.finish();
   s.validate();
   return s;
 }
@@ -403,7 +316,7 @@ FaultSchedule FaultSchedule::from_json(const json::Value& doc) {
 FaultSchedule FaultSchedule::from_string(const std::string& text) {
   std::string error;
   const auto doc = json::Value::parse(text, &error);
-  if (!doc) fail(error);
+  if (!doc) fail("schedule: " + error);
   return from_json(*doc);
 }
 
@@ -445,12 +358,6 @@ FaultSchedule FaultSchedule::staggered_partition(std::uint32_t branches,
              });
   s.validate();
   return s;
-}
-
-FaultSchedule FaultSchedule::legacy_partition(std::uint32_t branches,
-                                              std::size_t heal_epoch,
-                                              std::size_t heal_stagger) {
-  return staggered_partition(branches, 0, heal_epoch, heal_stagger);
 }
 
 }  // namespace leak::faults

@@ -15,8 +15,8 @@
 //     cells carry them as a `faults` param and leakctl --faults loads
 //     them from disk;
 //   - the paper's fixed partition-then-heal arc is one schedule
-//     (legacy_partition), so every heal goes through the same
-//     compiled window path.
+//     (staggered_partition with an open stagger of 0), so every heal
+//     goes through the same compiled window path.
 //
 // Times are epochs throughout (the partition simulator's native unit);
 // the network driver scales them to seconds.
@@ -112,9 +112,10 @@ struct FaultSchedule {
   /// Compact single-line serialization (the `faults` param payload).
   [[nodiscard]] std::string dump() const;
 
-  /// Strict parse + validate.  Unknown top-level keys, unknown event
-  /// kinds, unknown per-event keys, missing keys and wrong types all
-  /// throw std::invalid_argument naming the offending event.
+  /// Strict parse + validate through json::Fields.  Unknown top-level
+  /// keys, unknown event kinds, unknown per-event keys, missing keys
+  /// and wrong types all throw std::invalid_argument whose message
+  /// starts with the offending path ("schedule.events[3].epoch: ...").
   [[nodiscard]] static FaultSchedule from_json(const json::Value& doc);
   /// Parse a schedule document from text (parse errors carry the byte
   /// offset) and validate it.
@@ -125,18 +126,11 @@ struct FaultSchedule {
 
   /// The staggered-partition family as a schedule: branch b
   /// (1 <= b < branches) opens at 1 + (b-1) * open_stagger and, when
-  /// heal_epoch > 0, heals at heal_epoch + (b-1) * heal_stagger.
+  /// heal_epoch > 0, heals at heal_epoch + (b-1) * heal_stagger.  An
+  /// open stagger of 0 is the paper's partition-then-heal arc.
   [[nodiscard]] static FaultSchedule staggered_partition(
       std::uint32_t branches, std::size_t open_stagger,
       std::size_t heal_epoch, std::size_t heal_stagger);
-
-  /// The paper's partition-then-heal arc: every branch opens at epoch
-  /// 1 and, when heal_epoch > 0, branch b heals at
-  /// heal_epoch + (b-1) * heal_stagger (staggered_partition with
-  /// open_stagger 0).
-  [[nodiscard]] static FaultSchedule legacy_partition(
-      std::uint32_t branches, std::size_t heal_epoch,
-      std::size_t heal_stagger);
 };
 
 }  // namespace leak::faults

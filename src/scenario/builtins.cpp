@@ -370,8 +370,8 @@ void register_partition_trials(ScenarioRegistry& r) {
   add_fanout(spec, 2024, "trials per scheduled block (0 = auto)");
   add_faults_param(spec);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
-    auto cfg =
-        partition_config(p, faults::FaultSchedule::legacy_partition(2, 0, 0));
+    auto cfg = partition_config(
+        p, faults::FaultSchedule::staggered_partition(2, 0, 0, 0));
     cfg.base.p0 = p.get_double("p0");
     const auto res = sim::run_partition_trials(cfg);
 
@@ -798,8 +798,8 @@ void register_multi_partition_recovery(ScenarioRegistry& r) {
     // heal_epoch + (b-1) * heal_stagger); a non-empty `faults` schedule
     // supersedes branches/heal_epoch/heal_stagger entirely.
     auto cfg = partition_config(
-        p, faults::FaultSchedule::legacy_partition(
-               static_cast<std::uint32_t>(p.get_int("branches")),
+        p, faults::FaultSchedule::staggered_partition(
+               static_cast<std::uint32_t>(p.get_int("branches")), 0,
                static_cast<std::size_t>(p.get_int("heal_epoch")),
                static_cast<std::size_t>(p.get_int("heal_stagger"))));
     cfg.base.p0 = p.get_double("p0");

@@ -1,5 +1,6 @@
 #include "src/scenario/spec.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include "src/support/parse.hpp"
@@ -129,20 +130,7 @@ std::string ParamSet::value_to_string(const ParamValue& v) {
 json::Value ParamSet::to_json() const {
   json::Value obj = json::Value::object();
   for (const auto& [name, value] : items_) {
-    switch (value.index()) {
-      case 0:
-        obj.set(name, std::get<std::int64_t>(value));
-        break;
-      case 1:
-        obj.set(name, std::get<double>(value));
-        break;
-      case 2:
-        obj.set(name, std::get<bool>(value));
-        break;
-      default:
-        obj.set(name, std::get<std::string>(value));
-        break;
-    }
+    std::visit([&](const auto& x) { obj.set(name, json::Value(x)); }, value);
   }
   return obj;
 }
@@ -233,36 +221,50 @@ ParamSet ScenarioSpec::defaults() const {
   return out;
 }
 
-namespace {
-
-/// Range/choices check for one value already known to match p.type.
-std::optional<std::string> check_constraints(const ParamSpec& p,
-                                             const ParamValue& v) {
-  if (p.type == ParamType::kInt || p.type == ParamType::kDouble) {
-    const double x = p.type == ParamType::kInt
+std::optional<std::string> ParamSpec::check(const ParamValue& v) const {
+  if (type == ParamType::kInt || type == ParamType::kDouble) {
+    const double x = type == ParamType::kInt
                          ? static_cast<double>(std::get<std::int64_t>(v))
                          : std::get<double>(v);
-    if (p.min_value && x < *p.min_value) {
-      return "parameter \"" + p.name + "\": " + ParamSet::value_to_string(v) +
-             " is below the minimum " + Table::fmt_exact(*p.min_value);
+    if (min_value && x < *min_value) {
+      return ParamSet::value_to_string(v) + " is below the minimum " +
+             Table::fmt_exact(*min_value);
     }
-    if (p.max_value && x > *p.max_value) {
-      return "parameter \"" + p.name + "\": " + ParamSet::value_to_string(v) +
-             " is above the maximum " + Table::fmt_exact(*p.max_value);
+    if (max_value && x > *max_value) {
+      return ParamSet::value_to_string(v) + " is above the maximum " +
+             Table::fmt_exact(*max_value);
     }
   }
-  if (p.type == ParamType::kString && !p.choices.empty()) {
+  if (type == ParamType::kString && !choices.empty()) {
     const auto& s = std::get<std::string>(v);
-    for (const auto& c : p.choices) {
+    for (const auto& c : choices) {
       if (c == s) return std::nullopt;
     }
-    return "parameter \"" + p.name + "\": \"" + s + "\" is not one of " +
-           join_choices(p.choices);
+    return "\"" + s + "\" is not one of " + join_choices(choices);
   }
   return std::nullopt;
 }
 
-}  // namespace
+ParamValue ParamSpec::from_json(const json::Field& v) const {
+  ParamValue out;
+  switch (type) {
+    case ParamType::kInt:
+      out = v.integer(std::numeric_limits<std::int64_t>::min(),
+                      std::numeric_limits<std::int64_t>::max());
+      break;
+    case ParamType::kDouble:
+      out = v.number();
+      break;
+    case ParamType::kBool:
+      out = v.boolean();
+      break;
+    case ParamType::kString:
+      out = v.string();
+      break;
+  }
+  if (auto err = check(out)) v.fail(*err);
+  return out;
+}
 
 std::string ScenarioSpec::known_params_hint() const {
   std::string hint = " (known params: ";
@@ -315,7 +317,9 @@ std::optional<std::string> ScenarioSpec::parse_value(std::string_view param,
       v = std::string(parse::trim(text));
       break;
   }
-  if (auto err = check_constraints(*p, v)) return err;
+  if (auto err = p->check(v)) {
+    return "parameter \"" + p->name + "\": " + *err;
+  }
   if (out != nullptr) *out = std::move(v);
   return std::nullopt;
 }
@@ -348,7 +352,9 @@ std::optional<std::string> ScenarioSpec::validate(
              param_type_name(p->type) + ", got " +
              param_type_name(param_type_of(value));
     }
-    if (auto err = check_constraints(*p, value)) return err;
+    if (auto err = p->check(value)) {
+      return "parameter \"" + name + "\": " + *err;
+    }
   }
   for (const auto& p : params_) {
     if (!params.contains(p.name)) {
@@ -368,20 +374,8 @@ json::Value ScenarioSpec::to_json() const {
     pj.set("name", p.name);
     pj.set("type", param_type_name(p.type));
     pj.set("description", p.description);
-    switch (p.type) {
-      case ParamType::kInt:
-        pj.set("default", std::get<std::int64_t>(p.default_value));
-        break;
-      case ParamType::kDouble:
-        pj.set("default", std::get<double>(p.default_value));
-        break;
-      case ParamType::kBool:
-        pj.set("default", std::get<bool>(p.default_value));
-        break;
-      case ParamType::kString:
-        pj.set("default", std::get<std::string>(p.default_value));
-        break;
-    }
+    std::visit([&pj](const auto& x) { pj.set("default", json::Value(x)); },
+               p.default_value);
     if (p.min_value) pj.set("min", *p.min_value);
     if (p.max_value) pj.set("max", *p.max_value);
     if (!p.choices.empty()) {
@@ -397,48 +391,22 @@ json::Value ScenarioSpec::to_json() const {
 
 std::optional<ParamSet> ScenarioSpec::params_from_json(
     const json::Value& doc, std::string* error) const {
-  const auto fail = [&](const std::string& msg) -> std::optional<ParamSet> {
-    if (error != nullptr) *error = msg;
+  try {
+    return read_params(json::Field(doc, "params"));
+  } catch (const std::invalid_argument& e) {
+    if (error != nullptr) *error = e.what();
     return std::nullopt;
-  };
-  if (!doc.is_object()) return fail("params document is not an object");
-  ParamSet out = defaults();
-  for (const auto& [key, value] : doc.as_object()) {
-    const ParamSpec* p = find(key);
-    if (p == nullptr) {
-      return fail("unknown parameter \"" + key + "\" for scenario \"" +
-                  name_ + "\"" + known_params_hint());
-    }
-    ParamValue v;
-    switch (p->type) {
-      case ParamType::kInt:
-        if (!value.is_int()) {
-          return fail("parameter \"" + key + "\" must be an integer");
-        }
-        v = value.as_int();
-        break;
-      case ParamType::kDouble:
-        if (!value.is_number()) {
-          return fail("parameter \"" + key + "\" must be numeric");
-        }
-        v = value.as_double();
-        break;
-      case ParamType::kBool:
-        if (!value.is_bool()) {
-          return fail("parameter \"" + key + "\" must be a boolean");
-        }
-        v = value.as_bool();
-        break;
-      case ParamType::kString:
-        if (!value.is_string()) {
-          return fail("parameter \"" + key + "\" must be a string");
-        }
-        v = value.as_string();
-        break;
-    }
-    if (auto err = check_constraints(*p, v)) return fail(*err);
-    out.set(key, std::move(v));
   }
+}
+
+ParamSet ScenarioSpec::read_params(const json::Field& at) const {
+  json::Fields f(at);
+  ParamSet out;
+  for (const auto& p : params_) {
+    const auto v = f.find(p.name);
+    out.set(p.name, v ? p.from_json(*v) : p.default_value);
+  }
+  f.finish();
   return out;
 }
 

@@ -40,6 +40,17 @@ struct ParamSpec {
   std::optional<double> max_value;
   /// Allowed values for string parameters; empty = unconstrained.
   std::vector<std::string> choices;
+
+  /// Range/choices check for a value of this parameter's type: the
+  /// reason it is rejected ("0.9 is above the maximum 0.5"), or
+  /// nullopt when it is allowed.
+  [[nodiscard]] std::optional<std::string> check(const ParamValue& v) const;
+
+  /// The one JSON-to-ParamValue conversion, shared by params documents
+  /// and sweep axes: `v` must hold this parameter's type (an int
+  /// widens for a double parameter) and pass check(); otherwise throws
+  /// std::invalid_argument prefixed with v's path.
+  [[nodiscard]] ParamValue from_json(const json::Field& v) const;
 };
 
 /// One concrete parameter assignment, ordered like its spec.
@@ -138,6 +149,9 @@ class ScenarioSpec {
   /// (unknown keys rejected, missing keys filled from defaults).
   [[nodiscard]] std::optional<ParamSet> params_from_json(
       const json::Value& doc, std::string* error = nullptr) const;
+  /// params_from_json's throwing core, for a params object nested in a
+  /// larger document; errors are prefixed with `at`'s path.
+  [[nodiscard]] ParamSet read_params(const json::Field& at) const;
 
  private:
   ScenarioSpec& add_param(ParamSpec p);

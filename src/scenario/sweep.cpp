@@ -81,10 +81,8 @@ std::optional<std::string> parse_sweep_axis(const ScenarioSpec& spec,
       } else {
         v = x;
       }
-      // Range check through the spec's own validator.
-      if (auto err = spec.parse_value(param, ParamSet::value_to_string(v),
-                                      nullptr)) {
-        return err;
+      if (auto err = p->check(v)) {
+        return "parameter \"" + param + "\": " + *err;
       }
       axis.values.push_back(std::move(v));
     }
@@ -162,94 +160,46 @@ json::Value axes_to_json(const std::vector<SweepAxis>& axes) {
 std::optional<std::vector<SweepAxis>> axes_from_json(const ScenarioSpec& spec,
                                                      const json::Value& doc,
                                                      std::string* error) {
-  const auto fail = [&](std::string msg) {
-    if (error != nullptr) *error = std::move(msg);
+  try {
+    return read_axes(spec, json::Field(doc, "axes"));
+  } catch (const std::invalid_argument& e) {
+    if (error != nullptr) *error = e.what();
     return std::nullopt;
-  };
-  if (!doc.is_array()) return fail("\"axes\" must be an array");
+  }
+}
+
+std::vector<SweepAxis> read_axes(const ScenarioSpec& spec,
+                                 const json::Field& at) {
   std::vector<SweepAxis> axes;
-  for (std::size_t i = 0; i < doc.size(); ++i) {
-    const json::Value& entry = doc.at(i);
-    if (!entry.is_object()) {
-      return fail("axes[" + std::to_string(i) + "] must be an object");
-    }
-    const json::Value* param = entry.find("param");
-    const json::Value* values = entry.find("values");
-    if (param == nullptr || !param->is_string() || values == nullptr ||
-        !values->is_array()) {
-      return fail("axes[" + std::to_string(i) +
-                  "] needs a \"param\" string and a \"values\" array");
-    }
-    for (const auto& [key, unused] : entry.as_object()) {
-      (void)unused;
-      if (key != "param" && key != "values") {
-        return fail("axes[" + std::to_string(i) + "]: unknown key \"" + key +
-                    "\"");
-      }
-    }
+  at.each([&](const json::Field& entry) {
+    json::Fields f(entry);
+    const json::Field param = f.get("param");
     SweepAxis axis;
-    axis.param = param->as_string();
+    axis.param = param.string();
     const ParamSpec* p = spec.find(axis.param);
     if (p == nullptr) {
-      return fail("sweep axis \"" + axis.param +
-                  "\" is not a parameter of scenario \"" + spec.name() +
-                  "\"");
+      param.fail("sweep axis \"" + axis.param +
+                 "\" is not a parameter of scenario \"" + spec.name() +
+                 "\"");
     }
-    if (values->size() == 0) {
-      return fail("sweep axis \"" + axis.param + "\" has no values");
-    }
-    for (std::size_t j = 0; j < values->size(); ++j) {
-      const json::Value& v = values->at(j);
+    const json::Field values = f.get("values");
+    values.each([&](const json::Field& v) {
+      if (!v.value().is_string() || p->type == ParamType::kString) {
+        axis.values.push_back(p->from_json(v));
+        return;
+      }
+      // Stringly-typed values (SweepResult::to_json archives) go
+      // through the spec's own parser, same as the CLI would.
       ParamValue out;
-      if (v.is_string() && p->type != ParamType::kString) {
-        // Stringly-typed values (SweepResult::to_json archives) go
-        // through the spec's own parser, same as the CLI would.
-        if (auto err = spec.parse_value(axis.param, v.as_string(), &out)) {
-          return fail(*err);
-        }
-        axis.values.push_back(std::move(out));
-        continue;
-      }
-      switch (p->type) {
-        case ParamType::kInt:
-          if (!v.is_int()) {
-            return fail("sweep axis \"" + axis.param + "\" value " +
-                        std::to_string(j) + " must be an integer");
-          }
-          out = v.as_int();
-          break;
-        case ParamType::kDouble:
-          if (!v.is_number()) {
-            return fail("sweep axis \"" + axis.param + "\" value " +
-                        std::to_string(j) + " must be a number");
-          }
-          out = v.as_double();
-          break;
-        case ParamType::kBool:
-          if (!v.is_bool()) {
-            return fail("sweep axis \"" + axis.param + "\" value " +
-                        std::to_string(j) + " must be a bool");
-          }
-          out = v.as_bool();
-          break;
-        case ParamType::kString:
-          if (!v.is_string()) {
-            return fail("sweep axis \"" + axis.param + "\" value " +
-                        std::to_string(j) + " must be a string");
-          }
-          out = v.as_string();
-          break;
-      }
-      // Range/choice constraints through the spec's own validator.
-      if (auto err = spec.parse_value(axis.param,
-                                      ParamSet::value_to_string(out),
-                                      nullptr)) {
-        return fail(*err);
+      if (auto err = spec.parse_value(axis.param, v.string(), &out)) {
+        v.fail(*err);
       }
       axis.values.push_back(std::move(out));
-    }
+    });
+    if (axis.values.empty()) values.fail("has no values");
+    f.finish();
     axes.push_back(std::move(axis));
-  }
+  });
   return axes;
 }
 

@@ -97,6 +97,10 @@ struct SweepResult {
 [[nodiscard]] std::optional<std::vector<SweepAxis>> axes_from_json(
     const ScenarioSpec& spec, const json::Value& doc,
     std::string* error = nullptr);
+/// axes_from_json's throwing core, for axes nested in a larger
+/// document; errors are prefixed with `at`'s path.
+[[nodiscard]] std::vector<SweepAxis> read_axes(const ScenarioSpec& spec,
+                                               const json::Field& at);
 
 /// Run the batch.  Throws std::invalid_argument on an invalid base or
 /// axis (validated against scenario.spec() up front).

@@ -1,5 +1,7 @@
 #include "src/search/journal.hpp"
 
+#include <limits>
+#include <stdexcept>
 #include <utility>
 
 namespace leak::search {
@@ -52,25 +54,19 @@ std::optional<EvalJournal> EvalJournal::open(
                 ": journal belongs to a different search (header does not "
                 "match this objective/axes; use a fresh --journal path)");
   }
-  for (std::size_t i = 1; i < scan.records.size(); ++i) {
-    const json::Value& rec = scan.records[i].payload;
-    const json::Value* cand = rec.find("cand");
-    const json::Value* value = rec.find("value");
-    if (cand == nullptr || !cand->is_array() || value == nullptr ||
-        !value->is_number()) {
-      return fail(journal.store_->path() + ": malformed evaluation record " +
-                  std::to_string(i));
+  const json::Field records("records");
+  try {
+    for (std::size_t i = 1; i < scan.records.size(); ++i) {
+      json::Fields f(json::Field(records, i, scan.records[i].payload));
+      std::vector<std::size_t> key;
+      f.get("cand").each([&key](const json::Field& index) {
+        key.push_back(static_cast<std::size_t>(
+            index.integer(0, std::numeric_limits<std::int64_t>::max())));
+      });
+      journal.cache_[std::move(key)] = f.get("value").number();
     }
-    std::vector<std::size_t> key;
-    key.reserve(cand->size());
-    for (std::size_t k = 0; k < cand->size(); ++k) {
-      if (!cand->at(k).is_int() || cand->at(k).as_int() < 0) {
-        return fail(journal.store_->path() +
-                    ": malformed candidate in record " + std::to_string(i));
-      }
-      key.push_back(static_cast<std::size_t>(cand->at(k).as_int()));
-    }
-    journal.cache_[std::move(key)] = value->as_double();
+  } catch (const std::invalid_argument& e) {
+    return fail(journal.store_->path() + ": " + e.what());
   }
   return journal;
 }

@@ -1,5 +1,8 @@
 #include "src/serve/job.hpp"
 
+#include <limits>
+#include <stdexcept>
+
 #include "src/crypto/sha256.hpp"
 #include "src/support/crc32.hpp"
 
@@ -52,64 +55,42 @@ json::Value JobSpec::to_json() const {
 std::optional<JobSpec> JobSpec::from_json(
     const scenario::ScenarioRegistry& registry, const json::Value& doc,
     std::string* error) {
-  const auto fail = [&](std::string msg) {
-    if (error != nullptr) *error = std::move(msg);
-    return std::nullopt;
-  };
-  if (!doc.is_object()) return fail("job manifest must be a JSON object");
-  const json::Value* version = doc.find("version");
-  if (version != nullptr && (!version->is_int() || version->as_int() != 1)) {
-    return fail("unsupported job manifest version");
-  }
-  const json::Value* name = doc.find("scenario");
-  if (name == nullptr || !name->is_string()) {
-    return fail("job manifest needs a \"scenario\" string");
-  }
-  const scenario::Scenario* sc = registry.find(name->as_string());
-  if (sc == nullptr) {
-    return fail("unknown scenario \"" + name->as_string() + "\"");
-  }
-
-  JobSpec job;
-  job.scenario = name->as_string();
-
-  std::string sub_error;
-  const json::Value* params = doc.find("params");
-  if (params != nullptr) {
-    auto set = sc->spec().params_from_json(*params, &sub_error);
-    if (!set) return fail("params: " + sub_error);
-    job.base = std::move(*set);
-  } else {
-    job.base = sc->spec().defaults();
-  }
-
-  const json::Value* axes = doc.find("axes");
-  if (axes != nullptr) {
-    auto parsed = scenario::axes_from_json(sc->spec(), *axes, &sub_error);
-    if (!parsed) return fail(sub_error);
-    job.axes = std::move(*parsed);
-  }
-
-  const json::Value* cfg = doc.find("config");
-  if (cfg != nullptr) {
-    if (!cfg->is_object()) return fail("\"config\" must be an object");
-    for (const auto& [key, value] : cfg->as_object()) {
-      if (key == "vary_seed" && value.is_bool()) {
-        job.config.vary_seed = value.as_bool();
-      } else if (key == "workers" && value.is_int() && value.as_int() > 0) {
-        job.config.workers = static_cast<unsigned>(value.as_int());
-      } else if (key == "max_retries" && value.is_int() &&
-                 value.as_int() >= 0) {
-        job.config.max_retries = static_cast<unsigned>(value.as_int());
-      } else {
-        return fail("config: unknown or ill-typed key \"" + key + "\"");
-      }
+  constexpr std::int64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
+  try {
+    json::Fields f(json::Field(doc, "manifest"));
+    if (const auto version = f.find("version")) (void)version->integer(1, 1);
+    const json::Field name = f.get("scenario");
+    const scenario::Scenario* sc = registry.find(name.string());
+    if (sc == nullptr) {
+      name.fail("unknown scenario \"" + name.string() + "\"");
     }
+    JobSpec job;
+    job.scenario = name.string();
+    const auto params = f.find("params");
+    job.base = params ? sc->spec().read_params(*params) : sc->spec().defaults();
+    if (const auto axes = f.find("axes")) {
+      job.axes = scenario::read_axes(sc->spec(), *axes);
+    }
+    if (const auto config = f.find("config")) {
+      json::Fields cfg(*config);
+      if (const auto v = cfg.find("vary_seed")) {
+        job.config.vary_seed = v->boolean();
+      }
+      if (const auto v = cfg.find("workers")) {
+        job.config.workers = static_cast<unsigned>(v->integer(1, kMaxUnsigned));
+      }
+      if (const auto v = cfg.find("max_retries")) {
+        job.config.max_retries =
+            static_cast<unsigned>(v->integer(0, kMaxUnsigned));
+      }
+      cfg.finish();
+    }
+    f.finish();
+    return job;
+  } catch (const std::invalid_argument& e) {
+    if (error != nullptr) *error = e.what();
+    return std::nullopt;
   }
-  if (auto err = sc->spec().validate(job.base)) {
-    return fail("params: " + *err);
-  }
-  return job;
 }
 
 }  // namespace leak::serve

@@ -65,9 +65,12 @@ struct JobSpec {
   [[nodiscard]] json::Value to_json() const;
 
   /// Inverse of to_json, validated against the registry: the scenario
-  /// must exist, params must satisfy its spec, and axes must name
-  /// declared parameters with in-range values.  Returns nullopt and
-  /// sets `error` on failure.
+  /// must exist, params must satisfy its spec, axes must name declared
+  /// parameters with in-range values, unknown keys are rejected at
+  /// the top level and in `config`, and `workers` must lie in
+  /// [1, 2^32-1], `max_retries` in [0, 2^32-1].  Returns nullopt and
+  /// sets `error` (prefixed with the offending path, e.g.
+  /// "manifest.config.workers: ...") on failure.
   [[nodiscard]] static std::optional<JobSpec> from_json(
       const scenario::ScenarioRegistry& registry, const json::Value& doc,
       std::string* error = nullptr);

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <stdexcept>
 #include <thread>
 
 #include "src/serve/store.hpp"
@@ -22,19 +23,6 @@
 namespace leak::serve {
 
 namespace {
-
-[[nodiscard]] bool write_all(int fd, std::string_view data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 /// mkdir -p: every component, EEXIST is fine.
 [[nodiscard]] bool make_dirs(const std::string& path) {
@@ -52,15 +40,16 @@ namespace {
   return true;
 }
 
-/// Durable atomic file replace: write <path>.tmp, fsync, rename.
+/// Durable atomic file replace: write <path>.tmp, fsync, close,
+/// rename.  A failed close (a deferred write error) fails the write.
 [[nodiscard]] bool atomic_write(const std::string& path,
                                 const std::string& text) {
   const std::string tmp = path + ".tmp";
   const int fd =
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return false;
-  const bool ok = write_all(fd, text) && ::fsync(fd) == 0;
-  ::close(fd);
+  const bool written = write_all(fd, text) && ::fsync(fd) == 0;
+  const bool ok = ::close(fd) == 0 && written;
   if (!ok) {
     ::unlink(tmp.c_str());
     return false;
@@ -78,50 +67,41 @@ struct LedgerEntry {
   bool is_error = false;
 };
 
+/// Check one store record, at `at`, against the job.  Returns nullopt
+/// and sets `error` (naming the offending field) on a bad record.
 [[nodiscard]] std::optional<LedgerEntry> validate_record(
-    const JobSpec& job, const std::string& id, const json::Value& payload,
+    const JobSpec& job, const std::string& id, const json::Field& at,
     std::string* error) {
-  const auto fail = [&](std::string msg) {
-    if (error != nullptr) *error = std::move(msg);
+  try {
+    json::Fields f(at);
+    const json::Field type = f.get("type");
+    const json::Field rec_job = f.get("job");
+    if (rec_job.string() != id) {
+      rec_job.fail("record belongs to job " + rec_job.string() + ", not " +
+                   id);
+    }
+    LedgerEntry entry;
+    entry.cell = static_cast<std::size_t>(f.get("cell").integer(
+        0, static_cast<std::int64_t>(job.cell_count()) - 1));
+    if (type.string() == "error") {
+      entry.is_error = true;
+      (void)f.get("what").string();
+    } else if (type.string() == "cell") {
+      const json::Field fp = f.get("fp");
+      if (fp.string() != crc32::to_hex(job.cell_fingerprint(entry.cell))) {
+        fp.fail("record for cell " + std::to_string(entry.cell) +
+                " does not match the manifest (fingerprint mismatch)");
+      }
+      (void)f.get("result");
+    } else {
+      type.fail("unknown record type \"" + type.string() + "\"");
+    }
+    f.finish();
+    return entry;
+  } catch (const std::invalid_argument& e) {
+    if (error != nullptr) *error = e.what();
     return std::nullopt;
-  };
-  if (!payload.is_object()) return fail("store record is not an object");
-  const json::Value* type = payload.find("type");
-  const json::Value* rec_job = payload.find("job");
-  const json::Value* cell = payload.find("cell");
-  if (type == nullptr || !type->is_string() || rec_job == nullptr ||
-      !rec_job->is_string() || cell == nullptr || !cell->is_int() ||
-      cell->as_int() < 0) {
-    return fail("store record is missing type/job/cell");
   }
-  if (rec_job->as_string() != id) {
-    return fail("store record belongs to job " + rec_job->as_string() +
-                ", not " + id);
-  }
-  LedgerEntry entry;
-  entry.cell = static_cast<std::size_t>(cell->as_int());
-  if (entry.cell >= job.cell_count()) {
-    return fail("store record cell " + std::to_string(entry.cell) +
-                " is out of range");
-  }
-  if (type->as_string() == "error") {
-    entry.is_error = true;
-  } else if (type->as_string() == "cell") {
-    const json::Value* fp = payload.find("fp");
-    if (fp == nullptr || !fp->is_string() ||
-        fp->as_string() != crc32::to_hex(job.cell_fingerprint(entry.cell))) {
-      return fail("store record for cell " + std::to_string(entry.cell) +
-                  " does not match the manifest (fingerprint mismatch)");
-    }
-    if (payload.find("result") == nullptr) {
-      return fail("store record for cell " + std::to_string(entry.cell) +
-                  " has no result");
-    }
-  } else {
-    return fail("store record has unknown type \"" + type->as_string() +
-                "\"");
-  }
-  return entry;
 }
 
 /// Rebuild one cell result with meta.wall_ms zeroed (json::Value has
@@ -210,8 +190,10 @@ std::optional<JobStatus> JobService::status(const std::string& id,
   const ResultsStore store(job_dir(id) + "/results.jsonl");
   const StoreScan scan = store.scan(error);
   std::vector<std::uint8_t> done(st.total_cells, 0);
-  for (const StoreRecord& rec : scan.records) {
-    auto entry = validate_record(*job, id, rec.payload, nullptr);
+  const json::Field records("records");
+  for (std::size_t i = 0; i < scan.records.size(); ++i) {
+    const json::Field rec(records, i, scan.records[i].payload);
+    auto entry = validate_record(*job, id, rec, nullptr);
     if (entry && done[entry->cell] == 0) {
       done[entry->cell] = 1;
       ++st.done_cells;
@@ -253,13 +235,19 @@ std::optional<RunStats> JobService::run(const std::string& id,
   std::vector<std::uint8_t> done(stats.total_cells, 0);
   std::vector<json::Value> payloads(stats.total_cells);
   bool had_errors = false;
-  for (StoreRecord& rec : scan.records) {
-    auto entry = validate_record(*job, id, rec.payload, error);
-    if (!entry) return std::nullopt;
+  const json::Field records("records");
+  for (std::size_t i = 0; i < scan.records.size(); ++i) {
+    json::Value& payload = scan.records[i].payload;
+    auto entry =
+        validate_record(*job, id, json::Field(records, i, payload), error);
+    if (!entry) {
+      if (error != nullptr) *error = store.path() + ": " + *error;
+      return std::nullopt;
+    }
     if (done[entry->cell] != 0) continue;
     done[entry->cell] = 1;
     had_errors = had_errors || entry->is_error;
-    payloads[entry->cell] = std::move(rec.payload);
+    payloads[entry->cell] = std::move(payload);
     ++stats.already_done;
   }
 
@@ -324,7 +312,8 @@ std::optional<RunStats> JobService::run(const std::string& id,
       run_error = "worker sent a corrupt record line";
       return false;
     }
-    auto entry = validate_record(*job, id, rec->payload(), &run_error);
+    auto entry = validate_record(
+        *job, id, json::Field(rec->payload(), "record"), &run_error);
     if (!entry) return false;
     if (!w.in_flight || *w.in_flight != entry->cell) {
       run_error = "worker answered cell " + std::to_string(entry->cell) +

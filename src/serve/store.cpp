@@ -16,11 +16,12 @@ namespace {
   return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
 }
 
-/// Full-buffer write(2) loop, EINTR-safe.
-[[nodiscard]] bool write_all(int fd, const char* data, std::size_t len) {
+}  // namespace
+
+bool write_all(int fd, std::string_view data) {
   std::size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::write(fd, data + off, len - off);
+  while (off < data.size()) {
+    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -29,8 +30,6 @@ namespace {
   }
   return true;
 }
-
-}  // namespace
 
 ResultsStore::ResultsStore(std::string path) : path_(std::move(path)) {}
 
@@ -65,7 +64,7 @@ bool ResultsStore::write_line(std::string_view line, bool sync) {
   }
   std::string out(line);
   out.push_back('\n');
-  if (!write_all(fd_, out.data(), out.size())) return false;
+  if (!write_all(fd_, out)) return false;
   return !sync || ::fsync(fd_) == 0;
 }
 

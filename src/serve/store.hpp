@@ -55,6 +55,11 @@ struct StoreScan {
   bool torn_tail = false;       ///< bytes after valid_bytes were dropped
 };
 
+/// Write all of `data` to `fd`, retrying short writes and EINTR.
+/// Returns false on any other write error.  Shared by the store, the
+/// service's manifest writes and the worker pipes.
+[[nodiscard]] bool write_all(int fd, std::string_view data);
+
 class ResultsStore {
  public:
   explicit ResultsStore(std::string path);

@@ -13,19 +13,6 @@ namespace leak::serve {
 
 namespace {
 
-[[nodiscard]] bool write_all(int fd, std::string_view data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 /// Blocking single-line read (task lines are a few bytes; the
 /// byte-at-a-time read is irrelevant next to a multi-ms cell run).
 [[nodiscard]] bool read_line(int fd, std::string* line) {

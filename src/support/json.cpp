@@ -701,6 +701,124 @@ std::optional<Value> Value::parse(std::string_view text, std::string* error) {
   return detail::Parser(text).run(error);
 }
 
+namespace {
+
+/// Levenshtein distance, for the missing-key typo hint.
+std::size_t edit_distance(std::string_view a, std::string_view b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t diagonal = row[0];
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t above = row[j];
+      row[j] = std::min({above + 1, row[j - 1] + 1,
+                         diagonal + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      diagonal = above;
+    }
+  }
+  return row[b.size()];
+}
+
+const Value& null_value() {
+  static const Value null;
+  return null;
+}
+
+}  // namespace
+
+Field::Field(std::string_view name) : Field(null_value(), name) {}
+
+std::string Field::path() const {
+  std::string out = parent_ != nullptr ? parent_->path() : std::string();
+  if (is_element_) {
+    out += '[';
+    out += std::to_string(index_);
+    out += ']';
+  } else {
+    if (parent_ != nullptr) out += '.';
+    out += name_;
+  }
+  return out;
+}
+
+void Field::fail(std::string_view what) const {
+  throw std::invalid_argument(path() + ": " + std::string(what));
+}
+
+const std::string& Field::string() const {
+  if (!value_->is_string()) fail("must be a string");
+  return value_->as_string();
+}
+
+double Field::number() const {
+  if (!value_->is_number()) fail("must be a number");
+  return value_->as_double();
+}
+
+bool Field::boolean() const {
+  if (!value_->is_bool()) fail("must be a boolean");
+  return value_->as_bool();
+}
+
+std::int64_t Field::integer(std::int64_t lo, std::int64_t hi,
+                            const char* what) const {
+  if (value_->is_int() && value_->as_int() >= lo && value_->as_int() <= hi) {
+    return value_->as_int();
+  }
+  if (what != nullptr) fail(std::string("must be ") + what);
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  if (lo == hi) fail("must be " + std::to_string(lo));
+  if (lo == kMin && hi == kMax) fail("must be an integer");
+  if (hi == kMax) fail("must be an integer >= " + std::to_string(lo));
+  fail("must be an integer in [" + std::to_string(lo) + ", " +
+       std::to_string(hi) + "]");
+}
+
+Fields::Fields(const Field& at) : self_(at) {
+  if (!at.value().is_object()) at.fail("must be an object");
+}
+
+bool Fields::asked(std::string_view key) const {
+  return std::find(asked_.begin(), asked_.end(), key) != asked_.end();
+}
+
+std::optional<Field> Fields::find(std::string_view key) {
+  asked_.push_back(key);
+  for (const auto& [k, v] : self_.value().as_object()) {
+    if (k == key) return Field(self_, k, v);
+  }
+  return std::nullopt;
+}
+
+Field Fields::get(std::string_view key) {
+  if (auto member = find(key)) return *member;
+  // A missing key beside a near-miss spelling ("facter" for "factor")
+  // is a typo: name the typo rather than the missing key.
+  for (const auto& [k, v] : self_.value().as_object()) {
+    if (!asked(k) &&
+        edit_distance(k, key) <= std::max<std::size_t>(1, key.size() / 3)) {
+      self_.fail("unknown key \"" + k + "\" (did you mean \"" +
+                 std::string(key) + "\"?)");
+    }
+  }
+  self_.fail("missing key \"" + std::string(key) + "\"");
+}
+
+void Fields::finish() const {
+  for (const auto& [k, v] : self_.value().as_object()) {
+    if (asked(k)) continue;
+    std::string expected;
+    for (const std::string_view a : asked_) {
+      if (!expected.empty()) expected += ", ";
+      expected += a;
+    }
+    self_.fail("unknown key \"" + k + "\" (expected " +
+               (expected.empty() ? "no keys" : expected) + ")");
+  }
+}
+
 bool read_file(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;

@@ -156,6 +156,84 @@ class Value {
   };
 };
 
+/// One value of a user document and where it sits ("events[3].epoch"),
+/// with typed reads that throw std::invalid_argument("<path>: <what>")
+/// on a mismatch.  A child keeps a pointer to its parent and the path
+/// string is built only when an error is thrown, so reading a valid
+/// document builds none.  A parent must outlive its children.
+class Field {
+ public:
+  /// The document root; its path renders as `name` ("schedule").
+  Field(const Value& v, std::string_view name) : value_(&v), name_(name) {}
+  /// A root without a value of its own, only the parent of documents
+  /// read one at a time: Field(Field("records"), 3, rec) is
+  /// "records[3]".
+  explicit Field(std::string_view name);
+  /// Member `key` of `parent` ("parent.key").
+  Field(const Field& parent, std::string_view key, const Value& v)
+      : value_(&v), parent_(&parent), name_(key) {}
+  /// Element `index` of `parent` ("parent[index]").
+  Field(const Field& parent, std::size_t index, const Value& v)
+      : value_(&v), parent_(&parent), index_(index), is_element_(true) {}
+
+  [[nodiscard]] const Value& value() const { return *value_; }
+  [[nodiscard]] std::string path() const;
+  /// Throw std::invalid_argument("<path>: <what>").
+  [[noreturn]] void fail(std::string_view what) const;
+
+  [[nodiscard]] const std::string& string() const;
+  /// Either numeric type, widened to double.
+  [[nodiscard]] double number() const;
+  [[nodiscard]] bool boolean() const;
+  /// An integer in [lo, hi].  The error says "must be <what>" when
+  /// `what` is given, else it states the range.
+  [[nodiscard]] std::int64_t integer(std::int64_t lo, std::int64_t hi,
+                                     const char* what = nullptr) const;
+  /// Call fn(Field) on each element of an array.
+  template <class Fn>
+  void each(Fn&& fn) const {
+    if (!value_->is_array()) fail("must be an array");
+    const Array& items = value_->as_array();
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      fn(Field(*this, i, items[i]));
+    }
+  }
+
+ private:
+  const Value* value_;
+  const Field* parent_ = nullptr;
+  std::string_view name_;
+  std::size_t index_ = 0;
+  bool is_element_ = false;
+};
+
+/// The one reader of user-controlled JSON objects (fault schedules,
+/// job manifests, sweep axes, params documents, store and journal
+/// records).  It records each key it is asked for; finish() rejects
+/// any other key, naming the expected set.  Keys passed in must
+/// outlive the reader.  Not copyable: its members' Fields point at it.
+class Fields {
+ public:
+  /// The object at `at`; throws unless it is an object.
+  explicit Fields(const Field& at);
+  Fields(const Fields&) = delete;
+  Fields& operator=(const Fields&) = delete;
+
+  /// Required member.  A missing key throws; when an unasked key is a
+  /// near-miss spelling of it, the error names that key as the typo.
+  [[nodiscard]] Field get(std::string_view key);
+  /// Optional member.
+  [[nodiscard]] std::optional<Field> find(std::string_view key);
+  /// Throw unless every member's key has been asked for.
+  void finish() const;
+
+ private:
+  [[nodiscard]] bool asked(std::string_view key) const;
+
+  Field self_;
+  std::vector<std::string_view> asked_;
+};
+
 /// Read a whole file into `out`, sized once from the file's length
 /// (a pipe is read as a stream).  Returns false when the file cannot
 /// be opened or read.  Shared by load_file and the serve store's scan.

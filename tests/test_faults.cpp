@@ -1,7 +1,7 @@
 // Tests for the fault-injection harness: strict JSON round-trip of
 // FaultSchedule (hostile inputs must fail fast with actionable
 // messages), the FaultDriver's two compilation directions, golden
-// bit-identity of the compiled legacy_partition schedules against the
+// bit-identity of the compiled partition-then-heal schedules against the
 // legacy heal knobs, the cascading staggered-open arc vs the analytic
 // recovery forms, and the p0-with-k-branches footgun.
 #include <gtest/gtest.h>
@@ -259,13 +259,13 @@ TEST(FaultScheduleJson, LoadFileRoundTripsADumpedSchedule) {
 }
 
 TEST(FaultScheduleJson, FactoriesBuildValidTimelines) {
-  const auto legacy = FaultSchedule::legacy_partition(3, 2000, 500);
-  ASSERT_EQ(legacy.events.size(), 4u);
-  EXPECT_EQ(std::get<PartitionOpen>(legacy.events[0]).epoch, 1u);
-  EXPECT_EQ(std::get<PartitionOpen>(legacy.events[1]).epoch, 1u);
-  EXPECT_EQ(std::get<PartitionHeal>(legacy.events[2]).epoch, 2000u);
-  EXPECT_EQ(std::get<PartitionHeal>(legacy.events[3]).epoch, 2500u);
-  EXPECT_EQ(legacy.max_branch(), 2u);
+  const auto arc = FaultSchedule::staggered_partition(3, 0, 2000, 500);
+  ASSERT_EQ(arc.events.size(), 4u);
+  EXPECT_EQ(std::get<PartitionOpen>(arc.events[0]).epoch, 1u);
+  EXPECT_EQ(std::get<PartitionOpen>(arc.events[1]).epoch, 1u);
+  EXPECT_EQ(std::get<PartitionHeal>(arc.events[2]).epoch, 2000u);
+  EXPECT_EQ(std::get<PartitionHeal>(arc.events[3]).epoch, 2500u);
+  EXPECT_EQ(arc.max_branch(), 2u);
 
   const auto cascade = FaultSchedule::staggered_partition(3, 300, 2500, 500);
   ASSERT_EQ(cascade.events.size(), 4u);
@@ -317,7 +317,7 @@ TEST(FaultDriver, CompilePartitionPopulatesWindowsAndClearsLegacyKnobs) {
 }
 
 TEST(FaultDriver, CompilePartitionCarriesOutages) {
-  FaultSchedule s = FaultSchedule::legacy_partition(2, 600, 0);
+  FaultSchedule s = FaultSchedule::staggered_partition(2, 0, 600, 0);
   s.events.push_back(ValidatorOutage{900, 150, 0.5});
   sim::PartitionSimConfig cfg;
   compile_partition(s, &cfg);
@@ -332,7 +332,7 @@ TEST(FaultDriver, CompilePartitionRejectsWeatherAndEmptySchedules) {
   EXPECT_THROW(compile_partition(FaultSchedule{}, &cfg),
                std::invalid_argument);
 
-  FaultSchedule weather = FaultSchedule::legacy_partition(2, 0, 0);
+  FaultSchedule weather = FaultSchedule::staggered_partition(2, 0, 0, 0);
   weather.events.push_back(LatencyEpisode{10.0, 2.0, LinkClass::kAll, 3.0});
   try {
     compile_partition(weather, &cfg);
@@ -369,7 +369,8 @@ TEST(FaultDriver, ApplyNetworkRejectsPartitionEventsAndBadScale) {
   net::NetworkConfig cfg;
   cfg.num_nodes = 1;
   try {
-    apply_network(FaultSchedule::legacy_partition(2, 0, 0), 384.0, &cfg);
+    apply_network(FaultSchedule::staggered_partition(2, 0, 0, 0), 384.0,
+                  &cfg);
     FAIL() << "applied a partition event to the network path";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("compile_partition"),
@@ -428,7 +429,7 @@ TEST(FaultDriverGolden, LegacyKnobsAndCompiledScheduleAreBitIdentical) {
     std::size_t heal_epoch;
     std::size_t heal_stagger;
   };
-  // legacy_partition is the paper's arc: every branch opens at epoch 1
+  // An open stagger of 0 is the paper's arc: every branch opens at epoch 1
   // and branch b heals at heal_epoch + (b-1) * heal_stagger (never when
   // heal_epoch is 0).  Without heals, the compiled windows must run
   // bit-identically to a config with no windows at all.
@@ -438,8 +439,8 @@ TEST(FaultDriverGolden, LegacyKnobsAndCompiledScheduleAreBitIdentical) {
     compiled.n_validators = 150;
     compiled.max_epochs = 3000;
     compile_partition(
-        FaultSchedule::legacy_partition(c.branches, c.heal_epoch,
-                                        c.heal_stagger),
+        FaultSchedule::staggered_partition(c.branches, 0, c.heal_epoch,
+                                           c.heal_stagger),
         &compiled);
     SCOPED_TRACE("branches=" + std::to_string(c.branches) +
                  " heal=" + std::to_string(c.heal_epoch) + "+" +
@@ -516,14 +517,14 @@ TEST(FaultCascade, OutageReentersTheLeakAndDelaysRecovery) {
   sim::PartitionSimConfig plain;
   plain.n_validators = 150;
   plain.max_epochs = 4000;
-  compile_partition(FaultSchedule::legacy_partition(2, 600, 0), &plain);
+  compile_partition(FaultSchedule::staggered_partition(2, 0, 600, 0), &plain);
   const auto base = sim::run_partition_sim(plain);
   ASSERT_GT(base.recovery_complete_epoch, 600);
 
   // Same arc plus a half-cohort outage at 650, inside the drain
   // window: supermajority is lost mid-recovery, the leak re-enters,
   // and the full recovery can only complete after the outage lifts.
-  FaultSchedule s = FaultSchedule::legacy_partition(2, 600, 0);
+  FaultSchedule s = FaultSchedule::staggered_partition(2, 0, 600, 0);
   s.events.push_back(ValidatorOutage{650, 150, 0.5});
   sim::PartitionSimConfig cfg;
   cfg.n_validators = 150;

@@ -23,7 +23,8 @@ PartitionSimConfig healing_config(std::uint32_t branches,
   cfg.beta0 = 0.0;
   cfg.strategy = Strategy::kNone;
   faults::compile_partition(
-      faults::FaultSchedule::legacy_partition(branches, heal_epoch, stagger),
+      faults::FaultSchedule::staggered_partition(branches, 0, heal_epoch,
+                                                 stagger),
       &cfg);
   cfg.max_epochs = 9000;
   return cfg;

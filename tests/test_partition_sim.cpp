@@ -24,7 +24,7 @@ const analytic::AnalyticConfig kStated = analytic::AnalyticConfig::stated();
 /// Heal the two-branch split at `heal_epoch` via the fault driver.
 void heal_two_branches(PartitionSimConfig* cfg, std::size_t heal_epoch) {
   faults::compile_partition(
-      faults::FaultSchedule::legacy_partition(2, heal_epoch, 0), cfg);
+      faults::FaultSchedule::staggered_partition(2, 0, heal_epoch, 0), cfg);
 }
 
 PartitionSimConfig base(Strategy s, double beta0, double p0 = 0.5) {

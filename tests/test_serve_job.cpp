@@ -102,6 +102,11 @@ TEST(ServeJobTest, FromJsonRejectsHostileManifests) {
                "params": {"beta0": 0.9}})",
            R"({"scenario": "bouncing-mc", "config": {"zebra": 1}})",
            R"({"scenario": "bouncing-mc", "config": {"workers": 0}})",
+           // A typo'd "axes" must not mean a 1-cell job on defaults.
+           R"({"scenario":"bouncing-mc",)"
+           R"("axis":[{"param":"beta0","values":[0.3,0.31]}]})",
+           // 2^32 workers must not wrap to 0.
+           R"({"scenario":"bouncing-mc","config":{"workers":4294967296}})",
            R"([])",
            R"({})",
        }) {

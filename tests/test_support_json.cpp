@@ -7,10 +7,17 @@
 #include <cstring>
 #include <filesystem>
 #include <iterator>
+#include <functional>
 #include <limits>
+#include <regex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "src/faults/schedule.hpp"
+#include "src/scenario/registry.hpp"
+#include "src/scenario/sweep.hpp"
+#include "src/serve/job.hpp"
 #include "src/support/json.hpp"
 #include "src/support/random.hpp"
 #include "tests/oracles/yardsticks.hpp"
@@ -390,6 +397,183 @@ TEST(JsonMutation, SeededInputsRoundTripOrFailWithAnOffset) {
   }
   // Both outcomes are exercised, not just one.
   EXPECT_GT(parsed, 1000u);
+  EXPECT_GT(rejected, 1000u);
+}
+
+// --- The typed layer: the documents users write, read through
+// json::Fields by their own from_json.
+
+/// One typed document kind: from_json then to_json, or nullopt with
+/// the rejection message.
+using TypedRead = std::function<std::optional<Value>(const Value&,
+                                                     std::string*)>;
+
+/// Replace one node with an edge value or a random one; an object
+/// node may instead lose a member, get a misspelt key or gain one.
+Value mutate_node(const Value& v, Rng& rng) {
+  if (v.is_object() && v.size() > 0 && rng.bernoulli(0.5)) {
+    const auto pick = rng.uniform_index(v.size());
+    const auto action = rng.uniform_index(3);
+    Value out = Value::object();
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      const auto& [key, member] = v.as_object()[i];
+      if (i != pick) {
+        out.set(key, member);
+      } else if (action == 1) {
+        out.set(key + "x", member);
+      } else if (action == 2) {
+        out.set(key, member);
+        out.set("extra", member);
+      }
+    }
+    return out;
+  }
+  static const Value kEdge[] = {
+      Value(0),
+      Value(-1),
+      Value(1),
+      Value(255),
+      Value(256),
+      Value(std::int64_t{4294967295}),
+      Value(std::int64_t{4294967296}),
+      Value(std::numeric_limits<std::int64_t>::max()),
+      Value(0.5),
+      Value(-0.0),
+      Value(std::numeric_limits<double>::infinity()),
+      Value(""),
+      Value("all"),
+      Value(true),
+      Value(nullptr),
+  };
+  return rng.bernoulli(0.7) ? kEdge[rng.uniform_index(std::size(kEdge))]
+                            : random_value(rng, 3);
+}
+
+/// Copy `v` with node number *countdown (pre-order) mutated.
+Value mutate_tree(const Value& v, Rng& rng, std::uint64_t* countdown) {
+  if ((*countdown)-- == 0) return mutate_node(v, rng);
+  if (v.is_array()) {
+    Array out;
+    for (const Value& e : v.as_array()) {
+      out.push_back(mutate_tree(e, rng, countdown));
+    }
+    return Value(std::move(out));
+  }
+  if (v.is_object()) {
+    Value out = Value::object();
+    for (const auto& [key, member] : v.as_object()) {
+      out.set(key, mutate_tree(member, rng, countdown));
+    }
+    return out;
+  }
+  return v;
+}
+
+std::uint64_t node_count(const Value& v) {
+  std::uint64_t n = 1;
+  if (v.is_array()) {
+    for (const Value& e : v.as_array()) n += node_count(e);
+  } else if (v.is_object()) {
+    for (const auto& [key, member] : v.as_object()) n += node_count(member);
+  }
+  return n;
+}
+
+/// The typed property for one parsed document.  Returns true when it
+/// was accepted.
+bool check_typed(const TypedRead& read, const Value& doc) {
+  // "schedule.events[3].epoch: ...", "manifest: ...", "axes[0]: ...".
+  static const std::regex kPathPrefix(R"(^[A-Za-z_]\w*(\.\w+|\[\d+\])*: )");
+  std::string error;
+  const auto once = read(doc, &error);
+  if (!once) {
+    EXPECT_TRUE(std::regex_search(error, kPathPrefix))
+        << doc.dump() << " -> " << error;
+    return false;
+  }
+  const auto text = once->dump();
+  const auto reparsed = Value::parse(text);
+  EXPECT_TRUE(reparsed.has_value()) << text;
+  if (!reparsed) return true;
+  const auto twice = read(*reparsed, &error);
+  EXPECT_TRUE(twice.has_value()) << text << " -> " << error;
+  if (twice) {
+    EXPECT_EQ(twice->dump(), text) << doc.dump();
+  }
+  return true;
+}
+
+TEST(JsonMutation, TypedDocumentsRoundTripOrFailWithAPath) {
+  const auto& registry = scenario::builtin_registry();
+  scenario::ScenarioSpec spec("typed", "every parameter type");
+  spec.add_int("paths", "", 64, 1, 1e6)
+      .add_double("beta0", "", 0.2, 0.0, 0.5)
+      .add_bool("exact", "", false)
+      .add_string("strategy", "", "honest", {"honest", "semiactive"});
+
+  const TypedRead schedule = [](const Value& v, std::string* error) {
+    try {
+      return std::optional<Value>(
+          faults::FaultSchedule::from_json(v).to_json());
+    } catch (const std::invalid_argument& e) {
+      *error = e.what();
+      return std::optional<Value>();
+    }
+  };
+  const TypedRead manifest = [&registry](const Value& v, std::string* error) {
+    const auto job = serve::JobSpec::from_json(registry, v, error);
+    return job ? std::optional<Value>(job->to_json()) : std::nullopt;
+  };
+  const TypedRead params = [&spec](const Value& v, std::string* error) {
+    const auto set = spec.params_from_json(v, error);
+    return set ? std::optional<Value>(set->to_json()) : std::nullopt;
+  };
+
+  serve::JobSpec job;
+  job.scenario = "bouncing-mc";
+  job.base = registry.find("bouncing-mc")->spec().defaults();
+  for (const char* axis_text : {"beta0=0.3,0.33", "paths=16,32"}) {
+    scenario::SweepAxis axis;
+    ASSERT_FALSE(scenario::parse_sweep_axis(
+        registry.find("bouncing-mc")->spec(), axis_text, &axis));
+    job.axes.push_back(std::move(axis));
+  }
+  job.config.workers = 3;
+
+  struct Seed {
+    const TypedRead* read;
+    std::string text;
+  };
+  std::vector<Seed> seeds;
+  const std::filesystem::path schedules =
+      std::filesystem::path(LEAK_SOURCE_DIR) / "examples" / "schedules";
+  for (const char* name : {"cascade.json", "flaky.json"}) {
+    ASSERT_TRUE(read_file((schedules / name).string(),
+                          &seeds.emplace_back(Seed{&schedule, ""}).text));
+  }
+  seeds.push_back({&manifest, job.to_json().dump(2)});
+  seeds.push_back({&params, spec.defaults().to_json().dump()});
+
+  Rng rng(20261018);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const Seed& seed : seeds) {
+    const auto doc = Value::parse(seed.text);
+    ASSERT_TRUE(doc.has_value()) << seed.text;
+    ASSERT_TRUE(check_typed(*seed.read, *doc)) << seed.text;
+    for (int k = 0; k < 500; ++k) {
+      // Byte-level mutations that still parse, then tree-level ones.
+      const Seed& other = seeds[rng.uniform_index(seeds.size())];
+      if (const auto m = Value::parse(mutate(seed.text, other.text, rng))) {
+        (check_typed(*seed.read, *m) ? accepted : rejected) += 1;
+      }
+      std::uint64_t countdown = rng.uniform_index(node_count(*doc));
+      const Value tree = mutate_tree(*doc, rng, &countdown);
+      (check_typed(*seed.read, tree) ? accepted : rejected) += 1;
+    }
+  }
+  // Both outcomes are exercised, not just one.
+  EXPECT_GT(accepted, 100u);
   EXPECT_GT(rejected, 1000u);
 }
 

@@ -10,7 +10,10 @@ CONTRACT is one of:
                  tail, resumes (reporting the tail) to canonical merged
                  results byte-identical to a clean run's.  `results`
                  fails while the job is incomplete, and resuming a
-                 complete job executes 0 cells.
+                 complete job executes 0 cells.  `submit --workers
+                 4294967296` is rejected (not wrapped to 0), and a
+                 resume whose manifest.json gained an unknown key fails
+                 naming the key.
   search         (tools.search_contract) A journaled search cut by a
                  3-candidate budget, plus a torn journal tail, resumes
                  (reporting the tail) to a journal byte-identical to a
@@ -122,8 +125,22 @@ def serve(leakctl):
     rerun = leakctl("resume", job_id, "--jobs-dir", hostile).stdout
     expect(" 0 executed" in rerun,
            f"resume of a complete job executed cells: {rerun}")
+    # 2^32 truncates to 0 workers: the value must be refused, never cast.
+    wide = leakctl("submit", *job[:-2], "--workers", 2**32, "--jobs-dir",
+                   leakctl.work / "wide", ok=False)
+    expect(wide.returncode != 0 and "--workers" in wide.stderr,
+           f"submit --workers 2^32 was not rejected: {wide.stderr!r}")
+    manifest = clean / job_id / "manifest.json"
+    edited = json.loads(manifest.read_text(encoding="utf-8"))
+    edited["zebra"] = 1
+    manifest.write_text(json.dumps(edited, indent=2) + "\n", encoding="utf-8")
+    stray = leakctl("resume", job_id, "--jobs-dir", clean, ok=False)
+    expect(stray.returncode != 0 and '"zebra"' in stray.stderr,
+           f"resume accepted a manifest with an unknown key: "
+           f"{stray.stderr!r}")
     print("ok   serve: cut + torn job resumes byte-identical; "
-          "a complete job re-runs 0 cells")
+          "a complete job re-runs 0 cells; an oversized --workers and an "
+          "unknown manifest key are refused")
 
 
 def search(leakctl):
