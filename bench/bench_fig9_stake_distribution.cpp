@@ -149,25 +149,6 @@ BENCHMARK(BM_MonteCarloBlockSize)
     ->Arg(1)->Arg(8)->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
-// Same sweep in summary mode: the per-path matrix is never
-// materialized (memory O(snapshots x block)), the streaming summaries
-// are bit-identical to full mode.
-void BM_MonteCarloSummaryMode(benchmark::State& state) {
-  bouncing::McConfig mc;
-  mc.paths = 10000;
-  mc.epochs = 2000;
-  mc.threads = 1;
-  mc.block = static_cast<std::size_t>(state.range(0));
-  mc.keep_paths = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bouncing::run_bouncing_mc(mc, {2000}));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(mc.paths) * 2000);
-}
-BENCHMARK(BM_MonteCarloSummaryMode)->Arg(64)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
 // Thread-scaling sweep of the Figure 9 10k-path run: Arg is the
 // thread count (0 = auto), results identical across all of them.
 void BM_MonteCarloPathsThreads(benchmark::State& state) {

@@ -36,6 +36,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -589,6 +590,10 @@ void print_status(const serve::JobStatus& st) {
 json::Value status_to_json(const serve::JobStatus& st) {
   json::Value doc = json::Value::object();
   doc.set("id", st.id);
+  if (!st.error.empty()) {
+    doc.set("error", st.error);
+    return doc;
+  }
   doc.set("scenario", st.scenario);
   doc.set("total_cells", static_cast<std::int64_t>(st.total_cells));
   doc.set("done_cells", static_cast<std::int64_t>(st.done_cells));
@@ -656,19 +661,30 @@ int cmd_status(const scenario::ScenarioRegistry& registry,
     }
     return 0;
   }
-  const auto jobs = service.list(&error);
+  // A job whose manifest fails to load is reported on stderr (and in
+  // the JSON array) and makes the listing exit nonzero.
+  const auto jobs = service.list();
+  int rc = 0;
+  for (const auto& st : jobs) {
+    if (st.error.empty()) continue;
+    std::fprintf(stderr, "leakctl: %s: %s\n", st.id.c_str(),
+                 st.error.c_str());
+    rc = 2;
+  }
   if (opts.as_json) {
     json::Value doc = json::Value::array();
     for (const auto& st : jobs) doc.push_back(status_to_json(st));
     std::printf("%s\n", doc.dump(2).c_str());
-    return 0;
+    return rc;
   }
   if (jobs.empty()) {
     std::printf("no jobs in %s\n", opts.jobs_dir.c_str());
     return 0;
   }
-  for (const auto& st : jobs) print_status(st);
-  return 0;
+  for (const auto& st : jobs) {
+    if (st.error.empty()) print_status(st);
+  }
+  return rc;
 }
 
 int run_one_job(serve::JobService& service, const std::string& id,
@@ -741,9 +757,16 @@ int cmd_serve(const scenario::ScenarioRegistry& registry,
     return fail("unexpected argument \"" + opts.positional.front() + "\"");
   }
   serve::JobService service(registry, opts.jobs_dir);
+  std::set<std::string> reported;  // broken jobs, reported once each
   for (;;) {
-    const auto jobs = service.list(&error);
-    for (const auto& st : jobs) {
+    for (const auto& st : service.list()) {
+      if (!st.error.empty()) {
+        if (reported.insert(st.id).second) {
+          std::fprintf(stderr, "leakctl: %s: %s\n", st.id.c_str(),
+                       st.error.c_str());
+        }
+        continue;
+      }
       if (st.merged) continue;
       if (run_one_job(service, st.id, opts, &error) != 0) {
         std::fprintf(stderr, "leakctl: %s: %s\n", st.id.c_str(),
@@ -751,7 +774,7 @@ int cmd_serve(const scenario::ScenarioRegistry& registry,
         error.clear();
       }
     }
-    if (opts.once) return 0;
+    if (opts.once) return reported.empty() ? 0 : 2;
     std::this_thread::sleep_for(std::chrono::milliseconds(opts.poll_ms));
   }
 }

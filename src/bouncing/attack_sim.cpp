@@ -4,9 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
-#include "src/kernel/accumulators.hpp"
 #include "src/kernel/cohort.hpp"
 #include "src/runner/thread_pool.hpp"
 #include "src/runner/trial_runner.hpp"
@@ -82,18 +82,6 @@ RunOutcome simulate_attack_run(const AttackSimConfig& cfg, Rng rng) {
   return out;
 }
 
-/// Order-fed aggregate shared by the full and summary modes: the
-/// duration summary and the break count see runs in ascending run
-/// order in both, so every derived statistic is bit-identical.
-struct AttackTally {
-  kernel::DurationSummary durations;
-  std::size_t broken = 0;
-  void add(const RunOutcome& out) {
-    durations.add(out.duration);
-    if (out.break_epoch >= 0) ++broken;
-  }
-};
-
 }  // namespace
 
 AttackSimResult run_attack_sim(const AttackSimConfig& cfg) {
@@ -101,63 +89,40 @@ AttackSimResult run_attack_sim(const AttackSimConfig& cfg) {
     throw std::invalid_argument("run_attack_sim: empty configuration");
   }
   // Run i always draws from the (seed, i) stream, so the result is
-  // bit-identical for every (block, threads) combination in either
-  // mode.
+  // bit-identical for every (block, threads) combination.
   const StreamSeeder seeder(cfg.seed);
   const runner::TrialRunner pool(cfg.threads);
   const std::size_t block = runner::resolve_block(cfg.block);
-  AttackSimResult res;
-  AttackTally tally;
-  if (cfg.keep_runs) {
-    // Full mode: block-scheduled fan-out straight into the result's
-    // preallocated slabs (no merge step), then aggregate in run order.
-    res.durations.assign(cfg.runs, 0);
-    std::vector<std::int64_t> break_epochs(cfg.runs, -1);
-    pool.run_blocks(cfg.runs, block,
-                    [&](std::size_t begin, std::size_t end) {
-                      for (std::size_t run = begin; run < end; ++run) {
-                        const auto out =
-                            simulate_attack_run(cfg, seeder.stream(run));
-                        res.durations[run] = out.duration;
-                        break_epochs[run] = out.break_epoch;
-                      }
-                    });
-    // Compact the successful runs in run order.
-    for (std::size_t run = 0; run < cfg.runs; ++run) {
-      tally.add(RunOutcome{res.durations[run], break_epochs[run]});
-      if (break_epochs[run] >= 0) {
-        res.break_epochs.push_back(
-            static_cast<std::uint64_t>(break_epochs[run]));
-      }
+  // Block-scheduled fan-out into preallocated per-run slabs (no merge
+  // step), then aggregate in run order on this thread.
+  std::vector<std::uint64_t> durations(cfg.runs, 0);
+  std::vector<std::int64_t> break_epochs(cfg.runs, -1);
+  pool.run_blocks(cfg.runs, block, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t run = begin; run < end; ++run) {
+      const auto out = simulate_attack_run(cfg, seeder.stream(run));
+      durations[run] = out.duration;
+      break_epochs[run] = out.break_epoch;
     }
-  } else {
-    // Summary mode: per-block outcome slabs fold through the ordered
-    // reduction tree in ascending block order — the same add() calls
-    // in the same run order as full mode, without the O(runs) slabs.
-    struct OutcomeFold {
-      AttackTally* tally;
-      void fold(std::size_t, std::size_t,
-                std::vector<RunOutcome>&& outcomes) const {
-        for (const auto& out : outcomes) tally->add(out);
-      }
-    };
-    (void)pool.run_reduce(cfg.runs, block, OutcomeFold{&tally},
-                          [&](std::size_t begin, std::size_t end) {
-                            std::vector<RunOutcome> outcomes;
-                            outcomes.reserve(end - begin);
-                            for (std::size_t run = begin; run < end; ++run) {
-                              outcomes.push_back(simulate_attack_run(
-                                  cfg, seeder.stream(run)));
-                            }
-                            return outcomes;
-                          });
-  }
+  });
 
+  AttackSimResult res;
+  std::size_t broken = 0;
+  for (const std::int64_t epoch : break_epochs) {
+    if (epoch < 0) continue;
+    ++broken;
+    if (cfg.keep_runs) {
+      res.break_epochs.push_back(static_cast<std::uint64_t>(epoch));
+    }
+  }
   res.prob_threshold_broken =
-      static_cast<double>(tally.broken) / static_cast<double>(cfg.runs);
-  res.mean_duration = tally.durations.mean();
-  res.median_duration = tally.durations.quantile(0.5);
-  res.p99_duration = tally.durations.quantile(0.99);
+      static_cast<double>(broken) / static_cast<double>(cfg.runs);
+  std::vector<double> d(durations.begin(), durations.end());
+  RunningStats stats;
+  for (const double x : d) stats.add(x);
+  res.mean_duration = stats.mean();
+  res.median_duration = quantile(d, 0.5);
+  res.p99_duration = quantile(std::move(d), 0.99);
+  if (cfg.keep_runs) res.durations = std::move(durations);
   return res;
 }
 

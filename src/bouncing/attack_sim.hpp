@@ -35,16 +35,15 @@ struct AttackSimConfig {
   /// When true the per-epoch continuation probability uses the current
   /// stake-weighted beta; when false the constant beta0 (paper bound).
   bool stake_weighted_lottery = true;
-  /// When false, the per-run outcome slabs are never materialized:
-  /// AttackSimResult::durations / break_epochs stay empty and only the
-  /// aggregate statistics are filled via the runner's ordered
-  /// reduction tree.  The aggregates are bit-identical between modes.
+  /// Whether the result carries durations and break_epochs.  Only the
+  /// result changes: the run always fills the O(runs) outcome slabs
+  /// and the aggregates are bit-identical for both values.
   bool keep_runs = true;
 };
 
 struct AttackSimResult {
   /// Attack duration (epochs) per run.  Empty when cfg.keep_runs ==
-  /// false (summary mode).
+  /// false.
   std::vector<std::uint64_t> durations;
   /// Fraction of runs where beta exceeded 1/3 before the attack ended.
   double prob_threshold_broken = 0.0;
@@ -53,7 +52,7 @@ struct AttackSimResult {
   double median_duration = 0.0;
   double p99_duration = 0.0;
   /// Epoch of threshold break per successful run (for conditioning).
-  /// Empty when cfg.keep_runs == false (summary mode).
+  /// Empty when cfg.keep_runs == false.
   std::vector<std::uint64_t> break_epochs;
 };
 

@@ -37,11 +37,10 @@ struct McConfig {
   /// tuned default.  Results are bit-identical for any value,
   /// including block = 1 and block = paths.
   std::size_t block = 0;
-  /// When false, the full per-path stake matrix is never materialized:
-  /// McResult::stakes stays empty and only the streaming per-snapshot
-  /// summaries are filled, so memory is O(snapshots x block) transient
-  /// instead of O(snapshots x paths).  The summaries themselves are
-  /// bit-identical between the two modes.
+  /// Whether McResult::stakes carries the per-path matrix.  Only the
+  /// result changes: the run always fills the snapshots x paths matrix
+  /// (memory during the run is O(snapshots x paths) either way) and the
+  /// summaries are bit-identical for both values.
   bool keep_paths = true;
   analytic::AnalyticConfig model = analytic::AnalyticConfig::paper();
 };
@@ -51,7 +50,7 @@ struct McResult {
   /// Epoch grid at which snapshots were taken.
   std::vector<std::size_t> epochs;
   /// stakes[k][i] = stake of path i at epochs[k] (0 when ejected).
-  /// Empty when cfg.keep_paths == false (summary mode).
+  /// Empty when cfg.keep_paths == false.
   std::vector<std::vector<double>> stakes;
   /// Fraction of paths ejected by epochs[k].
   std::vector<double> ejected_fraction;
@@ -61,8 +60,8 @@ struct McResult {
   /// the semi-active Byzantine stake, one branch).
   std::vector<double> prob_beta_exceeds;
   /// Streaming per-snapshot moments of the full censored sample at
-  /// epochs[k], filled in both modes (fed in path order, so
-  /// bit-identical for any block/threads/mode).
+  /// epochs[k], fed in path order, so bit-identical for any
+  /// block/threads/keep_paths.
   std::vector<RunningStats> stake_stats;
 };
 
@@ -109,16 +108,15 @@ struct PopulationEnsembleConfig {
   std::size_t paths = 100;
   unsigned threads = 0;       ///< 0 = LEAK_THREADS / hardware_concurrency
   std::size_t block = 0;      ///< paths per block; 0 = LEAK_BLOCK / default
-  /// When false, the per-path outcome slab is never materialized:
-  /// first_exceed_epochs stays empty and only the aggregate fractions
-  /// are filled via the runner's ordered reduction tree.  The
-  /// aggregates are bit-identical between the two modes.
+  /// Whether the result carries first_exceed_epochs.  Only the result
+  /// changes: the run always fills the O(paths) outcome slabs and the
+  /// aggregates are bit-identical for both values.
   bool keep_paths = true;
 };
 
 struct PopulationEnsembleResult {
   /// Per path: epoch when beta first exceeded 1/3 on branch A; -1 never.
-  /// Empty when cfg.keep_paths == false (summary mode).
+  /// Empty when cfg.keep_paths == false.
   std::vector<std::int64_t> first_exceed_epochs;
   /// Fraction of paths whose beta ever exceeded 1/3.
   double exceed_fraction = 0.0;

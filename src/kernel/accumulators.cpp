@@ -47,21 +47,4 @@ void SnapshotAccumulators::finalize(std::size_t n_paths,
   *stake_stats = std::move(stats_);
 }
 
-void DurationSummary::add(std::uint64_t duration) {
-  stats_.add(static_cast<double>(duration));
-  ++hist_[duration];
-}
-
-double DurationSummary::quantile(double q) const {
-  // Reconstruct the sorted sample from the counting histogram: the
-  // keys ascend, so this is exactly std::sort of the materialized
-  // duration vector, and leak::quantile interpolates identically.
-  std::vector<double> sorted;
-  sorted.reserve(stats_.count());
-  for (const auto& [duration, count] : hist_) {
-    sorted.insert(sorted.end(), count, static_cast<double>(duration));
-  }
-  return leak::quantile(std::move(sorted), q);
-}
-
 }  // namespace leak::kernel

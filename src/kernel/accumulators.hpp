@@ -1,15 +1,12 @@
-// Order-fed streaming accumulators shared by the Monte Carlo drivers'
-// full and summary modes (and by the scalar test oracles, so oracle
-// results stay comparable bit-for-bit).  Every accumulator here is a
-// pure function of its insertion sequence; the drivers feed them in
-// trial index order — serially in full mode, via the runner's ordered
-// reduction tree in summary mode — which is what makes summary mode
-// bit-identical to full mode and to every (block, threads) pair.
+// Order-fed streaming per-snapshot accumulators for the bouncing-attack
+// stake distribution driver.  Every accumulator here is a pure function
+// of its insertion sequence; run_bouncing_mc feeds them in path order on
+// the calling thread once the fan-out has filled its per-path slabs,
+// which is what makes every summary bit-identical across (block,
+// threads) pairs and to the scalar test oracle's own copy of this code.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/analytic/config.hpp"
@@ -48,25 +45,6 @@ class SnapshotAccumulators {
   std::vector<std::size_t> capped_;
   std::vector<std::size_t> exceeds_;
   std::vector<RunningStats> stats_;
-};
-
-/// Streaming summary of an integer-valued duration distribution: a
-/// Welford mean fed in run order plus an ordered counting histogram
-/// whose reconstructed sorted sample gives quantiles identical to
-/// sorting the materialized vector (same multiset -> same sorted
-/// order -> same type-7 interpolation).
-class DurationSummary {
- public:
-  void add(std::uint64_t duration);
-
-  [[nodiscard]] std::size_t count() const { return stats_.count(); }
-  [[nodiscard]] double mean() const { return stats_.mean(); }
-  /// Type-7 quantile of the accumulated sample; q in [0, 1].
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  RunningStats stats_;
-  std::map<std::uint64_t, std::size_t> hist_;
 };
 
 }  // namespace leak::kernel

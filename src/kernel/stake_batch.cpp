@@ -103,14 +103,14 @@ void simulate_stake_block(const analytic::AnalyticConfig& model, double p0,
                           const std::vector<std::size_t>& snaps,
                           const StreamSeeder& seeder, std::size_t first_path,
                           std::size_t n_paths, BatchPaths& scratch,
-                          double* const* rows, std::size_t out_offset) {
+                          double* const* rows) {
   scratch.reset(model, seeder, first_path, n_paths);
   std::size_t next_snap = 0;
   for (std::size_t t = 1; t <= epochs && next_snap < snaps.size(); ++t) {
     scratch.step(model, p0);
     if (t == snaps[next_snap]) {
       std::copy_n(scratch.stake().data(), n_paths,
-                  rows[next_snap] + out_offset);
+                  rows[next_snap] + first_path);
       ++next_snap;
       // Once the whole block is ejected every later snapshot is 0 —
       // skip the remaining epochs (the scalar oracle records the same
@@ -119,7 +119,7 @@ void simulate_stake_block(const analytic::AnalyticConfig& model, double p0,
         scratch.sync_ejected();
         if (scratch.all_ejected()) {
           for (std::size_t k = next_snap; k < snaps.size(); ++k) {
-            std::fill_n(rows[k] + out_offset, n_paths, 0.0);
+            std::fill_n(rows[k] + first_path, n_paths, 0.0);
           }
           return;
         }

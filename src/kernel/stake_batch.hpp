@@ -70,18 +70,17 @@ class BatchPaths {
 
 /// Simulate paths [first_path, first_path + n_paths) for `epochs`
 /// epochs and record their stake at each snapshot epoch:
-/// rows[k][out_offset + i] receives the stake of path first_path + i
-/// at snaps[k] (0.0 once ejected).  The caller passes out_offset =
-/// first_path to write straight into the full per-path matrix, or 0 to
-/// fill a block-local slab.  `snaps` must be valid per
-/// run_bouncing_mc's grid contract (the drivers validate before
-/// fanning out).  `scratch` is reset here; passing the same instance
-/// across calls reuses its allocations.
+/// rows[k][first_path + i] receives the stake of path first_path + i
+/// at snaps[k] (0.0 once ejected), so blocks write disjoint column
+/// ranges of the caller's snapshots x paths matrix.  `snaps` must be
+/// valid per run_bouncing_mc's grid contract (the drivers validate
+/// before fanning out).  `scratch` is reset here; passing the same
+/// instance across calls reuses its allocations.
 void simulate_stake_block(const analytic::AnalyticConfig& model, double p0,
                           std::size_t epochs,
                           const std::vector<std::size_t>& snaps,
                           const StreamSeeder& seeder, std::size_t first_path,
                           std::size_t n_paths, BatchPaths& scratch,
-                          double* const* rows, std::size_t out_offset);
+                          double* const* rows);
 
 }  // namespace leak::kernel

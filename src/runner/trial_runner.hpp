@@ -4,21 +4,17 @@
 // Contract: the trial function must be pure given its trial index —
 // all randomness comes from a per-trial RNG stream derived from
 // (master_seed, trial_index) (see leak::StreamSeeder), and trials
-// never touch shared mutable state.  Results are collected into a
-// vector indexed by trial, so any merge the caller performs in trial
-// order is bit-identical regardless of thread count (including
-// threads == 1).
+// never touch shared mutable state.  Results land in slabs indexed by
+// trial, and every caller folds them in trial order on its own thread
+// once the workers are joined (there is no concurrent reduction), so
+// every aggregate is bit-identical regardless of thread count
+// (including threads == 1).
 #pragma once
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <optional>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "src/runner/thread_pool.hpp"
@@ -71,59 +67,6 @@ class TrialRunner {
   template <typename Fn>
   void run_blocks(std::size_t n_trials, std::size_t block, Fn&& fn) const {
     claim_blocks(threads_, n_trials, block, std::ref(fn));
-  }
-
-  /// Ordered reduction tree over fixed-size blocks: sim(begin, end)
-  /// produces one partial per block concurrently, and the partials
-  /// fold into `acc` via acc.fold(begin, end, partial) strictly in
-  /// ascending block order — a left-deep tree whose merge order is a
-  /// function of (n_trials, block) alone, never of thread scheduling
-  /// or completion order.  This is what lets keep_paths=false summary
-  /// reductions scale past one thread while staying bit-identical to
-  /// the serial fold (and to full mode, when the accumulator is the
-  /// same code fed the same per-trial values in the same order).  A
-  /// worker holds at most one unfolded partial, so in-flight memory is
-  /// bounded by O(threads x sizeof(partial)).  A throwing sim or fold
-  /// stops all later folds; the exception from the lowest failing
-  /// block rethrows, as in run_blocks.
-  template <typename Acc, typename SimFn>
-  [[nodiscard]] Acc run_reduce(std::size_t n_trials, std::size_t block,
-                               Acc acc, SimFn&& sim) const {
-    using Partial =
-        std::decay_t<std::invoke_result_t<SimFn&, std::size_t, std::size_t>>;
-    block = std::max<std::size_t>(block, 1);
-    std::mutex mu;  // guards the fold turn
-    std::condition_variable turn_cv;
-    std::size_t fold_turn = 0;  // index of the next block to fold
-    bool broken = false;        // a block failed: fold nothing after it
-    run_blocks(n_trials, block, [&](std::size_t begin, std::size_t end) {
-      std::optional<Partial> partial;
-      std::exception_ptr error;
-      try {
-        partial.emplace(sim(begin, end));
-      } catch (...) {
-        error = std::current_exception();
-      }
-      {
-        // Take the turn even on failure so the blocks waiting behind
-        // this one are released (every lower block is already claimed
-        // and reaches its own turn, so the wait always ends).
-        std::unique_lock lk(mu);
-        turn_cv.wait(lk, [&] { return fold_turn == begin / block; });
-        if (!error && !broken) {
-          try {
-            acc.fold(begin, end, std::move(*partial));
-          } catch (...) {
-            error = std::current_exception();
-          }
-        }
-        broken = broken || error;
-        ++fold_turn;
-      }
-      turn_cv.notify_all();
-      if (error) std::rethrow_exception(error);
-    });
-    return acc;
   }
 
  private:

@@ -88,14 +88,24 @@ faults::LinkClass link_from_name(const std::string& name) {
 /// (the compact FaultSchedule::dump form, or anything from_string
 /// accepts).  Inline -- not a path -- so sweep cells, serve jobs and
 /// search journals stay self-contained and resumable; leakctl --faults
-/// reads the file and injects its contents here.
+/// reads the file and injects its contents here.  The text is parsed
+/// and validated wherever a value is set (--set, sweep axes, params and
+/// manifest documents), so a bad schedule fails before any run.
 ScenarioSpec& add_faults_param(ScenarioSpec& spec) {
   return spec.add_string(
       "faults",
       "inline fault-schedule JSON overriding the scenario's own "
       "partition/weather knobs (empty = knobs; leakctl --faults FILE "
       "fills this)",
-      "");
+      "", {}, [](const std::string& text) -> std::optional<std::string> {
+        if (text.empty()) return std::nullopt;
+        try {
+          (void)faults::FaultSchedule::from_string(text);
+        } catch (const std::exception& e) {
+          return e.what();
+        }
+        return std::nullopt;
+      });
 }
 
 /// Resolve the effective schedule: the `faults` param wins, otherwise

@@ -198,13 +198,15 @@ ScenarioSpec& ScenarioSpec::add_bool(std::string name, std::string description,
 ScenarioSpec& ScenarioSpec::add_string(std::string name,
                                        std::string description,
                                        std::string default_value,
-                                       std::vector<std::string> choices) {
+                                       std::vector<std::string> choices,
+                                       TextCheck text_check) {
   ParamSpec p;
   p.name = std::move(name);
   p.description = std::move(description);
   p.type = ParamType::kString;
   p.default_value = std::move(default_value);
   p.choices = std::move(choices);
+  p.text_check = text_check;
   return add_param(std::move(p));
 }
 
@@ -241,6 +243,9 @@ std::optional<std::string> ParamSpec::check(const ParamValue& v) const {
       if (c == s) return std::nullopt;
     }
     return "\"" + s + "\" is not one of " + join_choices(choices);
+  }
+  if (type == ParamType::kString && text_check != nullptr) {
+    return text_check(std::get<std::string>(v));
   }
   return std::nullopt;
 }

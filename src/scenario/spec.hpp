@@ -29,6 +29,10 @@ using ParamValue = std::variant<std::int64_t, double, bool, std::string>;
 
 [[nodiscard]] ParamType param_type_of(const ParamValue& v);
 
+/// Structural check of a string parameter's text (e.g. an inline JSON
+/// document): the reason it is rejected, or nullopt when it is valid.
+using TextCheck = std::optional<std::string> (*)(const std::string& text);
+
 /// One typed parameter: default value plus validation constraints.
 struct ParamSpec {
   std::string name;
@@ -40,9 +44,11 @@ struct ParamSpec {
   std::optional<double> max_value;
   /// Allowed values for string parameters; empty = unconstrained.
   std::vector<std::string> choices;
+  /// Structural check for string parameters; null = unconstrained.
+  TextCheck text_check = nullptr;
 
-  /// Range/choices check for a value of this parameter's type: the
-  /// reason it is rejected ("0.9 is above the maximum 0.5"), or
+  /// Range/choices/text check for a value of this parameter's type:
+  /// the reason it is rejected ("0.9 is above the maximum 0.5"), or
   /// nullopt when it is allowed.
   [[nodiscard]] std::optional<std::string> check(const ParamValue& v) const;
 
@@ -108,7 +114,8 @@ class ScenarioSpec {
                          bool default_value);
   ScenarioSpec& add_string(std::string name, std::string description,
                            std::string default_value,
-                           std::vector<std::string> choices = {});
+                           std::vector<std::string> choices = {},
+                           TextCheck text_check = nullptr);
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const std::string& description() const {

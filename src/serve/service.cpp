@@ -203,7 +203,7 @@ std::optional<JobStatus> JobService::status(const std::string& id,
   return st;
 }
 
-std::vector<JobStatus> JobService::list(std::string* error) const {
+std::vector<JobStatus> JobService::list() const {
   std::vector<JobStatus> out;
   DIR* dir = ::opendir(jobs_dir_.c_str());
   if (dir == nullptr) return out;  // no directory yet: no jobs
@@ -211,7 +211,14 @@ std::vector<JobStatus> JobService::list(std::string* error) const {
     const std::string name = entry->d_name;
     if (name == "." || name == "..") continue;
     if (!file_exists(job_dir(name) + "/manifest.json")) continue;
-    if (auto st = status(name, error)) out.push_back(std::move(*st));
+    std::string error;
+    if (auto st = status(name, &error)) {
+      out.push_back(std::move(*st));
+    } else {
+      JobStatus& broken = out.emplace_back();
+      broken.id = name;
+      broken.error = std::move(error);
+    }
   }
   ::closedir(dir);
   std::sort(out.begin(), out.end(),

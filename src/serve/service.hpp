@@ -59,6 +59,9 @@ struct JobStatus {
   std::size_t total_cells = 0;
   std::size_t done_cells = 0;
   bool merged = false;
+  /// Why the job's manifest failed to load (list() only); every field
+  /// but `id` is then unset.  Empty for a loadable job.
+  std::string error;
 };
 
 class JobService {
@@ -81,8 +84,9 @@ class JobService {
   [[nodiscard]] std::optional<JobStatus> status(const std::string& id,
                                                 std::string* error) const;
 
-  /// Every job in the directory, sorted by id.
-  [[nodiscard]] std::vector<JobStatus> list(std::string* error) const;
+  /// Every job in the directory, sorted by id.  A job whose manifest
+  /// fails to load is listed with its load error, never dropped.
+  [[nodiscard]] std::vector<JobStatus> list() const;
 
   /// Run/resume: repair the ledger's torn tail if any, execute the
   /// missing cells, and write merged.json once every cell is present.

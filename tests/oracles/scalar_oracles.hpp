@@ -25,14 +25,15 @@ namespace leak::oracle {
 
 /// Scalar Figure 8 Monte Carlo: one path at a time through the branchy
 /// per-epoch update.  Ignores cfg.block / cfg.keep_paths — it is the
-/// fixed reference, always materializing the per-path matrix.
+/// fixed reference, always returning the per-path matrix.
 bouncing::McResult run_bouncing_mc_scalar(
     const bouncing::McConfig& cfg,
     const std::vector<std::size_t>& snapshot_epochs);
 
 /// Scalar bouncing-attack lifetime simulator: per-validator branchy
-/// loops and the run-order duration aggregation the batched driver's
-/// DurationSummary must match exactly.  Ignores cfg.keep_runs.
+/// loops and the run-order duration aggregation (Welford mean, type-7
+/// quantiles of the duration vector) the batched driver must match
+/// exactly.  Ignores cfg.keep_runs — always returns the per-run rows.
 bouncing::AttackSimResult run_attack_sim_scalar(
     const bouncing::AttackSimConfig& cfg);
 
@@ -42,7 +43,7 @@ bouncing::PopulationRunResult run_population_bouncing_scalar(
     const bouncing::PopulationRunConfig& cfg);
 
 /// Scalar population ensemble over run_population_bouncing_scalar.
-/// Ignores cfg.keep_paths — always materializes the outcome slabs.
+/// Ignores cfg.keep_paths — always returns the per-path outcomes.
 bouncing::PopulationEnsembleResult run_population_ensemble_scalar(
     const bouncing::PopulationEnsembleConfig& cfg);
 

@@ -1,115 +1,23 @@
-// Contract of the ordered reduction tree (TrialRunner::run_reduce):
-// partials fold in ascending block order no matter which worker
-// finishes first, at most one unfolded partial exists per worker, and
-// the summary modes built on it (keep_* = false) are bit-identical to
-// the full modes for all three Monte Carlo drivers that have one.
+// Contract of the keep_* flags of the three Monte Carlo drivers that
+// have one: keep_paths / keep_runs = false only drops the per-trial
+// rows from the result, and every aggregate stays bit-identical to the
+// rows-kept run (and, for the attack simulator, to the scalar oracle).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <cstdint>
-#include <numeric>
-#include <thread>
+#include <cstddef>
 #include <vector>
 
 #include "src/bouncing/attack_sim.hpp"
 #include "src/bouncing/montecarlo.hpp"
-#include "src/runner/trial_runner.hpp"
 #include "src/support/env.hpp"
 #include "tests/oracles/scalar_oracles.hpp"
 
 namespace leak {
 namespace {
 
-// --- the reduction tree itself -----------------------------------------
-
-// The merge order is a function of (n_trials, block) alone.  Blocks
-// early in index order are made the slowest, so with 4 workers the
-// completion order is roughly the reverse of the index order — the
-// fold order must stay ascending anyway.
-TEST(RunReduce, FoldOrderIsAscendingRegardlessOfCompletionOrder) {
-  const runner::TrialRunner pool(4);
-  constexpr std::size_t kTrials = 48;
-  constexpr std::size_t kBlock = 4;
-  struct Acc {
-    std::vector<std::size_t>* begins;
-    long long total = 0;
-    void fold(std::size_t begin, std::size_t, long long partial) {
-      begins->push_back(begin);
-      total += partial;
-    }
-  };
-  std::vector<std::size_t> begins;
-  const auto acc = pool.run_reduce(
-      kTrials, kBlock, Acc{&begins}, [&](std::size_t begin, std::size_t end) {
-        // Earlier blocks sleep longer, inverting the completion order.
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds((kTrials - begin) / kBlock));
-        long long sum = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          sum += static_cast<long long>(i);
-        }
-        return sum;
-      });
-  ASSERT_EQ(begins.size(), kTrials / kBlock);
-  for (std::size_t b = 0; b < begins.size(); ++b) {
-    EXPECT_EQ(begins[b], b * kBlock);
-  }
-  EXPECT_EQ(acc.total,
-            static_cast<long long>(kTrials * (kTrials - 1) / 2));
-}
-
-// A worker holds at most one unfolded partial: with W workers no more
-// than W sim results may exist before their fold turn, so in-flight
-// memory is bounded by O(W x sizeof(partial)) however many blocks the
-// run has.
-TEST(RunReduce, InFlightPartialsBoundedByWorkerCount) {
-  constexpr unsigned kWorkers = 4;
-  const runner::TrialRunner pool(kWorkers);
-  std::atomic<int> in_flight{0};
-  std::atomic<int> max_in_flight{0};
-  struct Acc {
-    std::atomic<int>* in_flight;
-    int folded = 0;
-    void fold(std::size_t, std::size_t, int) {
-      in_flight->fetch_sub(1);
-      ++folded;
-    }
-  };
-  const auto acc = pool.run_reduce(
-      256, 2, Acc{&in_flight}, [&](std::size_t, std::size_t) {
-        const int now = in_flight.fetch_add(1) + 1;
-        int seen = max_in_flight.load();
-        while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
-        }
-        return 0;
-      });
-  EXPECT_EQ(acc.folded, 128);
-  EXPECT_LE(max_in_flight.load(), static_cast<int>(kWorkers));
-}
-
-// Serial path: one worker degenerates to a strict left fold.
-TEST(RunReduce, SerialFoldMatchesLoop) {
-  const runner::TrialRunner pool(1);
-  struct Acc {
-    std::vector<std::size_t> begins;
-    void fold(std::size_t begin, std::size_t, std::size_t partial) {
-      EXPECT_EQ(begin, partial);
-      begins.push_back(begin);
-    }
-  };
-  const auto acc =
-      pool.run_reduce(10, 3, Acc{},
-                      [](std::size_t begin, std::size_t) { return begin; });
-  EXPECT_EQ(acc.begins, (std::vector<std::size_t>{0, 3, 6, 9}));
-}
-
-// --- summary-vs-full bit-identity, one test per driver -----------------
-//
-// Summary mode streams per-trial scalars through the same accumulator
-// code full mode uses, in the same trial order, so every aggregate is
-// EXPECT_EQ-exact — not approximately equal — at every (block,
-// threads) combination.
+// Both flag values run the same fan-out and fold the same per-trial
+// slabs in the same trial order, so every aggregate is EXPECT_EQ-exact
+// — not approximately equal — at every (block, threads) combination.
 
 constexpr unsigned kThreadGrid[] = {1, 4};
 constexpr std::size_t kBlockGrid[] = {1, 16};
@@ -157,7 +65,7 @@ TEST(SummaryBitIdentity, AttackSim) {
       cfg.keep_runs = false;
       const auto summary = bouncing::run_attack_sim(cfg);
       cfg.keep_runs = true;
-      // The guard: summary mode must not materialize per-run slabs.
+      // The guard: the result must not carry the per-run rows.
       EXPECT_TRUE(summary.durations.empty());
       EXPECT_TRUE(summary.break_epochs.empty());
       EXPECT_EQ(summary.prob_threshold_broken, full.prob_threshold_broken);
@@ -190,9 +98,9 @@ TEST(SummaryBitIdentity, PopulationEnsemble) {
   }
 }
 
-// Cross-check against the oracle: summary mode is transitively
-// bit-identical to the pre-rollout scalar aggregation, not just to the
-// batched full mode.
+// Cross-check against the oracle: with the rows dropped the aggregates
+// are still bit-identical to the pre-rollout scalar aggregation, not
+// just to the rows-kept batched run.
 TEST(SummaryBitIdentity, AttackSummaryMatchesScalarOracle) {
   bouncing::AttackSimConfig cfg;
   cfg.runs = env::scaled_count(80);

@@ -1,17 +1,14 @@
 // Contract of the batched Monte Carlo engine: the block-scheduled SoA
 // kernel and every block-converted driver are bit-identical to the
-// scalar reference for every (block_size, threads) combination, the
-// summary mode never materializes the per-path matrix while producing
-// the same summaries, and the ordered-merge block runner feeds the
-// reduction in index order with bounded in-flight memory.
+// scalar reference for every (block_size, threads) combination, and
+// keep_paths = false drops the per-path matrix from the result while
+// producing the same summaries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "src/bouncing/attack_sim.hpp"
@@ -76,8 +73,8 @@ TEST(BatchBitIdentity, BouncingMcMatchesScalarForEveryBlockAndThreads) {
   }
 }
 
-// Summary mode: no per-path matrix, same counts and streaming
-// summaries, for every (block, threads) pair.
+// keep_paths = false: no per-path matrix in the result, same counts
+// and streaming summaries, for every (block, threads) pair.
 TEST(BatchBitIdentity, SummaryModeNeverMaterializesPathsAndMatchesFull) {
   bouncing::McConfig cfg;
   cfg.paths = env::scaled_count(300);
@@ -94,7 +91,7 @@ TEST(BatchBitIdentity, SummaryModeNeverMaterializesPathsAndMatchesFull) {
       cfg.keep_paths = false;
       const auto summary = bouncing::run_bouncing_mc(cfg, snaps);
       cfg.keep_paths = true;
-      // The guard: summary mode must not allocate the matrix.
+      // The guard: the result must not carry the matrix.
       EXPECT_TRUE(summary.stakes.empty());
       EXPECT_EQ(summary.ejected_fraction, full.ejected_fraction);
       EXPECT_EQ(summary.capped_fraction, full.capped_fraction);
@@ -238,83 +235,6 @@ TEST(RunBlocks, ExceptionPropagatesAndPoolStaysUsable) {
     count.fetch_add(static_cast<int>(end - begin));
   });
   EXPECT_EQ(count.load(), 32);
-}
-
-/// run_reduce accumulator that hands each block's partial to `merge`,
-/// so a test can observe the fold order directly.
-template <typename Merge>
-struct FoldWith {
-  Merge merge;
-  template <typename Partial>
-  void fold(std::size_t begin, std::size_t end, Partial partial) {
-    merge(begin, end, std::move(partial));
-  }
-};
-
-TEST(RunBlocksOrdered, MergesInAscendingOrderWithBoundedInFlight) {
-  const runner::TrialRunner pool(4);
-  constexpr std::size_t kTrials = 96;
-  constexpr std::size_t kBlock = 8;
-  std::atomic<int> in_flight{0};
-  std::atomic<int> max_in_flight{0};
-  std::vector<std::size_t> merge_order;
-  std::vector<int> sums;
-  (void)pool.run_reduce(
-      kTrials, kBlock,
-      FoldWith{[&](std::size_t begin, std::size_t, int sum) {
-        in_flight.fetch_sub(1);
-        merge_order.push_back(begin / kBlock);  // merge runs exclusively
-        sums.push_back(sum);
-      }},
-      [&](std::size_t begin, std::size_t end) {
-        const int now = in_flight.fetch_add(1) + 1;
-        int seen = max_in_flight.load();
-        while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
-        }
-        int sum = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          sum += static_cast<int>(i);
-        }
-        return sum;
-      });
-  ASSERT_EQ(merge_order.size(), kTrials / kBlock);
-  for (std::size_t b = 0; b < merge_order.size(); ++b) {
-    EXPECT_EQ(merge_order[b], b);
-  }
-  EXPECT_EQ(std::accumulate(sums.begin(), sums.end(), 0),
-            static_cast<int>(kTrials * (kTrials - 1) / 2));
-  // A worker holds at most one unmerged block: with 4 workers no more
-  // than 4 sim results may exist before their merge turn.
-  EXPECT_LE(max_in_flight.load(), 4);
-}
-
-TEST(RunBlocksOrdered, SerialPathAndExceptions) {
-  const runner::TrialRunner pool(1);
-  std::vector<std::size_t> order;
-  (void)pool.run_reduce(
-      10, 3,
-      FoldWith{[&](std::size_t begin, std::size_t, std::size_t value) {
-        EXPECT_EQ(begin, value);
-        order.push_back(begin);
-      }},
-      [](std::size_t begin, std::size_t) { return begin; });
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 3, 6, 9}));
-
-  const runner::TrialRunner parallel(4);
-  EXPECT_THROW((void)parallel.run_reduce(
-                   64, 4, FoldWith{[](std::size_t, std::size_t, int) {}},
-                   [](std::size_t begin, std::size_t) -> int {
-                     if (begin == 32) throw std::invalid_argument("sim");
-                     return 0;
-                   }),
-               std::invalid_argument);
-  EXPECT_THROW((void)parallel.run_reduce(
-                   64, 4,
-                   FoldWith{[](std::size_t begin, std::size_t, int) {
-                     if (begin == 16) throw std::invalid_argument("merge");
-                   }},
-                   [](std::size_t, std::size_t) { return 0; }),
-               std::invalid_argument);
 }
 
 TEST(ResolveBlock, ExplicitWinsElseEnvElseDefault) {

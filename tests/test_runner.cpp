@@ -117,39 +117,6 @@ TEST(LowestFailingBlock, RunBlocksRethrowsBlockZero) {
             "0");
 }
 
-/// run_reduce accumulator whose every fold throws the block's begin.
-struct ThrowingFold {
-  void fold(std::size_t begin, std::size_t, int) const {
-    throw std::runtime_error(std::to_string(begin));
-  }
-};
-
-/// run_reduce accumulator that accepts every partial.
-struct NoopFold {
-  void fold(std::size_t, std::size_t, int) const {}
-};
-
-TEST(LowestFailingBlock, RunReduceSimRethrowsBlockZero) {
-  const runner::TrialRunner pool(4);
-  EXPECT_EQ(rethrown_message([&] {
-              (void)pool.run_reduce(256, 8, NoopFold{},
-                                    [](std::size_t begin, std::size_t) -> int {
-                                      throw std::runtime_error(
-                                          std::to_string(begin));
-                                    });
-            }),
-            "0");
-}
-
-TEST(LowestFailingBlock, RunReduceFoldRethrowsBlockZero) {
-  const runner::TrialRunner pool(4);
-  EXPECT_EQ(rethrown_message([&] {
-              (void)pool.run_reduce(256, 8, ThrowingFold{},
-                                    [](std::size_t, std::size_t) { return 0; });
-            }),
-            "0");
-}
-
 TEST(StreamSeeder, DeterministicAndDistinctFromMaster) {
   const StreamSeeder seeder(7);
   EXPECT_EQ(seeder.seed_for(0), seeder.seed_for(0));

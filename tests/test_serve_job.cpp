@@ -107,6 +107,14 @@ TEST(ServeJobTest, FromJsonRejectsHostileManifests) {
            R"("axis":[{"param":"beta0","values":[0.3,0.31]}]})",
            // 2^32 workers must not wrap to 0.
            R"({"scenario":"bouncing-mc","config":{"workers":4294967296}})",
+           // A fault schedule whose partition branches skip 1 and 2, in
+           // the base params and as a sweep-axis value.
+           R"({"scenario":"partition-trials","params":{"faults":)"
+           R"("{\"version\":1,\"events\":[{\"kind\":\"partition-open\",)"
+           R"(\"epoch\":1,\"branch\":3}]}"}})",
+           R"({"scenario":"partition-trials","axes":[{"param":"faults",)"
+           R"("values":["","{\"version\":1,\"events\":[{\"kind\":)"
+           R"(\"partition-open\",\"epoch\":1,\"branch\":3}]}"]}]})",
            R"([])",
            R"({})",
        }) {

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 
@@ -361,14 +362,32 @@ TEST_F(ServeResumeTest, SubmitIsIdempotentAndStatusListsJobs) {
   ASSERT_TRUE(other.has_value()) << error;
   EXPECT_NE(*other, *first);
 
-  const auto jobs = service.list(&error);
+  const auto jobs = service.list();
   ASSERT_EQ(jobs.size(), 2u);
   EXPECT_LT(jobs[0].id, jobs[1].id);
   for (const auto& st : jobs) {
     EXPECT_EQ(st.done_cells, 0u);
     EXPECT_FALSE(st.merged);
+    EXPECT_TRUE(st.error.empty()) << st.error;
   }
   EXPECT_FALSE(service.status("no-such-job", &error).has_value());
+
+  // A manifest that no longer loads is listed with its error, not
+  // dropped from the listing.
+  const std::string manifest = service.job_dir(*other) + "/manifest.json";
+  auto doc = json::Value::load_file(manifest, &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  doc->set("zebra", std::int64_t{1});
+  std::ofstream(manifest) << doc->dump(2) << "\n";
+  const auto relisted = service.list();
+  ASSERT_EQ(relisted.size(), 2u);
+  for (const auto& st : relisted) {
+    if (st.id == *other) {
+      EXPECT_NE(st.error.find("\"zebra\""), std::string::npos) << st.error;
+    } else {
+      EXPECT_TRUE(st.error.empty()) << st.error;
+    }
+  }
 }
 
 TEST_F(ServeResumeTest, WorkerRecordPayloadShapes) {

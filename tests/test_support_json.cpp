@@ -12,6 +12,7 @@
 #include <regex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/faults/schedule.hpp"
@@ -19,6 +20,7 @@
 #include "src/scenario/sweep.hpp"
 #include "src/serve/job.hpp"
 #include "src/support/json.hpp"
+#include "src/support/parse.hpp"
 #include "src/support/random.hpp"
 #include "tests/oracles/yardsticks.hpp"
 
@@ -575,6 +577,130 @@ TEST(JsonMutation, TypedDocumentsRoundTripOrFailWithAPath) {
   // Both outcomes are exercised, not just one.
   EXPECT_GT(accepted, 100u);
   EXPECT_GT(rejected, 1000u);
+}
+
+// --- The command-line texts: --set assignments (ScenarioSpec::apply_kv)
+// and --sweep/--axis axes (parse_sweep_axis), seeded from every
+// registered scenario's params and mutated the same way.
+
+/// The error names the input's key, its value text or the whole input.
+bool names_input(const std::string& error, std::string_view input) {
+  const auto eq = input.find('=');
+  const auto quoted = [&](std::string_view part) {
+    return error.find("\"" + std::string(part) + "\"") != std::string::npos;
+  };
+  return quoted(input) ||
+         (eq != std::string_view::npos &&
+          (quoted(parse::trim(input.substr(0, eq))) ||
+           quoted(input.substr(eq + 1))));
+}
+
+/// --set property: either exactly the key changes, to a value that
+/// re-applies to itself through value_to_string and validates, or the
+/// error names the input and the ParamSet is untouched.
+bool check_set(const scenario::ScenarioSpec& spec,
+               const scenario::ParamSet& base, const std::string& kv) {
+  scenario::ParamSet set = base;
+  if (const auto err = spec.apply_kv(kv, &set)) {
+    EXPECT_TRUE(set == base) << spec.name() << ": " << kv;
+    EXPECT_TRUE(names_input(*err, kv)) << kv << " -> " << *err;
+    return false;
+  }
+  const std::string key(parse::trim(kv.substr(0, kv.find('='))));
+  const scenario::ParamValue* v = set.find(key);
+  EXPECT_NE(v, nullptr) << kv;
+  if (v == nullptr) return true;
+  scenario::ParamSet again = base;
+  const std::string rendered =
+      key + "=" + scenario::ParamSet::value_to_string(*v);
+  const auto err = spec.apply_kv(rendered, &again);
+  EXPECT_FALSE(err) << kv << " -> " << rendered << ": " << *err;
+  EXPECT_TRUE(again == set) << kv << " -> " << rendered;
+  again.set(key, *base.find(key));
+  EXPECT_TRUE(again == base) << kv << " changed more than " << key;
+  EXPECT_FALSE(spec.validate(set)) << kv;
+  return true;
+}
+
+/// --sweep/--axis property: either the axis re-parses to itself from
+/// its rendered comma list, every value validating in a cell, or the
+/// error names the input and the output axis is untouched.
+bool check_sweep(const scenario::ScenarioSpec& spec,
+                 const std::string& text) {
+  scenario::SweepAxis axis;
+  axis.param = "untouched";
+  if (const auto err = scenario::parse_sweep_axis(spec, text, &axis)) {
+    EXPECT_EQ(axis.param, "untouched") << text;
+    EXPECT_TRUE(axis.values.empty()) << text;
+    EXPECT_TRUE(names_input(*err, text)) << text << " -> " << *err;
+    return false;
+  }
+  std::string rendered = axis.param + "=";
+  for (std::size_t i = 0; i < axis.values.size(); ++i) {
+    rendered += (i == 0 ? "" : ",") +
+                scenario::ParamSet::value_to_string(axis.values[i]);
+  }
+  scenario::SweepAxis again;
+  const auto err = scenario::parse_sweep_axis(spec, rendered, &again);
+  EXPECT_FALSE(err) << text << " -> " << rendered << ": " << *err;
+  EXPECT_EQ(again.param, axis.param) << text;
+  EXPECT_TRUE(again.values == axis.values) << text << " -> " << rendered;
+  scenario::ParamSet cell = spec.defaults();
+  for (const auto& v : axis.values) {
+    cell.set(axis.param, v);
+    EXPECT_FALSE(spec.validate(cell)) << text;
+  }
+  return true;
+}
+
+TEST(JsonMutation, SetAndSweepTextsReapplyOrNameTheirInput) {
+  const auto& registry = scenario::builtin_registry();
+  const std::string schedule =
+      faults::FaultSchedule::load_file(
+          (std::filesystem::path(LEAK_SOURCE_DIR) / "examples" /
+           "schedules" / "cascade.json")
+              .string())
+          .dump();
+  Rng rng(20261019);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const scenario::Scenario* sc : registry.all()) {
+    const scenario::ScenarioSpec& spec = sc->spec();
+    const std::string& name = spec.name();
+    const scenario::ParamSet base = spec.defaults();
+    std::vector<std::string> sets;
+    std::vector<std::string> sweeps;
+    for (const auto& p : spec.params()) {
+      const std::string v = scenario::ParamSet::value_to_string(
+          p.default_value);
+      sets.push_back(p.name + "=" + v);
+      sweeps.push_back(p.name + "=" + v + "," + v);
+      if (p.type == scenario::ParamType::kInt ||
+          p.type == scenario::ParamType::kDouble) {
+        sweeps.push_back(p.name + "=" + v + ":" + v + ":1");
+      }
+      if (p.name == "faults") sets.push_back("faults=" + schedule);
+    }
+    for (const auto& seed : sets) {
+      ASSERT_TRUE(check_set(spec, base, seed)) << name << ": " << seed;
+      for (int k = 0; k < 40; ++k) {
+        const auto& other = sets[rng.uniform_index(sets.size())];
+        (check_set(spec, base, mutate(seed, other, rng)) ? accepted
+                                                         : rejected) += 1;
+      }
+    }
+    for (const auto& seed : sweeps) {
+      ASSERT_TRUE(check_sweep(spec, seed)) << name << ": " << seed;
+      for (int k = 0; k < 40; ++k) {
+        const auto& other = sweeps[rng.uniform_index(sweeps.size())];
+        (check_sweep(spec, mutate(seed, other, rng)) ? accepted
+                                                     : rejected) += 1;
+      }
+    }
+  }
+  // Both outcomes are exercised, not just one.
+  EXPECT_GT(accepted, 1000u) << rejected;
+  EXPECT_GT(rejected, 1000u) << accepted;
 }
 
 }  // namespace

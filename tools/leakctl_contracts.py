@@ -13,7 +13,12 @@ CONTRACT is one of:
                  complete job executes 0 cells.  `submit --workers
                  4294967296` is rejected (not wrapped to 0), and a
                  resume whose manifest.json gained an unknown key fails
-                 naming the key.
+                 naming the key; `status` and `serve --once` over that
+                 jobs dir report the broken job and exit nonzero while
+                 still serving the other one.  `submit` of a fault
+                 schedule `run` refuses (partition branches not
+                 contiguous from 1) fails with run's message and writes
+                 no job.
   search         (tools.search_contract) A journaled search cut by a
                  3-candidate budget, plus a torn journal tail, resumes
                  (reporting the tail) to a journal byte-identical to a
@@ -24,9 +29,10 @@ CONTRACT is one of:
                  loaded with --faults give the metrics, stats and trials
                  of the equivalent knob run and are recorded in params.
   kernel-parity  (tools.kernel_parity) Every Monte Carlo driver, the
-                 run_reduce-folded semiactive-sweep and the slot-trial
-                 slot-protocol report the same bytes at every block in
-                 {1, 64} x threads in {1, 4} as at block 1, threads 1.
+                 rows-dropping (keep_paths = false) semiactive-sweep and
+                 the slot-trial slot-protocol report the same bytes at
+                 every block in {1, 64} x threads in {1, 4} as at block
+                 1, threads 1.
 
 Reports compare without their `meta` block (wall time, resolved thread
 count) and the `threads`/`block` params, which are not results.  Each
@@ -130,6 +136,9 @@ def serve(leakctl):
                    leakctl.work / "wide", ok=False)
     expect(wide.returncode != 0 and "--workers" in wide.stderr,
            f"submit --workers 2^32 was not rejected: {wide.stderr!r}")
+    small = leakctl("submit", "bouncing-mc", "--set", "paths=64",
+                    "--set", "epochs=100", "--jobs-dir", clean).stdout
+    small_id = small.split()[1]
     manifest = clean / job_id / "manifest.json"
     edited = json.loads(manifest.read_text(encoding="utf-8"))
     edited["zebra"] = 1
@@ -138,9 +147,35 @@ def serve(leakctl):
     expect(stray.returncode != 0 and '"zebra"' in stray.stderr,
            f"resume accepted a manifest with an unknown key: "
            f"{stray.stderr!r}")
+    # The broken job must be listed, not silently dropped.
+    for argv in (("status",), ("serve", "--once")):
+        listed = leakctl(*argv, "--jobs-dir", clean, ok=False)
+        expect(listed.returncode != 0 and job_id in listed.stderr
+               and '"zebra"' in listed.stderr,
+               f"{argv[0]} hid the broken job: exit {listed.returncode}, "
+               f"stderr {listed.stderr!r}")
+        expect(small_id in listed.stdout,
+               f"{argv[0]} dropped the loadable job: {listed.stdout!r}")
+    # Branch 3 opening without 1 and 2: submit must refuse what run does.
+    gapped = ("faults={\"version\":1,\"events\":[{\"kind\":"
+              "\"partition-open\",\"epoch\":1,\"branch\":3}]}")
+    ran = leakctl("run", "partition-trials", "--set", gapped, "--paths", 4,
+                  "--quiet", ok=False)
+    gapped_dir = leakctl.work / "gapped"
+    queued = leakctl("submit", "partition-trials", "--set", gapped,
+                     "--jobs-dir", gapped_dir, ok=False)
+    contiguous = "branch ids must be contiguous from 1"
+    expect(ran.returncode != 0 and contiguous in ran.stderr,
+           f"run accepted a gapped schedule: {ran.stderr!r}")
+    expect(queued.returncode != 0 and queued.stderr == ran.stderr,
+           f"submit of a gapped schedule: exit {queued.returncode}, "
+           f"stderr {queued.stderr!r}, run said {ran.stderr!r}")
+    expect(not gapped_dir.exists() or not any(gapped_dir.iterdir()),
+           "a refused submit wrote a job directory")
     print("ok   serve: cut + torn job resumes byte-identical; "
           "a complete job re-runs 0 cells; an oversized --workers and an "
-          "unknown manifest key are refused")
+          "unknown manifest key are refused; status and serve report a "
+          "broken job; submit refuses a schedule run refuses")
 
 
 def search(leakctl):
