@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/kernel/cohort.hpp"
-#include "src/runner/thread_pool.hpp"
 #include "src/runner/trial_runner.hpp"
 #include "src/support/random.hpp"
 #include "src/support/stats.hpp"
@@ -92,18 +91,18 @@ AttackSimResult run_attack_sim(const AttackSimConfig& cfg) {
   // bit-identical for every (block, threads) combination.
   const StreamSeeder seeder(cfg.seed);
   const runner::TrialRunner pool(cfg.threads);
-  const std::size_t block = runner::resolve_block(cfg.block);
   // Block-scheduled fan-out into preallocated per-run slabs (no merge
   // step), then aggregate in run order on this thread.
   std::vector<std::uint64_t> durations(cfg.runs, 0);
   std::vector<std::int64_t> break_epochs(cfg.runs, -1);
-  pool.run_blocks(cfg.runs, block, [&](std::size_t begin, std::size_t end) {
+  const auto run_block = [&](std::size_t begin, std::size_t end) {
     for (std::size_t run = begin; run < end; ++run) {
       const auto out = simulate_attack_run(cfg, seeder.stream(run));
       durations[run] = out.duration;
       break_epochs[run] = out.break_epoch;
     }
-  });
+  };
+  pool.run_blocks(cfg.runs, cfg.block, run_block);
 
   AttackSimResult res;
   std::size_t broken = 0;

@@ -8,7 +8,6 @@
 #include "src/kernel/accumulators.hpp"
 #include "src/kernel/cohort.hpp"
 #include "src/kernel/stake_batch.hpp"
-#include "src/runner/thread_pool.hpp"
 #include "src/runner/trial_runner.hpp"
 
 namespace leak::bouncing {
@@ -41,7 +40,6 @@ McResult run_bouncing_mc(const McConfig& cfg,
   const std::size_t snapshots = snapshot_epochs.size();
   kernel::SnapshotAccumulators acc(cfg.branches, cfg.beta0, cfg.model,
                                    snapshot_epochs);
-  const std::size_t block = runner::resolve_block(cfg.block);
   const StreamSeeder seeder(cfg.seed);
   const runner::TrialRunner pool(cfg.threads);
 
@@ -52,7 +50,7 @@ McResult run_bouncing_mc(const McConfig& cfg,
                                           std::vector<double>(cfg.paths));
   std::vector<double*> rows(snapshots);
   for (std::size_t k = 0; k < snapshots; ++k) rows[k] = stakes[k].data();
-  pool.run_blocks(cfg.paths, block, [&](std::size_t begin, std::size_t end) {
+  const auto simulate_block = [&](std::size_t begin, std::size_t end) {
     // One scratch per worker thread, reused across the blocks it claims
     // (reset() re-seeds without reallocating).  Purely an allocation
     // cache: every value in it is re-derived from the (seed, path)
@@ -63,7 +61,8 @@ McResult run_bouncing_mc(const McConfig& cfg,
     kernel::simulate_stake_block(cfg.model, cfg.p0, cfg.epochs,
                                  snapshot_epochs, seeder, begin, end - begin,
                                  scratch, rows.data());
-  });
+  };
+  pool.run_blocks(cfg.paths, cfg.block, simulate_block);
   for (std::size_t k = 0; k < snapshots; ++k) {
     for (const double stake : stakes[k]) acc.add(k, stake);
   }
@@ -134,14 +133,13 @@ PopulationEnsembleResult run_population_ensemble(
   }
   const StreamSeeder seeder(cfg.base.seed);
   const runner::TrialRunner pool(cfg.threads);
-  const std::size_t block = runner::resolve_block(cfg.block);
 
   // Block-scheduled fan-out into preallocated outcome slabs (only the
   // two scalars the ensemble aggregates survive a path, never its full
   // trajectory), then aggregate in path order on this thread.
   std::vector<std::int64_t> first_exceed(cfg.paths, -1);
   std::vector<double> final_beta(cfg.paths, 0.0);
-  pool.run_blocks(cfg.paths, block, [&](std::size_t begin, std::size_t end) {
+  const auto run_block = [&](std::size_t begin, std::size_t end) {
     for (std::size_t path = begin; path < end; ++path) {
       PopulationRunConfig per_path = cfg.base;
       per_path.seed = seeder.seed_for(path);
@@ -149,7 +147,8 @@ PopulationEnsembleResult run_population_ensemble(
       first_exceed[path] = r.first_exceed_epoch;
       final_beta[path] = r.beta_trajectory.back();  // epochs >= stride
     }
-  });
+  };
+  pool.run_blocks(cfg.paths, cfg.block, run_block);
   std::size_t exceeded = 0;
   double beta_sum = 0.0;
   for (std::size_t path = 0; path < cfg.paths; ++path) {

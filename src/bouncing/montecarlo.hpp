@@ -33,8 +33,8 @@ struct McConfig {
   /// index order.
   unsigned threads = 0;
   /// Paths simulated per lockstep block by the batched SoA kernel
-  /// (src/kernel/stake_batch.hpp); 0 = LEAK_BLOCK env or the
-  /// tuned default.  Results are bit-identical for any value,
+  /// (src/kernel/stake_batch.hpp); 0 = the runner's auto block
+  /// (src/runner/thread_pool.hpp).  Results are bit-identical for any value,
   /// including block = 1 and block = paths.
   std::size_t block = 0;
   /// Whether McResult::stakes carries the per-path matrix.  Only the
@@ -107,7 +107,7 @@ struct PopulationEnsembleConfig {
   PopulationRunConfig base;   ///< base.seed is the ensemble master seed
   std::size_t paths = 100;
   unsigned threads = 0;       ///< 0 = LEAK_THREADS / hardware_concurrency
-  std::size_t block = 0;      ///< paths per block; 0 = LEAK_BLOCK / default
+  std::size_t block = 0;      ///< paths per block; 0 = the runner's auto
   /// Whether the result carries first_exceed_epochs.  Only the result
   /// changes: the run always fills the O(paths) outcome slabs and the
   /// aggregates are bit-identical for both values.

@@ -27,11 +27,12 @@ unsigned resolve_threads(unsigned requested) {
   return hw > 0 ? hw : 1;
 }
 
+// 64 paths of SoA state (stake, score, ejected, four 64-bit xoshiro
+// lanes) is ~3.3 KiB — comfortably L1-resident with room for the
+// output row — and big enough to amortise the per-block dispatch.
+constexpr std::size_t kDefaultBlock = 64;
+
 std::size_t resolve_block(std::size_t requested) {
-  // 64 paths of SoA state (stake, score, ejected, four 64-bit xoshiro
-  // lanes) is ~3.3 KiB — comfortably L1-resident with room for the
-  // output row — and big enough to amortise the per-block dispatch.
-  constexpr std::size_t kDefaultBlock = 64;
   if (requested > 0) return requested;
   const std::uint64_t from_env = env::u64_or("LEAK_BLOCK", 0);
   if (from_env > 0) return static_cast<std::size_t>(from_env);
@@ -41,16 +42,15 @@ std::size_t resolve_block(std::size_t requested) {
 void claim_blocks(unsigned threads, std::size_t n, std::size_t block,
                   const std::function<void(std::size_t, std::size_t)>& body) {
   if (n == 0) return;
-  block = std::clamp<std::size_t>(block, 1, n);
+  if (block == 0 && threads > 1 && env::u64_or("LEAK_BLOCK", 0) == 0) {
+    // About eight blocks per worker balance uneven trials.
+    block = std::clamp<std::size_t>(n / (std::size_t{threads} * 8), 1,
+                                    kDefaultBlock);
+  }
+  block = std::clamp<std::size_t>(resolve_block(block), 1, n);
   const std::size_t n_blocks = (n + block - 1) / block;
   const auto workers =
-      static_cast<unsigned>(std::min<std::size_t>(threads, n_blocks));
-  if (workers <= 1) {
-    for (std::size_t begin = 0; begin < n; begin += block) {
-      body(begin, std::min(begin + block, n));
-    }
-    return;
-  }
+      static_cast<unsigned>(std::clamp<std::size_t>(threads, 1, n_blocks));
   std::atomic<std::size_t> cursor{0};
   std::atomic<bool> failed{false};
   std::mutex err_mu;
@@ -75,10 +75,13 @@ void claim_blocks(unsigned threads, std::size_t n, std::size_t block,
     }
   };
   {
-    // jthreads join on scope exit, also if starting a later one throws.
+    // The calling thread is one of the workers, so one worker starts no
+    // thread; the jthreads join on scope exit, also if starting a later
+    // one throws.
     std::vector<std::jthread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) pool.emplace_back(claim_loop);
+    pool.reserve(workers - 1);
+    for (unsigned w = 1; w < workers; ++w) pool.emplace_back(claim_loop);
+    claim_loop();
   }
   if (first_error) std::rethrow_exception(first_error);
 }

@@ -1,5 +1,6 @@
 // The runner's one fan-out: fixed-size blocks claimed in ascending
-// order by workers started for the call and joined before it returns.
+// order by the calling thread and by workers it starts for the call
+// and joins before it returns.
 // Deliberately work-stealing-free: one atomic cursor is ample for the
 // coarse blocks the simulators hand out (each block is thousands of
 // epochs of protocol dynamics) and keeps the scheduling trivially easy
@@ -18,20 +19,23 @@ namespace leak::runner {
 
 /// Resolve a `block` knob (trials per scheduled block) the same way:
 /// an explicit positive request wins; 0 means the LEAK_BLOCK
-/// environment variable when set, otherwise a tuned default sized so
-/// the batched Monte Carlo kernel's structure-of-arrays state stays
-/// inside L1 (see src/kernel/stake_batch.hpp).
+/// environment variable when set, otherwise 64, the width at which the
+/// batched Monte Carlo kernel's structure-of-arrays state stays inside
+/// L1 (see src/kernel/stake_batch.hpp).
 [[nodiscard]] std::size_t resolve_block(std::size_t requested);
 
 /// Carve [0, n) into fixed-size blocks (block b covers
 /// [b*block, min((b+1)*block, n)), block clamped to [1, n] — boundaries
-/// depend only on (n, block), never on scheduling) and run
-/// body(begin, end) for each.  min(threads, blocks) workers claim the
-/// blocks from one cursor in ascending order, so claim order is
-/// deterministic even though completion order is not; one worker runs
-/// the blocks in order on the calling thread.  A throwing block
-/// cancels the blocks not yet claimed, and once every claimed block
-/// has finished, the exception of the lowest failing block is rethrown.
+/// depend only on (n, block, threads), never on scheduling) and run
+/// body(begin, end) for each.  Block 0 is the auto size: LEAK_BLOCK
+/// when set, else 64 on one worker and clamp(n / (threads * 8), 1, 64)
+/// on several, so even a cell of a few trials reaches every worker.
+/// min(threads, blocks) workers, the calling thread being one of them,
+/// claim the blocks from one cursor in ascending order, so claim order
+/// is deterministic even though completion order is not.  A throwing
+/// block cancels the blocks not yet claimed, and once every claimed
+/// block has finished, the exception of the lowest failing block is
+/// rethrown.
 void claim_blocks(unsigned threads, std::size_t n, std::size_t block,
                   const std::function<void(std::size_t, std::size_t)>& body);
 

@@ -1,5 +1,6 @@
 // Deterministic fan-out of N independent Monte Carlo trials across
-// block-claiming workers.
+// block-claiming workers; every driver passes its `block` knob
+// straight through, so block 0 is claim_blocks' one auto size.
 //
 // Contract: the trial function must be pure given its trial index —
 // all randomness comes from a per-trial RNG stream derived from
@@ -11,7 +12,6 @@
 // (including threads == 1).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <type_traits>
@@ -30,11 +30,10 @@ class TrialRunner {
   [[nodiscard]] unsigned threads() const { return threads_; }
 
   /// Run fn(i) for i in [0, n_trials); return the results in trial
-  /// order.  Trials run in blocks of n_trials / (workers * 8) through
-  /// run_blocks: small enough to balance uneven trials, large enough
-  /// to amortise the claim.  If any trial throws, the exception of the
-  /// lowest failing block (the first throwing trial in it) is rethrown
-  /// once the workers are joined.
+  /// order.  Trials run through run_blocks at the auto block (0).  If
+  /// any trial throws, the exception of the lowest failing block (the
+  /// first throwing trial in it) is rethrown once the workers are
+  /// joined.
   template <typename Fn>
   [[nodiscard]] auto run(std::size_t n_trials, Fn&& fn) const {
     using Result = std::decay_t<std::invoke_result_t<Fn&, std::size_t>>;
@@ -44,11 +43,7 @@ class TrialRunner {
                   "bool trials would race on std::vector<bool>'s packed "
                   "words; return std::uint8_t instead");
     std::vector<Result> results(n_trials);
-    const std::size_t workers =
-        std::clamp<std::size_t>(n_trials, 1, threads_);
-    const std::size_t chunk =
-        std::max<std::size_t>(1, n_trials / (workers * 8));
-    run_blocks(n_trials, chunk, [&](std::size_t begin, std::size_t end) {
+    run_blocks(n_trials, 0, [&](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) results[i] = fn(i);
     });
     return results;
@@ -56,7 +51,8 @@ class TrialRunner {
 
   /// Block-scheduled fan-out into caller-preallocated output slabs:
   /// run fn(begin, end) for each fixed-size block of [0, n_trials)
-  /// (block b covers [b*block, min((b+1)*block, n_trials))).  fn
+  /// (block b covers [b*block, min((b+1)*block, n_trials)); 0 is the
+  /// auto block that spreads a short cell over every worker).  fn
   /// writes each trial's outputs at its global index into slabs the
   /// caller sized up front, so there is no merge step and no per-trial
   /// allocation; because trial i's randomness comes from the

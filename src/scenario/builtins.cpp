@@ -119,11 +119,13 @@ faults::FaultSchedule resolve_schedule(const ParamSet& p,
 
 /// Append the uniform fan-out params (registry.hpp): master seed,
 /// worker threads and block size, in that order.
-void add_fanout(ScenarioSpec& spec, std::int64_t seed_default,
-                std::string block_description) {
+void add_fanout(ScenarioSpec& spec, std::int64_t seed_default) {
   spec.add_int("seed", "master RNG seed", seed_default)
       .add_int("threads", "worker threads (0 = auto)", 0, 0, 1024)
-      .add_int("block", std::move(block_description), 0, 0, 1e9);
+      .add_int("block",
+               "trials per scheduled block (0 = auto: spread over the "
+               "workers, at most 64)",
+               0, 0, 1e9);
 }
 
 /// The uniform paths/seed/threads/block params of a deterministic
@@ -160,7 +162,7 @@ void register_bouncing_mc(ScenarioRegistry& r) {
       .add_string("snapshots",
                   "comma-separated snapshot epochs; empty = final epoch only",
                   "");
-  add_fanout(spec, 99, "paths per scheduled block (0 = auto)");
+  add_fanout(spec, 99);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     bouncing::McConfig cfg;
     cfg.paths = static_cast<std::size_t>(p.get_int("paths"));
@@ -214,7 +216,7 @@ void register_attack_lifetime(ScenarioRegistry& r) {
                 "continuation lottery uses the current stake-weighted beta "
                 "(false = constant beta0 paper bound)",
                 true);
-  add_fanout(spec, 2024, "runs per scheduled block (0 = auto)");
+  add_fanout(spec, 2024);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     bouncing::AttackSimConfig cfg;
     cfg.runs = static_cast<std::size_t>(p.get_int("paths"));
@@ -260,7 +262,7 @@ void register_population_ensemble(ScenarioRegistry& r) {
                1e7)
       .add_double("p0", "honest branch-assignment probability", 0.5, 0.0, 1.0)
       .add_double("beta0", "Byzantine stake proportion", 0.33, 0.0, 0.5);
-  add_fanout(spec, 11, "paths per scheduled block (0 = auto)");
+  add_fanout(spec, 11);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     bouncing::PopulationEnsembleConfig cfg;
     cfg.base.honest_validators =
@@ -377,7 +379,7 @@ void register_partition_trials(ScenarioRegistry& r) {
       .add_string("strategy", "Byzantine strategy during the partition",
                   "honest", {"honest", "slashable", "semiactive", "overthrow"})
       .add_int("max_epochs", "horizon in epochs", 5000, 1, 1e7);
-  add_fanout(spec, 2024, "trials per scheduled block (0 = auto)");
+  add_fanout(spec, 2024);
   add_faults_param(spec);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     auto cfg = partition_config(
@@ -484,10 +486,7 @@ void register_recovery(ScenarioRegistry& r) {
 
 /// Run the `paths` trials of a slot-level scenario through the trial
 /// runner: trial i runs `base` seeded seed_for(i) and lands at index i,
-/// so the results are bit-identical for every thread count.  A slot
-/// trial takes milliseconds, so `block` 0 schedules one trial per
-/// block and even a cell of a few trials spreads over every worker;
-/// an explicit `block` is honoured.
+/// so the results are bit-identical for every thread count.
 std::vector<sim::SlotSimResult> run_slot_trials(
     const sim::SlotSimConfig& base, const ParamSet& p) {
   const auto paths = static_cast<std::size_t>(p.get_int("paths"));
@@ -495,14 +494,13 @@ std::vector<sim::SlotSimResult> run_slot_trials(
   const StreamSeeder seeder(static_cast<std::uint64_t>(p.get_int("seed")));
   const runner::TrialRunner pool(static_cast<unsigned>(p.get_int("threads")));
   std::vector<sim::SlotSimResult> trials(paths);
-  pool.run_blocks(paths, block == 0 ? 1 : block,
-                  [&](std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                      sim::SlotSimConfig cfg = base;
-                      cfg.seed = seeder.seed_for(i);
-                      trials[i] = sim::SlotSim(cfg).run();
-                    }
-                  });
+  pool.run_blocks(paths, block, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      sim::SlotSimConfig cfg = base;
+      cfg.seed = seeder.seed_for(i);
+      trials[i] = sim::SlotSim(cfg).run();
+    }
+  });
   return trials;
 }
 
@@ -568,7 +566,7 @@ void register_slot_protocol(ScenarioRegistry& r) {
       "trial runner, measuring finality progress, safety violations, "
       "and slashing detection");
   add_region_slot_params(spec, 4, 8);
-  add_fanout(spec, 1, "trials per scheduled block (0 = one trial per block)");
+  add_fanout(spec, 1);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     sim::SlotSimConfig base = slot_config(p);
     base.p0 = p.get_double("p0");
@@ -633,7 +631,7 @@ void register_balancing_attack(ScenarioRegistry& r) {
       .add_int("proposer_boost",
                "fork-choice proposer-boost percent (0 = off, mainnet 40)", 0,
                0, 100);
-  add_fanout(spec, 42, "trials per scheduled block (0 = one trial per block)");
+  add_fanout(spec, 42);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     sim::SlotSimConfig base = slot_config(p);
     base.release_delay = p.get_double("release_delay");
@@ -712,7 +710,7 @@ void register_semiactive_sweep(ScenarioRegistry& r) {
       .add_int("paths", "Monte Carlo paths for the cross-check", 2000, 1,
                1e9)
       .add_int("epochs", "Monte Carlo horizon in epochs", 4024, 4, 1e7);
-  add_fanout(spec, 7, "paths per scheduled block (0 = auto)");
+  add_fanout(spec, 7);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     const auto cfg = analytic::AnalyticConfig::paper();
     const auto m = static_cast<unsigned>(p.get_int("branches"));
@@ -801,7 +799,7 @@ void register_multi_partition_recovery(ScenarioRegistry& r) {
       .add_int("heal_stagger", "epochs between successive pairwise heals",
                500, 0, 1e7)
       .add_int("max_epochs", "horizon in epochs", 8000, 1, 1e7);
-  add_fanout(spec, 2024, "trials per scheduled block (0 = auto)");
+  add_fanout(spec, 2024);
   add_faults_param(spec);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     // The heal knobs compile to a schedule (branch b heals at
@@ -868,7 +866,7 @@ void register_cascading_partitions(ScenarioRegistry& r) {
       .add_int("heal_stagger", "epochs between successive pairwise heals",
                500, 0, 1e7)
       .add_int("max_epochs", "horizon in epochs", 9000, 1, 1e7);
-  add_fanout(spec, 2024, "trials per scheduled block (0 = auto)");
+  add_fanout(spec, 2024);
   add_faults_param(spec);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     const auto cfg = partition_config(
@@ -948,7 +946,7 @@ void register_flaky_network(ScenarioRegistry& r) {
                "loss episode length in epochs (0 = no episode)", 2, 0, 256)
       .add_string("loss_link", "links the loss episode afflicts", "all",
                   {"all", "intra", "cross"});
-  add_fanout(spec, 7, "trials per scheduled block (0 = one trial per block)");
+  add_fanout(spec, 7);
   add_faults_param(spec);
   r.add(std::move(spec), [](const ParamSet& p, ScenarioResult* out) {
     sim::SlotSimConfig base = slot_config(p);

@@ -7,7 +7,7 @@
 // Uniform contract, enforced at registration time: every spec declares
 // the int parameters `paths` (trial count), `seed` (master RNG seed),
 // `threads` (0 = LEAK_THREADS / hardware_concurrency), and `block`
-// (trials per scheduled block, 0 = LEAK_BLOCK / tuned default), so
+// (trials per scheduled block, 0 = the runner's auto block), so
 // generic tooling — `leakctl run <name> --paths 64 --block 256`, the
 // CI scenario-smoke job, the sweep engine's per-cell seeding — works
 // on every scenario without scenario-specific knowledge.

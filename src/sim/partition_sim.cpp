@@ -5,7 +5,6 @@
 #include <deque>
 #include <stdexcept>
 
-#include "src/runner/thread_pool.hpp"
 #include "src/runner/trial_runner.hpp"
 #include "src/support/random.hpp"
 
@@ -721,7 +720,6 @@ PartitionTrialsResult run_partition_trials(const PartitionTrialsConfig& cfg) {
   // bit-identical for every (block, threads) combination.
   const StreamSeeder seeder(cfg.seed);
   const runner::TrialRunner pool(cfg.threads);
-  const std::size_t block = runner::resolve_block(cfg.block);
   PartitionTrialsResult res;
   res.trials = cfg.trials;
   // Block-scheduled fan-out straight into the result's preallocated
@@ -732,7 +730,7 @@ PartitionTrialsResult run_partition_trials(const PartitionTrialsConfig& cfg) {
   res.residual_losses_eth.assign(cfg.trials, 0.0);
   res.recovery_epochs.assign(cfg.trials, -1);
   std::vector<std::uint8_t> exceeded_both(cfg.trials, 0);
-  pool.run_blocks(cfg.trials, block, [&](std::size_t begin, std::size_t end) {
+  const auto run_block = [&](std::size_t begin, std::size_t end) {
     std::vector<std::uint8_t> branch_of_honest(n_honest);
     for (std::size_t trial = begin; trial < end; ++trial) {
       draw_split(cfg.base, seeder, trial, &branch_of_honest);
@@ -743,7 +741,8 @@ PartitionTrialsResult run_partition_trials(const PartitionTrialsConfig& cfg) {
       res.residual_losses_eth[trial] = out.residual_loss_eth;
       res.recovery_epochs[trial] = out.recovery_epoch;
     }
-  });
+  };
+  pool.run_blocks(cfg.trials, cfg.block, run_block);
   PartitionTally tally;
   for (std::size_t trial = 0; trial < cfg.trials; ++trial) {
     tally.add(TrialOutcome{res.conflict_epochs[trial], res.beta_peaks[trial],

@@ -179,7 +179,7 @@ struct PartitionTrialsConfig {
   std::size_t trials = 64;
   std::uint64_t seed = 2024;
   unsigned threads = 0;   ///< 0 = LEAK_THREADS / hardware_concurrency
-  std::size_t block = 0;  ///< trials per block; 0 = LEAK_BLOCK / default
+  std::size_t block = 0;  ///< trials per block; 0 = the runner's auto
 };
 
 struct PartitionTrialsResult {

@@ -1,23 +1,31 @@
 // Contract of the parallel experiment runner: merged results are
 // bit-identical for any thread count (the conf_dsn_PavloffAP24
-// reproducibility requirement — one seed, one result), per-trial RNG
-// streams are decorrelated, and a throwing trial propagates cleanly
-// out of the workers instead of deadlocking them — the lowest failing
-// block's exception being the one rethrown.
+// reproducibility requirement — one seed, one result), the auto block
+// spreads even a short cell over every worker, per-trial RNG streams
+// are decorrelated, and a throwing trial propagates cleanly out of the
+// workers instead of deadlocking them — the lowest failing block's
+// exception being the one rethrown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/bouncing/attack_sim.hpp"
 #include "src/bouncing/montecarlo.hpp"
 #include "src/runner/thread_pool.hpp"
 #include "src/runner/trial_runner.hpp"
+#include "src/scenario/registry.hpp"
 #include "src/sim/partition_sim.hpp"
+#include "src/support/json.hpp"
 #include "src/support/random.hpp"
 
 namespace leak {
@@ -115,6 +123,127 @@ TEST(LowestFailingBlock, RunBlocksRethrowsBlockZero) {
               });
             }),
             "0");
+}
+
+// Sets (or, given nullopt, unsets) LEAK_BLOCK for its lifetime and
+// restores the value the process started with.
+class ScopedLeakBlock {
+ public:
+  explicit ScopedLeakBlock(const std::optional<std::string>& value) {
+    if (const char* old = std::getenv("LEAK_BLOCK")) saved_ = old;
+    if (value) {
+      setenv("LEAK_BLOCK", value->c_str(), 1);
+    } else {
+      unsetenv("LEAK_BLOCK");
+    }
+  }
+  ~ScopedLeakBlock() {
+    if (saved_) {
+      setenv("LEAK_BLOCK", saved_->c_str(), 1);
+    } else {
+      unsetenv("LEAK_BLOCK");
+    }
+  }
+  ScopedLeakBlock(const ScopedLeakBlock&) = delete;
+  ScopedLeakBlock& operator=(const ScopedLeakBlock&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+/// The [begin, end) bounds run_blocks hands out, sorted by begin.
+std::vector<std::pair<std::size_t, std::size_t>> block_bounds(
+    unsigned threads, std::size_t n, std::size_t block) {
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, std::size_t>> bounds;
+  runner::TrialRunner(threads).run_blocks(
+      n, block, [&](std::size_t begin, std::size_t end) {
+        const std::scoped_lock lk(mu);
+        bounds.emplace_back(begin, end);
+      });
+  std::sort(bounds.begin(), bounds.end());
+  return bounds;
+}
+
+/// Whether `bounds` tile [0, n) with blocks of exactly `block` trials
+/// (the last one shorter).
+bool tiles_with(const std::vector<std::pair<std::size_t, std::size_t>>& bounds,
+                std::size_t n, std::size_t block) {
+  std::size_t next = 0;
+  for (const auto& [begin, end] : bounds) {
+    if (begin != next || end != std::min(begin + block, n)) return false;
+    next = end;
+  }
+  return next == n;
+}
+
+TEST(RunBlocks, AutoBlockReachesEveryWorker) {
+  const ScopedLeakBlock unset(std::nullopt);
+  EXPECT_EQ(runner::resolve_block(0), 64u);
+  for (const std::size_t n : {1ul, 2ul, 3ul, 16ul, 1535ul, 1536ul, 100000ul}) {
+    const auto bounds = block_bounds(3, n, 0);
+    EXPECT_GE(bounds.size(), std::min<std::size_t>(n, 3)) << "n=" << n;
+    std::size_t next = 0;
+    for (const auto& [begin, end] : bounds) {
+      EXPECT_EQ(begin, next) << "n=" << n;
+      EXPECT_LE(end - begin, 64u) << "n=" << n;
+      next = end;
+    }
+    EXPECT_EQ(next, n);
+    EXPECT_TRUE(tiles_with(block_bounds(1, n, 0), n, 64)) << "n=" << n;
+  }
+  // An explicit block wins over the auto rule at any thread count.
+  EXPECT_TRUE(tiles_with(block_bounds(3, 1536, 5), 1536, 5));
+  EXPECT_TRUE(tiles_with(block_bounds(3, 16, 100), 16, 16));
+  {
+    const ScopedLeakBlock set(std::string("7"));
+    EXPECT_TRUE(tiles_with(block_bounds(3, 1536, 0), 1536, 7));
+    EXPECT_TRUE(tiles_with(block_bounds(1, 1536, 0), 1536, 7));
+    EXPECT_TRUE(tiles_with(block_bounds(3, 1536, 5), 1536, 5));
+  }
+  EXPECT_EQ(runner::resolve_block(0), 64u);
+}
+
+/// A report's results (metrics, stats and trial rows) as JSON; doubles
+/// print as their shortest round-trip text, so equal text is equal bits.
+std::string result_fields(const scenario::ScenarioResult& r) {
+  const json::Value doc = r.to_json();
+  std::string out;
+  for (const char* key : {"metrics", "stats", "trials"}) {
+    if (const json::Value* v = doc.find(key)) out += v->dump();
+  }
+  return out;
+}
+
+// The scenarios whose cells the auto block now spreads over workers
+// report what one worker running 64-trial blocks reports, bit for bit.
+TEST(RunBlocks, AutoBlockScenariosMatchSerialBlock64) {
+  const ScopedLeakBlock unset(std::nullopt);
+  struct Cell {
+    const char* name;
+    std::int64_t paths;
+    std::int64_t epochs;  // 0 keeps the default horizon
+  };
+  // The population horizon is cut from 6000 epochs to keep the suite
+  // short under TSan; the block layout depends on paths alone.
+  const Cell cells[] = {{"partition-trials", 16, 0},
+                        {"population-ensemble", 256, 400},
+                        {"bouncing-mc", 100, 0}};
+  for (const auto& [name, paths, epochs] : cells) {
+    const auto& sc = *scenario::builtin_registry().find(name);
+    auto params = sc.spec().defaults();
+    params.set("paths", paths);
+    if (epochs > 0) params.set("epochs", epochs);
+    params.set("block", std::int64_t{64});
+    params.set("threads", std::int64_t{1});
+    const std::string want = result_fields(sc.run(params));
+    params.set("block", std::int64_t{0});
+    for (const std::int64_t threads : {1, 3}) {
+      params.set("threads", threads);
+      EXPECT_EQ(result_fields(sc.run(params)), want)
+          << name << " threads=" << threads;
+    }
+  }
 }
 
 TEST(StreamSeeder, DeterministicAndDistinctFromMaster) {

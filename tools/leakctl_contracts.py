@@ -31,8 +31,8 @@ CONTRACT is one of:
   kernel-parity  (tools.kernel_parity) Every Monte Carlo driver, the
                  rows-dropping (keep_paths = false) semiactive-sweep and
                  the slot-trial slot-protocol report the same bytes at
-                 every block in {1, 64} x threads in {1, 4} as at block
-                 1, threads 1.
+                 every block in {1, 64, 0 (auto)} x threads in {1, 4}
+                 as at block 1, threads 1.
 
 Reports compare without their `meta` block (wall time, resolved thread
 count) and the `threads`/`block` params, which are not results.  Each
@@ -240,7 +240,7 @@ def kernel_parity(leakctl):
     for scenario in scenarios:
         run = ["run", scenario, "--paths", 64]
         ref = leakctl.report(*run, "--block", 1, "--threads", 1)
-        for block, threads in ((1, 4), (64, 1), (64, 4)):
+        for block, threads in ((1, 4), (64, 1), (64, 4), (0, 1), (0, 4)):
             ok = same(ref, leakctl.report(*run, "--block", block,
                                           "--threads", threads))
             diverged += not ok
