@@ -116,10 +116,13 @@ void BM_EventQueueTrialShape(benchmark::State& state) {
     config.seed = 7;
     net::EventQueue queue;
     net::Network network(queue, config);
-    std::uint64_t delivered = 0;
-    network.set_deliver([&delivered](ValidatorIndex, const net::Packet&) {
-      ++delivered;
-    });
+    struct Counter final : net::Receiver {
+      std::uint64_t delivered = 0;
+      void on_deliver(ValidatorIndex, const net::Packet&) override {
+        ++delivered;
+      }
+    } counter;
+    queue.set_receiver(&counter);
     for (std::uint32_t s = 0; s < kSlots; ++s) {
       queue.schedule_at(12.0 * s, [&network, s] {
         for (std::uint32_t b = 0; b < kBroadcastsPerSlot; ++b) {
@@ -130,7 +133,7 @@ void BM_EventQueueTrialShape(benchmark::State& state) {
       });
     }
     events += queue.run_until(kSimTimeInfinity);
-    benchmark::DoNotOptimize(delivered);
+    benchmark::DoNotOptimize(counter.delivered);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }

@@ -25,7 +25,9 @@
 //               [--jobs-dir DIR]
 //   leakctl serve [--once] [--poll-ms N] [--jobs-dir DIR]
 //
-// PATH "-" writes to stdout.  `leakctl list --json` feeds
+// PATH "-" writes to stdout, and the human-readable report then goes to
+// stderr, so stdout holds the one document; `--json -` and `--csv -`
+// together are refused.  `leakctl list --json` feeds
 // tools/scenario_catalog.py, which generates the README "Scenario
 // catalog" section (checked fresh in CI).  `--params FILE` replays an
 // archived experiment: FILE is either a bare params JSON object or a
@@ -86,8 +88,10 @@ int usage(const char* argv0) {
       "                   events) and pass it inline as the scenario's\n"
       "                   `faults` parameter; also accepted by search\n"
       "                   and submit\n"
-      "  --json PATH      write the JSON report to PATH (\"-\" = stdout)\n"
+      "  --json PATH      write the JSON report to PATH (\"-\" = stdout;\n"
+      "                   the human-readable report then goes to stderr)\n"
       "  --csv PATH       write the CSV (trial rows / sweep cells) to PATH\n"
+      "                   (\"-\" = stdout, as for --json; not both)\n"
       "  --quiet          suppress the human-readable report\n"
       "run-only options:\n"
       "  --params FILE    replay archived parameters (a params JSON\n"
@@ -210,6 +214,21 @@ struct CommonOptions {
   bool quiet = false;
 };
 
+/// Where the human-readable report goes: stderr when an artifact is
+/// written to stdout ("-"), so that stdout holds that one document.
+std::FILE* report_stream(const CommonOptions& opts) {
+  return opts.json_path == "-" || opts.csv_path == "-" ? stderr : stdout;
+}
+
+/// At most one artifact may claim stdout; false with *error set.
+bool one_stdout_artifact(const CommonOptions& opts, std::string* error) {
+  if (opts.json_path == "-" && opts.csv_path == "-") {
+    *error = "--json - and --csv - both write to stdout; give one a file";
+    return false;
+  }
+  return true;
+}
+
 /// Cursor over an option tail.  The readers consume the flag's value
 /// and leave a message in *error when it is missing or malformed.
 struct ArgReader {
@@ -300,7 +319,7 @@ bool parse_options(const std::vector<std::string>& args, bool allow_sweep,
       return false;
     }
   }
-  return true;
+  return one_stdout_artifact(*out, error);
 }
 
 int emit_artifacts(const json::Value& doc, const std::string& csv,
@@ -310,7 +329,8 @@ int emit_artifacts(const json::Value& doc, const std::string& csv,
       return fail("cannot write " + opts.json_path);
     }
     if (opts.json_path != "-") {
-      std::printf("(wrote %s)\n", opts.json_path.c_str());
+      std::fprintf(report_stream(opts), "(wrote %s)\n",
+                   opts.json_path.c_str());
     }
   }
   if (!opts.csv_path.empty()) {
@@ -318,7 +338,8 @@ int emit_artifacts(const json::Value& doc, const std::string& csv,
       return fail("cannot write " + opts.csv_path);
     }
     if (opts.csv_path != "-") {
-      std::printf("(wrote %s)\n", opts.csv_path.c_str());
+      std::fprintf(report_stream(opts), "(wrote %s)\n",
+                   opts.csv_path.c_str());
     }
   }
   return 0;
@@ -377,7 +398,9 @@ int cmd_run(const scenario::Scenario& sc,
   } catch (const std::invalid_argument& e) {
     return fail(e.what());
   }
-  if (!opts.quiet) std::printf("%s", result.to_text().c_str());
+  if (!opts.quiet) {
+    std::fprintf(report_stream(opts), "%s", result.to_text().c_str());
+  }
   return emit_artifacts(result.to_json(), result.trials_to_csv(), opts);
 }
 
@@ -415,7 +438,9 @@ int cmd_sweep(const scenario::Scenario& sc,
   } catch (const std::invalid_argument& e) {
     return fail(e.what());
   }
-  if (!opts.quiet) std::printf("%s", result.to_text().c_str());
+  if (!opts.quiet) {
+    std::fprintf(report_stream(opts), "%s", result.to_text().c_str());
+  }
   return emit_artifacts(result.to_json(), result.to_csv(), opts);
 }
 
@@ -461,7 +486,7 @@ bool parse_search_options(const std::vector<std::string>& args,
       return false;
     }
   }
-  return true;
+  return one_stdout_artifact(*out, error);
 }
 
 int cmd_search(const scenario::ScenarioRegistry& registry,
@@ -502,7 +527,9 @@ int cmd_search(const scenario::ScenarioRegistry& registry,
   if (!result.journal_repair.empty()) {
     std::fprintf(stderr, "leakctl: %s\n", result.journal_repair.c_str());
   }
-  if (!opts.quiet) std::printf("%s", result.to_text().c_str());
+  if (!opts.quiet) {
+    std::fprintf(report_stream(opts), "%s", result.to_text().c_str());
+  }
   json::Value doc = result.to_json();
   if (opts.boost_report) {
     if (result.scenario != "balancing-attack") {
@@ -521,7 +548,7 @@ int cmd_search(const scenario::ScenarioRegistry& registry,
     } catch (const std::invalid_argument& e) {
       return fail(e.what());
     }
-    if (!opts.quiet) std::printf("\n%s", text.c_str());
+    if (!opts.quiet) std::fprintf(report_stream(opts), "\n%s", text.c_str());
     doc.set("boost_report", std::move(report));
   }
   return emit_artifacts(doc, result.history_to_csv(), opts);
@@ -578,7 +605,7 @@ bool parse_job_options(const std::vector<std::string>& args,
       out->positional.push_back(a);
     }
   }
-  return true;
+  return one_stdout_artifact(*out, error);
 }
 
 void print_status(const serve::JobStatus& st) {

@@ -24,26 +24,6 @@ Block Block::make(const Digest& parent, Slot slot, ValidatorIndex proposer,
   return b;
 }
 
-Digest Attestation::signing_root() const {
-  // Covers the attestation *data* only (slot + votes), like eth2's
-  // AttestationData: signatures over identical data aggregate.
-  crypto::Sha256 h;
-  h.update("leak/attestation/v1");
-  h.update_value(slot.value());
-  h.update(std::span<const std::uint8_t>(head.data(), head.size()));
-  h.update(std::span<const std::uint8_t>(source.block.data(),
-                                         source.block.size()));
-  h.update_value(source.epoch.value());
-  h.update(std::span<const std::uint8_t>(target.block.data(),
-                                         target.block.size()));
-  h.update_value(target.epoch.value());
-  return h.finalize();
-}
-
-void Attestation::sign(const crypto::KeyPair& key) {
-  signature = key.sign(signing_root());
-}
-
 bool is_slashable_pair(const Attestation& a, const Attestation& b) {
   if (a.attester != b.attester) return false;
   const bool same_data =

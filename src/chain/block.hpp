@@ -5,7 +5,6 @@
 #include <functional>
 #include <string>
 
-#include "src/crypto/keys.hpp"
 #include "src/crypto/sha256.hpp"
 #include "src/support/types.hpp"
 
@@ -57,6 +56,12 @@ struct CheckpointHash {
 /// An attestation: one per validator per epoch, carrying the two votes of
 /// Section 3.2 — the block (head) vote feeding LMD-GHOST fork choice, and
 /// the checkpoint (FFG) vote feeding justification/finalization.
+///
+/// It carries no signature.  The paper's model needs signatures only to
+/// name the sender and to be unforgeable, and the slot simulator gives
+/// both by construction: it sets `attester` itself, and no adversary in
+/// it forges or alters a message.  A future forging adversary would
+/// need an authenticity check brought back on the delivery path.
 struct Attestation {
   ValidatorIndex attester{};
   Slot slot{};
@@ -66,13 +71,6 @@ struct Attestation {
   /// boundary checkpoint).
   Checkpoint source{};
   Checkpoint target{};
-  crypto::Signature signature{};
-
-  /// Message digest covered by the signature.
-  [[nodiscard]] Digest signing_root() const;
-
-  /// Sign with the attester's key (sets `signature`).
-  void sign(const crypto::KeyPair& key);
 };
 
 /// True when the two attestations constitute a slashable offense by the

@@ -7,6 +7,11 @@
 // and verification recomputes the MAC.  This deliberately trades real
 // asymmetric cryptography for determinism and speed while preserving the
 // protocol-visible interface (sign / verify).
+//
+// No simulator signs or verifies: the slot simulator gets both
+// properties by construction (it sets each attestation's sender itself,
+// and no adversary forges a message).  Only perfbench's
+// `crypto.sign_ns` / `crypto.verify_ns` probes use this scheme now.
 #pragma once
 
 #include <cstdint>

@@ -42,9 +42,21 @@ void EventQueue::schedule_at(SimTime t, Action action) {
   generic_.push(Entry{t, next_seq_++, index});
 }
 
-void EventQueue::schedule_delivery(SimTime t, std::uint32_t slot) {
+void EventQueue::schedule_delivery(SimTime t, ValidatorIndex to,
+                                   const Packet& p) {
   t = entry_time(t, "schedule_delivery");
-  if (!sink_) throw std::logic_error("schedule_delivery: no delivery sink");
+  if (receiver_ == nullptr) {
+    throw std::logic_error("schedule_delivery: no receiver");
+  }
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.push_back(InFlight{to, p});
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    in_flight_[slot] = InFlight{to, p};
+  }
   deliveries_.push(Entry{t, next_seq_++, slot});
 }
 
@@ -108,7 +120,10 @@ std::size_t EventQueue::run_until(SimTime limit) {
     const Entry e = heap.pop();
     now_ = e.time;
     if (delivery) {
-      sink_(e.ref);
+      const InFlight f = in_flight_[e.ref];
+      free_slots_.push_back(e.ref);
+      ++delivered_;
+      receiver_->on_deliver(f.to, f.packet);
     } else {
       // Out of the table before running, so the action may schedule more.
       const Action action = std::move(actions_[e.ref]);

@@ -2,9 +2,9 @@
 // Deterministic: ties in time are broken by insertion order.
 //
 // Two kinds of event share one (time, seq) order.  A generic event runs
-// a callable.  A delivery is a typed record whose only payload is a
-// 32-bit in-flight slot, popped into the one delivery sink the network
-// registers; scheduling it neither builds nor destroys a callable.
+// a callable.  A delivery is a typed (recipient, packet) record, popped
+// into the one registered Receiver by a single virtual call; scheduling
+// it neither builds nor destroys a callable.
 #pragma once
 
 #include <cstdint>
@@ -15,12 +15,26 @@
 
 namespace leak::net {
 
+/// An opaque message: payload identifier plus sender.  Higher layers map
+/// `payload_id` back to real content (attestations, blocks).
+struct Packet {
+  ValidatorIndex from{};
+  std::uint64_t payload_id = 0;
+};
+
+/// The delivery sink: each delivered copy is one call to on_deliver.
+class Receiver {
+ public:
+  virtual void on_deliver(ValidatorIndex to, const Packet& p) = 0;
+
+ protected:
+  ~Receiver() = default;
+};
+
 /// Discrete-event scheduler.  Owns simulated time.
 class EventQueue {
  public:
   using Action = std::function<void()>;
-  /// Receives the slot of each delivery as it comes due.
-  using DeliverySink = std::function<void(std::uint32_t)>;
 
   /// Current simulated time in seconds.
   [[nodiscard]] SimTime now() const { return now_; }
@@ -29,13 +43,14 @@ class EventQueue {
   /// Events scheduled at equal times run in scheduling order.
   void schedule_at(SimTime t, Action action);
 
-  /// Schedule the delivery of in-flight `slot` to the sink at absolute
-  /// time `t` (>= now), in one order with schedule_at's events.  Throws
-  /// std::logic_error when no sink is registered.
-  void schedule_delivery(SimTime t, std::uint32_t slot);
+  /// Schedule the delivery of `p` to `to` at absolute time `t` (>= now),
+  /// in one order with schedule_at's events.  Throws std::logic_error
+  /// when no receiver is registered.
+  void schedule_delivery(SimTime t, ValidatorIndex to, const Packet& p);
 
-  /// Register the one sink that deliveries pop into.
-  void set_delivery_sink(DeliverySink sink) { sink_ = std::move(sink); }
+  /// Register the one receiver that deliveries pop into; it must outlive
+  /// every delivery run.
+  void set_receiver(Receiver* receiver) { receiver_ = receiver; }
 
   /// Run events until the queue is empty or `limit` is passed.  Events at
   /// exactly `limit` are executed.  Returns the number of events run.
@@ -46,9 +61,12 @@ class EventQueue {
     return generic_.size() + deliveries_.size();
   }
 
+  /// Deliveries handed to the receiver so far.
+  [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
+
  private:
-  /// A scheduled event.  `ref` is a delivery's slot, or a generic
-  /// event's index into `actions_`.
+  /// A scheduled event.  `ref` is a delivery's index into `in_flight_`,
+  /// or a generic event's index into `actions_`.
   struct Entry {
     SimTime time;
     std::uint64_t seq;
@@ -86,7 +104,16 @@ class EventQueue {
   /// Generic actions by index; a run action's index is reused.
   std::vector<Action> actions_;
   std::vector<std::uint32_t> free_actions_;
-  DeliverySink sink_;
+  /// Copies in flight by slot, beside the 24-byte heap entries that
+  /// name them; a delivered copy's slot is reused.
+  struct InFlight {
+    ValidatorIndex to{};
+    Packet packet{};
+  };
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
+  Receiver* receiver_ = nullptr;
+  std::uint64_t delivered_ = 0;
 };
 
 }  // namespace leak::net

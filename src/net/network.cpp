@@ -41,7 +41,6 @@ Network::Network(EventQueue& queue, NetworkConfig config)
           "Network: loss episode needs to > from and drop in [0, 1]");
     }
   }
-  queue_.set_delivery_sink([this](std::uint32_t slot) { deliver_slot(slot); });
 }
 
 void Network::set_region(ValidatorIndex v, Region r) {
@@ -108,27 +107,7 @@ void Network::send_one(SimTime base, ValidatorIndex from, ValidatorIndex to,
     ++dropped_;
     return;
   }
-  deliver_later(base + j, to, p);
-}
-
-void Network::deliver_later(SimTime when, ValidatorIndex to, Packet p) {
-  std::uint32_t slot = 0;
-  if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(in_flight_.size());
-    in_flight_.push_back(InFlight{to, p});
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    in_flight_[slot] = InFlight{to, p};
-  }
-  queue_.schedule_delivery(when, slot);
-}
-
-void Network::deliver_slot(std::uint32_t slot) {
-  const InFlight f = in_flight_[slot];
-  free_slots_.push_back(slot);
-  ++delivered_;
-  if (deliver_) deliver_(f.to, f.packet);
+  queue_.schedule_delivery(base + j, to, p);
 }
 
 void Network::broadcast(ValidatorIndex from, std::uint64_t payload_id) {
@@ -158,7 +137,7 @@ void Network::release_at(SimTime when, ValidatorIndex from,
   ++sent_;
   const Packet p{from, payload_id};
   for (ValidatorIndex to : audience) {
-    deliver_later(when, to, p);
+    queue_.schedule_delivery(when, to, p);
   }
 }
 

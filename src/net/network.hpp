@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -25,16 +24,6 @@ namespace leak::net {
 /// Which side of the partition a node lives on.  Byzantine nodes are
 /// kBoth: they straddle the partition.
 enum class Region : std::uint8_t { kOne = 0, kTwo = 1, kBoth = 2 };
-
-/// An opaque message: payload identifier plus sender.  Higher layers map
-/// `payload_id` back to real content (attestations, blocks).
-struct Packet {
-  ValidatorIndex from{};
-  std::uint64_t payload_id = 0;
-};
-
-/// Delivery callback: (recipient, packet, delivery time).
-using DeliverFn = std::function<void(ValidatorIndex, const Packet&)>;
 
 /// Which links a scripted weather episode afflicts.  A link is
 /// cross-region when both endpoints sit in distinct fixed regions;
@@ -84,11 +73,11 @@ struct NetworkConfig {
 };
 
 /// The simulated network.  Broadcasts are best-effort, with per-message
-/// uniform jitter in [min_delay, delta].
+/// uniform jitter in [min_delay, delta].  Each recipient copy becomes
+/// one of `queue`'s delivery records, so copies reach the queue's
+/// Receiver directly.
 class Network {
  public:
-  /// Registers this network as `queue`'s delivery sink, so the network
-  /// must outlive every delivery it schedules.
   Network(EventQueue& queue, NetworkConfig config);
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -96,9 +85,6 @@ class Network {
   /// Assign a node to a region (default: everyone in region one).
   void set_region(ValidatorIndex v, Region r);
   [[nodiscard]] Region region(ValidatorIndex v) const;
-
-  /// Register the single delivery sink (the simulation dispatch).
-  void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 
   /// Whether src can currently reach dst (partition rules + GST).
   [[nodiscard]] bool reachable(ValidatorIndex src, ValidatorIndex dst) const;
@@ -117,14 +103,14 @@ class Network {
 
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
   [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
-  [[nodiscard]] std::uint64_t messages_delivered() const { return delivered_; }
+  /// Copies the queue has delivered (it counts every delivery).
+  [[nodiscard]] std::uint64_t messages_delivered() const {
+    return queue_.delivered();
+  }
   /// Per-recipient copies dropped by scripted loss episodes.
   [[nodiscard]] std::uint64_t messages_dropped() const { return dropped_; }
 
  private:
-  void deliver_later(SimTime when, ValidatorIndex to, Packet p);
-  /// The queue's delivery sink: hand the copy in `slot` to deliver_.
-  void deliver_slot(std::uint32_t slot);
   [[nodiscard]] double jitter();
   /// Apply the weather episodes to one recipient copy: stretch the
   /// jitter, or drop the copy (returns false).  `base` is now for a
@@ -138,22 +124,10 @@ class Network {
   EventQueue& queue_;
   NetworkConfig config_;
   std::vector<Region> regions_;
-  DeliverFn deliver_;
   Rng rng_;
   Rng weather_rng_;  ///< dedicated lane: loss draws never touch rng_
   std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
-
-  /// Copies in flight, by slot.  A delivery event is the queue's typed
-  /// (time, seq, slot) record, so scheduling one builds no callable; a
-  /// delivered copy's slot is reused.
-  struct InFlight {
-    ValidatorIndex to{};
-    Packet packet{};
-  };
-  std::vector<InFlight> in_flight_;
-  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace leak::net

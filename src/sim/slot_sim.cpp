@@ -9,7 +9,6 @@
 #include <tuple>
 
 #include "src/chain/shuffle.hpp"
-#include "src/crypto/sha256.hpp"
 
 namespace leak::sim {
 
@@ -28,7 +27,9 @@ constexpr std::uint64_t kNoBoostSlot = std::numeric_limits<std::uint64_t>::max()
 
 }  // namespace
 
-struct SlotSim::Impl {
+/// The simulation is its queue's Receiver: every delivery is one
+/// virtual call into on_deliver.
+struct SlotSim::Impl final : net::Receiver {
   explicit Impl(SlotSimConfig config)
       : cfg(config),
         n(config.n_honest + config.n_byzantine),
@@ -43,7 +44,7 @@ struct SlotSim::Impl {
                     .loss_episodes = config.loss_episodes}),
         registry(config.n_honest + config.n_byzantine),
         monitor(global_tree) {
-    keys = keyreg.generate(n, cfg.seed);
+    queue.set_receiver(this);
     setup_regions();
     setup_views();
   }
@@ -75,8 +76,6 @@ struct SlotSim::Impl {
   net::EventQueue queue;
   net::Network network;
   chain::ValidatorRegistry registry;
-  crypto::KeyRegistry keyreg;
-  std::vector<crypto::KeyPair> keys;
 
   /// Every block, each entered before it is broadcast; the views hold
   /// membership into it.  Declared before the views so it outlives them.
@@ -88,10 +87,6 @@ struct SlotSim::Impl {
   /// What a payload id names: a block (its store index) or an
   /// attestation.
   std::vector<std::variant<std::uint32_t, Attestation>> payloads;
-  /// Signature verdict per payload, beside `payloads`: each
-  /// attestation's signature is checked once, when it is stored, and
-  /// every delivery reads the stored verdict (blocks are unsigned).
-  std::vector<std::uint8_t> verified;
   std::vector<std::unique_ptr<View>> views;          // [0, n)
   std::vector<std::unique_ptr<View>> byz_alt_views;  // second view per byz
   /// One per honest validator, remembering payload ids.
@@ -159,9 +154,6 @@ struct SlotSim::Impl {
         side_audiences[i % 2].push_back(ValidatorIndex{i});
       }
     }
-    network.set_deliver([this](ValidatorIndex to, const net::Packet& p) {
-      on_deliver(to, p);
-    });
   }
 
   /// Enter a new block in the shared store and return its index.  An
@@ -250,7 +242,7 @@ struct SlotSim::Impl {
     v.ffg.on_checkpoint_vote(a);
   }
 
-  void on_deliver(ValidatorIndex to, const net::Packet& p) {
+  void on_deliver(ValidatorIndex to, const net::Packet& p) override {
     const auto& payload = payloads.at(p.payload_id);
     const std::uint32_t who = to.value();
     const auto* block = std::get_if<std::uint32_t>(&payload);
@@ -286,9 +278,8 @@ struct SlotSim::Impl {
       feed(*views[who]);
       return;
     }
-    // An honest view ingests only verified attestations, and watches
-    // them for equivocations.
-    if (!verified[p.payload_id]) return;
+    // An honest view ingests the attestation and watches for
+    // equivocations.
     ingest_attestation(*views[who], *att);
     if (auto proof = detectors[who].observe(p.payload_id)) {
       const std::uint32_t offender = proof->offender().value();
@@ -336,9 +327,6 @@ struct SlotSim::Impl {
   }
 
   std::uint64_t store_payload(std::variant<std::uint32_t, Attestation> p) {
-    const auto* att = std::get_if<Attestation>(&p);
-    verified.push_back(static_cast<std::uint8_t>(
-        att == nullptr || keyreg.verify(att->signing_root(), att->signature)));
     payloads.push_back(std::move(p));
     return payloads.size() - 1;
   }
@@ -405,7 +393,6 @@ struct SlotSim::Impl {
     a.head = head_of(v, e);
     a.source = v.ffg.justified();
     a.target = global_tree.checkpoint_on_branch(a.head, e);
-    a.sign(keys[who]);
     return a;
   }
 

@@ -15,7 +15,6 @@
 #include "src/chain/blocktree.hpp"
 #include "src/chain/forkchoice.hpp"
 #include "src/chain/registry.hpp"
-#include "src/crypto/keys.hpp"
 #include "src/finality/ffg.hpp"
 #include "src/finality/safety.hpp"
 #include "src/net/event_queue.hpp"

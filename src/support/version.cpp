@@ -2,12 +2,10 @@
 
 #include <chrono>
 
-// The definition is injected per-TU by src/CMakeLists.txt
-// (set_source_files_properties on this file only, so editing the git
-// state never rebuilds the whole library).
-#ifndef LEAK_GIT_DESCRIBE
-#define LEAK_GIT_DESCRIBE "unknown"
-#endif
+// Defines LEAK_GIT_DESCRIBE.  Generated on every build by
+// src/support/git_describe.cmake and included by this file only, so a
+// changing git state never rebuilds the rest of the library.
+#include "git_describe.inc"
 
 namespace leak {
 

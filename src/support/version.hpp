@@ -9,7 +9,7 @@
 
 namespace leak {
 
-/// `git describe --always --dirty` of the tree at configure time, or
+/// `git describe --always --dirty` of the tree at its last build, or
 /// "unknown" when the build happened outside a git checkout.
 [[nodiscard]] const char* git_describe();
 

@@ -36,25 +36,6 @@ TEST(BlockTest, IdDependsOnContent) {
   EXPECT_EQ(a.id, Block::make(parent, Slot{1}, ValidatorIndex{0}).id);
 }
 
-TEST(AttestationTest, SigningRootCoversVotes) {
-  Attestation a;
-  a.attester = ValidatorIndex{1};
-  a.slot = Slot{5};
-  Attestation b = a;
-  b.target.epoch = Epoch{3};
-  EXPECT_NE(a.signing_root(), b.signing_root());
-}
-
-TEST(AttestationTest, SignVerify) {
-  crypto::KeyRegistry reg;
-  const auto keys = reg.generate(2, 1);
-  Attestation a;
-  a.attester = ValidatorIndex{1};
-  a.slot = Slot{4};
-  a.sign(keys[1]);
-  EXPECT_TRUE(reg.verify(a.signing_root(), a.signature));
-}
-
 TEST(Slashable, DoubleVoteDetected) {
   Attestation a, b;
   a.attester = b.attester = ValidatorIndex{7};

@@ -116,12 +116,17 @@ TEST_P(FuzzSeeds, NetworkDeliversEverythingByGstPlusDelta) {
                    rng.bernoulli(0.5) ? net::Region::kOne
                                       : net::Region::kTwo);
   }
-  std::size_t delivered = 0;
-  double last_time = 0.0;
-  net.set_deliver([&](ValidatorIndex, const net::Packet&) {
-    ++delivered;
-    last_time = std::max(last_time, q.now());
-  });
+  struct Counter final : net::Receiver {
+    const net::EventQueue* q = nullptr;
+    std::size_t delivered = 0;
+    double last_time = 0.0;
+    void on_deliver(ValidatorIndex, const net::Packet&) override {
+      ++delivered;
+      last_time = std::max(last_time, q->now());
+    }
+  } counter;
+  counter.q = &q;
+  q.set_receiver(&counter);
   std::size_t sent = 0;
   for (int i = 0; i < 30; ++i) {
     const auto from =
@@ -130,8 +135,8 @@ TEST_P(FuzzSeeds, NetworkDeliversEverythingByGstPlusDelta) {
     ++sent;
   }
   q.run_until(100.0);
-  EXPECT_EQ(delivered, sent * 12);       // best-effort: nobody starves
-  EXPECT_LE(last_time, cfg.gst + cfg.delta);  // all in by GST + delta
+  EXPECT_EQ(counter.delivered, sent * 12);  // best-effort: nobody starves
+  EXPECT_LE(counter.last_time, cfg.gst + cfg.delta);  // all in by GST + delta
 }
 
 TEST_P(FuzzSeeds, ScoreWalkPmfMatchesMonteCarlo) {

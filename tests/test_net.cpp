@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <queue>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,13 @@
 
 namespace leak::net {
 namespace {
+
+/// A receiver that forwards each delivery to a replaceable callable.
+struct FnReceiver final : Receiver {
+  std::function<void(ValidatorIndex, const Packet&)> fn =
+      [](ValidatorIndex, const Packet&) {};
+  void on_deliver(ValidatorIndex to, const Packet& p) override { fn(to, p); }
+};
 
 TEST(EventQueue, RunsInTimeOrder) {
   EventQueue q;
@@ -66,15 +74,71 @@ TEST(EventQueue, PastSchedulingThrows) {
 
 TEST(EventQueue, DeliveryNeedsASinkAndAFutureTime) {
   EventQueue q;
-  EXPECT_THROW(q.schedule_delivery(1.0, 0), std::logic_error);
-  std::vector<std::uint32_t> got;
-  q.set_delivery_sink([&](std::uint32_t slot) { got.push_back(slot); });
-  q.schedule_delivery(1.0, 7);
+  const ValidatorIndex to{3};
+  EXPECT_THROW(q.schedule_delivery(1.0, to, Packet{to, 0}), std::logic_error);
+  std::vector<std::uint64_t> got;
+  FnReceiver r;
+  r.fn = [&](ValidatorIndex, const Packet& p) { got.push_back(p.payload_id); };
+  q.set_receiver(&r);
+  q.schedule_delivery(1.0, to, Packet{to, 7});
   q.run_until(1.0);
-  EXPECT_EQ(got, std::vector<std::uint32_t>{7});
-  EXPECT_THROW(q.schedule_delivery(0.5, 1), std::invalid_argument);
-  EXPECT_THROW(q.schedule_delivery(std::nan(""), 1), std::invalid_argument);
+  EXPECT_EQ(got, std::vector<std::uint64_t>{7});
+  EXPECT_EQ(q.delivered(), 1U);
+  EXPECT_THROW(q.schedule_delivery(0.5, to, Packet{to, 1}),
+               std::invalid_argument);
+  EXPECT_THROW(q.schedule_delivery(std::nan(""), to, Packet{to, 1}),
+               std::invalid_argument);
   EXPECT_THROW(q.schedule_at(std::nan(""), [] {}), std::invalid_argument);
+  EXPECT_EQ(q.pending(), 0U);
+}
+
+TEST(EventQueue, DeliveriesReachTheReceiverOnceInTimeSeqOrder) {
+  // Deliveries and generic events at equal times pop in (time, seq)
+  // order, and each copy reaches the receiver once with its own (to,
+  // packet) -- including a copy scheduled from inside a delivery, which
+  // reuses the in-flight slot that delivery just freed.
+  EventQueue q;
+  std::vector<std::string> got;
+  const auto log = [&](const std::string& what) {
+    got.push_back(what + "@" + std::to_string(static_cast<int>(q.now())));
+  };
+  FnReceiver r;
+  r.fn = [&](ValidatorIndex to, const Packet& p) {
+    log("d to" + std::to_string(to.value()) + " from" +
+        std::to_string(p.from.value()) + " id" + std::to_string(p.payload_id));
+    if (p.payload_id == 11) {
+      q.schedule_delivery(q.now(), ValidatorIndex{101},
+                          Packet{ValidatorIndex{1}, 12});
+    }
+  };
+  q.set_receiver(&r);
+  const auto deliver = [&](double t, std::uint32_t to, std::uint32_t from,
+                           std::uint64_t id) {
+    q.schedule_delivery(t, ValidatorIndex{to},
+                        Packet{ValidatorIndex{from}, id});
+  };
+  deliver(2.0, 1, 9, 11);
+  q.schedule_at(1.0, [&] {
+    log("g0");
+    deliver(q.now(), 2, 8, 20);
+  });
+  deliver(1.0, 3, 7, 30);
+  deliver(2.0, 4, 6, 40);
+  q.schedule_at(2.0, [&] { log("g1"); });
+  deliver(1.0, 5, 5, 50);
+  EXPECT_EQ(q.run_until(kSimTimeInfinity), 8U);
+  const std::vector<std::string> want{
+      "g0@1",
+      "d to3 from7 id30@1",
+      "d to5 from5 id50@1",
+      "d to2 from8 id20@1",
+      "d to1 from9 id11@2",
+      "d to4 from6 id40@2",
+      "g1@2",
+      "d to101 from1 id12@2",
+  };
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(q.delivered(), 6U);
   EXPECT_EQ(q.pending(), 0U);
 }
 
@@ -100,12 +164,16 @@ TEST(EventQueue, MixedScheduleReplaysPriorityQueueOrder) {
   using Popped = std::pair<bool, std::uint32_t>;  // (delivery, id)
   std::vector<Popped> got;
   EventQueue q;
-  q.set_delivery_sink([&](std::uint32_t id) { got.emplace_back(true, id); });
+  FnReceiver r;
+  r.fn = [&](ValidatorIndex, const Packet& p) {
+    got.emplace_back(true, static_cast<std::uint32_t>(p.payload_id));
+  };
+  q.set_receiver(&r);
   std::uint32_t next_id = 0;
   std::function<void(double, bool)> add = [&](double t, bool delivery) {
     const std::uint32_t id = next_id++;
     if (delivery) {
-      q.schedule_delivery(t, id);
+      q.schedule_delivery(t, ValidatorIndex{0}, Packet{ValidatorIndex{0}, id});
       return;
     }
     q.schedule_at(t, [&, id] {
@@ -158,12 +226,14 @@ struct Rig {
   EventQueue queue;
   NetworkConfig cfg;
   Network net;
+  FnReceiver receiver;
   std::vector<std::pair<std::uint32_t, std::uint64_t>> delivered;
 
   explicit Rig(NetworkConfig c) : cfg(c), net(queue, c) {
-    net.set_deliver([this](ValidatorIndex to, const Packet& p) {
+    receiver.fn = [this](ValidatorIndex to, const Packet& p) {
       delivered.emplace_back(to.value(), p.payload_id);
-    });
+    };
+    queue.set_receiver(&receiver);
   }
 };
 
@@ -186,9 +256,9 @@ TEST(NetworkTest, DeliveryWithinDelta) {
   c.delta = 0.8;
   Rig rig(c);
   double max_seen = 0.0;
-  rig.net.set_deliver([&](ValidatorIndex, const Packet&) {
+  rig.receiver.fn = [&](ValidatorIndex, const Packet&) {
     max_seen = std::max(max_seen, rig.queue.now());
-  });
+  };
   rig.net.broadcast(ValidatorIndex{1}, 1);
   rig.queue.run_until(10.0);
   EXPECT_LE(max_seen, 0.8);
@@ -211,9 +281,9 @@ TEST(NetworkTest, PartitionBlocksCrossRegionUntilGst) {
   EXPECT_FALSE(rig.net.reachable(ValidatorIndex{0}, ValidatorIndex{2}));
 
   std::vector<double> times_to_2;
-  rig.net.set_deliver([&](ValidatorIndex to, const Packet&) {
+  rig.receiver.fn = [&](ValidatorIndex to, const Packet&) {
     if (to == ValidatorIndex{2}) times_to_2.push_back(rig.queue.now());
-  });
+  };
   rig.net.broadcast(ValidatorIndex{0}, 7);
   rig.queue.run_until(200.0);
   // Best-effort broadcast: node 2 still gets it, but only after GST.
@@ -282,9 +352,9 @@ std::vector<double> broadcast_times(NetworkConfig c) {
   EventQueue q;
   Network net(q, c);
   std::vector<double> times;
-  net.set_deliver([&](ValidatorIndex, const Packet&) {
-    times.push_back(q.now());
-  });
+  FnReceiver r;
+  r.fn = [&](ValidatorIndex, const Packet&) { times.push_back(q.now()); };
+  q.set_receiver(&r);
   net.broadcast(ValidatorIndex{0}, 1);
   q.run_until(1000.0);
   return times;

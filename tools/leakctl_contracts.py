@@ -28,16 +28,20 @@ CONTRACT is one of:
                  --paths 64, and examples/schedules/{cascade,flaky}.json
                  loaded with --faults give the metrics, stats and trials
                  of the equivalent knob run and are recorded in params.
+                 A run and a sweep with `--json -` (report not quieted)
+                 print one JSON document on stdout, equal to the --json
+                 FILE report, and `--json - --csv -` is refused.
   kernel-parity  (tools.kernel_parity) Every Monte Carlo driver, the
                  rows-dropping (keep_paths = false) semiactive-sweep and
                  the slot-trial slot-protocol report the same bytes at
                  every block in {1, 64, 0 (auto)} x threads in {1, 4}
                  as at block 1, threads 1.
 
-Reports compare without their `meta` block (wall time, resolved thread
-count) and the `threads`/`block` params, which are not results.  Each
-contract works in a fresh temp dir and exits 1 on the first broken
-assertion (kernel-parity first reports every grid cell).
+Reports (and sweep cells) compare without their `meta` block (wall
+time, resolved thread count) and the `threads`/`block` params, which
+are not results.  Each contract works in a fresh temp dir and exits 1
+on the first broken assertion (kernel-parity first reports every grid
+cell).
 """
 
 import itertools
@@ -59,6 +63,17 @@ class ContractError(Exception):
 def expect(ok, message):
     if not ok:
         raise ContractError(message)
+
+
+def strip(doc):
+    """A report (and each sweep cell's) minus its meta block and fan-out
+    knobs."""
+    doc.pop("meta", None)
+    for knob in FANOUT_KNOBS:
+        doc.get("params", {}).pop(knob, None)
+    for cell in doc.get("cells", []):
+        strip(cell)
+    return doc
 
 
 class Leakctl:
@@ -85,11 +100,22 @@ class Leakctl:
         (report, the run's stderr)."""
         out = self.work / f"report-{next(self.reports)}.json"
         proc = self(*args, "--json", out, "--quiet")
-        doc = json.loads(out.read_text(encoding="utf-8"))
-        doc.pop("meta", None)
-        for knob in FANOUT_KNOBS:
-            doc.get("params", {}).pop(knob, None)
+        doc = strip(json.loads(out.read_text(encoding="utf-8")))
         return (doc, proc.stderr) if stderr else doc
+
+    def stdout_report(self, *args):
+        """Run leakctl with `--json -` and the human report on; stdout
+        must parse as one JSON document.  Returns it minus meta and the
+        fan-out knobs."""
+        proc = self(*args, "--json", "-")
+        try:
+            doc = json.loads(proc.stdout)
+        except json.JSONDecodeError as err:
+            raise ContractError(f"{' '.join(map(str, args))} --json -: "
+                                f"stdout is not one JSON document ({err})")
+        expect(proc.stderr, f"{' '.join(map(str, args))} --json -: the "
+                            "human-readable report is missing from stderr")
+        return strip(doc)
 
 
 def same(want, got):
@@ -231,6 +257,19 @@ def faults(leakctl):
                f"{scenario}: the --faults run did not record its schedule")
         print(f"ok   faults: {schedule} == {scenario} knob run, "
               "schedule recorded")
+    run = ["run", "flaky-network", "--paths", 4, *flaky_sets]
+    sweep = ["sweep", "flaky-network", "--paths", 2, *flaky_sets,
+             "--sweep", "loss_drop=0.1,0.2"]
+    for argv in (run, sweep):
+        expect(same(leakctl.report(*argv), leakctl.stdout_report(*argv)),
+               f"{argv[0]} --json - printed a different document than "
+               "--json FILE wrote")
+    both = leakctl(*run, "--json", "-", "--csv", "-", ok=False)
+    expect(both.returncode == 2 and "--csv -" in both.stderr,
+           f"--json - --csv - was not refused: exit {both.returncode}, "
+           f"{both.stderr!r}")
+    print("ok   faults: --json - prints one stdout document for run and "
+          "sweep; --json - --csv - refused")
 
 
 def kernel_parity(leakctl):
