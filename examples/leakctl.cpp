@@ -106,7 +106,7 @@ int usage(const char* argv0) {
       "                   replays included (default per config: 48)\n"
       "  --patience N     failed unit-step passes before convergence "
       "(1)\n"
-      "  --search-threads N  parallel candidate evaluations (0 = off)\n"
+      "  --search-threads N  parallel candidate evaluations (0 = auto)\n"
       "  --journal PATH   durable evaluation journal; a killed search\n"
       "                   resumes from it byte-identically\n"
       "  --out PATH       alias for --json\n"
@@ -122,6 +122,7 @@ int usage(const char* argv0) {
       "  --canonical      zero wall-clock metadata in results output\n"
       "  --once           serve: one pass over incomplete jobs, then "
       "exit\n"
+      "                   (2 if a job is broken or its run failed)\n"
       "  --poll-ms N      serve: sleep between passes (default 1000)\n",
       argv0);
   return 2;
@@ -430,7 +431,8 @@ int cmd_sweep(const scenario::Scenario& sc,
   config.vary_seed = opts.vary_seed;
   config.parallel_cells = opts.parallel_cells;
   // With --parallel-cells the pool size comes from the threads
-  // parameter (cells themselves are pinned to one inner thread).
+  // parameter (on a pool of two or more, run_cells pins each cell to
+  // one inner thread).
   config.threads = static_cast<unsigned>(base.get_int("threads"));
   scenario::SweepResult result;
   try {
@@ -769,8 +771,16 @@ int cmd_results(const scenario::ScenarioRegistry& registry,
     std::printf("%s\n", merged->dump(2).c_str());
     return 0;
   }
-  return emit_artifacts(*merged, serve::JobService::merged_to_csv(*merged),
-                        opts);
+  // `results --csv` prints the table `sweep --csv` prints.
+  std::string csv;
+  if (!opts.csv_path.empty()) {
+    try {
+      csv = scenario::sweep_table(*merged).to_csv();
+    } catch (const std::invalid_argument& e) {
+      return fail(e.what());
+    }
+  }
+  return emit_artifacts(*merged, csv, opts);
 }
 
 int cmd_serve(const scenario::ScenarioRegistry& registry,
@@ -785,6 +795,7 @@ int cmd_serve(const scenario::ScenarioRegistry& registry,
   }
   serve::JobService service(registry, opts.jobs_dir);
   std::set<std::string> reported;  // broken jobs, reported once each
+  bool run_failed = false;
   for (;;) {
     for (const auto& st : service.list()) {
       if (!st.error.empty()) {
@@ -799,9 +810,10 @@ int cmd_serve(const scenario::ScenarioRegistry& registry,
         std::fprintf(stderr, "leakctl: %s: %s\n", st.id.c_str(),
                      error.c_str());
         error.clear();
+        run_failed = true;
       }
     }
-    if (opts.once) return reported.empty() ? 0 : 2;
+    if (opts.once) return reported.empty() && !run_failed ? 0 : 2;
     std::this_thread::sleep_for(std::chrono::milliseconds(opts.poll_ms));
   }
 }

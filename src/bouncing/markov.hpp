@@ -9,8 +9,6 @@
 #include <optional>
 #include <utility>
 
-#include "src/support/random.hpp"
-
 namespace leak::bouncing {
 
 /// Eq 14 — the (open) interval of honest split p0 for which the attack
@@ -37,18 +35,5 @@ struct TwoEpochIncrement {
 
 /// Compute the Eq 15 probabilities for a given p0.
 TwoEpochIncrement two_epoch_increment(double p0);
-
-/// Sampler for the per-epoch branch assignment of one honest validator.
-class BranchSampler {
- public:
-  BranchSampler(double p0, Rng rng) : p0_(p0), rng_(rng) {}
-
-  /// True = on branch A this epoch (active from A's viewpoint).
-  bool on_branch_a() { return rng_.bernoulli(p0_); }
-
- private:
-  double p0_;
-  Rng rng_;
-};
 
 }  // namespace leak::bouncing

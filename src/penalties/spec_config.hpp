@@ -1,10 +1,7 @@
-// Protocol constants governing penalties.  Two presets:
-//  * paper()   — the constants the paper's analysis uses (Section 4):
-//                inactivity penalty quotient 2^26, score bias +4, active
-//                decrement -1, out-of-leak recovery -16, ejection at
-//                16.75 ETH, leak trigger after 4 epochs without finality.
-//  * mainnet() — the post-Bellatrix mainnet values, for ablations
-//                (quotient 2^24, ejection at 16 ETH effective balance).
+// Protocol constants governing penalties.  paper() holds the constants
+// the paper's analysis uses (Section 4): inactivity penalty quotient
+// 2^26, score bias +4, active decrement -1, out-of-leak recovery -16,
+// ejection at 16.75 ETH, leak trigger after 4 epochs without finality.
 #pragma once
 
 #include <cstdint>
@@ -43,13 +40,6 @@ struct SpecConfig {
   std::uint64_t churn_limit_quotient = 65536;
 
   [[nodiscard]] static SpecConfig paper() { return SpecConfig{}; }
-
-  [[nodiscard]] static SpecConfig mainnet() {
-    SpecConfig c;
-    c.inactivity_penalty_quotient = 1ULL << 24;  // Bellatrix
-    c.ejection_balance = Gwei::from_eth(16.0);
-    return c;
-  }
 };
 
 }  // namespace leak::penalties

@@ -183,19 +183,8 @@ std::vector<SweepAxis> read_axes(const ScenarioSpec& spec,
                  "\"");
     }
     const json::Field values = f.get("values");
-    values.each([&](const json::Field& v) {
-      if (!v.value().is_string() || p->type == ParamType::kString) {
-        axis.values.push_back(p->from_json(v));
-        return;
-      }
-      // Stringly-typed values (SweepResult::to_json archives) go
-      // through the spec's own parser, same as the CLI would.
-      ParamValue out;
-      if (auto err = spec.parse_value(axis.param, v.string(), &out)) {
-        v.fail(*err);
-      }
-      axis.values.push_back(std::move(out));
-    });
+    values.each(
+        [&](const json::Field& v) { axis.values.push_back(p->from_json(v)); });
     if (axis.values.empty()) values.fail("has no values");
     f.finish();
     axes.push_back(std::move(axis));
@@ -235,85 +224,105 @@ SweepResult run_sweep(const Scenario& scenario, const ParamSet& base,
         sweep_cell_params(base, out.axes, i, config.vary_seed));
   }
 
-  out.cells.resize(cells.size());
-  if (config.parallel_cells && cells.size() > 1) {
-    // Outer parallelism: cells fan across the pool, each cell pinned
-    // to one inner thread.  Bit-identical to the sequential path by
-    // the drivers' thread-count-invariance guarantee.
-    std::vector<ParamSet> pinned = cells;
-    for (auto& c : pinned) c.set("threads", std::int64_t{1});
-    const runner::TrialRunner pool(config.threads);
-    auto results = pool.run(cells.size(), [&](std::size_t i) {
-      return scenario.run(pinned[i]);
-    });
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      out.cells[i].params = std::move(cells[i]);
-      out.cells[i].result = std::move(results[i]);
-    }
-  } else {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      out.cells[i].result = scenario.run(cells[i]);
-      out.cells[i].params = std::move(cells[i]);
-    }
+  auto results =
+      run_cells(scenario, cells, config.parallel_cells ? config.threads : 1);
+  out.cells.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.cells[i].params = std::move(cells[i]);
+    out.cells[i].result = std::move(results[i]);
   }
   return out;
 }
 
+std::vector<ScenarioResult> run_cells(const Scenario& scenario,
+                                      const std::vector<ParamSet>& cells,
+                                      unsigned threads) {
+  const runner::TrialRunner pool(threads);
+  const bool pin = pool.threads() > 1 && cells.size() > 1;
+  return pool.run(cells.size(), [&](std::size_t i) {
+    if (!pin) return scenario.run(cells[i]);
+    ParamSet pinned = cells[i];
+    pinned.set("threads", std::int64_t{1});
+    return scenario.run(pinned);
+  });
+}
+
+json::Value sweep_document(const std::string& scenario,
+                           const std::vector<SweepAxis>& axes,
+                           json::Array cells) {
+  json::Value doc = json::Value::object();
+  doc.set("scenario", scenario);
+  doc.set("axes", axes_to_json(axes));
+  doc.set("cells", json::Value(std::move(cells)));
+  return doc;
+}
+
 namespace {
 
-/// Summary table: swept params then the metric set of the first cell.
-Table summary_table(const SweepResult& r) {
-  std::vector<std::string> headers;
-  for (const auto& a : r.axes) headers.push_back(a.param);
-  if (!r.cells.empty()) {
-    for (const auto& m : r.cells.front().result.metrics) {
-      headers.push_back(m.first);
-    }
+/// A sweep table cell for one value of a sweep document, spelled as
+/// ParamSet::value_to_string spells parameters ("?" when absent).
+std::string table_text(const json::Value* v) {
+  if (v == nullptr) return "?";
+  switch (v->type()) {
+    case json::Value::Type::kInt:
+      return std::to_string(v->as_int());
+    case json::Value::Type::kDouble:
+      return Table::fmt_exact(v->as_double());
+    case json::Value::Type::kString:
+      return v->as_string();
+    default:
+      return v->dump();
   }
-  if (headers.empty()) headers.push_back("cell");
-  Table t(std::move(headers));
-  for (const auto& cell : r.cells) {
-    std::vector<std::string> row;
-    for (const auto& a : r.axes) {
-      const ParamValue* v = cell.params.find(a.param);
-      row.push_back(v != nullptr ? ParamSet::value_to_string(*v) : "?");
-    }
-    for (const auto& m : r.cells.front().result.metrics) {
-      row.push_back(cell.result.has_metric(m.first)
-                        ? Table::fmt_exact(cell.result.metric(m.first))
-                        : "?");
-    }
-    if (row.empty()) row.push_back("-");
-    t.add_row(std::move(row));
-  }
-  return t;
 }
 
 }  // namespace
 
-json::Value SweepResult::to_json() const {
-  json::Value doc = json::Value::object();
-  doc.set("scenario", scenario);
-  json::Value aj = json::Value::array();
-  for (const auto& a : axes) {
-    json::Value one = json::Value::object();
-    one.set("param", a.param);
-    json::Value vals = json::Value::array();
-    for (const auto& v : a.values) {
-      vals.push_back(ParamSet::value_to_string(v));
+Table sweep_table(const json::Value& doc) {
+  const json::Field root(doc, "sweep");
+  json::Fields f(root);
+  std::vector<std::string> headers;
+  f.get("axes").each([&](const json::Field& axis) {
+    json::Fields a(axis);
+    headers.push_back(a.get("param").string());
+  });
+  const std::size_t n_axes = headers.size();
+  std::vector<std::vector<std::string>> rows;
+  f.get("cells").each([&](const json::Field& cell) {
+    json::Fields c(cell);
+    const json::Field params = c.get("params");
+    const json::Field metrics = c.get("metrics");
+    if (!params.value().is_object()) params.fail("must be an object");
+    if (!metrics.value().is_object()) metrics.fail("must be an object");
+    if (rows.empty()) {
+      for (const auto& m : metrics.value().as_object()) {
+        headers.push_back(m.first);
+      }
     }
-    one.set("values", std::move(vals));
-    aj.push_back(std::move(one));
+    std::vector<std::string> row;
+    for (std::size_t i = 0; i < headers.size(); ++i) {
+      const json::Value& from = i < n_axes ? params.value() : metrics.value();
+      row.push_back(table_text(from.find(headers[i])));
+    }
+    rows.push_back(std::move(row));
+  });
+  if (headers.empty()) {
+    headers.push_back("cell");
+    for (auto& row : rows) row.push_back("-");
   }
-  doc.set("axes", std::move(aj));
-  json::Value cj = json::Value::array();
+  Table t(std::move(headers));
+  for (auto& row : rows) t.add_row(std::move(row));
+  return t;
+}
+
+json::Value SweepResult::to_json() const {
+  json::Array cj;
+  cj.reserve(cells.size());
   for (const auto& cell : cells) cj.push_back(cell.result.to_json());
-  doc.set("cells", std::move(cj));
-  return doc;
+  return sweep_document(scenario, axes, std::move(cj));
 }
 
 std::string SweepResult::to_csv() const {
-  return summary_table(*this).to_csv();
+  return sweep_table(to_json()).to_csv();
 }
 
 std::string SweepResult::to_text() const {
@@ -323,7 +332,7 @@ std::string SweepResult::to_text() const {
     os << ", " << a.param << " x" << a.values.size();
   }
   os << ")\n";
-  os << summary_table(*this).to_string();
+  os << sweep_table(to_json()).to_string();
   return os.str();
 }
 

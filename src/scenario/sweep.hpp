@@ -1,6 +1,8 @@
 // SweepEngine: expand grid/list sweeps over any scenario parameter
-// into a batch of cells and execute it, optionally fanning cells
-// across the trial runner's workers.
+// into a batch of cells, execute it, optionally fanning cells across
+// the trial runner's workers, and write its one result: the sweep
+// document and the table (text or CSV) derived from it.  A served job
+// (src/serve) writes the same document and table for the same cells.
 //
 // Determinism contract: with the default seed mode every cell inherits
 // the base seed, and because every driver is bit-identical for any
@@ -22,6 +24,7 @@
 #include "src/scenario/result.hpp"
 #include "src/scenario/spec.hpp"
 #include "src/support/json.hpp"
+#include "src/support/table.hpp"
 
 namespace leak::scenario {
 
@@ -43,8 +46,8 @@ struct SweepConfig {
   /// Derive a per-cell seed from (base seed, cell index) instead of
   /// running every cell with the base seed.
   bool vary_seed = false;
-  /// Fan cells across the trial runner's workers (each cell forced to
-  /// threads = 1) instead of running cells sequentially with the
+  /// Fan cells across the trial runner's workers (run_cells over
+  /// `threads`) instead of running cells sequentially with the
   /// scenario's own inner parallelism.  Either way the numbers are
   /// bit-identical; this only moves where the parallelism sits.
   bool parallel_cells = false;
@@ -63,12 +66,11 @@ struct SweepResult {
   /// Row-major over the axes: the LAST axis varies fastest.
   std::vector<SweepCell> cells;
 
-  /// Machine-readable report of the whole batch.
+  /// The batch's sweep_document.
   [[nodiscard]] json::Value to_json() const;
-  /// One CSV row per cell: swept parameter values then every metric of
-  /// the first cell's metric set.
+  /// sweep_table of the document, as CSV.
   [[nodiscard]] std::string to_csv() const;
-  /// Human-readable summary table (same columns as the CSV).
+  /// A one-line summary, then sweep_table of the document.
   [[nodiscard]] std::string to_text() const;
 };
 
@@ -101,6 +103,34 @@ struct SweepResult {
 /// document; errors are prefixed with `at`'s path.
 [[nodiscard]] std::vector<SweepAxis> read_axes(const ScenarioSpec& spec,
                                                const json::Field& at);
+
+/// The one sweep document: {"scenario", "axes" (typed values, as
+/// axes_to_json writes them), "cells": [one ScenarioResult report per
+/// cell, row-major]}.  SweepResult::to_json writes it, and a served
+/// job's merged.json is it plus a "job" key.
+[[nodiscard]] json::Value sweep_document(const std::string& scenario,
+                                         const std::vector<SweepAxis>& axes,
+                                         json::Array cells);
+
+/// The one table of a sweep document: a row per cell holding its swept
+/// parameter values (read from the cell's params), then every metric
+/// of the first cell's metric set ("?" where a cell lacks one).
+/// Numbers are spelled shortest-exact, strings as they are; Table
+/// quotes them for CSV.  Throws std::invalid_argument, naming the
+/// path, on a document of another shape.
+[[nodiscard]] Table sweep_table(const json::Value& doc);
+
+/// Run each cell's params through `scenario` on a pool of `threads`
+/// workers (0 = auto) and return the results in cell order.  When the
+/// pool has two or more threads and there are two or more cells, each
+/// cell is pinned to one inner thread, so the parallelism sits across
+/// cells; every scenario is bit-identical across thread counts, so the
+/// results are the same either way.  The one cell runner of run_sweep
+/// and of the search's candidate batches.  A throwing cell's exception
+/// is rethrown (the lowest failing cell's, as TrialRunner::run does).
+[[nodiscard]] std::vector<ScenarioResult> run_cells(
+    const Scenario& scenario, const std::vector<ParamSet>& cells,
+    unsigned threads);
 
 /// Run the batch.  Throws std::invalid_argument on an invalid base or
 /// axis (validated against scenario.spec() up front).

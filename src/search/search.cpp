@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/runner/trial_runner.hpp"
 #include "src/search/journal.hpp"
 #include "src/support/table.hpp"
 
@@ -45,8 +44,7 @@ class Evaluator {
         axes_(axes),
         opts_(opts),
         journal_(journal),
-        result_(result),
-        pool_(opts.threads) {}
+        result_(result) {}
 
   [[nodiscard]] bool exhausted() const { return exhausted_; }
 
@@ -104,34 +102,29 @@ class Evaluator {
  private:
   void run_fresh(const std::vector<std::vector<std::size_t>>& fresh) {
     if (fresh.empty()) return;
-    const bool parallel = pool_.threads() > 1 && fresh.size() > 1;
-    const auto values = pool_.run(fresh.size(), [&](std::size_t i) {
-      ParamSet p = params_of(fresh[i]);
-      // Parallel candidates pin their inner fan-out to one thread
-      // (exactly like run_sweep --parallel-cells); every scenario is
-      // bit-identical across thread counts, so the value is the same
-      // either way — this only moves where the parallelism sits.
-      if (parallel) p.set("threads", std::int64_t{1});
-      const scenario::ScenarioResult res = sc_.run(p);
-      if (!res.has_metric(obj_.metric)) {
-        std::string msg = "objective metric \"" + obj_.metric +
-                          "\" is not produced by scenario \"" + obj_.scenario +
-                          "\" (metrics:";
-        for (const auto& [name, unused] : res.metrics) {
-          static_cast<void>(unused);
-          msg += " " + name;
-        }
-        msg += ")";
-        throw std::invalid_argument(msg);
+    std::vector<ParamSet> cells;
+    cells.reserve(fresh.size());
+    for (const auto& cand : fresh) cells.push_back(params_of(cand));
+    const auto results = scenario::run_cells(sc_, cells, opts_.threads);
+    for (const scenario::ScenarioResult& res : results) {
+      if (res.has_metric(obj_.metric)) continue;
+      std::string msg = "objective metric \"" + obj_.metric +
+                        "\" is not produced by scenario \"" + obj_.scenario +
+                        "\" (metrics:";
+      for (const auto& [name, unused] : res.metrics) {
+        static_cast<void>(unused);
+        msg += " " + name;
       }
-      return res.metric(obj_.metric);
-    });
+      msg += ")";
+      throw std::invalid_argument(msg);
+    }
     // Merge and journal strictly in candidate order.
     for (std::size_t i = 0; i < fresh.size(); ++i) {
-      memo_[fresh[i]] = values[i];
-      result_->history.push_back({fresh[i], values[i], /*cached=*/false});
+      const double value = results[i].metric(obj_.metric);
+      memo_[fresh[i]] = value;
+      result_->history.push_back({fresh[i], value, /*cached=*/false});
       if (journal_ != nullptr &&
-          !journal_->append(fresh[i], params_of(fresh[i]), values[i])) {
+          !journal_->append(fresh[i], cells[i], value)) {
         throw std::runtime_error("cannot append to evaluation journal");
       }
     }
@@ -143,7 +136,6 @@ class Evaluator {
   const SearchOptions& opts_;
   EvalJournal* journal_;
   SearchResult* result_;
-  runner::TrialRunner pool_;
   /// Ordered map (leaklint D4: src/search is a kernel/reduction TU).
   std::map<std::vector<std::size_t>, double> memo_;
   bool exhausted_ = false;

@@ -9,11 +9,10 @@
 //     set comes from scenario::sweep_cell_params (the sweep engine's
 //     canonical cell identity), so a searched candidate reproduces the
 //     identical `leakctl run`/sweep cell.
-//   * Candidate batches fan out through runner::TrialRunner and merge
-//     in candidate order; parallel evaluation pins each candidate's
-//     inner threads to 1 (exactly like run_sweep --parallel-cells),
-//     and every scenario is itself bit-identical across thread
-//     counts, so values never depend on where they were computed.
+//   * Candidate batches run through scenario::run_cells, the sweep
+//     engine's cell runner, and merge in candidate order; every
+//     scenario is bit-identical across thread counts, so values never
+//     depend on where they were computed.
 //   * Decisions use only metric values and lexicographic candidate
 //     order (strict improvement moves; ties keep the incumbent or
 //     pick the lexicographically smaller candidate), never timing.
@@ -40,8 +39,8 @@ struct SearchOptions {
   std::size_t budget = 48;
   /// Failed unit-step descent passes tolerated before converging.
   std::size_t patience = 1;
-  /// Candidate fan-out threads (0/1 = sequential evaluation with the
-  /// scenario's own inner parallelism).
+  /// Candidate fan-out threads (0 = auto, 1 = sequential evaluation
+  /// with the scenario's own inner parallelism); see run_cells.
   unsigned threads = 0;
   /// CRC-framed JSONL evaluation journal; empty = in-memory cache only.
   std::string journal_path;

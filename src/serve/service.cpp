@@ -104,6 +104,43 @@ struct LedgerEntry {
   }
 }
 
+/// The job's ledger as run() and status() read it: the first record
+/// of each cell (a retried cell's later records are skipped).
+struct Ledger {
+  std::vector<std::uint8_t> done;      ///< per cell: has a record
+  std::vector<json::Value> payloads;   ///< per done cell: its record
+  std::size_t done_cells = 0;
+  bool had_errors = false;             ///< some cell's record is an error
+};
+
+/// Validate every scanned record against the job.  A bad record fails
+/// the whole read, with `error` naming the store and the record.
+[[nodiscard]] std::optional<Ledger> read_ledger(const JobSpec& job,
+                                                const std::string& id,
+                                                const std::string& store_path,
+                                                StoreScan scan,
+                                                std::string* error) {
+  Ledger ledger;
+  ledger.done.assign(job.cell_count(), 0);
+  ledger.payloads.resize(job.cell_count());
+  const json::Field records("records");
+  for (std::size_t i = 0; i < scan.records.size(); ++i) {
+    json::Value& payload = scan.records[i].payload;
+    auto entry =
+        validate_record(job, id, json::Field(records, i, payload), error);
+    if (!entry) {
+      if (error != nullptr) *error = store_path + ": " + *error;
+      return std::nullopt;
+    }
+    if (ledger.done[entry->cell] != 0) continue;
+    ledger.done[entry->cell] = 1;
+    ledger.had_errors = ledger.had_errors || entry->is_error;
+    ledger.payloads[entry->cell] = std::move(payload);
+    ++ledger.done_cells;
+  }
+  return ledger;
+}
+
 /// Rebuild one cell result with meta.wall_ms zeroed (json::Value has
 /// no mutable nested access; set() replaces in place on a copy).
 [[nodiscard]] json::Value zero_wall_ms(const json::Value& result) {
@@ -115,12 +152,6 @@ struct LedgerEntry {
   json::Value out = result;
   out.set("meta", std::move(new_meta));
   return out;
-}
-
-/// CSV field for a scalar JSON value (strings unquoted, numbers via
-/// the deterministic serializer).
-[[nodiscard]] std::string csv_field(const json::Value& v) {
-  return v.is_string() ? v.as_string() : v.dump();
 }
 
 }  // namespace
@@ -188,17 +219,10 @@ std::optional<JobStatus> JobService::status(const std::string& id,
   st.scenario = job->scenario;
   st.total_cells = job->cell_count();
   const ResultsStore store(job_dir(id) + "/results.jsonl");
-  const StoreScan scan = store.scan(error);
-  std::vector<std::uint8_t> done(st.total_cells, 0);
-  const json::Field records("records");
-  for (std::size_t i = 0; i < scan.records.size(); ++i) {
-    const json::Field rec(records, i, scan.records[i].payload);
-    auto entry = validate_record(*job, id, rec, nullptr);
-    if (entry && done[entry->cell] == 0) {
-      done[entry->cell] = 1;
-      ++st.done_cells;
-    }
-  }
+  const auto ledger =
+      read_ledger(*job, id, store.path(), store.scan(error), error);
+  if (!ledger) return std::nullopt;
+  st.done_cells = ledger->done_cells;
   st.merged = file_exists(job_dir(id) + "/merged.json");
   return st;
 }
@@ -237,26 +261,14 @@ std::optional<RunStats> JobService::run(const std::string& id,
   StoreScan scan = store.scan(error);
   if (scan.torn_tail && !store.repair(error)) return std::nullopt;
 
+  auto ledger = read_ledger(*job, id, store.path(), std::move(scan), error);
+  if (!ledger) return std::nullopt;
+  std::vector<std::uint8_t>& done = ledger->done;
+  std::vector<json::Value>& payloads = ledger->payloads;
+  bool& had_errors = ledger->had_errors;
   RunStats stats;
   stats.total_cells = job->cell_count();
-  std::vector<std::uint8_t> done(stats.total_cells, 0);
-  std::vector<json::Value> payloads(stats.total_cells);
-  bool had_errors = false;
-  const json::Field records("records");
-  for (std::size_t i = 0; i < scan.records.size(); ++i) {
-    json::Value& payload = scan.records[i].payload;
-    auto entry =
-        validate_record(*job, id, json::Field(records, i, payload), error);
-    if (!entry) {
-      if (error != nullptr) *error = store.path() + ": " + *error;
-      return std::nullopt;
-    }
-    if (done[entry->cell] != 0) continue;
-    done[entry->cell] = 1;
-    had_errors = had_errors || entry->is_error;
-    payloads[entry->cell] = std::move(payload);
-    ++stats.already_done;
-  }
+  stats.already_done = ledger->done_cells;
 
   std::deque<std::size_t> pending;
   for (std::size_t i = 0; i < stats.total_cells; ++i) {
@@ -482,15 +494,14 @@ std::optional<RunStats> JobService::run(const std::string& id,
       std::all_of(done.begin(), done.end(),
                   [](std::uint8_t d) { return d != 0; });
   if (all_done && !had_errors) {
-    json::Value merged_doc = json::Value::object();
-    merged_doc.set("scenario", job->scenario);
-    merged_doc.set("job", id);
-    merged_doc.set("axes", scenario::axes_to_json(job->axes));
-    json::Value cells = json::Value::array();
+    json::Array cells;
+    cells.reserve(stats.total_cells);
     for (std::size_t i = 0; i < stats.total_cells; ++i) {
       cells.push_back(*payloads[i].find("result"));
     }
-    merged_doc.set("cells", std::move(cells));
+    json::Value merged_doc =
+        scenario::sweep_document(job->scenario, job->axes, std::move(cells));
+    merged_doc.set("job", id);
     if (!atomic_write(job_dir(id) + "/merged.json",
                       merged_doc.dump(2) + "\n")) {
       if (error != nullptr) {
@@ -540,56 +551,6 @@ json::Value JobService::canonicalize(json::Value merged) {
   }
   merged.set("cells", std::move(out_cells));
   return merged;
-}
-
-std::string JobService::merged_to_csv(const json::Value& merged) {
-  const json::Value* cells = merged.find("cells");
-  if (cells == nullptr || !cells->is_array() || cells->size() == 0) {
-    return "";
-  }
-  std::vector<std::string> axis_names;
-  const json::Value* axes = merged.find("axes");
-  if (axes != nullptr && axes->is_array()) {
-    for (const json::Value& axis : axes->as_array()) {
-      const json::Value* name = axis.find("param");
-      if (name != nullptr && name->is_string()) {
-        axis_names.push_back(name->as_string());
-      }
-    }
-  }
-  std::vector<std::string> metric_names;
-  if (const json::Value* metrics = cells->at(0).find("metrics")) {
-    for (const auto& [name, value] : metrics->as_object()) {
-      (void)value;
-      metric_names.push_back(name);
-    }
-  }
-  std::string csv = "cell";
-  for (const std::string& name : axis_names) csv += "," + name;
-  for (const std::string& name : metric_names) csv += "," + name;
-  csv += "\n";
-  for (std::size_t i = 0; i < cells->size(); ++i) {
-    const json::Value& cell = cells->at(i);
-    csv += std::to_string(i);
-    const json::Value* params = cell.find("params");
-    for (const std::string& name : axis_names) {
-      const json::Value* v =
-          params != nullptr && params->is_object() ? params->find(name)
-                                                   : nullptr;
-      csv += ",";
-      if (v != nullptr) csv += csv_field(*v);
-    }
-    const json::Value* metrics = cell.find("metrics");
-    for (const std::string& name : metric_names) {
-      const json::Value* v =
-          metrics != nullptr && metrics->is_object() ? metrics->find(name)
-                                                     : nullptr;
-      csv += ",";
-      if (v != nullptr) csv += csv_field(*v);
-    }
-    csv += "\n";
-  }
-  return csv;
 }
 
 }  // namespace leak::serve

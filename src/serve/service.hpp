@@ -59,8 +59,8 @@ struct JobStatus {
   std::size_t total_cells = 0;
   std::size_t done_cells = 0;
   bool merged = false;
-  /// Why the job's manifest failed to load (list() only); every field
-  /// but `id` is then unset.  Empty for a loadable job.
+  /// Why the job's manifest or ledger failed to load (list() only);
+  /// every field but `id` is then unset.  Empty for a loadable job.
   std::string error;
 };
 
@@ -81,11 +81,13 @@ class JobService {
   [[nodiscard]] std::optional<JobSpec> load(const std::string& id,
                                             std::string* error) const;
 
+  /// Progress read from the manifest and the ledger.  A ledger record
+  /// that run() would refuse fails the status the same way.
   [[nodiscard]] std::optional<JobStatus> status(const std::string& id,
                                                 std::string* error) const;
 
-  /// Every job in the directory, sorted by id.  A job whose manifest
-  /// fails to load is listed with its load error, never dropped.
+  /// Every job in the directory, sorted by id.  A job whose manifest or
+  /// ledger fails to load is listed with its error, never dropped.
   [[nodiscard]] std::vector<JobStatus> list() const;
 
   /// Run/resume: repair the ledger's torn tail if any, execute the
@@ -94,19 +96,17 @@ class JobService {
                                             const RunOptions& options,
                                             std::string* error);
 
-  /// The merged artifact ({"scenario", "job", "axes", "cells": [...]}).
-  /// With `canonical`, wall-clock metadata (meta.wall_ms) is zeroed in
-  /// every cell so two runs of the same job compare byte-for-byte.
+  /// The merged artifact: the job's scenario::sweep_document plus a
+  /// "job" key, so it equals a foreground sweep's report of the same
+  /// cells.  With `canonical`, wall-clock metadata (meta.wall_ms) is
+  /// zeroed in every cell so two runs of the same job compare
+  /// byte-for-byte.
   [[nodiscard]] std::optional<json::Value> merged(const std::string& id,
                                                   bool canonical,
                                                   std::string* error) const;
 
   /// Zero the nondeterministic metadata of a merged artifact.
   [[nodiscard]] static json::Value canonicalize(json::Value merged);
-
-  /// CSV summary of a merged artifact: one row per cell, axis params
-  /// then the first cell's metrics.
-  [[nodiscard]] static std::string merged_to_csv(const json::Value& merged);
 
  private:
   const scenario::ScenarioRegistry& registry_;

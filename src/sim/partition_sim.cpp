@@ -263,7 +263,8 @@ PartitionSimResult run_partition_core(
 
   std::vector<std::uint8_t> leak_over(k, 0);
   std::int64_t leak_end_epoch = -1;  ///< branch-0 finalization (with heals)
-  std::int64_t sm_streak_start = -1;  ///< branch-0 supermajority streak
+  /// Per branch: first epoch of the current supermajority streak.
+  std::vector<std::int64_t> sm_streak_start(k, -1);
 
   // Recovery bookkeeping: one pending outcome per honest class that is
   // due to return (branches 1..k-1), plus the branch-wide totals.
@@ -506,42 +507,38 @@ PartitionSimResult run_partition_core(
       const bool wants_finalize =
           cfg.strategy != Strategy::kSemiActiveOverthrow ||
           (b == 0 && all_healed);
-      if (b == 0 && (cascading || healing)) {
-        // The canonical branch of a healing or re-entrant run tracks the
-        // *current* supermajority streak instead of latching the first
-        // epoch, because an open can break a previously restored
-        // supermajority.  On heal-only runs it agrees with the latch the
-        // frozen scalar oracle keeps.
-        if (supermajority) {
-          if (sm_streak_start < 0) {
-            sm_streak_start = static_cast<std::int64_t>(t);
-          }
-        } else {
-          sm_streak_start = -1;
-          if (leak_end_epoch >= 0) {
-            // Finality lost again; the next recovery tail re-snapshots
-            // its starting balances.
-            leak_end_epoch = -1;
-            recovery_totals_recorded = false;
-            recovery_total_start = Gwei{};
-          }
+      // Every branch finalizes the second epoch of a supermajority
+      // streak: one extra epoch of supermajority justifies the next
+      // checkpoint and finalizes the previous one (Section 5.1).  A
+      // streak, not the first supermajority epoch, because an outage
+      // or a late open can break a supermajority before it finalizes.
+      if (supermajority) {
+        if (sm_streak_start[b] < 0) {
+          sm_streak_start[b] = static_cast<std::int64_t>(t);
         }
-        if (wants_finalize && leak_end_epoch < 0 && sm_streak_start >= 0 &&
-            t > static_cast<std::size_t>(sm_streak_start)) {
-          // One extra epoch of supermajority justifies the next
-          // checkpoint and finalizes the previous one (Section 5.1).
+      } else {
+        sm_streak_start[b] = -1;
+        if (b == 0 && leak_end_epoch >= 0) {
+          // Finality lost again; the next recovery tail re-snapshots
+          // its starting balances.
+          leak_end_epoch = -1;
+          recovery_totals_recorded = false;
+          recovery_total_start = Gwei{};
+        }
+      }
+      const bool finalizes =
+          wants_finalize && sm_streak_start[b] >= 0 &&
+          t > static_cast<std::size_t>(sm_streak_start[b]);
+      if (b == 0 && (cascading || healing)) {
+        // The canonical branch of a healing or re-entrant run stays
+        // live after finalizing: a later open may re-partition it.
+        if (finalizes && leak_end_epoch < 0) {
           if (out.finalization_epoch < 0) {
             out.finalization_epoch = static_cast<std::int64_t>(t);
           }
-          // The canonical branch stays live whether or not heals are
-          // scheduled: a later open may re-partition it.
           leak_end_epoch = static_cast<std::int64_t>(t);
         }
-      } else if (wants_finalize && out.supermajority_epoch >= 0 &&
-                 out.finalization_epoch < 0 &&
-                 t > static_cast<std::size_t>(out.supermajority_epoch)) {
-        // One extra epoch of supermajority justifies the next checkpoint
-        // and finalizes the previous one (Section 5.1).
+      } else if (finalizes) {
         out.finalization_epoch = static_cast<std::int64_t>(t);
         leak_over[b] = 1;
       }

@@ -94,7 +94,8 @@ struct PartitionSimConfig {
 struct BranchOutcome {
   /// First epoch with > 2/3 active stake; -1 when never within horizon.
   std::int64_t supermajority_epoch = -1;
-  /// Epoch of finalization on the branch (supermajority + 1); -1 never.
+  /// Epoch of finalization on the branch: the second epoch of a
+  /// supermajority streak; -1 never.
   std::int64_t finalization_epoch = -1;
   /// Maximum Byzantine stake proportion observed on the branch.
   double beta_peak = 0.0;

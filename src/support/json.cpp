@@ -821,7 +821,9 @@ void Fields::finish() const {
 
 bool read_file(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
+  // peek() makes the first read: a directory opens but fails it
+  // (EISDIR), where seeking would size it to a bogus length.
+  if (!in || (in.peek(), in.bad())) return false;
   if (in.seekg(0, std::ios::end)) {
     out->resize(static_cast<std::size_t>(in.tellg()));
     in.seekg(0);

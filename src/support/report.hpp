@@ -26,31 +26,23 @@ inline void emit(const Table& table, const std::string& csv_name) {
   }
 }
 
-/// Write a JSON document to `path` ("-" = stdout).  Returns false when
-/// the file could not be opened.
-inline bool write_json(const json::Value& doc, const std::string& path,
-                       int indent = 2) {
-  const std::string text = doc.dump(indent);
-  if (path == "-") {
-    std::printf("%s\n", text.c_str());
-    return true;
-  }
-  std::ofstream f(path);
-  if (!f) return false;
-  f << text << "\n";
-  return f.good();
-}
-
-/// Write arbitrary text to `path` ("-" = stdout); same contract.
+/// Write arbitrary text to `path` ("-" = stdout).  Returns false when
+/// the file could not be opened, written or closed.
 inline bool write_text(const std::string& text, const std::string& path) {
   if (path == "-") {
     std::printf("%s", text.c_str());
     return true;
   }
   std::ofstream f(path);
-  if (!f) return false;
   f << text;
-  return f.good();
+  f.close();
+  return !f.fail();
+}
+
+/// Write a JSON document to `path`; same contract as write_text.
+inline bool write_json(const json::Value& doc, const std::string& path,
+                       int indent = 2) {
+  return write_text(doc.dump(indent) + "\n", path);
 }
 
 }  // namespace leak::reporting

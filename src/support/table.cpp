@@ -100,9 +100,9 @@ bool Table::maybe_write_csv(const std::string& path) const {
   const char* flag = std::getenv("LEAK_BENCH_CSV");
   if (flag == nullptr || *flag == '\0') return false;
   std::ofstream f(path);
-  if (!f) return false;
   f << to_csv();
-  return true;
+  f.close();
+  return !f.fail();
 }
 
 }  // namespace leak

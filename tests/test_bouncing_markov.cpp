@@ -88,13 +88,5 @@ TEST(TwoEpoch, VarianceIs50P0Q) {
   }
 }
 
-TEST(BranchSamplerTest, FrequencyMatchesP0) {
-  BranchSampler s(0.7, Rng{42});
-  int on_a = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) on_a += s.on_branch_a();
-  EXPECT_NEAR(static_cast<double>(on_a) / n, 0.7, 0.01);
-}
-
 }  // namespace
 }  // namespace leak::bouncing

@@ -564,6 +564,27 @@ TEST(Thresholds, OutageCohortsRoundingToNoneAndAll) {
   }
 }
 
+TEST(Thresholds, OutageBreakingASupermajorityDelaysEveryBranch) {
+  // Both branches first reach a supermajority at 3112.  A one-epoch
+  // outage of every honest validator at 3113 drops each branch's
+  // active ratio to the Byzantine 0.222, so no branch finalizes there:
+  // both need two more consecutive supermajority epochs, 3114 and 3115.
+  // (The frozen scalar oracle keeps the old first-supermajority latch
+  // on branch 1, so this case is not checked against it.)
+  auto cfg = base(Strategy::kSlashable, 0.2);
+  cfg.trajectory_stride = 1;
+  cfg.outages = {OutageWindow{3113, 1, 1.0}};
+  const auto r = run_partition_sim(cfg);
+  for (std::uint32_t b = 0; b < 2; ++b) {
+    SCOPED_TRACE("branch " + std::to_string(b));
+    EXPECT_EQ(r.branch[b].supermajority_epoch, 3112);
+    ASSERT_GE(r.branch[b].ratio_trajectory.size(), 3113U);
+    EXPECT_LT(r.branch[b].ratio_trajectory[3112], 2.0 / 3.0);  // epoch 3113
+    EXPECT_EQ(r.branch[b].finalization_epoch, 3115);
+  }
+  EXPECT_EQ(r.conflicting_finalization_epoch, 3115);
+}
+
 TEST(Thresholds, DegenerateHorizonAndBranchCounts) {
   auto cfg = base(Strategy::kNone, 0.0);
   // max_epochs = 0 simulates nothing: every outcome stays unreached.

@@ -239,6 +239,87 @@ TEST(SweepRunTest, SweepCellReproducesTable1VerificationNumbers) {
             direct.mean_conflict_epoch);
 }
 
+TEST(SweepDocumentTest, AxesAreTypedAndTheTableSurvivesARoundTrip) {
+  const auto paths = static_cast<std::int64_t>(env::scaled_count(64));
+  auto base = mc_scenario().spec().defaults();
+  base.set("paths", paths);
+  base.set("epochs", std::int64_t{200});
+  SweepAxis beta_axis, paths_axis;
+  ASSERT_FALSE(parse_sweep_axis(mc_scenario().spec(), "beta0=0.3,0.3333333333333333",
+                                &beta_axis)
+                   .has_value());
+  ASSERT_FALSE(parse_sweep_axis(mc_scenario().spec(),
+                                "paths=" + std::to_string(paths), &paths_axis)
+                   .has_value());
+  const auto sweep = run_sweep(mc_scenario(), base, {beta_axis, paths_axis});
+  const json::Value doc = sweep.to_json();
+  EXPECT_EQ(doc.find("axes")->dump(),
+            axes_to_json({beta_axis, paths_axis}).dump());
+  std::string error;
+  const auto axes = axes_from_json(mc_scenario().spec(), *doc.find("axes"),
+                                   &error);
+  ASSERT_TRUE(axes.has_value()) << error;
+  EXPECT_EQ(std::get<double>((*axes)[0].values[1]), 1.0 / 3.0);
+
+  // Written to disk and read back, the document gives the same table.
+  const auto reread = json::Value::parse(doc.dump(2));
+  ASSERT_TRUE(reread.has_value());
+  EXPECT_EQ(sweep_table(*reread).to_csv(), sweep.to_csv());
+  EXPECT_EQ(sweep.to_csv().substr(0, sweep.to_csv().find('\n')),
+            "beta0,paths,ejected_fraction,capped_fraction,prob_beta_exceeds,"
+            "median_alive_stake");
+}
+
+TEST(SweepTableTest, SpellsValuesLikeTheCliAndQuotesForCsv) {
+  const auto doc = json::Value::parse(R"({"scenario": "s", "axes": [
+      {"param": "note", "values": ["a,b"]}, {"param": "k", "values": [2]},
+      {"param": "on", "values": [true]}],
+    "cells": [{"params": {"note": "a,b", "k": 2, "on": true},
+               "metrics": {"x": 1.0, "y": 1e-9}},
+              {"params": {"note": "c", "k": 3, "on": false},
+               "metrics": {"x": 0.25}}]})");
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(sweep_table(*doc).to_csv(),
+            "note,k,on,x,y\n\"a,b\",2,true,1,1e-09\nc,3,false,0.25,?\n");
+}
+
+TEST(SweepTableTest, RejectsADocumentOfAnotherShape) {
+  for (const char* text :
+       {R"({"axes": []})", R"({"axes": [], "cells": [{"params": {}}]})",
+        R"({"axes": [{"values": [1]}], "cells": []})",
+        R"({"axes": [], "cells": [{"params": 1, "metrics": {}}]})"}) {
+    const auto doc = json::Value::parse(text);
+    ASSERT_TRUE(doc.has_value()) << text;
+    try {
+      (void)sweep_table(*doc);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("sweep", 0), 0u) << e.what();
+    }
+  }
+}
+
+TEST(RunCellsTest, PinsCellsToOneThreadOnlyOnAPool) {
+  auto base = mc_scenario().spec().defaults();
+  base.set("paths", std::int64_t{8});
+  base.set("epochs", std::int64_t{50});
+  base.set("threads", std::int64_t{3});
+  const std::vector<ParamSet> two = {base, base};
+  // One pool thread: cells keep their own inner parallelism.
+  for (const auto& r : run_cells(mc_scenario(), two, 1)) {
+    EXPECT_EQ(r.params.get_int("threads"), 3);
+  }
+  // A pool of two: each of two or more cells runs on one inner thread.
+  for (const auto& r : run_cells(mc_scenario(), two, 2)) {
+    EXPECT_EQ(r.params.get_int("threads"), 1);
+  }
+  // A lone cell is never pinned.
+  const auto lone = run_cells(mc_scenario(), {base}, 2);
+  ASSERT_EQ(lone.size(), 1u);
+  EXPECT_EQ(lone[0].params.get_int("threads"), 3);
+  EXPECT_EQ(lone[0].metrics, run_cells(mc_scenario(), two, 2)[0].metrics);
+}
+
 TEST(SweepRunTest, SweepJsonAndCsvArtifactsAreWellFormed) {
   const auto& sc = *builtin_registry().find("duty-cycle");
   auto base = sc.spec().defaults();
@@ -319,17 +400,6 @@ TEST(SweepAxesJsonTest, RoundTripsTypedValues) {
   EXPECT_EQ(std::get<std::int64_t>((*back)[1].values[0]), 50);
   // Serializing the parsed form reproduces the document exactly.
   EXPECT_EQ(axes_to_json(*back).dump(), doc.dump());
-}
-
-TEST(SweepAxesJsonTest, AcceptsStringlyValuesViaSpecParser) {
-  // SweepResult::to_json archives values as strings; the parser
-  // accepts them through the spec's own value parser.
-  const auto doc = json::Value::parse(
-      R"([{"param": "beta0", "values": ["0.3", "0.33"]}])");
-  ASSERT_TRUE(doc.has_value());
-  const auto axes = axes_from_json(mc_scenario().spec(), *doc);
-  ASSERT_TRUE(axes.has_value());
-  EXPECT_EQ(std::get<double>((*axes)[0].values[1]), 0.33);
 }
 
 TEST(SweepAxesJsonTest, RejectsUnknownParamsAndBadValues) {

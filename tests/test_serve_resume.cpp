@@ -344,6 +344,40 @@ TEST_F(ServeResumeTest, FingerprintMismatchIsRejectedAtResume) {
   opts.backoff_ms = 0;
   EXPECT_FALSE(service.run(*id, opts, &error).has_value());
   EXPECT_NE(error.find("fingerprint mismatch"), std::string::npos) << error;
+
+  // status reads the ledger through the same reader: the bad record
+  // fails it (and list() reports it) instead of counting as missing.
+  std::string status_error;
+  EXPECT_FALSE(service.status(*id, &status_error).has_value());
+  EXPECT_EQ(status_error, error);
+  const auto jobs = service.list();
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].error, error);
+}
+
+// The merged artifact and its table are the foreground sweep's: the
+// same document (plus "job") and byte-identical CSV.  Serve pins each
+// cell to one inner thread, so the foreground sweep does too.
+TEST_F(ServeResumeTest, MergedEqualsForegroundSweep) {
+  JobService service(builtin_registry(), dir_);
+  const JobSpec job = make_job(64);
+  std::string error;
+  const auto id = service.submit(job, &error);
+  ASSERT_TRUE(id.has_value()) << error;
+  RunOptions opts;
+  opts.backoff_ms = 0;
+  ASSERT_TRUE(service.run(*id, opts, &error).has_value()) << error;
+  const auto merged = service.merged(*id, /*canonical=*/true, &error);
+  ASSERT_TRUE(merged.has_value()) << error;
+
+  scenario::ParamSet base = job.base;
+  base.set("threads", std::int64_t{1});
+  const auto sweep = scenario::run_sweep(
+      *builtin_registry().find(job.scenario), base, job.axes, {});
+  json::Value foreground = JobService::canonicalize(sweep.to_json());
+  foreground.set("job", *id);
+  EXPECT_EQ(merged->dump(2), foreground.dump(2));
+  EXPECT_EQ(scenario::sweep_table(*merged).to_csv(), sweep.to_csv());
 }
 
 TEST_F(ServeResumeTest, SubmitIsIdempotentAndStatusListsJobs) {

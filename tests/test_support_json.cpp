@@ -228,6 +228,17 @@ TEST(JsonTest, CopyMoveAndAssignKeepValues) {
 
 // Committed JSON is written by dump(2) plus a newline, so each file must
 // be a fixed point of parse then dump: this pins dump's bytes in ctest.
+TEST(JsonTest, ReadingADirectoryFailsCleanly) {
+  // A directory opens as a stream but its length is not a file size:
+  // the read must fail, not size a buffer to it.
+  const std::string dir = ::testing::TempDir();
+  std::string text;
+  EXPECT_FALSE(read_file(dir, &text));
+  std::string error;
+  EXPECT_FALSE(Value::load_file(dir, &error).has_value());
+  EXPECT_NE(error.find("cannot read"), std::string::npos) << error;
+}
+
 TEST(JsonBaselines, CommittedJsonIsADumpFixedPoint) {
   const std::filesystem::path dir =
       std::filesystem::path(LEAK_SOURCE_DIR) / "bench" / "baselines";

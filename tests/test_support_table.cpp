@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/support/report.hpp"
 #include "src/support/table.hpp"
 
 namespace leak {
@@ -61,6 +62,20 @@ TEST(TableTest, CsvWriteGatedOnEnv) {
   EXPECT_EQ(line, "v");
   unsetenv("LEAK_BENCH_CSV");
   std::remove("/tmp/leak_table_test.csv");
+}
+
+TEST(TableTest, WriteToFullDeviceFails) {
+  // /dev/full accepts the open and fails the write: every writer must
+  // report that, not the open's success.
+  std::ifstream probe("/dev/full");
+  if (!probe) GTEST_SKIP() << "no /dev/full on this system";
+  EXPECT_FALSE(reporting::write_text("text\n", "/dev/full"));
+  EXPECT_FALSE(reporting::write_json(json::Value(1), "/dev/full"));
+  Table t({"v"});
+  t.add_row({"9"});
+  setenv("LEAK_BENCH_CSV", "1", 1);
+  EXPECT_FALSE(t.maybe_write_csv("/dev/full"));
+  unsetenv("LEAK_BENCH_CSV");
 }
 
 TEST(TableTest, RowCount) {

@@ -50,6 +50,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import zlib
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 FANOUT_KNOBS = ("threads", "block")
@@ -154,6 +155,18 @@ def serve(leakctl):
     expect("torn tail" in repair, "resume did not report the torn tail")
     expect(merged(clean) == merged(hostile),
            "resumed merged result differs from the clean run")
+    # A served job and a foreground sweep write one document and one CSV.
+    sweep = ["sweep", *job[:job.index("--workers")]]
+    served = strip(json.loads(merged(clean)))
+    served.pop("job", None)
+    expect(same(leakctl.report(*sweep), served),
+           "results --canonical --json differs from the sweep --json report")
+    csvs = leakctl.work / "sweep.csv", leakctl.work / "results.csv"
+    leakctl(*sweep, "--csv", csvs[0], "--quiet")
+    leakctl("results", job_id, "--jobs-dir", clean, "--csv", csvs[1])
+    expect(csvs[0].read_bytes() == csvs[1].read_bytes(),
+           f"results --csv differs from sweep --csv:\n"
+           f"{csvs[0].read_text()}\n{csvs[1].read_text()}")
     rerun = leakctl("resume", job_id, "--jobs-dir", hostile).stdout
     expect(" 0 executed" in rerun,
            f"resume of a complete job executed cells: {rerun}")
@@ -182,6 +195,33 @@ def serve(leakctl):
                f"stderr {listed.stderr!r}")
         expect(small_id in listed.stdout,
                f"{argv[0]} dropped the loadable job: {listed.stdout!r}")
+    # A record re-framed with an edited fingerprint: status fails as
+    # resume does, instead of counting the cell as missing.
+    forged = leakctl.work / "forged"
+    leakctl("submit", "duty-cycle", "--sweep", "k_max=2,3", "--jobs-dir",
+            forged)
+    forged_id = next(forged.iterdir()).name
+    leakctl("resume", forged_id, "--jobs-dir", forged, "--max-cells", 1)
+    ledger = forged / forged_id / "results.jsonl"
+    record = json.loads(ledger.read_text(encoding="utf-8")[9:])
+    record["fp"] = "00000000"
+    body = json.dumps(record, separators=(",", ":"))
+    ledger.write_text(f"{zlib.crc32(body.encode()):08x} {body}\n",
+                      encoding="utf-8")
+    for argv in (("status", forged_id), ("resume", forged_id)):
+        refused = leakctl(*argv, "--jobs-dir", forged, ok=False)
+        expect(refused.returncode != 0
+               and "fingerprint mismatch" in refused.stderr,
+               f"{argv[0]} accepted a forged record: exit "
+               f"{refused.returncode}, stderr {refused.stderr!r}")
+    # A job whose run fails (its ledger cannot be appended to) fails
+    # `serve --once`.
+    ledger.unlink()
+    ledger.mkdir()
+    served = leakctl("serve", "--once", "--jobs-dir", forged, ok=False)
+    expect(served.returncode == 2 and "append failed" in served.stderr,
+           f"serve --once over a failing job: exit {served.returncode}, "
+           f"stderr {served.stderr!r}")
     # Branch 3 opening without 1 and 2: submit must refuse what run does.
     gapped = ("faults={\"version\":1,\"events\":[{\"kind\":"
               "\"partition-open\",\"epoch\":1,\"branch\":3}]}")
@@ -198,10 +238,12 @@ def serve(leakctl):
            f"stderr {queued.stderr!r}, run said {ran.stderr!r}")
     expect(not gapped_dir.exists() or not any(gapped_dir.iterdir()),
            "a refused submit wrote a job directory")
-    print("ok   serve: cut + torn job resumes byte-identical; "
-          "a complete job re-runs 0 cells; an oversized --workers and an "
-          "unknown manifest key are refused; status and serve report a "
-          "broken job; submit refuses a schedule run refuses")
+    print("ok   serve: cut + torn job resumes byte-identical and equals "
+          "the foreground sweep (JSON and CSV); a complete job re-runs 0 "
+          "cells; an oversized --workers and an unknown manifest key are "
+          "refused; status and serve report a broken job; a forged record "
+          "fails status; a failing run fails serve --once; submit refuses "
+          "a schedule run refuses")
 
 
 def search(leakctl):
