@@ -72,7 +72,7 @@ void report() {
   bench::emit(g, "fig9_gaussian_check.csv");
   std::printf(
       "note: the paper's Gaussian carries twice the exact walk variance\n"
-      "(documented in EXPERIMENTS.md); the median-based Figure 10 results\n"
+      "(documented in docs/MODEL.md); the median-based Figure 10 results\n"
       "are insensitive to it.\n");
 }
 

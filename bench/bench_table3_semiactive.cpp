@@ -37,7 +37,7 @@ void report() {
   std::printf(
       "note: the paper's 0.10-0.20 rows sit ~0.5%% above the exact Eq 10\n"
       "roots; the beta0=0.33 row (555.65) and the honest limit reproduce\n"
-      "exactly (see EXPERIMENTS.md).\n");
+      "exactly (see docs/MODEL.md).\n");
 }
 
 void BM_Eq10Root(benchmark::State& state) {

@@ -106,7 +106,8 @@ int usage(const char* argv0) {
       "                   replays included (default per config: 48)\n"
       "  --patience N     failed unit-step passes before convergence "
       "(1)\n"
-      "  --search-threads N  parallel candidate evaluations (0 = auto)\n"
+      "  --search-threads N  parallel candidate evaluations and boost-report\n"
+      "                   runs (0 = auto)\n"
       "  --journal PATH   durable evaluation journal; a killed search\n"
       "                   resumes from it byte-identically\n"
       "  --out PATH       alias for --json\n"
@@ -348,12 +349,21 @@ int emit_artifacts(const json::Value& doc, const std::string& csv,
 
 /// Load the --params replay file into a ParamSet validated against the
 /// scenario's spec.  Accepts either a bare params JSON object or a
-/// full ScenarioResult report, whose "params" member is then used.
+/// full ScenarioResult report, whose "params" member is then used.  A
+/// sweep document (a "cells" array of reports, no "params") holds one
+/// params set per cell, so it is refused with a pointer to the cells.
 std::optional<scenario::ParamSet> load_params_file(
     const scenario::Scenario& sc, const std::string& path,
     std::string* error) {
   const auto doc = json::Value::load_file(path, error);
   if (!doc) return std::nullopt;
+  if (doc->is_object() && doc->find("params") == nullptr &&
+      doc->find("cells") != nullptr) {
+    *error = path + ": a sweep document holds one params set per cell; "
+             "save one element of its \"cells\" array (that cell's "
+             "report) to a file and replay that";
+    return std::nullopt;
+  }
   // A full report replays the scenario it recorded.  Archives produced
   // by sweeps carry "axes": validate them against this scenario's spec
   // even though a plain `run` replay only uses the params, since a
@@ -546,7 +556,7 @@ int cmd_search(const scenario::ScenarioRegistry& registry,
     json::Value report;
     try {
       report = search::boost_report(*sc, result.best_params, ladder,
-                                    opts.boost_percent, &text);
+                                    opts.boost_percent, opts.threads, &text);
     } catch (const std::invalid_argument& e) {
       return fail(e.what());
     }

@@ -42,10 +42,6 @@ class Population {
   Population(std::vector<PopulationClass> classes,
              AnalyticConfig cfg = AnalyticConfig::paper());
 
-  [[nodiscard]] const std::vector<PopulationClass>& classes() const {
-    return classes_;
-  }
-
   /// Normalized stake weight (s(t)/s0, with ejection) of class k.
   [[nodiscard]] double weight(std::size_t k, double t) const;
 

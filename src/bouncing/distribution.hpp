@@ -43,9 +43,6 @@ class StakeLaw {
   /// Eq 22 — censored cdf  𝓕(x, t).
   [[nodiscard]] double cdf_censored(double x, double t) const;
 
-  [[nodiscard]] double ejection_threshold() const { return a_; }
-  [[nodiscard]] double cap() const { return b_; }
-
  private:
   double p0_;
   double q_;      ///< penalty quotient (2^26)

@@ -18,14 +18,12 @@ namespace leak::chain {
 /// insertion, and since a parent must be known before its child, every
 /// parent index is lower than its children's.  Ancestry walks follow
 /// the parent-index array; the digest map is consulted once per call.
-/// References into the tree (`by_index`, `genesis`) are invalidated by
-/// `insert`.
+/// References into the tree (`by_index`) are invalidated by `insert`.
 class BlockTree {
  public:
   /// Create a tree with a genesis block at slot 0 (index 0).
   BlockTree();
 
-  [[nodiscard]] const Block& genesis() const { return blocks_.front(); }
   [[nodiscard]] Digest genesis_id() const { return blocks_.front().id; }
 
   /// Insert a block.  The parent must already be known and have a lower

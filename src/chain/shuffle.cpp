@@ -76,11 +76,12 @@ std::vector<std::uint64_t> shuffle_list(std::uint64_t n,
 DutyRoster::DutyRoster(const ValidatorRegistry& registry, Epoch epoch,
                        std::uint64_t base_seed) {
   // Active set at this epoch.
+  std::vector<ValidatorIndex> active;
   for (std::uint32_t i = 0; i < registry.size(); ++i) {
     const ValidatorIndex v{i};
-    if (registry.is_active(v, epoch)) active_.push_back(v);
+    if (registry.is_active(v, epoch)) active.push_back(v);
   }
-  if (active_.empty()) {
+  if (active.empty()) {
     throw std::invalid_argument("DutyRoster: no active validators");
   }
 
@@ -92,11 +93,11 @@ DutyRoster::DutyRoster(const ValidatorRegistry& registry, Epoch epoch,
   const crypto::Digest seed = hs.finalize();
 
   // Committees: shuffle the active set and deal it over the 32 slots.
-  const std::uint64_t n = active_.size();
+  const std::uint64_t n = active.size();
   committees_.assign(kSlotsPerEpoch, {});
   const auto perm = shuffle_list(n, seed);
   for (std::uint64_t i = 0; i < n; ++i) {
-    committees_[i % kSlotsPerEpoch].push_back(active_[perm[i]]);
+    committees_[i % kSlotsPerEpoch].push_back(active[perm[i]]);
   }
 
   // Proposers: rejection-sample on effective balance along a second
@@ -128,9 +129,9 @@ DutyRoster::DutyRoster(const ValidatorRegistry& registry, Epoch epoch,
   for (std::uint64_t pos = 0; pos < kSlotsPerEpoch; ++pos) {
     const std::span<std::uint8_t, kMsg> msg(msgs.data() + pos * kMsg, kMsg);
     const std::uint64_t offset = crypto::short_id(offsets[pos]) % n;
-    ValidatorIndex chosen = active_[pperm[offset]];
+    ValidatorIndex chosen = active[pperm[offset]];
     for (std::uint64_t i = 0; i <= 10000; ++i) {
-      const ValidatorIndex candidate = active_[pperm[(offset + i) % n]];
+      const ValidatorIndex candidate = active[pperm[(offset + i) % n]];
       std::uint8_t random_byte = first_draws[pos][0];
       if (i > 0) {
         std::memcpy(msg.data() + 40, &i, sizeof(i));

@@ -45,10 +45,7 @@ class DutyRoster {
   /// balance-weighted rejection sampling over the shuffled order.
   [[nodiscard]] ValidatorIndex proposer(std::uint64_t position) const;
 
-  [[nodiscard]] std::size_t active_count() const { return active_.size(); }
-
  private:
-  std::vector<ValidatorIndex> active_;
   std::vector<std::vector<ValidatorIndex>> committees_;
   std::vector<ValidatorIndex> proposers_;
 };

@@ -15,15 +15,13 @@ Signature KeyPair::sign(const Digest& message) const {
 
 std::vector<KeyPair> KeyRegistry::generate(std::uint32_t n,
                                            std::uint64_t seed) {
-  // secret_i = H("leak/keypair/v1" || seed || i) and public_i =
-  // H("leak/pubkey/v1" || secret_i), the integers in native byte order.
-  // Both fit one block, so each is one batch over all n validators.
+  // secret_i = H("leak/keypair/v1" || seed || i), the integers in
+  // native byte order.  It fits one block, so this is one batch over all
+  // n validators.
   constexpr std::string_view kSecretTag = "leak/keypair/v1";
-  constexpr std::string_view kPublicTag = "leak/pubkey/v1";
   constexpr std::size_t kSecretMsg =
       kSecretTag.size() + sizeof(seed) + sizeof(std::uint32_t);
-  constexpr std::size_t kPublicMsg = kPublicTag.size() + sizeof(Digest);
-  std::vector<std::uint8_t> msgs(std::size_t{n} * kPublicMsg);
+  std::vector<std::uint8_t> msgs(std::size_t{n} * kSecretMsg);
   for (std::uint32_t i = 0; i < n; ++i) {
     std::uint8_t* msg = msgs.data() + std::size_t{i} * kSecretMsg;
     std::memcpy(msg, kSecretTag.data(), kSecretTag.size());
@@ -31,21 +29,13 @@ std::vector<KeyPair> KeyRegistry::generate(std::uint32_t n,
     std::memcpy(msg + kSecretTag.size() + sizeof(seed), &i, sizeof(i));
   }
   // Kept so verification can recompute MACs.  (A real registry would
-  // verify with the public key; the simulated scheme is symmetric.)
+  // verify with a public key; the simulated scheme is symmetric.)
   secrets_.resize(n);
   sha256_batch(msgs.data(), kSecretMsg, kSecretMsg, n, secrets_.data());
-  // The public-key messages overwrite the secret ones in place.
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::uint8_t* msg = msgs.data() + std::size_t{i} * kPublicMsg;
-    std::memcpy(msg, kPublicTag.data(), kPublicTag.size());
-    std::memcpy(msg + kPublicTag.size(), secrets_[i].data(), sizeof(Digest));
-  }
-  public_keys_.resize(n);
-  sha256_batch(msgs.data(), kPublicMsg, kPublicMsg, n, public_keys_.data());
   std::vector<KeyPair> pairs;
   pairs.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    pairs.push_back(KeyPair{ValidatorIndex{i}, secrets_[i], public_keys_[i]});
+    pairs.push_back(KeyPair{ValidatorIndex{i}, secrets_[i]});
   }
   return pairs;
 }

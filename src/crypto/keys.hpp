@@ -30,40 +30,34 @@ struct Signature {
   friend bool operator==(const Signature&, const Signature&) = default;
 };
 
-/// A validator keypair.  The public key is H(secret).
+/// A validator's signing key.
 class KeyPair {
  public:
-  [[nodiscard]] const Digest& public_key() const { return public_; }
-
   /// Sign a message digest.
   [[nodiscard]] Signature sign(const Digest& message) const;
 
  private:
   friend class KeyRegistry;  // derives every keypair, keeps the secrets
 
-  KeyPair(ValidatorIndex owner, Digest secret, Digest pub)
-      : owner_(owner), secret_(secret), public_(pub) {}
+  KeyPair(ValidatorIndex owner, Digest secret)
+      : owner_(owner), secret_(secret) {}
 
   ValidatorIndex owner_;
   Digest secret_;
-  Digest public_;
 };
 
-/// Registry of public keys; verifies signatures.
+/// Registry of the validators' keys; verifies signatures.
 class KeyRegistry {
  public:
   /// Deterministically derive keypairs for validators [0, n) from a
-  /// seed; returns the secret keypairs (handed to agents) while
-  /// retaining public keys.
+  /// seed; returns the keypairs (handed to agents) while retaining the
+  /// secrets for verification.
   std::vector<KeyPair> generate(std::uint32_t n, std::uint64_t seed);
-
-  [[nodiscard]] std::size_t size() const { return public_keys_.size(); }
 
   /// Verify that `sig` is `who`'s signature over `message`.
   [[nodiscard]] bool verify(const Digest& message, const Signature& sig) const;
 
  private:
-  std::vector<Digest> public_keys_;
   std::vector<Digest> secrets_;  // retained so verify can recompute the MAC
 };
 

@@ -6,7 +6,6 @@ FfgTracker::FfgTracker(const chain::ValidatorRegistry& registry,
                        Checkpoint genesis)
     : registry_(registry), justified_(genesis), finalized_(genesis) {
   justified_set_.insert(genesis);
-  finalized_chain_.push_back(genesis);
 }
 
 void FfgTracker::on_checkpoint_vote(const Attestation& att) {
@@ -70,10 +69,7 @@ std::optional<Checkpoint> FfgTracker::process_epoch(Epoch e) {
         const Checkpoint& source = sources_[v.source];
         if (source.epoch.next() == target.epoch &&
             justified_set_.contains(source)) {
-          if (source.epoch > finalized_.epoch) {
-            finalized_ = source;
-            finalized_chain_.push_back(source);
-          }
+          if (source.epoch > finalized_.epoch) finalized_ = source;
           break;
         }
       }

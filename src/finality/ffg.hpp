@@ -45,12 +45,6 @@ class FfgTracker {
 
   [[nodiscard]] const Checkpoint& justified() const { return justified_; }
   [[nodiscard]] const Checkpoint& finalized() const { return finalized_; }
-  [[nodiscard]] const std::vector<Checkpoint>& finalized_chain() const {
-    return finalized_chain_;
-  }
-  [[nodiscard]] bool is_justified(const Checkpoint& c) const {
-    return justified_set_.contains(c);
-  }
 
   /// Stake that voted (source -> target) with a justified source, for a
   /// target in epoch e.  Exposed for tests and metrics.
@@ -60,7 +54,6 @@ class FfgTracker {
   const chain::ValidatorRegistry& registry_;
   Checkpoint justified_;
   Checkpoint finalized_;
-  std::vector<Checkpoint> finalized_chain_;
   std::unordered_set<Checkpoint, CheckpointHash> justified_set_;
   /// A counted vote: the attester and its source checkpoint, interned
   /// in `sources_` (a view sees few distinct sources).

@@ -27,9 +27,7 @@ std::optional<SafetyViolation> SafetyMonitor::report(const Checkpoint& c) {
     if (!compatible) r.conflict = j;
   }
   if (!r.conflict) return std::nullopt;
-  SafetyViolation v{reported_[*r.conflict].checkpoint, c};
-  if (!violation_) violation_ = v;
-  return v;
+  return SafetyViolation{reported_[*r.conflict].checkpoint, c};
 }
 
 }  // namespace leak::finality

@@ -29,8 +29,6 @@ class SafetyMonitor {
   /// `a` is the first reported checkpoint that conflicts.
   std::optional<SafetyViolation> report(const Checkpoint& c);
 
-  [[nodiscard]] bool violated() const { return violation_.has_value(); }
-
  private:
   /// One distinct reported block.  Each is checked once against every
   /// other, in report order: `checked` counts the entries compared so
@@ -43,7 +41,6 @@ class SafetyMonitor {
 
   const chain::BlockTree& tree_;
   std::vector<Reported> reported_;
-  std::optional<SafetyViolation> violation_;
 };
 
 }  // namespace leak::finality

@@ -46,12 +46,6 @@ class LeakCohort {
   /// contribute exactly +0.0, as in the scalar oracle's total).
   [[nodiscard]] double stake_sum() const;
 
-  [[nodiscard]] std::size_t size() const { return stake_.size(); }
-  [[nodiscard]] const std::vector<double>& stake() const { return stake_; }
-  [[nodiscard]] const std::vector<std::uint8_t>& ejected() const {
-    return ejected_;
-  }
-
  private:
   std::vector<double> stake_;
   std::vector<double> score_;

@@ -49,11 +49,7 @@ class BatchPaths {
   /// the byte array out of the hot loops.
   void sync_ejected();
 
-  [[nodiscard]] std::size_t size() const { return stake_.size(); }
   [[nodiscard]] const std::vector<double>& stake() const { return stake_; }
-  [[nodiscard]] const std::vector<std::uint8_t>& ejected() const {
-    return ejected_;
-  }
   /// True when every path in the block has been ejected (all stakes
   /// frozen at 0): every later snapshot is deterministically 0.
   [[nodiscard]] bool all_ejected() const;

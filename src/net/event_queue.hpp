@@ -56,11 +56,6 @@ class EventQueue {
   /// exactly `limit` are executed.  Returns the number of events run.
   std::size_t run_until(SimTime limit);
 
-  /// Pending event count.
-  [[nodiscard]] std::size_t pending() const {
-    return generic_.size() + deliveries_.size();
-  }
-
   /// Deliveries handed to the receiver so far.
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
 
@@ -82,7 +77,6 @@ class EventQueue {
     Entry pop();
     [[nodiscard]] const Entry& top() const { return v_.front(); }
     [[nodiscard]] bool empty() const { return v_.empty(); }
-    [[nodiscard]] std::size_t size() const { return v_.size(); }
 
    private:
     std::vector<Entry> v_;

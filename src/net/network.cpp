@@ -111,7 +111,6 @@ void Network::send_one(SimTime base, ValidatorIndex from, ValidatorIndex to,
 }
 
 void Network::broadcast(ValidatorIndex from, std::uint64_t payload_id) {
-  ++sent_;
   const Packet p{from, payload_id};
   for (std::uint32_t i = 0; i < config_.num_nodes; ++i) {
     const ValidatorIndex to{i};
@@ -134,7 +133,6 @@ void Network::release_at(SimTime when, ValidatorIndex from,
   // The adversary's release channel is out-of-band by construction
   // (withheld data handed over directly), so weather does not afflict
   // it.
-  ++sent_;
   const Packet p{from, payload_id};
   for (ValidatorIndex to : audience) {
     queue_.schedule_delivery(when, to, p);

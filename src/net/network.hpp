@@ -102,7 +102,6 @@ class Network {
                   std::uint64_t payload_id);
 
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
-  [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
   /// Copies the queue has delivered (it counts every delivery).
   [[nodiscard]] std::uint64_t messages_delivered() const {
     return queue_.delivered();
@@ -126,7 +125,6 @@ class Network {
   std::vector<Region> regions_;
   Rng rng_;
   Rng weather_rng_;  ///< dedicated lane: loss draws never touch rng_
-  std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;
 };
 

@@ -36,8 +36,6 @@ class ExitQueue {
   /// Request an exit (idempotent per validator).
   void request_exit(ValidatorIndex v);
 
-  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
-
   /// Process one epoch: eject up to churn_limit(active_count) queued
   /// validators from the registry at `epoch`.  Returns those ejected.
   std::vector<ValidatorIndex> process_epoch(chain::ValidatorRegistry& reg,

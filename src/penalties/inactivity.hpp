@@ -97,13 +97,6 @@ class InactivityTracker {
   EpochPenaltyReport process_epoch(Epoch current, Epoch last_finalized,
                                    const std::vector<std::uint8_t>& active);
 
-  [[nodiscard]] const SpecConfig& config() const { return config_; }
-
-  /// Validators waiting in the exit queue (churn mode only).
-  [[nodiscard]] std::size_t pending_exits() const {
-    return exit_queue_.pending();
-  }
-
  private:
   chain::ValidatorRegistry& registry_;
   SpecConfig config_;

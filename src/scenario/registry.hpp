@@ -55,7 +55,6 @@ class ScenarioRegistry {
   [[nodiscard]] const Scenario* find(std::string_view name) const;
   /// All scenarios, sorted by name.
   [[nodiscard]] std::vector<const Scenario*> all() const;
-  [[nodiscard]] std::size_t size() const { return scenarios_.size(); }
 
  private:
   std::vector<std::unique_ptr<Scenario>> scenarios_;

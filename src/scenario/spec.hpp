@@ -88,10 +88,6 @@ class ParamSet {
 
   [[nodiscard]] json::Value to_json() const;
 
-  friend bool operator==(const ParamSet& a, const ParamSet& b) {
-    return a.items_ == b.items_;
-  }
-
  private:
   std::vector<std::pair<std::string, ParamValue>> items_;
 };

@@ -397,23 +397,31 @@ std::string SearchResult::history_to_csv() const {
 json::Value boost_report(const scenario::Scenario& sc,
                          const scenario::ParamSet& params,
                          const std::vector<std::int64_t>& ladder,
-                         unsigned boost_percent, std::string* text_out) {
-  const auto run_point = [&](std::int64_t n_byz, std::int64_t boost) {
-    ParamSet p = params;
-    p.set("n_byzantine", n_byz);
-    p.set("proposer_boost", boost);
-    return sc.run(p);
-  };
+                         unsigned boost_percent, unsigned threads,
+                         std::string* text_out) {
+  // Rung i runs with the boost off as cell 2i and on as cell 2i + 1.
+  const auto boost_on = static_cast<std::int64_t>(boost_percent);
+  std::vector<ParamSet> cells;
+  cells.reserve(2 * ladder.size());
+  for (const std::int64_t nb : ladder) {
+    for (const std::int64_t boost : {std::int64_t{0}, boost_on}) {
+      ParamSet p = params;
+      p.set("n_byzantine", nb);
+      p.set("proposer_boost", boost);
+      cells.push_back(std::move(p));
+    }
+  }
+  const auto results = scenario::run_cells(sc, cells, threads);
   const std::int64_t n_honest = params.get_int("n_honest");
   Table table({"n_byzantine", "adversary_stake", "mean_stall_off",
                "stall_frac_off", "mean_stall_on", "stall_frac_on"});
   json::Value rows = json::Value::array();
   std::optional<double> min_stake_off;
   std::optional<double> min_stake_on;
-  for (const std::int64_t nb : ladder) {
-    const auto off = run_point(nb, 0);
-    const auto on =
-        run_point(nb, static_cast<std::int64_t>(boost_percent));
+  for (std::size_t i = 0; i < ladder.size(); ++i) {
+    const std::int64_t nb = ladder[i];
+    const scenario::ScenarioResult& off = results[2 * i];
+    const scenario::ScenarioResult& on = results[2 * i + 1];
     const double stake = static_cast<double>(nb) /
                          static_cast<double>(nb + n_honest);
     const double frac_off =

@@ -98,12 +98,15 @@ struct SearchResult {
 /// n_byzantine ladder, run `params` with the fork-choice boost off and
 /// at `boost_percent`, and report the minimum adversary stake whose
 /// majority of trials stalls finality past the leak trigger
-/// (stall_exceeds_leak_trigger_fraction >= 0.5) in each mode.
+/// (stall_exceeds_leak_trigger_fraction >= 0.5) in each mode.  The
+/// 2 x ladder runs go through scenario::run_cells on `threads` workers
+/// (0 = auto); the report is the same for every thread count.
 /// `text_out`, when non-null, receives the human-readable table.
 [[nodiscard]] json::Value boost_report(const scenario::Scenario& sc,
                                        const scenario::ParamSet& params,
                                        const std::vector<std::int64_t>& ladder,
                                        unsigned boost_percent,
+                                       unsigned threads,
                                        std::string* text_out);
 
 }  // namespace leak::search

@@ -14,7 +14,7 @@ namespace leak::crc32 {
 
 namespace detail {
 
-[[nodiscard]] constexpr std::array<std::uint32_t, 256> make_table() {
+[[nodiscard]] consteval std::array<std::uint32_t, 256> make_table() {
   std::array<std::uint32_t, 256> table{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;

@@ -3,7 +3,6 @@
 // splitmix64 seeder (public-domain algorithms by Blackman & Vigna).
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -18,20 +17,15 @@ namespace leak {
   return z ^ (z >> 31);
 }
 
-/// xoshiro256** generator.  Satisfies UniformRandomBitGenerator.
+/// xoshiro256** generator.
 class Rng {
  public:
-  using result_type = std::uint64_t;
-
   explicit constexpr Rng(std::uint64_t seed = 0x1234abcdULL) {
     std::uint64_t sm = seed;
     for (auto& s : s_) s = splitmix64(sm);
   }
 
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return ~0ULL; }
-
-  constexpr result_type operator()() {
+  constexpr std::uint64_t operator()() {
     const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
     const std::uint64_t t = s_[1] << 17;
     s_[2] ^= s_[0];
@@ -71,26 +65,6 @@ class Rng {
   /// Bernoulli draw with success probability p.
   bool bernoulli(double p) { return uniform() < p; }
 
-  /// Standard normal via Marsaglia polar method.
-  double normal() {
-    if (has_spare_) {
-      has_spare_ = false;
-      return spare_;
-    }
-    double u, v, s;
-    do {
-      u = uniform(-1.0, 1.0);
-      v = uniform(-1.0, 1.0);
-      s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double f = std::sqrt(-2.0 * std::log(s) / s);
-    spare_ = v * f;
-    has_spare_ = true;
-    return u * f;
-  }
-
-  double normal(double mu, double sigma) { return mu + sigma * normal(); }
-
   /// Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {
@@ -100,17 +74,12 @@ class Rng {
     }
   }
 
-  /// Derive an independent child generator (for per-agent streams).
-  Rng fork() { return Rng{(*this)()}; }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
 
   std::uint64_t s_[4] = {};
-  bool has_spare_ = false;
-  double spare_ = 0.0;
 };
 
 /// Derives statistically independent per-trial RNG streams from a

@@ -48,7 +48,6 @@ class StrongId {
 class Slot : public detail::StrongId<Slot> {
  public:
   using StrongId::StrongId;
-  constexpr Slot& operator++() { ++value_; return *this; }
   [[nodiscard]] constexpr Slot next() const { return Slot{value_ + 1}; }
   [[nodiscard]] constexpr std::uint64_t epoch_number() const {
     return value_ / kSlotsPerEpoch;
@@ -63,13 +62,9 @@ class Slot : public detail::StrongId<Slot> {
 class Epoch : public detail::StrongId<Epoch> {
  public:
   using StrongId::StrongId;
-  constexpr Epoch& operator++() { ++value_; return *this; }
   [[nodiscard]] constexpr Epoch next() const { return Epoch{value_ + 1}; }
   [[nodiscard]] constexpr Slot start_slot() const {
     return Slot{value_ * kSlotsPerEpoch};
-  }
-  [[nodiscard]] constexpr Slot end_slot() const {
-    return Slot{value_ * kSlotsPerEpoch + kSlotsPerEpoch - 1};
   }
 };
 
@@ -105,8 +100,6 @@ class Gwei {
     value_ = value_ >= o.value_ ? value_ - o.value_ : 0;
     return *this;
   }
-  friend constexpr Gwei operator+(Gwei a, Gwei b) { return a += b; }
-  friend constexpr Gwei operator-(Gwei a, Gwei b) { return a -= b; }
 
  private:
   std::uint64_t value_ = 0;

@@ -308,7 +308,7 @@ PartitionSimResult run_partition_core(
 
   std::vector<std::uint8_t> leak_over(k, 0);
   std::int64_t leak_end_epoch = -1;
-  std::int64_t sm_streak_start = -1;
+  std::vector<std::int64_t> sm_streak_start(k, -1);
 
   std::vector<RecoveryOutcome> pending(k);
   std::vector<std::uint32_t> representative(k, n);  // n = no member
@@ -483,35 +483,31 @@ PartitionSimResult run_partition_core(
       const bool wants_finalize =
           cfg.strategy != Strategy::kSemiActiveOverthrow ||
           (b == 0 && all_healed);
-      if (b == 0 && cascading) {
-        if (supermajority) {
-          if (sm_streak_start < 0) {
-            sm_streak_start = static_cast<std::int64_t>(t);
-          }
-        } else {
-          sm_streak_start = -1;
-          if (leak_end_epoch >= 0) {
-            leak_end_epoch = -1;
-            recovery_totals_recorded = false;
-            recovery_total_start = Gwei{};
-          }
+      if (supermajority) {
+        if (sm_streak_start[b] < 0) {
+          sm_streak_start[b] = static_cast<std::int64_t>(t);
         }
-        if (wants_finalize && leak_end_epoch < 0 && sm_streak_start >= 0 &&
-            t > static_cast<std::size_t>(sm_streak_start)) {
+      } else {
+        sm_streak_start[b] = -1;
+        if (b == 0 && leak_end_epoch >= 0) {
+          leak_end_epoch = -1;
+          recovery_totals_recorded = false;
+          recovery_total_start = Gwei{};
+        }
+      }
+      const bool finalizes =
+          wants_finalize && sm_streak_start[b] >= 0 &&
+          t > static_cast<std::size_t>(sm_streak_start[b]);
+      if (b == 0 && (cascading || healing)) {
+        if (finalizes && leak_end_epoch < 0) {
           if (out.finalization_epoch < 0) {
             out.finalization_epoch = static_cast<std::int64_t>(t);
           }
           leak_end_epoch = static_cast<std::int64_t>(t);
         }
-      } else if (wants_finalize && out.supermajority_epoch >= 0 &&
-                 out.finalization_epoch < 0 &&
-                 t > static_cast<std::size_t>(out.supermajority_epoch)) {
+      } else if (finalizes) {
         out.finalization_epoch = static_cast<std::int64_t>(t);
-        if (b == 0 && healing) {
-          leak_end_epoch = static_cast<std::int64_t>(t);
-        } else {
-          leak_over[b] = 1;
-        }
+        leak_over[b] = 1;
       }
 
       if (recovering) {

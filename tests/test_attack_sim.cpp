@@ -7,7 +7,7 @@
 
 #include "src/bouncing/attack_sim.hpp"
 #include "src/bouncing/markov.hpp"
-#include "src/support/env.hpp"
+#include "tests/path_scale.hpp"
 
 namespace leak::bouncing {
 namespace {

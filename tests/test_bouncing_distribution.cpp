@@ -58,8 +58,8 @@ TEST_F(LawFixture, CdfMonotoneInS) {
 TEST_F(LawFixture, CensoredMassesSumToOne) {
   const double t = 4024.0;
   // Point masses plus interior density integrate to 1.
-  const auto xs = leak::num::linspace(law.ejection_threshold() + 1e-9,
-                                      law.cap() - 1e-9, 20001);
+  const auto xs = leak::num::linspace(kPaper.ejection_threshold + 1e-9,
+                                      kPaper.initial_stake - 1e-9, 20001);
   std::vector<double> ys(xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) {
     ys[i] = law.pdf_censored(xs[i], t);
@@ -80,8 +80,9 @@ TEST_F(LawFixture, CensoredCdfEndpoints) {
 
 TEST_F(LawFixture, PdfZeroOutsideInterior) {
   const double t = 2000.0;
-  EXPECT_DOUBLE_EQ(law.pdf_censored(law.ejection_threshold() - 0.1, t), 0.0);
-  EXPECT_DOUBLE_EQ(law.pdf_censored(law.cap() + 0.1, t), 0.0);
+  EXPECT_DOUBLE_EQ(law.pdf_censored(kPaper.ejection_threshold - 0.1, t),
+                   0.0);
+  EXPECT_DOUBLE_EQ(law.pdf_censored(kPaper.initial_stake + 0.1, t), 0.0);
 }
 
 TEST_F(LawFixture, MedianFollowsSemiActiveDecay) {

@@ -9,9 +9,9 @@
 
 #include "src/bouncing/distribution.hpp"
 #include "src/bouncing/montecarlo.hpp"
-#include "src/support/env.hpp"
 #include "src/support/stats.hpp"
 #include "tests/oracles/yardsticks.hpp"
+#include "tests/path_scale.hpp"
 
 namespace leak::bouncing {
 namespace {
@@ -144,7 +144,7 @@ TEST(BouncingMc, ProbBetaOrderedInBeta0) {
 TEST(BouncingMc, KsDistanceToCensoredLawBounded) {
   // Kolmogorov-Smirnov distance between the empirical stake sample and
   // the closed-form censored law.  The paper's Gaussian carries twice
-  // the exact walk variance (see EXPERIMENTS.md), so the distance is
+  // the exact walk variance (see docs/MODEL.md), so the distance is
   // not statistical-noise small — but it stays well bounded, and this
   // test quantifies the documented deviation.
   McConfig cfg = small_config();

@@ -9,8 +9,8 @@
 
 #include "src/bouncing/attack_sim.hpp"
 #include "src/bouncing/montecarlo.hpp"
-#include "src/support/env.hpp"
 #include "tests/oracles/scalar_oracles.hpp"
+#include "tests/path_scale.hpp"
 
 namespace leak {
 namespace {

@@ -17,8 +17,8 @@
 #include "src/runner/trial_runner.hpp"
 #include "src/scenario/registry.hpp"
 #include "src/sim/partition_sim.hpp"
-#include "src/support/env.hpp"
 #include "tests/oracles/scalar_oracles.hpp"
+#include "tests/path_scale.hpp"
 
 namespace leak {
 namespace {

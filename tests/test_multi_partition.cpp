@@ -10,7 +10,7 @@
 #include "src/analytic/recovery.hpp"
 #include "src/faults/driver.hpp"
 #include "src/sim/partition_sim.hpp"
-#include "src/support/env.hpp"
+#include "tests/path_scale.hpp"
 
 namespace leak::sim {
 namespace {

@@ -51,8 +51,8 @@ TEST(EventQueue, RunUntilStopsAtLimit) {
   q.schedule_at(3.0, [&] { ++count; });
   EXPECT_EQ(q.run_until(2.0), 2u);
   EXPECT_EQ(count, 2);
-  EXPECT_EQ(q.pending(), 1u);
   EXPECT_DOUBLE_EQ(q.now(), 2.0);
+  EXPECT_EQ(q.run_until(kSimTimeInfinity), 1u);  // the event at 3.0
 }
 
 TEST(EventQueue, EventsMaySchedule) {
@@ -89,7 +89,7 @@ TEST(EventQueue, DeliveryNeedsASinkAndAFutureTime) {
   EXPECT_THROW(q.schedule_delivery(std::nan(""), to, Packet{to, 1}),
                std::invalid_argument);
   EXPECT_THROW(q.schedule_at(std::nan(""), [] {}), std::invalid_argument);
-  EXPECT_EQ(q.pending(), 0U);
+  EXPECT_EQ(q.run_until(kSimTimeInfinity), 0U);  // nothing left queued
 }
 
 TEST(EventQueue, DeliveriesReachTheReceiverOnceInTimeSeqOrder) {
@@ -139,7 +139,7 @@ TEST(EventQueue, DeliveriesReachTheReceiverOnceInTimeSeqOrder) {
   };
   EXPECT_EQ(got, want);
   EXPECT_EQ(q.delivered(), 6U);
-  EXPECT_EQ(q.pending(), 0U);
+  EXPECT_EQ(q.run_until(kSimTimeInfinity), 0U);  // nothing left queued
 }
 
 TEST(EventQueue, MixedScheduleReplaysPriorityQueueOrder) {
@@ -219,7 +219,7 @@ TEST(EventQueue, MixedScheduleReplaysPriorityQueueOrder) {
   }
   EXPECT_GT(want.size(), plan.size());
   EXPECT_EQ(got, want);
-  EXPECT_EQ(q.pending(), 0U);
+  EXPECT_EQ(q.run_until(kSimTimeInfinity), 0U);  // nothing left queued
 }
 
 struct Rig {
@@ -341,7 +341,6 @@ TEST(NetworkTest, MessageCountersTrack) {
   rig.net.broadcast(ValidatorIndex{0}, 1);
   rig.net.broadcast(ValidatorIndex{1}, 2);
   rig.queue.run_until(10.0);
-  EXPECT_EQ(rig.net.messages_sent(), 2u);
   EXPECT_EQ(rig.net.messages_delivered(), 6u);
 }
 
@@ -406,7 +405,6 @@ TEST(NetworkWeather, FullLossDropsEveryCopyAndCounts) {
   EXPECT_TRUE(rig.delivered.empty());
   EXPECT_EQ(rig.net.messages_dropped(), 5u);
   EXPECT_EQ(rig.net.messages_delivered(), 0u);
-  EXPECT_EQ(rig.net.messages_sent(), 1u);
 }
 
 TEST(NetworkWeather, CrossOnlyLossSparesIntraRegionLinks) {

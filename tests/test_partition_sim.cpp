@@ -10,9 +10,9 @@
 #include "src/analytic/solvers.hpp"
 #include "src/faults/driver.hpp"
 #include "src/sim/partition_sim.hpp"
-#include "src/support/env.hpp"
 #include "src/support/random.hpp"
 #include "tests/oracles/scalar_oracles.hpp"
+#include "tests/path_scale.hpp"
 
 namespace leak::sim {
 namespace {
@@ -569,12 +569,10 @@ TEST(Thresholds, OutageBreakingASupermajorityDelaysEveryBranch) {
   // outage of every honest validator at 3113 drops each branch's
   // active ratio to the Byzantine 0.222, so no branch finalizes there:
   // both need two more consecutive supermajority epochs, 3114 and 3115.
-  // (The frozen scalar oracle keeps the old first-supermajority latch
-  // on branch 1, so this case is not checked against it.)
   auto cfg = base(Strategy::kSlashable, 0.2);
   cfg.trajectory_stride = 1;
   cfg.outages = {OutageWindow{3113, 1, 1.0}};
-  const auto r = run_partition_sim(cfg);
+  const auto r = run_checked(cfg);
   for (std::uint32_t b = 0; b < 2; ++b) {
     SCOPED_TRACE("branch " + std::to_string(b));
     EXPECT_EQ(r.branch[b].supermajority_epoch, 3112);

@@ -108,7 +108,7 @@ TEST(Population5, ProportionsSumToOne) {
   const auto pop = make_semiactive_population(0.4, 0.25, kPaper);
   for (double t : {0.0, 1000.0, 4000.0, 8000.0}) {
     double sum = 0.0;
-    for (std::size_t k = 0; k < pop.classes().size(); ++k) {
+    for (std::size_t k = 0; k < 3; ++k) {  // active, Byzantine, inactive
       sum += pop.proportion(k, t);
     }
     EXPECT_NEAR(sum, 1.0, 1e-12) << t;

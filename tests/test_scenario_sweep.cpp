@@ -13,8 +13,8 @@
 #include "src/scenario/registry.hpp"
 #include "src/scenario/sweep.hpp"
 #include "src/sim/partition_sim.hpp"
-#include "src/support/env.hpp"
 #include "src/support/random.hpp"
+#include "tests/path_scale.hpp"
 
 namespace leak::scenario {
 namespace {
@@ -363,8 +363,10 @@ TEST(SweepCellParamsTest, MatchesRunSweepCellsExactly) {
         run_sweep(mc_scenario(), base, {beta_axis, p0_axis}, config);
     ASSERT_EQ(sweep.cells.size(), 6u);
     for (std::size_t i = 0; i < sweep.cells.size(); ++i) {
-      EXPECT_EQ(sweep_cell_params(base, {beta_axis, p0_axis}, i, vary_seed),
-                sweep.cells[i].params)
+      EXPECT_EQ(sweep_cell_params(base, {beta_axis, p0_axis}, i, vary_seed)
+                    .to_json()
+                    .dump(),
+                sweep.cells[i].params.to_json().dump())
           << "cell " << i << " vary_seed " << vary_seed;
     }
   }

@@ -25,7 +25,7 @@
 #include "src/search/objective.hpp"
 #include "src/search/search.hpp"
 #include "src/serve/store.hpp"
-#include "src/support/env.hpp"
+#include "tests/path_scale.hpp"
 
 namespace leak::search {
 namespace {
@@ -310,7 +310,7 @@ TEST_F(SearchTest, BudgetOfOneEvaluatesOnlyTheBaseline) {
   EXPECT_EQ(r.evaluations, 1u);
   EXPECT_TRUE(r.budget_exhausted);
   EXPECT_EQ(r.best_value, r.baseline_value);
-  EXPECT_EQ(r.best_params, r.base_params);
+  EXPECT_EQ(r.best_params.to_json().dump(), r.base_params.to_json().dump());
 }
 
 TEST_F(SearchTest, UnknownMetricThrowsWithAvailableMetrics) {
@@ -337,6 +337,43 @@ TEST_F(SearchTest, JournalHeaderCarriesTheSearchIdentity) {
   EXPECT_EQ(identity.find("metric")->as_string(), "beta_max");
   ASSERT_NE(identity.find("axes"), nullptr);
   ASSERT_NE(identity.find("base"), nullptr);
+}
+
+TEST(BoostReport, SameDocumentAtAnyThreadCountAndFirstStallingRung) {
+  // A small ladder on the balancing-timing base config: the stall
+  // fraction first reaches 0.5 at 8 Byzantine validators with the boost
+  // off (exactly 0.5) and at 10 with it on.
+  const scenario::Scenario& sc = *builtin_registry().find("balancing-attack");
+  scenario::ParamSet params = sc.spec().defaults();
+  for (const char* kv : {"paths=4", "n_honest=16", "epochs=10"}) {
+    ASSERT_FALSE(sc.spec().apply_kv(kv, &params)) << kv;
+  }
+  const std::vector<std::int64_t> ladder{5, 7, 8, 10};
+  const json::Value one = boost_report(sc, params, ladder, 40, 1, nullptr);
+  std::string text;
+  const json::Value three = boost_report(sc, params, ladder, 40, 3, &text);
+  EXPECT_EQ(one.dump(), three.dump());
+  EXPECT_NE(text.find("boost off 0.333"), std::string::npos) << text;
+
+  // The min-stake rule: the first rung whose fraction is >= 0.5.
+  const json::Value& rows = *one.find("rows");
+  ASSERT_EQ(rows.size(), ladder.size());
+  for (const auto& [frac, min] :
+       {std::pair{"stall_frac_off", "min_stalling_stake_boost_off"},
+        std::pair{"stall_frac_on", "min_stalling_stake_boost_on"}}) {
+    const json::Value* first = nullptr;
+    for (std::size_t i = 0; i < rows.size() && first == nullptr; ++i) {
+      if (rows.at(i).find(frac)->as_double() >= 0.5) {
+        first = rows.at(i).find("adversary_stake");
+      }
+    }
+    ASSERT_NE(first, nullptr) << frac;
+    EXPECT_EQ(one.find(min)->dump(), first->dump()) << min;
+  }
+  EXPECT_DOUBLE_EQ(one.find("min_stalling_stake_boost_off")->as_double(),
+                   8.0 / 24.0);
+  EXPECT_DOUBLE_EQ(one.find("min_stalling_stake_boost_on")->as_double(),
+                   10.0 / 26.0);
 }
 
 }  // namespace

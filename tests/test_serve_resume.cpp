@@ -23,7 +23,7 @@
 #include "src/serve/service.hpp"
 #include "src/serve/store.hpp"
 #include "src/serve/worker.hpp"
-#include "src/support/env.hpp"
+#include "tests/path_scale.hpp"
 
 namespace leak::serve {
 namespace {

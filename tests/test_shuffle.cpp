@@ -117,13 +117,15 @@ TEST_F(RosterFixture, ExitedValidatorsExcluded) {
     registry.eject(ValidatorIndex{i}, Epoch{0});
   }
   DutyRoster roster(registry, Epoch{2}, 9);
-  EXPECT_EQ(roster.active_count(), 96u);
+  std::size_t dealt = 0;
   for (std::uint64_t pos = 0; pos < kSlotsPerEpoch; ++pos) {
+    dealt += roster.committee(pos).size();
     for (const auto v : roster.committee(pos)) {
       EXPECT_GE(v.value(), 32u);
     }
     EXPECT_GE(roster.proposer(pos).value(), 32u);
   }
+  EXPECT_EQ(dealt, 96u);  // every active validator, once
 }
 
 TEST_F(RosterFixture, LowBalanceProposesLessOften) {

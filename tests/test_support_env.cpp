@@ -7,6 +7,7 @@
 
 #include "src/support/env.hpp"
 #include "src/support/parse.hpp"
+#include "tests/path_scale.hpp"
 
 namespace leak {
 namespace {

@@ -613,7 +613,8 @@ bool check_set(const scenario::ScenarioSpec& spec,
                const scenario::ParamSet& base, const std::string& kv) {
   scenario::ParamSet set = base;
   if (const auto err = spec.apply_kv(kv, &set)) {
-    EXPECT_TRUE(set == base) << spec.name() << ": " << kv;
+    EXPECT_EQ(set.to_json().dump(), base.to_json().dump())
+        << spec.name() << ": " << kv;
     EXPECT_TRUE(names_input(*err, kv)) << kv << " -> " << *err;
     return false;
   }
@@ -626,9 +627,11 @@ bool check_set(const scenario::ScenarioSpec& spec,
       key + "=" + scenario::ParamSet::value_to_string(*v);
   const auto err = spec.apply_kv(rendered, &again);
   EXPECT_FALSE(err) << kv << " -> " << rendered << ": " << *err;
-  EXPECT_TRUE(again == set) << kv << " -> " << rendered;
+  EXPECT_EQ(again.to_json().dump(), set.to_json().dump())
+      << kv << " -> " << rendered;
   again.set(key, *base.find(key));
-  EXPECT_TRUE(again == base) << kv << " changed more than " << key;
+  EXPECT_EQ(again.to_json().dump(), base.to_json().dump())
+      << kv << " changed more than " << key;
   EXPECT_FALSE(spec.validate(set)) << kv;
   return true;
 }

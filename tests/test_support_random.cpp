@@ -57,23 +57,6 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(Rng, NormalMoments) {
-  Rng rng(13);
-  RunningStats s;
-  for (int i = 0; i < 200000; ++i) s.add(rng.normal(2.0, 3.0));
-  EXPECT_NEAR(s.mean(), 2.0, 0.05);
-  EXPECT_NEAR(s.stddev(), 3.0, 0.05);
-}
-
-TEST(Rng, ForkIndependence) {
-  Rng root(21);
-  Rng a = root.fork();
-  Rng b = root.fork();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) same += (a() == b());
-  EXPECT_EQ(same, 0);
-}
-
 TEST(Rng, ShufflePreservesElements) {
   Rng rng(31);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};

@@ -38,7 +38,7 @@ TEST(Table3Repro, EndpointsMatchPaper) {
 
 TEST(Table3Repro, MidRowsWithinOnePercent) {
   // The paper's middle rows (4221 / 3819 / 3328) differ from the exact
-  // Eq 10 roots by ~0.5% (see EXPERIMENTS.md); assert the reproduction
+  // Eq 10 roots by ~0.5% (see docs/MODEL.md); assert the reproduction
   // stays within 1%.
   const auto rows = table3(kPaper);
   for (const auto& r : rows) {

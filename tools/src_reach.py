@@ -7,15 +7,28 @@ direct `#include "src/<path>.hpp"` of it.
 
 Symbol pass (only when BUILD_DIR is given).  It configures two Debug
 trees under BUILD_DIR/src_reach, compiled with -ffunction-sections
--fdata-sections and linked with -Wl,--gc-sections: the repository root
-(every example and every bench_* binary) and perfbench/ (the perfbench
-binary, its own CMake project).  A `leak::` function that
-libleak_core.a defines (nm type T or W) is reached when at least one
-of those binaries keeps it.  The compiler, launcher and generator come
-from $CXX, $CMAKE_CXX_COMPILER_LAUNCHER and $CMAKE_GENERATOR, as for
-any first configure.  Without
-Google Benchmark the bench_* binaries do not exist, and the pass exits
-77 (ctest's SKIP_RETURN_CODE) rather than judge a partial root set.
+-fdata-sections -fkeep-inline-functions and linked with
+-Wl,--gc-sections: the repository root (every example and every
+bench_* binary) and perfbench/ (the perfbench binary, its own CMake
+project).  -fkeep-inline-functions makes every inline function and
+member that a src/ header defines land in libleak_core.a as a weak
+(nm type W) symbol, so header code is judged like out-of-line code: a
+`leak::` function that libleak_core.a defines (nm type T or W) is
+reached when at least one of those binaries keeps it.  The compiler
+writes constructors, destructors and assignment operators whether or
+not anyone declared them, so a weak symbol of one of those three kinds
+is skipped; an out-of-line (T) one is judged.  A template member that
+is never instantiated has no symbol at all, so nm cannot see it and
+this pass does not judge it.
+
+Before the symbol pass, a one-line TU holding an unused inline
+function is compiled with -fkeep-inline-functions; if the compiler
+does not emit its symbol (clang ignores the flag), the pass judges
+out-of-line code only and says so.  The compiler, launcher and
+generator come from $CXX, $CMAKE_CXX_COMPILER_LAUNCHER and
+$CMAKE_GENERATOR, as for any first configure.  Without Google
+Benchmark the bench_* binaries do not exist, and the pass exits 77
+(ctest's SKIP_RETURN_CODE) rather than judge a partial root set.
 
 Tests never count as a reach: code that only its own tests exercise is
 dead weight, and this gate keeps it from growing back.  Prints every
@@ -30,6 +43,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 INCLUDE = re.compile(r'^\s*#\s*include\s+"(src/[^"]+\.hpp)"', re.MULTILINE)
 SCANNED = ("src", "examples", "bench", "perfbench")
@@ -39,11 +53,15 @@ SKIP = 77
 # `leak::` in demangled form would also match std templates that merely
 # return a leak:: type).
 LEAK_SCOPED = re.compile(r"_ZN[KVRO]*4leak")
+# Compiler-written special members: a constructor (`X::X(`, also of a
+# class template `X<...>::X(`), a destructor or a copy/move assignment.
+SPECIAL = re.compile(r"\b(\w+)(?:<.*>)?::~?\1\(|::operator=\(")
+KEEP_INLINE = "-fkeep-inline-functions"
 # The trees judge reachability, not warnings: the regular builds are the
 # warning gate, and no CI compiler builds perfbench otherwise.
 GC_FLAGS = ["-DCMAKE_BUILD_TYPE=Debug", "-DLEAK_WERROR=OFF",
-            "-DCMAKE_CXX_FLAGS=-ffunction-sections -fdata-sections",
             "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections"]
+SECTION_FLAGS = "-ffunction-sections -fdata-sections"
 
 
 class Skip(Exception):
@@ -84,8 +102,21 @@ def run(cmd, log):
                                f"(log: {log}):\n{tail}")
 
 
-def configure(source, tree, log, *options):
-    run(["cmake", "-S", source, "-B", tree, *GC_FLAGS, *options], log)
+def keeps_inline(base):
+    """Whether $CXX emits an unused inline function under KEEP_INLINE."""
+    with tempfile.TemporaryDirectory(dir=base) as scratch:
+        source = pathlib.Path(scratch) / "probe.cpp"
+        source.write_text("inline int src_reach_probe() { return 1; }\n")
+        obj = source.with_suffix(".o")
+        cxx = os.environ.get("CXX", "c++")
+        compiled = subprocess.run([cxx, KEEP_INLINE, "-c", source, "-o", obj],
+                                  capture_output=True).returncode == 0
+        return compiled and "src_reach_probe()" in symbols(obj, "TW")
+
+
+def configure(source, tree, log, cxx_flags, *options):
+    run(["cmake", "-S", source, "-B", tree, *GC_FLAGS,
+         f"-DCMAKE_CXX_FLAGS={cxx_flags}", *options], log)
 
 
 def build(tree, targets, log):
@@ -112,20 +143,23 @@ def unkept(root, build_dir):
     log = base / "build.log"
     log.write_text("")
     tree, pb_tree = base / "root", base / "perfbench"
+    inline = keeps_inline(base)
+    cxx_flags = SECTION_FLAGS + (" " + KEEP_INLINE if inline else "")
 
     examples = cmake_list(root / "examples" / "CMakeLists.txt",
                           "LEAK_EXAMPLE_SOURCES")
     benches = cmake_list(root / "bench" / "CMakeLists.txt",
                          "LEAK_BENCH_SOURCES")
-    configure(root, tree, log, "-DLEAK_BUILD_TESTS=OFF", "-DLEAK_BUILD_LINT=OFF",
-              "-DLEAK_BUILD_EXAMPLES=ON", "-DLEAK_BUILD_BENCH=ON")
+    configure(root, tree, log, cxx_flags, "-DLEAK_BUILD_TESTS=OFF",
+              "-DLEAK_BUILD_LINT=OFF", "-DLEAK_BUILD_EXAMPLES=ON",
+              "-DLEAK_BUILD_BENCH=ON")
     cache = (tree / "CMakeCache.txt").read_text()
     if not re.search(r"^benchmark_DIR:PATH=(?!.*NOTFOUND).+$", cache,
                      re.MULTILINE):
         raise Skip("Google Benchmark not found, so the bench_* binaries "
                    "cannot be built and the root set would be partial")
     build(tree, ["leak_core", *examples, *benches], log)
-    configure(root / "perfbench", pb_tree, log)
+    configure(root / "perfbench", pb_tree, log, cxx_flags)
     build(pb_tree, ["perfbench"], log)
 
     roots = ([tree / "examples" / name for name in examples] +
@@ -134,8 +168,11 @@ def unkept(root, build_dir):
     kept = set()
     for binary in roots:
         kept |= symbols(binary, "TtWwVv")
-    defined = symbols(tree / "src" / "libleak_core.a", "TW", LEAK_SCOPED)
-    return len(roots), sorted(defined - kept)
+    library = tree / "src" / "libleak_core.a"
+    defined = symbols(library, "T", LEAK_SCOPED) | {
+        name for name in symbols(library, "W", LEAK_SCOPED)
+        if not SPECIAL.search(name)}
+    return inline, len(roots), sorted(defined - kept)
 
 
 def main(argv):
@@ -154,13 +191,17 @@ def main(argv):
         print("every src/ header is reached outside tests/")
     if len(argv) > 2:
         try:
-            count, dead = unkept(root.resolve(), pathlib.Path(argv[2]).resolve())
+            inline, count, dead = unkept(root.resolve(),
+                                         pathlib.Path(argv[2]).resolve())
         except Skip as why:
             print(f"symbol pass skipped: {why}")
             return 1 if failed else SKIP
         except RuntimeError as why:
             print(f"symbol pass could not build its roots: {why}")
             return 1
+        if not inline:
+            print(f"$CXX does not honour {KEEP_INLINE}: judging out-of-line "
+                  "functions only, not inline header code")
         if dead:
             print(f"{len(dead)} leak:: function(s) in libleak_core.a that none "
                   f"of the {count} example, bench and perfbench binaries keeps "
