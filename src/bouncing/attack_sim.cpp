@@ -27,9 +27,12 @@ RunOutcome simulate_attack_run(const AttackSimConfig& cfg, Rng rng) {
   RunOutcome out;
   const std::size_t n = cfg.honest_validators;
   // Honest stake/score from branch A's viewpoint rides the SoA
-  // draw/update kernel: the run's single RNG stream feeds the lottery
-  // draw, then one uniform per live validator in index order — exactly
-  // the scalar oracle's consumption order — and the update pass is
+  // draw/update kernel.  Each epoch consumes the run's single RNG
+  // stream exactly as the scalar oracle does: the lottery draw, then one
+  // draw per live validator in index order.  Both are drawn up front,
+  // in that order, in one pass that also sums the stakes as they stand
+  // (the lottery's probability needs that sum); when the lottery ends
+  // the run, the lane draws are never used.  The update pass is
   // branchless over the lanes.  Byzantine validators are semi-active
   // on A (active every other epoch), scalar as before.  Scratch is per
   // worker thread, reused across the runs it claims — purely an
@@ -42,9 +45,9 @@ RunOutcome simulate_attack_run(const AttackSimConfig& cfg, Rng rng) {
   bool byz_ejected = false;
 
   for (std::size_t t = 1; t <= cfg.max_epochs; ++t) {
+    const std::uint64_t lottery = rng();
     // Current stake-weighted Byzantine proportion on branch A.
-    const double honest_mean =
-        cohort.stake_sum() / static_cast<double>(n);
+    const double honest_mean = cohort.draw(rng) / static_cast<double>(n);
     const double byz_mass = cfg.beta0 * byz_stake;
     const double denom = byz_mass + (1.0 - cfg.beta0) * honest_mean;
     const double beta = denom > 0.0 ? byz_mass / denom : 0.0;
@@ -53,17 +56,18 @@ RunOutcome simulate_attack_run(const AttackSimConfig& cfg, Rng rng) {
     }
 
     // Proposer lottery: the attack needs a Byzantine proposer among
-    // the first j slots of the epoch.
+    // the first j slots of the epoch (rng.bernoulli(p_continue) on the
+    // lottery draw).
     const double lottery_beta = cfg.stake_weighted_lottery ? beta : cfg.beta0;
     const double p_continue = 1.0 - std::pow(1.0 - lottery_beta, cfg.j);
-    if (byz_ejected || !rng.bernoulli(p_continue)) {
+    if (byz_ejected ||
+        static_cast<std::int64_t>(lottery >> 11) >= bernoulli_cut(p_continue)) {
       out.duration = t - 1;
       break;
     }
     out.duration = t;
 
-    // One epoch of Figure 8 dynamics.
-    cohort.draw(rng);
+    // One epoch of Figure 8 dynamics on the lanes drawn above.
     cohort.update(cfg.model, cfg.p0);
     if (!byz_ejected) {
       byz_stake -= byz_score * byz_stake / cfg.model.quotient;

@@ -76,8 +76,8 @@ PopulationRunResult run_population_bouncing(const PopulationRunConfig& cfg) {
   PopulationRunResult res;
   Rng rng(cfg.seed);
   const std::uint32_t n = cfg.honest_validators;
-  // Honest cohort rides the SoA draw/update kernel: one uniform per
-  // live validator in index order (exactly the scalar oracle's stream
+  // Honest cohort rides the SoA draw/update kernel: one draw per live
+  // validator in index order (exactly the scalar oracle's stream
   // consumption), then a branchless vectorized update pass.  Scratch
   // is per worker thread, reused across the runs it claims — purely an
   // allocation cache, fully re-initialized per call.
@@ -91,9 +91,24 @@ PopulationRunResult run_population_bouncing(const PopulationRunConfig& cfg) {
   double byz_score = 0.0;
   bool byz_ejected = false;
 
+  // Branch-level Byzantine proportion at the end of epoch t (Eq 23 with
+  // population averages), from that epoch's honest stake sum.
+  const auto observe = [&](std::size_t t, double honest_total) {
+    const double honest_mean = honest_total / static_cast<double>(n);
+    const double byz = cfg.beta0 * byz_stake;
+    const double denom = byz + (1.0 - cfg.beta0) * honest_mean;
+    const double beta = denom > 0.0 ? byz / denom : 0.0;
+    if (t % res.stride == 0) res.beta_trajectory.push_back(beta);
+    if (res.first_exceed_epoch < 0 && beta > 1.0 / 3.0 && !byz_ejected) {
+      res.first_exceed_epoch = static_cast<std::int64_t>(t);
+    }
+  };
   for (std::size_t t = 1; t <= cfg.epochs; ++t) {
-    // Honest validators: iid branch assignment (Figure 8).
-    cohort.draw(rng);
+    // Honest validators: iid branch assignment (Figure 8).  The draw
+    // pass also sums the stakes epoch t - 1 left, which is observed
+    // before the Byzantine update of epoch t.
+    const double honest_total = cohort.draw(rng);
+    if (t > 1) observe(t - 1, honest_total);
     cohort.update(cfg.model, cfg.p0);
     // Byzantine: semi-active from branch A's viewpoint.
     if (!byz_ejected) {
@@ -109,16 +124,8 @@ PopulationRunResult run_population_bouncing(const PopulationRunConfig& cfg) {
         byz_stake = 0.0;
       }
     }
-    // Branch-level Byzantine proportion (Eq 23 with population averages).
-    const double honest_mean = cohort.stake_sum() / static_cast<double>(n);
-    const double byz = cfg.beta0 * byz_stake;
-    const double denom = byz + (1.0 - cfg.beta0) * honest_mean;
-    const double beta = denom > 0.0 ? byz / denom : 0.0;
-    if (t % res.stride == 0) res.beta_trajectory.push_back(beta);
-    if (res.first_exceed_epoch < 0 && beta > 1.0 / 3.0 && !byz_ejected) {
-      res.first_exceed_epoch = static_cast<std::int64_t>(t);
-    }
   }
+  if (cfg.epochs > 0) observe(cfg.epochs, cohort.stake_sum());
   return res;
 }
 

@@ -1,55 +1,92 @@
 // Compiled with the same vectorization-friendly flags as the batch
 // kernel (src/CMakeLists.txt); none of them change any computed value.
-// The draw pass and the stake sum stay serial on purpose: both consume
-// or accumulate in an order the bit-identity contract fixes.
+// The draw pass (and the stake sum it carries) stays serial on purpose:
+// it consumes and accumulates in an order the bit-identity contract
+// fixes.
 #include "src/kernel/cohort.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace leak::kernel {
+
+namespace {
+
+/// One epoch over every lane: Eq 2 penalty with the previous score,
+/// Eq 1 floored score update as a select of both candidates (the
+/// Bernoulli draw as the integer cut, exactly uniform() < p0), ejection
+/// flush to exactly 0.0 as a select.  With kReciprocal the penalty
+/// multiplies by 1 / quotient instead of dividing by it; the caller
+/// selects that only when the reciprocal is exact, where x / q and
+/// x * (1 / q) are the same correctly rounded value.
+template <bool kReciprocal>
+void epoch_lanes(const analytic::AnalyticConfig& model, double p0,
+                 std::size_t n, double* __restrict stake,
+                 double* __restrict score,
+                 const std::uint64_t* __restrict draw) {
+  const double quotient =
+      kReciprocal ? 1.0 / model.quotient : model.quotient;
+  const double decrement = model.score_active_decrement;
+  const double bias = model.score_bias;
+  const double threshold = model.ejection_threshold;
+  const std::int64_t cut = bernoulli_cut(p0);
+  // Same op order as the scalar oracle for live lanes; ejected lanes
+  // ride along branch-free (stake frozen at exactly +0.0, dead score
+  // lane fed by a stale draw — both unobservable).
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i) {
+    const double loss = score[i] * stake[i];
+    stake[i] -= kReciprocal ? loss * quotient : loss / quotient;
+    const double decremented = std::max(score[i] - decrement, 0.0);
+    const double incremented = score[i] + bias;
+    score[i] = bernoulli_select(draw[i], cut, decremented, incremented);
+    stake[i] = stake[i] <= threshold ? 0.0 : stake[i];
+  }
+}
+
+/// True when 1 / q is exact: q is a power of two (the paper's 2^26 is)
+/// whose reciprocal is finite.
+bool exact_reciprocal(double q) {
+  int exponent = 0;
+  return std::abs(std::frexp(q, &exponent)) == 0.5 && std::isfinite(1.0 / q);
+}
+
+}  // namespace
 
 void LeakCohort::reset(std::size_t n, const analytic::AnalyticConfig& model) {
   stake_.assign(n, model.initial_stake);
   score_.assign(n, 0.0);
-  ejected_.assign(n, 0);
-  uniform_.assign(n, 0.0);
+  draw_.assign(n, 0);
 }
 
-void LeakCohort::draw(Rng& rng) {
+double LeakCohort::draw(Rng& rng) {
+  // The stream is copied to a local for the pass and written back once,
+  // so its four words stay in registers instead of round-tripping
+  // through `rng` on every lane.  The stake sum rides the same pass:
+  // its add chain and the xoshiro chain are independent, so they
+  // overlap.  A lane is live while its stake is nonzero: ejection
+  // flushes it to exactly 0.0, and a live stake stays above the
+  // positive threshold.
+  Rng stream = rng;
   const std::size_t n = stake_.size();
+  const double* __restrict stake = stake_.data();
+  std::uint64_t* __restrict draw = draw_.data();
+  double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (ejected_[i] == 0) uniform_[i] = rng.uniform();
+    total += stake[i];
+    if (stake[i] != 0.0) draw[i] = stream();
   }
+  rng = stream;
+  return total;
 }
 
 void LeakCohort::update(const analytic::AnalyticConfig& model, double p0) {
-  const double quotient = model.quotient;
-  const double decrement = model.score_active_decrement;
-  const double bias = model.score_bias;
-  const double threshold = model.ejection_threshold;
-  const std::size_t n = stake_.size();
-  double* __restrict stake = stake_.data();
-  double* __restrict score = score_.data();
-  const double* __restrict uniform = uniform_.data();
-  std::uint8_t* __restrict ejected = ejected_.data();
-
-  // Same op order as the scalar oracle for live lanes; ejected lanes
-  // ride along branch-free (stake frozen at exactly +0.0, dead score
-  // lane fed by a stale uniform — both unobservable).
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) {
-    stake[i] -= score[i] * stake[i] / quotient;
-    const double decremented = std::max(score[i] - decrement, 0.0);
-    const double incremented = score[i] + bias;
-    score[i] = uniform[i] < p0 ? decremented : incremented;
-    stake[i] = stake[i] <= threshold ? 0.0 : stake[i];
-  }
-  // Ejection <=> stake flushed to exactly 0 (live stake always stays
-  // above the positive threshold), so the flags regenerate from the
-  // stake lane alone.
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) {
-    ejected[i] = stake[i] == 0.0 ? 1 : 0;
+  if (exact_reciprocal(model.quotient)) {
+    epoch_lanes<true>(model, p0, stake_.size(), stake_.data(), score_.data(),
+                      draw_.data());
+  } else {
+    epoch_lanes<false>(model, p0, stake_.size(), stake_.data(),
+                       score_.data(), draw_.data());
   }
 }
 

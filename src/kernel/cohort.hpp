@@ -1,14 +1,19 @@
 // SoA draw/update split for the within-run validator cohorts of the
 // attack-lifetime and population drivers.  Unlike the per-path batch
 // kernel (stake_batch.hpp), every validator in a cohort shares ONE
-// serial RNG stream — the run's — so the draw pass must consume
-// uniforms in exactly the scalar order: ascending validator index,
-// skipping lanes already ejected when the epoch began.  The update
-// pass is then branchless over all lanes with the same op order per
-// live lane as the scalar oracle; frozen lanes hold stake at exactly
-// +0.0 through the penalty and the flush (score * 0.0 / q == +0.0 and
-// 0.0 <= threshold re-selects 0.0), and their stale uniform only feeds
-// the dead score lane, so the extra lockstep work is unobservable.
+// serial RNG stream — the run's — so the draw pass must consume draws
+// in exactly the scalar order: ascending validator index, skipping
+// lanes already ejected when the epoch began (a lane is ejected exactly
+// when its stake is 0.0: the flush sets it, and a live stake stays
+// above the positive threshold).  The pass keeps the raw 64-bit draws,
+// which the update decides with the exact integer cut of
+// bernoulli_cut, and sums the stakes as they stand, so the drivers
+// need no separate stake_sum() walk.  The update pass is then
+// branchless over all lanes with the same op order per live lane as the
+// scalar oracle; frozen lanes hold stake at exactly +0.0 through the
+// penalty and the flush (score * 0.0 / q == +0.0 and 0.0 <= threshold
+// re-selects 0.0), and their stale draw only feeds the dead score lane,
+// so the extra lockstep work is unobservable.
 #pragma once
 
 #include <cstddef>
@@ -25,21 +30,23 @@ namespace leak::kernel {
 /// re-initializes without reallocating.
 class LeakCohort {
  public:
-  /// All n validators at the initial stake, score 0, live.
+  /// All n validators at the initial stake, score 0; the model's
+  /// initial stake is positive, so every lane starts live.
   void reset(std::size_t n, const analytic::AnalyticConfig& model);
 
-  /// Draw pass: one uniform from `rng` per live lane, ascending index
-  /// order — bit-compatible with the scalar per-validator
-  /// rng.bernoulli(p0) sequence (bernoulli(p) == uniform() < p).
-  /// Serial by construction: the lanes share the stream.
-  void draw(Rng& rng);
+  /// Draw pass: one raw draw from `rng` per live lane, ascending index
+  /// order — the scalar per-validator rng.bernoulli(p0) sequence.  Also
+  /// returns the sum of the stake lanes as they stand (before this
+  /// epoch's update), equal to stake_sum().  Serial by construction:
+  /// the lanes share the stream.
+  double draw(Rng& rng);
 
   /// Update pass: one epoch of the Figure 8 dynamics over every lane
   /// (Eq 2 penalty with the previous score, Eq 1 floored score update
-  /// as a select, ejection flush to exactly 0.0 as a select), then the
-  /// ejected flags regenerate from the flushed stakes.  Branchless and
-  /// auto-vectorizable; live lanes perform the same IEEE ops in the
-  /// same order as the scalar oracle.
+  /// as a select, ejection flush to exactly 0.0 as a select).
+  /// Branchless and auto-vectorizable; live lanes compute the same
+  /// IEEE values in the same order as the scalar oracle (a power-of-two
+  /// quotient's division is the exactly equal multiply by 1 / quotient).
   void update(const analytic::AnalyticConfig& model, double p0);
 
   /// Sum of all stake lanes in ascending index order (ejected lanes
@@ -49,8 +56,7 @@ class LeakCohort {
  private:
   std::vector<double> stake_;
   std::vector<double> score_;
-  std::vector<std::uint8_t> ejected_;
-  std::vector<double> uniform_;  ///< this epoch's [0,1) draw per lane
+  std::vector<std::uint64_t> draw_;  ///< this epoch's raw draw per lane
 };
 
 }  // namespace leak::kernel

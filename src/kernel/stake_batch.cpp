@@ -8,8 +8,7 @@
 #include "src/kernel/stake_batch.hpp"
 
 #include <algorithm>
-
-#include "src/kernel/soa_rng.hpp"
+#include <bit>
 
 namespace leak::kernel {
 
@@ -18,8 +17,6 @@ void BatchPaths::reset(const analytic::AnalyticConfig& model,
                        std::size_t n_paths) {
   stake_.assign(n_paths, model.initial_stake);
   score_.assign(n_paths, 0.0);
-  ejected_.assign(n_paths, 0);
-  uniform_.resize(n_paths);
   s0_.resize(n_paths);
   s1_.resize(n_paths);
   s2_.resize(n_paths);
@@ -40,23 +37,28 @@ void BatchPaths::step(const analytic::AnalyticConfig& model, double p0) {
   const double decrement = model.score_active_decrement;
   const double bias = model.score_bias;
   const double threshold = model.ejection_threshold;
+  const std::int64_t cut = bernoulli_cut(p0);
   const std::size_t n = stake_.size();
   double* __restrict stake = stake_.data();
   double* __restrict score = score_.data();
-  double* __restrict uniform = uniform_.data();
   std::uint64_t* __restrict s0 = s0_.data();
   std::uint64_t* __restrict s1 = s1_.data();
   std::uint64_t* __restrict s2 = s2_.data();
   std::uint64_t* __restrict s3 = s3_.data();
 
-  // Draw loop: advance every xoshiro256** lane one step
-  // (Rng::operator()) and convert to Rng::uniform's [0,1) double.
-  // The two constant multiplies are shift-adds so the loop vectorizes
-  // without a packed 64-bit multiply (AVX-512DQ-only).
+  // Each lane advances its xoshiro256** state one step
+  // (Rng::operator(); the two constant multiplies are shift-adds, so
+  // the loop vectorizes without a packed 64-bit multiply, which is
+  // AVX-512DQ-only), then takes the epoch in the scalar oracle's op
+  // order: Eq 2 penalty with the previous score, Eq 1 floored score
+  // update as a select of both candidates on the raw draw (exactly
+  // uniform() < p0), ejection flush to exactly 0.0 as a select.  An
+  // ejected path's stake is exactly 0.0, so the penalty and the flush
+  // keep it there and its (still advancing) RNG lane is unobservable.
 #pragma omp simd
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t m5 = s1[i] + (s1[i] << 2);  // s1 * 5
-    const std::uint64_t r7 = rotl(m5, 7);
+    const std::uint64_t r7 = std::rotl(m5, 7);
     const std::uint64_t draw = r7 + (r7 << 3);  // rotl(s1*5,7) * 9
     const std::uint64_t t = s1[i] << 17;
     s2[i] ^= s0[i];
@@ -64,38 +66,21 @@ void BatchPaths::step(const analytic::AnalyticConfig& model, double p0) {
     s1[i] ^= s2[i];
     s0[i] ^= s3[i];
     s2[i] ^= t;
-    s3[i] = rotl(s3[i], 45);
-    uniform[i] = to_double_exact(draw >> 11) * 0x1.0p-53;
-  }
+    s3[i] = std::rotl(s3[i], 45);
 
-  // Update loop: same op order as the scalar oracle — Eq 2 penalty
-  // with the previous score, Eq 1 floored score update as a select of
-  // both candidates, ejection flush to exactly 0.0 as a select.  An
-  // ejected path's stake is exactly 0.0, so the penalty and the flush
-  // keep it there and its (still advancing) RNG lane is unobservable.
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) {
     stake[i] -= score[i] * stake[i] / quotient;
     const double decremented = std::max(score[i] - decrement, 0.0);
     const double incremented = score[i] + bias;
-    score[i] = uniform[i] < p0 ? decremented : incremented;
+    score[i] = bernoulli_select(draw, cut, decremented, incremented);
     stake[i] = stake[i] <= threshold ? 0.0 : stake[i];
   }
 }
 
-void BatchPaths::sync_ejected() {
-  // Ejection <=> stake flushed to exactly 0 (live stake always stays
-  // above the positive ejection threshold), so the flags regenerate
-  // from the stake lane alone — keeping the byte array out of the
-  // per-epoch loops.
-  for (std::size_t i = 0; i < stake_.size(); ++i) {
-    ejected_[i] = stake_[i] == 0.0 ? 1 : 0;
-  }
-}
-
 bool BatchPaths::all_ejected() const {
-  return std::all_of(ejected_.begin(), ejected_.end(),
-                     [](std::uint8_t e) { return e != 0; });
+  // Ejection <=> stake flushed to exactly 0 (live stake always stays
+  // above the positive ejection threshold).
+  return std::all_of(stake_.begin(), stake_.end(),
+                     [](double s) { return s == 0.0; });
 }
 
 void simulate_stake_block(const analytic::AnalyticConfig& model, double p0,
@@ -115,14 +100,11 @@ void simulate_stake_block(const analytic::AnalyticConfig& model, double p0,
       // Once the whole block is ejected every later snapshot is 0 —
       // skip the remaining epochs (the scalar oracle records the same
       // zeros; this only shortcuts deterministically-dead work).
-      if (next_snap < snaps.size()) {
-        scratch.sync_ejected();
-        if (scratch.all_ejected()) {
-          for (std::size_t k = next_snap; k < snaps.size(); ++k) {
-            std::fill_n(rows[k] + first_path, n_paths, 0.0);
-          }
-          return;
+      if (next_snap < snaps.size() && scratch.all_ejected()) {
+        for (std::size_t k = next_snap; k < snaps.size(); ++k) {
+          std::fill_n(rows[k] + first_path, n_paths, 0.0);
         }
+        return;
       }
     }
   }

@@ -1,10 +1,12 @@
 // Batched, cache-friendly kernel for the Figure 8 bouncing-attack
 // stake dynamics: advances a block of B independent paths in lockstep
 // over epochs with structure-of-arrays state (contiguous stake[],
-// score[], ejected[] and four xoshiro256** lanes per path) and
-// branchless floored score updates, so the per-epoch work is
-// straight-line arithmetic over L1-resident arrays instead of one
-// latency-bound dependency chain per path.
+// score[] and four xoshiro256** lanes per path) and branchless floored
+// score updates, so the per-epoch work is straight-line arithmetic over
+// L1-resident arrays instead of one latency-bound dependency chain per
+// path.  Each Bernoulli draw is decided on the raw 64-bit draw with the
+// exact integer cut of bernoulli_cut (src/support/random.hpp), so no
+// lane converts a draw to a double.
 //
 // Bit-identity contract: path i always draws from the (seed, i)
 // counter stream (leak::StreamSeeder) and every floating-point
@@ -38,27 +40,20 @@ class BatchPaths {
 
   /// Advance every path one epoch of the Figure 8 dynamics (Eq 2
   /// penalty with the previous score, one Bernoulli draw, Eq 1 floored
-  /// score update, ejection flush to exactly 0).  Branchless: a draw
-  /// loop fills the uniform lane, then an update loop computes both
-  /// score candidates and selects, so neither loop has a
-  /// data-dependent branch and both auto-vectorize.
+  /// score update, ejection flush to exactly 0).  One branchless loop:
+  /// each lane draws, computes both score candidates and selects on
+  /// the integer cut, so it auto-vectorizes.
   void step(const analytic::AnalyticConfig& model, double p0);
 
-  /// Regenerate the ejected flags from the stake lane (stake frozen at
-  /// exactly 0 <=> ejected).  Called at snapshot epochs only, keeping
-  /// the byte array out of the hot loops.
-  void sync_ejected();
-
   [[nodiscard]] const std::vector<double>& stake() const { return stake_; }
-  /// True when every path in the block has been ejected (all stakes
-  /// frozen at 0): every later snapshot is deterministically 0.
+  /// True when every path in the block has been ejected (stake frozen
+  /// at exactly 0 <=> ejected): every later snapshot is
+  /// deterministically 0.
   [[nodiscard]] bool all_ejected() const;
 
  private:
   std::vector<double> stake_;
   std::vector<double> score_;
-  std::vector<std::uint8_t> ejected_;
-  std::vector<double> uniform_;  ///< this epoch's [0,1) draw per path
   // xoshiro256** state, one SoA lane per word so adjacent paths'
   // generators advance with stride-1 loads.
   std::vector<std::uint64_t> s0_, s1_, s2_, s3_;

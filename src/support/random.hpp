@@ -3,6 +3,8 @@
 // splitmix64 seeder (public-domain algorithms by Blackman & Vigna).
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -81,6 +83,31 @@ class Rng {
 
   std::uint64_t s_[4] = {};
 };
+
+/// Integer form of Rng::bernoulli(p) for lane kernels that keep raw
+/// draws: a draw x succeeds exactly when (x >> 11) < bernoulli_cut(p).
+/// For an integer m, m * 2^-53 < p holds iff m < p * 2^53 iff
+/// m < ceil(p * 2^53), and both the scaling and the ceil are exact.
+/// p >= 1 gives 2^53 (every draw succeeds); p <= 0 (-0.0 included) and
+/// NaN give 0 (none does).  Signed: (x >> 11) - cut never overflows.
+[[nodiscard]] inline std::int64_t bernoulli_cut(double p) {
+  if (!(p > 0.0)) return 0;
+  if (p >= 1.0) return std::int64_t{1} << 53;
+  return static_cast<std::int64_t>(std::ceil(p * 0x1.0p53));
+}
+
+/// `hit` when the raw draw x succeeds against cut = bernoulli_cut(p),
+/// else `miss`.  Integer ops only (the sign of (x >> 11) - cut spread
+/// to a mask, then a bitwise blend), so a lane loop calling it
+/// vectorizes on baseline SSE2, which has no packed 64-bit compare.
+[[nodiscard]] constexpr double bernoulli_select(std::uint64_t x,
+                                                std::int64_t cut, double hit,
+                                                double miss) {
+  const auto mask = static_cast<std::uint64_t>(
+      (static_cast<std::int64_t>(x >> 11) - cut) >> 63);
+  return std::bit_cast<double>((std::bit_cast<std::uint64_t>(hit) & mask) |
+                               (std::bit_cast<std::uint64_t>(miss) & ~mask));
+}
 
 /// Derives statistically independent per-trial RNG streams from a
 /// single master seed, counter-style: stream i's seed is a splitmix64

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/bouncing/attack_sim.hpp"
@@ -269,6 +270,120 @@ TEST(BatchBitIdentity, PopulationRunMatchesScalarOracle) {
   const auto r = bouncing::run_population_bouncing(cfg);
   EXPECT_EQ(r.first_exceed_epoch, ref.first_exceed_epoch);
   EXPECT_EQ(r.beta_trajectory, ref.beta_trajectory);
+}
+
+// --- the Bernoulli draw's edges -----------------------------------------
+// The kernels decide each draw with the integer cut of bernoulli_cut.
+// p0 = 0 (no lane ever active) and p0 = 1 (every lane always active)
+// are its ends, 1/3 a cut that is not a power of two.  The second
+// model's quotient is not a power of two, so the cohort's penalty takes
+// its division arm; it is small and the ejection threshold low, so the
+// penalty is a large share of a long-lived stake and a one-ulp change
+// in it reaches the reported sums.  Every case is checked against the
+// frozen scalar oracles.
+constexpr double kEdgeP0[] = {0.0, 1.0 / 3.0, 1.0};
+
+std::vector<analytic::AnalyticConfig> edge_models() {
+  auto odd = analytic::AnalyticConfig::paper();
+  odd.quotient = 3.0 * 4096.0;
+  odd.ejection_threshold = 1e-3;
+  return {analytic::AnalyticConfig::paper(), odd};
+}
+
+std::string edge_label(double p0, const analytic::AnalyticConfig& model) {
+  return "p0=" + std::to_string(p0) +
+         " quotient=" + std::to_string(model.quotient);
+}
+
+TEST(BatchBitIdentity, BouncingMcMatchesScalarAtEdgeP0) {
+  for (const auto& model : edge_models()) {
+    for (const double p0 : kEdgeP0) {
+      bouncing::McConfig cfg;
+      cfg.paths = env::scaled_count(200);
+      cfg.epochs = 1200;
+      cfg.seed = 43;
+      cfg.p0 = p0;
+      cfg.model = model;
+      const std::vector<std::size_t> snaps{17, 600, 1200};
+      const auto ref = oracle::run_bouncing_mc_scalar(cfg, snaps);
+      for (const std::size_t block : block_grid(cfg.paths)) {
+        for (const unsigned threads : kThreadGrid) {
+          cfg.block = block;
+          cfg.threads = threads;
+          expect_mc_equal(bouncing::run_bouncing_mc(cfg, snaps), ref,
+                          edge_label(p0, model) +
+                              " block=" + std::to_string(block) +
+                              " threads=" + std::to_string(threads));
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchBitIdentity, AttackSimMatchesScalarAtEdgeP0) {
+  for (const auto& model : edge_models()) {
+    for (const double p0 : kEdgeP0) {
+      bouncing::AttackSimConfig cfg;
+      cfg.runs = env::scaled_count(100);
+      cfg.honest_validators = 25;
+      cfg.max_epochs = 1500;
+      cfg.seed = 79;
+      cfg.p0 = p0;
+      cfg.model = model;
+      const auto ref = oracle::run_attack_sim_scalar(cfg);
+      for (const std::size_t block : block_grid(cfg.runs)) {
+        for (const unsigned threads : kThreadGrid) {
+          cfg.block = block;
+          cfg.threads = threads;
+          const auto r = bouncing::run_attack_sim(cfg);
+          const auto label = edge_label(p0, model) + " " +
+                             std::to_string(block) + "/" +
+                             std::to_string(threads);
+          EXPECT_EQ(r.durations, ref.durations) << label;
+          EXPECT_EQ(r.break_epochs, ref.break_epochs) << label;
+          EXPECT_EQ(r.mean_duration, ref.mean_duration) << label;
+          EXPECT_EQ(r.prob_threshold_broken, ref.prob_threshold_broken)
+              << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchBitIdentity, PopulationMatchesScalarAtEdgeP0) {
+  for (const auto& model : edge_models()) {
+    for (const double p0 : kEdgeP0) {
+      const auto label = edge_label(p0, model);
+      bouncing::PopulationRunConfig run;
+      run.honest_validators = 40;
+      run.epochs = 800;
+      run.beta0 = 1.0 / 3.0;
+      run.seed = 29;
+      run.p0 = p0;
+      run.model = model;
+      const auto ref_run = oracle::run_population_bouncing_scalar(run);
+      const auto r = bouncing::run_population_bouncing(run);
+      EXPECT_EQ(r.first_exceed_epoch, ref_run.first_exceed_epoch) << label;
+      EXPECT_EQ(r.beta_trajectory, ref_run.beta_trajectory) << label;
+
+      bouncing::PopulationEnsembleConfig cfg;
+      cfg.base = run;
+      cfg.base.honest_validators = 30;
+      cfg.base.epochs = 300;
+      cfg.paths = env::scaled_count(12);
+      const auto ref = oracle::run_population_ensemble_scalar(cfg);
+      for (const std::size_t block : block_grid(cfg.paths)) {
+        for (const unsigned threads : kThreadGrid) {
+          cfg.block = block;
+          cfg.threads = threads;
+          const auto e = bouncing::run_population_ensemble(cfg);
+          EXPECT_EQ(e.first_exceed_epochs, ref.first_exceed_epochs) << label;
+          EXPECT_EQ(e.exceed_fraction, ref.exceed_fraction) << label;
+          EXPECT_EQ(e.mean_final_beta, ref.mean_final_beta) << label;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

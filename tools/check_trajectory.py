@@ -28,6 +28,9 @@ Keys are `binary::benchmark_name`; a raw --benchmark_out JSON from a
 single binary carries no "binary" field, so pass --binary NAME to
 supply it (run_benchmarks.sh injects the field when merging).
 
+A snapshot taken with --benchmark_repetitions=N records each
+benchmark's median aggregate rather than its last repetition.
+
 `append --only REGEX` records just the matching benchmarks, e.g. the
 ones a change re-measured.  Every other benchmark keeps its figure from
 the older record that holds it, since `check` takes each benchmark's
@@ -91,17 +94,23 @@ def scan(store):
 
 
 def snapshot(results_path, label, binary=None):
-    """Distill BENCH_results.json into one trajectory record."""
+    """Distill BENCH_results.json into one trajectory record.  A run
+    with --benchmark_repetitions contributes each benchmark's median
+    aggregate; the other aggregates are skipped."""
     data = json.loads(pathlib.Path(results_path).read_text())
     benches = {}
+    medians = {}
     for b in data.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
+        median = b.get("run_type") == "aggregate"
+        if median and b.get("aggregate_name") != "median":
             continue
         unit = TIME_UNITS.get(b.get("time_unit", "ns"))
         if unit is None or "cpu_time" not in b:
             continue
-        key = f"{b.get('binary', binary or '?')}::{b['name']}"
-        benches[key] = round(b["cpu_time"] * unit, 3)
+        name = b.get("run_name", b["name"]) if median else b["name"]
+        key = f"{b.get('binary', binary or '?')}::{name}"
+        (medians if median else benches)[key] = round(b["cpu_time"] * unit, 3)
+    benches.update(medians)
     if not benches:
         sys.exit(f"error: {results_path} contains no benchmark timings")
     context = data.get("context", {})

@@ -35,7 +35,9 @@ CONTRACT is one of:
                  rows-dropping (keep_paths = false) semiactive-sweep and
                  the slot-trial slot-protocol report the same bytes at
                  every block in {1, 64, 0 (auto)} x threads in {1, 4}
-                 as at block 1, threads 1.
+                 as at block 1, threads 1; bouncing-mc, attack-lifetime
+                 and population-ensemble also at p0 = 0 and p0 = 1, the
+                 ends of the kernels' integer Bernoulli cut.
 
 Reports (and sweep cells) compare without their `meta` block (wall
 time, resolved thread count) and the `threads`/`block` params, which
@@ -317,19 +319,23 @@ def faults(leakctl):
 def kernel_parity(leakctl):
     scenarios = ("bouncing-mc", "attack-lifetime", "population-ensemble",
                  "partition-trials", "semiactive-sweep", "slot-protocol")
+    cases = [(scenario, []) for scenario in scenarios]
+    cases += [(scenario, ["--set", f"p0={p0}"])
+              for scenario in scenarios[:3] for p0 in (0, 1)]
     diverged = 0
-    for scenario in scenarios:
-        run = ["run", scenario, "--paths", 64]
+    for scenario, sets in cases:
+        run = ["run", scenario, "--paths", 64, *sets]
+        label = " ".join([scenario, *sets[1::2]])
         ref = leakctl.report(*run, "--block", 1, "--threads", 1)
         for block, threads in ((1, 4), (64, 1), (64, 4), (0, 1), (0, 4)):
             ok = same(ref, leakctl.report(*run, "--block", block,
                                           "--threads", threads))
             diverged += not ok
-            print(f"{'ok  ' if ok else 'FAIL'} {scenario} block={block} "
+            print(f"{'ok  ' if ok else 'FAIL'} {label} block={block} "
                   f"threads={threads}")
     expect(not diverged, f"{diverged} grid cell(s) differ from "
                          "block=1 threads=1")
-    print(f"ok   kernel-parity: {len(scenarios)} scenarios byte-identical "
+    print(f"ok   kernel-parity: {len(cases)} scenario runs byte-identical "
           "across block x threads")
 
 
