@@ -45,7 +45,7 @@ RunOutcome simulate_attack_run(const AttackSimConfig& cfg, Rng rng) {
   bool byz_ejected = false;
 
   for (std::size_t t = 1; t <= cfg.max_epochs; ++t) {
-    const std::uint64_t lottery = rng();
+    const double lottery = rng.uniform();
     // Current stake-weighted Byzantine proportion on branch A.
     const double honest_mean = cohort.draw(rng) / static_cast<double>(n);
     const double byz_mass = cfg.beta0 * byz_stake;
@@ -57,11 +57,10 @@ RunOutcome simulate_attack_run(const AttackSimConfig& cfg, Rng rng) {
 
     // Proposer lottery: the attack needs a Byzantine proposer among
     // the first j slots of the epoch (rng.bernoulli(p_continue) on the
-    // lottery draw).
+    // lottery value drawn above).
     const double lottery_beta = cfg.stake_weighted_lottery ? beta : cfg.beta0;
     const double p_continue = 1.0 - std::pow(1.0 - lottery_beta, cfg.j);
-    if (byz_ejected ||
-        static_cast<std::int64_t>(lottery >> 11) >= bernoulli_cut(p_continue)) {
+    if (byz_ejected || !(lottery < p_continue)) {
       out.duration = t - 1;
       break;
     }

@@ -6,52 +6,8 @@
 #include "src/kernel/cohort.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace leak::kernel {
-
-namespace {
-
-/// One epoch over every lane: Eq 2 penalty with the previous score,
-/// Eq 1 floored score update as a select of both candidates (the
-/// Bernoulli draw as the integer cut, exactly uniform() < p0), ejection
-/// flush to exactly 0.0 as a select.  With kReciprocal the penalty
-/// multiplies by 1 / quotient instead of dividing by it; the caller
-/// selects that only when the reciprocal is exact, where x / q and
-/// x * (1 / q) are the same correctly rounded value.
-template <bool kReciprocal>
-void epoch_lanes(const analytic::AnalyticConfig& model, double p0,
-                 std::size_t n, double* __restrict stake,
-                 double* __restrict score,
-                 const std::uint64_t* __restrict draw) {
-  const double quotient =
-      kReciprocal ? 1.0 / model.quotient : model.quotient;
-  const double decrement = model.score_active_decrement;
-  const double bias = model.score_bias;
-  const double threshold = model.ejection_threshold;
-  const std::int64_t cut = bernoulli_cut(p0);
-  // Same op order as the scalar oracle for live lanes; ejected lanes
-  // ride along branch-free (stake frozen at exactly +0.0, dead score
-  // lane fed by a stale draw — both unobservable).
-#pragma omp simd
-  for (std::size_t i = 0; i < n; ++i) {
-    const double loss = score[i] * stake[i];
-    stake[i] -= kReciprocal ? loss * quotient : loss / quotient;
-    const double decremented = std::max(score[i] - decrement, 0.0);
-    const double incremented = score[i] + bias;
-    score[i] = bernoulli_select(draw[i], cut, decremented, incremented);
-    stake[i] = stake[i] <= threshold ? 0.0 : stake[i];
-  }
-}
-
-/// True when 1 / q is exact: q is a power of two (the paper's 2^26 is)
-/// whose reciprocal is finite.
-bool exact_reciprocal(double q) {
-  int exponent = 0;
-  return std::abs(std::frexp(q, &exponent)) == 0.5 && std::isfinite(1.0 / q);
-}
-
-}  // namespace
 
 void LeakCohort::reset(std::size_t n, const analytic::AnalyticConfig& model) {
   stake_.assign(n, model.initial_stake);
@@ -81,12 +37,29 @@ double LeakCohort::draw(Rng& rng) {
 }
 
 void LeakCohort::update(const analytic::AnalyticConfig& model, double p0) {
-  if (exact_reciprocal(model.quotient)) {
-    epoch_lanes<true>(model, p0, stake_.size(), stake_.data(), score_.data(),
-                      draw_.data());
-  } else {
-    epoch_lanes<false>(model, p0, stake_.size(), stake_.data(),
-                       score_.data(), draw_.data());
+  // One epoch over every lane: Eq 2 penalty with the previous score,
+  // Eq 1 floored score update as a select of both candidates (the
+  // Bernoulli draw as the integer cut, exactly uniform() < p0), ejection
+  // flush to exactly 0.0 as a select.
+  const std::size_t n = stake_.size();
+  double* __restrict stake = stake_.data();
+  double* __restrict score = score_.data();
+  const std::uint64_t* __restrict draw = draw_.data();
+  const double quotient = model.quotient;
+  const double decrement = model.score_active_decrement;
+  const double bias = model.score_bias;
+  const double threshold = model.ejection_threshold;
+  const std::int64_t cut = bernoulli_cut(p0);
+  // Same op order as the scalar oracle for live lanes; ejected lanes
+  // ride along branch-free (stake frozen at exactly +0.0, dead score
+  // lane fed by a stale draw — both unobservable).
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i) {
+    stake[i] -= score[i] * stake[i] / quotient;
+    const double decremented = std::max(score[i] - decrement, 0.0);
+    const double incremented = score[i] + bias;
+    score[i] = bernoulli_select(draw[i], cut, decremented, incremented);
+    stake[i] = stake[i] <= threshold ? 0.0 : stake[i];
   }
 }
 

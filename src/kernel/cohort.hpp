@@ -45,8 +45,7 @@ class LeakCohort {
   /// (Eq 2 penalty with the previous score, Eq 1 floored score update
   /// as a select, ejection flush to exactly 0.0 as a select).
   /// Branchless and auto-vectorizable; live lanes compute the same
-  /// IEEE values in the same order as the scalar oracle (a power-of-two
-  /// quotient's division is the exactly equal multiply by 1 / quotient).
+  /// IEEE values in the same order as the scalar oracle.
   void update(const analytic::AnalyticConfig& model, double p0);
 
   /// Sum of all stake lanes in ascending index order (ejected lanes

@@ -31,6 +31,29 @@ std::vector<std::size_t> block_grid(std::size_t paths) {
 }
 constexpr unsigned kThreadGrid[] = {1, 4};
 
+// The (model, p0) grid the scalar-oracle tests are checked over.  The
+// kernels decide each Bernoulli draw with the integer cut of
+// bernoulli_cut: p0 = 0 (no lane ever active) and p0 = 1 (every lane
+// always active) are its ends, 1/3 a cut that is not a power of two,
+// 0.5 the paper's split.  The second model's quotient is not a power of
+// two, so a penalty taken as a multiply by 1 / quotient would not equal
+// the oracle's division; it is small and the ejection threshold low, so
+// the penalty is a large share of a long-lived stake and a one-ulp
+// change in it reaches the reported sums.
+constexpr double kOracleP0[] = {0.0, 1.0 / 3.0, 0.5, 1.0};
+
+std::vector<analytic::AnalyticConfig> oracle_models() {
+  auto odd = analytic::AnalyticConfig::paper();
+  odd.quotient = 3.0 * 4096.0;
+  odd.ejection_threshold = 1e-3;
+  return {analytic::AnalyticConfig::paper(), odd};
+}
+
+std::string oracle_label(double p0, const analytic::AnalyticConfig& model) {
+  return "p0=" + std::to_string(p0) +
+         " quotient=" + std::to_string(model.quotient);
+}
+
 void expect_mc_equal(const bouncing::McResult& a, const bouncing::McResult& b,
                      const std::string& label) {
   EXPECT_EQ(a.epochs, b.epochs) << label;
@@ -51,25 +74,31 @@ void expect_mc_equal(const bouncing::McResult& a, const bouncing::McResult& b,
 
 // Acceptance criterion: the batched kernel reproduces the scalar
 // kernel bit-for-bit for block sizes {1, 7, 64, paths} x threads
-// {1, 4}, spanning the ejection wave so all three path states
-// (capped, bulk, ejected) occur.
+// {1, 4} at every (model, p0) of the oracle grid, spanning the ejection
+// wave so all three path states (capped, bulk, ejected) occur.
 TEST(BatchBitIdentity, BouncingMcMatchesScalarForEveryBlockAndThreads) {
-  bouncing::McConfig cfg;
-  cfg.paths = env::scaled_count(400);
-  cfg.epochs = 1200;
-  cfg.seed = 41;
-  cfg.threads = 1;
-  const std::vector<std::size_t> snaps{17, 600, 1200};
-  const auto ref = oracle::run_bouncing_mc_scalar(cfg, snaps);
-  ASSERT_EQ(ref.stakes.size(), snaps.size());
-  for (const std::size_t block : block_grid(cfg.paths)) {
-    for (const unsigned threads : kThreadGrid) {
-      cfg.block = block;
-      cfg.threads = threads;
-      const auto batched = bouncing::run_bouncing_mc(cfg, snaps);
-      expect_mc_equal(batched, ref,
-                      "block=" + std::to_string(block) +
-                          " threads=" + std::to_string(threads));
+  for (const auto& model : oracle_models()) {
+    for (const double p0 : kOracleP0) {
+      bouncing::McConfig cfg;
+      cfg.paths = env::scaled_count(400);
+      cfg.epochs = 1200;
+      cfg.seed = 41;
+      cfg.p0 = p0;
+      cfg.model = model;
+      cfg.threads = 1;
+      const std::vector<std::size_t> snaps{17, 600, 1200};
+      const auto ref = oracle::run_bouncing_mc_scalar(cfg, snaps);
+      ASSERT_EQ(ref.stakes.size(), snaps.size());
+      for (const std::size_t block : block_grid(cfg.paths)) {
+        for (const unsigned threads : kThreadGrid) {
+          cfg.block = block;
+          cfg.threads = threads;
+          expect_mc_equal(bouncing::run_bouncing_mc(cfg, snaps), ref,
+                          oracle_label(p0, model) +
+                              " block=" + std::to_string(block) +
+                              " threads=" + std::to_string(threads));
+        }
+      }
     }
   }
 }
@@ -110,49 +139,67 @@ TEST(BatchBitIdentity, SummaryModeNeverMaterializesPathsAndMatchesFull) {
 }
 
 TEST(BatchBitIdentity, AttackSimIdenticalForEveryBlockAndThreads) {
-  bouncing::AttackSimConfig cfg;
-  cfg.runs = env::scaled_count(150);
-  cfg.honest_validators = 25;
-  cfg.max_epochs = 1500;
-  cfg.seed = 77;
-  cfg.threads = 1;
-  cfg.block = 1;
-  // The scalar oracle is the fixed reference: the batched driver must
-  // reproduce it bit-for-bit at every (block, threads).
-  const auto ref = oracle::run_attack_sim_scalar(cfg);
-  for (const std::size_t block : block_grid(cfg.runs)) {
-    for (const unsigned threads : kThreadGrid) {
-      cfg.block = block;
-      cfg.threads = threads;
-      const auto r = bouncing::run_attack_sim(cfg);
-      EXPECT_EQ(r.durations, ref.durations) << block << "/" << threads;
-      EXPECT_EQ(r.break_epochs, ref.break_epochs) << block << "/" << threads;
-      EXPECT_EQ(r.mean_duration, ref.mean_duration);
-      EXPECT_EQ(r.median_duration, ref.median_duration);
-      EXPECT_EQ(r.p99_duration, ref.p99_duration);
-      EXPECT_EQ(r.prob_threshold_broken, ref.prob_threshold_broken);
+  for (const auto& model : oracle_models()) {
+    for (const double p0 : kOracleP0) {
+      bouncing::AttackSimConfig cfg;
+      cfg.runs = env::scaled_count(150);
+      cfg.honest_validators = 25;
+      cfg.max_epochs = 1500;
+      cfg.seed = 77;
+      cfg.p0 = p0;
+      cfg.model = model;
+      cfg.threads = 1;
+      cfg.block = 1;
+      // The scalar oracle is the fixed reference: the batched driver
+      // must reproduce it bit-for-bit at every (block, threads).
+      const auto ref = oracle::run_attack_sim_scalar(cfg);
+      for (const std::size_t block : block_grid(cfg.runs)) {
+        for (const unsigned threads : kThreadGrid) {
+          cfg.block = block;
+          cfg.threads = threads;
+          const auto r = bouncing::run_attack_sim(cfg);
+          const auto label = oracle_label(p0, model) + " " +
+                             std::to_string(block) + "/" +
+                             std::to_string(threads);
+          EXPECT_EQ(r.durations, ref.durations) << label;
+          EXPECT_EQ(r.break_epochs, ref.break_epochs) << label;
+          EXPECT_EQ(r.mean_duration, ref.mean_duration) << label;
+          EXPECT_EQ(r.median_duration, ref.median_duration) << label;
+          EXPECT_EQ(r.p99_duration, ref.p99_duration) << label;
+          EXPECT_EQ(r.prob_threshold_broken, ref.prob_threshold_broken)
+              << label;
+        }
+      }
     }
   }
 }
 
 TEST(BatchBitIdentity, PopulationEnsembleIdenticalForEveryBlockAndThreads) {
-  bouncing::PopulationEnsembleConfig cfg;
-  cfg.base.honest_validators = 30;
-  cfg.base.epochs = 300;
-  cfg.base.beta0 = 1.0 / 3.0;
-  cfg.paths = env::scaled_count(12);
-  cfg.threads = 1;
-  cfg.block = 1;
-  const auto ref = oracle::run_population_ensemble_scalar(cfg);
-  for (const std::size_t block : block_grid(cfg.paths)) {
-    for (const unsigned threads : kThreadGrid) {
-      cfg.block = block;
-      cfg.threads = threads;
-      const auto r = bouncing::run_population_ensemble(cfg);
-      EXPECT_EQ(r.first_exceed_epochs, ref.first_exceed_epochs)
-          << block << "/" << threads;
-      EXPECT_EQ(r.exceed_fraction, ref.exceed_fraction);
-      EXPECT_EQ(r.mean_final_beta, ref.mean_final_beta);
+  for (const auto& model : oracle_models()) {
+    for (const double p0 : kOracleP0) {
+      bouncing::PopulationEnsembleConfig cfg;
+      cfg.base.honest_validators = 30;
+      cfg.base.epochs = 300;
+      cfg.base.beta0 = 1.0 / 3.0;
+      cfg.base.p0 = p0;
+      cfg.base.model = model;
+      cfg.paths = env::scaled_count(12);
+      cfg.threads = 1;
+      cfg.block = 1;
+      const auto ref = oracle::run_population_ensemble_scalar(cfg);
+      for (const std::size_t block : block_grid(cfg.paths)) {
+        for (const unsigned threads : kThreadGrid) {
+          cfg.block = block;
+          cfg.threads = threads;
+          const auto r = bouncing::run_population_ensemble(cfg);
+          const auto label = oracle_label(p0, model) + " " +
+                             std::to_string(block) + "/" +
+                             std::to_string(threads);
+          EXPECT_EQ(r.first_exceed_epochs, ref.first_exceed_epochs) << label;
+          EXPECT_EQ(r.exceed_fraction, ref.exceed_fraction) << label;
+          EXPECT_EQ(r.mean_final_beta, ref.mean_final_beta) << label;
+        }
+      }
     }
   }
 }
@@ -259,129 +306,22 @@ TEST(ScalarReference, IgnoresBatchKnobs) {
 
 // Single-population run: the cohort kernel's serial draw pass consumes
 // the shared RNG stream in exactly the scalar order, so the whole
-// trajectory is bit-identical.
+// trajectory is bit-identical at every (model, p0) of the oracle grid.
 TEST(BatchBitIdentity, PopulationRunMatchesScalarOracle) {
-  bouncing::PopulationRunConfig cfg;
-  cfg.honest_validators = 40;
-  cfg.epochs = 800;
-  cfg.beta0 = 1.0 / 3.0;
-  cfg.seed = 23;
-  const auto ref = oracle::run_population_bouncing_scalar(cfg);
-  const auto r = bouncing::run_population_bouncing(cfg);
-  EXPECT_EQ(r.first_exceed_epoch, ref.first_exceed_epoch);
-  EXPECT_EQ(r.beta_trajectory, ref.beta_trajectory);
-}
-
-// --- the Bernoulli draw's edges -----------------------------------------
-// The kernels decide each draw with the integer cut of bernoulli_cut.
-// p0 = 0 (no lane ever active) and p0 = 1 (every lane always active)
-// are its ends, 1/3 a cut that is not a power of two.  The second
-// model's quotient is not a power of two, so the cohort's penalty takes
-// its division arm; it is small and the ejection threshold low, so the
-// penalty is a large share of a long-lived stake and a one-ulp change
-// in it reaches the reported sums.  Every case is checked against the
-// frozen scalar oracles.
-constexpr double kEdgeP0[] = {0.0, 1.0 / 3.0, 1.0};
-
-std::vector<analytic::AnalyticConfig> edge_models() {
-  auto odd = analytic::AnalyticConfig::paper();
-  odd.quotient = 3.0 * 4096.0;
-  odd.ejection_threshold = 1e-3;
-  return {analytic::AnalyticConfig::paper(), odd};
-}
-
-std::string edge_label(double p0, const analytic::AnalyticConfig& model) {
-  return "p0=" + std::to_string(p0) +
-         " quotient=" + std::to_string(model.quotient);
-}
-
-TEST(BatchBitIdentity, BouncingMcMatchesScalarAtEdgeP0) {
-  for (const auto& model : edge_models()) {
-    for (const double p0 : kEdgeP0) {
-      bouncing::McConfig cfg;
-      cfg.paths = env::scaled_count(200);
-      cfg.epochs = 1200;
-      cfg.seed = 43;
+  for (const auto& model : oracle_models()) {
+    for (const double p0 : kOracleP0) {
+      bouncing::PopulationRunConfig cfg;
+      cfg.honest_validators = 40;
+      cfg.epochs = 800;
+      cfg.beta0 = 1.0 / 3.0;
+      cfg.seed = 23;
       cfg.p0 = p0;
       cfg.model = model;
-      const std::vector<std::size_t> snaps{17, 600, 1200};
-      const auto ref = oracle::run_bouncing_mc_scalar(cfg, snaps);
-      for (const std::size_t block : block_grid(cfg.paths)) {
-        for (const unsigned threads : kThreadGrid) {
-          cfg.block = block;
-          cfg.threads = threads;
-          expect_mc_equal(bouncing::run_bouncing_mc(cfg, snaps), ref,
-                          edge_label(p0, model) +
-                              " block=" + std::to_string(block) +
-                              " threads=" + std::to_string(threads));
-        }
-      }
-    }
-  }
-}
-
-TEST(BatchBitIdentity, AttackSimMatchesScalarAtEdgeP0) {
-  for (const auto& model : edge_models()) {
-    for (const double p0 : kEdgeP0) {
-      bouncing::AttackSimConfig cfg;
-      cfg.runs = env::scaled_count(100);
-      cfg.honest_validators = 25;
-      cfg.max_epochs = 1500;
-      cfg.seed = 79;
-      cfg.p0 = p0;
-      cfg.model = model;
-      const auto ref = oracle::run_attack_sim_scalar(cfg);
-      for (const std::size_t block : block_grid(cfg.runs)) {
-        for (const unsigned threads : kThreadGrid) {
-          cfg.block = block;
-          cfg.threads = threads;
-          const auto r = bouncing::run_attack_sim(cfg);
-          const auto label = edge_label(p0, model) + " " +
-                             std::to_string(block) + "/" +
-                             std::to_string(threads);
-          EXPECT_EQ(r.durations, ref.durations) << label;
-          EXPECT_EQ(r.break_epochs, ref.break_epochs) << label;
-          EXPECT_EQ(r.mean_duration, ref.mean_duration) << label;
-          EXPECT_EQ(r.prob_threshold_broken, ref.prob_threshold_broken)
-              << label;
-        }
-      }
-    }
-  }
-}
-
-TEST(BatchBitIdentity, PopulationMatchesScalarAtEdgeP0) {
-  for (const auto& model : edge_models()) {
-    for (const double p0 : kEdgeP0) {
-      const auto label = edge_label(p0, model);
-      bouncing::PopulationRunConfig run;
-      run.honest_validators = 40;
-      run.epochs = 800;
-      run.beta0 = 1.0 / 3.0;
-      run.seed = 29;
-      run.p0 = p0;
-      run.model = model;
-      const auto ref_run = oracle::run_population_bouncing_scalar(run);
-      const auto r = bouncing::run_population_bouncing(run);
-      EXPECT_EQ(r.first_exceed_epoch, ref_run.first_exceed_epoch) << label;
-      EXPECT_EQ(r.beta_trajectory, ref_run.beta_trajectory) << label;
-
-      bouncing::PopulationEnsembleConfig cfg;
-      cfg.base = run;
-      cfg.base.honest_validators = 30;
-      cfg.base.epochs = 300;
-      cfg.paths = env::scaled_count(12);
-      const auto ref = oracle::run_population_ensemble_scalar(cfg);
-      for (const std::size_t block : block_grid(cfg.paths)) {
-        for (const unsigned threads : kThreadGrid) {
-          cfg.block = block;
-          cfg.threads = threads;
-          const auto e = bouncing::run_population_ensemble(cfg);
-          EXPECT_EQ(e.first_exceed_epochs, ref.first_exceed_epochs) << label;
-          EXPECT_EQ(e.exceed_fraction, ref.exceed_fraction) << label;
-          EXPECT_EQ(e.mean_final_beta, ref.mean_final_beta) << label;
-        }
-      }
+      const auto ref = oracle::run_population_bouncing_scalar(cfg);
+      const auto r = bouncing::run_population_bouncing(cfg);
+      const auto label = oracle_label(p0, model);
+      EXPECT_EQ(r.first_exceed_epoch, ref.first_exceed_epoch) << label;
+      EXPECT_EQ(r.beta_trajectory, ref.beta_trajectory) << label;
     }
   }
 }
