@@ -86,13 +86,11 @@ double multibranch_exceed_threshold(unsigned branches, double beta0,
   if (branches < 2) {
     throw std::invalid_argument("multibranch: need >= 2 branches");
   }
+  // At branches = 2 the duty-cycle law is the paper's semi-active one
+  // bit for bit whenever bias >= decrement: (b * 1.0 - d) / 2 and
+  // (b - d) / 2 are the same double.
   const double factor =
       static_cast<double>(branches) * beta0 / (1.0 - beta0);
-  // branches = 2 must stay bit-identical to the legacy Monte Carlo
-  // criterion, which references the paper's semi-active closed form
-  // (numerically the duty-cycle k = 2 law, but routed through
-  // stake_model so the expression matches to the last bit).
-  if (branches == 2) return factor * stake(Behavior::kSemiActive, t, cfg);
   return factor * duty_cycle_stake(branches, t, cfg);
 }
 

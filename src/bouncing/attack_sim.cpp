@@ -1,6 +1,5 @@
 #include "src/bouncing/attack_sim.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -33,25 +32,20 @@ RunOutcome simulate_attack_run(const AttackSimConfig& cfg, Rng rng) {
   // in that order, in one pass that also sums the stakes as they stand
   // (the lottery's probability needs that sum); when the lottery ends
   // the run, the lane draws are never used.  The update pass is
-  // branchless over the lanes.  Byzantine validators are semi-active
-  // on A (active every other epoch), scalar as before.  Scratch is per
-  // worker thread, reused across the runs it claims — purely an
-  // allocation cache, fully re-initialized per run.
+  // branchless over the lanes.  Scratch is per worker thread, reused
+  // across the runs it claims — purely an allocation cache, fully
+  // re-initialized per run.
   // leaklint: allow(D5): per-thread allocation cache only; contents fully re-initialized per run, results bit-identical across thread counts
   static thread_local kernel::LeakCohort cohort;
   cohort.reset(n, cfg.model);
-  double byz_stake = cfg.model.initial_stake;
-  double byz_score = 0.0;
-  bool byz_ejected = false;
+  kernel::SemiActiveByzantine byz(cfg.model);
 
   for (std::size_t t = 1; t <= cfg.max_epochs; ++t) {
     const double lottery = rng.uniform();
     // Current stake-weighted Byzantine proportion on branch A.
     const double honest_mean = cohort.draw(rng) / static_cast<double>(n);
-    const double byz_mass = cfg.beta0 * byz_stake;
-    const double denom = byz_mass + (1.0 - cfg.beta0) * honest_mean;
-    const double beta = denom > 0.0 ? byz_mass / denom : 0.0;
-    if (beta > 1.0 / 3.0 && !byz_ejected && out.break_epoch < 0) {
+    const double beta = byz.beta(cfg.beta0, honest_mean);
+    if (beta > 1.0 / 3.0 && !byz.ejected && out.break_epoch < 0) {
       out.break_epoch = static_cast<std::int64_t>(t);
     }
 
@@ -60,7 +54,7 @@ RunOutcome simulate_attack_run(const AttackSimConfig& cfg, Rng rng) {
     // lottery value drawn above).
     const double lottery_beta = cfg.stake_weighted_lottery ? beta : cfg.beta0;
     const double p_continue = 1.0 - std::pow(1.0 - lottery_beta, cfg.j);
-    if (byz_ejected || !(lottery < p_continue)) {
+    if (byz.ejected || !(lottery < p_continue)) {
       out.duration = t - 1;
       break;
     }
@@ -68,18 +62,7 @@ RunOutcome simulate_attack_run(const AttackSimConfig& cfg, Rng rng) {
 
     // One epoch of Figure 8 dynamics on the lanes drawn above.
     cohort.update(cfg.model, cfg.p0);
-    if (!byz_ejected) {
-      byz_stake -= byz_score * byz_stake / cfg.model.quotient;
-      if (t % 2 == 0) {
-        byz_score = std::max(byz_score - cfg.model.score_active_decrement, 0.0);
-      } else {
-        byz_score += cfg.model.score_bias;
-      }
-      if (byz_stake <= cfg.model.ejection_threshold) {
-        byz_ejected = true;
-        byz_stake = 0.0;
-      }
-    }
+    byz.step(cfg.model, t);
   }
   return out;
 }

@@ -85,21 +85,15 @@ PopulationRunResult run_population_bouncing(const PopulationRunConfig& cfg) {
   static thread_local kernel::LeakCohort cohort;
   cohort.reset(n, cfg.model);
 
-  // Byzantine stake per validator-equivalent; they are semi-active on
-  // branch A (tracked branch), with their own floored discrete dynamics.
-  double byz_stake = cfg.model.initial_stake;
-  double byz_score = 0.0;
-  bool byz_ejected = false;
+  kernel::SemiActiveByzantine byz(cfg.model);  // tracked branch A
 
   // Branch-level Byzantine proportion at the end of epoch t (Eq 23 with
   // population averages), from that epoch's honest stake sum.
   const auto observe = [&](std::size_t t, double honest_total) {
-    const double honest_mean = honest_total / static_cast<double>(n);
-    const double byz = cfg.beta0 * byz_stake;
-    const double denom = byz + (1.0 - cfg.beta0) * honest_mean;
-    const double beta = denom > 0.0 ? byz / denom : 0.0;
+    const double beta =
+        byz.beta(cfg.beta0, honest_total / static_cast<double>(n));
     if (t % res.stride == 0) res.beta_trajectory.push_back(beta);
-    if (res.first_exceed_epoch < 0 && beta > 1.0 / 3.0 && !byz_ejected) {
+    if (res.first_exceed_epoch < 0 && beta > 1.0 / 3.0 && !byz.ejected) {
       res.first_exceed_epoch = static_cast<std::int64_t>(t);
     }
   };
@@ -110,20 +104,7 @@ PopulationRunResult run_population_bouncing(const PopulationRunConfig& cfg) {
     const double honest_total = cohort.draw(rng);
     if (t > 1) observe(t - 1, honest_total);
     cohort.update(cfg.model, cfg.p0);
-    // Byzantine: semi-active from branch A's viewpoint.
-    if (!byz_ejected) {
-      byz_stake -= byz_score * byz_stake / cfg.model.quotient;
-      const bool active = (t % 2 == 0);
-      if (active) {
-        byz_score = std::max(byz_score - cfg.model.score_active_decrement, 0.0);
-      } else {
-        byz_score += cfg.model.score_bias;
-      }
-      if (byz_stake <= cfg.model.ejection_threshold) {
-        byz_ejected = true;
-        byz_stake = 0.0;
-      }
-    }
+    byz.step(cfg.model, t);
   }
   if (cfg.epochs > 0) observe(cfg.epochs, cohort.stake_sum());
   return res;

@@ -16,6 +16,7 @@
 // so the extra lockstep work is unobservable.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -56,6 +57,41 @@ class LeakCohort {
   std::vector<double> stake_;
   std::vector<double> score_;
   std::vector<std::uint64_t> draw_;  ///< this epoch's raw draw per lane
+};
+
+/// The Byzantine side of a cohort run: validators semi-active on the
+/// tracked branch (active on even epochs), one scalar stake per
+/// validator-equivalent under the floored dynamics of a cohort lane.
+struct SemiActiveByzantine {
+  double stake;
+  double score = 0.0;
+  bool ejected = false;
+
+  explicit SemiActiveByzantine(const analytic::AnalyticConfig& model)
+      : stake(model.initial_stake) {}
+
+  /// Eq 23: the tracked branch's Byzantine proportion, with a beta0
+  /// share at `stake` and the rest at the honest mean.
+  [[nodiscard]] double beta(double beta0, double honest_mean) const {
+    const double byz = beta0 * stake;
+    const double denom = byz + (1.0 - beta0) * honest_mean;
+    return denom > 0.0 ? byz / denom : 0.0;
+  }
+
+  /// Epoch t: Eq 2 penalty, Eq 1 floored score update, ejection flush.
+  void step(const analytic::AnalyticConfig& model, std::size_t t) {
+    if (ejected) return;
+    stake -= score * stake / model.quotient;
+    if (t % 2 == 0) {
+      score = std::max(score - model.score_active_decrement, 0.0);
+    } else {
+      score += model.score_bias;
+    }
+    if (stake <= model.ejection_threshold) {
+      ejected = true;
+      stake = 0.0;
+    }
+  }
 };
 
 }  // namespace leak::kernel

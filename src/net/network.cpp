@@ -95,8 +95,8 @@ bool Network::weather_drops(SimTime at, bool cross) {
 void Network::send_one(SimTime base, ValidatorIndex from, ValidatorIndex to,
                        const Packet& p) {
   // The jitter draw always happens (even for a copy that is then
-  // dropped), so the legacy delay stream is identical whether or not
-  // weather is configured or strikes.
+  // dropped), so the per-message delay stream is identical whether or
+  // not weather is configured or strikes.
   double j = jitter();
   const bool cross = link_is_cross(from, to);
   const double factor = latency_factor(queue_.now(), cross);

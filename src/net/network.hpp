@@ -66,8 +66,8 @@ struct NetworkConfig {
   /// Scripted network weather (compiled from a faults::FaultSchedule
   /// by faults::apply_network).  Loss draws come from a dedicated
   /// StreamSeeder lane off `seed`, so an empty episode list is
-  /// bit-identical to the pre-weather network -- the legacy jitter
-  /// stream is never perturbed.
+  /// bit-identical to a network without weather -- the per-message
+  /// jitter stream is never perturbed.
   std::vector<LatencyEpisode> latency_episodes;
   std::vector<LossEpisode> loss_episodes;
 };

@@ -30,8 +30,8 @@ struct SpecConfig {
   /// not only while the leak is on (the real spec's behaviour, and the
   /// model behind analytic::residual_loss: a drained score keeps
   /// inflicting penalties after finalization resumes).  The paper's
-  /// leak analysis never leaves the leak, so the default keeps the
-  /// legacy gate and every existing result bit-identical.
+  /// leak analysis never leaves the leak, so the default is the paper's
+  /// leak-only penalty gate (docs/MODEL.md).
   bool inactivity_penalty_tracks_score = false;
   /// Rate-limit ejections through the spec's exit churn (the paper's
   /// model ejects instantaneously; enable for the churn ablation).

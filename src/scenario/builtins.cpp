@@ -924,7 +924,7 @@ void register_flaky_network(ScenarioRegistry& r) {
       "Scripted network weather on the slot-level protocol simulator: "
       "a latency episode stretches per-message jitter beyond the "
       "synchrony bound and a loss episode drops messages from a "
-      "dedicated weather RNG lane (legacy delivery stream untouched), "
+      "dedicated weather RNG lane (the jitter stream untouched), "
       "measuring finality stalls, message loss, and the leak trigger; "
       "sweep latency_factor x loss_drop");
   add_region_slot_params(spec, 8, 10)

@@ -231,10 +231,10 @@ PartitionSimResult run_partition_core(
   std::vector<std::uint8_t> opened(k, 0);
   opened[0] = 1;  // the canonical branch is always open
 
-  // With healing enabled the penalty gate is the real spec's (score > 0
-  // keeps paying after finalization resumes) so the recovery tail
-  // matches analytic::recovery; without healing the legacy leak-only
-  // gate keeps every two-branch result bit-identical.
+  // With healing enabled the penalty gate is the consensus spec's
+  // (score > 0 keeps paying after finalization resumes), so the recovery
+  // tail matches analytic::recovery; without healing it stays the
+  // paper's leak-only penalty gate (docs/MODEL.md).
   penalties::SpecConfig spec = cfg.spec;
   if (healing) spec.inactivity_penalty_tracks_score = true;
   const bool churn = spec.use_churn_limit;
@@ -289,7 +289,7 @@ PartitionSimResult run_partition_core(
     // Cascading opens: a branch opening after epoch 1 forks the
     // canonical chain's class records (balances, scores, exits) as of
     // the fork epoch.  Epoch-1 opens keep the pristine initial state,
-    // exactly the legacy behaviour.  The fork's exit queue starts
+    // the paper's simultaneous partition.  The fork's exit queue starts
     // empty: the branch was never processed.
     for (std::uint32_t b = 1; b < k; ++b) {
       if (opened[b] == 0 && t >= open_at[b]) {
@@ -317,7 +317,8 @@ PartitionSimResult run_partition_core(
     const bool all_healed = healing && res.heal_complete_epoch >= 0;
 
     // Scheduled outages: the afflicted honest prefix sits out this
-    // epoch on every branch (empty for every legacy config).
+    // epoch on every branch (empty unless a fault schedule scripts an
+    // outage).
     std::uint32_t outage_cut = 0;
     for (const OutageWindow& o : cfg.outages) {
       if (t >= o.from_epoch && t < o.from_epoch + o.span_epochs) {
@@ -599,7 +600,7 @@ PartitionSimResult run_partition_core(
 
   // Conflicting finalization: the epoch the second branch finalized a
   // checkpoint conflicting with another branch's (for two branches:
-  // max(f1, f2), the legacy definition).
+  // max(f1, f2), the paper's definition).
   std::vector<std::int64_t> finals;
   for (const auto& br : res.branch) {
     if (br.finalization_epoch >= 0) finals.push_back(br.finalization_epoch);
@@ -617,7 +618,7 @@ PartitionSimResult run_partition_core(
 }
 
 /// Deterministic honest split: branch 1 gets round(p0 * n_honest) for
-/// the two-branch case (the legacy split); k > 2 splits into
+/// the two-branch case (the paper's p0 split); k > 2 splits into
 /// equal-size contiguous chunks.
 std::vector<std::uint8_t> deterministic_split(const PartitionSimConfig& cfg,
                                               std::uint32_t n_honest) {
@@ -666,8 +667,8 @@ void draw_split(const PartitionSimConfig& base, const StreamSeeder& seeder,
   Rng rng = seeder.stream(trial);
   const auto k = base.branches;
   for (auto& b : *branch_of_honest) {
-    // Two branches keep the legacy bernoulli(p0) draw exactly;
-    // k > 2 assigns uniformly over the branches.
+    // Two branches draw the paper's bernoulli(p0) split; k > 2
+    // assigns uniformly over the branches.
     b = k == 2 ? (rng.bernoulli(base.p0) ? 0 : 1)
                : static_cast<std::uint8_t>(rng.uniform_index(k));
   }

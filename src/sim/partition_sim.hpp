@@ -75,8 +75,8 @@ struct PartitionSimConfig {
   /// Record the active-stake ratio every `trajectory_stride` epochs.
   std::size_t trajectory_stride = 8;
   /// Number of partition branches k >= 2.  The paper's Section 5
-  /// scenarios are branches = 2 (the default); every two-branch result
-  /// is bit-identical to the pre-generalization simulator.
+  /// scenarios are branches = 2 (the default): the paper's two-way
+  /// partition.
   std::uint32_t branches = 2;
   /// Per-branch open/heal schedule (entry b-1 describes branch b),
   /// normally compiled from a faults::FaultSchedule.  Empty = every
@@ -168,8 +168,8 @@ PartitionSimResult run_partition_sim(const PartitionSimConfig& cfg);
 
 /// Monte Carlo over the partition scenario: each trial redraws the
 /// honest branch assignment iid (with branches = 2 each honest
-/// validator lands on branch 1 with probability p0, exactly the legacy
-/// draw; with branches > 2 the assignment is uniform over the k
+/// validator lands on branch 1 with probability p0, the paper's split;
+/// with branches > 2 the assignment is uniform over the k
 /// branches) instead of using the rounded deterministic split,
 /// measuring how sensitive the Section 5 outcomes are to the realised
 /// split.  Trial i always draws from the (seed, i) stream and trials

@@ -190,8 +190,8 @@ struct SlotSim::Impl final : net::Receiver {
   }
 
   /// Drop a boost left over from an earlier slot (the boost only lives
-  /// until the slot ends).  No-op when the boost is disabled, keeping
-  /// the default configuration bit-exact with the pre-boost simulator.
+  /// until the slot ends).  No-op when the boost is disabled, the
+  /// default: fork choice then weighs attestations alone.
   void refresh_boost(View& v) {
     if (cfg.proposer_boost == 0) return;
     if (v.boost_slot != kNoBoostSlot &&

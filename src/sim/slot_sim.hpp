@@ -58,8 +58,8 @@ struct SlotSimConfig {
   ProposerStrategy proposer_strategy = ProposerStrategy::kHonest;
   /// Fork-choice proposer boost: percent of the total active balance
   /// credited to the current slot's timely proposal until the slot
-  /// ends (mainnet uses 40).  0 disables the boost entirely and is
-  /// bit-exact with the pre-boost simulator.
+  /// ends (mainnet uses 40).  0 disables the boost entirely: fork
+  /// choice then weighs attestations alone.
   unsigned proposer_boost = 0;
   /// Balancing attack: seconds between a Byzantine proposer's slot
   /// start and the release of each equivocation sibling to its own
@@ -72,7 +72,8 @@ struct SlotSimConfig {
   penalties::SpecConfig spec = penalties::SpecConfig::paper();
   /// Scripted network weather (latency/loss episodes in simulated
   /// seconds), compiled from a faults::FaultSchedule by
-  /// faults::apply_network.  Empty = the legacy network, bit-identical.
+  /// faults::apply_network.  Empty = no weather: only the synchrony
+  /// bound's jitter delays a message and none is lost.
   std::vector<net::LatencyEpisode> latency_episodes;
   std::vector<net::LossEpisode> loss_episodes;
 };

@@ -123,13 +123,22 @@ TEST(MultiBranch, InvalidBranchCountThrows) {
 TEST(MultiBranch, ExceedThresholdTwoBranchesIsLegacyCriterion) {
   // The m = 2 threshold must equal the original run_bouncing_mc
   // exceedance expression bit for bit — the CI baseline diff depends
-  // on it.
-  for (const double beta0 : {0.2, 0.33, 0.4}) {
-    const double factor = 2.0 * beta0 / (1.0 - beta0);
-    for (const double t : {100.0, 1000.0, 4024.0}) {
-      EXPECT_EQ(multibranch_exceed_threshold(2, beta0, t, kPaper),
-                factor * stake(Behavior::kSemiActive, t, kPaper))
-          << "beta0=" << beta0 << " t=" << t;
+  // on it.  It is the duty-cycle k = 2 law, which equals the paper's
+  // semi-active law to the last bit whenever bias >= decrement: every
+  // shipped config, and the doubled bias of bench_ablation_constants.
+  AnalyticConfig bias8 = kPaper;
+  bias8.score_bias = 8.0;
+  for (const AnalyticConfig& cfg : {kPaper, AnalyticConfig::stated(),
+                                    AnalyticConfig::mainnet(), bias8}) {
+    for (const double beta0 : {0.2, 0.33, 0.4}) {
+      const double factor = 2.0 * beta0 / (1.0 - beta0);
+      for (const double t : {100.0, 1000.0, 4024.0}) {
+        EXPECT_EQ(multibranch_exceed_threshold(2, beta0, t, cfg),
+                  factor * stake(Behavior::kSemiActive, t, cfg))
+            << "bias=" << cfg.score_bias << " quotient=" << cfg.quotient
+            << " ejection=" << cfg.ejection_threshold
+            << " beta0=" << beta0 << " t=" << t;
+      }
     }
   }
 }

@@ -31,6 +31,14 @@ CONTRACT is one of:
                  A run and a sweep with `--json -` (report not quieted)
                  print one JSON document on stdout, equal to the --json
                  FILE report, and `--json - --csv -` is refused.
+  cli            (tools.cli_contract) Each command accepts exactly its
+                 own options (ACCEPTS): it refuses every other one with
+                 `unknown option` before running anything, so the once
+                 accepted `serve --once --params ...`, `status
+                 --max-cells ...` and `submit ... --csv x.csv --once`
+                 exit 2 and write nothing.  A value option given last
+                 fails with `needs a value`, and the option headings of
+                 the usage text match ACCEPTS.
   kernel-parity  (tools.kernel_parity) Every Monte Carlo driver, the
                  rows-dropping (keep_paths = false) semiactive-sweep and
                  the slot-trial slot-protocol report the same bytes at
@@ -316,6 +324,83 @@ def faults(leakctl):
           "sweep; --json - --csv - refused")
 
 
+# The options each command reads; it must refuse every other one.
+SCENARIO_IN = "--set --paths --seed --threads --block --faults"
+ACCEPTS = {
+    "list": "--json --names",
+    "describe": "--json",
+    "run": f"{SCENARIO_IN} --params --json --csv --quiet",
+    "sweep": f"{SCENARIO_IN} --sweep --vary-seed --parallel-cells --json "
+             "--csv --quiet",
+    "search": f"{SCENARIO_IN} --axis --budget --patience --search-threads "
+              "--journal --boost-report --boost-percent --json --out --csv "
+              "--quiet",
+    "submit": f"{SCENARIO_IN} --params --sweep --vary-seed --workers "
+              "--max-retries --jobs-dir",
+    "status": "--json --jobs-dir",
+    "resume": "--workers --max-retries --max-cells --quiet --jobs-dir",
+    "results": "--canonical --json --csv --jobs-dir",
+    "serve": "--once --poll-ms --workers --max-retries --max-cells --quiet "
+             "--jobs-dir",
+}
+POSITIONALS = {"describe": ["recovery"], "run": ["recovery"],
+               "sweep": ["recovery"], "search": ["semiactive-duty"],
+               "submit": ["recovery"], "resume": ["0"], "results": ["0"]}
+
+
+def usage_options(leakctl):
+    """{command: its options} from the option headings of the usage
+    text (" run, sweep:" lines, each followed by "  --flag" lines)."""
+    text = leakctl(ok=False).stderr
+    options, heading = {}, []
+    for line in text.splitlines():
+        if line.startswith(" ") and not line.startswith("  "):
+            heading = line.strip().rstrip(":").split(", ")
+        elif line.startswith("  --") and heading:
+            for verb in heading:
+                options.setdefault(verb, set()).add(line.split()[0])
+    return options
+
+
+def cli(leakctl):
+    jobs_dir, csv = leakctl.work / "jobs", leakctl.work / "x.csv"
+    # Foreign options that were once accepted and silently dropped.
+    for argv in (("serve", "--once", "--params", "/nonexistent.json",
+                  "--canonical", "--jobs-dir", jobs_dir),
+                 ("status", "--max-cells", 3, "--sweep", "zebra=1",
+                  "--jobs-dir", jobs_dir),
+                 ("submit", "duty-cycle", "--csv", csv, "--once",
+                  "--jobs-dir", jobs_dir)):
+        got = leakctl(*argv, ok=False)
+        expect(got.returncode == 2 and "unknown option" in got.stderr,
+               f"{' '.join(map(str, argv))}: exit {got.returncode}, "
+               f"stderr {got.stderr!r}")
+    expect(not csv.exists(), "a refused submit --csv wrote its file")
+    expect(not jobs_dir.exists(), "a refused command wrote a jobs dir")
+    got = leakctl("run", "recovery", "--paths", ok=False)
+    expect(got.returncode == 2 and "--paths needs a value" in got.stderr,
+           f"run --paths without a value: exit {got.returncode}, "
+           f"stderr {got.stderr!r}")
+    accepts = {verb: set(flags.split()) for verb, flags in ACCEPTS.items()}
+    every = set().union(*accepts.values())
+    refused = 0
+    for verb, flags in sorted(accepts.items()):
+        for flag in sorted(every - flags):
+            argv = [verb, *POSITIONALS.get(verb, []), flag]
+            got = leakctl(*argv, ok=False)
+            expect(got.returncode == 2
+                   and f'unknown option "{flag}"' in got.stderr,
+                   f"{' '.join(argv)}: exit {got.returncode}, "
+                   f"stderr {got.stderr!r}")
+            refused += 1
+    listed = usage_options(leakctl)
+    expect(listed == accepts,
+           f"usage lists other options than ACCEPTS: {listed}")
+    print(f"ok   cli: {refused} foreign (command, option) pairs refused; "
+          "a value option without its value refused; usage lists each "
+          "command's options")
+
+
 def kernel_parity(leakctl):
     scenarios = ("bouncing-mc", "attack-lifetime", "population-ensemble",
                  "partition-trials", "semiactive-sweep", "slot-protocol")
@@ -340,7 +425,7 @@ def kernel_parity(leakctl):
 
 
 CONTRACTS = {"serve": serve, "search": search, "faults": faults,
-             "kernel-parity": kernel_parity}
+             "cli": cli, "kernel-parity": kernel_parity}
 
 
 def main():
