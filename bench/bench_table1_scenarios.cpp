@@ -104,6 +104,10 @@ void BM_Table1Generation(benchmark::State& state) {
 }
 BENCHMARK(BM_Table1Generation);
 
+// One honest 32-validator slot-level run over the given horizon.
+// Items are slots, so /256 against /32 is per-slot throughput at an
+// 8x longer horizon: CI fails the bench-smoke job when it drops below
+// half, which a per-epoch cost growing with the history would do.
 void BM_SlotSimEpoch(benchmark::State& state) {
   for (auto _ : state) {
     sim::SlotSimConfig sc;
@@ -113,7 +117,12 @@ void BM_SlotSimEpoch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0) * 32);
 }
-BENCHMARK(BM_SlotSimEpoch)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SlotSimEpoch)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
 // Cost vs n of one Section 5.1 partition run over a 5000-epoch horizon
 // (conflicting finalization lands at ~4662).  The simulator keeps one

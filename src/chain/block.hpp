@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "src/crypto/sha256.hpp"
@@ -44,13 +43,6 @@ struct Checkpoint {
   Epoch epoch{};
 
   friend bool operator==(const Checkpoint&, const Checkpoint&) = default;
-};
-
-struct CheckpointHash {
-  std::size_t operator()(const Checkpoint& c) const noexcept {
-    return DigestHash{}(c.block) ^
-           (std::hash<std::uint64_t>{}(c.epoch.value()) << 1);
-  }
 };
 
 /// An attestation: one per validator per epoch, carrying the two votes of

@@ -51,24 +51,22 @@ bool BlockTree::is_ancestor(const Digest& ancestor,
   return d == a;
 }
 
-Digest BlockTree::ancestor_at_slot(const Digest& id, Slot slot) const {
-  std::uint32_t i = require(id);
+std::uint32_t BlockTree::ancestor_at_slot(std::uint32_t i, Slot slot) const {
+  if (i >= blocks_.size()) {
+    throw std::out_of_range("BlockTree: unknown block");
+  }
   while (i != 0 && blocks_[i].slot > slot) i = parent_[i];
-  return blocks_[i].id;
+  return i;
 }
 
-Checkpoint BlockTree::checkpoint_on_branch(const Digest& head,
+Checkpoint BlockTree::checkpoint_on_branch(std::uint32_t head,
                                            Epoch epoch) const {
-  return Checkpoint{ancestor_at_slot(head, epoch.start_slot()), epoch};
+  return Checkpoint{blocks_[ancestor_at_slot(head, epoch.start_slot())].id,
+                    epoch};
 }
 
 BlockView::BlockView(const BlockTree& store)
     : store_(&store), has_{1}, arrivals_{0} {}
-
-bool BlockView::contains(const Digest& id) const {
-  const auto i = store_->index_of(id);
-  return i && contains(*i);
-}
 
 bool BlockView::insert(std::uint32_t i) {
   if (i >= store_->size()) {

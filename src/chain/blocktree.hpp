@@ -37,14 +37,16 @@ class BlockTree {
   [[nodiscard]] bool is_ancestor(const Digest& ancestor,
                                  const Digest& descendant) const;
 
-  /// The ancestor of `id` with the highest slot <= `slot` (used to find
-  /// the epoch-boundary block for checkpoints).
-  [[nodiscard]] Digest ancestor_at_slot(const Digest& id, Slot slot) const;
+  /// The index of the ancestor of block `i` with the highest slot <=
+  /// `slot` (used to find the epoch-boundary block for checkpoints).
+  /// Throws std::out_of_range for an index past the end.
+  [[nodiscard]] std::uint32_t ancestor_at_slot(std::uint32_t i,
+                                               Slot slot) const;
 
   /// The epoch-boundary checkpoint for `epoch` on the branch ending at
-  /// `head`: the block of the first slot of the epoch or, when that slot
-  /// was empty, the latest ancestor before it.
-  [[nodiscard]] Checkpoint checkpoint_on_branch(const Digest& head,
+  /// block `head`: the block of the first slot of the epoch or, when
+  /// that slot was empty, the latest ancestor before it.
+  [[nodiscard]] Checkpoint checkpoint_on_branch(std::uint32_t head,
                                                 Epoch epoch) const;
 
   // ---- index addressing (insertion order; genesis is index 0) ------
@@ -86,7 +88,6 @@ class BlockView {
   [[nodiscard]] bool contains(std::uint32_t i) const {
     return i < has_.size() && has_[i] != 0;
   }
-  [[nodiscard]] bool contains(const Digest& id) const;
 
   /// Add store block `i`.  Its parent must already be in the view.
   /// Returns false (no-op) when the block is already present; throws

@@ -7,12 +7,17 @@
 // stake.  It becomes *finalized* when it is justified and the checkpoint
 // of the immediately following epoch is also justified with this
 // checkpoint as source ("two consecutive justified checkpoints").
+//
+// Checkpoints are kept by epoch: each epoch lists the checkpoints seen
+// there (as a vote's target or source) in arrival order, next to the
+// bitmap of attesters already counted for a target in that epoch.  A
+// vote finds its two checkpoints among their epochs' few entries by
+// digest comparison, and processing epoch e visits epoch e's targets
+// only, so neither cost grows with the history.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/chain/block.hpp"
@@ -22,7 +27,6 @@ namespace leak::finality {
 
 using chain::Attestation;
 using chain::Checkpoint;
-using chain::CheckpointHash;
 using chain::Digest;
 
 /// Tracks FFG votes and derives the justified / finalized checkpoints of
@@ -51,24 +55,37 @@ class FfgTracker {
   [[nodiscard]] Gwei support(const Checkpoint& target) const;
 
  private:
-  const chain::ValidatorRegistry& registry_;
-  Checkpoint justified_;
-  Checkpoint finalized_;
-  std::unordered_set<Checkpoint, CheckpointHash> justified_set_;
-  /// A counted vote: the attester and its source checkpoint, interned
-  /// in `sources_` (a view sees few distinct sources).
+  /// A counted vote: the attester and its source checkpoint's node.
   struct PendingVote {
     std::uint32_t attester = 0;
     std::uint32_t source = 0;
   };
-  [[nodiscard]] std::uint32_t intern_source(const Checkpoint& c);
+  /// A checkpoint seen as a target or a source, and the counted votes
+  /// that target it.
+  struct Node {
+    Checkpoint checkpoint;
+    bool justified = false;
+    std::vector<PendingVote> votes;
+  };
+  /// One epoch's checkpoints (node indices, arrival order) and the
+  /// bitmap of the attesters already counted for a target in it.
+  struct EpochEntry {
+    std::vector<std::uint32_t> nodes;
+    std::vector<std::uint64_t> counted;
+  };
 
-  /// target -> accumulated votes.
-  std::unordered_map<Checkpoint, std::vector<PendingVote>, CheckpointHash>
-      votes_by_target_;
-  std::vector<Checkpoint> sources_;
-  /// Target epoch -> bitmap of the attesters already counted for it.
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> counted_;
+  [[nodiscard]] EpochEntry& epoch_entry(Epoch e);
+  /// The node of `c`, or nullptr when it was never seen.
+  [[nodiscard]] const Node* find(const Checkpoint& c) const;
+  /// The node index of `c`, added when first seen.
+  std::uint32_t intern(const Checkpoint& c);
+
+  const chain::ValidatorRegistry& registry_;
+  Checkpoint justified_;
+  Checkpoint finalized_;
+  std::vector<Node> nodes_;
+  /// Indexed by epoch, grown to the largest epoch seen.
+  std::vector<EpochEntry> epochs_;
 };
 
 }  // namespace leak::finality

@@ -30,9 +30,9 @@ class SafetyMonitor {
   std::optional<SafetyViolation> report(const Checkpoint& c);
 
  private:
-  /// One distinct reported block.  Each is checked once against every
-  /// other, in report order: `checked` counts the entries compared so
-  /// far and `conflict` is the first that conflicts.
+  /// One distinct reported block, in report order.  `checked` counts
+  /// the entries known not to conflict with it and `conflict` is the
+  /// first that does.
   struct Reported {
     Checkpoint checkpoint;
     std::size_t checked = 0;
@@ -41,6 +41,13 @@ class SafetyMonitor {
 
   const chain::BlockTree& tree_;
   std::vector<Reported> reported_;
+  /// The leading entries that lie on one chain, so none conflicts with
+  /// another, and the deepest of them.  While every entry is on it, a
+  /// new block is checked against the tip alone; once a block leaves
+  /// it, later entries are checked one by one until their first
+  /// conflict.
+  std::size_t chain_len_ = 0;
+  Digest tip_{};
 };
 
 }  // namespace leak::finality

@@ -25,6 +25,13 @@ constexpr double kAttestationOffset = 4.0;
 /// Sentinel for "no slot currently boosted" in a view.
 constexpr std::uint64_t kNoBoostSlot = std::numeric_limits<std::uint64_t>::max();
 
+/// An attestation as the simulator sends it: with its head vote's
+/// store index beside the digest, so no delivery maps the digest back.
+struct Vote {
+  Attestation att;
+  std::uint32_t head = 0;
+};
+
 }  // namespace
 
 /// The simulation is its queue's Receiver: every delivery is one
@@ -53,9 +60,10 @@ struct SlotSim::Impl final : net::Receiver {
   /// store's blocks it has received, its fork choice over them, and its
   /// FFG votes.  Heap-held and never moved (`fc` refers to `blocks`).
   struct View {
-    View(const chain::BlockTree& store, const chain::ValidatorRegistry& reg)
+    View(const chain::BlockTree& store, const chain::ValidatorRegistry& reg,
+         chain::ForkChoice::Scratch* scratch)
         : blocks(store),
-          fc(blocks, reg),
+          fc(blocks, reg, scratch),
           ffg(reg, Checkpoint{store.genesis_id(), Epoch{0}}) {}
 
     chain::BlockView blocks;
@@ -69,6 +77,10 @@ struct SlotSim::Impl final : net::Receiver {
     /// Slot whose proposal currently carries the fork-choice boost in
     /// this view (kNoBoostSlot when none; unused when the boost is off).
     std::uint64_t boost_slot = kNoBoostSlot;
+    /// The justified checkpoint's block and its store index, looked up
+    /// again only when the checkpoint moves.
+    Digest justified_block{};
+    std::optional<std::uint32_t> justified_index;
   };
 
   SlotSimConfig cfg;
@@ -80,13 +92,15 @@ struct SlotSim::Impl final : net::Receiver {
   /// Every block, each entered before it is broadcast; the views hold
   /// membership into it.  Declared before the views so it outlives them.
   chain::BlockTree global_tree;
+  /// The fork-choice buffers every view's queries fill in turn.
+  chain::ForkChoice::Scratch fc_scratch;
   /// Fork side per store index (balancing attack): 0 / 1 for an
   /// equivocation sibling and its descendants, -1 for pre-fork blocks.
   std::vector<std::int8_t> side_by_index{-1};
 
   /// What a payload id names: a block (its store index) or an
   /// attestation.
-  std::vector<std::variant<std::uint32_t, Attestation>> payloads;
+  std::vector<std::variant<std::uint32_t, Vote>> payloads;
   std::vector<std::unique_ptr<View>> views;          // [0, n)
   std::vector<std::unique_ptr<View>> byz_alt_views;  // second view per byz
   /// One per honest validator, remembering payload ids.
@@ -102,6 +116,11 @@ struct SlotSim::Impl final : net::Receiver {
   std::vector<std::tuple<ValidatorIndex, std::uint64_t, int>> split_withheld;
   /// Honest validators with index parity `side`, plus every Byzantine.
   std::array<std::vector<ValidatorIndex>, 2> side_audiences;
+  /// The validators in region one (two), plus every Byzantine: the
+  /// audiences of a partitioned Byzantine's two attestations.
+  std::array<std::vector<ValidatorIndex>, 2> region_audiences;
+  /// Every validator, the audience of the re-gossip at GST.
+  std::vector<ValidatorIndex> everyone;
 
   [[nodiscard]] bool balancing() const {
     return cfg.proposer_strategy == ProposerStrategy::kBalancing &&
@@ -130,7 +149,7 @@ struct SlotSim::Impl final : net::Receiver {
   }
 
   std::unique_ptr<View> make_view() {
-    return std::make_unique<View>(global_tree, registry);
+    return std::make_unique<View>(global_tree, registry, &fc_scratch);
   }
 
   void setup_views() {
@@ -142,17 +161,22 @@ struct SlotSim::Impl final : net::Receiver {
     detectors.reserve(cfg.n_honest);
     for (std::uint32_t i = 0; i < cfg.n_honest; ++i) {
       detectors.emplace_back([this](std::uint64_t id) -> const Attestation& {
-        return std::get<Attestation>(payloads[id]);
+        return std::get<Vote>(payloads[id]).att;
       });
     }
     last_reported_finalized.assign(n, 0);
     for (std::uint32_t i = 0; i < n; ++i) {
+      const ValidatorIndex v{i};
+      everyone.push_back(v);
       if (is_byz(i)) {
-        side_audiences[0].push_back(ValidatorIndex{i});
-        side_audiences[1].push_back(ValidatorIndex{i});
+        side_audiences[0].push_back(v);
+        side_audiences[1].push_back(v);
       } else {
-        side_audiences[i % 2].push_back(ValidatorIndex{i});
+        side_audiences[i % 2].push_back(v);
       }
+      const net::Region r = network.region(v);
+      if (r != net::Region::kTwo) region_audiences[0].push_back(v);
+      if (r != net::Region::kOne) region_audiences[1].push_back(v);
     }
   }
 
@@ -160,19 +184,14 @@ struct SlotSim::Impl final : net::Receiver {
   /// equivocation sibling pins its fork `side`; any other block (side
   /// -1) inherits its parent's.
   std::uint32_t store_block(const Block& b, int side) {
+    // Every block is new: its id hashes its slot and proposer, and no
+    // proposer makes two blocks with one body in a slot.
     global_tree.insert(b);
-    const std::uint32_t i = *global_tree.index_of(b.id);
+    const auto i = static_cast<std::uint32_t>(global_tree.size() - 1);
     side_by_index.resize(global_tree.size(), -1);
     side_by_index[i] = static_cast<std::int8_t>(
         side >= 0 ? side : side_by_index[global_tree.parent_index(i)]);
     return i;
-  }
-
-  /// Fork side of a block: the side of the nearest equivocation-sibling
-  /// ancestor, or -1 for pre-fork blocks.
-  [[nodiscard]] int block_side(const Digest& id) const {
-    const auto i = global_tree.index_of(id);
-    return i ? side_by_index[*i] : -1;
   }
 
   /// The Byzantine secondary view tracks region two; the primary view of
@@ -204,14 +223,15 @@ struct SlotSim::Impl final : net::Receiver {
   /// Credit a timely current-slot proposal with the boost: the block
   /// must belong to the slot in progress and arrive before the
   /// attestation deadline, mirroring the mainnet timeliness condition.
-  void maybe_boost(View& v, const Block& b) {
+  void maybe_boost(View& v, std::uint32_t i) {
     if (cfg.proposer_boost == 0) return;
     refresh_boost(v);
     const std::uint64_t s = current_slot_number();
     const double offset =
         queue.now() - static_cast<double>(s) * kSecondsPerSlot;
-    if (b.slot.value() == s && offset < kAttestationOffset) {
-      v.fc.set_proposer_boost(b.id, cfg.proposer_boost);
+    if (global_tree.by_index(i).slot.value() == s &&
+        offset < kAttestationOffset) {
+      v.fc.set_proposer_boost(i, cfg.proposer_boost);
       v.boost_slot = s;
     }
   }
@@ -227,7 +247,7 @@ struct SlotSim::Impl final : net::Receiver {
       return;
     }
     v.blocks.insert(i);
-    maybe_boost(v, global_tree.by_index(i));
+    maybe_boost(v, i);
     // Adopt any orphans waiting for this block, recursively.
     auto it = v.orphans.find(i);
     if (it != v.orphans.end()) {
@@ -237,16 +257,16 @@ struct SlotSim::Impl final : net::Receiver {
     }
   }
 
-  void ingest_attestation(View& v, const Attestation& a) {
-    v.fc.on_attestation(a.attester, a.head, a.slot);
-    v.ffg.on_checkpoint_vote(a);
+  void ingest_attestation(View& v, const Vote& vote) {
+    v.fc.on_attestation(vote.att.attester, vote.head, vote.att.slot);
+    v.ffg.on_checkpoint_vote(vote.att);
   }
 
   void on_deliver(ValidatorIndex to, const net::Packet& p) override {
     const auto& payload = payloads.at(p.payload_id);
     const std::uint32_t who = to.value();
     const auto* block = std::get_if<std::uint32_t>(&payload);
-    const auto* att = std::get_if<Attestation>(&payload);
+    const auto* att = std::get_if<Vote>(&payload);
     auto feed = [&](View& v) {
       if (block != nullptr) {
         ingest_block(v, *block);
@@ -258,8 +278,7 @@ struct SlotSim::Impl final : net::Receiver {
       if (balancing()) {
         // Route by fork side so each Byzantine view genuinely follows
         // one sibling's branch; pre-fork traffic feeds both.
-        const int side =
-            block != nullptr ? side_by_index[*block] : block_side(att->head);
+        const int side = side_by_index[block != nullptr ? *block : att->head];
         if (side != 1) feed(*views[who]);
         if (side != 0) feed(*byz_alt_views[who - cfg.n_honest]);
         return;
@@ -319,14 +338,23 @@ struct SlotSim::Impl final : net::Receiver {
         .value();
   }
 
-  [[nodiscard]] Digest head_of(View& v, Epoch e) {
+  /// The store index of the view's head, from its justified checkpoint's
+  /// block or, while the view lacks that block, from genesis.
+  [[nodiscard]] std::uint32_t head_of(View& v, Epoch e) {
     refresh_boost(v);
-    Digest root = v.ffg.justified().block;
-    if (!v.blocks.contains(root)) root = global_tree.genesis_id();
+    const Digest& justified = v.ffg.justified().block;
+    if (justified != v.justified_block) {
+      v.justified_block = justified;
+      v.justified_index = global_tree.index_of(justified);
+    }
+    const std::uint32_t root =
+        v.justified_index && v.blocks.contains(*v.justified_index)
+            ? *v.justified_index
+            : 0;
     return v.fc.head(root, e);
   }
 
-  std::uint64_t store_payload(std::variant<std::uint32_t, Attestation> p) {
+  std::uint64_t store_payload(std::variant<std::uint32_t, Vote> p) {
     payloads.push_back(std::move(p));
     return payloads.size() - 1;
   }
@@ -339,7 +367,7 @@ struct SlotSim::Impl final : net::Receiver {
     }
     View& v = *views[who];
     const Epoch e = epoch_of(slot);
-    const Digest head = head_of(v, e);
+    const Digest head = global_tree.by_index(head_of(v, e)).id;
     const std::uint32_t b =
         store_block(Block::make(head, slot, ValidatorIndex{who}), -1);
     ingest_block(v, b);
@@ -358,7 +386,7 @@ struct SlotSim::Impl final : net::Receiver {
     ++result.equivocating_proposals;
     for (const int side : {0, 1}) {
       View& v = side == 0 ? *views[who] : *byz_alt_views[who - cfg.n_honest];
-      const Digest head = head_of(v, e);
+      const Digest head = global_tree.by_index(head_of(v, e)).id;
       Digest body{};
       body[0] = static_cast<std::uint8_t>(side + 1);
       // The sibling pins its side even on a fresh fork.
@@ -379,27 +407,29 @@ struct SlotSim::Impl final : net::Receiver {
     if (slashed_set.contains(who)) return;
     const int side = static_cast<int>((who - cfg.n_honest) % 2);
     View& v = side == 0 ? *views[who] : *byz_alt_views[who - cfg.n_honest];
-    Attestation a = make_attestation(v, who, slot);
+    const Vote a = make_attestation(v, who, slot);
     ingest_attestation(v, a);
     const auto id = store_payload(a);
     network.broadcast(ValidatorIndex{who}, id);
   }
 
-  Attestation make_attestation(View& v, std::uint32_t who, Slot slot) {
+  Vote make_attestation(View& v, std::uint32_t who, Slot slot) {
     const Epoch e = epoch_of(slot);
-    Attestation a;
+    Vote vote;
+    vote.head = head_of(v, e);
+    Attestation& a = vote.att;
     a.attester = ValidatorIndex{who};
     a.slot = slot;
-    a.head = head_of(v, e);
+    a.head = global_tree.by_index(vote.head).id;
     a.source = v.ffg.justified();
-    a.target = global_tree.checkpoint_on_branch(a.head, e);
-    return a;
+    a.target = global_tree.checkpoint_on_branch(vote.head, e);
+    return vote;
   }
 
   void attest_honest(std::uint32_t who, Slot slot) {
     if (slashed_set.contains(who)) return;
     View& v = *views[who];
-    Attestation a = make_attestation(v, who, slot);
+    const Vote a = make_attestation(v, who, slot);
     ingest_attestation(v, a);
     const auto id = store_payload(a);
     network.broadcast(ValidatorIndex{who}, id);
@@ -422,18 +452,12 @@ struct SlotSim::Impl final : net::Receiver {
     }
     for (const net::Region r : {net::Region::kOne, net::Region::kTwo}) {
       View& v = byz_view_for_region(who, r);
-      Attestation a = make_attestation(v, who, slot);
+      const Vote a = make_attestation(v, who, slot);
       ingest_attestation(v, a);
       const auto id = store_payload(a);
       byz_withheld.emplace_back(ValidatorIndex{who}, id);
-      std::vector<ValidatorIndex> audience;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const net::Region ri = network.region(ValidatorIndex{i});
-        if (ri == r || ri == net::Region::kBoth) {
-          audience.push_back(ValidatorIndex{i});
-        }
-      }
-      network.release_at(queue.now() + 0.5, ValidatorIndex{who}, audience,
+      network.release_at(queue.now() + 0.5, ValidatorIndex{who},
+                         region_audiences[r == net::Region::kOne ? 0 : 1],
                          id);
     }
   }
@@ -492,10 +516,6 @@ struct SlotSim::Impl final : net::Receiver {
     if (gst > 0.0 &&
         gst <= static_cast<double>(total_slots + 1) * kSecondsPerSlot) {
       queue.schedule_at(gst + 0.1, [this] {
-        std::vector<ValidatorIndex> everyone;
-        for (std::uint32_t i = 0; i < n; ++i) {
-          everyone.push_back(ValidatorIndex{i});
-        }
         for (const auto& [from, id] : byz_withheld) {
           network.release_at(queue.now() + 0.2, from, everyone, id);
         }

@@ -105,6 +105,11 @@ class TreeFixture : public ::testing::Test {
     }
     return out;
   }
+
+  /// The store index of a block in the tree.
+  [[nodiscard]] std::uint32_t at(const Digest& id) const {
+    return *tree.index_of(id);
+  }
 };
 
 TEST_F(TreeFixture, GenesisPresent) {
@@ -155,10 +160,10 @@ TEST_F(TreeFixture, AncestorAtSlot) {
   const Block b1 = add(tree.genesis_id(), 1, 0);
   const Block b2 = add(b1.id, 5, 1);
   const Block b3 = add(b2.id, 40, 2);
-  EXPECT_EQ(tree.ancestor_at_slot(b3.id, Slot{39}), b2.id);
-  EXPECT_EQ(tree.ancestor_at_slot(b3.id, Slot{40}), b3.id);
-  EXPECT_EQ(tree.ancestor_at_slot(b3.id, Slot{1}), b1.id);
-  EXPECT_EQ(tree.ancestor_at_slot(b3.id, Slot{0}), tree.genesis_id());
+  EXPECT_EQ(tree.ancestor_at_slot(at(b3.id), Slot{39}), at(b2.id));
+  EXPECT_EQ(tree.ancestor_at_slot(at(b3.id), Slot{40}), at(b3.id));
+  EXPECT_EQ(tree.ancestor_at_slot(at(b3.id), Slot{1}), at(b1.id));
+  EXPECT_EQ(tree.ancestor_at_slot(at(b3.id), Slot{0}), 0u);
 }
 
 TEST_F(TreeFixture, LeavesOnFork) {
@@ -201,7 +206,8 @@ TEST_F(TreeFixture, UnknownBlocksThrow) {
                std::out_of_range);
   EXPECT_THROW(static_cast<void>(tree.is_ancestor(b1.id, unknown)),
                std::out_of_range);
-  EXPECT_THROW(static_cast<void>(tree.ancestor_at_slot(unknown, Slot{0})),
+  EXPECT_THROW(static_cast<void>(tree.ancestor_at_slot(
+                   static_cast<std::uint32_t>(tree.size()), Slot{0})),
                std::out_of_range);
 }
 
@@ -209,12 +215,12 @@ TEST_F(TreeFixture, CheckpointOnBranchUsesBoundaryOrEarlier) {
   const Block b1 = add(tree.genesis_id(), 1, 0);
   const Block b32 = add(b1.id, 32, 1);  // exactly at epoch-1 boundary
   const Block b40 = add(b32.id, 40, 2);
-  const Checkpoint cp1 = tree.checkpoint_on_branch(b40.id, Epoch{1});
+  const Checkpoint cp1 = tree.checkpoint_on_branch(at(b40.id), Epoch{1});
   EXPECT_EQ(cp1.block, b32.id);
   EXPECT_EQ(cp1.epoch, Epoch{1});
   // Epoch 2 boundary (slot 64) is empty: latest ancestor applies.
   const Block b70 = add(b40.id, 70, 3);
-  const Checkpoint cp2 = tree.checkpoint_on_branch(b70.id, Epoch{2});
+  const Checkpoint cp2 = tree.checkpoint_on_branch(at(b70.id), Epoch{2});
   EXPECT_EQ(cp2.block, b40.id);
 }
 

@@ -247,5 +247,31 @@ TEST(SafetyMonitorTest, RepeatedReportsKeepTheirVerdict) {
   for (int k = 0; k < 3; ++k) EXPECT_FALSE(quiet.report(ca).has_value());
 }
 
+TEST(SafetyMonitorTest, ChainReportedOutOfOrderThenForked) {
+  // Finalized blocks can be reported deepest first (a view that skips a
+  // checkpoint reports ahead of one that does not): an ancestor
+  // reported later still conflicts with nothing.  A fork off the chain
+  // then conflicts, and names the first reported block it leaves out.
+  BlockTree tree;
+  const Block a = Block::make(tree.genesis_id(), Slot{32}, ValidatorIndex{0});
+  const Block a2 = Block::make(a.id, Slot{64}, ValidatorIndex{1});
+  const Block a3 = Block::make(a2.id, Slot{96}, ValidatorIndex{2});
+  const Block b2 = Block::make(a.id, Slot{65}, ValidatorIndex{3});
+  for (const Block& blk : {a, a2, a3, b2}) tree.insert(blk);
+  SafetyMonitor mon(tree);
+  EXPECT_FALSE(mon.report(Checkpoint{a3.id, Epoch{3}}).has_value());
+  EXPECT_FALSE(mon.report(Checkpoint{a.id, Epoch{1}}).has_value());
+  EXPECT_FALSE(mon.report(Checkpoint{a2.id, Epoch{2}}).has_value());
+  const auto fork = mon.report(Checkpoint{b2.id, Epoch{2}});
+  ASSERT_TRUE(fork.has_value());
+  EXPECT_EQ(fork->a.block, a3.id);
+  // The chain's ancestor of the fork still conflicts with nothing; the
+  // chain's other blocks now conflict with the fork.
+  EXPECT_FALSE(mon.report(Checkpoint{a.id, Epoch{1}}).has_value());
+  const auto again = mon.report(Checkpoint{a2.id, Epoch{2}});
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->a.block, b2.id);
+}
+
 }  // namespace
 }  // namespace leak::finality

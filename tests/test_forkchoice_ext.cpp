@@ -1,7 +1,8 @@
 // Tests for fork-choice extensions: proposer boost, equivocation
 // discounting of slashed validators, and the one-pass weighing checked
 // against the per-child descent it replaced (tests/oracles/), over a
-// whole tree and over a validator's partial view of a shared store.
+// whole tree and over a validator's partial view of a shared store
+// whose votes, registry, boost and epoch change between queries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "src/chain/forkchoice.hpp"
+#include "src/penalties/slashing.hpp"
 #include "src/support/random.hpp"
 #include "tests/oracles/forkchoice_scalar.hpp"
 
@@ -24,6 +26,10 @@ class BoostFixture : public ::testing::Test {
     const Block b = Block::make(parent, Slot{slot}, ValidatorIndex{p});
     tree.insert(b);
     return b;
+  }
+
+  void boost(const Block& b, unsigned percent) {
+    fc.set_proposer_boost(*tree.index_of(b.id), percent);
   }
 
   BlockTree tree;
@@ -42,7 +48,7 @@ TEST_F(BoostFixture, BoostFlipsCloseRace) {
   fc.on_attestation(ValidatorIndex{4}, b.id, Slot{3});
   EXPECT_EQ(fc.head(tree.genesis_id(), Epoch{0}), a.id);
   // A 40% boost (4 validators' worth out of 10) flips the race to b.
-  fc.set_proposer_boost(b.id, 40);
+  boost(b, 40);
   EXPECT_EQ(fc.head(tree.genesis_id(), Epoch{0}), b.id);
   fc.clear_proposer_boost();
   EXPECT_EQ(fc.head(tree.genesis_id(), Epoch{0}), a.id);
@@ -56,7 +62,7 @@ TEST_F(BoostFixture, BoostAppliesToAncestors) {
   EXPECT_EQ(fc.head(tree.genesis_id(), Epoch{0}), b.id);
   // The boost weight counts inside every subtree containing a2, so a
   // (with no votes of its own) now outweighs b.
-  fc.set_proposer_boost(a2.id, 40);
+  boost(a2, 40);
   EXPECT_EQ(fc.head(tree.genesis_id(), Epoch{0}), a2.id);
 }
 
@@ -67,8 +73,45 @@ TEST_F(BoostFixture, BoostForUnknownBlockIgnored) {
   // any stray boost weight on the winner would show.
   const Digest loser = std::max(a.id, b.id);
   fc.on_attestation(ValidatorIndex{0}, loser, Slot{3});
-  fc.set_proposer_boost(crypto::sha256("never seen"), 40);
+  // An index past the tree's end names no block yet.
+  fc.set_proposer_boost(static_cast<std::uint32_t>(tree.size()), 40);
   EXPECT_EQ(fc.head(tree.genesis_id(), Epoch{0}), loser);
+}
+
+TEST_F(BoostFixture, BoostOutsideTheViewIgnored) {
+  const Block a = add(tree.genesis_id(), 1, 0);
+  const Block b = add(tree.genesis_id(), 2, 1);
+  const Digest loser = std::max(a.id, b.id);
+  const Digest winner = std::min(a.id, b.id);
+  // The view holds both siblings and a child of the tie-break winner
+  // that it has not received.
+  const Block c = add(winner, 3, 2);
+  BlockView view(tree);
+  view.insert(*tree.index_of(a.id));
+  view.insert(*tree.index_of(b.id));
+  ForkChoice in_view(view, registry);
+  in_view.on_attestation(ValidatorIndex{0}, loser, Slot{3});
+  in_view.set_proposer_boost(*tree.index_of(c.id), 40);
+  EXPECT_EQ(in_view.head(tree.genesis_id(), Epoch{0}), loser);
+  // Once received, the boosted block pulls its branch ahead.
+  view.insert(*tree.index_of(c.id));
+  EXPECT_EQ(in_view.head(tree.genesis_id(), Epoch{0}), c.id);
+}
+
+TEST_F(BoostFixture, VoteBeforeItsBlockCountsOnceTheBlockArrives) {
+  const Block a = add(tree.genesis_id(), 1, 0);
+  const Block b = Block::make(tree.genesis_id(), Slot{2}, ValidatorIndex{1});
+  // b wins the empty tie-break unless a outweighs it.
+  const bool b_wins_ties = b.id < a.id;
+  fc.on_attestation(ValidatorIndex{0}, a.id, Slot{3});
+  fc.on_attestation(ValidatorIndex{1}, b.id, Slot{3});
+  fc.on_attestation(ValidatorIndex{2}, b.id, Slot{3});
+  EXPECT_EQ(fc.head(tree.genesis_id(), Epoch{0}), a.id);
+  tree.insert(b);
+  EXPECT_EQ(fc.head(tree.genesis_id(), Epoch{0}), b.id);
+  // A second vote for a ties the siblings: the smaller id wins.
+  fc.on_attestation(ValidatorIndex{3}, a.id, Slot{4});
+  EXPECT_EQ(fc.head(tree.genesis_id(), Epoch{0}), b_wins_ties ? b.id : a.id);
 }
 
 TEST_F(BoostFixture, SlashedVotesDiscounted) {
@@ -119,10 +162,12 @@ struct RandomView {
     grow();
     vote();
     if (rng.uniform_index(2) == 0) {
+      // blocks[i] is store block i; index blocks.size() names none.
       const std::size_t pick = rng.uniform_index(blocks.size() + 1);
       boosted = pick < blocks.size() ? blocks[pick] : crypto::sha256("gone");
+      boosted_index = static_cast<std::uint32_t>(pick);
       boost_percent = static_cast<unsigned>(rng.uniform_index(101));
-      fc.set_proposer_boost(*boosted, boost_percent);
+      fc.set_proposer_boost(boosted_index, boost_percent);
     }
   }
 
@@ -221,37 +266,117 @@ struct RandomView {
   std::map<std::uint32_t, std::pair<Slot, Digest>> latest;
   std::optional<std::pair<Digest, Digest>> tie;
   std::optional<Digest> boosted;
+  std::uint32_t boosted_index = 0;
   unsigned boost_percent = 0;
 };
 
 /// A validator's view of `store`: a random parent-closed subset of its
 /// blocks, received in shuffled order (a block whose parent has not
-/// arrived waits, as in the slot simulator).  Its fork choice, given
-/// the store's latest votes and boost, must match the per-child oracle
-/// on a standalone tree holding just that subset.
+/// arrived waits, as in the slot simulator).  It starts from the
+/// store's latest votes and boost.  Between arrivals its fork choice
+/// takes fresh votes, the shared registry slashes and ejects
+/// validators, the boost moves or clears and the epoch changes, and
+/// after each step its head from genesis and from a random held root
+/// must match the per-child oracle on a standalone tree holding just
+/// the blocks received so far.  At the end every block is tried as the
+/// root.
 void check_view_of_store(RandomView& store, Epoch e) {
   const BlockTree& tree = store.tree;
+  Rng& rng = store.rng;
   std::vector<std::uint8_t> keep(tree.size(), 0);
   keep[0] = 1;
   // Each block stays with probability (odds - 1) / odds if its parent
   // did; odds 1 leaves genesis alone.
-  const std::size_t odds = 1 + store.rng.uniform_index(4);
+  const std::size_t odds = 1 + rng.uniform_index(4);
   for (std::uint32_t i = 1; i < tree.size(); ++i) {
-    keep[i] = static_cast<std::uint8_t>(
-        keep[tree.parent_index(i)] != 0 && store.rng.uniform_index(odds) != 0);
+    keep[i] = static_cast<std::uint8_t>(keep[tree.parent_index(i)] != 0 &&
+                                        rng.uniform_index(odds) != 0);
   }
   std::vector<std::uint32_t> arrivals;
   for (std::uint32_t i = 1; i < tree.size(); ++i) {
     if (keep[i] != 0) arrivals.push_back(i);
   }
   for (std::size_t i = arrivals.size(); i > 1; --i) {
-    std::swap(arrivals[i - 1], arrivals[store.rng.uniform_index(i)]);
+    std::swap(arrivals[i - 1], arrivals[rng.uniform_index(i)]);
   }
   BlockView view(tree);
   ForkChoice fc(view, store.registry);
   const oracle::ForkChoiceInputs in = store.inputs();
-  for (const auto& [v, d] : in.votes) fc.on_attestation(v, d, Slot{1});
-  if (store.boosted) fc.set_proposer_boost(*store.boosted, store.boost_percent);
+  // The latest vote per validator, as the oracle reads it.
+  std::map<std::uint32_t, Digest> votes;
+  for (const auto& [v, d] : in.votes) {
+    fc.on_attestation(v, d, Slot{1});
+    votes[v.value()] = d;
+  }
+  std::optional<std::uint32_t> boosted;
+  unsigned boost_percent = store.boost_percent;
+  if (store.boosted) {
+    boosted = store.boosted_index;
+    fc.set_proposer_boost(store.boosted_index, boost_percent);
+  }
+  std::uint64_t next_slot = 2;
+
+  // The oracle's inputs over the blocks received so far.
+  const auto expect_heads = [&](const std::vector<Digest>& roots, Epoch at) {
+    BlockTree subset;
+    for (std::uint32_t i = 1; i < tree.size(); ++i) {
+      if (view.contains(i)) subset.insert(tree.by_index(i));
+    }
+    oracle::ForkChoiceInputs sub{subset, store.registry, {}, std::nullopt,
+                                 boost_percent};
+    for (const auto& [v, d] : votes) {
+      sub.votes.emplace_back(ValidatorIndex{v}, d);
+    }
+    if (boosted) {
+      sub.boosted_block = *boosted < tree.size() ? tree.by_index(*boosted).id
+                                                 : crypto::sha256("gone");
+    }
+    for (const Digest& root : roots) {
+      ASSERT_EQ(fc.head(root, at),
+                oracle::forkchoice_head_scalar(sub, root, at));
+    }
+  };
+  // One random change between arrivals, then a query.
+  const auto step = [&]() {
+    const std::uint32_t n = store.registry.size();
+    const auto who = static_cast<std::uint32_t>(rng.uniform_index(n));
+    switch (rng.uniform_index(6)) {
+      case 0: {  // a fresh vote for any store block, held or not
+        const Digest d = store.blocks[rng.uniform_index(store.blocks.size())];
+        fc.on_attestation(ValidatorIndex{who}, d, Slot{next_slot++});
+        votes[who] = d;
+        break;
+      }
+      case 1:
+        penalties::apply_slashing(store.registry, ValidatorIndex{who},
+                                  Epoch{rng.uniform_index(4)},
+                                  penalties::SpecConfig::paper());
+        break;
+      case 2:
+        store.registry.eject(ValidatorIndex{who}, Epoch{rng.uniform_index(4)});
+        break;
+      case 3:
+        boosted = static_cast<std::uint32_t>(
+            rng.uniform_index(store.blocks.size() + 1));
+        boost_percent = static_cast<unsigned>(rng.uniform_index(101));
+        fc.set_proposer_boost(*boosted, boost_percent);
+        break;
+      case 4:
+        boosted.reset();
+        boost_percent = 0;
+        fc.clear_proposer_boost();
+        break;
+      default:
+        e = Epoch{rng.uniform_index(5)};
+        break;
+    }
+    std::vector<Digest> held;
+    for (const std::uint32_t i : view.arrivals()) {
+      held.push_back(tree.by_index(i).id);
+    }
+    expect_heads({tree.genesis_id(), held[rng.uniform_index(held.size())]}, e);
+  };
+
   std::vector<std::uint32_t> waiting;
   for (const std::uint32_t i : arrivals) {
     waiting.push_back(i);
@@ -266,36 +391,24 @@ void check_view_of_store(RandomView& store, Epoch e) {
         break;
       }
     }
+    step();
+    if (::testing::Test::HasFatalFailure()) return;
   }
   ASSERT_TRUE(waiting.empty());
   ASSERT_EQ(view.size(), arrivals.size() + 1);
 
-  // The standalone tree of the subset, parents first.
-  BlockTree subset;
-  for (std::uint32_t i = 1; i < tree.size(); ++i) {
-    if (keep[i] != 0) subset.insert(tree.by_index(i));
-  }
-  oracle::ForkChoiceInputs sub{subset, store.registry, in.votes, in.boosted_block,
-                               in.boost_percent};
   std::vector<Digest> held;
   for (std::uint32_t i = 0; i < tree.size(); ++i) {
     const Digest& d = tree.by_index(i).id;
-    ASSERT_EQ(view.contains(d), keep[i] != 0);
+    ASSERT_EQ(view.contains(i), keep[i] != 0);
     if (keep[i] == 0) {
       // A block the view lacks is its own head.
       ASSERT_EQ(fc.head(d, e), d);
       continue;
     }
     held.push_back(d);
-    ASSERT_EQ(fc.head(d, e), oracle::forkchoice_head_scalar(sub, d, e));
   }
-  std::vector<Digest> roots{tree.genesis_id()};
-  for (int k = 0; k < 4; ++k) {
-    roots.push_back(held[store.rng.uniform_index(held.size())]);
-  }
-  for (const Digest& root : roots) {
-    ASSERT_EQ(fc.head(root, e), oracle::forkchoice_head_scalar(sub, root, e));
-  }
+  expect_heads(held, e);
 }
 
 TEST(ForkChoiceOracle, OnePassMatchesPerChildDescent) {

@@ -1,6 +1,7 @@
 // Tests for the inactivity-leak engine and slashing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <optional>
@@ -181,8 +182,8 @@ TEST(Slashing, DetectorIgnoresHonestHistory) {
     a.target.block = crypto::sha256("chain" + std::to_string(e));
     EXPECT_FALSE(det.observe(a).has_value()) << e;
   }
-  // The whole history is kept: a rival vote for the first target is
-  // still caught.
+  // Every target epoch keeps its record: a rival vote for the first
+  // target is still caught.
   chain::Attestation rival;
   rival.attester = ValidatorIndex{1};
   rival.source.epoch = Epoch{0};
@@ -204,7 +205,8 @@ TEST(Slashing, DetectorFindsSurround) {
 }
 
 /// The detector as it was before it kept ids: it copies every
-/// attestation it is shown.  Kept verbatim as the reference.
+/// attestation it is shown and compares each new one with all of them.
+/// Kept verbatim as the reference.
 class CopyingDetector {
  public:
   std::optional<SlashingProof> observe(const chain::Attestation& att) {
@@ -225,24 +227,47 @@ class CopyingDetector {
   std::map<ValidatorIndex, std::vector<chain::Attestation>> by_attester_;
 };
 
-void expect_same_attestation(const chain::Attestation& a,
-                             const chain::Attestation& b) {
-  EXPECT_EQ(a.attester, b.attester);
-  EXPECT_EQ(a.slot, b.slot);
-  EXPECT_EQ(a.head, b.head);
-  EXPECT_EQ(a.source, b.source);
-  EXPECT_EQ(a.target, b.target);
+bool same_attestation(const chain::Attestation& a,
+                      const chain::Attestation& b) {
+  return a.attester == b.attester && a.slot == b.slot && a.head == b.head &&
+         a.source == b.source && a.target == b.target;
 }
 
-// A seeded stream of honest chain votes, double votes, surround votes
-// and repeated deliveries of already-seen attestations: the id-keeping
-// detector reports the same proofs, offenders in the same order, as
-// the copying one.
+/// Which way a proof's pair surrounds: 1 when the earlier vote
+/// surrounds the new one, -1 when the new one surrounds it, 0 for a
+/// double vote.
+int surround_direction(const SlashingProof& p) {
+  const auto& old = p.first;
+  const auto& now = p.second;
+  if (old.source.epoch < now.source.epoch &&
+      now.target.epoch < old.target.epoch) {
+    return 1;
+  }
+  if (now.source.epoch < old.source.epoch &&
+      old.target.epoch < now.target.epoch) {
+    return -1;
+  }
+  return 0;
+}
+
+// Seeded streams of honest chain votes, double votes, surround votes
+// and repeated deliveries of already-seen attestations, with targets
+// up to epoch 16 and, in a second set, up to epoch 256.  The detector
+// keeps no history, so the proof may name another earlier vote than
+// the copying detector's earliest one; what must not change is whether
+// an observation is caught, and whose offense it is.  So at every step
+// both detectors agree on a proof's presence and offender, the proof's
+// second attestation is the one observed, and its first is an
+// attestation observed earlier that forms a slashable pair with it.
 TEST(Slashing, IdDetectorMatchesCopyingDetector) {
   constexpr std::uint32_t kAttesters = 12;
   std::size_t proofs = 0;
-  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+  std::size_t old_surrounds_new = 0;
+  std::size_t new_surrounds_old = 0;
+  std::size_t double_votes = 0;
+  for (std::uint64_t seed = 1; seed <= 48; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::uint64_t max_target = seed <= 24 ? 16 : 256;
     Rng rng(seed);
     std::vector<chain::Attestation> store;
     SlashingDetector ids([&store](std::uint64_t id)
@@ -250,6 +275,7 @@ TEST(Slashing, IdDetectorMatchesCopyingDetector) {
       return store[id];
     });
     CopyingDetector copies;
+    std::vector<std::uint64_t> observed;
     std::vector<ValidatorIndex> offenders_ids;
     std::vector<ValidatorIndex> offenders_copies;
     for (std::size_t k = 0; k < 400; ++k) {
@@ -261,7 +287,7 @@ TEST(Slashing, IdDetectorMatchesCopyingDetector) {
         chain::Attestation a;
         a.attester = ValidatorIndex{
             static_cast<std::uint32_t>(rng.uniform_index(kAttesters))};
-        const std::uint64_t target = 1 + rng.uniform_index(16);
+        const std::uint64_t target = 1 + rng.uniform_index(max_target);
         // Mostly honest links (source one epoch back); kind 1 is a
         // long link that may surround, kind 2 a rival same-epoch block.
         const std::uint64_t span =
@@ -277,16 +303,33 @@ TEST(Slashing, IdDetectorMatchesCopyingDetector) {
       const auto by_id = ids.observe(id);
       const auto by_copy = copies.observe(store[id]);
       ASSERT_EQ(by_id.has_value(), by_copy.has_value()) << "step " << k;
-      if (!by_id) continue;
-      ++proofs;
-      expect_same_attestation(by_id->first, by_copy->first);
-      expect_same_attestation(by_id->second, by_copy->second);
-      offenders_ids.push_back(by_id->offender());
-      offenders_copies.push_back(by_copy->offender());
+      if (by_id) {
+        ++proofs;
+        ASSERT_EQ(by_id->offender(), by_copy->offender()) << "step " << k;
+        ASSERT_TRUE(same_attestation(by_id->second, store[id]));
+        ASSERT_TRUE(chain::is_slashable_pair(by_id->first, by_id->second));
+        ASSERT_TRUE(std::any_of(
+            observed.begin(), observed.end(), [&](std::uint64_t prev) {
+              return same_attestation(store[prev], by_id->first);
+            }))
+            << "step " << k;
+        switch (surround_direction(*by_id)) {
+          case 1: ++old_surrounds_new; break;
+          case -1: ++new_surrounds_old; break;
+          default: ++double_votes; break;
+        }
+        offenders_ids.push_back(by_id->offender());
+        offenders_copies.push_back(by_copy->offender());
+      }
+      observed.push_back(id);
     }
     EXPECT_EQ(offenders_ids, offenders_copies);
   }
   EXPECT_GT(proofs, 0u);
+  // The streams exercise double votes and surrounds both ways.
+  EXPECT_GT(double_votes, 0u);
+  EXPECT_GT(old_surrounds_new, 0u);
+  EXPECT_GT(new_surrounds_old, 0u);
 }
 
 TEST(Slashing, ApplyBurnsAndEjects) {

@@ -130,7 +130,7 @@ TEST(SlotTrialHeap, BalancingTrialStaysSmall) {
   cfg.seed = StreamSeeder(42).seed_for(0);
   const TrialHeap h = measure(cfg);
   EXPECT_LE(h.peak_bytes, 1 * kMiB);
-  EXPECT_LE(h.allocations, 20000u);
+  EXPECT_LE(h.allocations, 8700u);
 }
 
 // The partitioned `slot-protocol` cell: 8 Byzantine validators hiding
@@ -145,7 +145,7 @@ TEST(SlotTrialHeap, PartitionedTrialStaysSmall) {
   cfg.seed = StreamSeeder(1).seed_for(0);
   const TrialHeap h = measure(cfg);
   EXPECT_LE(h.peak_bytes, 2 * kMiB);
-  EXPECT_LE(h.allocations, 35000u);
+  EXPECT_LE(h.allocations, 20600u);
 }
 
 }  // namespace
