@@ -7,10 +7,12 @@
 // tools/check_bench_speedup.py gates each driver's ratio in CI.
 // Bit-identity of the pair members is enforced separately by
 // tests/test_montecarlo_batch.cpp; this binary only measures.
+// BM_BatchPathsAdvance times the stake kernel's register tile alone.
 #include "bench/bench_common.hpp"
 
 #include "src/bouncing/attack_sim.hpp"
 #include "src/bouncing/montecarlo.hpp"
+#include "src/kernel/stake_batch.hpp"
 #include "src/sim/partition_sim.hpp"
 #include "tests/oracles/scalar_oracles.hpp"
 
@@ -105,6 +107,27 @@ void BM_BouncingBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBouncingItems);
 }
 BENCHMARK(BM_BouncingBatch)->Unit(benchmark::kMillisecond);
+
+// 64 lanes (one default runner block) at p0 0.5, advanced `epochs`
+// epochs per call.  Items are lane-epochs, so time per item is the
+// stake kernel's ns per lane-epoch: /1 loads and stores each tile every
+// epoch, /4024 once per 4024 epochs.
+void BM_BatchPathsAdvance(benchmark::State& state) {
+  const auto model = analytic::AnalyticConfig::paper();
+  const auto epochs = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kLanes = 64;
+  kernel::BatchPaths paths;
+  paths.reset(model, StreamSeeder(3), 0, kLanes);
+  for (auto _ : state) {
+    paths.advance(model, 0.5, epochs);
+    benchmark::DoNotOptimize(paths.stake().data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kLanes * epochs));
+  state.counters["tile_lanes"] =
+      static_cast<double>(kernel::BatchPaths::tile_lanes());
+}
+BENCHMARK(BM_BatchPathsAdvance)->Arg(1)->Arg(4024);
 
 // --- attack ------------------------------------------------------------
 

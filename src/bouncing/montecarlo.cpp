@@ -1,6 +1,5 @@
 #include "src/bouncing/montecarlo.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -16,15 +15,13 @@ namespace {
 
 void validate_grid(const McConfig& cfg,
                    const std::vector<std::size_t>& snapshot_epochs) {
-  // The grid must be strictly increasing: a path records one value per
-  // matched epoch, so duplicates would leave the merge reading past it.
-  if (snapshot_epochs.empty() ||
-      !std::is_sorted(snapshot_epochs.begin(), snapshot_epochs.end()) ||
-      std::adjacent_find(snapshot_epochs.begin(), snapshot_epochs.end()) !=
-          snapshot_epochs.end() ||
-      snapshot_epochs.back() > cfg.epochs) {
-    throw std::invalid_argument("run_bouncing_mc: bad snapshot grid");
+  // A path records one value per grid epoch, so the kernel's grid check
+  // (strictly increasing, within [1, epochs]) runs here before the
+  // fan-out, and a grid must name at least one epoch.
+  if (snapshot_epochs.empty()) {
+    throw std::invalid_argument("run_bouncing_mc: empty snapshot grid");
   }
+  kernel::check_snapshot_grid(snapshot_epochs, cfg.epochs);
   if (cfg.branches < 2) {
     throw std::invalid_argument("run_bouncing_mc: branches must be >= 2");
   }

@@ -14,6 +14,7 @@
 
 #include "src/bouncing/attack_sim.hpp"
 #include "src/bouncing/montecarlo.hpp"
+#include "src/kernel/stake_batch.hpp"
 #include "src/runner/thread_pool.hpp"
 #include "src/runner/trial_runner.hpp"
 #include "src/scenario/registry.hpp"
@@ -73,34 +74,165 @@ void expect_mc_equal(const bouncing::McResult& a, const bouncing::McResult& b,
 }
 
 // Acceptance criterion: the batched kernel reproduces the scalar
-// kernel bit-for-bit for block sizes {1, 7, 64, paths} x threads
+// kernel bit-for-bit for block sizes {1, 7, 33, 64, paths} x threads
 // {1, 4} at every (model, p0) of the oracle grid, spanning the ejection
-// wave so all three path states (capped, bulk, ejected) occur.
+// wave so all three path states (capped, bulk, ejected) occur.  Block 33
+// is no whole number of register tiles on any target, so its last tile
+// carries padding lanes.  Under the second model most paths are ejected
+// by epoch 400, so the snapshot at 200 is the one where a penalty taken
+// as a multiply by 1 / quotient shows.  The second grid records each of
+// the first three epochs (one-epoch advances) and then jumps to the
+// horizon; with the second model at p0 = 0 every path ejects near epoch
+// 250, so the first grid's blocks stop at snapshot 600 and write their
+// zeros there.
 TEST(BatchBitIdentity, BouncingMcMatchesScalarForEveryBlockAndThreads) {
+  const std::vector<std::vector<std::size_t>> grids{{17, 200, 600, 1200},
+                                                    {1, 2, 3, 1200}};
   for (const auto& model : oracle_models()) {
     for (const double p0 : kOracleP0) {
-      bouncing::McConfig cfg;
-      cfg.paths = env::scaled_count(400);
-      cfg.epochs = 1200;
-      cfg.seed = 41;
-      cfg.p0 = p0;
-      cfg.model = model;
-      cfg.threads = 1;
-      const std::vector<std::size_t> snaps{17, 600, 1200};
-      const auto ref = oracle::run_bouncing_mc_scalar(cfg, snaps);
-      ASSERT_EQ(ref.stakes.size(), snaps.size());
-      for (const std::size_t block : block_grid(cfg.paths)) {
-        for (const unsigned threads : kThreadGrid) {
-          cfg.block = block;
-          cfg.threads = threads;
-          expect_mc_equal(bouncing::run_bouncing_mc(cfg, snaps), ref,
-                          oracle_label(p0, model) +
-                              " block=" + std::to_string(block) +
-                              " threads=" + std::to_string(threads));
+      for (const auto& snaps : grids) {
+        bouncing::McConfig cfg;
+        cfg.paths = env::scaled_count(400);
+        cfg.epochs = 1200;
+        cfg.seed = 41;
+        cfg.p0 = p0;
+        cfg.model = model;
+        cfg.threads = 1;
+        const auto ref = oracle::run_bouncing_mc_scalar(cfg, snaps);
+        ASSERT_EQ(ref.stakes.size(), snaps.size());
+        auto blocks = block_grid(cfg.paths);
+        blocks.push_back(33);
+        for (const std::size_t block : blocks) {
+          for (const unsigned threads : kThreadGrid) {
+            cfg.block = block;
+            cfg.threads = threads;
+            expect_mc_equal(bouncing::run_bouncing_mc(cfg, snaps), ref,
+                            oracle_label(p0, model) + " grid=" +
+                                std::to_string(snaps.front()) +
+                                " block=" + std::to_string(block) +
+                                " threads=" + std::to_string(threads));
+          }
         }
       }
     }
   }
+}
+
+// A block whose real lanes all eject before its last snapshot stops
+// advancing there; the zeros it writes for the skipped snapshots equal
+// the oracle's, and padding lanes (block 33) never hold the block open.
+TEST(BatchBitIdentity, EjectedBlockWritesTheOraclesZeros) {
+  auto model = oracle_models().back();
+  bouncing::McConfig cfg;
+  cfg.paths = 99;
+  cfg.epochs = 1200;
+  cfg.seed = 5;
+  cfg.p0 = 0.0;
+  cfg.model = model;
+  const std::vector<std::size_t> snaps{1, 2, 3, 600, 1000, 1200};
+  const auto ref = oracle::run_bouncing_mc_scalar(cfg, snaps);
+  // The case is real: nobody is ejected at epoch 3, everybody by 600.
+  EXPECT_EQ(ref.ejected_fraction[2], 0.0);
+  EXPECT_EQ(ref.ejected_fraction[3], 1.0);
+  for (const std::size_t block : {1ul, 33ul, 99ul}) {
+    cfg.block = block;
+    expect_mc_equal(bouncing::run_bouncing_mc(cfg, snaps), ref,
+                    "block=" + std::to_string(block));
+  }
+}
+
+// advance(k) is k one-epoch steps: the same stake, score and four RNG
+// words in every lane, padding lanes included, for lane counts around
+// the register tile and for every (model, p0) of the oracle grid.
+// Stake and score are never -0.0 or NaN, so == on them is bit equality.
+TEST(BatchPaths, AdvanceEqualsRepeatedSteps) {
+  const std::size_t tile = kernel::BatchPaths::tile_lanes();
+  ASSERT_GE(tile, 2u);
+  const StreamSeeder seeder(13);
+  for (const auto& model : oracle_models()) {
+    for (const double p0 : kOracleP0) {
+      for (const std::size_t lanes :
+           {std::size_t{1}, tile - 1, tile, tile + 1, 2 * tile + 3,
+            std::size_t{64}}) {
+        for (const std::size_t k : {0ul, 1ul, 2ul, 7ul, 4024ul}) {
+          kernel::BatchPaths advanced;
+          kernel::BatchPaths stepped;
+          advanced.reset(model, seeder, 3, lanes);
+          stepped.reset(model, seeder, 3, lanes);
+          advanced.advance(model, p0, k);
+          for (std::size_t e = 0; e < k; ++e) stepped.step(model, p0);
+          EXPECT_TRUE(advanced == stepped)
+              << oracle_label(p0, model) << " lanes=" << lanes << " k=" << k;
+          EXPECT_EQ(advanced.stake().size(), lanes);
+        }
+      }
+    }
+  }
+}
+
+// Padding lanes hold stake 0 like ejected paths: once every real lane
+// is ejected the block reports all_ejected(), whatever the tile width.
+// Under the second model at p0 = 0.5 every path ejects within about 600
+// epochs; a padding lane seeded like a live one would not (its zero RNG
+// words draw 0, always active, so its score stays 0).
+TEST(BatchPaths, PaddingLanesNeverHoldTheBlockOpen) {
+  const std::size_t tile = kernel::BatchPaths::tile_lanes();
+  const auto model = oracle_models().back();
+  const StreamSeeder seeder(8);
+  for (const std::size_t lanes : {std::size_t{1}, tile - 1, tile + 1}) {
+    kernel::BatchPaths paths;
+    paths.reset(model, seeder, 0, lanes);
+    EXPECT_FALSE(paths.all_ejected()) << lanes;
+    paths.advance(model, 0.5, 1200);
+    EXPECT_TRUE(paths.all_ejected()) << lanes;
+  }
+}
+
+// The block kernel refuses a grid it cannot walk forward: one that is
+// not strictly increasing, names epoch 0, or runs past the horizon (a
+// decreasing grid would otherwise ask for a near-endless advance).
+TEST(BatchPaths, SimulateStakeBlockRejectsBadGrids) {
+  const auto model = analytic::AnalyticConfig::paper();
+  const StreamSeeder seeder(1);
+  kernel::BatchPaths scratch;
+  std::vector<std::vector<double>> stakes(3, std::vector<double>(4, -1.0));
+  const std::vector<double*> rows{stakes[0].data(), stakes[1].data(),
+                                  stakes[2].data()};
+  const std::vector<std::vector<std::size_t>> bad{
+      {5, 3, 8}, {3, 3, 8}, {0, 3, 8}, {3, 8, 11}};
+  for (const auto& snaps : bad) {
+    EXPECT_THROW(kernel::simulate_stake_block(model, 0.5, 10, snaps, seeder,
+                                              0, 4, scratch, rows.data()),
+                 std::invalid_argument)
+        << snaps[0] << "," << snaps[1] << "," << snaps[2];
+    bouncing::McConfig cfg;
+    cfg.paths = 4;
+    cfg.epochs = 10;
+    EXPECT_THROW(bouncing::run_bouncing_mc(cfg, snaps), std::invalid_argument);
+  }
+  for (const auto& row : stakes) {
+    EXPECT_EQ(row, std::vector<double>(4, -1.0));  // nothing recorded
+  }
+  kernel::simulate_stake_block(model, 0.5, 10, {3, 8, 10}, seeder, 0, 4,
+                               scratch, rows.data());
+  EXPECT_GT(stakes[2][0], 0.0);
+}
+
+// The early stop writes the zeros itself: rows after the snapshot at
+// which every path of the block is ejected hold 0.0, whatever they held.
+TEST(BatchPaths, SimulateStakeBlockWritesZerosAfterTheBlockEjects) {
+  const auto model = oracle_models().back();  // all eject near epoch 250
+  const StreamSeeder seeder(5);
+  kernel::BatchPaths scratch;
+  constexpr std::size_t kPaths = 5;
+  std::vector<std::vector<double>> stakes(3, std::vector<double>(kPaths, -1.0));
+  const std::vector<double*> rows{stakes[0].data(), stakes[1].data(),
+                                  stakes[2].data()};
+  kernel::simulate_stake_block(model, 0.0, 1200, {3, 600, 1200}, seeder, 0,
+                               kPaths, scratch, rows.data());
+  for (const double s : stakes[0]) EXPECT_GT(s, 0.0);
+  EXPECT_EQ(stakes[1], std::vector<double>(kPaths, 0.0));
+  EXPECT_EQ(stakes[2], std::vector<double>(kPaths, 0.0));
 }
 
 // keep_paths = false: no per-path matrix in the result, same counts
