@@ -7,11 +7,13 @@
 // tools/check_bench_speedup.py gates each driver's ratio in CI.
 // Bit-identity of the pair members is enforced separately by
 // tests/test_montecarlo_batch.cpp; this binary only measures.
-// BM_BatchPathsAdvance times the stake kernel's register tile alone.
+// BM_BatchPathsAdvance times the stake kernel's register tile alone,
+// BM_CohortTileEpoch the attack and population drivers' cohort run tile.
 #include "bench/bench_common.hpp"
 
 #include "src/bouncing/attack_sim.hpp"
 #include "src/bouncing/montecarlo.hpp"
+#include "src/kernel/cohort.hpp"
 #include "src/kernel/stake_batch.hpp"
 #include "src/sim/partition_sim.hpp"
 #include "tests/oracles/scalar_oracles.hpp"
@@ -129,6 +131,31 @@ void BM_BatchPathsAdvance(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchPathsAdvance)->Arg(1)->Arg(4024);
 
+// One cohort tile of runs with 200 honest validators each (the
+// drivers' default) at p0 0.5, one epoch per call.  Items are one
+// validator of one run for one epoch, so time per item is the cohort
+// kernel's ns per lane-epoch, comparable with BM_BatchPathsAdvance.
+void BM_CohortTileEpoch(benchmark::State& state) {
+  const auto model = analytic::AnalyticConfig::paper();
+  constexpr std::size_t kValidators = 200;
+  const std::size_t lanes = kernel::CohortTile::lanes();
+  kernel::CohortTile tile;
+  tile.reset(kValidators, model);
+  const StreamSeeder seeder(3);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    tile.start(lane, seeder.seed_for(lane));
+  }
+  std::vector<double> sums(lanes);
+  for (auto _ : state) {
+    tile.epoch(model, 0.5, sums.data());
+    benchmark::DoNotOptimize(sums.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(lanes * kValidators));
+  state.counters["tile_lanes"] = static_cast<double>(lanes);
+}
+BENCHMARK(BM_CohortTileEpoch);
+
 // --- attack ------------------------------------------------------------
 
 void BM_AttackScalarRef(benchmark::State& state) {
@@ -168,6 +195,18 @@ void BM_PopulationBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kPopulationItems);
 }
 BENCHMARK(BM_PopulationBatch)->Unit(benchmark::kMillisecond);
+
+// One population run (run_population_bouncing, a one-lane cohort tile)
+// of the ensemble workload's shape: against BM_PopulationBatch's
+// per-path cost, what a lone run pays for the idle lanes of its tile.
+void BM_PopulationRun(benchmark::State& state) {
+  const auto cfg = population_workload().base;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bouncing::run_population_bouncing(cfg));
+  }
+  state.SetItemsProcessed(state.iterations() * 200 * 1000);  // validator-epochs
+}
+BENCHMARK(BM_PopulationRun)->Unit(benchmark::kMillisecond);
 
 // --- partition ---------------------------------------------------------
 

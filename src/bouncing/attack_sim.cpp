@@ -1,5 +1,6 @@
 #include "src/bouncing/attack_sim.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -15,56 +16,95 @@ namespace leak::bouncing {
 
 namespace {
 
-/// Outcome of one attack lifetime, pure in (cfg, rng).
-struct RunOutcome {
-  std::uint64_t duration = 0;
-  /// Epoch when beta first exceeded 1/3; -1 when it never did.
+/// One tile lane's attack run in flight.
+struct LaneRun {
+  std::size_t run;
+  std::size_t t = 1;  ///< the epoch the run plays next
   std::int64_t break_epoch = -1;
+  kernel::SemiActiveByzantine byz;
+
+  LaneRun(std::size_t r, const analytic::AnalyticConfig& model)
+      : run(r), byz(model) {}
 };
 
-RunOutcome simulate_attack_run(const AttackSimConfig& cfg, Rng rng) {
-  RunOutcome out;
-  const std::size_t n = cfg.honest_validators;
-  // Honest stake/score from branch A's viewpoint rides the SoA
-  // draw/update kernel.  Each epoch consumes the run's single RNG
-  // stream exactly as the scalar oracle does: the lottery draw, then one
-  // draw per live validator in index order.  Both are drawn up front,
-  // in that order, in one pass that also sums the stakes as they stand
-  // (the lottery's probability needs that sum); when the lottery ends
-  // the run, the lane draws are never used.  The update pass is
-  // branchless over the lanes.  Scratch is per worker thread, reused
-  // across the runs it claims — purely an allocation cache, fully
-  // re-initialized per run.
+/// Attack lifetimes of runs [begin, end), run r drawing from the
+/// (seed, r) stream, into durations[r] and break_epochs[r] (-1 when
+/// beta never exceeded 1/3).  One cohort tile plays the runs, a lane
+/// per run; a lane whose run ends takes the block's next run, and idles
+/// once none is left.  Each epoch follows the scalar oracle's stream
+/// order per lane: the lottery draw, then one draw per live validator
+/// in index order, fused with that validator's update.  When the
+/// lottery ends a run, the update its lane already made is never read.
+void simulate_attack_block(const AttackSimConfig& cfg,
+                           const StreamSeeder& seeder, std::size_t begin,
+                           std::size_t end, std::uint64_t* durations,
+                           std::int64_t* break_epochs) {
+  // Scratch is per worker thread, reused across the blocks it claims —
+  // purely an allocation cache, every lane re-initialized per run.
   // leaklint: allow(D5): per-thread allocation cache only; contents fully re-initialized per run, results bit-identical across thread counts
-  static thread_local kernel::LeakCohort cohort;
-  cohort.reset(n, cfg.model);
-  kernel::SemiActiveByzantine byz(cfg.model);
-
-  for (std::size_t t = 1; t <= cfg.max_epochs; ++t) {
-    const double lottery = rng.uniform();
-    // Current stake-weighted Byzantine proportion on branch A.
-    const double honest_mean = cohort.draw(rng) / static_cast<double>(n);
-    const double beta = byz.beta(cfg.beta0, honest_mean);
-    if (beta > 1.0 / 3.0 && !byz.ejected && out.break_epoch < 0) {
-      out.break_epoch = static_cast<std::int64_t>(t);
-    }
-
-    // Proposer lottery: the attack needs a Byzantine proposer among
-    // the first j slots of the epoch (rng.bernoulli(p_continue) on the
-    // lottery value drawn above).
-    const double lottery_beta = cfg.stake_weighted_lottery ? beta : cfg.beta0;
-    const double p_continue = 1.0 - std::pow(1.0 - lottery_beta, cfg.j);
-    if (byz.ejected || !(lottery < p_continue)) {
-      out.duration = t - 1;
-      break;
-    }
-    out.duration = t;
-
-    // One epoch of Figure 8 dynamics on the lanes drawn above.
-    cohort.update(cfg.model, cfg.p0);
-    byz.step(cfg.model, t);
+  static thread_local kernel::CohortTile tile;
+  const std::size_t lanes = kernel::CohortTile::lanes();
+  const double n = static_cast<double>(cfg.honest_validators);
+  tile.reset(cfg.honest_validators, cfg.model);
+  std::vector<LaneRun> runs(lanes, LaneRun(begin, cfg.model));
+  std::vector<std::uint8_t> busy(lanes, 0);
+  std::size_t next = begin;
+  const auto refill = [&](std::size_t lane) {
+    if (next == end) return false;
+    runs[lane] = LaneRun(next, cfg.model);
+    tile.start(lane, seeder.seed_for(next));
+    ++next;
+    return true;
+  };
+  // reset() left every lane idle; a lane with no run to start stays so.
+  std::size_t active = 0;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    busy[lane] = refill(lane) ? 1 : 0;
+    active += busy[lane];
   }
-  return out;
+  // With the constant-beta0 lottery the continuation probability never
+  // changes: the same expression, taken once.
+  const double constant_continue = 1.0 - std::pow(1.0 - cfg.beta0, cfg.j);
+  std::vector<std::uint64_t> lottery(lanes);
+  std::vector<double> sums(lanes);
+  while (active > 0) {
+    tile.draw(lottery.data());
+    tile.epoch(cfg.model, cfg.p0, sums.data());
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      if (busy[lane] == 0) continue;
+      LaneRun& r = runs[lane];
+      // Current stake-weighted Byzantine proportion on branch A.
+      const double beta = r.byz.beta(cfg.beta0, sums[lane] / n);
+      if (beta > 1.0 / 3.0 && !r.byz.ejected && r.break_epoch < 0) {
+        r.break_epoch = static_cast<std::int64_t>(r.t);
+      }
+      // Proposer lottery: the attack needs a Byzantine proposer among
+      // the first j slots of the epoch (rng.bernoulli(p_continue) on
+      // the lottery draw: exactly Rng::uniform() of it).
+      const double p_continue =
+          cfg.stake_weighted_lottery ? 1.0 - std::pow(1.0 - beta, cfg.j)
+                                     : constant_continue;
+      const double lottery_u =
+          static_cast<double>(lottery[lane] >> 11) * 0x1.0p-53;
+      if (r.byz.ejected || !(lottery_u < p_continue)) {
+        durations[r.run] = r.t - 1;
+      } else {
+        // The run survived epoch t (its cohort update is already made).
+        r.byz.step(cfg.model, r.t);
+        if (r.t < cfg.max_epochs) {
+          ++r.t;
+          continue;
+        }
+        durations[r.run] = r.t;
+      }
+      break_epochs[r.run] = r.break_epoch;
+      if (!refill(lane)) {
+        tile.stop(lane);
+        busy[lane] = 0;
+        --active;
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -81,14 +121,16 @@ AttackSimResult run_attack_sim(const AttackSimConfig& cfg) {
   // step), then aggregate in run order on this thread.
   std::vector<std::uint64_t> durations(cfg.runs, 0);
   std::vector<std::int64_t> break_epochs(cfg.runs, -1);
-  const auto run_block = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t run = begin; run < end; ++run) {
-      const auto out = simulate_attack_run(cfg, seeder.stream(run));
-      durations[run] = out.duration;
-      break_epochs[run] = out.break_epoch;
-    }
+  // The runner schedules whole tiles: a block of b tiles plays runs
+  // [b0 * lanes, b1 * lanes), and the run block rounds up to tiles.
+  const std::size_t lanes = kernel::CohortTile::lanes();
+  const auto run_block = [&](std::size_t first_tile, std::size_t end_tile) {
+    simulate_attack_block(cfg, seeder, first_tile * lanes,
+                          std::min(end_tile * lanes, cfg.runs),
+                          durations.data(), break_epochs.data());
   };
-  pool.run_blocks(cfg.runs, cfg.block, run_block);
+  pool.run_blocks((cfg.runs + lanes - 1) / lanes,
+                  (cfg.block + lanes - 1) / lanes, run_block);
 
   AttackSimResult res;
   std::size_t broken = 0;

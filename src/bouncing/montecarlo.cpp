@@ -1,7 +1,9 @@
 #include "src/bouncing/montecarlo.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/kernel/accumulators.hpp"
@@ -24,6 +26,58 @@ void validate_grid(const McConfig& cfg,
   kernel::check_snapshot_grid(snapshot_epochs, cfg.epochs);
   if (cfg.branches < 2) {
     throw std::invalid_argument("run_bouncing_mc: branches must be >= 2");
+  }
+}
+
+void check_population(const PopulationRunConfig& cfg, const char* who) {
+  if (cfg.honest_validators == 0) {
+    throw std::invalid_argument(std::string(who) + ": no honest validators");
+  }
+}
+
+/// Population runs on seeds[0, count) (count <= the tile's lanes), one
+/// tile lane each, into out[0, count).  All lanes play the same epochs,
+/// and the Byzantine dynamics draw nothing, so one SemiActiveByzantine
+/// serves every lane.
+void simulate_population_tile(const PopulationRunConfig& cfg,
+                              const std::uint64_t* seeds, std::size_t count,
+                              PopulationRunResult* out) {
+  // Scratch is per worker thread, reused across the tiles it claims —
+  // purely an allocation cache, fully re-initialized per tile.
+  // leaklint: allow(D5): per-thread allocation cache only; contents fully re-initialized per tile, results bit-identical across thread counts
+  static thread_local kernel::CohortTile tile;
+  tile.reset(cfg.honest_validators, cfg.model);
+  for (std::size_t lane = 0; lane < count; ++lane) {
+    tile.start(lane, seeds[lane]);
+    out[lane] = PopulationRunResult{};
+  }
+  kernel::SemiActiveByzantine byz(cfg.model);  // tracked branch A
+  std::vector<double> sums(kernel::CohortTile::lanes());
+  const double n = static_cast<double>(cfg.honest_validators);
+
+  // Branch-level Byzantine proportion at the end of epoch t (Eq 23 with
+  // population averages), from each lane's honest stake sum then.
+  const auto observe = [&](std::size_t t) {
+    for (std::size_t lane = 0; lane < count; ++lane) {
+      PopulationRunResult& res = out[lane];
+      const double beta = byz.beta(cfg.beta0, sums[lane] / n);
+      if (t % res.stride == 0) res.beta_trajectory.push_back(beta);
+      if (res.first_exceed_epoch < 0 && beta > 1.0 / 3.0 && !byz.ejected) {
+        res.first_exceed_epoch = static_cast<std::int64_t>(t);
+      }
+    }
+  };
+  for (std::size_t t = 1; t <= cfg.epochs; ++t) {
+    // Honest validators: iid branch assignment (Figure 8).  The epoch
+    // also sums the stakes epoch t - 1 left, which are observed before
+    // the Byzantine update of epoch t.
+    tile.epoch(cfg.model, cfg.p0, sums.data());
+    if (t > 1) observe(t - 1);
+    byz.step(cfg.model, t);
+  }
+  if (cfg.epochs > 0) {
+    tile.stake_sums(sums.data());
+    observe(cfg.epochs);
   }
 }
 
@@ -70,40 +124,9 @@ McResult run_bouncing_mc(const McConfig& cfg,
 }
 
 PopulationRunResult run_population_bouncing(const PopulationRunConfig& cfg) {
+  check_population(cfg, "run_population_bouncing");
   PopulationRunResult res;
-  Rng rng(cfg.seed);
-  const std::uint32_t n = cfg.honest_validators;
-  // Honest cohort rides the SoA draw/update kernel: one draw per live
-  // validator in index order (exactly the scalar oracle's stream
-  // consumption), then a branchless vectorized update pass.  Scratch
-  // is per worker thread, reused across the runs it claims — purely an
-  // allocation cache, fully re-initialized per call.
-  // leaklint: allow(D5): per-thread allocation cache only; contents fully re-initialized per run, results bit-identical across thread counts
-  static thread_local kernel::LeakCohort cohort;
-  cohort.reset(n, cfg.model);
-
-  kernel::SemiActiveByzantine byz(cfg.model);  // tracked branch A
-
-  // Branch-level Byzantine proportion at the end of epoch t (Eq 23 with
-  // population averages), from that epoch's honest stake sum.
-  const auto observe = [&](std::size_t t, double honest_total) {
-    const double beta =
-        byz.beta(cfg.beta0, honest_total / static_cast<double>(n));
-    if (t % res.stride == 0) res.beta_trajectory.push_back(beta);
-    if (res.first_exceed_epoch < 0 && beta > 1.0 / 3.0 && !byz.ejected) {
-      res.first_exceed_epoch = static_cast<std::int64_t>(t);
-    }
-  };
-  for (std::size_t t = 1; t <= cfg.epochs; ++t) {
-    // Honest validators: iid branch assignment (Figure 8).  The draw
-    // pass also sums the stakes epoch t - 1 left, which is observed
-    // before the Byzantine update of epoch t.
-    const double honest_total = cohort.draw(rng);
-    if (t > 1) observe(t - 1, honest_total);
-    cohort.update(cfg.model, cfg.p0);
-    byz.step(cfg.model, t);
-  }
-  if (cfg.epochs > 0) observe(cfg.epochs, cohort.stake_sum());
+  simulate_population_tile(cfg, &cfg.seed, 1, &res);
   return res;
 }
 
@@ -112,6 +135,7 @@ PopulationEnsembleResult run_population_ensemble(
   if (cfg.paths == 0) {
     throw std::invalid_argument("run_population_ensemble: no paths");
   }
+  check_population(cfg.base, "run_population_ensemble");
   if (cfg.base.epochs < kBetaStride) {
     throw std::invalid_argument(
         "run_population_ensemble: epochs below the beta sampling stride");
@@ -119,21 +143,33 @@ PopulationEnsembleResult run_population_ensemble(
   const StreamSeeder seeder(cfg.base.seed);
   const runner::TrialRunner pool(cfg.threads);
 
-  // Block-scheduled fan-out into preallocated outcome slabs (only the
-  // two scalars the ensemble aggregates survive a path, never its full
-  // trajectory), then aggregate in path order on this thread.
+  // Tile-scheduled fan-out into preallocated outcome slabs (only the
+  // two scalars the ensemble aggregates survive a path), then aggregate
+  // in path order on this thread.  The runner schedules whole tiles:
+  // tile k plays paths [k * lanes, (k + 1) * lanes), path i on the seed
+  // of stream (base.seed, i), and the path block rounds up to tiles.
+  const std::size_t lanes = kernel::CohortTile::lanes();
   std::vector<std::int64_t> first_exceed(cfg.paths, -1);
   std::vector<double> final_beta(cfg.paths, 0.0);
-  const auto run_block = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t path = begin; path < end; ++path) {
-      PopulationRunConfig per_path = cfg.base;
-      per_path.seed = seeder.seed_for(path);
-      const auto r = run_population_bouncing(per_path);
-      first_exceed[path] = r.first_exceed_epoch;
-      final_beta[path] = r.beta_trajectory.back();  // epochs >= stride
+  const auto run_block = [&](std::size_t first_tile, std::size_t end_tile) {
+    std::vector<std::uint64_t> seeds(lanes);
+    std::vector<PopulationRunResult> runs(lanes);
+    for (std::size_t tile = first_tile; tile < end_tile; ++tile) {
+      const std::size_t begin = tile * lanes;
+      const std::size_t count = std::min(lanes, cfg.paths - begin);
+      for (std::size_t lane = 0; lane < count; ++lane) {
+        seeds[lane] = seeder.seed_for(begin + lane);
+      }
+      simulate_population_tile(cfg.base, seeds.data(), count, runs.data());
+      for (std::size_t lane = 0; lane < count; ++lane) {
+        first_exceed[begin + lane] = runs[lane].first_exceed_epoch;
+        // epochs >= stride, so every run has a final sample.
+        final_beta[begin + lane] = runs[lane].beta_trajectory.back();
+      }
     }
   };
-  pool.run_blocks(cfg.paths, cfg.block, run_block);
+  pool.run_blocks((cfg.paths + lanes - 1) / lanes,
+                  (cfg.block + lanes - 1) / lanes, run_block);
   std::size_t exceeded = 0;
   double beta_sum = 0.0;
   for (std::size_t path = 0; path < cfg.paths; ++path) {

@@ -96,18 +96,25 @@ struct PopulationRunResult {
   std::size_t stride = kBetaStride;
 };
 
+/// One run, played as a one-lane cohort tile (src/kernel/cohort.hpp).
+/// Throws std::invalid_argument when cfg.honest_validators is 0.
 PopulationRunResult run_population_bouncing(const PopulationRunConfig& cfg);
 
 /// Ensemble of independent finite-population runs ("population
-/// paths"): path i re-runs run_population_bouncing with the seed of
-/// stream (cfg.base.seed, i), block-scheduled across the trial runner
-/// into preallocated outcome slabs.  base.epochs must reach
-/// kBetaStride, so every path has a final beta sample to average.
+/// paths"): path i is run_population_bouncing with the seed of stream
+/// (cfg.base.seed, i), the paths played a cohort tile of lanes at a
+/// time and tile-scheduled across the trial runner into preallocated
+/// outcome slabs.  base.epochs must reach kBetaStride, so every path
+/// has a final beta sample to average, and base.honest_validators must
+/// be positive (std::invalid_argument otherwise).
 struct PopulationEnsembleConfig {
   PopulationRunConfig base;   ///< base.seed is the ensemble master seed
   std::size_t paths = 100;
   unsigned threads = 0;       ///< 0 = LEAK_THREADS / hardware_concurrency
-  std::size_t block = 0;      ///< paths per block; 0 = the runner's auto
+  /// Paths per block, rounded up to whole cohort tiles
+  /// (kernel::CohortTile::lanes() paths); 0 = the runner's auto block,
+  /// counted in tiles.
+  std::size_t block = 0;
   /// Whether the result carries first_exceed_epochs.  Only the result
   /// changes: the run always fills the O(paths) outcome slabs and the
   /// aggregates are bit-identical for both values.

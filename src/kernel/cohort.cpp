@@ -1,13 +1,108 @@
 // Compiled with the same vectorization-friendly flags as the batch
 // kernel (src/CMakeLists.txt); none of them change any computed value.
-// The draw pass (and the stake sum it carries) stays serial on purpose:
-// it consumes and accumulates in an order the bit-identity contract
-// fixes.
+// CohortTile's lanes are whole runs, so each lane's stream and stake
+// sum stay serial in the order the bit-identity contract fixes while
+// the vector spans the runs.  LeakCohort's draw pass (and the stake sum
+// it carries) is serial across one run's validators.
 #include "src/kernel/cohort.hpp"
 
 #include <algorithm>
+#include <cstring>
+
+#include "src/kernel/lane_step.hpp"
 
 namespace leak::kernel {
+
+using lanes::F64;
+using lanes::kLanes;
+using lanes::U64;
+
+namespace {
+constexpr std::size_t kBytes = sizeof(F64);
+}  // namespace
+
+std::size_t CohortTile::lanes() { return kLanes; }
+
+void CohortTile::reset(std::size_t n, const analytic::AnalyticConfig& model) {
+  n_ = n;
+  initial_stake_ = model.initial_stake;
+  stake_.assign(n * kLanes, 0.0);
+  score_.assign(n * kLanes, 0.0);
+  stream_.assign(4 * kLanes, 0);
+}
+
+void CohortTile::start(std::size_t lane, std::uint64_t seed) {
+  for (std::size_t v = 0; v < n_; ++v) {
+    stake_[v * kLanes + lane] = initial_stake_;
+    score_[v * kLanes + lane] = 0.0;
+  }
+  // Exactly Rng's constructor: four splitmix64 rounds of the seed.
+  for (std::size_t w = 0; w < 4; ++w) {
+    stream_[w * kLanes + lane] = splitmix64(seed);
+  }
+}
+
+void CohortTile::stop(std::size_t lane) {
+  for (std::size_t v = 0; v < n_; ++v) stake_[v * kLanes + lane] = 0.0;
+}
+
+void CohortTile::draw(std::uint64_t* out) {
+  U64 s[4];
+  std::memcpy(s, stream_.data(), sizeof s);
+  U64 draw;
+  lanes::next_draw(s[0], s[1], s[2], s[3], draw);
+  std::memcpy(stream_.data(), s, sizeof s);
+  std::memcpy(out, &draw, kBytes);
+}
+
+void CohortTile::epoch(const analytic::AnalyticConfig& model, double p0,
+                       double* sums) {
+  // The lanes' streams stay in registers for the whole pass.  Per
+  // validator: the sum takes the stake as it stands, a live lane
+  // (stake != 0) takes its next draw while an ejected or idle one
+  // keeps its stream where it was, and the lane step updates stake and
+  // score in place.  The sum and the streams are the only chains
+  // carried from validator to validator.
+  const lanes::Dynamics dyn(model, p0);
+  U64 s[4];
+  std::memcpy(s, stream_.data(), sizeof s);
+  F64 total = F64{};
+  double* __restrict stake_at = stake_.data();
+  double* __restrict score_at = score_.data();
+  for (std::size_t v = 0; v < n_; ++v, stake_at += kLanes, score_at += kLanes) {
+    F64 stake;
+    F64 score;
+    std::memcpy(&stake, stake_at, kBytes);
+    std::memcpy(&score, score_at, kBytes);
+    total += stake;
+    const U64 live = (U64)(stake != F64{});
+    U64 n0 = s[0];
+    U64 n1 = s[1];
+    U64 n2 = s[2];
+    U64 n3 = s[3];
+    U64 draw;
+    lanes::next_draw(n0, n1, n2, n3, draw);
+    s[0] = (n0 & live) | (s[0] & ~live);
+    s[1] = (n1 & live) | (s[1] & ~live);
+    s[2] = (n2 & live) | (s[2] & ~live);
+    s[3] = (n3 & live) | (s[3] & ~live);
+    lanes::update(dyn, draw, stake, score);
+    std::memcpy(stake_at, &stake, kBytes);
+    std::memcpy(score_at, &score, kBytes);
+  }
+  std::memcpy(stream_.data(), s, sizeof s);
+  std::memcpy(sums, &total, kBytes);
+}
+
+void CohortTile::stake_sums(double* sums) const {
+  F64 total = F64{};
+  for (std::size_t v = 0; v < n_; ++v) {
+    F64 stake;
+    std::memcpy(&stake, &stake_[v * kLanes], kBytes);
+    total += stake;
+  }
+  std::memcpy(sums, &total, kBytes);
+}
 
 void LeakCohort::reset(std::size_t n, const analytic::AnalyticConfig& model) {
   stake_.assign(n, model.initial_stake);

@@ -1,19 +1,31 @@
-// SoA draw/update split for the within-run validator cohorts of the
-// attack-lifetime and population drivers.  Unlike the per-path batch
-// kernel (stake_batch.hpp), every validator in a cohort shares ONE
-// serial RNG stream — the run's — so the draw pass must consume draws
-// in exactly the scalar order: ascending validator index, skipping
-// lanes already ejected when the epoch began (a lane is ejected exactly
-// when its stake is 0.0: the flush sets it, and a live stake stays
-// above the positive threshold).  The pass keeps the raw 64-bit draws,
-// which the update decides with the exact integer cut of
-// bernoulli_cut, and sums the stakes as they stand, so the drivers
-// need no separate stake_sum() walk.  The update pass is then
-// branchless over all lanes with the same op order per live lane as the
-// scalar oracle; frozen lanes hold stake at exactly +0.0 through the
-// penalty and the flush (score * 0.0 / q == +0.0 and 0.0 <= threshold
-// re-selects 0.0), and their stale draw only feeds the dead score lane,
-// so the extra lockstep work is unobservable.
+// Within-run validator cohorts of the attack-lifetime and population
+// drivers.  Every validator of a run shares ONE serial RNG stream, the
+// run's, which it consumes in ascending validator index order, skipping
+// validators already ejected when the epoch began (a validator is
+// ejected exactly when its stake is 0.0: the flush sets it, and a live
+// stake stays above the positive threshold).
+//
+// CohortTile, the drivers' kernel, vectorizes across runs instead of
+// across one run's validators: a tile's lanes are independent runs,
+// one lane per element of the target's widest vector (8 with AVX-512,
+// 4 with AVX, 2 on baseline SSE2), each with its own stream.  State is
+// validator-major ([validator][lane] stake and score, 16 B per lane and
+// validator), so one validator step is one vector op per quantity: it
+// advances each lane's stream under a live mask (stake != 0), adds the
+// stake as it stands to each lane's sum in ascending validator order,
+// and applies the Eq 2 penalty, the floored Eq 1 select and the flush
+// in place (the lane step of lane_step.hpp, shared with the stake
+// batch).  Fusing the draw into the update is safe because a lane's
+// update reads only its own draw.  Every live lane's draws, sums and
+// updates are the scalar oracle's values in the scalar order, so the
+// drivers stay bit-identical to it; an ejected validator or idle lane
+// holds stake at exactly +0.0 and its stale draw feeds only a dead
+// score, so the lockstep work is unobservable.
+//
+// LeakCohort is the earlier one-run SoA draw/update split, with the
+// serial draw pass that carries the stake sum.  No driver runs it; it
+// remains for the per-layer kernel probes of perfbench, and goes with
+// them.
 #pragma once
 
 #include <algorithm>
@@ -26,9 +38,52 @@
 
 namespace leak::kernel {
 
-/// Structure-of-arrays stake/score state for one run's honest cohort.
-/// One instance is reused across the runs a worker claims; reset()
-/// re-initializes without reallocating.
+/// Validator-major stake/score state for a tile of independent runs
+/// (see the file comment).  One instance is reused across the tiles a
+/// worker claims; reset() re-initializes it, reallocating only when it
+/// grows.  Memory: lanes() x validators x 16 B.
+class CohortTile {
+ public:
+  /// Runs per tile on the target this kernel was built for.
+  [[nodiscard]] static std::size_t lanes();
+
+  /// n validators per run, every lane idle (stake 0).
+  void reset(std::size_t n, const analytic::AnalyticConfig& model);
+
+  /// Lane `lane` starts a run on the stream Rng(seed): every validator
+  /// at the initial stake, score 0.
+  void start(std::size_t lane, std::uint64_t seed);
+
+  /// Lane `lane` idles: every validator's stake 0, so epoch() no longer
+  /// advances its stream.
+  void stop(std::size_t lane);
+
+  /// One raw draw from every lane's stream into out[0, lanes()) (the
+  /// attack's per-epoch lottery, drawn before the validators).  Idle
+  /// lanes advance too; their draws are never read.
+  void draw(std::uint64_t* out);
+
+  /// One epoch of the Figure 8 dynamics on every lane, validators in
+  /// ascending order: sums[lane] receives the lane's stake sum as it
+  /// stood before the epoch (the scalar oracle's total), and each live
+  /// validator takes one draw from its lane's stream and one update.
+  void epoch(const analytic::AnalyticConfig& model, double p0, double* sums);
+
+  /// Stake sum of every lane, in ascending validator order, into
+  /// sums[0, lanes()).
+  void stake_sums(double* sums) const;
+
+ private:
+  std::size_t n_ = 0;
+  double initial_stake_ = 0.0;
+  std::vector<double> stake_;  ///< [validator][lane]
+  std::vector<double> score_;  ///< [validator][lane]
+  /// xoshiro256** state, [word][lane].
+  std::vector<std::uint64_t> stream_;
+};
+
+/// Structure-of-arrays stake/score state for one run's honest cohort
+/// (kept for the perfbench kernel probes; see the file comment).
 class LeakCohort {
  public:
   /// All n validators at the initial stake, score 0; the model's

@@ -4,12 +4,8 @@
 // the register tile below.  None of these change any computed value:
 // every operation is still an IEEE double op in the same order for
 // every lane, which is what the bit-identity tests against the scalar
-// oracle enforce.
-//
-// The tile is written with GCC/Clang vector extensions, in the subset
-// both accept: arithmetic, bitwise ops, shifts by constants,
-// comparisons to masks and same-size casts.  Vectors never cross a
-// function boundary, so the vector ABI (-Wpsabi) is never involved.
+// oracle enforce.  The lane step itself (xoshiro step, penalty, select,
+// flush) is lane_step.hpp's, shared with the cohort run tile.
 #include "src/kernel/stake_batch.hpp"
 
 #include <algorithm>
@@ -17,9 +13,15 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/kernel/lane_step.hpp"
+
 namespace leak::kernel {
 
 namespace {
+
+using lanes::F64;
+using lanes::kLanes;
+using lanes::U64;
 
 // Register tile: kGroups independent vectors of the target's widest
 // kLanes lanes (8 with 512-bit vectors, 4 with AVX, 2 on baseline
@@ -29,14 +31,8 @@ namespace {
 // state vectors stay resident and the division's throughput bounds
 // the loop; with 16 some RNG words spill to L1, off that chain, which
 // still beats two unspilled groups, whose chains leave the units idle.
-constexpr std::size_t kVectorBytes =
-    std::max<std::size_t>(16, __BIGGEST_ALIGNMENT__);
-constexpr std::size_t kLanes = kVectorBytes / sizeof(double);
 constexpr std::size_t kGroups = 4;
 constexpr std::size_t kTile = kLanes * kGroups;
-
-using U64 = std::uint64_t __attribute__((vector_size(kVectorBytes)));
-using F64 = double __attribute__((vector_size(kVectorBytes)));
 
 }  // namespace
 
@@ -68,12 +64,7 @@ void BatchPaths::reset(const analytic::AnalyticConfig& model,
 
 void BatchPaths::advance(const analytic::AnalyticConfig& model, double p0,
                          std::size_t epochs) {
-  const F64 quotient = F64{} + model.quotient;
-  const F64 decrement = F64{} + model.score_active_decrement;
-  const F64 bias = F64{} + model.score_bias;
-  const F64 threshold = F64{} + model.ejection_threshold;
-  const F64 zero = F64{};
-  const U64 cut = U64{} + static_cast<std::uint64_t>(bernoulli_cut(p0));
+  const lanes::Dynamics dyn(model, p0);
   constexpr std::size_t kBytes = sizeof(F64);
 
   for (std::size_t base = 0; base < stake_.size(); base += kTile) {
@@ -93,39 +84,14 @@ void BatchPaths::advance(const analytic::AnalyticConfig& model, double p0,
       std::memcpy(&s3[g], &s3_[at], kBytes);
     }
     for (std::size_t e = 0; e < epochs; ++e) {
-      // Per group: one xoshiro256** step (Rng::operator(); the two
-      // constant multiplies as shift-adds, the rotates as shift pairs),
-      // then the epoch in the scalar oracle's op order: Eq 2 penalty
-      // with the previous score, Eq 1 floored score update as a blend
-      // of both candidates on the raw draw (exactly uniform() < p0),
-      // ejection flush to exactly 0.0 as a mask.  An ejected or
-      // padding lane's stake is exactly 0.0, so the penalty and the
-      // flush keep it there and its (still advancing) RNG lane is
+      // Per group: one step of its RNG words, then the epoch on its
+      // stake and score (lane_step.hpp).  An ejected or padding lane's
+      // stake is exactly 0.0, so its (still advancing) RNG lane is
       // unobservable.
       for (std::size_t g = 0; g < kGroups; ++g) {
-        const U64 m5 = s1[g] + (s1[g] << 2);  // s1 * 5
-        const U64 r7 = (m5 << 7) | (m5 >> 57);
-        const U64 draw = r7 + (r7 << 3);  // rotl(s1*5,7) * 9
-        const U64 t = s1[g] << 17;
-        s2[g] ^= s0[g];
-        s3[g] ^= s1[g];
-        s1[g] ^= s2[g];
-        s0[g] ^= s3[g];
-        s2[g] ^= t;
-        s3[g] = (s3[g] << 45) | (s3[g] >> 19);
-
-        stake[g] -= score[g] * stake[g] / quotient;
-        // std::max(score - decrement, 0.0): 0.0 where the difference
-        // is below 0 (+0.0 is the all-zero bit pattern).
-        const F64 diff = score[g] - decrement;
-        const U64 floored = (U64)diff & ~(U64)(diff < zero);
-        const U64 incremented = (U64)(score[g] + bias);
-        // (draw >> 11) < cut as the sign of the difference, spread by a
-        // logical shift and a negation: baseline SSE2 has no packed
-        // 64-bit compare or arithmetic shift to keep it in registers.
-        const U64 hit = U64{} - (((draw >> 11) - cut) >> 63);
-        score[g] = (F64)((floored & hit) | (incremented & ~hit));
-        stake[g] = (F64)((U64)stake[g] & ~(U64)(stake[g] <= threshold));
+        U64 draw;
+        lanes::next_draw(s0[g], s1[g], s2[g], s3[g], draw);
+        lanes::update(dyn, draw, stake[g], score[g]);
       }
     }
     for (std::size_t g = 0; g < kGroups; ++g) {

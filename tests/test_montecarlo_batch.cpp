@@ -14,6 +14,7 @@
 
 #include "src/bouncing/attack_sim.hpp"
 #include "src/bouncing/montecarlo.hpp"
+#include "src/kernel/cohort.hpp"
 #include "src/kernel/stake_batch.hpp"
 #include "src/runner/thread_pool.hpp"
 #include "src/runner/trial_runner.hpp"
@@ -456,6 +457,165 @@ TEST(BatchBitIdentity, PopulationRunMatchesScalarOracle) {
       EXPECT_EQ(r.beta_trajectory, ref.beta_trajectory) << label;
     }
   }
+}
+
+// Cohort run tiles: run and path counts around the tile width, each at
+// blocks that split them inside, at and across tiles, on one and four
+// threads, against the scalar oracles over the (model, p0) grid.
+std::vector<std::size_t> tile_counts() {
+  const std::size_t lanes = kernel::CohortTile::lanes();
+  return {1, lanes - 1, lanes + 1, 2 * lanes + 3};
+}
+constexpr std::size_t kTileBlocks[] = {1, 7, 64};
+
+void expect_attack_equal(const bouncing::AttackSimResult& r,
+                         const bouncing::AttackSimResult& ref,
+                         const std::string& label) {
+  EXPECT_EQ(r.durations, ref.durations) << label;
+  EXPECT_EQ(r.break_epochs, ref.break_epochs) << label;
+  EXPECT_EQ(r.mean_duration, ref.mean_duration) << label;
+  EXPECT_EQ(r.median_duration, ref.median_duration) << label;
+  EXPECT_EQ(r.p99_duration, ref.p99_duration) << label;
+  EXPECT_EQ(r.prob_threshold_broken, ref.prob_threshold_broken) << label;
+}
+
+/// Every (block, threads) of the tile grid against the scalar oracle.
+void expect_attack_matches_oracle(bouncing::AttackSimConfig cfg,
+                                  const std::string& label) {
+  const auto ref = oracle::run_attack_sim_scalar(cfg);
+  for (const std::size_t block : kTileBlocks) {
+    for (const unsigned threads : kThreadGrid) {
+      cfg.block = block;
+      cfg.threads = threads;
+      expect_attack_equal(bouncing::run_attack_sim(cfg), ref,
+                          label + " " + std::to_string(block) + "/" +
+                              std::to_string(threads));
+    }
+  }
+}
+
+TEST(CohortTile, AttackRunsAroundTheTileWidthMatchScalar) {
+  for (const auto& model : oracle_models()) {
+    for (const double p0 : kOracleP0) {
+      for (const std::size_t runs : tile_counts()) {
+        bouncing::AttackSimConfig cfg;
+        cfg.runs = runs;
+        cfg.honest_validators = 13;
+        cfg.max_epochs = 400;
+        cfg.beta0 = 0.4;
+        cfg.seed = 5;
+        cfg.p0 = p0;
+        cfg.model = model;
+        expect_attack_matches_oracle(
+            cfg, oracle_label(p0, model) + " runs=" + std::to_string(runs));
+      }
+    }
+  }
+}
+
+TEST(CohortTile, PopulationPathsAroundTheTileWidthMatchScalar) {
+  for (const auto& model : oracle_models()) {
+    for (const double p0 : kOracleP0) {
+      for (const std::size_t paths : tile_counts()) {
+        bouncing::PopulationEnsembleConfig cfg;
+        cfg.base.honest_validators = 17;
+        cfg.base.epochs = 200;
+        cfg.base.beta0 = 1.0 / 3.0;
+        cfg.base.p0 = p0;
+        cfg.base.model = model;
+        cfg.paths = paths;
+        const auto ref = oracle::run_population_ensemble_scalar(cfg);
+        for (const std::size_t block : kTileBlocks) {
+          for (const unsigned threads : kThreadGrid) {
+            cfg.block = block;
+            cfg.threads = threads;
+            const auto r = bouncing::run_population_ensemble(cfg);
+            const auto label = oracle_label(p0, model) +
+                               " paths=" + std::to_string(paths) + " " +
+                               std::to_string(block) + "/" +
+                               std::to_string(threads);
+            EXPECT_EQ(r.first_exceed_epochs, ref.first_exceed_epochs)
+                << label;
+            EXPECT_EQ(r.exceed_fraction, ref.exceed_fraction) << label;
+            EXPECT_EQ(r.mean_final_beta, ref.mean_final_beta) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+// One block of runs on one tile: some lanes reach the horizon while
+// others end by the lottery and take the block's next run.
+TEST(CohortTile, AttackLanesRefillWhileOthersReachTheHorizon) {
+  bouncing::AttackSimConfig cfg;
+  cfg.runs = 5 * kernel::CohortTile::lanes();
+  cfg.honest_validators = 9;
+  cfg.max_epochs = 60;
+  cfg.beta0 = 0.45;
+  cfg.seed = 31;
+  const auto ref = oracle::run_attack_sim_scalar(cfg);
+  const auto at_horizon = std::count(ref.durations.begin(),
+                                     ref.durations.end(), cfg.max_epochs);
+  EXPECT_GT(at_horizon, 0);
+  EXPECT_LT(static_cast<std::size_t>(at_horizon), cfg.runs);
+  cfg.block = cfg.runs;
+  cfg.threads = 1;
+  expect_attack_equal(bouncing::run_attack_sim(cfg), ref, "one block");
+}
+
+TEST(CohortTile, ConstantBetaLotteryMatchesScalar) {
+  for (const double p0 : kOracleP0) {
+    bouncing::AttackSimConfig cfg;
+    cfg.runs = 2 * kernel::CohortTile::lanes() + 3;
+    cfg.honest_validators = 11;
+    cfg.max_epochs = 300;
+    cfg.beta0 = 0.4;
+    cfg.seed = 9;
+    cfg.p0 = p0;
+    cfg.stake_weighted_lottery = false;
+    expect_attack_matches_oracle(cfg, "constant beta0 p0=" +
+                                          std::to_string(p0));
+  }
+}
+
+// On the odd-quotient model the semi-active Byzantine stake is ejected
+// at a fixed epoch E (its dynamics draw nothing), so every run the
+// lottery keeps alive that long ends with duration E.
+TEST(CohortTile, RunsEndedByByzantineEjectionMatchScalar) {
+  const auto model = oracle_models()[1];
+  kernel::SemiActiveByzantine byz(model);
+  std::size_t ejected_at = 0;
+  while (!byz.ejected) byz.step(model, ++ejected_at);
+  for (const double p0 : kOracleP0) {
+    bouncing::AttackSimConfig cfg;
+    cfg.runs = 64;
+    cfg.honest_validators = 7;
+    cfg.max_epochs = 2 * ejected_at;
+    cfg.beta0 = 0.5;
+    cfg.stake_weighted_lottery = false;
+    cfg.seed = 3;
+    cfg.p0 = p0;
+    cfg.model = model;
+    const auto ref = oracle::run_attack_sim_scalar(cfg);
+    EXPECT_GT(std::count(ref.durations.begin(), ref.durations.end(),
+                         ejected_at),
+              0)
+        << "p0=" << p0;
+    expect_attack_matches_oracle(cfg, "ejection p0=" + std::to_string(p0));
+  }
+}
+
+TEST(CohortTile, PopulationRejectsAnEmptyHonestCohort) {
+  bouncing::PopulationRunConfig run;
+  run.honest_validators = 0;
+  EXPECT_THROW((void)bouncing::run_population_bouncing(run),
+               std::invalid_argument);
+  bouncing::PopulationEnsembleConfig cfg;
+  cfg.base.honest_validators = 0;
+  cfg.paths = 3;
+  EXPECT_THROW((void)bouncing::run_population_ensemble(cfg),
+               std::invalid_argument);
 }
 
 }  // namespace
