@@ -121,8 +121,8 @@ AttackSimResult run_attack_sim(const AttackSimConfig& cfg) {
   // step), then aggregate in run order on this thread.
   std::vector<std::uint64_t> durations(cfg.runs, 0);
   std::vector<std::int64_t> break_epochs(cfg.runs, -1);
-  // The runner schedules whole tiles: a block of b tiles plays runs
-  // [b0 * lanes, b1 * lanes), and the run block rounds up to tiles.
+  // The runner schedules whole tiles: tiles [t0, t1) play runs
+  // [t0 * lanes, t1 * lanes), and the run block rounds up to tiles.
   const std::size_t lanes = kernel::CohortTile::lanes();
   const auto run_block = [&](std::size_t first_tile, std::size_t end_tile) {
     simulate_attack_block(cfg, seeder, first_tile * lanes,

@@ -50,6 +50,8 @@ void simulate_population_tile(const PopulationRunConfig& cfg,
   for (std::size_t lane = 0; lane < count; ++lane) {
     tile.start(lane, seeds[lane]);
     out[lane] = PopulationRunResult{};
+    // One sample per stride epochs: sized once, not grown per sample.
+    out[lane].beta_trajectory.reserve(cfg.epochs / out[lane].stride);
   }
   kernel::SemiActiveByzantine byz(cfg.model);  // tracked branch A
   std::vector<double> sums(kernel::CohortTile::lanes());
