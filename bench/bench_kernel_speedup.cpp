@@ -132,15 +132,18 @@ void BM_BatchPathsAdvance(benchmark::State& state) {
 BENCHMARK(BM_BatchPathsAdvance)->Arg(1)->Arg(4024);
 
 // One cohort tile of runs with 200 honest validators each (the
-// drivers' default) at p0 0.5, one epoch per call.  Items are one
-// validator of one run for one epoch, so time per item is the cohort
-// kernel's ns per lane-epoch, comparable with BM_BatchPathsAdvance.
+// drivers' default) at p0 0.5, one epoch per call, on the narrowest
+// tile that holds the argument's runs: /1 the narrowest, /64 the
+// widest.  Items are one validator of one run for one epoch, so time
+// per item is the cohort kernel's ns per lane-epoch, comparable with
+// BM_BatchPathsAdvance.
 void BM_CohortTileEpoch(benchmark::State& state) {
   const auto model = analytic::AnalyticConfig::paper();
   constexpr std::size_t kValidators = 200;
-  const std::size_t lanes = kernel::CohortTile::lanes();
+  const std::size_t lanes =
+      kernel::CohortTile::lanes_for(static_cast<std::size_t>(state.range(0)));
   kernel::CohortTile tile;
-  tile.reset(kValidators, model);
+  tile.reset(kValidators, lanes, model);
   const StreamSeeder seeder(3);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     tile.start(lane, seeder.seed_for(lane));
@@ -154,7 +157,7 @@ void BM_CohortTileEpoch(benchmark::State& state) {
                           static_cast<std::int64_t>(lanes * kValidators));
   state.counters["tile_lanes"] = static_cast<double>(lanes);
 }
-BENCHMARK(BM_CohortTileEpoch);
+BENCHMARK(BM_CohortTileEpoch)->Arg(1)->Arg(64);
 
 // --- attack ------------------------------------------------------------
 
@@ -195,18 +198,6 @@ void BM_PopulationBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kPopulationItems);
 }
 BENCHMARK(BM_PopulationBatch)->Unit(benchmark::kMillisecond);
-
-// One population run (run_population_bouncing, a one-lane cohort tile)
-// of the ensemble workload's shape: against BM_PopulationBatch's
-// per-path cost, what a lone run pays for the idle lanes of its tile.
-void BM_PopulationRun(benchmark::State& state) {
-  const auto cfg = population_workload().base;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bouncing::run_population_bouncing(cfg));
-  }
-  state.SetItemsProcessed(state.iterations() * 200 * 1000);  // validator-epochs
-}
-BENCHMARK(BM_PopulationRun)->Unit(benchmark::kMillisecond);
 
 // --- partition ---------------------------------------------------------
 

@@ -30,22 +30,25 @@ struct LaneRun {
 /// Attack lifetimes of runs [begin, end), run r drawing from the
 /// (seed, r) stream, into durations[r] and break_epochs[r] (-1 when
 /// beta never exceeded 1/3).  One cohort tile plays the runs, a lane
-/// per run; a lane whose run ends takes the block's next run, and idles
-/// once none is left.  Each epoch follows the scalar oracle's stream
-/// order per lane: the lottery draw, then one draw per live validator
-/// in index order, fused with that validator's update.  When the
-/// lottery ends a run, the update its lane already made is never read.
+/// per run, at most `width` lanes wide; a lane whose run ends takes the
+/// block's next run, and idles once none is left.  Each epoch follows
+/// the scalar oracle's stream order per lane: the lottery draw, then
+/// one draw per live validator in index order, fused with that
+/// validator's update.  When the lottery ends a run, the update its
+/// lane already made is never read.
 void simulate_attack_block(const AttackSimConfig& cfg,
-                           const StreamSeeder& seeder, std::size_t begin,
-                           std::size_t end, std::uint64_t* durations,
+                           const StreamSeeder& seeder, std::size_t width,
+                           std::size_t begin, std::size_t end,
+                           std::uint64_t* durations,
                            std::int64_t* break_epochs) {
   // Scratch is per worker thread, reused across the blocks it claims —
   // purely an allocation cache, every lane re-initialized per run.
   // leaklint: allow(D5): per-thread allocation cache only; contents fully re-initialized per run, results bit-identical across thread counts
   static thread_local kernel::CohortTile tile;
-  const std::size_t lanes = kernel::CohortTile::lanes();
+  const std::size_t lanes =
+      kernel::CohortTile::lanes_for(std::min(width, end - begin));
   const double n = static_cast<double>(cfg.honest_validators);
-  tile.reset(cfg.honest_validators, cfg.model);
+  tile.reset(cfg.honest_validators, lanes, cfg.model);
   std::vector<LaneRun> runs(lanes, LaneRun(begin, cfg.model));
   std::vector<std::uint8_t> busy(lanes, 0);
   std::size_t next = begin;
@@ -121,16 +124,18 @@ AttackSimResult run_attack_sim(const AttackSimConfig& cfg) {
   // step), then aggregate in run order on this thread.
   std::vector<std::uint64_t> durations(cfg.runs, 0);
   std::vector<std::int64_t> break_epochs(cfg.runs, -1);
-  // The runner schedules whole tiles: tiles [t0, t1) play runs
-  // [t0 * lanes, t1 * lanes), and the run block rounds up to tiles.
-  const std::size_t lanes = kernel::CohortTile::lanes();
-  const auto run_block = [&](std::size_t first_tile, std::size_t end_tile) {
-    simulate_attack_block(cfg, seeder, first_tile * lanes,
-                          std::min(end_tile * lanes, cfg.runs),
-                          durations.data(), break_epochs.data());
+  // A tile is as wide as one worker's share of the runs needs, at most
+  // the widest vector, and the run block rounds up to whole tiles.  No
+  // run plays an epoch when max_epochs is 0 (duration 0, no break).
+  const std::size_t lanes = kernel::CohortTile::lanes_for(
+      (cfg.runs + pool.threads() - 1) / pool.threads());
+  const auto run_block = [&](std::size_t begin, std::size_t end) {
+    simulate_attack_block(cfg, seeder, lanes, begin, end, durations.data(),
+                          break_epochs.data());
   };
-  pool.run_blocks((cfg.runs + lanes - 1) / lanes,
-                  (cfg.block + lanes - 1) / lanes, run_block);
+  if (cfg.max_epochs > 0) {
+    pool.run_blocks(cfg.runs, cfg.block, run_block, lanes);
+  }
 
   AttackSimResult res;
   std::size_t broken = 0;

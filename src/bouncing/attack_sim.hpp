@@ -28,11 +28,10 @@ struct AttackSimConfig {
   /// Worker threads for the run fan-out; 0 = LEAK_THREADS env or
   /// hardware_concurrency.  Bit-identical results for any value.
   unsigned threads = 0;
-  /// Runs per scheduled block, rounded up to whole cohort tiles
-  /// (kernel::CohortTile::lanes() runs; a tile's lanes refill from the
-  /// block's runs); 0 = the runner's auto block
-  /// (src/runner/thread_pool.hpp), counted in tiles.  Bit-identical
-  /// results for any value.
+  /// Runs per scheduled block, rounded up to whole cohort tiles (a
+  /// tile's lanes refill from the block's runs); 0 = the runner's auto
+  /// block (src/runner/thread_pool.hpp).  Bit-identical results for any
+  /// value.
   std::size_t block = 0;
   analytic::AnalyticConfig model = analytic::AnalyticConfig::paper();
   /// When true the per-epoch continuation probability uses the current

@@ -46,7 +46,8 @@ void simulate_population_tile(const PopulationRunConfig& cfg,
   // purely an allocation cache, fully re-initialized per tile.
   // leaklint: allow(D5): per-thread allocation cache only; contents fully re-initialized per tile, results bit-identical across thread counts
   static thread_local kernel::CohortTile tile;
-  tile.reset(cfg.honest_validators, cfg.model);
+  const std::size_t lanes = kernel::CohortTile::lanes_for(count);
+  tile.reset(cfg.honest_validators, lanes, cfg.model);
   for (std::size_t lane = 0; lane < count; ++lane) {
     tile.start(lane, seeds[lane]);
     out[lane] = PopulationRunResult{};
@@ -54,7 +55,7 @@ void simulate_population_tile(const PopulationRunConfig& cfg,
     out[lane].beta_trajectory.reserve(cfg.epochs / out[lane].stride);
   }
   kernel::SemiActiveByzantine byz(cfg.model);  // tracked branch A
-  std::vector<double> sums(kernel::CohortTile::lanes());
+  std::vector<double> sums(lanes);
   const double n = static_cast<double>(cfg.honest_validators);
 
   // Branch-level Byzantine proportion at the end of epoch t (Eq 23 with
@@ -125,11 +126,15 @@ McResult run_bouncing_mc(const McConfig& cfg,
   return res;
 }
 
-PopulationRunResult run_population_bouncing(const PopulationRunConfig& cfg) {
-  check_population(cfg, "run_population_bouncing");
-  PopulationRunResult res;
-  simulate_population_tile(cfg, &cfg.seed, 1, &res);
-  return res;
+void run_population_tiles(const PopulationRunConfig& cfg,
+                          const std::uint64_t* seeds, std::size_t count,
+                          PopulationRunResult* out) {
+  check_population(cfg, "run_population_tiles");
+  const std::size_t widest = kernel::CohortTile::max_lanes();
+  for (std::size_t begin = 0; begin < count; begin += widest) {
+    simulate_population_tile(cfg, seeds + begin,
+                             std::min(widest, count - begin), out + begin);
+  }
 }
 
 PopulationEnsembleResult run_population_ensemble(
@@ -145,33 +150,30 @@ PopulationEnsembleResult run_population_ensemble(
   const StreamSeeder seeder(cfg.base.seed);
   const runner::TrialRunner pool(cfg.threads);
 
-  // Tile-scheduled fan-out into preallocated outcome slabs (only the
+  // Block-scheduled fan-out into preallocated outcome slabs (only the
   // two scalars the ensemble aggregates survive a path), then aggregate
-  // in path order on this thread.  The runner schedules whole tiles:
-  // tile k plays paths [k * lanes, (k + 1) * lanes), path i on the seed
-  // of stream (base.seed, i), and the path block rounds up to tiles.
-  const std::size_t lanes = kernel::CohortTile::lanes();
+  // in path order on this thread.  Path i runs on the seed of stream
+  // (base.seed, i).  A tile is as wide as one worker's share of the
+  // paths needs, at most the widest vector, and the path block rounds
+  // up to whole tiles.
+  const std::size_t lanes = kernel::CohortTile::lanes_for(
+      (cfg.paths + pool.threads() - 1) / pool.threads());
   std::vector<std::int64_t> first_exceed(cfg.paths, -1);
   std::vector<double> final_beta(cfg.paths, 0.0);
-  const auto run_block = [&](std::size_t first_tile, std::size_t end_tile) {
-    std::vector<std::uint64_t> seeds(lanes);
-    std::vector<PopulationRunResult> runs(lanes);
-    for (std::size_t tile = first_tile; tile < end_tile; ++tile) {
-      const std::size_t begin = tile * lanes;
-      const std::size_t count = std::min(lanes, cfg.paths - begin);
-      for (std::size_t lane = 0; lane < count; ++lane) {
-        seeds[lane] = seeder.seed_for(begin + lane);
-      }
-      simulate_population_tile(cfg.base, seeds.data(), count, runs.data());
-      for (std::size_t lane = 0; lane < count; ++lane) {
-        first_exceed[begin + lane] = runs[lane].first_exceed_epoch;
-        // epochs >= stride, so every run has a final sample.
-        final_beta[begin + lane] = runs[lane].beta_trajectory.back();
-      }
+  const auto run_block = [&](std::size_t begin, std::size_t end) {
+    std::vector<std::uint64_t> seeds(end - begin);
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      seeds[i] = seeder.seed_for(begin + i);
+    }
+    std::vector<PopulationRunResult> runs(seeds.size());
+    run_population_tiles(cfg.base, seeds.data(), seeds.size(), runs.data());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      first_exceed[begin + i] = runs[i].first_exceed_epoch;
+      // epochs >= stride, so every run has a final sample.
+      final_beta[begin + i] = runs[i].beta_trajectory.back();
     }
   };
-  pool.run_blocks((cfg.paths + lanes - 1) / lanes,
-                  (cfg.block + lanes - 1) / lanes, run_block);
+  pool.run_blocks(cfg.paths, cfg.block, run_block, lanes);
   std::size_t exceeded = 0;
   double beta_sum = 0.0;
   for (std::size_t path = 0; path < cfg.paths; ++path) {

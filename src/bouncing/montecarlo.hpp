@@ -96,24 +96,29 @@ struct PopulationRunResult {
   std::size_t stride = kBetaStride;
 };
 
-/// One run, played as a one-lane cohort tile (src/kernel/cohort.hpp).
-/// Throws std::invalid_argument when cfg.honest_validators is 0.
-PopulationRunResult run_population_bouncing(const PopulationRunConfig& cfg);
+/// `count` runs of cfg, run i on seeds[i] (cfg.seed is not read), into
+/// out[0, count), played one run per lane of cohort tiles
+/// (src/kernel/cohort.hpp): tiles of the widest vector's lanes, and the
+/// runs left over in the narrowest tile that holds them.  Each run's
+/// result is the same whatever tile it plays in.  Throws
+/// std::invalid_argument when cfg.honest_validators is 0.
+void run_population_tiles(const PopulationRunConfig& cfg,
+                          const std::uint64_t* seeds, std::size_t count,
+                          PopulationRunResult* out);
 
 /// Ensemble of independent finite-population runs ("population
-/// paths"): path i is run_population_bouncing with the seed of stream
-/// (cfg.base.seed, i), the paths played a cohort tile of lanes at a
-/// time and tile-scheduled across the trial runner into preallocated
-/// outcome slabs.  base.epochs must reach kBetaStride, so every path
-/// has a final beta sample to average, and base.honest_validators must
-/// be positive (std::invalid_argument otherwise).
+/// paths"): path i is run_population_tiles' run on the seed of stream
+/// (cfg.base.seed, i), the paths block-scheduled across the trial
+/// runner into preallocated outcome slabs.  base.epochs must reach
+/// kBetaStride, so every path has a final beta sample to average, and
+/// base.honest_validators must be positive (std::invalid_argument
+/// otherwise).
 struct PopulationEnsembleConfig {
   PopulationRunConfig base;   ///< base.seed is the ensemble master seed
   std::size_t paths = 100;
   unsigned threads = 0;       ///< 0 = LEAK_THREADS / hardware_concurrency
-  /// Paths per block, rounded up to whole cohort tiles
-  /// (kernel::CohortTile::lanes() paths); 0 = the runner's auto block,
-  /// counted in tiles.
+  /// Paths per block, rounded up to whole cohort tiles; 0 = the
+  /// runner's auto block (src/runner/thread_pool.hpp).
   std::size_t block = 0;
   /// Whether the result carries first_exceed_epochs.  Only the result
   /// changes: the run always fills the O(paths) outcome slabs and the

@@ -7,52 +7,78 @@
 #include "src/kernel/cohort.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "src/kernel/lane_step.hpp"
 
 namespace leak::kernel {
 
-using lanes::F64;
-using lanes::kLanes;
-using lanes::U64;
-
 namespace {
-constexpr std::size_t kBytes = sizeof(F64);
+
+/// The narrowest tile: 256 bits where the target has them, else 128
+/// (never one lane: GCC reads a one-element vector as its scalar).  A
+/// validator step is the same few dozen vector instructions at any
+/// width, so a 128-bit tile costs what a 256-bit one does (905 vs 833
+/// ns per 200-validator epoch on an AVX-512 Xeon) and 256 bits is the
+/// cheapest step; a 512-bit one costs 1.85x that for twice the lanes.
+constexpr std::size_t kMinLanes = std::min<std::size_t>(4, lanes::kLanes);
+
+/// fn.template operator()<W>() for the tile width W == lanes (a power
+/// of two in [kMinLanes, lanes::kLanes]): each width is its own vector
+/// type.
+template <std::size_t W = lanes::kLanes, typename Fn>
+void with_lanes(std::size_t lanes, const Fn& fn) {
+  if constexpr (W > kMinLanes) {
+    if (lanes < W) return with_lanes<W / 2>(lanes, fn);
+  }
+  fn.template operator()<W>();
+}
+
 }  // namespace
 
-std::size_t CohortTile::lanes() { return kLanes; }
+std::size_t CohortTile::max_lanes() { return lanes::kLanes; }
 
-void CohortTile::reset(std::size_t n, const analytic::AnalyticConfig& model) {
+std::size_t CohortTile::lanes_for(std::size_t runs) {
+  return std::bit_ceil(
+      std::clamp<std::size_t>(runs, kMinLanes, lanes::kLanes));
+}
+
+void CohortTile::reset(std::size_t n, std::size_t lanes,
+                       const analytic::AnalyticConfig& model) {
   n_ = n;
+  lanes_ = lanes;
   initial_stake_ = model.initial_stake;
-  stake_.assign(n * kLanes, 0.0);
-  score_.assign(n * kLanes, 0.0);
-  stream_.assign(4 * kLanes, 0);
+  stake_.assign(n * lanes, 0.0);
+  score_.assign(n * lanes, 0.0);
+  stream_.assign(4 * lanes, 0);
 }
 
 void CohortTile::start(std::size_t lane, std::uint64_t seed) {
   for (std::size_t v = 0; v < n_; ++v) {
-    stake_[v * kLanes + lane] = initial_stake_;
-    score_[v * kLanes + lane] = 0.0;
+    stake_[v * lanes_ + lane] = initial_stake_;
+    score_[v * lanes_ + lane] = 0.0;
   }
   // Exactly Rng's constructor: four splitmix64 rounds of the seed.
   for (std::size_t w = 0; w < 4; ++w) {
-    stream_[w * kLanes + lane] = splitmix64(seed);
+    stream_[w * lanes_ + lane] = splitmix64(seed);
   }
 }
 
 void CohortTile::stop(std::size_t lane) {
-  for (std::size_t v = 0; v < n_; ++v) stake_[v * kLanes + lane] = 0.0;
+  for (std::size_t v = 0; v < n_; ++v) stake_[v * lanes_ + lane] = 0.0;
 }
 
 void CohortTile::draw(std::uint64_t* out) {
-  U64 s[4];
-  std::memcpy(s, stream_.data(), sizeof s);
-  U64 draw;
-  lanes::next_draw(s[0], s[1], s[2], s[3], draw);
-  std::memcpy(stream_.data(), s, sizeof s);
-  std::memcpy(out, &draw, kBytes);
+  with_lanes(lanes_, [&]<std::size_t W>() {
+    using U = typename lanes::Lanes<W>::U;
+    U s[4];
+    std::memcpy(s, stream_.data(), sizeof s);
+    U draw;
+    lanes::next_draw(s[0], s[1], s[2], s[3], draw);
+    std::memcpy(stream_.data(), s, sizeof s);
+    std::memcpy(out, &draw, sizeof draw);
+  });
 }
 
 void CohortTile::epoch(const analytic::AnalyticConfig& model, double p0,
@@ -63,45 +89,54 @@ void CohortTile::epoch(const analytic::AnalyticConfig& model, double p0,
   // keeps its stream where it was, and the lane step updates stake and
   // score in place.  The sum and the streams are the only chains
   // carried from validator to validator.
-  const lanes::Dynamics dyn(model, p0);
-  U64 s[4];
-  std::memcpy(s, stream_.data(), sizeof s);
-  F64 total = F64{};
-  double* __restrict stake_at = stake_.data();
-  double* __restrict score_at = score_.data();
-  for (std::size_t v = 0; v < n_; ++v, stake_at += kLanes, score_at += kLanes) {
-    F64 stake;
-    F64 score;
-    std::memcpy(&stake, stake_at, kBytes);
-    std::memcpy(&score, score_at, kBytes);
-    total += stake;
-    const U64 live = (U64)(stake != F64{});
-    U64 n0 = s[0];
-    U64 n1 = s[1];
-    U64 n2 = s[2];
-    U64 n3 = s[3];
-    U64 draw;
-    lanes::next_draw(n0, n1, n2, n3, draw);
-    s[0] = (n0 & live) | (s[0] & ~live);
-    s[1] = (n1 & live) | (s[1] & ~live);
-    s[2] = (n2 & live) | (s[2] & ~live);
-    s[3] = (n3 & live) | (s[3] & ~live);
-    lanes::update(dyn, draw, stake, score);
-    std::memcpy(stake_at, &stake, kBytes);
-    std::memcpy(score_at, &score, kBytes);
-  }
-  std::memcpy(stream_.data(), s, sizeof s);
-  std::memcpy(sums, &total, kBytes);
+  with_lanes(lanes_, [&]<std::size_t W>() {
+    using U = typename lanes::Lanes<W>::U;
+    using F = typename lanes::Lanes<W>::F;
+    constexpr std::size_t kBytes = sizeof(F);
+    static_assert(kBytes == W * sizeof(double));
+    const lanes::Dynamics<W> dyn(model, p0);
+    U s[4];
+    std::memcpy(s, stream_.data(), sizeof s);
+    F total = F{};
+    double* __restrict stake_at = stake_.data();
+    double* __restrict score_at = score_.data();
+    for (std::size_t v = 0; v < n_; ++v, stake_at += W, score_at += W) {
+      F stake;
+      F score;
+      std::memcpy(&stake, stake_at, kBytes);
+      std::memcpy(&score, score_at, kBytes);
+      total += stake;
+      const U live = (U)(stake != F{});
+      U n0 = s[0];
+      U n1 = s[1];
+      U n2 = s[2];
+      U n3 = s[3];
+      U draw;
+      lanes::next_draw(n0, n1, n2, n3, draw);
+      s[0] = (n0 & live) | (s[0] & ~live);
+      s[1] = (n1 & live) | (s[1] & ~live);
+      s[2] = (n2 & live) | (s[2] & ~live);
+      s[3] = (n3 & live) | (s[3] & ~live);
+      lanes::update(dyn, draw, stake, score);
+      std::memcpy(stake_at, &stake, kBytes);
+      std::memcpy(score_at, &score, kBytes);
+    }
+    std::memcpy(stream_.data(), s, sizeof s);
+    std::memcpy(sums, &total, kBytes);
+  });
 }
 
 void CohortTile::stake_sums(double* sums) const {
-  F64 total = F64{};
-  for (std::size_t v = 0; v < n_; ++v) {
-    F64 stake;
-    std::memcpy(&stake, &stake_[v * kLanes], kBytes);
-    total += stake;
-  }
-  std::memcpy(sums, &total, kBytes);
+  with_lanes(lanes_, [&]<std::size_t W>() {
+    using F = typename lanes::Lanes<W>::F;
+    F total = F{};
+    for (std::size_t v = 0; v < n_; ++v) {
+      F stake;
+      std::memcpy(&stake, &stake_[v * W], sizeof stake);
+      total += stake;
+    }
+    std::memcpy(sums, &total, sizeof total);
+  });
 }
 
 void LeakCohort::reset(std::size_t n, const analytic::AnalyticConfig& model) {

@@ -7,8 +7,11 @@
 //
 // CohortTile, the drivers' kernel, vectorizes across runs instead of
 // across one run's validators: a tile's lanes are independent runs,
-// one lane per element of the target's widest vector (8 with AVX-512,
-// 4 with AVX, 2 on baseline SSE2), each with its own stream.  State is
+// one lane per element of a vector (at most 8 with AVX-512, 4 with
+// AVX, 2 on baseline SSE2; lanes_for() picks the narrowest that holds
+// a number of runs), each with its own stream.  A validator step costs
+// the same whatever number of lanes is live, so the drivers size tiles
+// from each worker's share of the runs.  State is
 // validator-major ([validator][lane] stake and score, 16 B per lane and
 // validator), so one validator step is one vector op per quantity: it
 // advances each lane's stream under a live mask (stake != 0), adds the
@@ -41,14 +44,21 @@ namespace leak::kernel {
 /// Validator-major stake/score state for a tile of independent runs
 /// (see the file comment).  One instance is reused across the tiles a
 /// worker claims; reset() re-initializes it, reallocating only when it
-/// grows.  Memory: lanes() x validators x 16 B.
+/// grows.  Memory: lanes x validators x 16 B.
 class CohortTile {
  public:
-  /// Runs per tile on the target this kernel was built for.
-  [[nodiscard]] static std::size_t lanes();
+  /// The widest tile on the target this kernel was built for.
+  [[nodiscard]] static std::size_t max_lanes();
 
-  /// n validators per run, every lane idle (stake 0).
-  void reset(std::size_t n, const analytic::AnalyticConfig& model);
+  /// The narrowest tile that holds `runs` runs: the power of two at or
+  /// above it, at least 4 lanes (2 on a target without 256-bit vectors)
+  /// and at most max_lanes().
+  [[nodiscard]] static std::size_t lanes_for(std::size_t runs);
+
+  /// n validators per run in tiles of `lanes` runs (a lanes_for()
+  /// width), every lane idle (stake 0).
+  void reset(std::size_t n, std::size_t lanes,
+             const analytic::AnalyticConfig& model);
 
   /// Lane `lane` starts a run on the stream Rng(seed): every validator
   /// at the initial stake, score 0.
@@ -58,7 +68,7 @@ class CohortTile {
   /// advances its stream.
   void stop(std::size_t lane);
 
-  /// One raw draw from every lane's stream into out[0, lanes()) (the
+  /// One raw draw from every lane's stream into out[0, lanes) (the
   /// attack's per-epoch lottery, drawn before the validators).  Idle
   /// lanes advance too; their draws are never read.
   void draw(std::uint64_t* out);
@@ -70,11 +80,12 @@ class CohortTile {
   void epoch(const analytic::AnalyticConfig& model, double p0, double* sums);
 
   /// Stake sum of every lane, in ascending validator order, into
-  /// sums[0, lanes()).
+  /// sums[0, lanes).
   void stake_sums(double* sums) const;
 
  private:
   std::size_t n_ = 0;
+  std::size_t lanes_ = 1;
   double initial_stake_ = 0.0;
   std::vector<double> stake_;  ///< [validator][lane]
   std::vector<double> score_;  ///< [validator][lane]

@@ -27,33 +27,48 @@ constexpr std::size_t kVectorBytes =
     std::max<std::size_t>(16, __BIGGEST_ALIGNMENT__);
 constexpr std::size_t kLanes = kVectorBytes / sizeof(double);
 
-using U64 = std::uint64_t __attribute__((vector_size(kVectorBytes)));
-using F64 = double __attribute__((vector_size(kVectorBytes)));
+/// W lanes of raw draws (U) and of doubles (F), W a power of two from
+/// 2 up to kLanes (GCC reads a one-element vector_size as the scalar,
+/// whose compares give 1, not an all-ones mask).  typedef, not using:
+/// GCC drops the attribute from a dependent alias-declaration.
+template <std::size_t W>
+struct Lanes {
+  typedef std::uint64_t U __attribute__((vector_size(W * 8)));
+  typedef double F __attribute__((vector_size(W * 8)));
+};
 
-/// The dynamics' constants, broadcast to every lane.
+using U64 = Lanes<kLanes>::U;
+using F64 = Lanes<kLanes>::F;
+static_assert(sizeof(F64) == kVectorBytes && sizeof(U64) == kVectorBytes);
+
+/// The dynamics' constants, broadcast to each of W lanes.
+template <std::size_t W>
 struct Dynamics {
-  F64 quotient;
-  F64 decrement;
-  F64 bias;
-  F64 threshold;
-  U64 cut;  ///< bernoulli_cut(p0)
+  using U = typename Lanes<W>::U;
+  using F = typename Lanes<W>::F;
+  F quotient;
+  F decrement;
+  F bias;
+  F threshold;
+  U cut;  ///< bernoulli_cut(p0)
 
   Dynamics(const analytic::AnalyticConfig& model, double p0)
-      : quotient(F64{} + model.quotient),
-        decrement(F64{} + model.score_active_decrement),
-        bias(F64{} + model.score_bias),
-        threshold(F64{} + model.ejection_threshold),
-        cut(U64{} + static_cast<std::uint64_t>(bernoulli_cut(p0))) {}
+      : quotient(F{} + model.quotient),
+        decrement(F{} + model.score_active_decrement),
+        bias(F{} + model.score_bias),
+        threshold(F{} + model.ejection_threshold),
+        cut(U{} + static_cast<std::uint64_t>(bernoulli_cut(p0))) {}
 };
 
 /// One xoshiro256** step on every lane (Rng::operator(); the two
 /// constant multiplies as shift-adds, the rotates as shift pairs):
 /// `draw` receives each lane's output and the four words advance.
-inline void next_draw(U64& s0, U64& s1, U64& s2, U64& s3, U64& draw) {
-  const U64 m5 = s1 + (s1 << 2);  // s1 * 5
-  const U64 r7 = (m5 << 7) | (m5 >> 57);
+template <typename U>
+inline void next_draw(U& s0, U& s1, U& s2, U& s3, U& draw) {
+  const U m5 = s1 + (s1 << 2);  // s1 * 5
+  const U r7 = (m5 << 7) | (m5 >> 57);
   draw = r7 + (r7 << 3);  // rotl(s1*5,7) * 9
-  const U64 t = s1 << 17;
+  const U t = s1 << 17;
   s2 ^= s0;
   s3 ^= s1;
   s1 ^= s2;
@@ -68,20 +83,24 @@ inline void next_draw(U64& s0, U64& s1, U64& s2, U64& s3, U64& draw) {
 /// ejection flush to exactly 0.0 as a mask.  A stake of exactly 0.0
 /// (ejected or padding) stays 0.0 through the penalty and the flush,
 /// so whatever `draw` it is given is unobservable.
-inline void update(const Dynamics& d, const U64& draw, F64& stake,
-                   F64& score) {
+template <std::size_t W>
+inline void update(const Dynamics<W>& d, const typename Dynamics<W>::U& draw,
+                   typename Dynamics<W>::F& stake,
+                   typename Dynamics<W>::F& score) {
+  using U = typename Dynamics<W>::U;
+  using F = typename Dynamics<W>::F;
   stake -= score * stake / d.quotient;
   // std::max(score - decrement, 0.0): 0.0 where the difference is
   // below 0 (+0.0 is the all-zero bit pattern).
-  const F64 diff = score - d.decrement;
-  const U64 floored = (U64)diff & ~(U64)(diff < F64{});
-  const U64 incremented = (U64)(score + d.bias);
+  const F diff = score - d.decrement;
+  const U floored = (U)diff & ~(U)(diff < F{});
+  const U incremented = (U)(score + d.bias);
   // (draw >> 11) < cut as the sign of the difference, spread by a
   // logical shift and a negation: baseline SSE2 has no packed 64-bit
   // compare or arithmetic shift to keep it in registers.
-  const U64 hit = U64{} - (((draw >> 11) - d.cut) >> 63);
-  score = (F64)((floored & hit) | (incremented & ~hit));
-  stake = (F64)((U64)stake & ~(U64)(stake <= d.threshold));
+  const U hit = U{} - (((draw >> 11) - d.cut) >> 63);
+  score = (F)((floored & hit) | (incremented & ~hit));
+  stake = (F)((U)stake & ~(U)(stake <= d.threshold));
 }
 
 }  // namespace leak::kernel::lanes

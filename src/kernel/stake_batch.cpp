@@ -64,7 +64,7 @@ void BatchPaths::reset(const analytic::AnalyticConfig& model,
 
 void BatchPaths::advance(const analytic::AnalyticConfig& model, double p0,
                          std::size_t epochs) {
-  const lanes::Dynamics dyn(model, p0);
+  const lanes::Dynamics<kLanes> dyn(model, p0);
   constexpr std::size_t kBytes = sizeof(F64);
 
   for (std::size_t base = 0; base < stake_.size(); base += kTile) {

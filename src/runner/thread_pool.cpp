@@ -40,7 +40,8 @@ std::size_t resolve_block(std::size_t requested) {
 }
 
 void claim_blocks(unsigned threads, std::size_t n, std::size_t block,
-                  const std::function<void(std::size_t, std::size_t)>& body) {
+                  const std::function<void(std::size_t, std::size_t)>& body,
+                  std::size_t granule) {
   if (n == 0) return;
   if (block == 0 && threads > 1 && env::u64_or("LEAK_BLOCK", 0) == 0) {
     // About eight blocks per worker balance uneven trials.
@@ -48,6 +49,8 @@ void claim_blocks(unsigned threads, std::size_t n, std::size_t block,
                                     kDefaultBlock);
   }
   block = std::clamp<std::size_t>(resolve_block(block), 1, n);
+  granule = std::max<std::size_t>(granule, 1);
+  block = (block + granule - 1) / granule * granule;
   const std::size_t n_blocks = (n + block - 1) / block;
   const auto workers =
       static_cast<unsigned>(std::clamp<std::size_t>(threads, 1, n_blocks));

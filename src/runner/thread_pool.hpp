@@ -25,11 +25,13 @@ namespace leak::runner {
 [[nodiscard]] std::size_t resolve_block(std::size_t requested);
 
 /// Carve [0, n) into fixed-size blocks (block b covers
-/// [b*block, min((b+1)*block, n)), block clamped to [1, n] — boundaries
-/// depend only on (n, block, threads), never on scheduling) and run
-/// body(begin, end) for each.  Block 0 is the auto size: LEAK_BLOCK
-/// when set, else 64 on one worker and clamp(n / (threads * 8), 1, 64)
-/// on several, so even a cell of a few trials reaches every worker.
+/// [b*block, min((b+1)*block, n)), block clamped to [1, n] and then
+/// rounded up to whole granules, so every begin is a multiple of
+/// `granule` — boundaries depend only on (n, block, granule, threads),
+/// never on scheduling) and run body(begin, end) for each.  Block 0 is
+/// the auto size, in trials like an explicit one: LEAK_BLOCK when set,
+/// else 64 on one worker and clamp(n / (threads * 8), 1, 64) on
+/// several, so even a cell of a few trials reaches every worker.
 /// min(threads, blocks) workers, the calling thread being one of them,
 /// claim the blocks from one cursor in ascending order, so claim order
 /// is deterministic even though completion order is not.  A throwing
@@ -37,6 +39,7 @@ namespace leak::runner {
 /// block has finished, the exception of the lowest failing block is
 /// rethrown.
 void claim_blocks(unsigned threads, std::size_t n, std::size_t block,
-                  const std::function<void(std::size_t, std::size_t)>& body);
+                  const std::function<void(std::size_t, std::size_t)>& body,
+                  std::size_t granule = 1);
 
 }  // namespace leak::runner

@@ -57,12 +57,16 @@ class TrialRunner {
   /// caller sized up front, so there is no merge step and no per-trial
   /// allocation; because trial i's randomness comes from the
   /// (master_seed, i) stream, the result is bit-identical for every
-  /// (block, threads) combination.  Scheduling and failure semantics
-  /// are claim_blocks' (src/runner/thread_pool.hpp): the exception
-  /// from the lowest failing block is rethrown after the workers join.
+  /// (block, threads) combination.  A block is whole granules of
+  /// trials (every begin a multiple of `granule`), for drivers that
+  /// play trials a vector of lanes at a time.  Scheduling and failure
+  /// semantics are claim_blocks' (src/runner/thread_pool.hpp): the
+  /// exception from the lowest failing block is rethrown after the
+  /// workers join.
   template <typename Fn>
-  void run_blocks(std::size_t n_trials, std::size_t block, Fn&& fn) const {
-    claim_blocks(threads_, n_trials, block, std::ref(fn));
+  void run_blocks(std::size_t n_trials, std::size_t block, Fn&& fn,
+                  std::size_t granule = 1) const {
+    claim_blocks(threads_, n_trials, block, std::ref(fn), granule);
   }
 
  private:

@@ -12,6 +12,7 @@
 #include "src/support/stats.hpp"
 #include "tests/oracles/yardsticks.hpp"
 #include "tests/path_scale.hpp"
+#include "tests/population_run.hpp"
 
 namespace leak::bouncing {
 namespace {

@@ -22,6 +22,7 @@
 #include "src/sim/partition_sim.hpp"
 #include "tests/oracles/scalar_oracles.hpp"
 #include "tests/path_scale.hpp"
+#include "tests/population_run.hpp"
 
 namespace leak {
 namespace {
@@ -459,11 +460,13 @@ TEST(BatchBitIdentity, PopulationRunMatchesScalarOracle) {
   }
 }
 
-// Cohort run tiles: run and path counts around the tile width, each at
-// blocks that split them inside, at and across tiles, on one and four
-// threads, against the scalar oracles over the (model, p0) grid.
+// Cohort run tiles: run and path counts around the widest tile, each
+// at blocks that split them inside, at and across tiles, on one and
+// four threads (four threads narrow the tile to each worker's share,
+// so every width up to the widest plays), against the scalar oracles
+// over the (model, p0) grid.
 std::vector<std::size_t> tile_counts() {
-  const std::size_t lanes = kernel::CohortTile::lanes();
+  const std::size_t lanes = kernel::CohortTile::max_lanes();
   return {1, lanes - 1, lanes + 1, 2 * lanes + 3};
 }
 constexpr std::size_t kTileBlocks[] = {1, 7, 64};
@@ -549,7 +552,7 @@ TEST(CohortTile, PopulationPathsAroundTheTileWidthMatchScalar) {
 // others end by the lottery and take the block's next run.
 TEST(CohortTile, AttackLanesRefillWhileOthersReachTheHorizon) {
   bouncing::AttackSimConfig cfg;
-  cfg.runs = 5 * kernel::CohortTile::lanes();
+  cfg.runs = 5 * kernel::CohortTile::max_lanes();
   cfg.honest_validators = 9;
   cfg.max_epochs = 60;
   cfg.beta0 = 0.45;
@@ -567,7 +570,7 @@ TEST(CohortTile, AttackLanesRefillWhileOthersReachTheHorizon) {
 TEST(CohortTile, ConstantBetaLotteryMatchesScalar) {
   for (const double p0 : kOracleP0) {
     bouncing::AttackSimConfig cfg;
-    cfg.runs = 2 * kernel::CohortTile::lanes() + 3;
+    cfg.runs = 2 * kernel::CohortTile::max_lanes() + 3;
     cfg.honest_validators = 11;
     cfg.max_epochs = 300;
     cfg.beta0 = 0.4;
@@ -604,6 +607,54 @@ TEST(CohortTile, RunsEndedByByzantineEjectionMatchScalar) {
         << "p0=" << p0;
     expect_attack_matches_oracle(cfg, "ejection p0=" + std::to_string(p0));
   }
+}
+
+// Every tile width: `count` runs in one call play on the narrowest
+// tile that holds them, and each run is the scalar oracle's run on its
+// seed whatever lanes it shares the tile with.
+TEST(CohortTile, PopulationRunsOnEveryTileWidthMatchScalar) {
+  const StreamSeeder seeder(41);
+  for (const auto& model : oracle_models()) {
+    for (const double p0 : kOracleP0) {
+      bouncing::PopulationRunConfig cfg;
+      cfg.honest_validators = 12;
+      cfg.epochs = 300;
+      cfg.beta0 = 1.0 / 3.0;
+      cfg.p0 = p0;
+      cfg.model = model;
+      for (std::size_t count = 1;
+           count <= kernel::CohortTile::max_lanes() + 1; ++count) {
+        std::vector<std::uint64_t> seeds(count);
+        for (std::size_t i = 0; i < count; ++i) seeds[i] = seeder.seed_for(i);
+        std::vector<bouncing::PopulationRunResult> runs(count);
+        bouncing::run_population_tiles(cfg, seeds.data(), count, runs.data());
+        for (std::size_t i = 0; i < count; ++i) {
+          cfg.seed = seeds[i];
+          const auto ref = oracle::run_population_bouncing_scalar(cfg);
+          const auto label = oracle_label(p0, model) + " count=" +
+                             std::to_string(count) + " run " +
+                             std::to_string(i);
+          EXPECT_EQ(runs[i].first_exceed_epoch, ref.first_exceed_epoch)
+              << label;
+          EXPECT_EQ(runs[i].beta_trajectory, ref.beta_trajectory) << label;
+        }
+      }
+    }
+  }
+}
+
+// A zero horizon plays no epoch: every run lasts 0 epochs and never
+// breaks the threshold, even where beta0 starts above 1/3.
+TEST(CohortTile, AttackWithNoEpochsMatchesScalar) {
+  bouncing::AttackSimConfig cfg;
+  cfg.runs = 2 * kernel::CohortTile::max_lanes() + 3;
+  cfg.honest_validators = 5;
+  cfg.max_epochs = 0;
+  cfg.beta0 = 0.45;
+  cfg.seed = 17;
+  const auto ref = oracle::run_attack_sim_scalar(cfg);
+  EXPECT_EQ(ref.prob_threshold_broken, 0.0);
+  expect_attack_matches_oracle(cfg, "max_epochs=0");
 }
 
 TEST(CohortTile, PopulationRejectsAnEmptyHonestCohort) {

@@ -153,14 +153,17 @@ class ScopedLeakBlock {
 
 /// The [begin, end) bounds run_blocks hands out, sorted by begin.
 std::vector<std::pair<std::size_t, std::size_t>> block_bounds(
-    unsigned threads, std::size_t n, std::size_t block) {
+    unsigned threads, std::size_t n, std::size_t block,
+    std::size_t granule = 1) {
   std::mutex mu;
   std::vector<std::pair<std::size_t, std::size_t>> bounds;
   runner::TrialRunner(threads).run_blocks(
-      n, block, [&](std::size_t begin, std::size_t end) {
+      n, block,
+      [&](std::size_t begin, std::size_t end) {
         const std::scoped_lock lk(mu);
         bounds.emplace_back(begin, end);
-      });
+      },
+      granule);
   std::sort(bounds.begin(), bounds.end());
   return bounds;
 }
@@ -202,6 +205,30 @@ TEST(RunBlocks, AutoBlockReachesEveryWorker) {
     EXPECT_TRUE(tiles_with(block_bounds(3, 1536, 5), 1536, 5));
   }
   EXPECT_EQ(runner::resolve_block(0), 64u);
+}
+
+// A granule rounds the block, resolved in trials as without one, up
+// to whole granules: LEAK_BLOCK and the auto rule keep their meaning
+// for drivers that play trials a tile of lanes at a time.
+TEST(RunBlocks, GranuleRoundsTheBlockInTrialsUpToWholeGranules) {
+  {
+    const ScopedLeakBlock set(std::string("64"));
+    // 256 trials in 64-trial blocks reach four workers, tiles of 8 or not.
+    EXPECT_TRUE(tiles_with(block_bounds(4, 256, 0, 8), 256, 64));
+    EXPECT_TRUE(tiles_with(block_bounds(4, 256, 0, 1), 256, 64));
+  }
+  {
+    const ScopedLeakBlock set(std::string("7"));
+    EXPECT_TRUE(tiles_with(block_bounds(3, 100, 0, 8), 100, 8));
+  }
+  const ScopedLeakBlock unset(std::nullopt);
+  // Auto: 256 / (3 * 8) = 10 trials, rounded up to 16.
+  EXPECT_TRUE(tiles_with(block_bounds(3, 256, 0, 8), 256, 16));
+  // Auto on four workers: 1 trial, one granule of 4 per block.
+  EXPECT_TRUE(tiles_with(block_bounds(4, 16, 0, 4), 16, 4));
+  // Explicit: 7 -> 8, and a block past n is one granule-rounded block.
+  EXPECT_TRUE(tiles_with(block_bounds(3, 19, 7, 4), 19, 8));
+  EXPECT_TRUE(tiles_with(block_bounds(3, 5, 100, 8), 5, 8));
 }
 
 /// A report's results (metrics, stats and trial rows) as JSON; doubles
