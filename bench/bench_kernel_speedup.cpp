@@ -8,7 +8,10 @@
 // Bit-identity of the pair members is enforced separately by
 // tests/test_montecarlo_batch.cpp; this binary only measures.
 // BM_BatchPathsAdvance times the stake kernel's register tile alone,
-// BM_CohortTileEpoch the attack and population drivers' cohort run tile.
+// BM_CohortTileEpoch the attack and population drivers' cohort run tile,
+// each at two penalty quotients: the paper's 2^26, which the kernels
+// take as a multiply by its exact reciprocal, and Altair's 3 * 2^24,
+// which they divide by.
 #include "bench/bench_common.hpp"
 
 #include "src/bouncing/attack_sim.hpp"
@@ -110,12 +113,24 @@ void BM_BouncingBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_BouncingBatch)->Unit(benchmark::kMillisecond);
 
+// The penalty quotients the kernel benchmarks take as their second
+// argument.
+constexpr std::int64_t kPowerOfTwoQuotient = std::int64_t{1} << 26;
+constexpr std::int64_t kAltairQuotient = std::int64_t{3} << 24;
+
+// The paper's model at the benchmark's second argument as its quotient.
+analytic::AnalyticConfig model_at_quotient(const benchmark::State& state) {
+  auto model = analytic::AnalyticConfig::paper();
+  model.quotient = static_cast<double>(state.range(1));
+  return model;
+}
+
 // 64 lanes (one default runner block) at p0 0.5, advanced `epochs`
 // epochs per call.  Items are lane-epochs, so time per item is the
 // stake kernel's ns per lane-epoch: /1 loads and stores each tile every
 // epoch, /4024 once per 4024 epochs.
 void BM_BatchPathsAdvance(benchmark::State& state) {
-  const auto model = analytic::AnalyticConfig::paper();
+  const auto model = model_at_quotient(state);
   const auto epochs = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kLanes = 64;
   kernel::BatchPaths paths;
@@ -129,7 +144,8 @@ void BM_BatchPathsAdvance(benchmark::State& state) {
   state.counters["tile_lanes"] =
       static_cast<double>(kernel::BatchPaths::tile_lanes());
 }
-BENCHMARK(BM_BatchPathsAdvance)->Arg(1)->Arg(4024);
+BENCHMARK(BM_BatchPathsAdvance)
+    ->ArgsProduct({{1, 4024}, {kPowerOfTwoQuotient, kAltairQuotient}});
 
 // One cohort tile of runs with 200 honest validators each (the
 // drivers' default) at p0 0.5, one epoch per call, on the narrowest
@@ -138,7 +154,7 @@ BENCHMARK(BM_BatchPathsAdvance)->Arg(1)->Arg(4024);
 // per item is the cohort kernel's ns per lane-epoch, comparable with
 // BM_BatchPathsAdvance.
 void BM_CohortTileEpoch(benchmark::State& state) {
-  const auto model = analytic::AnalyticConfig::paper();
+  const auto model = model_at_quotient(state);
   constexpr std::size_t kValidators = 200;
   const std::size_t lanes =
       kernel::CohortTile::lanes_for(static_cast<std::size_t>(state.range(0)));
@@ -157,7 +173,8 @@ void BM_CohortTileEpoch(benchmark::State& state) {
                           static_cast<std::int64_t>(lanes * kValidators));
   state.counters["tile_lanes"] = static_cast<double>(lanes);
 }
-BENCHMARK(BM_CohortTileEpoch)->Arg(1)->Arg(64);
+BENCHMARK(BM_CohortTileEpoch)
+    ->ArgsProduct({{1, 64}, {kPowerOfTwoQuotient, kAltairQuotient}});
 
 // --- attack ------------------------------------------------------------
 

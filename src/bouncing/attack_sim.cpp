@@ -31,7 +31,10 @@ struct LaneRun {
 /// (seed, r) stream, into durations[r] and break_epochs[r] (-1 when
 /// beta never exceeded 1/3).  One cohort tile plays the runs, a lane
 /// per run, at most `width` lanes wide; a lane whose run ends takes the
-/// block's next run, and idles once none is left.  Each epoch follows
+/// block's next run, and idles once none is left.  As the block drains,
+/// the live lanes move into the narrowest tile that holds them, each
+/// run on its own stakes and stream, so no epoch steps a width of idle
+/// lanes.  Each epoch follows
 /// the scalar oracle's stream order per lane: the lottery draw, then
 /// one draw per live validator in index order, fused with that
 /// validator's update.  When the lottery ends a run, the update its
@@ -45,7 +48,7 @@ void simulate_attack_block(const AttackSimConfig& cfg,
   // purely an allocation cache, every lane re-initialized per run.
   // leaklint: allow(D5): per-thread allocation cache only; contents fully re-initialized per run, results bit-identical across thread counts
   static thread_local kernel::CohortTile tile;
-  const std::size_t lanes =
+  std::size_t lanes =
       kernel::CohortTile::lanes_for(std::min(width, end - begin));
   const double n = static_cast<double>(cfg.honest_validators);
   tile.reset(cfg.honest_validators, lanes, cfg.model);
@@ -105,6 +108,20 @@ void simulate_attack_block(const AttackSimConfig& cfg,
         tile.stop(lane);
         busy[lane] = 0;
         --active;
+      }
+    }
+    // No run is left to start, so the tile only drains: once its live
+    // lanes fit a narrower one, they move there, runs with them.
+    const std::size_t narrow = kernel::CohortTile::lanes_for(active);
+    if (next == end && active > 0 && narrow < lanes) {
+      tile.compact(narrow, busy.data());
+      std::size_t to = 0;
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        if (busy[lane] != 0) runs[to++] = runs[lane];
+      }
+      lanes = narrow;
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        busy[lane] = lane < active ? 1 : 0;
       }
     }
   }

@@ -20,8 +20,10 @@ namespace {
 /// (never one lane: GCC reads a one-element vector as its scalar).  A
 /// validator step is the same few dozen vector instructions at any
 /// width, so a 128-bit tile costs what a 256-bit one does (905 vs 833
-/// ns per 200-validator epoch on an AVX-512 Xeon) and 256 bits is the
-/// cheapest step; a 512-bit one costs 1.85x that for twice the lanes.
+/// ns per 200-validator epoch on an AVX-512 Xeon with the division; with
+/// the reciprocal the 256-bit tile was faster in five alternated runs
+/// of five) and 256 bits is the cheapest step; a 512-bit one costs
+/// 1.6-1.85x that for twice the lanes.
 constexpr std::size_t kMinLanes = std::min<std::size_t>(4, lanes::kLanes);
 
 /// fn.template operator()<W>() for the tile width W == lanes (a power
@@ -69,6 +71,28 @@ void CohortTile::stop(std::size_t lane) {
   for (std::size_t v = 0; v < n_; ++v) stake_[v * lanes_ + lane] = 0.0;
 }
 
+void CohortTile::compact(std::size_t lanes, const std::uint8_t* keep) {
+  // Kept lane i comes from a lane at or above i, so in each row every
+  // value moves to an index at or below its own, and rows only shrink:
+  // one forward pass moves each value before anything overwrites it,
+  // in place, and the shrinking resize keeps the allocation.
+  const auto move = [&](auto& state, std::size_t rows) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::size_t to = 0;
+      for (std::size_t from = 0; from < lanes_; ++from) {
+        if (keep[from] == 0) continue;
+        state[r * lanes + to++] = state[r * lanes_ + from];
+      }
+      for (; to < lanes; ++to) state[r * lanes + to] = 0;
+    }
+    state.resize(rows * lanes);
+  };
+  move(stake_, n_);
+  move(score_, n_);
+  move(stream_, 4);
+  lanes_ = lanes;
+}
+
 void CohortTile::draw(std::uint64_t* out) {
   with_lanes(lanes_, [&]<std::size_t W>() {
     using U = typename lanes::Lanes<W>::U;
@@ -90,39 +114,41 @@ void CohortTile::epoch(const analytic::AnalyticConfig& model, double p0,
   // score in place.  The sum and the streams are the only chains
   // carried from validator to validator.
   with_lanes(lanes_, [&]<std::size_t W>() {
-    using U = typename lanes::Lanes<W>::U;
-    using F = typename lanes::Lanes<W>::F;
-    constexpr std::size_t kBytes = sizeof(F);
-    static_assert(kBytes == W * sizeof(double));
     const lanes::Dynamics<W> dyn(model, p0);
-    U s[4];
-    std::memcpy(s, stream_.data(), sizeof s);
-    F total = F{};
-    double* __restrict stake_at = stake_.data();
-    double* __restrict score_at = score_.data();
-    for (std::size_t v = 0; v < n_; ++v, stake_at += W, score_at += W) {
-      F stake;
-      F score;
-      std::memcpy(&stake, stake_at, kBytes);
-      std::memcpy(&score, score_at, kBytes);
-      total += stake;
-      const U live = (U)(stake != F{});
-      U n0 = s[0];
-      U n1 = s[1];
-      U n2 = s[2];
-      U n3 = s[3];
-      U draw;
-      lanes::next_draw(n0, n1, n2, n3, draw);
-      s[0] = (n0 & live) | (s[0] & ~live);
-      s[1] = (n1 & live) | (s[1] & ~live);
-      s[2] = (n2 & live) | (s[2] & ~live);
-      s[3] = (n3 & live) | (s[3] & ~live);
-      lanes::update(dyn, draw, stake, score);
-      std::memcpy(stake_at, &stake, kBytes);
-      std::memcpy(score_at, &score, kBytes);
-    }
-    std::memcpy(stream_.data(), s, sizeof s);
-    std::memcpy(sums, &total, kBytes);
+    lanes::with_penalty(dyn, [&]<lanes::Penalty P>() {
+      using U = typename lanes::Lanes<W>::U;
+      using F = typename lanes::Lanes<W>::F;
+      constexpr std::size_t kBytes = sizeof(F);
+      static_assert(kBytes == W * sizeof(double));
+      U s[4];
+      std::memcpy(s, stream_.data(), sizeof s);
+      F total = F{};
+      double* __restrict stake_at = stake_.data();
+      double* __restrict score_at = score_.data();
+      for (std::size_t v = 0; v < n_; ++v, stake_at += W, score_at += W) {
+        F stake;
+        F score;
+        std::memcpy(&stake, stake_at, kBytes);
+        std::memcpy(&score, score_at, kBytes);
+        total += stake;
+        const U live = (U)(stake != F{});
+        U n0 = s[0];
+        U n1 = s[1];
+        U n2 = s[2];
+        U n3 = s[3];
+        U draw;
+        lanes::next_draw(n0, n1, n2, n3, draw);
+        s[0] = (n0 & live) | (s[0] & ~live);
+        s[1] = (n1 & live) | (s[1] & ~live);
+        s[2] = (n2 & live) | (s[2] & ~live);
+        s[3] = (n3 & live) | (s[3] & ~live);
+        lanes::update<P>(dyn, draw, stake, score);
+        std::memcpy(stake_at, &stake, kBytes);
+        std::memcpy(score_at, &score, kBytes);
+      }
+      std::memcpy(stream_.data(), s, sizeof s);
+      std::memcpy(sums, &total, kBytes);
+    });
   });
 }
 

@@ -18,12 +18,20 @@
 // stake as it stands to each lane's sum in ascending validator order,
 // and applies the Eq 2 penalty, the floored Eq 1 select and the flush
 // in place (the lane step of lane_step.hpp, shared with the stake
-// batch).  Fusing the draw into the update is safe because a lane's
-// update reads only its own draw.  Every live lane's draws, sums and
-// updates are the scalar oracle's values in the scalar order, so the
-// drivers stay bit-identical to it; an ejected validator or idle lane
-// holds stake at exactly +0.0 and its stale draw feeds only a dead
-// score, so the lockstep work is unobservable.
+// batch: a power-of-two quotient's penalty is a multiply by its exact
+// reciprocal, any other quotient's a division).  Fusing the draw into
+// the update is safe because a lane's update reads only its own draw.
+// Every live lane's draws, sums and updates are the scalar oracle's
+// values in the scalar order, so the drivers stay bit-identical to it;
+// an ejected validator or idle lane holds stake at exactly +0.0 and its
+// stale draw feeds only a dead score, so the lockstep work is
+// unobservable.  compact() moves live lanes into a narrower tile, which
+// the attack driver does as a block's runs end.
+//
+// SemiActiveByzantine, below, keeps the true division whatever the
+// quotient: it is one scalar op per run-epoch, inlined into driver TUs
+// that are not built with -ffp-contract=off, where a multiply-subtract
+// could be fused into an FMA on a target whose baseline ISA has one.
 //
 // LeakCohort is the earlier one-run SoA draw/update split, with the
 // serial draw pass that carries the stake sum.  No driver runs it; it
@@ -67,6 +75,14 @@ class CohortTile {
   /// Lane `lane` idles: every validator's stake 0, so epoch() no longer
   /// advances its stream.
   void stop(std::size_t lane);
+
+  /// The lanes with keep[lane] != 0 (keep spans the current width and
+  /// marks at most `lanes` lanes) move, in order, to the first lanes of
+  /// a tile `lanes` wide (a lanes_for() width no wider than the
+  /// current one), each with its stakes, scores and stream as they
+  /// stand, so its run plays on unchanged; the other lanes idle.  In
+  /// place, with no allocation.
+  void compact(std::size_t lanes, const std::uint8_t* keep);
 
   /// One raw draw from every lane's stream into out[0, lanes) (the
   /// attack's per-epoch lottery, drawn before the validators).  Idle

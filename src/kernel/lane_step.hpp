@@ -5,6 +5,14 @@
 // header, and src/CMakeLists.txt compiles them all with the same
 // LEAK_KERNEL_FLAGS.
 //
+// The step takes the Eq 2 penalty in one of two forms, a template
+// argument each kernel picks once per call (with_penalty): a
+// power-of-two quotient multiplies by its exact reciprocal
+// (penalty_reciprocal, stake_batch.hpp), which rounds to the same
+// double as the division, and any other quotient divides.  The
+// multiply lives only here: the kernel TUs are built with
+// -ffp-contract=off, so no multiply-subtract is fused into an FMA.
+//
 // Written with GCC/Clang vector extensions, in the subset both accept:
 // arithmetic, bitwise ops, shifts by constants, comparisons to masks
 // and same-size casts (no intrinsics, no `?:` on vectors).  Vectors
@@ -17,6 +25,7 @@
 #include <cstdint>
 
 #include "src/analytic/config.hpp"
+#include "src/kernel/stake_batch.hpp"
 #include "src/support/random.hpp"
 
 namespace leak::kernel::lanes {
@@ -41,24 +50,43 @@ using U64 = Lanes<kLanes>::U;
 using F64 = Lanes<kLanes>::F;
 static_assert(sizeof(F64) == kVectorBytes && sizeof(U64) == kVectorBytes);
 
+/// The Eq 2 penalty's form: times the quotient's exact reciprocal, or
+/// divided by the quotient.
+enum class Penalty { kReciprocal, kDivide };
+
 /// The dynamics' constants, broadcast to each of W lanes.
 template <std::size_t W>
 struct Dynamics {
   using U = typename Lanes<W>::U;
   using F = typename Lanes<W>::F;
   F quotient;
+  F reciprocal;  ///< penalty_reciprocal(quotient); 0 when it divides
   F decrement;
   F bias;
   F threshold;
   U cut;  ///< bernoulli_cut(p0)
+  Penalty penalty;
 
   Dynamics(const analytic::AnalyticConfig& model, double p0)
       : quotient(F{} + model.quotient),
+        reciprocal(F{} + penalty_reciprocal(model.quotient)),
         decrement(F{} + model.score_active_decrement),
         bias(F{} + model.score_bias),
         threshold(F{} + model.ejection_threshold),
-        cut(U{} + static_cast<std::uint64_t>(bernoulli_cut(p0))) {}
+        cut(U{} + static_cast<std::uint64_t>(bernoulli_cut(p0))),
+        penalty(reciprocal[0] != 0.0 ? Penalty::kReciprocal
+                                     : Penalty::kDivide) {}
 };
+
+/// fn.template operator()<P>() for the penalty form P that `d` takes.
+template <std::size_t W, typename Fn>
+void with_penalty(const Dynamics<W>& d, const Fn& fn) {
+  if (d.penalty == Penalty::kReciprocal) {
+    fn.template operator()<Penalty::kReciprocal>();
+  } else {
+    fn.template operator()<Penalty::kDivide>();
+  }
+}
 
 /// One xoshiro256** step on every lane (Rng::operator(); the two
 /// constant multiplies as shift-adds, the rotates as shift pairs):
@@ -78,18 +106,23 @@ inline void next_draw(U& s0, U& s1, U& s2, U& s3, U& draw) {
 }
 
 /// One epoch of one stake per lane, in the scalar oracle's op order:
-/// Eq 2 penalty with the previous score, Eq 1 floored score update as
-/// a blend of both candidates on the raw draw (exactly uniform() < p0),
-/// ejection flush to exactly 0.0 as a mask.  A stake of exactly 0.0
-/// (ejected or padding) stays 0.0 through the penalty and the flush,
-/// so whatever `draw` it is given is unobservable.
-template <std::size_t W>
+/// Eq 2 penalty with the previous score (in form P, the same double
+/// either way), Eq 1 floored score update as a blend of both
+/// candidates on the raw draw (exactly uniform() < p0), ejection flush
+/// to exactly 0.0 as a mask.  A stake of exactly 0.0 (ejected or
+/// padding) stays 0.0 through the penalty and the flush, so whatever
+/// `draw` it is given is unobservable.
+template <Penalty P, std::size_t W>
 inline void update(const Dynamics<W>& d, const typename Dynamics<W>::U& draw,
                    typename Dynamics<W>::F& stake,
                    typename Dynamics<W>::F& score) {
   using U = typename Dynamics<W>::U;
   using F = typename Dynamics<W>::F;
-  stake -= score * stake / d.quotient;
+  if constexpr (P == Penalty::kReciprocal) {
+    stake -= score * stake * d.reciprocal;
+  } else {
+    stake -= score * stake / d.quotient;
+  }
   // std::max(score - decrement, 0.0): 0.0 where the difference is
   // below 0 (+0.0 is the all-zero bit pattern).
   const F diff = score - d.decrement;

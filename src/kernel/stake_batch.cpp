@@ -9,6 +9,7 @@
 #include "src/kernel/stake_batch.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -25,12 +26,15 @@ using lanes::U64;
 
 // Register tile: kGroups independent vectors of the target's widest
 // kLanes lanes (8 with 512-bit vectors, 4 with AVX, 2 on baseline
-// SSE2).  One group's epoch is a dependency chain of about 30 cycles
-// through its stake (multiply, divide, subtract, compare, mask), so
-// four groups are kept in flight.  With 32 vector registers the 24
-// state vectors stay resident and the division's throughput bounds
-// the loop; with 16 some RNG words spill to L1, off that chain, which
-// still beats two unspilled groups, whose chains leave the units idle.
+// SSE2).  One group's epoch is a dependency chain through its stake
+// (multiply, divide or multiply, subtract, compare, mask): about 30
+// cycles with the division, fewer with the reciprocal.  Four groups
+// are kept in flight.  With 32 vector registers the 24 state vectors
+// stay resident; with 16 some RNG words spill to L1, off that chain,
+// which still beats two unspilled groups, whose chains leave the units
+// idle.  With the reciprocal, two groups measured level with four on
+// long advances and three slower, while two are slower for a quotient
+// that divides, so the tile stays at four.
 constexpr std::size_t kGroups = 4;
 constexpr std::size_t kTile = kLanes * kGroups;
 
@@ -62,48 +66,59 @@ void BatchPaths::reset(const analytic::AnalyticConfig& model,
   }
 }
 
+double penalty_reciprocal(double quotient) {
+  int exponent = 0;
+  if (std::frexp(quotient, &exponent) != 0.5) return 0.0;
+  // Exact: a power of two's reciprocal is one, unless it overflows
+  // (a quotient below 2^-1023).
+  const double reciprocal = 1.0 / quotient;
+  return std::isfinite(reciprocal) ? reciprocal : 0.0;
+}
+
 void BatchPaths::advance(const analytic::AnalyticConfig& model, double p0,
                          std::size_t epochs) {
   const lanes::Dynamics<kLanes> dyn(model, p0);
   constexpr std::size_t kBytes = sizeof(F64);
 
-  for (std::size_t base = 0; base < stake_.size(); base += kTile) {
-    F64 stake[kGroups];
-    F64 score[kGroups];
-    U64 s0[kGroups];
-    U64 s1[kGroups];
-    U64 s2[kGroups];
-    U64 s3[kGroups];
-    for (std::size_t g = 0; g < kGroups; ++g) {
-      const std::size_t at = base + g * kLanes;
-      std::memcpy(&stake[g], &stake_[at], kBytes);
-      std::memcpy(&score[g], &score_[at], kBytes);
-      std::memcpy(&s0[g], &s0_[at], kBytes);
-      std::memcpy(&s1[g], &s1_[at], kBytes);
-      std::memcpy(&s2[g], &s2_[at], kBytes);
-      std::memcpy(&s3[g], &s3_[at], kBytes);
-    }
-    for (std::size_t e = 0; e < epochs; ++e) {
-      // Per group: one step of its RNG words, then the epoch on its
-      // stake and score (lane_step.hpp).  An ejected or padding lane's
-      // stake is exactly 0.0, so its (still advancing) RNG lane is
-      // unobservable.
+  lanes::with_penalty(dyn, [&]<lanes::Penalty P>() {
+    for (std::size_t base = 0; base < stake_.size(); base += kTile) {
+      F64 stake[kGroups];
+      F64 score[kGroups];
+      U64 s0[kGroups];
+      U64 s1[kGroups];
+      U64 s2[kGroups];
+      U64 s3[kGroups];
       for (std::size_t g = 0; g < kGroups; ++g) {
-        U64 draw;
-        lanes::next_draw(s0[g], s1[g], s2[g], s3[g], draw);
-        lanes::update(dyn, draw, stake[g], score[g]);
+        const std::size_t at = base + g * kLanes;
+        std::memcpy(&stake[g], &stake_[at], kBytes);
+        std::memcpy(&score[g], &score_[at], kBytes);
+        std::memcpy(&s0[g], &s0_[at], kBytes);
+        std::memcpy(&s1[g], &s1_[at], kBytes);
+        std::memcpy(&s2[g], &s2_[at], kBytes);
+        std::memcpy(&s3[g], &s3_[at], kBytes);
+      }
+      for (std::size_t e = 0; e < epochs; ++e) {
+        // Per group: one step of its RNG words, then the epoch on its
+        // stake and score (lane_step.hpp).  An ejected or padding
+        // lane's stake is exactly 0.0, so its (still advancing) RNG
+        // lane is unobservable.
+        for (std::size_t g = 0; g < kGroups; ++g) {
+          U64 draw;
+          lanes::next_draw(s0[g], s1[g], s2[g], s3[g], draw);
+          lanes::update<P>(dyn, draw, stake[g], score[g]);
+        }
+      }
+      for (std::size_t g = 0; g < kGroups; ++g) {
+        const std::size_t at = base + g * kLanes;
+        std::memcpy(&stake_[at], &stake[g], kBytes);
+        std::memcpy(&score_[at], &score[g], kBytes);
+        std::memcpy(&s0_[at], &s0[g], kBytes);
+        std::memcpy(&s1_[at], &s1[g], kBytes);
+        std::memcpy(&s2_[at], &s2[g], kBytes);
+        std::memcpy(&s3_[at], &s3[g], kBytes);
       }
     }
-    for (std::size_t g = 0; g < kGroups; ++g) {
-      const std::size_t at = base + g * kLanes;
-      std::memcpy(&stake_[at], &stake[g], kBytes);
-      std::memcpy(&score_[at], &score[g], kBytes);
-      std::memcpy(&s0_[at], &s0[g], kBytes);
-      std::memcpy(&s1_[at], &s1[g], kBytes);
-      std::memcpy(&s2_[at], &s2[g], kBytes);
-      std::memcpy(&s3_[at], &s3[g], kBytes);
-    }
-  }
+  });
 }
 
 bool BatchPaths::all_ejected() const {

@@ -15,10 +15,11 @@
 // baseline SSE2, where some RNG words spill (see stake_batch.cpp).  The
 // lane arrays are padded to a whole tile with stake 0 and score 0.  A
 // padding lane stays exactly 0, like an ejected one, so it never keeps
-// all_ejected() false; stake() hides it.  The Eq 2 penalty keeps
-// its true division: a multiply by 1 / quotient differs from it in the
-// last bit for a quotient that is not a power of two (the oracle grid's
-// second model).
+// all_ejected() false; stake() hides it.  The Eq 2 penalty
+// multiplies by the quotient's reciprocal when the quotient is a power
+// of two (penalty_reciprocal below: the paper's 2^26, mainnet's 2^24)
+// and divides otherwise (Altair's 3 * 2^24), so no lane leaves the
+// scalar oracle's division by a bit.
 //
 // Bit-identity contract: path i always draws from the (seed, i)
 // counter stream (leak::StreamSeeder) and every floating-point
@@ -86,6 +87,14 @@ class BatchPaths {
   // generators advance with stride-1 loads.
   std::vector<std::uint64_t> s0_, s1_, s2_, s3_;
 };
+
+/// The Eq 2 penalty's multiplier: 1 / quotient when the quotient is a
+/// power of two (std::frexp gives 0.5) whose reciprocal is a finite
+/// double, else 0.0.  For such a quotient x / quotient and
+/// x * (1 / quotient) are the same real number, which IEEE 754 rounds
+/// to the same double, so the kernels multiply by it; for any other
+/// quotient they keep the division.
+[[nodiscard]] double penalty_reciprocal(double quotient);
 
 /// Throws std::invalid_argument unless `snaps` is a strictly increasing
 /// grid of epochs in [1, epochs] (an epoch's stake is recorded at its

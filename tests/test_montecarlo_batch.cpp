@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -655,6 +656,221 @@ TEST(CohortTile, AttackWithNoEpochsMatchesScalar) {
   const auto ref = oracle::run_attack_sim_scalar(cfg);
   EXPECT_EQ(ref.prob_threshold_broken, 0.0);
   expect_attack_matches_oracle(cfg, "max_epochs=0");
+}
+
+// The penalty form each quotient takes (docs/MODEL.md): a power of
+// two whose reciprocal is a finite double multiplies by it, exactly;
+// every other quotient keeps the division.
+TEST(PenaltyForm, PowerOfTwoQuotientsTakeTheExactReciprocal) {
+  EXPECT_EQ(kernel::penalty_reciprocal(
+                analytic::AnalyticConfig::paper().quotient),
+            0x1.0p-26);
+  EXPECT_EQ(kernel::penalty_reciprocal(
+                analytic::AnalyticConfig::stated().quotient),
+            0x1.0p-26);
+  EXPECT_EQ(kernel::penalty_reciprocal(
+                analytic::AnalyticConfig::mainnet().quotient),
+            0x1.0p-24);
+  EXPECT_EQ(kernel::penalty_reciprocal(1.0), 1.0);
+  EXPECT_EQ(kernel::penalty_reciprocal(0.5), 2.0);
+  EXPECT_EQ(kernel::penalty_reciprocal(0x1.0p1023), 0x1.0p-1023);
+  // Altair's quotient and the oracle grid's second model divide.
+  EXPECT_EQ(kernel::penalty_reciprocal(3.0 * 0x1.0p24), 0.0);
+  EXPECT_EQ(kernel::penalty_reciprocal(oracle_models()[1].quotient), 0.0);
+  // No exact finite reciprocal: these divide too.
+  EXPECT_EQ(kernel::penalty_reciprocal(0x1.0p-1024), 0.0);
+  EXPECT_EQ(kernel::penalty_reciprocal(0.0), 0.0);
+  EXPECT_EQ(kernel::penalty_reciprocal(-0x1.0p26), 0.0);
+  EXPECT_EQ(kernel::penalty_reciprocal(
+                std::numeric_limits<double>::infinity()),
+            0.0);
+  EXPECT_EQ(kernel::penalty_reciprocal(0x1.0p26 + 1.0), 0.0);
+}
+
+// The scalar oracle's attack run, one lane of it: the lottery draw,
+// then each live validator's penalty, draw and update.
+struct ScalarCohortRun {
+  const analytic::AnalyticConfig& model;
+  Rng rng;
+  std::vector<double> stake;
+  std::vector<double> score;
+
+  ScalarCohortRun(const analytic::AnalyticConfig& m, std::size_t n,
+                  std::uint64_t seed)
+      : model(m), rng(seed), stake(n, m.initial_stake), score(n, 0.0) {}
+
+  /// One epoch: returns the lottery draw, and `sum` the stake sum as
+  /// it stood before the epoch.
+  std::uint64_t epoch(double p0, double& sum) {
+    const std::uint64_t lottery = rng();
+    sum = 0.0;
+    for (const double s : stake) sum += s;
+    for (std::size_t i = 0; i < stake.size(); ++i) {
+      if (stake[i] == 0.0) continue;
+      stake[i] -= score[i] * stake[i] / model.quotient;
+      if (rng.bernoulli(p0)) {
+        score[i] = std::max(score[i] - model.score_active_decrement, 0.0);
+      } else {
+        score[i] += model.score_bias;
+      }
+      if (stake[i] <= model.ejection_threshold) stake[i] = 0.0;
+    }
+    return lottery;
+  }
+};
+
+// The attack path's penalty on the odd-quotient model, epoch by epoch
+// over 600 epochs (each stake is ejected after 250-450 where p0 < 1):
+// the run tile's lottery draws and stake sums, and the semi-active
+// Byzantine stake until its ejection, against the oracle's division.  Attack runs rarely live long enough for a one-ulp penalty
+// to move a duration, so the end-to-end attack tests cannot see it.
+TEST(CohortTile, AttackPathPenaltyMatchesScalarOnTheOddQuotient) {
+  const auto model = oracle_models()[1];
+  constexpr std::size_t kValidators = 6;
+  const StreamSeeder seeder(57);
+  for (const double p0 : kOracleP0) {
+    const std::size_t lanes = kernel::CohortTile::max_lanes();
+    kernel::CohortTile tile;
+    tile.reset(kValidators, lanes, model);
+    std::vector<ScalarCohortRun> ref;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      tile.start(lane, seeder.seed_for(lane));
+      ref.emplace_back(model, kValidators, seeder.seed_for(lane));
+    }
+    std::vector<std::uint64_t> lottery(lanes);
+    std::vector<double> sums(lanes);
+    for (std::size_t t = 1; t <= 600; ++t) {
+      tile.draw(lottery.data());
+      tile.epoch(model, p0, sums.data());
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        double sum = 0.0;
+        ASSERT_EQ(lottery[lane], ref[lane].epoch(p0, sum))
+            << "p0=" << p0 << " lane " << lane << " epoch " << t;
+        ASSERT_EQ(sums[lane], sum)
+            << "p0=" << p0 << " lane " << lane << " epoch " << t;
+      }
+    }
+  }
+
+  kernel::SemiActiveByzantine byz(model);
+  double stake = model.initial_stake;
+  double score = 0.0;
+  std::size_t t = 0;
+  while (!byz.ejected) {
+    byz.step(model, ++t);
+    stake -= score * stake / model.quotient;
+    score = t % 2 == 0 ? std::max(score - model.score_active_decrement, 0.0)
+                       : score + model.score_bias;
+    if (stake <= model.ejection_threshold) stake = 0.0;
+    ASSERT_EQ(byz.stake, stake) << "epoch " << t;
+    ASSERT_EQ(byz.score, score) << "epoch " << t;
+  }
+  EXPECT_EQ(stake, 0.0);
+  EXPECT_GT(t, 200u);
+}
+
+// compact() moves the kept lanes into the first lanes of a narrower
+// tile (or the same width, where the target has one tile width), and
+// each goes on drawing and summing exactly as the lane it was, next to
+// a tile that was never compacted.
+TEST(CohortTile, CompactedLanesPlayOnAsBefore) {
+  const std::size_t widest = kernel::CohortTile::max_lanes();
+  constexpr std::size_t kValidators = 5;
+  const StreamSeeder seeder(61);
+  // Keep every other lane, only the last one, and all of them.
+  std::vector<std::vector<std::uint8_t>> masks(
+      3, std::vector<std::uint8_t>(widest));
+  for (std::size_t lane = 0; lane < widest; ++lane) {
+    masks[0][lane] = lane % 2;
+    masks[1][lane] = lane + 1 == widest ? 1 : 0;
+    masks[2][lane] = 1;
+  }
+  for (const auto& model : oracle_models()) {
+    for (const double p0 : kOracleP0) {
+      for (const auto& keep : masks) {
+        kernel::CohortTile tile;
+        kernel::CohortTile ref;
+        tile.reset(kValidators, widest, model);
+        ref.reset(kValidators, widest, model);
+        for (std::size_t lane = 0; lane < widest; ++lane) {
+          tile.start(lane, seeder.seed_for(lane));
+          ref.start(lane, seeder.seed_for(lane));
+        }
+        std::vector<std::uint64_t> draws(widest);
+        std::vector<std::uint64_t> ref_draws(widest);
+        std::vector<double> sums(widest);
+        std::vector<double> ref_sums(widest);
+        for (std::size_t t = 0; t < 40; ++t) {
+          tile.draw(draws.data());
+          ref.draw(ref_draws.data());
+          tile.epoch(model, p0, sums.data());
+          ref.epoch(model, p0, ref_sums.data());
+        }
+        std::vector<std::size_t> from;
+        for (std::size_t lane = 0; lane < widest; ++lane) {
+          if (keep[lane] != 0) from.push_back(lane);
+        }
+        const std::size_t lanes = kernel::CohortTile::lanes_for(from.size());
+        tile.compact(lanes, keep.data());
+        const auto label = oracle_label(p0, model) +
+                           " kept=" + std::to_string(from.size());
+        for (std::size_t t = 0; t < 400; ++t) {
+          tile.draw(draws.data());
+          ref.draw(ref_draws.data());
+          tile.epoch(model, p0, sums.data());
+          ref.epoch(model, p0, ref_sums.data());
+          for (std::size_t i = 0; i < lanes; ++i) {
+            const bool kept = i < from.size();
+            ASSERT_EQ(sums[i], kept ? ref_sums[from[i]] : 0.0) << label;
+            if (kept) {
+              ASSERT_EQ(draws[i], ref_draws[from[i]]) << label;
+            }
+          }
+        }
+        tile.stake_sums(sums.data());
+        ref.stake_sums(ref_sums.data());
+        for (std::size_t i = 0; i < from.size(); ++i) {
+          EXPECT_EQ(sums[i], ref_sums[from[i]]) << label;
+        }
+      }
+    }
+  }
+}
+
+// One block of long-lived runs: after the block's last run starts, its
+// lanes drain into narrower tiles (on a target with more than one tile
+// width), and every run is the oracle's.  On the paper's model one run
+// outlives all others, so the last tile plays one live lane; on the
+// odd-quotient model the Byzantine ejection ends many runs at once.
+TEST(CohortTile, AttackTileNarrowingAsItsBlockDrainsMatchesScalar) {
+  for (const auto& model : oracle_models()) {
+    for (const double p0 : kOracleP0) {
+      bouncing::AttackSimConfig cfg;
+      cfg.runs = 2 * kernel::CohortTile::max_lanes() + 3;
+      cfg.honest_validators = 10;
+      cfg.max_epochs = 500;
+      cfg.beta0 = 0.45;
+      cfg.seed = 19;
+      cfg.p0 = p0;
+      cfg.model = model;
+      const auto ref = oracle::run_attack_sim_scalar(cfg);
+      if (model.quotient == analytic::AnalyticConfig::paper().quotient) {
+        const auto longest =
+            std::max_element(ref.durations.begin(), ref.durations.end());
+        EXPECT_EQ(std::count(ref.durations.begin(), ref.durations.end(),
+                             *longest),
+                  1)
+            << oracle_label(p0, model);
+      }
+      cfg.block = cfg.runs;
+      for (const unsigned threads : kThreadGrid) {
+        cfg.threads = threads;
+        expect_attack_equal(bouncing::run_attack_sim(cfg), ref,
+                            oracle_label(p0, model) + " threads=" +
+                                std::to_string(threads));
+      }
+    }
+  }
 }
 
 TEST(CohortTile, PopulationRejectsAnEmptyHonestCohort) {

@@ -31,6 +31,15 @@ supply it (run_benchmarks.sh injects the field when merging).
 A snapshot taken with --benchmark_repetitions=N records each
 benchmark's median aggregate rather than its last repetition.
 
+Each appended record also describes the machine that ran it: `nproc`
+(the CPUs this process may run on), the /proc/cpuinfo model name and
+which of the avx512f, avx2 and fma flags it has.  `check` names the
+host of every record it compares against and marks each comparison
+whose baseline came from another machine (or from a record that
+predates the description) as across hosts; the verdict and the bound
+are the same either way, but an absolute timing from another machine
+says more about the machine than about the code.
+
 `append --only REGEX` records just the matching benchmarks, e.g. the
 ones a change re-measured.  Every other benchmark keeps its figure from
 the older record that holds it, since `check` takes each benchmark's
@@ -41,6 +50,7 @@ Common flags: [--store bench/trajectory.jsonl]
 
 import argparse
 import json
+import os
 import pathlib
 import re
 import sys
@@ -93,6 +103,44 @@ def scan(store):
     return records
 
 
+# The /proc/cpuinfo flags a record notes: the vector extensions the
+# kernels' -march=native build can use.
+CPU_FLAGS = ("avx512f", "avx2", "fma")
+
+
+def machine(cpuinfo="/proc/cpuinfo"):
+    """nproc, the CPU model name and the CPU_FLAGS this machine has."""
+    model, flags = "", set()
+    try:
+        with open(cpuinfo) as fh:
+            for line in fh:
+                key, _, value = line.partition(":")
+                key = key.strip()
+                if key == "model name" and not model:
+                    model = value.strip()
+                elif key == "flags" and not flags:
+                    flags = set(value.split())
+    except OSError:
+        pass
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "model_name": model,
+        "cpu_flags": [f for f in CPU_FLAGS if f in flags],
+    }
+
+
+def describe_machine(m):
+    flags = ",".join(m["cpu_flags"]) or "no avx512f/avx2/fma"
+    return f"{m['model_name'] or 'unknown model'}, nproc {m['nproc']}, {flags}"
+
+
+def describe(record):
+    """One line naming the host a record was measured on."""
+    host = record.get("host") or "unnamed host"
+    m = record.get("machine")
+    return f"{host} ({describe_machine(m) if m else 'machine not recorded'})"
+
+
 def snapshot(results_path, label, binary=None):
     """Distill BENCH_results.json into one trajectory record.  A run
     with --benchmark_repetitions contributes each benchmark's median
@@ -131,15 +179,18 @@ def select(benches, only):
 
 
 def latest_figures(records):
-    """Each benchmark's cpu time in the newest record that holds it."""
+    """Each benchmark's cpu time in the newest record that holds it,
+    with that record's index."""
     figures = {}
-    for rec in records:
-        figures.update(rec["cpu_time_ns"])
+    for i, rec in enumerate(records):
+        for key, value in rec["cpu_time_ns"].items():
+            figures[key] = (value, i)
     return figures
 
 
 def cmd_append(args):
     record = snapshot(args.results, args.label, args.binary)
+    record["machine"] = machine()
     record["cpu_time_ns"] = select(record["cpu_time_ns"], args.only)
     if not record["cpu_time_ns"]:
         sys.exit(f"error: no benchmarks in {args.results} match"
@@ -166,19 +217,34 @@ def cmd_check(args):
     if not shared:
         sys.exit("error: no benchmarks in common with the trajectory"
                  + (f" matching --only {args.only!r}" if args.only else ""))
+    here = machine()
+    used = sorted({base[key][1] for key in shared})
+    across = {i for i in used if records[i].get("machine") != here}
     regressions = []
     for key in shared:
-        if base[key] > 0 and fresh[key] > base[key] * args.max_regress:
-            regressions.append((key, base[key], fresh[key]))
+        old, i = base[key]
+        if old > 0 and fresh[key] > old * args.max_regress:
+            regressions.append((key, old, fresh[key], i))
     print(
         f"{len(shared)} benchmarks compared against their newest figures"
         f" in {len(records)} records"
     )
+    print(f"this machine: {describe_machine(here)}")
+    for i in used:
+        n = sum(1 for key in shared if base[key][1] == i)
+        mark = " [ACROSS HOSTS]" if i in across else ""
+        print(f"  baseline record {i + 1} ({n} benchmarks):"
+              f" {describe(records[i])}{mark}")
+    if across:
+        print(f"note: {len(across)} baseline record(s) come from another or"
+              " an undescribed machine; their comparisons are across hosts")
     if regressions:
-        for key, old, new in regressions:
+        for key, old, new, i in regressions:
+            mark = " [across hosts]" if i in across else ""
             print(
                 f"  REGRESSED {key}: {old:.0f}ns -> {new:.0f}ns"
-                f" ({new / old:.2f}x, limit {args.max_regress:.2f}x)",
+                f" ({new / old:.2f}x, limit {args.max_regress:.2f}x,"
+                f" record {i + 1}){mark}",
                 file=sys.stderr,
             )
         sys.exit(f"error: {len(regressions)} benchmark(s) regressed")
@@ -191,6 +257,7 @@ def cmd_show(args):
             f"{i:3d}  {rec.get('date', ''):25s} "
             f"{rec.get('label') or 'unlabelled':20s} "
             f"{len(rec.get('cpu_time_ns', {}))} benchmarks"
+            f"  {describe(rec)}"
         )
 
 
